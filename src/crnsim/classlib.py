@@ -13,14 +13,24 @@ new centroids to old ones.
 A learned class carries enough structure to tune a filter bank: its
 centroid's motion-transition rows become the IMM mixing chain, with the
 per-state default acceleration levels standing in for process noise.
+
+The distance and likelihood kernels work on all blocks at once (see
+`_blocked`) and are bit-exact: every float they produce equals the one a
+per-block loop over slices gives, so the fast paths change no result. Two
+rules keep it so. Each block is summed strictly left to right, the order
+numpy's `.sum(axis=-1)` uses on a slice (`np.add.reduceat` and pairwise
+sums group the terms differently). Per-block results are combined by a
+sequential `out += w_b * x[..., b]` in block order, never by a sum over the
+block axis.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -220,26 +230,102 @@ def vector_from_paths(
 # --- distance ---
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    return -xlogy(p, p).sum(axis=-1) / _LN2
+@functools.lru_cache(maxsize=None)
+def _block_layout(blocks: tuple[BlockSpec, ...]) -> np.ndarray:
+    """Gather index (W, B): entry [j, b] is the position of element j of
+    block b in the concatenated vector, W the longest block length. Past a
+    block's end it is L, the index of an appended zero."""
+    width = max(b.length for b in blocks)
+    index = np.full((width, len(blocks)), sum(b.length for b in blocks))
+    for i, (b, sl) in enumerate(_block_slices(blocks)):
+        index[: b.length, i] = np.arange(sl.start, sl.stop)
+    index.setflags(write=False)
+    return index
 
 
-def _jsd_bits(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Base-2 Jensen-Shannon divergence along the last axis; in [0, 1]."""
-    m = 0.5 * (p + q)
-    return np.maximum(
-        _entropy_bits(m) - 0.5 * _entropy_bits(p) - 0.5 * _entropy_bits(q), 0.0
-    )
+def _blocked(x: np.ndarray, blocks) -> np.ndarray:
+    """(..., L) vectors in blocked form (W, ..., B): slice j holds element j
+    of every block, so a kernel can walk all blocks one element position at
+    a time. The zero padding adds an exact 0 to every block sum below."""
+    padded = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(padded[..., _block_layout(blocks)], -2, 0))
+
+
+def _entropy_bits(columns) -> np.ndarray:
+    """Base-2 entropy of every block, from the (..., B) slices of a blocked
+    array in position order. Each block's x log x terms are added strictly
+    left to right, ((a + b) + c) + d: the order `.sum(axis=-1)` gives the
+    block's own slice. The slices are overwritten, so pass a copy; they may
+    all be one reused buffer."""
+    total = None
+    for c in columns:
+        xlogy(c, c, out=c)
+        if total is None:
+            total = c.copy()
+        else:
+            total += c
+    np.negative(total, out=total)
+    total /= _LN2
+    return total
+
+
+class _BlockedPool(NamedTuple):
+    """Pool points in blocked form with their block entropies, computed
+    once and shared by every distance evaluation against the pool."""
+
+    values: np.ndarray  # (W, N, B)
+    entropy: np.ndarray  # (N, B)
+
+
+def _blocked_pool(points: np.ndarray, blocks) -> _BlockedPool:
+    values = _blocked(points, blocks)
+    return _BlockedPool(values, _entropy_bits(values.copy()))
+
+
+def _midpoints(p: np.ndarray, q: np.ndarray):
+    """The (N, K, B) slices, in position order, of the blocked midpoints of
+    every p (W, N, B) and q (W, K, B), all written into one buffer."""
+    m = np.empty((p.shape[1], q.shape[1], p.shape[2]))
+    for pj, qj in zip(p, q):
+        np.add(pj[:, None], qj[None, :], out=m)
+        m *= 0.5
+        yield m
+
+
+def _pool_distances(pool: _BlockedPool, centroids: np.ndarray, blocks) -> np.ndarray:
+    """Weighted JSD between every pool point and centroid (K, L): (N, K).
+
+    One fused kernel for all blocks: each `xlogy` covers one element
+    position of every block of every (point, centroid) midpoint, and no
+    (N, K, L) array is ever built. Bit-exact against a per-block loop: each
+    block keeps the clamp max(H(m) - H(p)/2 - H(q)/2, 0), and the weighted
+    sum runs block by block in layout order."""
+    q = _blocked(centroids, blocks)
+    jsd = _entropy_bits(_midpoints(pool.values, q))
+    jsd -= 0.5 * pool.entropy[:, None]
+    jsd -= 0.5 * _entropy_bits(q.copy())[None, :]
+    np.maximum(jsd, 0.0, out=jsd)
+    out = np.zeros(jsd.shape[:2])
+    for b, spec in enumerate(blocks):
+        out += spec.weight * jsd[..., b]
+    return out
+
+
+def _distance_matrix(
+    points: np.ndarray, centroids: np.ndarray, blocks
+) -> np.ndarray:
+    """Weighted JSD between every point (N,L) and centroid (K,L): (N,K).
+
+    Every entry is bit-identical to summing `weight * JSD` over the block
+    slices one at a time (see the module docstring for the order rules)."""
+    return _pool_distances(_blocked_pool(points, blocks), centroids, blocks)
 
 
 def distribution_distance(a: ParameterVector, b: ParameterVector) -> float:
     """Weighted sum of per-block JSD between two parameter vectors."""
     if a.blocks != b.blocks:
         raise BlockMismatch("parameter vectors have different block structures")
-    total = 0.0
-    for spec, sl in _block_slices(a.blocks):
-        total += spec.weight * float(_jsd_bits(a.values[sl], b.values[sl]))
-    return total
+    return float(_distance_matrix(a.values[None], b.values[None], a.blocks)[0, 0])
 
 
 def _stack(vectors: Sequence[ParameterVector]) -> np.ndarray:
@@ -250,30 +336,35 @@ def _stack(vectors: Sequence[ParameterVector]) -> np.ndarray:
     return np.stack([v.values for v in vectors])
 
 
-def _distance_matrix(
-    points: np.ndarray, centroids: np.ndarray, blocks
-) -> np.ndarray:
-    """Weighted JSD between every point (N,L) and centroid (K,L): (N,K)."""
-    out = np.zeros((points.shape[0], centroids.shape[0]))
-    for spec, sl in _block_slices(blocks):
-        out += spec.weight * _jsd_bits(
-            points[:, None, sl], centroids[None, :, sl]
-        )
-    return out
-
-
 # --- clustering ---
 
 
-def _lloyd(points: np.ndarray, k: int, blocks, rng) -> tuple[np.ndarray, np.ndarray, float, list]:
+def _lloyd(
+    points: np.ndarray,
+    k: int,
+    blocks,
+    rng,
+    pool: Optional[_BlockedPool] = None,
+) -> tuple[np.ndarray, np.ndarray, float, list]:
+    """One Lloyd run from k distinct random points of the pool.
+
+    The (N, k) distance matrix is carried across iterations: after each
+    centroid update only the columns of centroids whose values changed are
+    recomputed. Columns do not depend on each other, so the carried matrix
+    equals a full recompute bit for bit, and at exit it already belongs to
+    the final centroids. `pool` is the blocked form of `points`, computed
+    here when the caller has not."""
     n = points.shape[0]
+    if pool is None:
+        pool = _blocked_pool(points, blocks)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
+    dists = _pool_distances(pool, centroids, blocks)
     assign = np.full(n, -1)
     objective_trace = []
     for _ in range(KMEANS_MAX_ITER):
-        dists = _distance_matrix(points, centroids, blocks)
         new_assign = np.argmin(dists, axis=1)
         objective_trace.append(float(dists[np.arange(n), new_assign].sum()))
+        previous = centroids.copy()
         for c in range(k):
             members = new_assign == c
             if members.any():
@@ -283,10 +374,12 @@ def _lloyd(points: np.ndarray, k: int, blocks, rng) -> tuple[np.ndarray, np.ndar
                 worst = int(np.argmax(dists[np.arange(n), new_assign]))
                 centroids[c] = points[worst]
                 new_assign[worst] = c
+        moved = np.any(centroids != previous, axis=1)
+        if moved.any():
+            dists[:, moved] = _pool_distances(pool, centroids[moved], blocks)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    dists = _distance_matrix(points, centroids, blocks)
     objective = float(dists[np.arange(n), assign].sum())
     return assign, centroids, objective, objective_trace
 
@@ -305,9 +398,10 @@ def kmeans_distributions(
         raise TooFewPoints(f"k={k} exceeds {len(vectors)} vectors")
     points = _stack(vectors)
     blocks = vectors[0].blocks
+    pool = _blocked_pool(points, blocks)
     best = None
     for _ in range(KMEANS_RESTARTS):
-        assign, cents, objective, _ = _lloyd(points, k, blocks, rng)
+        assign, cents, objective, _ = _lloyd(points, k, blocks, rng, pool)
         if best is None or objective < best[2]:
             best = (assign, cents, objective)
     assign, cents, _ = best
@@ -331,13 +425,18 @@ def _mixture_logits(
 ) -> np.ndarray:
     """Per-member, per-component joint log-density (N, K): mixing weight plus
     every block scored as a categorical sample of the member's effective
-    size under the component centroid."""
-    logc = np.log(np.maximum(centroids, 1e-12))
-    logits = np.zeros((points.shape[0], centroids.shape[0]))
-    for gi, (spec, sl) in enumerate(_block_slices(blocks)):
-        logits += n_eff[:, gi, None] * (points[:, None, sl] * logc[None, :, sl]).sum(
-            axis=2
-        )
+    size under the component centroid. `points` are in blocked form
+    (W, N, B), see `_blocked`. The cross terms of all blocks are summed one
+    element position at a time, then combined block by block, as in
+    `_pool_distances`."""
+    logc = np.log(np.maximum(_blocked(centroids, blocks), 1e-12))
+    cross = np.zeros((points.shape[1], centroids.shape[0], len(blocks)))
+    term = np.empty_like(cross)
+    for p, lc in zip(points, logc):
+        cross += np.multiply(p[:, None], lc[None, :], out=term)
+    logits = np.zeros(cross.shape[:2])
+    for gi in range(len(blocks)):
+        logits += n_eff[:, gi, None] * cross[..., gi]
     with np.errstate(divide="ignore"):
         logits += np.log(weights)[None, :]
     return logits
@@ -366,9 +465,10 @@ def _pool_log_likelihood(
     n = points.shape[0]
     weights = np.bincount(assign, minlength=k).astype(float) / n
     cents = centroids.copy()
+    blocked = _blocked(points, blocks)
     prev = -np.inf
     for _ in range(max_iter):
-        logits = _mixture_logits(points, n_eff, cents, weights, blocks)
+        logits = _mixture_logits(blocked, n_eff, cents, weights, blocks)
         norm = logsumexp(logits, axis=1)
         logl = float(norm.sum())
         if logl - prev < tol * max(1.0, abs(logl)):
@@ -524,15 +624,21 @@ def assign_class(
     vector: ParameterVector,
     accept_radius: float = DEFAULT_ACCEPT_RADIUS,
 ) -> Optional[int]:
-    """Nearest learned class within the acceptance radius, else None."""
-    best_id, best_dist = None, np.inf
-    for c in library.classes:
-        dist = distribution_distance(vector, c.centroid)
-        if dist < best_dist:
-            best_id, best_dist = c.class_id, dist
-    if best_id is None or best_dist > accept_radius:
+    """Nearest learned class within the acceptance radius, else None.
+
+    All centroids are scored in one kernel call; each distance equals
+    `distribution_distance(vector, centroid)`, and ties go to the class
+    listed first."""
+    if any(c.centroid.blocks != vector.blocks for c in library.classes):
+        raise BlockMismatch("parameter vectors have different block structures")
+    if not library.classes:
         return None
-    return best_id
+    centroids = np.stack([c.centroid.values for c in library.classes])
+    dists = _distance_matrix(vector.values[None], centroids, vector.blocks)[0]
+    best = int(np.argmin(dists))
+    if dists[best] > accept_radius:
+        return None
+    return library.classes[best].class_id
 
 
 def score_classes(

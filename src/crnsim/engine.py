@@ -61,7 +61,6 @@ from crnsim.scenario import (
     spawn_scenario,
 )
 from crnsim.sensing import (
-    DOA_GATE_RAD,
     SensorNoise,
     max_detectable_range,
     passive_detect_batch,
@@ -243,10 +242,12 @@ class Coordinator:
             self._tuning_cache[cid] = self._untuned if cls is None else cls.tuning()
         return self._tuning_cache[cid]
 
-    def predict_arrays(self, tuning: FilterTuning, dt: float):
-        """(transition, Q-stack) for one tuning, cached per epoch."""
-        key = id(tuning)
+    def predict_arrays(self, track: Track, dt: float):
+        """(transition, Q-stack) of a track's tuning, cached per epoch under
+        the class that tunes it, None when the untuned bank applies."""
+        key = track.class_assignment if self.use_class_knowledge else None
         if key not in self._noise_cache:
+            tuning = self.tuning_for(track)
             Q = np.stack(
                 [process_noise_matrix(dt, s) for s in tuning.process_noise_per_state]
             )
@@ -332,7 +333,7 @@ def _predict_tracks(coordinator: Coordinator, dt: float) -> None:
     trans = np.empty((B, M, M))
     Q = np.empty((B, M, 6, 6))
     for i, tr in enumerate(tracks):
-        trans[i], Q[i] = coordinator.predict_arrays(coordinator.tuning_for(tr), dt)
+        trans[i], Q[i] = coordinator.predict_arrays(tr, dt)
     s, c, p = imm_predict_arrays(states, covs, probs, trans, cv_transition(dt), Q)
     for i, tr in enumerate(tracks):
         tr.model_states, tr.model_covs, tr.model_probs = s[i], c[i], p[i]

@@ -9,7 +9,7 @@ through caller-supplied numpy Generators; nothing here holds hidden state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -27,15 +27,22 @@ class EmptySequence(ValueError):
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Row-stochastic transition matrix over a finite labeled state space."""
+    """Row-stochastic transition matrix over a finite labeled state space.
+
+    `row_cdf` holds each row's cumulative distribution, built the way
+    `Generator.choice` builds it (cumsum, then divide by the last entry),
+    so that `sample_next` can draw without calling `choice`."""
 
     transition: np.ndarray
     labels: tuple[str, ...] = ()
+    row_cdf: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         P = np.asarray(self.transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
             raise ValueError(f"transition must be a square matrix, got shape {P.shape}")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("transition entries must be finite")
         if np.any(P < -ROW_SUM_TOL) or np.any(P > 1 + ROW_SUM_TOL):
             raise ValueError("transition entries must lie in [0, 1]")
         rowsums = P.sum(axis=1)
@@ -44,6 +51,10 @@ class MarkovChain:
         P = np.clip(P, 0.0, 1.0)
         P.setflags(write=False)
         object.__setattr__(self, "transition", P)
+        cdf = np.cumsum(P, axis=1)
+        cdf /= cdf[:, -1:]
+        cdf.setflags(write=False)
+        object.__setattr__(self, "row_cdf", cdf)
         if not self.labels:
             object.__setattr__(
                 self, "labels", tuple(f"s{i}" for i in range(P.shape[0]))
@@ -119,9 +130,15 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
 
 
 def sample_next(chain: MarkovChain, current: int, rng: np.random.Generator) -> int:
-    """Draw the successor state of `current` from the chain's transition row."""
-    row = chain.transition[current]
-    return int(rng.choice(row.size, p=row))
+    """Draw the successor state of `current` from the chain's transition row.
+
+    Inverts the row's cached CDF at one `rng.random()` draw, which is what
+    `rng.choice(n, p=row)` does: the same states come out and the generator
+    advances the same way. Nothing that `choice` checks is lost: it wants
+    finite, non-negative entries summing to 1 within sqrt(eps) ~ 1.5e-8, and
+    `MarkovChain` already requires finite rows summing to 1 within
+    ROW_SUM_TOL = 1e-9 and clips entries to [0, 1]."""
+    return int(chain.row_cdf[current].searchsorted(rng.random(), side="right"))
 
 
 def sample_path(
