@@ -5,7 +5,8 @@ baseline policies.
 Rewards are normalized Shannon entropies of the coordinator's current
 distribution estimates, so they are always in [0, 1]: the active arm is
 paid by motion-model uncertainty, the passive arm by signal-model
-uncertainty, each averaged over the targets the node covers.
+uncertainty, each averaged over the tracks inside the node's radar
+footprint (`compute_rewards`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-from crnsim.markov import normalized_entropy
 
 # tracks with fewer observations than this contribute maximum uncertainty,
 # pushing nodes to observe unknown targets
@@ -39,14 +38,6 @@ class PolicyKind(Enum):
 
 
 @dataclass
-class RewardSample:
-    node_id: int
-    mode: NodeMode
-    value: float
-    num_covered_targets: int
-
-
-@dataclass
 class BanditState:
     """Pull counts and running mean rewards for one node's two arms."""
 
@@ -55,22 +46,35 @@ class BanditState:
     total_steps: int = 0
 
 
-def compute_rewards(motion_dists, signal_dists) -> tuple[float, float]:
-    """Mean normalized entropy of the covered tracks' motion and signal
-    distribution estimates.
+def compute_rewards(
+    node_xy: np.ndarray,
+    radar_ranges: np.ndarray,
+    track_xy,
+    etas,
+    active: np.ndarray,
+) -> np.ndarray:
+    """Played-arm reward of every node for one step.
 
-    Each element of the two lists is either a distribution vector or None;
-    None marks a track with too little history, which contributes maximum
-    uncertainty (entropy 1). Both rewards are 0 when nothing is covered.
+    `etas` holds one (motion, signal) normalized entropy per track, aligned
+    with `track_xy`. A node covers the tracks whose horizontal distance is
+    within its radar range, and is paid the mean over them of the motion
+    column when it played Active (`active` True), of the signal column when
+    it played Passive. A node that covers no track earns 0 on either arm.
+    Returns an (N,) array.
     """
-    m = len(motion_dists)
-    if m == 0:
-        return 0.0, 0.0
-    if len(signal_dists) != m:
-        raise ValueError("motion and signal estimate lists must align")
-    active = sum(1.0 if d is None else normalized_entropy(d) for d in motion_dists)
-    passive = sum(1.0 if d is None else normalized_entropy(d) for d in signal_dists)
-    return active / m, passive / m
+    rewards = np.zeros(len(node_xy))
+    if len(track_xy) == 0:
+        return rewards
+    track_xy = np.asarray(track_xy, dtype=float)
+    eta = np.asarray(etas, dtype=float)  # (T, 2) motion, signal
+    d = np.linalg.norm(node_xy[:, None, :] - track_xy[None, :, :], axis=2)
+    covered = d <= radar_ranges[:, None]  # (N, T)
+    counts = covered.sum(axis=1)
+    sums = covered @ eta  # (N, 2)
+    has = counts > 0
+    arm = np.where(active, 0, 1)
+    rewards[has] = sums[has, arm[has]] / counts[has]
+    return rewards
 
 
 def ucb_select(state: BanditState, t: int) -> NodeMode:

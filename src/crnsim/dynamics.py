@@ -14,54 +14,16 @@ radar's angular-velocity channel observes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from crnsim.markov import sample_next
-from crnsim.scenario import (
-    COORD_TURN,
-    MOTION_STATES,
-    TX_OFF,
-    TX_ON,
-    Target,
-    TargetClass,
-)
+from crnsim.scenario import COORD_TURN, TX_OFF, TX_ON, Target, TargetClass
 from crnsim.sensing import wrap_angle
 
 # vertical acceleration noise is this fraction of the horizontal value:
 # aircraft maneuver mostly in the horizontal plane
 VERTICAL_NOISE_FRACTION = 0.2
-
-
-@dataclass(frozen=True)
-class MotionStateSpec:
-    """Kinematic recipe for one motion state."""
-
-    kind: str
-    accel_std: float
-    turn_rate_range_radps: Optional[tuple[float, float]] = None
-
-    def __post_init__(self):
-        if self.accel_std < 0:
-            raise ValueError("accel_std must be nonnegative")
-
-
-def class_state_specs(cls: TargetClass) -> list[MotionStateSpec]:
-    """Per-motion-state kinematic specs of a class."""
-    out = []
-    for i, kind in enumerate(MOTION_STATES):
-        out.append(
-            MotionStateSpec(
-                kind=kind,
-                accel_std=float(cls.process_noise[i]),
-                turn_rate_range_radps=(
-                    cls.turn_rate_range_radps if i == COORD_TURN else None
-                ),
-            )
-        )
-    return out
 
 
 def _clamp_speed(velocity: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -33,12 +33,11 @@ from crnsim.bandit import (
     NodeMode,
     PolicyKind,
     baseline_policy,
+    compute_rewards,
     record_reward,
     ucb_select,
 )
 from crnsim.classlib import (
-    DEFAULT_ACCEPT_RADIUS,
-    DEFAULT_MAX_CLASSES,
     ClassLibrary,
     ParameterVector,
     assign_class,
@@ -53,10 +52,7 @@ from crnsim.markov import normalized_entropy
 from crnsim.scenario import (
     MOTION_STATES,
     DegenerateScenario,
-    Node,
     ScenarioConfig,
-    Target,
-    TargetClass,
     TargetFamily,
     spawn_scenario,
 )
@@ -68,7 +64,6 @@ from crnsim.sensing import (
     wrap_angle,
 )
 from crnsim.tracking import (
-    FilterTuning,
     Track,
     cv_transition,
     imm_predict_arrays,
@@ -85,8 +80,10 @@ from crnsim.tracking import (
 # retries after a spawn with zero nodes or zero targets
 MAX_SPAWN_RETRIES = 5
 
-# steps between attempts to match an unassigned track to a learned class
-ASSIGN_PERIOD = 1
+# harvest gate: a track contributes a behavior vector only with this much
+# radar/passive history behind it
+MIN_RADAR_OBS = 10
+MIN_PASSIVE_OBS = 3
 
 DEFAULT_RANDOM_ACTIVE_P = 0.8
 
@@ -125,12 +122,6 @@ class SimConfig:
     policy: PolicySpec = PolicySpec()
     seed: int = 0
     noise: SensorNoise = SensorNoise()
-    accept_radius: float = DEFAULT_ACCEPT_RADIUS
-    max_classes: int = DEFAULT_MAX_CLASSES
-    # harvest gate: a track contributes a behavior vector only with this
-    # much radar/passive history behind it
-    min_radar_obs: int = 10
-    min_passive_obs: int = 3
 
     def __post_init__(self):
         if self.num_epochs < 1 or self.num_runs < 1:
@@ -140,8 +131,6 @@ class SimConfig:
         steps = self.epoch_duration_s / self.dt_s
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigError("epoch duration must be a whole number of steps")
-        if self.min_radar_obs < 2 or self.min_passive_obs < 1:
-            raise ConfigError("harvest thresholds too small to estimate from")
 
     @property
     def steps_per_epoch(self) -> int:
@@ -159,12 +148,23 @@ class Streams:
 
 
 def make_streams(seed) -> Streams:
-    """Normalize an int / SeedSequence / Streams into named streams."""
-    if isinstance(seed, Streams):
-        return seed
+    """Named streams from an int or a SeedSequence.
+
+    The children are the ones `spawn(4)` gives on a fresh sequence, built
+    without spawning, so the caller's SeedSequence is left unchanged and
+    the same object always yields the same streams."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    kids = [np.random.default_rng(c) for c in seed.spawn(4)]
+    kids = [
+        np.random.default_rng(
+            np.random.SeedSequence(
+                seed.entropy,
+                spawn_key=seed.spawn_key + (i,),
+                pool_size=seed.pool_size,
+            )
+        )
+        for i in range(4)
+    ]
     return Streams(*kids)
 
 
@@ -224,30 +224,20 @@ class Coordinator:
     library: ClassLibrary
     num_signal_states: int
     use_class_knowledge: bool
-    accept_radius: float = DEFAULT_ACCEPT_RADIUS
     tracks: dict = field(default_factory=dict)  # target key -> Track
     # first sightings waiting for a second measurement: key -> (step, pos, R)
     pending: dict = field(default_factory=dict)
     bandits: list = field(default_factory=list)
-    _untuned: FilterTuning = field(default_factory=untuned_tuning)
-    _tuning_cache: dict = field(default_factory=dict)
     _noise_cache: dict = field(default_factory=dict)
-
-    def tuning_for(self, track: Track) -> FilterTuning:
-        cid = track.class_assignment
-        if not self.use_class_knowledge or cid is None:
-            return self._untuned
-        if cid not in self._tuning_cache:
-            cls = self.library.get(cid)
-            self._tuning_cache[cid] = self._untuned if cls is None else cls.tuning()
-        return self._tuning_cache[cid]
 
     def predict_arrays(self, track: Track, dt: float):
         """(transition, Q-stack) of a track's tuning, cached per epoch under
-        the class that tunes it, None when the untuned bank applies."""
+        the class that tunes it, None when the untuned bank applies. A class
+        id missing from the library also gets the untuned bank."""
         key = track.class_assignment if self.use_class_knowledge else None
         if key not in self._noise_cache:
-            tuning = self.tuning_for(track)
+            cls = None if key is None else self.library.get(key)
+            tuning = untuned_tuning() if cls is None else cls.tuning()
             Q = np.stack(
                 [process_noise_matrix(dt, s) for s in tuning.process_noise_per_state]
             )
@@ -256,7 +246,7 @@ class Coordinator:
 
 
 def make_coordinator(
-    library: ClassLibrary, world: World, policy: PolicySpec, config: SimConfig
+    library: ClassLibrary, world: World, policy: PolicySpec
 ) -> Coordinator:
     """Fresh per-epoch coordinator. Bandit statistics start cold every
     epoch; only the class library carries over. Baselines keep the library
@@ -266,7 +256,6 @@ def make_coordinator(
         library=library,
         num_signal_states=world.family.signal_state_count,
         use_class_knowledge=bandit,
-        accept_radius=config.accept_radius,
         bandits=[BanditState() for _ in world.nodes] if bandit else [],
     )
 
@@ -283,16 +272,13 @@ class _EpochTape:
 
 
 def track_parameter_vector(
-    track: Track,
-    num_signal_states: int,
-    min_radar_obs: int = 10,
-    min_passive_obs: int = 3,
+    track: Track, num_signal_states: int
 ) -> Optional[ParameterVector]:
     """Behavior vector from one track's histories, or None when the track
     has not been observed enough to estimate all four blocks."""
     n_v = len(track.motion_state_history)
     n_s = len(track.signal_history)
-    if n_v < min_radar_obs or n_s < min_passive_obs:
+    if n_v < MIN_RADAR_OBS or n_s < MIN_PASSIVE_OBS:
         return None
     pi_v = track.estimated_motion_distribution()
     pi_s = track.estimated_signal_distribution(num_signal_states)
@@ -429,16 +415,6 @@ def _fuse_radar(
     return omegas
 
 
-# Every passive receiver hears every in-range emitter, so at this target
-# density a silent target's track regularly gates someone else's emission.
-# Detections gating more than one track are dropped (see
-# _associate_bearings); a claim that survives that filter is near-certainly
-# from the gated track's own target, so one receiver suffices -- demanding
-# more starves signal histories whenever few nodes listen. Conflicting
-# same-step claims (tied modal type) are still skipped.
-CORROBORATION_MIN = 1
-
-
 # widest bearing gate a track may claim through; beyond this a stale track
 # still shadows its neighborhood (forcing ambiguity drops) without vetoing
 # the whole horizon
@@ -512,7 +488,15 @@ def _apply_passive(
             types[hit == k_i], minlength=coordinator.num_signal_states
         )
         top = int(counts.argmax())
-        if counts[top] < CORROBORATION_MIN or (counts == counts[top]).sum() > 1:
+        # Every passive receiver hears every in-range emitter, so at this
+        # target density a silent target's track regularly gates someone
+        # else's emission. Detections gating more than one track are already
+        # dropped (see _associate_bearings); a claim that survives that filter
+        # is near-certainly from the gated track's own target, so one receiver
+        # suffices -- demanding more starves signal histories whenever few
+        # nodes listen. Conflicting same-step claims (tied modal type) are
+        # still skipped.
+        if (counts == counts[top]).sum() > 1:
             continue
         coordinator.tracks[keys[k_i]].record_signal_state(
             top, t, coordinator.num_signal_states
@@ -521,21 +505,14 @@ def _apply_passive(
     return logged
 
 
-def _attempt_assignments(world: World, coordinator: Coordinator, config: SimConfig):
+def _attempt_assignments(coordinator: Coordinator) -> None:
     for track in coordinator.tracks.values():
         if track.class_assignment is not None:
             continue
-        vec = track_parameter_vector(
-            track,
-            coordinator.num_signal_states,
-            config.min_radar_obs,
-            config.min_passive_obs,
-        )
+        vec = track_parameter_vector(track, coordinator.num_signal_states)
         if vec is None:
             continue
-        track.class_assignment = assign_class(
-            coordinator.library, vec, coordinator.accept_radius
-        )
+        track.class_assignment = assign_class(coordinator.library, vec)
 
 
 def _smoothed_entropy(history, num_states: int) -> float:
@@ -663,31 +640,19 @@ def run_step(
             world.targets[world.index_by_id[key]].position.copy()
         )
 
-    if (
-        coordinator.use_class_knowledge
-        and coordinator.library.classes
-        and t % ASSIGN_PERIOD == 0
-    ):
-        _attempt_assignments(world, coordinator, config)
+    if coordinator.use_class_knowledge and coordinator.library.classes:
+        _attempt_assignments(coordinator)
 
-    # rewards: remaining uncertainty (motion for the radar arm, signal for
-    # the passive arm) averaged over the tracks inside each node's radar
-    # footprint; a node with an empty footprint earns nothing either way
+    # rewards: remaining uncertainty in each node's radar footprint, on the
+    # column of the arm it played
     etas = _track_uncertainties(coordinator)
-    keys = list(etas)
-    rewards = np.zeros(N)
-    if keys:
-        track_xy = np.array([coordinator.tracks[k].state[:2] for k in keys])
-        eta_arr = np.array([etas[k] for k in keys])  # (T, 2) motion, signal
-        d = np.linalg.norm(
-            world.node_positions[:, None, :2] - track_xy[None, :, :], axis=2
-        )
-        covered = d <= world.radar_ranges[:, None]  # (N, T)
-        counts = covered.sum(axis=1)
-        sums = covered @ eta_arr  # (N, 2)
-        has = counts > 0
-        arm = np.where(active, 0, 1)
-        rewards[has] = sums[has, arm[has]] / counts[has]
+    rewards = compute_rewards(
+        world.node_positions[:, :2],
+        world.radar_ranges,
+        [coordinator.tracks[k].state[:2] for k in etas],
+        list(etas.values()),
+        active,
+    )
     if policy.kind is PolicyKind.BANDIT:
         for i in range(N):
             record_reward(coordinator.bandits[i], modes[i], float(rewards[i]))
@@ -738,7 +703,7 @@ def run_epoch(
         policy = config.policy
     streams = make_streams(rng)
     world = make_world(config.scenario, streams.world)
-    coordinator = make_coordinator(library, world, policy, config)
+    coordinator = make_coordinator(library, world, policy)
     tape = _EpochTape()
     steps = config.steps_per_epoch
     for t in range(1, steps + 1):
@@ -757,10 +722,7 @@ def run_epoch(
     harvested = 0
     for key in sorted(coordinator.tracks):
         vec = track_parameter_vector(
-            coordinator.tracks[key],
-            coordinator.num_signal_states,
-            config.min_radar_obs,
-            config.min_passive_obs,
+            coordinator.tracks[key], coordinator.num_signal_states
         )
         if vec is None:
             continue
@@ -773,9 +735,7 @@ def run_epoch(
     new_library = library
     formation, association = 0.0, 0.0
     if pool:
-        new_library, assigned = update_library(
-            library, pool, streams.library, config.max_classes
-        )
+        new_library, assigned = update_library(library, pool, streams.library)
         formation, association = score_classes(new_library, assigned, pool_true_ids)
         new_library.epoch_history.append((formation, association))
 

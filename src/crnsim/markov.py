@@ -25,13 +25,15 @@ class EmptySequence(ValueError):
     """State sequence too short to estimate transitions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovChain:
     """Row-stochastic transition matrix over a finite labeled state space.
 
     `row_cdf` holds each row's cumulative distribution, built the way
     `Generator.choice` builds it (cumsum, then divide by the last entry),
-    so that `sample_next` can draw without calling `choice`."""
+    so that `sample_next` and `sample_path` can draw without calling
+    `choice`. Chains compare by identity: a generated `==` would compare
+    the arrays inside a tuple and raise."""
 
     transition: np.ndarray
     labels: tuple[str, ...] = ()
@@ -81,18 +83,6 @@ class StateSequence:
 
     def __len__(self) -> int:
         return len(self.states)
-
-
-def validate_distribution(probs, tol: float = ROW_SUM_TOL) -> np.ndarray:
-    """Check a vector is a probability distribution and return it as an array."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("distribution must be a non-empty 1-D vector")
-    if np.any(p < -tol) or np.any(p > 1 + tol):
-        raise ValueError("distribution entries must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > tol:
-        raise ValueError(f"distribution must sum to 1, got {p.sum()}")
-    return np.clip(p, 0.0, 1.0)
 
 
 def _closed_class_count(P: np.ndarray) -> int:
@@ -147,28 +137,25 @@ def sample_path(
     init: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Sample a state path of the given length; init defaults to a stationary draw."""
+    """Sample a state path of the given length; init defaults to a stationary
+    draw. Steps invert the rows' cached CDFs, as `sample_next` does."""
     if rng is None:
         rng = np.random.default_rng()
-    cum = np.cumsum(chain.transition, axis=1)
     path = np.empty(length, dtype=np.int64)
     if init is None:
         init = int(rng.choice(chain.num_states, p=stationary_distribution(chain)))
     path[0] = init
     u = rng.random(length)
     for t in range(1, length):
-        path[t] = np.searchsorted(cum[path[t - 1]], u[t], side="right")
+        path[t] = chain.row_cdf[path[t - 1]].searchsorted(u[t], side="right")
     return path
 
 
 def estimate_transitions(
     seq: StateSequence, num_states: int, smoothing: float = 1.0
 ) -> MarkovChain:
-    """Estimate a transition matrix from an observed path by additive smoothing.
-
-    Row i is (count(i->j) + smoothing) / (count(i->.) + p*smoothing). Rows that
-    were never visited (and smoothing == 0) fall back to uniform.
-    """
+    """Estimate a transition matrix from an observed path: count its
+    transitions, then apply `transition_matrix_from_counts`."""
     if len(seq) < 2:
         raise EmptySequence("need at least two observations to count a transition")
     if smoothing < 0:
@@ -178,17 +165,15 @@ def estimate_transitions(
         raise ValueError("sequence contains states outside [0, num_states)")
     counts = np.zeros((num_states, num_states))
     np.add.at(counts, (states[:-1], states[1:]), 1.0)
-    counts += smoothing
-    totals = counts.sum(axis=1, keepdims=True)
-    P = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / num_states)
-    return MarkovChain(P)
+    return MarkovChain(transition_matrix_from_counts(counts, smoothing))
 
 
 def transition_matrix_from_counts(
     counts: np.ndarray, smoothing: float = 1.0
 ) -> np.ndarray:
-    """Same estimator as estimate_transitions, applied to a pre-built count
-    matrix. Unvisited rows come out uniform."""
+    """Additive-smoothing estimate from a count matrix: row i is
+    (count(i->j) + smoothing) / (count(i->.) + p*smoothing). Rows with no
+    mass (unvisited, smoothing == 0) come out uniform."""
     counts = np.asarray(counts, dtype=float) + smoothing
     p = counts.shape[0]
     totals = counts.sum(axis=1, keepdims=True)

@@ -10,7 +10,7 @@ the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -161,7 +161,6 @@ class Node:
     node_id: int
     position: np.ndarray  # [x, y, 0] m
     radar_range_m: float = 4000.0
-    receiver: ReceiverParams = ReceiverParams()
 
 
 @dataclass(frozen=True)
@@ -312,7 +311,6 @@ def spawn_scenario(
             node_id=i,
             position=np.array([xy[0], xy[1], 0.0]),
             radar_range_m=config.radar_range_km * 1000.0,
-            receiver=config.receiver,
         )
         for i, xy in enumerate(node_xy)
     ]

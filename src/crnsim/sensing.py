@@ -11,30 +11,20 @@ SNR-limited range, the emitter actually transmitting, and the node parked
 in passive mode. Detections above that threshold are reliable, so the true
 signal type is carried through and only the bearing is noisy.
 
-Scalar functions operate on one node/target pair; the *_batch variants
-evaluate every pair at once for the simulation hot path and share the same
-gating rules.
+The link-budget functions are scalar. Sensing itself is batched: the
+*_batch functions evaluate every node/target pair of a step at once, and
+they are the only sensing code the simulation runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from crnsim.bandit import NodeMode
-
-if TYPE_CHECKING:
-    from crnsim.scenario import Node, Target, TargetClass
-
 BOLTZMANN_J_PER_K = 1.380649e-23
 REFERENCE_TEMP_K = 290.0
-
-# DoA gate for matching a passive detection to a predicted track bearing:
-# three sigma of the 2 degree bearing noise
-DOA_GATE_RAD = math.radians(6.0)
 
 
 class ZeroRange(ValueError):
@@ -63,29 +53,6 @@ class SensorNoise:
     sigma_radial_velocity: float = 1.0
     sigma_angular_velocity_rad: float = math.radians(0.5)
     sigma_doa_rad: float = math.radians(2.0)
-
-
-@dataclass(frozen=True)
-class RadarMeasurement:
-    node_id: int
-    target_id: int  # ground-truth link, used for scoring/association only
-    range_m: float
-    azimuth_rad: float
-    elevation_rad: float
-    radial_velocity_mps: float
-    angular_velocity_radps: float
-    noise: SensorNoise = SensorNoise()
-    timestamp: float = 0.0
-
-
-@dataclass(frozen=True)
-class PassiveDetection:
-    node_id: int
-    target_id: int  # ground-truth link, scoring only
-    bearing_rad: float
-    signal_state: int
-    snr: float
-    timestamp: float = 0.0
 
 
 def receiver_noise_power(rx: ReceiverParams) -> float:
@@ -125,129 +92,6 @@ def max_detectable_range(
 def wrap_angle(theta):
     """Wrap to (-pi, pi]; works on scalars and arrays."""
     return np.arctan2(np.sin(theta), np.cos(theta))
-
-
-def _spherical(rel: np.ndarray) -> tuple[float, float, float]:
-    rng = float(np.linalg.norm(rel))
-    az = math.atan2(rel[1], rel[0])
-    el = math.asin(rel[2] / rng) if rng > 0 else 0.0
-    return rng, az, el
-
-
-def passive_detect(
-    node: "Node",
-    target: "Target",
-    target_class: "TargetClass",
-    mode: NodeMode,
-    rng: np.random.Generator,
-    noise: SensorNoise = SensorNoise(),
-    rx: ReceiverParams = ReceiverParams(),
-) -> Optional[PassiveDetection]:
-    """Attempt a passive intercept of one target from one node.
-
-    Returns None unless the node is passive, the target is transmitting,
-    and the emitter is within its SNR-limited range. The bearing carries
-    Gaussian DoA noise; the signal type is truth.
-    """
-    if mode is not NodeMode.PASSIVE or not target.tx_on:
-        return None
-    rel = target.position - node.position
-    dist = float(np.linalg.norm(rel))
-    if dist <= 0.0:
-        raise ZeroRange("target colocated with node")
-    snr = passive_snr(target_class.tx_power_w, target_class.tx_gain, rx, dist)
-    if snr < 1.0:
-        return None
-    bearing = math.atan2(rel[1], rel[0]) + rng.normal(0.0, noise.sigma_doa_rad)
-    return PassiveDetection(
-        node_id=node.node_id,
-        target_id=target.target_id,
-        bearing_rad=float(wrap_angle(bearing)),
-        signal_state=target.signal_state,
-        snr=snr,
-    )
-
-
-def radar_measure(
-    node: "Node",
-    target: "Target",
-    mode: NodeMode,
-    rng: np.random.Generator,
-    noise: SensorNoise = SensorNoise(),
-    timestamp: float = 0.0,
-) -> Optional[RadarMeasurement]:
-    """Measure one target with one node's radar.
-
-    Detection is deterministic inside the horizontal range gate. Channels:
-    slant range, azimuth, elevation, radial velocity, and the target's
-    apparent angular (heading) rate, each with additive Gaussian noise.
-    """
-    if mode is not NodeMode.ACTIVE:
-        return None
-    rel = target.position - node.position
-    if math.hypot(rel[0], rel[1]) > node.radar_range_m:
-        return None
-    dist, az, el = _spherical(rel)
-    if dist <= 0.0:
-        raise ZeroRange("target colocated with node")
-    vr = float(np.dot(target.velocity, rel)) / dist
-    return RadarMeasurement(
-        node_id=node.node_id,
-        target_id=target.target_id,
-        range_m=dist + rng.normal(0.0, noise.sigma_range_m),
-        azimuth_rad=float(wrap_angle(az + rng.normal(0.0, noise.sigma_azimuth_rad))),
-        elevation_rad=el + rng.normal(0.0, noise.sigma_elevation_rad),
-        radial_velocity_mps=vr + rng.normal(0.0, noise.sigma_radial_velocity),
-        angular_velocity_radps=target.heading_rate_radps
-        + rng.normal(0.0, noise.sigma_angular_velocity_rad),
-        noise=noise,
-        timestamp=timestamp,
-    )
-
-
-def nearest_bearing_index(
-    bearing_rad: float,
-    track_bearings: Sequence[float],
-    gate_rad: float = DOA_GATE_RAD,
-) -> Optional[int]:
-    """Index of the nearest predicted track bearing within the gate, or
-    None when nothing gates. Angular differences are wrapped."""
-    if len(track_bearings) == 0:
-        return None
-    diffs = np.abs(wrap_angle(np.asarray(track_bearings, dtype=float) - bearing_rad))
-    best = int(np.argmin(diffs))
-    if diffs[best] <= gate_rad:
-        return best
-    return None
-
-
-def associate_detection(
-    detection: PassiveDetection,
-    tracks: Sequence,
-    node: "Node",
-    gate_rad: float = DOA_GATE_RAD,
-) -> Optional[int]:
-    """Key of the track whose predicted bearing from the node best matches
-    the detection, within the gate.
-
-    Ties break on smaller bearing residual, then lower track key, so the
-    result does not depend on list order.
-    """
-    if gate_rad <= 0:
-        raise ValueError("gate must be positive")
-    best_key = None
-    best = (math.inf, math.inf)
-    for track in tracks:
-        rel = track.state[:2] - node.position[:2]
-        bearing = math.atan2(rel[1], rel[0])
-        resid = abs(float(wrap_angle(bearing - detection.bearing_rad)))
-        if resid <= gate_rad and (resid, track.target_key) < best:
-            best = (resid, track.target_key)
-            best_key = track.target_key
-    return best_key
-
-
-# --- batched pair evaluation for the simulation loop ---
 
 
 def radar_measure_batch(

@@ -16,8 +16,10 @@ reading reweights, so evidence from earlier steps is kept. The filter's own
 model probabilities are neither read nor changed by that reading.
 
 All heavy math lives in array-batched functions over stacked tracks
-(leading axis = track, then model); the per-track operations wrap them
-with batch size 1. The simulation loop calls the batched forms directly.
+(leading axis = track, then model), and the simulation loop calls them
+directly. The one per-track wrapper left is `imm_predict`, a batch of 1
+that also moves the motion-state belief along the mode chain; it is the
+only code that does, and `infer_motion_state` relies on that step.
 """
 
 from __future__ import annotations
@@ -28,11 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from crnsim.markov import (
-    MarkovChain,
-    StateSequence,
-    transition_matrix_from_counts,
-)
+from crnsim.markov import MarkovChain, transition_matrix_from_counts
 from crnsim.scenario import MOTION_STATES, TargetClass
 
 NUM_MODELS = len(MOTION_STATES)
@@ -63,9 +61,10 @@ class LengthMismatch(ValueError):
     """History lengths disagree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterTuning:
-    """IMM parametrization: mode-transition chain + per-state noise."""
+    """IMM parametrization: mode-transition chain + per-state noise.
+    Compares by identity, as `MarkovChain` does."""
 
     mode_transition: MarkovChain
     process_noise_per_state: np.ndarray
@@ -139,12 +138,6 @@ class Track:
         return np.einsum("m,mij->ij", self.model_probs, self.model_covs) + np.einsum(
             "m,mi,mj->ij", self.model_probs, dx, dx
         )
-
-    def motion_sequence(self, dt: float = 1.0) -> StateSequence:
-        return StateSequence(tuple(self.motion_state_history), step_duration=dt)
-
-    def signal_sequence(self, dt: float = 1.0) -> StateSequence:
-        return StateSequence(tuple(s for _, s in self.signal_history), step_duration=dt)
 
     def record_motion_state(self, state: int, step: int) -> None:
         """Append an inferred motion state; adjacent-step pairs feed the
@@ -415,40 +408,6 @@ def imm_predict(track: Track, tuning: FilterTuning, dt: float) -> Track:
         probs[0],
     )
     track.motion_belief = track.motion_belief @ tuning.mode_transition.transition
-    return track
-
-
-def kalman_update(track: Track, meas, node) -> Track:
-    """Fuse one radar measurement (converted position + radial velocity)."""
-    sig = meas.noise
-    pos, R3 = polar_to_cartesian(
-        meas.range_m,
-        meas.azimuth_rad,
-        meas.elevation_rad,
-        node.position,
-        (sig.sigma_range_m, sig.sigma_azimuth_rad, sig.sigma_elevation_rad),
-    )
-    z = np.concatenate([pos, [meas.radial_velocity_mps]])
-    R = np.zeros((4, 4))
-    R[:3, :3] = R3
-    R[3, 3] = max(sig.sigma_radial_velocity, 1e-6) ** 2
-    H = measurement_rows(track.state[None], np.asarray(node.position)[None])
-    states, covs, probs, innov = kalman_update_arrays(
-        track.model_states[None],
-        track.model_covs[None],
-        track.model_probs[None],
-        z[None],
-        R[None],
-        H,
-    )
-    track.model_states, track.model_covs, track.model_probs = (
-        states[0],
-        covs[0],
-        probs[0],
-    )
-    track.last_innovation = innov[0]
-    track.num_updates += 1
-    track.last_update = meas.timestamp
     return track
 
 

@@ -1,0 +1,119 @@
+"""One-pair, one-track references for the batched sensing and filter code.
+
+`radar_measure` and `passive_detect` evaluate a single node/target pair
+with the gates and noise model of `sensing.radar_measure_batch` and
+`sensing.passive_detect_batch`. The tests use them as oracles for the batch
+functions, and to feed a filter one measurement at a time. `kalman_update`
+fuses one radar row into one track through `tracking.kalman_update_arrays`
+with a batch of 1. None of this runs in the simulation.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from crnsim.bandit import NodeMode
+from crnsim.sensing import (
+    ReceiverParams,
+    SensorNoise,
+    passive_snr,
+    wrap_angle,
+)
+from crnsim.tracking import (
+    Track,
+    kalman_update_arrays,
+    measurement_rows,
+    polar_to_cartesian,
+)
+
+
+def radar_measure(
+    node, target, mode: NodeMode, rng: np.random.Generator, noise=SensorNoise()
+) -> Optional[np.ndarray]:
+    """[range, azimuth, elevation, radial velocity, angular rate] of one
+    target seen by one node's radar, noise included; None when the node is
+    passive or the target lies outside its horizontal range gate. Noise is
+    drawn channel by channel, in column order."""
+    if mode is not NodeMode.ACTIVE:
+        return None
+    rel = target.position - node.position
+    if math.hypot(rel[0], rel[1]) > node.radar_range_m:
+        return None
+    dist = float(np.linalg.norm(rel))
+    az = math.atan2(rel[1], rel[0])
+    el = math.asin(rel[2] / dist)
+    vr = float(np.dot(target.velocity, rel)) / dist
+    return np.array(
+        [
+            dist + rng.normal(0.0, noise.sigma_range_m),
+            float(wrap_angle(az + rng.normal(0.0, noise.sigma_azimuth_rad))),
+            el + rng.normal(0.0, noise.sigma_elevation_rad),
+            vr + rng.normal(0.0, noise.sigma_radial_velocity),
+            target.heading_rate_radps
+            + rng.normal(0.0, noise.sigma_angular_velocity_rad),
+        ]
+    )
+
+
+def passive_detect(
+    node,
+    target,
+    target_class,
+    mode: NodeMode,
+    rng: np.random.Generator,
+    noise=SensorNoise(),
+) -> Optional[tuple[float, float]]:
+    """(noisy bearing, linear SNR) of one target's emission at one node;
+    None unless the node is passive, the target transmits, and the link
+    budget of the default receiver reaches 0 dB."""
+    if mode is not NodeMode.PASSIVE or not target.tx_on:
+        return None
+    rel = target.position - node.position
+    snr = passive_snr(
+        target_class.tx_power_w,
+        target_class.tx_gain,
+        ReceiverParams(),
+        float(np.linalg.norm(rel)),
+    )
+    if snr < 1.0:
+        return None
+    bearing = math.atan2(rel[1], rel[0]) + rng.normal(0.0, noise.sigma_doa_rad)
+    return float(wrap_angle(bearing)), snr
+
+
+def kalman_update(
+    track: Track, row: np.ndarray, node, noise=SensorNoise()
+) -> Track:
+    """Fuse one radar row (converted position + radial velocity) into one
+    track, with R built from `noise` as the engine builds it."""
+    pos, R3 = polar_to_cartesian(
+        row[0],
+        row[1],
+        row[2],
+        node.position,
+        (noise.sigma_range_m, noise.sigma_azimuth_rad, noise.sigma_elevation_rad),
+    )
+    z = np.concatenate([pos, [row[3]]])
+    R = np.zeros((4, 4))
+    R[:3, :3] = R3
+    R[3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
+    H = measurement_rows(track.state[None], np.asarray(node.position)[None])
+    states, covs, probs, innov = kalman_update_arrays(
+        track.model_states[None],
+        track.model_covs[None],
+        track.model_probs[None],
+        z[None],
+        R[None],
+        H,
+    )
+    track.model_states, track.model_covs, track.model_probs = (
+        states[0],
+        covs[0],
+        probs[0],
+    )
+    track.last_innovation = innov[0]
+    track.num_updates += 1
+    return track

@@ -13,29 +13,57 @@ from crnsim.bandit import (
     record_reward,
     ucb_select,
 )
+from crnsim.classlib import ClassLibrary
+from crnsim.engine import Coordinator, _track_uncertainties
+from crnsim.tracking import start_track
 
 
 class TestComputeRewards:
+    NODE_XY = np.array([[0.0, 0.0], [20_000.0, 0.0]])
+    RANGES = np.array([4000.0, 4000.0])
+    # two tracks inside node 0's footprint, one outside every footprint
+    TRACK_XY = [[1000.0, 0.0], [0.0, 3000.0], [5000.0, 0.0]]
+    ETAS = [(0.2, 0.9), (0.6, 0.1), (1.0, 1.0)]
+
+    def rewards(self, active, track_xy=TRACK_XY, etas=ETAS):
+        return compute_rewards(
+            self.NODE_XY, self.RANGES, track_xy, etas, np.asarray(active)
+        )
+
     def test_no_coverage_is_zero(self):
-        assert compute_rewards([], []) == (0.0, 0.0)
+        # node 1 covers no track; a step without tracks pays nobody
+        assert self.rewards([True, False])[1] == 0.0
+        assert self.rewards([True, True], [], []).tolist() == [0.0, 0.0]
 
     def test_unknown_tracks_max_uncertainty(self):
-        active, passive = compute_rewards([None, None], [None, None])
-        assert active == 1.0
-        assert passive == 1.0
+        # tracks with too little history count as fully uncertain (eta = 1)
+        coordinator = Coordinator(
+            library=ClassLibrary(), num_signal_states=4, use_class_knowledge=True
+        )
+        for key, xy in enumerate(self.TRACK_XY[:2]):
+            coordinator.tracks[key] = start_track(
+                key, np.r_[xy, 0.0], np.eye(3), np.r_[xy, 0.0], np.eye(3), 0.5
+            )
+        etas = _track_uncertainties(coordinator)
+        assert list(etas.values()) == [(1.0, 1.0), (1.0, 1.0)]
+        xy = [coordinator.tracks[k].state[:2] for k in etas]
+        for active in (True, False):
+            assert self.rewards([active, active], xy, list(etas.values()))[0] == 1.0
 
     def test_known_distributions(self):
-        # H([0.75, 0.25]) / log2(2) = 0.811278..., uniform over 4 = 1.0
-        motion = [np.array([0.75, 0.25]), np.array([1.0, 0.0])]
-        signal = [np.ones(4) / 4, None]
-        active, passive = compute_rewards(motion, signal)
-        h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-        assert active == pytest.approx((h + 0.0) / 2, abs=1e-12)
-        assert passive == pytest.approx((1.0 + 1.0) / 2, abs=1e-12)
+        # node 0 averages over its two covered tracks only
+        assert self.rewards([True, True])[0] == pytest.approx((0.2 + 0.6) / 2, abs=1e-15)
+
+    def test_column_follows_mode(self):
+        # a passive node is paid signal uncertainty, the second column
+        assert self.rewards([False, True])[0] == pytest.approx((0.9 + 0.1) / 2, abs=1e-15)
+
+    def test_footprint_edge_counts_as_covered(self):
+        assert self.rewards([True, True], [[4000.0, 0.0]], [(0.7, 0.3)]).tolist() == [0.7, 0.0]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            compute_rewards([None], [])
+            self.rewards([True, True], self.TRACK_XY, self.ETAS[:2])
 
 
 class TestUcbSelect:

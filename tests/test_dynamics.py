@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crnsim.dynamics import (
-    VERTICAL_NOISE_FRACTION,
-    MotionStateSpec,
-    class_state_specs,
-    step_motion,
-    step_signal,
-)
+from crnsim.dynamics import VERTICAL_NOISE_FRACTION, step_motion, step_signal
 from crnsim.markov import (
     MarkovChain,
     StateSequence,
@@ -226,21 +220,3 @@ class TestStepSignal:
             seq.append(t.signal_state)
         est = estimate_transitions(StateSequence(tuple(seq)), 4)
         assert np.max(np.abs(est.transition - chain.transition)) < 0.05
-
-
-class TestStateSpecs:
-    def test_specs_mirror_class(self):
-        uav = default_family().classes[0]
-        specs = class_state_specs(uav)
-        assert [s.kind for s in specs] == [
-            "CruiseCV",
-            "CoordinatedTurn",
-            "HighGManeuver",
-        ]
-        assert [s.accel_std for s in specs] == pytest.approx(uav.process_noise)
-        assert specs[COORD_TURN].turn_rate_range_radps == uav.turn_rate_range_radps
-        assert specs[CRUISE_CV].turn_rate_range_radps is None
-
-    def test_negative_accel_rejected(self):
-        with pytest.raises(ValueError):
-            MotionStateSpec(kind="CruiseCV", accel_std=-1.0)

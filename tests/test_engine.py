@@ -1,7 +1,9 @@
-"""Engine contract: determinism, the paired design, the harvest rule for
-radar-only, and the coordinator's per-class prediction cache."""
+"""Engine contract: determinism, the paired design, config validation, the
+harvest rule for radar-only, the coordinator's per-class prediction cache,
+and a digest guard over every metric of a small experiment."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from crnsim.bandit import PolicyKind
 from crnsim.classlib import ClassLibrary, LearnedClass, class_parameter_vector
 from crnsim.engine import (
+    ConfigError,
     Coordinator,
     PolicySpec,
     SimConfig,
@@ -73,6 +76,47 @@ class TestPairedDesign:
         assert len(digests) == 3
         assert len(set(digests.values())) == 1
 
+    def test_one_seed_sequence_reused_gives_one_truth(self):
+        # make_streams must not advance the caller's SeedSequence
+        seed = epoch_seed(SMALL.seed, 1, 0)
+        first = run_epoch(ClassLibrary(), SMALL, seed, policy=RADAR_ONLY)[0]
+        again = run_epoch(ClassLibrary(), SMALL, seed, policy=RADAR_ONLY)[0]
+        assert seed.n_children_spawned == 0
+        assert first.truth_digest == again.truth_digest
+        fresh = run_epoch(
+            ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 1, 0), policy=RADAR_ONLY
+        )[0]
+        assert_metrics_identical(first, fresh)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"num_epochs": 0},
+            {"num_runs": 0},
+            {"dt_s": 0.0},
+            {"dt_s": -0.5},
+            {"epoch_duration_s": 0.0},
+            {"epoch_duration_s": -1.0},
+            {"epoch_duration_s": 12.3},  # not a whole number of 0.5 s steps
+            {"epoch_duration_s": 0.25},  # half a step
+        ],
+    )
+    def test_invalid_sim_config_rejected(self, change):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SMALL, **change)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
+    def test_invalid_active_probability_rejected(self, p):
+        with pytest.raises(ConfigError):
+            PolicySpec(PolicyKind.RANDOM, p)
+
+    def test_valid_edges_accepted(self):
+        PolicySpec(PolicyKind.RANDOM, 0.0)
+        PolicySpec(PolicyKind.RANDOM, 1.0)
+        assert dataclasses.replace(SMALL, epoch_duration_s=0.5).steps_per_epoch == 1
+
 
 class TestRadarOnly:
     def test_harvests_nothing_and_scores_zero(self, bandit_result):
@@ -128,3 +172,32 @@ class TestPredictCache:
         want_trans, want_Q = self._expected(untuned_tuning(), 0.5)
         assert np.array_equal(trans, want_trans) and np.array_equal(Q, want_Q)
         assert set(coord._noise_cache) == {None}
+
+
+def metrics_sha256(result):
+    """SHA-256 over every EpochMetrics field of every epoch, policy by
+    policy, in order."""
+    h = hashlib.sha256()
+    for spec in result.policies:
+        for run in result.metrics[spec.label]:
+            for m in run:
+                for f in dataclasses.fields(m):
+                    value = getattr(m, f.name)
+                    h.update(f.name.encode())
+                    if isinstance(value, np.ndarray):
+                        h.update(f"{value.dtype}{value.shape}".encode())
+                        h.update(np.ascontiguousarray(value).tobytes())
+                    else:
+                        h.update(repr(getattr(value, "item", lambda: value)()).encode())
+    return h.hexdigest()
+
+
+# Recorded on the SMALL config under the three default policies. A change
+# that is meant to alter behaviour updates this value and says why in
+# CHANGES.md; any other change must leave it as it is.
+SMALL_METRICS_SHA256 = "12fc3fa0bdec5aece9a2705c237e076bb2c210fb41ef1980c78b526ddd4dedd0"
+
+
+class TestRegressionGuard:
+    def test_small_experiment_metrics_unchanged(self):
+        assert metrics_sha256(run_experiment(SMALL)) == SMALL_METRICS_SHA256

@@ -43,6 +43,13 @@ class TestMarkovChain:
         assert c.labels == ("s0", "s1", "s2")
         assert c.num_states == 3
 
+    def test_equality_is_identity_and_does_not_raise(self):
+        P = np.array([[0.9, 0.1], [0.5, 0.5]])
+        a, b = MarkovChain(P), MarkovChain(P)
+        assert a == a
+        assert (a == b) is False
+        assert a != b
+
 
 class TestStationaryDistribution:
     def test_single_state(self):
@@ -113,6 +120,34 @@ class TestSampleNext:
         rng = np.random.default_rng(42)
         draws = np.array([sample_next(c, 0, rng) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(0.1, abs=0.005)
+
+
+class _ConstantDraws:
+    """Generator stand-in whose uniform draws all equal u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+class TestSamplePath:
+    def test_draw_above_an_unnormalised_row_sum_stays_in_range(self):
+        # a valid row summing to 1 - 5e-10; a draw above that sum must still
+        # land on the last state
+        chain = MarkovChain(np.array([[0.5, 0.5 - 5e-10], [0.5, 0.5]]))
+        path = sample_path(chain, 6, init=0, rng=_ConstantDraws(1.0 - 1e-10))
+        assert path.tolist() == [0, 1, 1, 1, 1, 1]
+
+    def test_steps_match_sample_next(self):
+        chain = MarkovChain(np.array([[0.8, 0.15, 0.05], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]]))
+        # with init given, sample_path takes one random(200) call
+        path = sample_path(chain, 200, init=2, rng=np.random.default_rng(4))
+        u = np.random.default_rng(4).random(200)
+        for t in range(1, 200):
+            want = sample_next(chain, int(path[t - 1]), _ConstantDraws(u[t]))
+            assert path[t] == want
 
 
 class TestEstimateTransitions:

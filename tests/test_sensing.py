@@ -5,25 +5,23 @@ import numpy as np
 import pytest
 
 from crnsim.bandit import NodeMode
+from crnsim.classlib import ClassLibrary
+from crnsim.engine import GATE_MAX_RAD, Coordinator, _apply_passive, _associate_bearings
 from crnsim.sensing import (
-    DOA_GATE_RAD,
-    PassiveDetection,
     ReceiverParams,
     SensorNoise,
     ZeroRange,
-    associate_detection,
     max_detectable_range,
-    nearest_bearing_index,
-    passive_detect,
     passive_detect_batch,
     passive_snr,
-    radar_measure,
     radar_measure_batch,
     receiver_noise_power,
     wrap_angle,
 )
+from scalar_reference import passive_detect, radar_measure
 
 ZERO_NOISE = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+SIGMA_DOA = math.radians(2.0)
 
 
 def make_node(pos, node_id=0, radar_range_m=4000.0):
@@ -46,6 +44,40 @@ def make_target(pos, vel=(0.0, 0.0, 0.0), target_id=0, tx_on=True, signal_state=
 
 def make_class(tx_power_w=1.0, tx_gain=1.0):
     return SimpleNamespace(tx_power_w=tx_power_w, tx_gain=tx_gain)
+
+
+def radar_once(target_pos, vel=(0.0, 0.0, 0.0), heading_rate=0.0, active=True,
+               rng=None, noise=SensorNoise()):
+    """One node at the origin against the given targets (rows of
+    target_pos); returns (node_idx, target_idx, z)."""
+    pos = np.atleast_2d(np.asarray(target_pos, dtype=float))
+    m = len(pos)
+    return radar_measure_batch(
+        np.zeros((1, 3)),
+        np.array([active]),
+        np.array([4000.0]),
+        pos,
+        np.tile(np.asarray(vel, dtype=float), (m, 1)),
+        np.full(m, heading_rate),
+        np.random.default_rng(0) if rng is None else rng,
+        noise,
+    )
+
+
+def passive_once(target_pos, tx_power_w=1.0, tx_on=True, passive=True, rng=None):
+    """One node at the origin listening to the given targets, each with the
+    reach of a tx_power_w emitter; returns (node_idx, target_idx, bearings)."""
+    pos = np.atleast_2d(np.asarray(target_pos, dtype=float))
+    m = len(pos)
+    reach = max_detectable_range(tx_power_w, 1.0, ReceiverParams())
+    return passive_detect_batch(
+        np.zeros((1, 3)),
+        np.array([passive]),
+        pos,
+        np.full(m, tx_on),
+        np.full(m, reach),
+        np.random.default_rng(1) if rng is None else rng,
+    )
 
 
 class TestLinkBudget:
@@ -106,154 +138,156 @@ class TestLinkBudget:
 
 class TestPassiveDetect:
     def test_detects_and_carries_truth_signal(self):
-        rng = np.random.default_rng(1)
-        node = make_node([0, 0, 0])
-        target = make_target([3000, 4000, 0], signal_state=3)
-        det = passive_detect(node, target, make_class(1.0), NodeMode.PASSIVE, rng)
-        assert isinstance(det, PassiveDetection)
-        assert det.signal_state == 3
-        assert det.target_id == 0
-        assert det.snr > 1.0
+        # the engine reads the true signal type through the target index
+        signal_states = [3, 1]
+        ni, ti, bearings = passive_once([[3000, 4000, 0], [90_000, 0, 0]])
+        assert ni.tolist() == [0]
+        assert [signal_states[j] for j in ti] == [3]
+        assert passive_snr(1.0, 1.0, ReceiverParams(), 5000.0) > 1.0
+        assert bearings[0] == pytest.approx(math.atan2(4000, 3000), abs=0.2)
 
     def test_requires_passive_mode(self):
-        rng = np.random.default_rng(1)
-        node, target = make_node([0, 0, 0]), make_target([1000, 0, 0])
-        assert passive_detect(node, target, make_class(), NodeMode.ACTIVE, rng) is None
+        ni, _, _ = passive_once([1000, 0, 0], passive=False)
+        assert ni.size == 0
 
     def test_requires_transmitter_on(self):
-        rng = np.random.default_rng(1)
-        node = make_node([0, 0, 0])
-        target = make_target([1000, 0, 0], tx_on=False)
-        assert passive_detect(node, target, make_class(), NodeMode.PASSIVE, rng) is None
+        ni, _, _ = passive_once([1000, 0, 0], tx_on=False)
+        assert ni.size == 0
 
     def test_weak_emitter_out_of_range(self):
-        rng = np.random.default_rng(1)
-        node = make_node([0, 0, 0])
-        target = make_target([9000, 0, 0])  # beyond the 8.44 km reach of 10 mW
-        assert passive_detect(node, target, make_class(0.01), NodeMode.PASSIVE, rng) is None
+        # beyond the 8.44 km reach of 10 mW
+        assert passive_once([9000, 0, 0], tx_power_w=0.01)[0].size == 0
         # the same geometry with 1 W is detectable
-        assert passive_detect(node, target, make_class(1.0), NodeMode.PASSIVE, rng)
+        assert passive_once([9000, 0, 0], tx_power_w=1.0)[0].size == 1
 
     def test_bearing_noise_statistics(self):
-        rng = np.random.default_rng(5)
-        node = make_node([0, 0, 0])
-        target = make_target([1000, 1000, 0])
-        bearings = [
-            passive_detect(node, target, make_class(), NodeMode.PASSIVE, rng).bearing_rad
-            for _ in range(4000)
-        ]
+        ni, _, bearings = passive_once(
+            np.tile([1000.0, 1000.0, 0.0], (4000, 1)), rng=np.random.default_rng(5)
+        )
+        assert ni.size == 4000
         assert np.mean(bearings) == pytest.approx(math.pi / 4, abs=5e-3)
-        assert np.std(bearings) == pytest.approx(math.radians(2.0), rel=0.05)
-
-    def test_colocated_raises(self):
-        rng = np.random.default_rng(1)
-        node = make_node([0, 0, 0])
-        with pytest.raises(ZeroRange):
-            passive_detect(node, make_target([0, 0, 0]), make_class(), NodeMode.PASSIVE, rng)
+        assert np.std(bearings) == pytest.approx(SIGMA_DOA, rel=0.05)
 
 
 class TestRadarMeasure:
     def test_truth_channels_with_zero_noise(self):
-        rng = np.random.default_rng(0)
-        node = make_node([0, 0, 0])
-        target = make_target([3000, 0, 300], vel=(-50, 10, 0), heading_rate_radps=0.2)
-        z = radar_measure(node, target, NodeMode.ACTIVE, rng, ZERO_NOISE)
+        _, _, z = radar_once(
+            [3000, 0, 300], vel=(-50, 10, 0), heading_rate=0.2, noise=ZERO_NOISE
+        )
         dist = math.sqrt(3000**2 + 300**2)
-        assert z.range_m == pytest.approx(dist, rel=1e-12)
-        assert z.azimuth_rad == pytest.approx(0.0, abs=1e-12)
-        assert z.elevation_rad == pytest.approx(math.asin(300 / dist), rel=1e-12)
-        assert z.radial_velocity_mps == pytest.approx(-50 * 3000 / dist, rel=1e-12)
-        assert z.angular_velocity_radps == pytest.approx(0.2, rel=1e-12)
+        rng_m, az, el, vr, omega = z[0]
+        assert rng_m == pytest.approx(dist, rel=1e-12)
+        assert az == pytest.approx(0.0, abs=1e-12)
+        assert el == pytest.approx(math.asin(300 / dist), rel=1e-12)
+        assert vr == pytest.approx(-50 * 3000 / dist, rel=1e-12)
+        assert omega == pytest.approx(0.2, rel=1e-12)
 
     def test_horizontal_gate(self):
-        rng = np.random.default_rng(0)
-        node = make_node([0, 0, 0])
-        # 4.2 km horizontally is out even though charged altitude shrinks nothing
-        assert radar_measure(node, make_target([4200, 0, 0]), NodeMode.ACTIVE, rng) is None
+        # 4.2 km horizontally is out even at zero altitude
+        assert radar_once([4200, 0, 0])[0].size == 0
         # high target at 3.9 km horizontal is in despite > 4 km slant range
-        z = radar_measure(node, make_target([3900, 0, 2000]), NodeMode.ACTIVE, rng)
-        assert z is not None
-        assert z.range_m > 4000
+        ni, _, z = radar_once([3900, 0, 2000])
+        assert ni.size == 1
+        assert z[0, 0] > 4000
 
     def test_requires_active_mode(self):
-        rng = np.random.default_rng(0)
-        node = make_node([0, 0, 0])
-        assert radar_measure(node, make_target([1000, 0, 0]), NodeMode.PASSIVE, rng) is None
+        assert radar_once([1000, 0, 0], active=False)[0].size == 0
 
     def test_noise_statistics(self):
-        rng = np.random.default_rng(11)
-        node = make_node([0, 0, 0])
-        target = make_target([2000, 2000, 500])
-        ranges = [
-            radar_measure(node, target, NodeMode.ACTIVE, rng).range_m for _ in range(4000)
-        ]
-        truth = np.linalg.norm(target.position)
-        assert np.mean(ranges) == pytest.approx(truth, abs=2.0)
-        assert np.std(ranges) == pytest.approx(25.0, rel=0.05)
+        target = np.array([2000.0, 2000.0, 500.0])
+        ni, _, z = radar_once(np.tile(target, (4000, 1)), rng=np.random.default_rng(11))
+        assert ni.size == 4000
+        truth = np.linalg.norm(target)
+        assert np.mean(z[:, 0]) == pytest.approx(truth, abs=2.0)
+        assert np.std(z[:, 0]) == pytest.approx(25.0, rel=0.05)
+
+
+def associate(det_bearings, track_xy, track_cov=None, node_xy=(0.0, 0.0)):
+    """engine._associate_bearings with every detection heard at node_xy."""
+    det_bearings = np.atleast_1d(np.asarray(det_bearings, dtype=float))
+    track_xy = np.atleast_2d(np.asarray(track_xy, dtype=float))
+    if track_cov is None:
+        track_cov = np.zeros((len(track_xy), 2, 2))
+    return _associate_bearings(
+        np.tile(np.asarray(node_xy, dtype=float), (det_bearings.size, 1)),
+        det_bearings,
+        track_xy,
+        np.asarray(track_cov, dtype=float),
+        SIGMA_DOA,
+    )
+
+
+def at_bearing(deg, r=5000.0):
+    return [r * math.cos(math.radians(deg)), r * math.sin(math.radians(deg))]
 
 
 class TestNearestBearingIndex:
+    """Gate geometry of engine._associate_bearings: the index of the track
+    whose bearing gate holds a detection, -1 when none does."""
+
     def test_nearest_within_gate(self):
-        bearings = [0.0, math.radians(30), math.radians(-40)]
-        assert nearest_bearing_index(math.radians(28), bearings) == 1
+        tracks = [at_bearing(0), at_bearing(30), at_bearing(-40)]
+        assert associate(math.radians(28), tracks).tolist() == [1]
 
     def test_outside_gate_unmatched(self):
-        assert nearest_bearing_index(math.radians(15), [0.0]) is None
-
-    def test_empty_tracks(self):
-        assert nearest_bearing_index(0.5, []) is None
+        assert associate(math.radians(15), [at_bearing(0)]).tolist() == [-1]
 
     def test_wraparound(self):
         # pi - 1 deg vs -pi + 1 deg are 2 degrees apart, inside the gate
-        assert nearest_bearing_index(math.pi - math.radians(1), [-math.pi + math.radians(1)]) == 0
+        assert associate(math.pi - math.radians(1), [at_bearing(-179)]).tolist() == [0]
 
     def test_gate_matches_three_sigma_doa(self):
-        assert DOA_GATE_RAD == pytest.approx(3 * math.radians(2.0))
+        # with zero track covariance the gate is 3 sigma of the DoA noise
+        gate = 3 * SIGMA_DOA
+        got = associate([gate - 1e-9, gate + 1e-9, -gate + 1e-9], [[5000.0, 0.0]])
+        assert got.tolist() == [0, -1, 0]
 
-
-def make_track(key, xy):
-    state = np.zeros(6)
-    state[:2] = xy
-    return SimpleNamespace(target_key=key, state=state)
+    def test_covariance_widens_the_gate_up_to_the_cap(self):
+        # cross-range sigma of 3 deg at 5 km: gate 3 * sqrt(2^2 + 3^2) deg
+        sigma_y = 5000.0 * math.radians(3.0)
+        widened = np.diag([0.0, sigma_y**2])[None]
+        gate = 3 * math.hypot(SIGMA_DOA, math.radians(3.0))
+        probe = [math.radians(9.0), gate - 1e-9, gate + 1e-9]
+        assert associate(probe, [[5000.0, 0.0]]).tolist() == [-1, -1, -1]
+        assert associate(probe, [[5000.0, 0.0]], widened).tolist() == [0, 0, -1]
+        # a huge covariance widens the gate only to GATE_MAX_RAD
+        huge = np.diag([0.0, 1e12])[None]
+        cap = [GATE_MAX_RAD - 1e-9, GATE_MAX_RAD + 1e-9]
+        assert associate(cap, [[5000.0, 0.0]], huge).tolist() == [0, -1]
 
 
 class TestAssociateDetection:
-    def _det(self, bearing):
-        return PassiveDetection(0, 0, bearing, 0, 10.0)
+    """Claim rules of engine._associate_bearings and _apply_passive."""
 
     def test_no_tracks(self):
-        node = make_node([0, 0, 0])
-        assert associate_detection(self._det(0.3), [], node) is None
+        coordinator = Coordinator(
+            library=ClassLibrary(), num_signal_states=4, use_class_knowledge=False
+        )
+        logged = _apply_passive(
+            None, coordinator, np.array([0]), np.array([0]), np.array([0.3]), 1,
+            SIGMA_DOA,
+        )
+        assert logged == 0
 
     def test_single_track_at_bearing(self):
-        node = make_node([0, 0, 0])
-        tracks = [make_track(7, [5000, 0])]
-        assert associate_detection(self._det(0.0), tracks, node) == 7
+        assert associate(0.0, [[5000.0, 0.0]]).tolist() == [0]
 
     def test_nearest_of_two(self):
-        node = make_node([0, 0, 0])
         tracks = [
-            make_track(1, [5000 * math.cos(0.5), 5000 * math.sin(0.5)]),
-            make_track(2, [5000, 0]),
+            [5000 * math.cos(0.5), 5000 * math.sin(0.5)],
+            [5000.0, 0.0],
         ]
-        assert associate_detection(self._det(0.1), tracks, node, gate_rad=0.2) == 2
+        assert associate(0.1, tracks).tolist() == [1]
 
     def test_gate_excludes(self):
-        node = make_node([0, 0, 0])
-        tracks = [make_track(1, [5000, 0])]
-        assert associate_detection(self._det(0.3), tracks, node, gate_rad=0.1) is None
+        assert associate(0.3, [[5000.0, 0.0]]).tolist() == [-1]
 
     def test_order_invariant_with_tie_break(self):
-        node = make_node([0, 0, 0])
-        # two tracks at exactly the same bearing: lower key wins either way
-        tracks = [make_track(9, [4000, 0]), make_track(3, [8000, 0])]
-        assert associate_detection(self._det(0.0), tracks, node) == 3
-        assert associate_detection(self._det(0.0), list(reversed(tracks)), node) == 3
-
-    def test_rejects_bad_gate(self):
-        node = make_node([0, 0, 0])
-        with pytest.raises(ValueError):
-            associate_detection(self._det(0.0), [], node, gate_rad=0.0)
+        # two tracks at exactly the same bearing: the tie is ambiguous, so
+        # neither claims the detection, in either order
+        tracks = [[4000.0, 0.0], [8000.0, 0.0]]
+        assert associate(0.0, tracks).tolist() == [-1]
+        assert associate(0.0, tracks[::-1]).tolist() == [-1]
 
 
 class TestBatchConsistency:
@@ -294,12 +328,7 @@ class TestBatchConsistency:
                     expected[(i, j)] = m
         assert got == set(expected)
         for k, (a, b) in enumerate(zip(ni, ti)):
-            m = expected[(int(a), int(b))]
-            assert z[k] == pytest.approx(
-                [m.range_m, m.azimuth_rad, m.elevation_rad,
-                 m.radial_velocity_mps, m.angular_velocity_radps],
-                rel=1e-10,
-            )
+            assert z[k] == pytest.approx(expected[(int(a), int(b))], rel=1e-10)
 
     def test_passive_batch_matches_scalar_gating(self):
         rng, nodes, targets = self._setup(seed=9)

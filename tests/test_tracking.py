@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from crnsim.bandit import NodeMode
 from crnsim.dynamics import step_motion
-from crnsim.markov import MarkovChain
+from crnsim.markov import MarkovChain, StateSequence, estimate_transitions
 from crnsim.scenario import (
     CRUISE_CV,
     HIGH_G,
@@ -13,7 +14,7 @@ from crnsim.scenario import (
     TargetClass,
     default_family,
 )
-from crnsim.sensing import NodeMode, SensorNoise, radar_measure
+from crnsim.sensing import SensorNoise
 from crnsim.tracking import (
     DEFAULT_STATE_ACCEL_STD,
     NUM_MODELS,
@@ -27,7 +28,6 @@ from crnsim.tracking import (
     imm_predict,
     imm_predict_arrays,
     infer_motion_state,
-    kalman_update,
     kalman_update_arrays,
     measurement_rows,
     motion_state_posterior,
@@ -39,6 +39,8 @@ from crnsim.tracking import (
     tuned_tuning,
     untuned_tuning,
 )
+from scalar_reference import kalman_update, radar_measure
+
 TINY_NOISE = SensorNoise(1e-6, 1e-9, 1e-9, 1e-6, 1e-9, 1e-9)
 
 STAY_CV = np.eye(3)  # every motion state absorbs; spawned CV stays CV
@@ -234,7 +236,7 @@ class TestKalmanUpdate:
         track = single_model_track(
             state=[1900, 1400, 300, 0, 0, 0], cov=np.eye(6) * 1e6
         )
-        kalman_update(track, meas, node)
+        kalman_update(track, meas, node, TINY_NOISE)
         assert track.state[:3] == pytest.approx(truth.position, abs=0.1)
 
     def test_position_covariance_never_grows(self):
@@ -264,7 +266,7 @@ class TestKalmanUpdate:
             step_motion(t, cls, 0.5, rng)
             meas = radar_measure(node, t, NodeMode.ACTIVE, rng, TINY_NOISE)
             pos, R = polar_to_cartesian(
-                meas.range_m, meas.azimuth_rad, meas.elevation_rad, node.position,
+                meas[0], meas[1], meas[2], node.position,
                 (25.0, 0.0175, 0.0175),
             )
             if track is None:
@@ -274,7 +276,7 @@ class TestKalmanUpdate:
                 track = start_track(0, prev[0], prev[1], pos, R, 0.5)
                 continue
             imm_predict(track, tuning, 0.5)
-            kalman_update(track, meas, node)
+            kalman_update(track, meas, node, TINY_NOISE)
         err = np.linalg.norm(track.state[:3] - t.position)
         assert err < 2.5
 
@@ -360,7 +362,7 @@ class TestMotionStateInference:
             step_motion(t, cls, 0.5, rng)
             meas = radar_measure(node, t, NodeMode.ACTIVE, rng)
             pos, R = polar_to_cartesian(
-                meas.range_m, meas.azimuth_rad, meas.elevation_rad, node.position,
+                meas[0], meas[1], meas[2], node.position,
                 (25.0, 0.0175, 0.0175),
             )
             if track is None:
@@ -372,7 +374,7 @@ class TestMotionStateInference:
             imm_predict(track, tuning, 0.5)
             kalman_update(track, meas, node)
             posts.append(
-                motion_state_posterior(track, [meas.angular_velocity_radps])
+                motion_state_posterior(track, [meas[4]])
             )
         return posts
 
@@ -465,7 +467,7 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
         step_motion(t, uav, 0.5, rng)
         meas = radar_measure(node, t, NodeMode.ACTIVE, rng)
         pos, R = polar_to_cartesian(
-            meas.range_m, meas.azimuth_rad, meas.elevation_rad, node.position,
+            meas[0], meas[1], meas[2], node.position,
             (25.0, 0.0175, 0.0175),
         )
         if track is None:
@@ -476,7 +478,7 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
             continue
         imm_predict(track, tuning, 0.5)
         kalman_update(track, meas, node)
-        got = infer_motion_state(track, [meas.angular_velocity_radps], step=step)
+        got = infer_motion_state(track, [meas[4]], step=step)
         hits += got == t.motion_state
         total += 1
     return hits / total, track
@@ -491,11 +493,11 @@ class TestStateHistoryRecovery:
         # one 50-step epoch cannot pin a 3x3 chain (the rarest state draws
         # ~10 visits; binomial noise alone exceeds the tolerance), so the
         # recovery bound is checked where the estimator has converged
-        from crnsim.markov import estimate_transitions
-
         accuracy, track = _switching_target_run(seed=7, steps=2000)
         assert accuracy >= 0.7
-        est = estimate_transitions(track.motion_sequence(), 3, smoothing=0.1)
+        est = estimate_transitions(
+            StateSequence(tuple(track.motion_state_history)), 3, smoothing=0.1
+        )
         true_p = default_family().classes[0].motion_chain.transition
         assert np.max(np.abs(est.transition - true_p)) <= 0.1
 
@@ -525,7 +527,7 @@ def _paired_epoch_rmse(cls, seed, num_targets):
             step_motion(t, cls, 0.5, rng)
             meas = radar_measure(node, t, NodeMode.ACTIVE, rng)
             pos, R = polar_to_cartesian(
-                meas.range_m, meas.azimuth_rad, meas.elevation_rad,
+                meas[0], meas[1], meas[2],
                 node.position, (25.0, 0.0175, 0.0175),
             )
             if tracks["tuned"] is None:
@@ -592,6 +594,11 @@ class TestTunings:
         assert tuning.process_noise_per_state == pytest.approx(
             np.full(3, np.cbrt(np.prod(DEFAULT_STATE_ACCEL_STD)))
         )
+
+    def test_equality_is_identity_and_does_not_raise(self):
+        a, b = untuned_tuning(), untuned_tuning()
+        assert a == a
+        assert (a == b) is False
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
