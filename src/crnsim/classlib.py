@@ -1,10 +1,13 @@
 """End-of-epoch class learning over per-target parameter estimates.
 
-Each observed target contributes a ParameterVector: its estimated
-stationary distributions over motion states and signal types (primary
-blocks) plus the rows of the estimated transition matrices (half-weight
-blocks — stationary behavior defines a class, transition structure only
-helps separate classes that happen to share it). Vectors are clustered
+Each observed target contributes a ParameterVector, which
+`vector_from_histories` builds from the track's (step, state) histories of
+motion states and signal types: the estimated stationary distributions
+(primary blocks) plus the rows of the estimated transition matrices
+(half-weight blocks — stationary behavior defines a class, transition
+structure only helps separate classes that happen to share it), with the
+evidence behind each block. This is the only place that turns observed
+behavior into a vector; tracks only record readings. Vectors are clustered
 by k-means under a summed Jensen-Shannon divergence, the cluster count
 is chosen by AIC, and the resulting classes persist across epochs: each
 update re-clusters the cumulative pool and keeps ids stable by matching
@@ -27,7 +30,6 @@ block axis.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -43,7 +45,6 @@ from crnsim.markov import (
 )
 from crnsim.tracking import DEFAULT_STATE_ACCEL_STD, FilterTuning
 
-LIBRARY_FORMAT_VERSION = 1
 DEFAULT_ACCEPT_RADIUS = 0.25
 DEFAULT_MAX_CLASSES = 6
 KMEANS_MAX_ITER = 100
@@ -69,7 +70,6 @@ class BlockSpec:
     name: str
     length: int
     weight: float = 1.0
-    group: str = "motion"  # which history's sample count backs this block
 
 
 def family_blocks(
@@ -77,18 +77,9 @@ def family_blocks(
 ) -> tuple[BlockSpec, ...]:
     """Block layout shared by every vector of a single-family environment."""
     v, s = num_motion_states, num_signal_states
-    blocks = [
-        BlockSpec("pi_v", v, 1.0, "motion"),
-        BlockSpec("pi_s", s, 1.0, "signal"),
-    ]
-    blocks += [
-        BlockSpec(f"P_v_row{i}", v, TRANSITION_BLOCK_WEIGHT, "motion")
-        for i in range(v)
-    ]
-    blocks += [
-        BlockSpec(f"P_s_row{i}", s, TRANSITION_BLOCK_WEIGHT, "signal")
-        for i in range(s)
-    ]
+    blocks = [BlockSpec("pi_v", v), BlockSpec("pi_s", s)]
+    blocks += [BlockSpec(f"P_v_row{i}", v, TRANSITION_BLOCK_WEIGHT) for i in range(v)]
+    blocks += [BlockSpec(f"P_s_row{i}", s, TRANSITION_BLOCK_WEIGHT) for i in range(s)]
     return tuple(blocks)
 
 
@@ -96,15 +87,16 @@ def family_blocks(
 class ParameterVector:
     """Concatenated distribution blocks describing one target's behavior.
 
-    n_eff maps a block name (or, as a fallback, a block group) to the
-    effective sample size behind its estimate — time steps observed for a
-    stationary block, visits to the source state for a transition row. It
-    scales the AIC likelihood, so unobserved rows carry no evidence.
+    evidence holds one effective sample size per block, aligned with
+    `blocks`: the discounted step count behind a stationary block (see
+    `occupancy_sample_size`), the transitions out of the source state for a
+    transition row. It scales the AIC likelihood, so unobserved rows carry
+    no evidence.
     """
 
     values: np.ndarray
     blocks: tuple[BlockSpec, ...]
-    n_eff: dict
+    evidence: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -113,12 +105,18 @@ class ParameterVector:
             raise BlockMismatch(
                 f"expected {total} values for the block structure, got {vals.shape}"
             )
+        evidence = np.asarray(self.evidence, dtype=float)
+        if evidence.shape != (len(self.blocks),):
+            raise BlockMismatch(
+                f"expected {len(self.blocks)} evidence entries, got {evidence.shape}"
+            )
         if np.any(vals < -1e-12):
             raise ValueError("distribution entries must be nonnegative")
         for b, sl in _block_slices(self.blocks):
             if abs(vals[sl].sum() - 1.0) > _BLOCK_SUM_TOL:
                 raise ValueError(f"block {b.name} does not sum to 1")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "evidence", evidence)
 
 
 def _block_slices(blocks):
@@ -141,31 +139,19 @@ def make_parameter_vector(
     P_v: np.ndarray,
     pi_s: np.ndarray,
     P_s: np.ndarray,
-    n_motion: float,
-    n_signal: float,
-    motion_row_counts=None,
-    signal_row_counts=None,
+    evidence,
 ) -> ParameterVector:
-    """Assemble the standard vector from one target's estimates.
-
-    Row counts, when given, record how many transitions back each
-    transition-matrix row (AIC evidence weighting)."""
+    """Assemble the standard vector from one target's estimates and the
+    evidence behind each block, in `family_blocks` order."""
     pi_v = np.asarray(pi_v, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
     P_v = np.asarray(P_v, dtype=float)
     P_s = np.asarray(P_s, dtype=float)
     values = np.concatenate([pi_v, pi_s, P_v.ravel(), P_s.ravel()])
-    n_eff = {"motion": float(n_motion), "signal": float(n_signal)}
-    if motion_row_counts is not None:
-        for i, c in enumerate(motion_row_counts):
-            n_eff[f"P_v_row{i}"] = float(c)
-    if signal_row_counts is not None:
-        for i, c in enumerate(signal_row_counts):
-            n_eff[f"P_s_row{i}"] = float(c)
     return ParameterVector(
         values=values,
         blocks=family_blocks(pi_v.size, pi_s.size),
-        n_eff=n_eff,
+        evidence=evidence,
     )
 
 
@@ -175,7 +161,7 @@ def class_parameter_vector(cls) -> ParameterVector:
     pi_s = stationary_distribution(cls.signal_chain)
     return make_parameter_vector(
         pi_v, cls.motion_chain.transition, pi_s, cls.signal_chain.transition,
-        n_motion=1.0, n_signal=1.0,
+        np.ones(2 + pi_v.size + pi_s.size),
     )
 
 
@@ -200,31 +186,33 @@ def occupancy_sample_size(n_steps: float, occupancy, transition) -> float:
     return float(n_steps) * (1.0 - rho) / (1.0 + rho)
 
 
-def vector_from_paths(
-    motion_path,
-    signal_path,
-    num_motion_states: int,
-    num_signal_states: int,
-    smoothing: float = 1.0,
+def _history_counts(history, num_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy frequencies and transition counts of one (step, state)
+    history. A transition is counted only between readings in adjacent
+    steps, never across a gap."""
+    steps, states = np.asarray(history, dtype=np.int64).reshape(-1, 2).T
+    occupancy = np.bincount(states, minlength=num_states) / states.size
+    adjacent = steps[1:] == steps[:-1] + 1
+    pairs = states[:-1][adjacent] * num_states + states[1:][adjacent]
+    counts = np.bincount(pairs, minlength=num_states * num_states)
+    return occupancy, counts.reshape(num_states, num_states).astype(float)
+
+
+def vector_from_histories(
+    motion, signal, num_motion_states: int, num_signal_states: int
 ) -> ParameterVector:
-    """Build one target's vector from its observed state sequences."""
-    motion_path = np.asarray(motion_path, dtype=np.int64)
-    signal_path = np.asarray(signal_path, dtype=np.int64)
-    pi_v = np.bincount(motion_path, minlength=num_motion_states) / motion_path.size
-    pi_s = np.bincount(signal_path, minlength=num_signal_states) / signal_path.size
-    mc = np.zeros((num_motion_states, num_motion_states))
-    np.add.at(mc, (motion_path[:-1], motion_path[1:]), 1.0)
-    sc = np.zeros((num_signal_states, num_signal_states))
-    np.add.at(sc, (signal_path[:-1], signal_path[1:]), 1.0)
-    P_v = transition_matrix_from_counts(mc, smoothing)
-    P_s = transition_matrix_from_counts(sc, smoothing)
-    return make_parameter_vector(
-        pi_v, P_v, pi_s, P_s,
-        occupancy_sample_size(motion_path.size, pi_v, P_v),
-        occupancy_sample_size(signal_path.size, pi_s, P_s),
-        motion_row_counts=mc.sum(axis=1),
-        signal_row_counts=sc.sum(axis=1),
-    )
+    """One target's behavior vector from its (step, state) histories of
+    motion states and signal types (each non-empty, at most one reading per
+    step): occupancies, add-one transition matrices, and as evidence the
+    discounted occupancy sample sizes and the per-row transition counts."""
+    pi_v, mc = _history_counts(motion, num_motion_states)
+    pi_s, sc = _history_counts(signal, num_signal_states)
+    P_v = transition_matrix_from_counts(mc)
+    P_s = transition_matrix_from_counts(sc)
+    n_v = occupancy_sample_size(len(motion), pi_v, P_v)
+    n_s = occupancy_sample_size(len(signal), pi_s, P_s)
+    evidence = np.concatenate([[n_v, n_s], mc.sum(axis=1), sc.sum(axis=1)])
+    return make_parameter_vector(pi_v, P_v, pi_s, P_s, evidence)
 
 
 # --- distance ---
@@ -405,12 +393,10 @@ def kmeans_distributions(
         if best is None or objective < best[2]:
             best = (assign, cents, objective)
     assign, cents, _ = best
-    mean_n_eff = {
-        g: float(np.mean([v.n_eff.get(g, 0.0) for v in vectors]))
-        for g in ("motion", "signal")
-    }
+    # a centroid is not an observation, so it carries no evidence
+    no_evidence = np.zeros(len(blocks))
     centroids = [
-        ParameterVector(values=c, blocks=blocks, n_eff=dict(mean_n_eff))
+        ParameterVector(values=c, blocks=blocks, evidence=no_evidence)
         for c in cents
     ]
     return assign, centroids
@@ -418,7 +404,7 @@ def kmeans_distributions(
 
 def _mixture_logits(
     points: np.ndarray,
-    n_eff: np.ndarray,
+    evidence: np.ndarray,
     centroids: np.ndarray,
     weights: np.ndarray,
     blocks,
@@ -436,7 +422,7 @@ def _mixture_logits(
         cross += np.multiply(p[:, None], lc[None, :], out=term)
     logits = np.zeros(cross.shape[:2])
     for gi in range(len(blocks)):
-        logits += n_eff[:, gi, None] * cross[..., gi]
+        logits += evidence[:, gi, None] * cross[..., gi]
     with np.errstate(divide="ignore"):
         logits += np.log(weights)[None, :]
     return logits
@@ -444,7 +430,7 @@ def _mixture_logits(
 
 def _pool_log_likelihood(
     points: np.ndarray,
-    n_eff: np.ndarray,
+    evidence: np.ndarray,
     assign: np.ndarray,
     centroids: np.ndarray,
     blocks,
@@ -468,7 +454,7 @@ def _pool_log_likelihood(
     blocked = _blocked(points, blocks)
     prev = -np.inf
     for _ in range(max_iter):
-        logits = _mixture_logits(blocked, n_eff, cents, weights, blocks)
+        logits = _mixture_logits(blocked, evidence, cents, weights, blocks)
         norm = logsumexp(logits, axis=1)
         logl = float(norm.sum())
         if logl - prev < tol * max(1.0, abs(logl)):
@@ -477,16 +463,12 @@ def _pool_log_likelihood(
         resp = np.exp(logits - norm[:, None])
         weights = resp.mean(axis=0)
         for gi, (spec, sl) in enumerate(_block_slices(blocks)):
-            mass = resp * n_eff[:, gi, None]          # (N, K)
+            mass = resp * evidence[:, gi, None]       # (N, K)
             denom = mass.sum(axis=0)                  # (K,)
             alive = denom > 1e-12
             new = mass.T @ points[:, sl]              # (K, len)
             cents[alive, sl] = new[alive] / denom[alive, None]
     return prev
-
-
-def _n_eff_for(vector: ParameterVector, block: BlockSpec) -> float:
-    return float(vector.n_eff.get(block.name, vector.n_eff.get(block.group, 0.0)))
 
 
 def _fit_pool(vectors: Sequence[ParameterVector], k_max: int, rng):
@@ -497,14 +479,12 @@ def _fit_pool(vectors: Sequence[ParameterVector], k_max: int, rng):
     points = _stack(vectors)
     blocks = vectors[0].blocks
     d = sum(b.length - 1 for b in blocks)
-    n_eff = np.array(
-        [[_n_eff_for(v, b) for b, _ in _block_slices(blocks)] for v in vectors]
-    )
+    evidence = np.stack([v.evidence for v in vectors])
     best = None
     for k in range(1, min(k_max, len(vectors)) + 1):
         assign, centroids = kmeans_distributions(vectors, k, rng)
         cents = np.stack([c.values for c in centroids])
-        logl = _pool_log_likelihood(points, n_eff, assign, cents, blocks)
+        logl = _pool_log_likelihood(points, evidence, assign, cents, blocks)
         aic = 2.0 * k * d - 2.0 * logl
         if best is None or aic < best[0]:
             best = (aic, k, assign, centroids)
@@ -549,10 +529,9 @@ class LearnedClass:
 
 @dataclass
 class ClassLibrary:
-    """Classes learned so far plus per-epoch accuracy records."""
+    """Classes learned so far."""
 
     classes: list = field(default_factory=list)
-    epoch_history: list = field(default_factory=list)
 
     def __post_init__(self):
         ids = [c.class_id for c in self.classes]
@@ -612,9 +591,7 @@ def update_library(
         for i in range(k)
     ]
     classes.sort(key=lambda c: c.class_id)
-    new_library = ClassLibrary(
-        classes=classes, epoch_history=list(library.epoch_history)
-    )
+    new_library = ClassLibrary(classes=classes)
     assigned_ids = np.array([mapping[int(a)] for a in assign])
     return new_library, assigned_ids
 
@@ -672,60 +649,3 @@ def score_classes(
     rows, cols = linear_sum_assignment(-confusion)
     association = float(confusion[rows, cols].sum()) / len(true_ids)
     return formation, association
-
-
-# --- persistence ---
-
-
-def save_library(library: ClassLibrary, path) -> None:
-    doc = {
-        "version": LIBRARY_FORMAT_VERSION,
-        "blocks": [],
-        "classes": [],
-    }
-    if library.classes:
-        doc["blocks"] = [
-            {"name": b.name, "length": b.length}
-            for b in library.classes[0].centroid.blocks
-        ]
-    for c in library.classes:
-        doc["classes"].append(
-            {
-                "id": c.class_id,
-                "centroid": [float(x) for x in c.centroid.values],
-                "member_count": c.member_count,
-            }
-        )
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def _block_from_name(name: str, length: int) -> BlockSpec:
-    weight = 1.0 if name.startswith("pi_") else TRANSITION_BLOCK_WEIGHT
-    group = "signal" if name.rstrip("0123456789").endswith(("_s", "_s_row")) else "motion"
-    return BlockSpec(name, length, weight, group)
-
-
-def load_library(path) -> ClassLibrary:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != LIBRARY_FORMAT_VERSION:
-        raise ValueError(f"unsupported library version {doc.get('version')!r}")
-    blocks = tuple(
-        _block_from_name(b["name"], int(b["length"])) for b in doc["blocks"]
-    )
-    classes = []
-    for c in doc["classes"]:
-        centroid = ParameterVector(
-            values=np.asarray(c["centroid"], dtype=float),
-            blocks=blocks,
-            n_eff={"motion": 1.0, "signal": 1.0},
-        )
-        classes.append(
-            LearnedClass(
-                class_id=int(c["id"]),
-                centroid=centroid,
-                member_count=int(c["member_count"]),
-            )
-        )
-    return ClassLibrary(classes=classes)

@@ -42,10 +42,9 @@ from crnsim.classlib import (
     ParameterVector,
     assign_class,
     block_values,
-    make_parameter_vector,
-    occupancy_sample_size,
     score_classes,
     update_library,
+    vector_from_histories,
 )
 from crnsim.dynamics import step_motion, step_signal
 from crnsim.markov import normalized_entropy
@@ -72,6 +71,7 @@ from crnsim.tracking import (
     measurement_rows,
     polar_to_cartesian,
     process_noise_matrix,
+    record_reading,
     start_track,
     track_rmse,
     untuned_tuning,
@@ -276,23 +276,16 @@ def track_parameter_vector(
 ) -> Optional[ParameterVector]:
     """Behavior vector from one track's histories, or None when the track
     has not been observed enough to estimate all four blocks."""
-    n_v = len(track.motion_state_history)
-    n_s = len(track.signal_history)
-    if n_v < MIN_RADAR_OBS or n_s < MIN_PASSIVE_OBS:
+    if (
+        len(track.motion_history) < MIN_RADAR_OBS
+        or len(track.signal_history) < MIN_PASSIVE_OBS
+    ):
         return None
-    pi_v = track.estimated_motion_distribution()
-    pi_s = track.estimated_signal_distribution(num_signal_states)
-    P_v = track.estimated_motion_matrix()
-    P_s = track.estimated_signal_matrix(num_signal_states)
-    return make_parameter_vector(
-        pi_v,
-        P_v,
-        pi_s,
-        P_s,
-        n_motion=occupancy_sample_size(n_v, pi_v, P_v),
-        n_signal=occupancy_sample_size(n_s, pi_s, P_s),
-        motion_row_counts=track.motion_row_counts(),
-        signal_row_counts=track.signal_row_counts(num_signal_states),
+    return vector_from_histories(
+        track.motion_history,
+        track.signal_history,
+        len(MOTION_STATES),
+        num_signal_states,
     )
 
 
@@ -344,7 +337,13 @@ def _fuse_radar(
     and discards redundant looks. A second look at the same target adds
     little -- positional accuracy is already measurement-limited -- while
     the single-observer geometry leaves cross-range velocity to the motion
-    model, which is exactly where class-tuned filters pay off."""
+    model, which is exactly where class-tuned filters pay off.
+
+    Returns are associated to tracks by the truth target id they carry
+    (`ti`), not by gating: the radar channel assumes perfect data
+    association, so two targets at one position, seen by one node, still
+    update their own tracks. Only the passive channel associates by
+    measurement (see `_associate_bearings`)."""
     sigmas = (noise.sigma_range_m, noise.sigma_azimuth_rad, noise.sigma_elevation_rad)
     timestamp = t * dt
     if ni.size:
@@ -440,6 +439,8 @@ def _associate_bearings(
     are azimuth only, so two targets over the same ground position gate
     each other from every receiver; those are dropped the same way. Track
     order must be ascending key so results are deterministic."""
+    if track_xy.shape[0] == 0:
+        return np.full(det_bearings.shape[0], -1)
     rel = track_xy[None, :, :] - det_node_xy[:, None, :]  # (K, T, 2)
     r2 = np.maximum(rel[..., 0] ** 2 + rel[..., 1] ** 2, 1.0)
     pred = np.arctan2(rel[..., 1], rel[..., 0])
@@ -498,9 +499,7 @@ def _apply_passive(
         # still skipped.
         if (counts == counts[top]).sum() > 1:
             continue
-        coordinator.tracks[keys[k_i]].record_signal_state(
-            top, t, coordinator.num_signal_states
-        )
+        record_reading(coordinator.tracks[keys[k_i]].signal_history, t, top)
         logged += 1
     return logged
 
@@ -516,8 +515,8 @@ def _attempt_assignments(coordinator: Coordinator) -> None:
 
 
 def _smoothed_entropy(history, num_states: int) -> float:
-    """Normalized entropy of the add-one posterior mean over a short
-    categorical history.
+    """Normalized entropy of the add-one posterior mean over the states of
+    a short (step, state) history.
 
     Raw frequencies from a handful of samples are usually degenerate (five
     steps in Cruise reads as zero entropy), which would pay the bandit for
@@ -526,7 +525,7 @@ def _smoothed_entropy(history, num_states: int) -> float:
     collapse within ~10 observations. Reward side only -- harvested
     vectors keep raw occupancy."""
     counts = np.bincount(
-        np.asarray(history, dtype=np.int64), minlength=num_states
+        np.asarray([s for _, s in history], dtype=np.int64), minlength=num_states
     )
     counts = counts + 1.0 / num_states
     return float(normalized_entropy(counts / counts.sum()))
@@ -546,16 +545,13 @@ def _track_uncertainties(coordinator: Coordinator) -> dict:
             em = normalized_entropy(block_values(cls.centroid, "pi_v"))
             es = normalized_entropy(block_values(cls.centroid, "pi_s"))
         elif (
-            len(tr.motion_state_history) + len(tr.signal_history)
+            len(tr.motion_history) + len(tr.signal_history)
             < MIN_OBSERVATIONS_FOR_ESTIMATE
         ):
             em = es = 1.0
         else:
-            em = _smoothed_entropy(tr.motion_state_history, len(MOTION_STATES))
-            es = _smoothed_entropy(
-                [s for _, s in tr.signal_history],
-                coordinator.num_signal_states,
-            )
+            em = _smoothed_entropy(tr.motion_history, len(MOTION_STATES))
+            es = _smoothed_entropy(tr.signal_history, coordinator.num_signal_states)
         etas[key] = (float(em), float(es))
     return etas
 
@@ -628,7 +624,7 @@ def run_step(
         state = int(
             np.argmax(omega_log_evidence(np.asarray(omegas[key])).sum(axis=0))
         )
-        coordinator.tracks[key].record_motion_state(state, t)
+        record_reading(coordinator.tracks[key].motion_history, t, state)
     _apply_passive(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad
     )
@@ -737,7 +733,6 @@ def run_epoch(
     if pool:
         new_library, assigned = update_library(library, pool, streams.library)
         formation, association = score_classes(new_library, assigned, pool_true_ids)
-        new_library.epoch_history.append((formation, association))
 
     metrics = EpochMetrics(
         policy=policy.label,

@@ -15,6 +15,10 @@ prediction pushes through the tuning's mode chain and each angular-rate
 reading reweights, so evidence from earlier steps is kept. The filter's own
 model probabilities are neither read nor changed by that reading.
 
+Each track also keeps two behavior histories, motion states and intercepted
+signal types, as lists of (step, state) readings. It counts nothing:
+`classlib` derives the behavior vector's occupancies and transition counts.
+
 All heavy math lives in array-batched functions over stacked tracks
 (leading axis = track, then model), and the simulation loop calls them
 directly. The one per-track wrapper left is `imm_predict`, a batch of 1
@@ -30,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from crnsim.markov import MarkovChain, transition_matrix_from_counts
+from crnsim.markov import MarkovChain
 from crnsim.scenario import MOTION_STATES, TargetClass
 
 NUM_MODELS = len(MOTION_STATES)
@@ -97,10 +101,12 @@ def untuned_tuning(num_states: int = NUM_MODELS) -> FilterTuning:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class Track:
-    """One target's filter bank plus the behavior histories the
-    coordinator learns classes from."""
+    """One target's filter bank plus the behavior histories the coordinator
+    learns classes from: (step, state) readings of motion state and signal
+    type, at most one per step (see `record_reading`). Compares by identity,
+    as `FilterTuning` does."""
 
     target_key: int
     model_states: np.ndarray  # (models, 6)
@@ -108,20 +114,13 @@ class Track:
     model_probs: np.ndarray  # (models,)
     last_update: float = 0.0
     num_updates: int = 0
-    motion_state_history: list = field(default_factory=list)
+    motion_history: list = field(default_factory=list)
     signal_history: list = field(default_factory=list)
     class_assignment: Optional[int] = None
     last_innovation: Optional[np.ndarray] = None
     # motion-state belief from angular-rate readings, kept apart from
     # model_probs; None starts it uniform over the models
     motion_belief: Optional[np.ndarray] = None
-    # step bookkeeping for gap-aware transition counting
-    _last_motion_step: int = -10
-    _last_signal_step: int = -10
-    _motion_counts: np.ndarray = field(
-        default_factory=lambda: np.zeros((NUM_MODELS, NUM_MODELS))
-    )
-    _signal_counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.motion_belief is None:
@@ -139,60 +138,13 @@ class Track:
             "m,mi,mj->ij", self.model_probs, dx, dx
         )
 
-    def record_motion_state(self, state: int, step: int) -> None:
-        """Append an inferred motion state; adjacent-step pairs feed the
-        transition counts."""
-        if self.motion_state_history and step == self._last_motion_step + 1:
-            self._motion_counts[self.motion_state_history[-1], state] += 1
-        self.motion_state_history.append(int(state))
-        self._last_motion_step = step
 
-    def record_signal_state(self, signal: int, step: int, num_signal_states: int) -> None:
-        """Append an intercepted signal type (at most one per step)."""
-        if self._signal_counts is None:
-            self._signal_counts = np.zeros((num_signal_states, num_signal_states))
-        if self.signal_history:
-            if step == self._last_signal_step:
-                return
-            if step == self._last_signal_step + 1:
-                self._signal_counts[self.signal_history[-1][1], signal] += 1
-        self.signal_history.append((step, int(signal)))
-        self._last_signal_step = step
-
-    def estimated_motion_distribution(self) -> Optional[np.ndarray]:
-        if not self.motion_state_history:
-            return None
-        counts = np.bincount(self.motion_state_history, minlength=NUM_MODELS)
-        return counts / counts.sum()
-
-    def estimated_signal_distribution(self, num_signal_states: int) -> Optional[np.ndarray]:
-        if not self.signal_history:
-            return None
-        counts = np.bincount(
-            [s for _, s in self.signal_history], minlength=num_signal_states
-        )
-        return counts / counts.sum()
-
-    def estimated_motion_matrix(self, smoothing: float = 1.0) -> np.ndarray:
-        return transition_matrix_from_counts(self._motion_counts, smoothing)
-
-    def estimated_signal_matrix(
-        self, num_signal_states: int, smoothing: float = 1.0
-    ) -> np.ndarray:
-        counts = (
-            self._signal_counts
-            if self._signal_counts is not None
-            else np.zeros((num_signal_states, num_signal_states))
-        )
-        return transition_matrix_from_counts(counts, smoothing)
-
-    def motion_row_counts(self) -> np.ndarray:
-        return self._motion_counts.sum(axis=1)
-
-    def signal_row_counts(self, num_signal_states: int) -> np.ndarray:
-        if self._signal_counts is None:
-            return np.zeros(num_signal_states)
-        return self._signal_counts.sum(axis=1)
+def record_reading(history: list, step: int, state: int) -> None:
+    """Append a (step, state) reading to a track history; a second reading
+    in a step that already has one is dropped."""
+    if history and history[-1][0] == step:
+        return
+    history.append((step, int(state)))
 
 
 # --- batched array core ---
@@ -458,15 +410,14 @@ def infer_motion_state(
     With any measured angular rate the posterior becomes the track's
     motion-state belief, which the next prediction carries forward; the
     filter's model probabilities are left untouched. When a step index is
-    given the inferred state is appended to the track's motion history
-    (adjacent steps feed the transition counts).
+    given the inferred state is recorded in the track's motion history.
     """
     post = motion_state_posterior(track, measured_omegas)
     if len(measured_omegas) > 0:
         track.motion_belief = post
     state = int(np.argmax(post))
     if step is not None:
-        track.record_motion_state(state, step)
+        record_reading(track.motion_history, step, state)
     return state
 
 

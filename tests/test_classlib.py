@@ -1,6 +1,6 @@
-"""Class-library tests: distances, clustering, model order, persistence."""
+"""Class-library tests: the vector builder, distances, clustering, model
+order."""
 
-import json
 import math
 
 import numpy as np
@@ -17,21 +17,19 @@ from crnsim.classlib import (
     distribution_distance,
     family_blocks,
     kmeans_distributions,
-    load_library,
     make_parameter_vector,
     occupancy_sample_size,
-    save_library,
     score_classes,
     select_k_aic,
     update_library,
-    vector_from_paths,
+    vector_from_histories,
     _distance_matrix,
     _lloyd,
     _stack,
 )
 from crnsim.markov import MarkovChain, sample_path, stationary_distribution
 from crnsim.scenario import default_family
-from crnsim.tracking import DEFAULT_STATE_ACCEL_STD
+from crnsim.tracking import record_reading
 
 FAMILY = default_family()
 
@@ -53,14 +51,15 @@ def reference_jsd(p, q):
 def _single(probs, block):
     from crnsim.classlib import ParameterVector
 
-    return ParameterVector(values=probs, blocks=(block,), n_eff={"motion": 1.0})
+    return ParameterVector(values=probs, blocks=(block,), evidence=np.ones(1))
 
 
 def synth_vector(class_index, rng, n_motion=50, n_signal=25):
+    """A class member observed at every step of its sampled paths."""
     cls = FAMILY.classes[class_index]
-    return vector_from_paths(
-        sample_path(cls.motion_chain, n_motion, rng=rng),
-        sample_path(cls.signal_chain, n_signal, rng=rng),
+    return vector_from_histories(
+        list(enumerate(sample_path(cls.motion_chain, n_motion, rng=rng))),
+        list(enumerate(sample_path(cls.signal_chain, n_signal, rng=rng))),
         num_motion_states=3,
         num_signal_states=4,
     )
@@ -75,10 +74,7 @@ def strong_class_vector(class_index, n=200.0):
         cls.motion_chain.transition,
         stationary_distribution(cls.signal_chain),
         cls.signal_chain.transition,
-        n_motion=n,
-        n_signal=n,
-        motion_row_counts=[n] * 3,
-        signal_row_counts=[n] * 4,
+        np.full(9, n),
     )
 
 
@@ -87,7 +83,7 @@ def random_family_vector(rng):
     pi_s = rng.dirichlet(np.ones(4))
     P_v = rng.dirichlet(np.ones(3), size=3)
     P_s = rng.dirichlet(np.ones(4), size=4)
-    return make_parameter_vector(pi_v, P_v, pi_s, P_s, 10.0, 10.0)
+    return make_parameter_vector(pi_v, P_v, pi_s, P_s, np.full(9, 10.0))
 
 
 class TestDistance:
@@ -96,8 +92,8 @@ class TestDistance:
         assert distribution_distance(v, v) == 0.0
 
     def test_frozen_single_block_value(self):
-        a = _single(np.array([0.5, 0.5]), BlockSpec("pi_v", 2, 1.0, "motion"))
-        b = _single(np.array([0.9, 0.1]), BlockSpec("pi_v", 2, 1.0, "motion"))
+        a = _single(np.array([0.5, 0.5]), BlockSpec("pi_v", 2))
+        b = _single(np.array([0.9, 0.1]), BlockSpec("pi_v", 2))
         got = distribution_distance(a, b)
         ref = reference_jsd([0.5, 0.5], [0.9, 0.1])
         assert got == pytest.approx(ref, rel=1e-12)
@@ -109,8 +105,7 @@ class TestDistance:
             pi_s=np.full(4, 0.25),
             P_v=np.full((3, 3), 1 / 3),
             P_s=np.full((4, 4), 0.25),
-            n_motion=1.0,
-            n_signal=1.0,
+            evidence=np.ones(9),
         )
         a = make_parameter_vector(pi_v=np.array([1.0, 0, 0]), **shared)
         b = make_parameter_vector(pi_v=np.array([0, 1.0, 0]), **shared)
@@ -121,8 +116,7 @@ class TestDistance:
             pi_v=np.full(3, 1 / 3),
             pi_s=np.full(4, 0.25),
             P_s=np.full((4, 4), 0.25),
-            n_motion=1.0,
-            n_signal=1.0,
+            evidence=np.ones(9),
         )
         P1 = np.full((3, 3), 1 / 3)
         P2 = P1.copy()
@@ -154,7 +148,7 @@ class TestDistance:
         a = random_family_vector(np.random.default_rng(3))
         b = make_parameter_vector(
             np.full(3, 1 / 3), np.full((3, 3), 1 / 3),
-            np.full(5, 0.2), np.full((5, 5), 0.2), 1.0, 1.0,
+            np.full(5, 0.2), np.full((5, 5), 0.2), np.ones(10),
         )
         with pytest.raises(BlockMismatch):
             distribution_distance(a, b)
@@ -165,27 +159,36 @@ class TestParameterVector:
         with pytest.raises(ValueError):
             make_parameter_vector(
                 np.array([0.5, 0.2, 0.1]), np.full((3, 3), 1 / 3),
-                np.full(4, 0.25), np.full((4, 4), 0.25), 1.0, 1.0,
+                np.full(4, 0.25), np.full((4, 4), 0.25), np.ones(9),
             )
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             make_parameter_vector(
                 np.array([1.2, -0.1, -0.1]), np.full((3, 3), 1 / 3),
-                np.full(4, 0.25), np.full((4, 4), 0.25), 1.0, 1.0,
+                np.full(4, 0.25), np.full((4, 4), 0.25), np.ones(9),
+            )
+
+    def test_evidence_one_entry_per_block(self):
+        with pytest.raises(BlockMismatch):
+            make_parameter_vector(
+                np.full(3, 1 / 3), np.full((3, 3), 1 / 3),
+                np.full(4, 0.25), np.full((4, 4), 0.25), np.ones(2),
             )
 
     def test_row_counts_recorded_per_row(self):
-        v = make_parameter_vector(
-            np.full(3, 1 / 3), np.full((3, 3), 1 / 3),
-            np.full(4, 0.25), np.full((4, 4), 0.25),
-            12.0, 7.0,
-            motion_row_counts=[5, 0, 2],
-            signal_row_counts=[1, 2, 3, 0],
-        )
-        assert v.n_eff["motion"] == 12.0 and v.n_eff["signal"] == 7.0
-        assert v.n_eff["P_v_row1"] == 0.0 and v.n_eff["P_v_row2"] == 2.0
-        assert v.n_eff["P_s_row2"] == 3.0
+        motion, signal = [], []
+        # (1, 2) and (4, 0) are second readings in a step and are dropped
+        for step, state in [(0, 0), (1, 0), (1, 2), (2, 1), (5, 2), (6, 2)]:
+            record_reading(motion, step, state)
+        for step, state in [(3, 1), (4, 2), (4, 0), (9, 2), (10, 3)]:
+            record_reading(signal, step, state)
+        assert motion == [(0, 0), (1, 0), (2, 1), (5, 2), (6, 2)]
+        v = vector_from_histories(motion, signal, 3, 4)
+        np.testing.assert_array_equal(v.values[:3], [0.4, 0.2, 0.4])
+        # 0->0, 0->1, then 2->2 after the gap; nothing counted across it
+        np.testing.assert_array_equal(v.evidence[2:5], [2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(v.evidence[5:], [0.0, 1.0, 1.0, 0.0])
 
 
 class TestOccupancySampleSize:
@@ -210,28 +213,33 @@ class TestOccupancySampleSize:
 
 
 class TestVectorFromPaths:
+    """vector_from_histories on paths observed at every step."""
+
     def test_hand_built_counts(self):
-        v = vector_from_paths([0, 0, 1], [2, 2, 2, 3], 3, 4)
+        v = vector_from_histories(
+            list(enumerate([0, 0, 1])), list(enumerate([2, 2, 2, 3])), 3, 4
+        )
         np.testing.assert_allclose(v.values[:3], [2 / 3, 1 / 3, 0])
         np.testing.assert_allclose(v.values[3:7], [0, 0, 0.75, 0.25])
         # motion row 0 saw 0->0 and 0->1 once each, then +1 smoothing
         row0 = v.values[7:10]
         np.testing.assert_allclose(row0, [2 / 5, 2 / 5, 1 / 5])
-        assert v.n_eff["P_v_row0"] == 2.0
-        assert v.n_eff["P_v_row1"] == 0.0
-        assert v.n_eff["P_s_row2"] == 3.0
+        # evidence: pi_v, pi_s, then motion rows, then signal rows
+        assert v.evidence[2] == 2.0
+        assert v.evidence[3] == 0.0
+        assert v.evidence[7] == 3.0
 
     def test_occupancy_evidence_wired_through(self):
         rng = np.random.default_rng(4)
         cls = FAMILY.classes[0]
         mpath = sample_path(cls.motion_chain, 40, rng=rng)
         spath = sample_path(cls.signal_chain, 20, rng=rng)
-        v = vector_from_paths(mpath, spath, 3, 4)
-        pi_v, P_v = v.values[:3], v.values[7:16].reshape(3, 3)
-        assert v.n_eff["motion"] == pytest.approx(
-            occupancy_sample_size(40, pi_v, P_v)
+        v = vector_from_histories(
+            list(enumerate(mpath)), list(enumerate(spath)), 3, 4
         )
-        assert 0.0 < v.n_eff["motion"] < 40.0
+        pi_v, P_v = v.values[:3], v.values[7:16].reshape(3, 3)
+        assert v.evidence[0] == pytest.approx(occupancy_sample_size(40, pi_v, P_v))
+        assert 0.0 < v.evidence[0] < 40.0
 
 
 class TestKmeans:
@@ -312,7 +320,7 @@ def make_like(template, values):
     from crnsim.classlib import ParameterVector
 
     return ParameterVector(
-        values=values, blocks=template.blocks, n_eff=dict(template.n_eff)
+        values=values, blocks=template.blocks, evidence=template.evidence
     )
 
 
@@ -477,50 +485,6 @@ class TestScoreClasses:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             score_classes(self._library_of_size(2), [0, 1], [0, 1, 2])
-
-
-class TestPersistence:
-    def test_round_trip_exact(self, tmp_path):
-        pool = [strong_class_vector(i) for i in range(3)] * 20
-        lib, _ = update_library(ClassLibrary(), pool, np.random.default_rng(19))
-        path = tmp_path / "library.json"
-        save_library(lib, path)
-        loaded = load_library(path)
-        assert [c.class_id for c in loaded.classes] == [
-            c.class_id for c in lib.classes
-        ]
-        for orig, back in zip(lib.classes, loaded.classes):
-            assert back.member_count == orig.member_count
-            np.testing.assert_array_equal(back.centroid.values, orig.centroid.values)
-            assert back.centroid.blocks == orig.centroid.blocks
-            tuning = back.tuning()
-            np.testing.assert_array_equal(
-                tuning.process_noise_per_state, DEFAULT_STATE_ACCEL_STD[:3]
-            )
-
-    def test_document_schema(self, tmp_path):
-        lib, _ = update_library(
-            ClassLibrary(), [strong_class_vector(i) for i in range(3)] * 5,
-            np.random.default_rng(20),
-        )
-        path = tmp_path / "library.json"
-        save_library(lib, path)
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"version", "blocks", "classes"}
-        assert doc["version"] == 1
-        assert doc["blocks"][0] == {"name": "pi_v", "length": 3}
-        assert set(doc["classes"][0]) == {"id", "centroid", "member_count"}
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "library.json"
-        path.write_text(json.dumps({"version": 2, "blocks": [], "classes": []}))
-        with pytest.raises(ValueError):
-            load_library(path)
-
-    def test_empty_library_round_trip(self, tmp_path):
-        path = tmp_path / "library.json"
-        save_library(ClassLibrary(), path)
-        assert load_library(path).classes == []
 
 
 class TestClassTuning:

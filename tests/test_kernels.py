@@ -24,7 +24,6 @@ from crnsim.classlib import (
     _distance_matrix,
     _fit_pool,
     _lloyd,
-    _n_eff_for,
     _pool_log_likelihood,
     _stack,
     assign_class,
@@ -111,11 +110,11 @@ def ref_kmeans(points, k, blocks, rng, reseeds=None):
     return best[0], best[1]
 
 
-def ref_mixture_logits(points, n_eff, centroids, weights, blocks):
+def ref_mixture_logits(points, evidence, centroids, weights, blocks):
     logc = np.log(np.maximum(centroids, 1e-12))
     logits = np.zeros((points.shape[0], centroids.shape[0]))
     for gi, (spec, sl) in enumerate(_slices(blocks)):
-        logits += n_eff[:, gi, None] * (points[:, None, sl] * logc[None, :, sl]).sum(
+        logits += evidence[:, gi, None] * (points[:, None, sl] * logc[None, :, sl]).sum(
             axis=2
         )
     with np.errstate(divide="ignore"):
@@ -123,7 +122,7 @@ def ref_mixture_logits(points, n_eff, centroids, weights, blocks):
     return logits
 
 
-def ref_pool_log_likelihood(points, n_eff, assign, centroids, blocks,
+def ref_pool_log_likelihood(points, evidence, assign, centroids, blocks,
                             max_iter=50, tol=1e-6):
     k = centroids.shape[0]
     n = points.shape[0]
@@ -131,7 +130,7 @@ def ref_pool_log_likelihood(points, n_eff, assign, centroids, blocks,
     cents = centroids.copy()
     prev = -np.inf
     for _ in range(max_iter):
-        logits = ref_mixture_logits(points, n_eff, cents, weights, blocks)
+        logits = ref_mixture_logits(points, evidence, cents, weights, blocks)
         norm = logsumexp(logits, axis=1)
         logl = float(norm.sum())
         if logl - prev < tol * max(1.0, abs(logl)):
@@ -140,7 +139,7 @@ def ref_pool_log_likelihood(points, n_eff, assign, centroids, blocks,
         resp = np.exp(logits - norm[:, None])
         weights = resp.mean(axis=0)
         for gi, (spec, sl) in enumerate(_slices(blocks)):
-            mass = resp * n_eff[:, gi, None]
+            mass = resp * evidence[:, gi, None]
             denom = mass.sum(axis=0)
             alive = denom > 1e-12
             new = mass.T @ points[:, sl]
@@ -152,11 +151,11 @@ def ref_fit_pool(vectors, k_max, rng):
     points = _stack(vectors)
     blocks = vectors[0].blocks
     d = sum(b.length - 1 for b in blocks)
-    n_eff = pool_n_eff(vectors)
+    evidence = pool_evidence(vectors)
     best = None
     for k in range(1, min(k_max, len(vectors)) + 1):
         assign, cents = ref_kmeans(points, k, blocks, rng)
-        logl = ref_pool_log_likelihood(points, n_eff, assign, cents, blocks)
+        logl = ref_pool_log_likelihood(points, evidence, assign, cents, blocks)
         aic = 2.0 * k * d - 2.0 * logl
         if best is None or aic < best[0]:
             best = (aic, k, assign, cents)
@@ -185,11 +184,12 @@ def dirichlet_pool(n, seed):
             else rng.dirichlet(20.0 * c + 0.05)
             for b, c in zip(BLOCKS, centre)
         ]
-        n_eff = {"motion": rng.uniform(1, 20), "signal": rng.uniform(1, 20)}
-        n_eff.update({b.name: float(rng.integers(0, 30))
-                      for b in BLOCKS if "_row" in b.name})
+        evidence = [rng.uniform(1, 20), rng.uniform(1, 20)]
+        evidence += [float(rng.integers(0, 30)) for b in BLOCKS if "_row" in b.name]
         vectors.append(
-            ParameterVector(values=np.concatenate(parts), blocks=BLOCKS, n_eff=n_eff)
+            ParameterVector(
+                values=np.concatenate(parts), blocks=BLOCKS, evidence=evidence
+            )
         )
     return vectors
 
@@ -201,8 +201,8 @@ def duplicate_pool():
     return [distinct[i % 3] for i in range(12)]
 
 
-def pool_n_eff(vectors):
-    return np.array([[_n_eff_for(v, b) for b in BLOCKS] for v in vectors])
+def pool_evidence(vectors):
+    return np.stack([v.evidence for v in vectors])
 
 
 @pytest.fixture(scope="module", params=POOL_SIZES)
@@ -267,11 +267,11 @@ class TestLloyd:
 class TestLikelihood:
     def test_pool_log_likelihood_matches(self, pool):
         pts = _stack(pool)
-        n_eff = pool_n_eff(pool)
+        evidence = pool_evidence(pool)
         for k in K_RANGE:
             assign, cents = ref_kmeans(pts, k, BLOCKS, np.random.default_rng(k))
-            got = _pool_log_likelihood(pts, n_eff, assign, cents, BLOCKS)
-            assert got == ref_pool_log_likelihood(pts, n_eff, assign, cents, BLOCKS)
+            got = _pool_log_likelihood(pts, evidence, assign, cents, BLOCKS)
+            assert got == ref_pool_log_likelihood(pts, evidence, assign, cents, BLOCKS)
 
     def test_fit_pool_winner_matches(self, pool):
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
@@ -308,7 +308,7 @@ class TestAssignClass:
         from crnsim.classlib import make_parameter_vector
 
         other = make_parameter_vector(
-            [0.5, 0.5], np.full((2, 2), 0.5), [1.0], np.ones((1, 1)), 1.0, 1.0
+            [0.5, 0.5], np.full((2, 2), 0.5), [1.0], np.ones((1, 1)), np.ones(5)
         )
         library = self._library(dirichlet_pool(2, 4))
         with pytest.raises(BlockMismatch):

@@ -269,6 +269,13 @@ class TestAssociateDetection:
         )
         assert logged == 0
 
+    def test_no_tracks_claims_nothing(self):
+        got = _associate_bearings(
+            np.zeros((2, 2)), np.array([0.1, 0.2]), np.zeros((0, 2)),
+            np.zeros((0, 2, 2)), SIGMA_DOA,
+        )
+        assert got.tolist() == [-1, -1]
+
     def test_single_track_at_bearing(self):
         assert associate(0.0, [[5000.0, 0.0]]).tolist() == [0]
 

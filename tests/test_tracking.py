@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crnsim.bandit import NodeMode
+from crnsim.classlib import vector_from_histories
 from crnsim.dynamics import step_motion
 from crnsim.markov import MarkovChain, StateSequence, estimate_transitions
 from crnsim.scenario import (
@@ -327,6 +328,12 @@ class TestStartTrack:
         with pytest.raises(ValueError):
             start_track(0, p, np.eye(3), p, np.eye(3), 0.0)
 
+    def test_equality_is_identity_and_does_not_raise(self):
+        R = np.eye(3)
+        a, b = (start_track(0, np.zeros(3), R, np.ones(3), R, 0.5) for _ in range(2))
+        assert a == a
+        assert (a == b) is False
+
 
 class TestMotionStateInference:
     def test_single_model_always_that_model(self):
@@ -391,9 +398,11 @@ class TestMotionStateInference:
         track.model_probs = np.array([1.0])
         infer_motion_state(track, step=4)
         infer_motion_state(track, step=5)
+        infer_motion_state(track, step=5)  # second reading this step: dropped
         infer_motion_state(track, step=7)  # gap: no transition counted
-        assert track.motion_state_history == [0, 0, 0]
-        assert track._motion_counts[0, 0] == 1.0
+        assert track.motion_history == [(4, 0), (5, 0), (7, 0)]
+        v = vector_from_histories(track.motion_history, [(4, 0)], 3, 4)
+        np.testing.assert_array_equal(v.evidence[2:5], [1.0, 0.0, 0.0])
 
     @staticmethod
     def _three_model_track():
@@ -410,7 +419,7 @@ class TestMotionStateInference:
         assert int(np.argmax(post)) == 1
         assert np.array_equal(track.motion_belief, belief)
         assert np.array_equal(track.model_probs, probs)
-        assert track.motion_state_history == []
+        assert track.motion_history == []
 
     def test_inference_stores_belief_not_model_probs(self):
         track = self._three_model_track()
@@ -496,7 +505,7 @@ class TestStateHistoryRecovery:
         accuracy, track = _switching_target_run(seed=7, steps=2000)
         assert accuracy >= 0.7
         est = estimate_transitions(
-            StateSequence(tuple(track.motion_state_history)), 3, smoothing=0.1
+            StateSequence(tuple(s for _, s in track.motion_history)), 3, smoothing=0.1
         )
         true_p = default_family().classes[0].motion_chain.transition
         assert np.max(np.abs(est.transition - true_p)) <= 0.1
