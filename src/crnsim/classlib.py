@@ -38,11 +38,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp, xlogy
 
-from crnsim.markov import (
-    MarkovChain,
-    stationary_distribution,
-    transition_matrix_from_counts,
-)
+from crnsim.markov import MarkovChain, transition_matrix_from_counts
 from crnsim.tracking import DEFAULT_STATE_ACCEL_STD, FilterTuning
 
 DEFAULT_ACCEPT_RADIUS = 0.25
@@ -152,16 +148,6 @@ def make_parameter_vector(
         values=values,
         blocks=family_blocks(pi_v.size, pi_s.size),
         evidence=evidence,
-    )
-
-
-def class_parameter_vector(cls) -> ParameterVector:
-    """The exact vector a perfectly-observed member of a class would have."""
-    pi_v = stationary_distribution(cls.motion_chain)
-    pi_s = stationary_distribution(cls.signal_chain)
-    return make_parameter_vector(
-        pi_v, cls.motion_chain.transition, pi_s, cls.signal_chain.transition,
-        np.ones(2 + pi_v.size + pi_s.size),
     )
 
 
@@ -548,15 +534,19 @@ class ClassLibrary:
 def _greedy_id_match(
     new_centroids: list[ParameterVector], old_classes: list
 ) -> dict[int, int]:
-    """Map new-cluster index -> stable class id, nearest-centroid-first."""
+    """Map new-cluster index -> stable class id, nearest-centroid-first.
+    All new x old pairs are scored in one kernel call; equal distances go
+    to the lower new index, then to the old class listed first."""
     mapping: dict[int, int] = {}
     if old_classes:
-        pairs = []
-        for i, cent in enumerate(new_centroids):
-            for old in old_classes:
-                pairs.append((distribution_distance(cent, old.centroid), i, old.class_id))
+        old_ids = [c.class_id for c in old_classes]
+        values = _stack(list(new_centroids) + [c.centroid for c in old_classes])
+        k = len(new_centroids)
+        dists = _distance_matrix(values[:k], values[k:], old_classes[0].centroid.blocks)
         used_old: set = set()
-        for _, i, old_id in sorted(pairs, key=lambda p: p[0]):
+        for flat in np.argsort(dists, axis=None, kind="stable"):
+            i, j = divmod(int(flat), len(old_ids))
+            old_id = old_ids[j]
             if i in mapping or old_id in used_old:
                 continue
             mapping[i] = old_id

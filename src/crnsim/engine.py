@@ -9,8 +9,8 @@ tracks into a cumulative pool, the class library re-clusters, and the
 epoch is scored.
 
 The step loop hot path is batched: per-pair sensing, IMM prediction, and
-measurement fusion all run as stacked-array operations; radar returns for
-the same target from several nodes fuse sequentially in rounds.
+measurement fusion all run as stacked-array operations, with one radar
+return per target per step.
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -327,10 +327,11 @@ def _fuse_radar(
     t: int,
     dt: float,
     noise: SensorNoise,
-) -> dict:
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply this step's radar returns: start tracks via two-point
-    differencing, update the rest. Returns measured angular rates per
-    updated track key.
+    differencing, update the rest in one batch. Returns the keys of the
+    tracks that got a reading, in ascending target order, and the angular
+    rate each one measured.
 
     One observer per target per step: the coordinator uses the return of
     the closest active node (smallest measured range, then lowest node id)
@@ -344,74 +345,48 @@ def _fuse_radar(
     association, so two targets at one position, seen by one node, still
     update their own tracks. Only the passive channel associates by
     measurement (see `_associate_bearings`)."""
+    # one return per target, targets ascending
+    pick = np.lexsort((ni, z[:, 0], ti))
+    first = np.ones(pick.size, dtype=bool)
+    first[1:] = ti[pick][1:] != ti[pick][:-1]
+    keep = pick[first]
+    ni, z = ni[keep], z[keep]
+    keys = np.array([world.targets[i].target_id for i in ti[keep]], dtype=np.int64)
+    npos = world.node_positions[ni]
     sigmas = (noise.sigma_range_m, noise.sigma_azimuth_rad, noise.sigma_elevation_rad)
-    timestamp = t * dt
-    if ni.size:
-        pick = np.lexsort((ni, z[:, 0], ti))
-        first = np.ones(pick.size, dtype=bool)
-        first[1:] = ti[pick][1:] != ti[pick][:-1]
-        keep = np.sort(pick[first])
-        ni, ti, z = ni[keep], ti[keep], z[keep]
-    # group measurements per target, node order within a target
-    order = np.lexsort((ni, ti))
-    meas_by_key: dict = {}
-    omegas: dict = {}
-    for idx in order:
-        n_i, t_i = int(ni[idx]), int(ti[idx])
-        key = world.targets[t_i].target_id
-        row = z[idx]
-        if key in coordinator.tracks:
-            meas_by_key.setdefault(key, []).append((n_i, row))
-            omegas.setdefault(key, []).append(float(row[4]))
-            continue
-        pos, R = polar_to_cartesian(
-            row[0], row[1], row[2], world.node_positions[n_i], sigmas
-        )
-        held = coordinator.pending.get(key)
-        if held is None or held[0] == t:
-            # first sighting, or a same-step duplicate that cannot seed
-            # velocity differencing; keep the earliest
-            if held is None:
-                coordinator.pending[key] = (t, pos, R)
+    pos, R3 = polar_to_cartesian(z[:, 0], z[:, 1], z[:, 2], npos, sigmas)
+    tracked = np.array([k in coordinator.tracks for k in keys], dtype=bool)
+    for i in np.flatnonzero(~tracked):
+        key = int(keys[i])
+        held = coordinator.pending.pop(key, None)
+        if held is None:
+            coordinator.pending[key] = (t, pos[i], R3[i])
             continue
         step0, pos0, R0 = held
-        del coordinator.pending[key]
         coordinator.tracks[key] = start_track(
-            key, pos0, R0, pos, R, dt=(t - step0) * dt, timestamp=timestamp
+            key, pos0, R0, pos[i], R3[i], dt=(t - step0) * dt
         )
-        omegas.setdefault(key, []).append(float(row[4]))
-    # sequential fusion: round r applies each track's r-th measurement
-    sigma_vr2 = max(noise.sigma_radial_velocity, 1e-6) ** 2
-    r = 0
-    while True:
-        batch = [
-            (key, lst[r]) for key, lst in meas_by_key.items() if r < len(lst)
-        ]
-        if not batch:
-            break
-        tracks = [coordinator.tracks[key] for key, _ in batch]
-        node_idx = np.array([n_i for _, (n_i, _) in batch])
-        rows = np.stack([row for _, (_, row) in batch])
-        npos = world.node_positions[node_idx]
-        pos, R3 = polar_to_cartesian(rows[:, 0], rows[:, 1], rows[:, 2], npos, sigmas)
-        B = len(batch)
-        zb = np.column_stack([pos, rows[:, 3]])
-        Rb = np.zeros((B, 4, 4))
-        Rb[:, :3, :3] = R3
-        Rb[:, 3, 3] = sigma_vr2
-        combined = np.stack([tr.state for tr in tracks])
-        H = measurement_rows(combined, npos)
-        states = np.stack([tr.model_states for tr in tracks])
-        covs = np.stack([tr.model_covs for tr in tracks])
-        probs = np.stack([tr.model_probs for tr in tracks])
-        s, c, p, innov = kalman_update_arrays(states, covs, probs, zb, Rb, H)
+    upd = np.flatnonzero(tracked)
+    if upd.size:
+        tracks = [coordinator.tracks[k] for k in keys[upd]]
+        zb = np.column_stack([pos[upd], z[upd, 3]])
+        Rb = np.zeros((upd.size, 4, 4))
+        Rb[:, :3, :3] = R3[upd]
+        Rb[:, 3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
+        H = measurement_rows(np.stack([tr.state for tr in tracks]), npos[upd])
+        s, c, p = kalman_update_arrays(
+            np.stack([tr.model_states for tr in tracks]),
+            np.stack([tr.model_covs for tr in tracks]),
+            np.stack([tr.model_probs for tr in tracks]),
+            zb,
+            Rb,
+            H,
+        )
         for i, tr in enumerate(tracks):
             tr.model_states, tr.model_covs, tr.model_probs = s[i], c[i], p[i]
-            tr.last_innovation = innov[i]
             tr.num_updates += 1
-            tr.last_update = timestamp
-        r += 1
-    return omegas
+    read = np.array([k in coordinator.tracks for k in keys], dtype=bool)
+    return keys[read], z[read, 4]
 
 
 # widest bearing gate a track may claim through; beyond this a stale track
@@ -613,17 +588,16 @@ def run_step(
     )
 
     _predict_tracks(coordinator, dt)
-    omegas = _fuse_radar(world, coordinator, ni_r, ti_r, z_r, t, dt, config.noise)
+    keys, omegas = _fuse_radar(
+        world, coordinator, ni_r, ti_r, z_r, t, dt, config.noise
+    )
     # Histories feed cross-track clustering, so the recorded state must not
     # depend on how this particular track happens to be tuned: a tuned
     # filter reads high-G kicks that an untuned one absorbs into cruise,
     # and mixing both reads splits every true class in two. The measured
     # angular rates alone (flat model prior) give every track the same
     # reading conditions; the filter's own posterior still drives tracking.
-    for key in omegas:
-        state = int(
-            np.argmax(omega_log_evidence(np.asarray(omegas[key])).sum(axis=0))
-        )
+    for key, state in zip(keys, omega_log_evidence(omegas).argmax(axis=1)):
         record_reading(coordinator.tracks[key].motion_history, t, state)
     _apply_passive(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad

@@ -112,12 +112,10 @@ class Track:
     model_states: np.ndarray  # (models, 6)
     model_covs: np.ndarray  # (models, 6, 6)
     model_probs: np.ndarray  # (models,)
-    last_update: float = 0.0
     num_updates: int = 0
     motion_history: list = field(default_factory=list)
     signal_history: list = field(default_factory=list)
     class_assignment: Optional[int] = None
-    last_innovation: Optional[np.ndarray] = None
     # motion-state belief from angular-rate readings, kept apart from
     # model_probs; None starts it uniform over the models
     motion_belief: Optional[np.ndarray] = None
@@ -272,12 +270,12 @@ def kalman_update_arrays(
     z: np.ndarray,
     R: np.ndarray,
     H: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joseph-form Kalman update of every model of every stacked track,
     with the IMM model-probability reweighting.
 
     states (B,M,6), covs (B,M,6,6), probs (B,M), z (B,4), R (B,4,4),
-    H (B,4,6). Returns updated (states, covs, probs, innovations).
+    H (B,4,6). Returns updated (states, covs, probs).
     """
     B, M, n = states.shape
     d = z.shape[1]
@@ -301,9 +299,7 @@ def kalman_update_arrays(
     logw = np.log(np.maximum(probs, MIN_MODEL_PROB)) + loglik
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
-    probs_new = w / w.sum(axis=1, keepdims=True)
-    mean_innovation = np.einsum("bm,bmi->bi", probs_new, nu)
-    return states_new, covs_new, probs_new, mean_innovation
+    return states_new, covs_new, w / w.sum(axis=1, keepdims=True)
 
 
 # --- per-track operations ---
@@ -316,7 +312,6 @@ def start_track(
     pos2: np.ndarray,
     R2: np.ndarray,
     dt: float,
-    timestamp: float = 0.0,
 ) -> Track:
     """Two-point differencing initialization from the first two converted
     position measurements (dt apart)."""
@@ -332,7 +327,6 @@ def start_track(
         model_states=np.tile(state, (NUM_MODELS, 1)),
         model_covs=np.tile(P, (NUM_MODELS, 1, 1)),
         model_probs=np.full(NUM_MODELS, 1.0 / NUM_MODELS),
-        last_update=timestamp,
         num_updates=2,
     )
 

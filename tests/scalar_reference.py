@@ -101,7 +101,7 @@ def kalman_update(
     R[:3, :3] = R3
     R[3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
     H = measurement_rows(track.state[None], np.asarray(node.position)[None])
-    states, covs, probs, innov = kalman_update_arrays(
+    states, covs, probs = kalman_update_arrays(
         track.model_states[None],
         track.model_covs[None],
         track.model_probs[None],
@@ -114,6 +114,5 @@ def kalman_update(
         covs[0],
         probs[0],
     )
-    track.last_innovation = innov[0]
     track.num_updates += 1
     return track

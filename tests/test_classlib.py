@@ -13,7 +13,6 @@ from crnsim.classlib import (
     LearnedClass,
     TooFewPoints,
     assign_class,
-    class_parameter_vector,
     distribution_distance,
     family_blocks,
     kmeans_distributions,

@@ -1,8 +1,10 @@
 """Engine contract: determinism, the paired design, config validation, the
-harvest rule for radar-only, radar association by truth id, the
-coordinator's per-class prediction cache, the names the benchmark tracer
-hooks, and a digest guard over every metric of a small experiment."""
+harvest rule for radar-only, radar association by truth id with one return
+per target per step, the coordinator's per-class prediction cache, the sign
+of `rmse_improvement`, the names the benchmark tracer hooks, and a digest
+guard over every metric of a small experiment."""
 
+import copy
 import dataclasses
 import hashlib
 import importlib
@@ -14,22 +16,27 @@ import numpy as np
 import pytest
 
 from crnsim.bandit import PolicyKind
-from crnsim.classlib import ClassLibrary, LearnedClass, class_parameter_vector
+from crnsim.classlib import ClassLibrary, LearnedClass, make_parameter_vector
 from crnsim.engine import (
     ConfigError,
     Coordinator,
+    ExperimentResult,
     PolicySpec,
     SimConfig,
     World,
     _fuse_radar,
     default_policies,
     epoch_seed,
+    rmse_improvement,
     run_epoch,
     run_experiment,
 )
+from crnsim.markov import stationary_distribution
 from crnsim.scenario import Node, Region, ScenarioConfig, Target, default_family
 from crnsim.sensing import SensorNoise
 from crnsim.tracking import Track, process_noise_matrix, untuned_tuning
+
+from scalar_reference import kalman_update
 
 # about 7 nodes and 11 targets, 25 steps per epoch
 SMALL = SimConfig(
@@ -138,30 +145,50 @@ class TestRadarOnly:
         assert bandit_result.metrics["bandit"][0][0].harvested > 0
 
 
+def _radar_world(node_positions, target_positions):
+    """Nodes with a 10 km radar and default-family targets at rest, keyed
+    10, 11, ..."""
+    family = default_family()
+    targets = [
+        Target(10 + i, 0, np.array(p, dtype=float), np.zeros(3), 0, 0, False)
+        for i, p in enumerate(target_positions)
+    ]
+    return World(
+        nodes=[Node(i, np.array(p, dtype=float), 10_000.0)
+               for i, p in enumerate(node_positions)],
+        targets=targets,
+        family=family,
+        node_positions=np.array(node_positions, dtype=float),
+        radar_ranges=np.full(len(node_positions), 10_000.0),
+        passive_ranges=np.zeros(len(targets)),
+        target_classes=[family.classes[0]] * len(targets),
+        index_by_id={t.target_id: i for i, t in enumerate(targets)},
+    )
+
+
+def _polar_row(node, point, d_az=0.0):
+    """Noise-free [range, azimuth, elevation, radial velocity, angular
+    rate] of a static point, with the azimuth shifted by d_az."""
+    rel = np.asarray(point) - node
+    r = float(np.linalg.norm(rel))
+    return np.array(
+        [r, np.arctan2(rel[1], rel[0]) + d_az, np.arcsin(rel[2] / r), 0.0, 0.0]
+    )
+
+
 class TestRadarAssociation:
+    def _coordinator(self):
+        return Coordinator(
+            library=ClassLibrary(), num_signal_states=4, use_class_knowledge=False
+        )
+
     def test_colocated_targets_update_their_own_tracks(self):
         # two targets at one position seen by one node: returns carry the
         # truth target id, so each reaches its own track, which gating on
         # position alone could not tell apart
         position = np.array([3000.0, 0.0, 500.0])
-        targets = [
-            Target(key, 0, position.copy(), np.zeros(3), 0, 0, False)
-            for key in (10, 11)
-        ]
-        family = default_family()
-        world = World(
-            nodes=[Node(0, np.zeros(3), 10_000.0)],
-            targets=targets,
-            family=family,
-            node_positions=np.zeros((1, 3)),
-            radar_ranges=np.array([10_000.0]),
-            passive_ranges=np.zeros(2),
-            target_classes=[family.classes[0]] * 2,
-            index_by_id={10: 0, 11: 1},
-        )
-        coord = Coordinator(
-            library=ClassLibrary(), num_signal_states=4, use_class_knowledge=False
-        )
+        world = _radar_world([np.zeros(3)], [position, position])
+        coord = self._coordinator()
         r, el = float(np.linalg.norm(position)), float(np.arctan2(500.0, 3000.0))
         # radial velocities +15 and -15 m/s tell the two returns apart
         z = np.array([[r, 0.0, el, 15.0, 0.0], [r, 0.0, el, -15.0, 0.0]])
@@ -178,12 +205,60 @@ class TestRadarAssociation:
                     SensorNoise())
         assert (tracks[10].num_updates, tracks[11].num_updates) == (3, 4)
 
+    @pytest.mark.parametrize(
+        "nodes, used",
+        [
+            # node 1 is closer: the smaller measured range wins over node id
+            ([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0]], 1),
+            # equal ranges: the lower node id wins, whatever the input order
+            ([[0.0, 0.0, 0.0], [6000.0, 0.0, 0.0]], 0),
+        ],
+    )
+    def test_one_update_per_step_from_the_closest_return(self, nodes, used):
+        target = np.array([3000.0, 400.0, 500.0])
+        world = _radar_world(nodes, [target])
+        coord = self._coordinator()
+        noise = SensorNoise()
+        # the two nodes disagree by +-0.01 rad in azimuth, so which return
+        # was used shows in the estimate; ranges stay as measured
+        rows = np.stack([_polar_row(world.node_positions[n], target, d)
+                         for n, d in ((1, -0.01), (0, 0.01))])
+        ni, ti = np.array([1, 0]), np.array([0, 0])
+        ranges = rows[:, 0]
+        assert (ranges[0] < ranges[1]) if used == 1 else (ranges[0] == ranges[1])
+        for t in (1, 2):
+            _fuse_radar(world, coord, ni, ti, rows, t, 0.5, noise)
+        track = coord.tracks[10]
+        # started by differencing two looks from the same node: at rest
+        assert track.num_updates == 2
+        assert np.allclose(track.state[3:], 0.0, atol=1e-9)
+        for t in (3, 4, 5):
+            expected = {
+                n: kalman_update(copy.deepcopy(track), rows[list(ni).index(n)],
+                                 world.nodes[n], noise)
+                for n in (0, 1)
+            }
+            keys, omegas = _fuse_radar(world, coord, ni, ti, rows, t, 0.5, noise)
+            assert list(keys) == [10] and list(omegas) == [0.0]
+            assert track.num_updates == t
+            want, other = expected[used], expected[1 - used]
+            assert np.allclose(track.model_states, want.model_states, atol=1e-6)
+            assert not np.allclose(track.model_states, other.model_states, atol=1.0)
+
 
 class TestPredictCache:
     def _coordinator(self, use_class_knowledge):
+        # the vector a perfectly observed member of the class would have
         cls = default_family().classes[0]
+        centroid = make_parameter_vector(
+            stationary_distribution(cls.motion_chain),
+            cls.motion_chain.transition,
+            stationary_distribution(cls.signal_chain),
+            cls.signal_chain.transition,
+            np.ones(9),
+        )
         library = ClassLibrary(classes=[
-            LearnedClass(class_id=4, centroid=class_parameter_vector(cls), member_count=1)
+            LearnedClass(class_id=4, centroid=centroid, member_count=1)
         ])
         return Coordinator(
             library=library, num_signal_states=4, use_class_knowledge=use_class_knowledge
@@ -221,6 +296,34 @@ class TestPredictCache:
         want_trans, want_Q = self._expected(untuned_tuning(), 0.5)
         assert np.array_equal(trans, want_trans) and np.array_equal(Q, want_Q)
         assert set(coord._noise_cache) == {None}
+
+
+class TestRmseImprovement:
+    def _result(self, bandit_result, medians):
+        # medians: label -> per run, (first-epoch, final-epoch) rmse_median
+        template = bandit_result.metrics["bandit"][0][0]
+        metrics = {
+            label: [
+                [dataclasses.replace(template, policy=label, rmse_median=m)
+                 for m in run]
+                for run in runs
+            ]
+            for label, runs in medians.items()
+        }
+        policies = (BANDIT, PolicySpec(PolicyKind.RANDOM))
+        return ExperimentResult(config=SMALL, policies=policies, metrics=metrics)
+
+    @pytest.mark.parametrize(
+        "bandit_final, want", [((7.0, 9.0), 0.2), ((11.0, 13.0), -0.2)]
+    )
+    def test_sign_follows_the_final_epoch(self, bandit_result, bandit_final, want):
+        # first epochs point the other way: only the final epoch counts
+        first = 20.0 if want > 0 else 1.0
+        result = self._result(bandit_result, {
+            "bandit": [(first, bandit_final[0]), (first, bandit_final[1])],
+            "random-0.8": [(10.0, 10.0), (10.0, 10.0)],
+        })
+        assert rmse_improvement(result, "random-0.8") == pytest.approx(want)
 
 
 def test_every_bench_tracer_hook_resolves(monkeypatch):

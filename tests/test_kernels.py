@@ -2,7 +2,8 @@
 
 The references below are the straightforward per-block forms: one JSD per
 block slice, a full distance recompute every Lloyd iteration, one categorical
-cross term per block slice, and `Generator.choice` for Markov steps. The
+cross term per block slice, a sorted list of scored (new, old) centroid
+pairs for class-id matching, and `Generator.choice` for Markov steps. The
 package's fast paths must reproduce every float and every draw of these
 references exactly, so all comparisons use `np.array_equal` or `==`.
 """
@@ -23,6 +24,7 @@ from crnsim.classlib import (
     ParameterVector,
     _distance_matrix,
     _fit_pool,
+    _greedy_id_match,
     _lloyd,
     _pool_log_likelihood,
     _stack,
@@ -160,6 +162,26 @@ def ref_fit_pool(vectors, k_max, rng):
         if best is None or aic < best[0]:
             best = (aic, k, assign, cents)
     return best
+
+
+def ref_greedy_id_match(new_centroids, old_classes):
+    pairs = [
+        (ref_distribution_distance(cent, old.centroid), i, old.class_id)
+        for i, cent in enumerate(new_centroids)
+        for old in old_classes
+    ]
+    mapping, used_old = {}, set()
+    for _, i, old_id in sorted(pairs, key=lambda p: p[0]):
+        if i in mapping or old_id in used_old:
+            continue
+        mapping[i] = old_id
+        used_old.add(old_id)
+    next_id = max((c.class_id for c in old_classes), default=-1) + 1
+    for i in range(len(new_centroids)):
+        if i not in mapping:
+            mapping[i] = next_id
+            next_id += 1
+    return mapping
 
 
 def ref_sample_next(chain, current, rng):
@@ -313,6 +335,30 @@ class TestAssignClass:
         library = self._library(dirichlet_pool(2, 4))
         with pytest.raises(BlockMismatch):
             assign_class(library, other)
+
+
+class TestGreedyIdMatch:
+    def _classes(self, centroids, first_id=10):
+        return [
+            LearnedClass(class_id=first_id + 3 * i, centroid=c, member_count=1)
+            for i, c in enumerate(centroids)
+        ]
+
+    def test_matches_pair_list(self, pool):
+        for n_new in (1, 3, 6):
+            for n_old in (0, 1, 2, 5):
+                new = pool[:n_new]
+                old = self._classes(pool[-n_old:] if n_old else [])
+                assert _greedy_id_match(new, old) == ref_greedy_id_match(new, old)
+
+    def test_ties_follow_new_index_then_old_order(self):
+        # equal centroids make every distance a tie
+        distinct = dirichlet_pool(2, 8)
+        new = [distinct[0], distinct[0], distinct[1], distinct[0]]
+        old = self._classes([distinct[0], distinct[0], distinct[1]], first_id=7)
+        got = _greedy_id_match(new, old)
+        assert got == ref_greedy_id_match(new, old)
+        assert got == {0: 7, 1: 10, 2: 13, 3: 14}
 
 
 class TestSampleNext:

@@ -221,7 +221,7 @@ class TestKalmanUpdate:
         z = rng.normal(0, 100, 4)
         H = measurement_rows(x[None], np.zeros((1, 3)))[0]
         R = np.diag([625.0, 625.0, 625.0, 1.0])
-        got_x, got_P, _, _ = kalman_update_arrays(
+        got_x, got_P, _ = kalman_update_arrays(
             x[None, None], P[None, None], np.array([[1.0]]), z[None], R[None], H[None]
         )
         exp_x, exp_P = self._textbook_update(x, P, z, R, H)
