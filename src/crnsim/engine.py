@@ -8,9 +8,11 @@ At the epoch boundary, behavior vectors are harvested from well-observed
 tracks into a cumulative pool, the class library re-clusters, and the
 epoch is scored.
 
-The step loop hot path is batched: per-pair sensing, IMM prediction, and
-measurement fusion all run as stacked-array operations, with one radar
-return per target per step.
+The coordinator keeps its tracks as one table with a row per target
+(filter bank, combined estimate, class id, reading counts), so every layer
+of the step loop -- IMM prediction, radar fusion with one return per target,
+passive association, rewards and the estimate tape -- runs once per step
+over the live rows rather than once per track.
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -63,6 +65,7 @@ from crnsim.sensing import (
     wrap_angle,
 )
 from crnsim.tracking import (
+    NUM_MODELS,
     Track,
     cv_transition,
     imm_predict_arrays,
@@ -219,22 +222,119 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
 
 @dataclass
 class Coordinator:
-    """Central fusion state: tracks, learned classes, per-node bandits."""
+    """Central fusion state: the track table, learned classes, per-node
+    bandits.
+
+    The table has one row per target of the epoch's world, in world order
+    (a target has at most one track, keyed by its id). A row holds the IMM
+    bank -- model states (M, 6), covariances (M, 6, 6), probabilities (M,)
+    -- the combined estimate, the class id (-1 while unclassified) and how
+    many readings of each motion state and signal type the track's
+    histories hold. A row is live once its track starts; `order` lists the
+    live rows in start order, which is also the order of `tracks`, and
+    prediction and rewards run in that order so that sums over tracks
+    round as they did when each track was visited in turn. The
+    `Track` in `tracks` stays the per-track record: its filter arrays are
+    views into its row, and its histories are what `vector_from_histories`
+    reads."""
 
     library: ClassLibrary
     num_signal_states: int
     use_class_knowledge: bool
+    num_targets: int = 0  # table rows
     tracks: dict = field(default_factory=dict)  # target key -> Track
     # first sightings waiting for a second measurement: key -> (step, pos, R)
     pending: dict = field(default_factory=dict)
     bandits: list = field(default_factory=list)
     _noise_cache: dict = field(default_factory=dict)
 
-    def predict_arrays(self, track: Track, dt: float):
-        """(transition, Q-stack) of a track's tuning, cached per epoch under
-        the class that tunes it, None when the untuned bank applies. A class
-        id missing from the library also gets the untuned bank."""
-        key = track.class_assignment if self.use_class_knowledge else None
+    def __post_init__(self):
+        T, M = self.num_targets, NUM_MODELS
+        self.model_states = np.zeros((T, M, 6))
+        self.model_covs = np.zeros((T, M, 6, 6))
+        self.model_probs = np.zeros((T, M))
+        self.estimates = np.zeros((T, 6))  # combined state of each row
+        self.live = np.zeros(T, dtype=bool)
+        self.class_ids = np.full(T, -1, dtype=np.int64)
+        self.motion_counts = np.zeros((T, len(MOTION_STATES)), dtype=np.int64)
+        self.signal_counts = np.zeros((T, self.num_signal_states), dtype=np.int64)
+        self.order = np.zeros(0, dtype=np.int64)
+        self.row_tracks = [None] * T
+        # (motion, signal) entropies of each class centroid; the library is
+        # fixed for the coordinator's epoch
+        self.class_etas = {
+            c.class_id: (
+                normalized_entropy(block_values(c.centroid, "pi_v")),
+                normalized_entropy(block_values(c.centroid, "pi_s")),
+            )
+            for c in (self.library.classes if self.use_class_knowledge else ())
+        }
+
+    def add_track(self, row: int, track: Track) -> None:
+        """Start a fresh track (no readings, no class) in table row `row`,
+        its target's index in the world. The row takes the track's filter
+        bank, and the track's filter arrays become views into the row."""
+        if self.live[row]:
+            raise ValueError(f"row {row} already holds a track")
+        if (
+            track.motion_history
+            or track.signal_history
+            or track.class_assignment is not None
+        ):
+            raise ValueError("only a freshly started track can be added")
+        self.set_bank(
+            np.array([row]),
+            track.model_states[None],
+            track.model_covs[None],
+            track.model_probs[None],
+        )
+        track.model_states = self.model_states[row]
+        track.model_covs = self.model_covs[row]
+        track.model_probs = self.model_probs[row]
+        self.live[row] = True
+        self.tracks[track.target_key] = track
+        self.row_tracks[row] = track
+        self.order = np.append(self.order, row)
+
+    def bank(self, rows: np.ndarray):
+        """The rows' IMM banks: states (B, M, 6), covariances (B, M, 6, 6)
+        and probabilities (B, M)."""
+        return self.model_states[rows], self.model_covs[rows], self.model_probs[rows]
+
+    def set_bank(self, rows: np.ndarray, states, covs, probs) -> None:
+        """Write the rows' IMM banks and recombine their estimates; each
+        row's estimate is what `Track.state` gives."""
+        self.model_states[rows] = states
+        self.model_covs[rows] = covs
+        self.model_probs[rows] = probs
+        self.estimates[rows] = (probs[:, None, :] @ states)[:, 0]
+
+    def xy_covariances(self, rows: np.ndarray) -> np.ndarray:
+        """(B, 2, 2) horizontal block of the rows' combined covariances,
+        equal to `Track.covariance[:2, :2]`."""
+        probs = self.model_probs[rows]
+        dx = (self.model_states[rows] - self.estimates[rows][:, None, :])[..., :2]
+        return np.einsum(
+            "bm,bmij->bij", probs, self.model_covs[rows][:, :, :2, :2]
+        ) + np.einsum("bm,bmi,bmj->bij", probs, dx, dx)
+
+    def record_motion(self, row: int, step: int, state: int) -> None:
+        """Record a motion-state reading for the row's track and count it
+        when `record_reading` keeps it."""
+        if record_reading(self.row_tracks[row].motion_history, step, state):
+            self.motion_counts[row, state] += 1
+
+    def record_signal(self, row: int, step: int, state: int) -> None:
+        """Record a signal-type reading, as `record_motion` does."""
+        if record_reading(self.row_tracks[row].signal_history, step, state):
+            self.signal_counts[row, state] += 1
+
+    def predict_arrays(self, class_id: Optional[int], dt: float):
+        """(transition, Q-stack) of the tuning a track of this class gets,
+        cached per epoch under the class, None when the untuned bank
+        applies. Baselines and a class id missing from the library also get
+        the untuned bank."""
+        key = class_id if self.use_class_knowledge else None
         if key not in self._noise_cache:
             cls = None if key is None else self.library.get(key)
             tuning = untuned_tuning() if cls is None else cls.tuning()
@@ -256,19 +356,28 @@ def make_coordinator(
         library=library,
         num_signal_states=world.family.signal_state_count,
         use_class_knowledge=bandit,
+        num_targets=world.num_targets,
         bandits=[BanditState() for _ in world.nodes] if bandit else [],
     )
 
 
 @dataclass
 class _EpochTape:
-    """Per-step records accumulated for end-of-epoch metrics."""
+    """Per-step records accumulated for end-of-epoch metrics. Positions are
+    indexed (step, target row); a row's estimates start at its first
+    tracked step."""
 
-    est: dict = field(default_factory=dict)  # key -> [([x,y,z]), ...]
-    truth: dict = field(default_factory=dict)
+    est: np.ndarray  # (steps, T, 3) combined position estimates
+    truth: np.ndarray  # (steps, T, 3)
+    first: np.ndarray  # (T,) first tracked step index, -1 while untracked
     modes: list = field(default_factory=list)  # (N,) bool active, per step
     rewards: list = field(default_factory=list)  # (N,) played reward, per step
     digest: "hashlib._Hash" = field(default_factory=hashlib.sha1)
+
+
+def _observed_enough(num_motion, num_signal):
+    """The harvest gate on reading counts; works on ints and on arrays."""
+    return (num_motion >= MIN_RADAR_OBS) & (num_signal >= MIN_PASSIVE_OBS)
 
 
 def track_parameter_vector(
@@ -276,10 +385,7 @@ def track_parameter_vector(
 ) -> Optional[ParameterVector]:
     """Behavior vector from one track's histories, or None when the track
     has not been observed enough to estimate all four blocks."""
-    if (
-        len(track.motion_history) < MIN_RADAR_OBS
-        or len(track.signal_history) < MIN_PASSIVE_OBS
-    ):
+    if not _observed_enough(len(track.motion_history), len(track.signal_history)):
         return None
     return vector_from_histories(
         track.motion_history,
@@ -301,21 +407,20 @@ def _select_modes(
 
 
 def _predict_tracks(coordinator: Coordinator, dt: float) -> None:
-    tracks = list(coordinator.tracks.values())
-    if not tracks:
+    """One IMM prediction over the live rows, in start order, each under
+    its class's tuning."""
+    c = coordinator
+    rows = c.order
+    if rows.size == 0:
         return
-    B = len(tracks)
-    states = np.stack([tr.model_states for tr in tracks])
-    covs = np.stack([tr.model_covs for tr in tracks])
-    probs = np.stack([tr.model_probs for tr in tracks])
-    M = states.shape[1]
-    trans = np.empty((B, M, M))
-    Q = np.empty((B, M, 6, 6))
-    for i, tr in enumerate(tracks):
-        trans[i], Q[i] = coordinator.predict_arrays(tr, dt)
-    s, c, p = imm_predict_arrays(states, covs, probs, trans, cv_transition(dt), Q)
-    for i, tr in enumerate(tracks):
-        tr.model_states, tr.model_covs, tr.model_probs = s[i], c[i], p[i]
+    M = NUM_MODELS
+    trans = np.empty((rows.size, M, M))
+    Q = np.empty((rows.size, M, 6, 6))
+    class_ids = c.class_ids[rows]
+    for cid in np.unique(class_ids):
+        sel = class_ids == cid
+        trans[sel], Q[sel] = c.predict_arrays(None if cid < 0 else int(cid), dt)
+    c.set_bank(rows, *imm_predict_arrays(*c.bank(rows), trans, cv_transition(dt), Q))
 
 
 def _fuse_radar(
@@ -350,12 +455,12 @@ def _fuse_radar(
     first = np.ones(pick.size, dtype=bool)
     first[1:] = ti[pick][1:] != ti[pick][:-1]
     keep = pick[first]
-    ni, z = ni[keep], z[keep]
-    keys = np.array([world.targets[i].target_id for i in ti[keep]], dtype=np.int64)
+    ni, rows, z = ni[keep], ti[keep], z[keep]
+    keys = np.array([world.targets[i].target_id for i in rows], dtype=np.int64)
     npos = world.node_positions[ni]
     sigmas = (noise.sigma_range_m, noise.sigma_azimuth_rad, noise.sigma_elevation_rad)
     pos, R3 = polar_to_cartesian(z[:, 0], z[:, 1], z[:, 2], npos, sigmas)
-    tracked = np.array([k in coordinator.tracks for k in keys], dtype=bool)
+    tracked = coordinator.live[rows]
     for i in np.flatnonzero(~tracked):
         key = int(keys[i])
         held = coordinator.pending.pop(key, None)
@@ -363,29 +468,22 @@ def _fuse_radar(
             coordinator.pending[key] = (t, pos[i], R3[i])
             continue
         step0, pos0, R0 = held
-        coordinator.tracks[key] = start_track(
-            key, pos0, R0, pos[i], R3[i], dt=(t - step0) * dt
+        coordinator.add_track(
+            int(rows[i]),
+            start_track(key, pos0, R0, pos[i], R3[i], dt=(t - step0) * dt),
         )
     upd = np.flatnonzero(tracked)
     if upd.size:
-        tracks = [coordinator.tracks[k] for k in keys[upd]]
+        c, ur = coordinator, rows[upd]
         zb = np.column_stack([pos[upd], z[upd, 3]])
         Rb = np.zeros((upd.size, 4, 4))
         Rb[:, :3, :3] = R3[upd]
         Rb[:, 3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
-        H = measurement_rows(np.stack([tr.state for tr in tracks]), npos[upd])
-        s, c, p = kalman_update_arrays(
-            np.stack([tr.model_states for tr in tracks]),
-            np.stack([tr.model_covs for tr in tracks]),
-            np.stack([tr.model_probs for tr in tracks]),
-            zb,
-            Rb,
-            H,
-        )
-        for i, tr in enumerate(tracks):
-            tr.model_states, tr.model_covs, tr.model_probs = s[i], c[i], p[i]
-            tr.num_updates += 1
-    read = np.array([k in coordinator.tracks for k in keys], dtype=bool)
+        H = measurement_rows(c.estimates[ur], npos[upd])
+        c.set_bank(ur, *kalman_update_arrays(*c.bank(ur), zb, Rb, H))
+        for row in ur:
+            c.row_tracks[row].num_updates += 1
+    read = coordinator.live[rows]
     return keys[read], z[read, 4]
 
 
@@ -445,53 +543,53 @@ def _apply_passive(
     corroborated signal observations. Returns how many tracks logged one."""
     if ni.size == 0 or not coordinator.tracks:
         return 0
-    keys = sorted(coordinator.tracks)
-    track_xy = np.stack([coordinator.tracks[k].state[:2] for k in keys])
-    track_cov = np.stack(
-        [coordinator.tracks[k].covariance[:2, :2] for k in keys]
-    )
+    rows = np.flatnonzero(coordinator.live)  # ascending target key
     hit = _associate_bearings(
         world.node_positions[ni][:, :2],
         bearings,
-        track_xy,
-        track_cov,
+        coordinator.estimates[rows, :2],
+        coordinator.xy_covariances(rows),
         sigma_doa_rad,
     )
     types = np.array([world.targets[j].signal_state for j in ti], dtype=np.int64)
-    logged = 0
-    for k_i in np.unique(hit[hit >= 0]):
-        counts = np.bincount(
-            types[hit == k_i], minlength=coordinator.num_signal_states
-        )
-        top = int(counts.argmax())
-        # Every passive receiver hears every in-range emitter, so at this
-        # target density a silent target's track regularly gates someone
-        # else's emission. Detections gating more than one track are already
-        # dropped (see _associate_bearings); a claim that survives that filter
-        # is near-certainly from the gated track's own target, so one receiver
-        # suffices -- demanding more starves signal histories whenever few
-        # nodes listen. Conflicting same-step claims (tied modal type) are
-        # still skipped.
-        if (counts == counts[top]).sum() > 1:
-            continue
-        record_reading(coordinator.tracks[keys[k_i]].signal_history, t, top)
-        logged += 1
-    return logged
+    S = coordinator.num_signal_states
+    claimed = hit >= 0
+    counts = np.bincount(
+        hit[claimed] * S + types[claimed], minlength=rows.size * S
+    ).reshape(rows.size, S)
+    top = counts.argmax(axis=1)
+    peak = counts.max(axis=1)
+    # Every passive receiver hears every in-range emitter, so at this
+    # target density a silent target's track regularly gates someone
+    # else's emission. Detections gating more than one track are already
+    # dropped (see _associate_bearings); a claim that survives that filter
+    # is near-certainly from the gated track's own target, so one receiver
+    # suffices -- demanding more starves signal histories whenever few
+    # nodes listen. Conflicting same-step claims (tied modal type) are
+    # still skipped.
+    logs = (peak > 0) & ((counts == peak[:, None]).sum(axis=1) == 1)
+    for i in np.flatnonzero(logs):
+        coordinator.record_signal(rows[i], t, top[i])
+    return int(logs.sum())
 
 
 def _attempt_assignments(coordinator: Coordinator) -> None:
-    for track in coordinator.tracks.values():
+    c = coordinator
+    ready = (
+        c.live
+        & (c.class_ids < 0)
+        & _observed_enough(c.motion_counts.sum(axis=1), c.signal_counts.sum(axis=1))
+    )
+    for row in np.flatnonzero(ready):
+        track = c.row_tracks[row]
+        vec = track_parameter_vector(track, c.num_signal_states)
+        track.class_assignment = assign_class(c.library, vec)
         if track.class_assignment is not None:
-            continue
-        vec = track_parameter_vector(track, coordinator.num_signal_states)
-        if vec is None:
-            continue
-        track.class_assignment = assign_class(coordinator.library, vec)
+            c.class_ids[row] = track.class_assignment
 
 
-def _smoothed_entropy(history, num_states: int) -> float:
-    """Normalized entropy of the add-one posterior mean over the states of
-    a short (step, state) history.
+def _smoothed(counts: np.ndarray) -> np.ndarray:
+    """Add-one posterior mean of each row of state counts.
 
     Raw frequencies from a handful of samples are usually degenerate (five
     steps in Cruise reads as zero entropy), which would pay the bandit for
@@ -499,35 +597,26 @@ def _smoothed_entropy(history, num_states: int) -> float:
     samples honestly uncertain while letting genuinely one-sided histories
     collapse within ~10 observations. Reward side only -- harvested
     vectors keep raw occupancy."""
-    counts = np.bincount(
-        np.asarray([s for _, s in history], dtype=np.int64), minlength=num_states
+    p = counts + 1.0 / counts.shape[1]
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
+    """(motion, signal) normalized entropies of the live tracks in start
+    order, (B, 2), under the coordinator's best current knowledge. Class
+    centroids stand in once a track is classified; thin histories (< 3
+    observations) count as fully uncertain, eta = 1; otherwise the
+    smoothed reading counts give them."""
+    c = coordinator
+    rows = c.order
+    motion, signal = c.motion_counts[rows], c.signal_counts[rows]
+    etas = np.column_stack(
+        [normalized_entropy(_smoothed(motion)), normalized_entropy(_smoothed(signal))]
     )
-    counts = counts + 1.0 / num_states
-    return float(normalized_entropy(counts / counts.sum()))
-
-
-def _track_uncertainties(coordinator: Coordinator) -> dict:
-    """Per-track normalized entropies (motion, signal) under the
-    coordinator's best current knowledge. Class centroids stand in once a
-    track is classified; thin histories (< 3 observations) count as fully
-    uncertain, eta = 1."""
-    etas = {}
-    for key, tr in coordinator.tracks.items():
-        cls = None
-        if coordinator.use_class_knowledge and tr.class_assignment is not None:
-            cls = coordinator.library.get(tr.class_assignment)
-        if cls is not None:
-            em = normalized_entropy(block_values(cls.centroid, "pi_v"))
-            es = normalized_entropy(block_values(cls.centroid, "pi_s"))
-        elif (
-            len(tr.motion_history) + len(tr.signal_history)
-            < MIN_OBSERVATIONS_FOR_ESTIMATE
-        ):
-            em = es = 1.0
-        else:
-            em = _smoothed_entropy(tr.motion_history, len(MOTION_STATES))
-            es = _smoothed_entropy(tr.signal_history, coordinator.num_signal_states)
-        etas[key] = (float(em), float(es))
+    etas[motion.sum(axis=1) + signal.sum(axis=1) < MIN_OBSERVATIONS_FOR_ESTIMATE] = 1.0
+    class_ids = c.class_ids[rows]
+    for cid, eta in c.class_etas.items():
+        etas[class_ids == cid] = eta
     return etas
 
 
@@ -598,29 +687,26 @@ def run_step(
     # angular rates alone (flat model prior) give every track the same
     # reading conditions; the filter's own posterior still drives tracking.
     for key, state in zip(keys, omega_log_evidence(omegas).argmax(axis=1)):
-        record_reading(coordinator.tracks[key].motion_history, t, state)
+        coordinator.record_motion(world.index_by_id[key], t, state)
     _apply_passive(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad
     )
 
-    for key, tr in coordinator.tracks.items():
-        est = tr.state
-        tape.est.setdefault(key, []).append(np.array(est[:3]))
-        tape.truth.setdefault(key, []).append(
-            world.targets[world.index_by_id[key]].position.copy()
-        )
+    live = coordinator.live
+    tape.first[live & (tape.first < 0)] = t - 1
+    tape.est[t - 1, live] = coordinator.estimates[live, :3]
+    tape.truth[t - 1] = positions
 
     if coordinator.use_class_knowledge and coordinator.library.classes:
         _attempt_assignments(coordinator)
 
     # rewards: remaining uncertainty in each node's radar footprint, on the
     # column of the arm it played
-    etas = _track_uncertainties(coordinator)
     rewards = compute_rewards(
         world.node_positions[:, :2],
         world.radar_ranges,
-        [coordinator.tracks[k].state[:2] for k in etas],
-        list(etas.values()),
+        coordinator.estimates[coordinator.order, :2],
+        _track_uncertainties(coordinator),
         active,
     )
     if policy.kind is PolicyKind.BANDIT:
@@ -674,13 +760,23 @@ def run_epoch(
     streams = make_streams(rng)
     world = make_world(config.scenario, streams.world)
     coordinator = make_coordinator(library, world, policy)
-    tape = _EpochTape()
     steps = config.steps_per_epoch
+    T = world.num_targets
+    tape = _EpochTape(
+        est=np.zeros((steps, T, 3)),
+        truth=np.zeros((steps, T, 3)),
+        first=np.full(T, -1),
+    )
     for t in range(1, steps + 1):
         run_step(world, coordinator, policy, t, streams, config, tape)
 
-    keys = sorted(tape.est)
-    rmse = np.array([track_rmse(tape.est[k], tape.truth[k]) for k in keys])
+    rows = np.flatnonzero(tape.first >= 0)  # ascending target key
+    rmse = np.array(
+        [
+            track_rmse(tape.est[f:, r], tape.truth[f:, r])
+            for r, f in zip(rows, tape.first[rows])
+        ]
+    )
     modes = np.array(tape.modes)  # (steps, N) bool
     active_steps = int(modes.sum())
     node_steps = steps * world.num_nodes
@@ -712,7 +808,7 @@ def run_epoch(
         policy=policy.label,
         num_nodes=world.num_nodes,
         num_targets=world.num_targets,
-        num_tracks=len(keys),
+        num_tracks=rows.size,
         rmse_per_target=rmse,
         rmse_mean=float(np.mean(rmse)) if rmse.size else float("nan"),
         rmse_median=float(np.median(rmse)) if rmse.size else float("nan"),

@@ -180,19 +180,23 @@ def transition_matrix_from_counts(
     return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / p)
 
 
-def normalized_entropy(dist) -> float:
+def normalized_entropy(dist):
     """Shannon entropy divided by log2 of the state count, in [0, 1].
 
-    Degenerate distributions give 0, uniform gives 1; single-state
-    distributions return 0 by convention.
+    Takes one distribution per row over the last axis and returns one value
+    per row; a 1-D distribution gives a float. Degenerate distributions give
+    0, uniform gives 1; single-state distributions return 0 by convention.
+    Zero entries add nothing (0 log 0 = 0).
     """
-    p = np.asarray(dist, dtype=float)
-    n = p.size
+    p = np.atleast_1d(np.asarray(dist, dtype=float))
+    n = p.shape[-1]
     if n < 2:
-        return 0.0
-    nz = p[p > 0]
-    h = -np.sum(nz * np.log2(nz))
-    return float(h / np.log2(n))
+        h = np.zeros(p.shape[:-1])
+    else:
+        pos = p > 0
+        terms = np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0)
+        h = -terms.sum(axis=-1) / np.log2(n)
+    return float(h) if p.ndim == 1 else h
 
 
 def equal_in_state_distribution(a, b, tol: float) -> bool:

@@ -19,11 +19,13 @@ Each track also keeps two behavior histories, motion states and intercepted
 signal types, as lists of (step, state) readings. It counts nothing:
 `classlib` derives the behavior vector's occupancies and transition counts.
 
-All heavy math lives in array-batched functions over stacked tracks
-(leading axis = track, then model), and the simulation loop calls them
-directly. The one per-track wrapper left is `imm_predict`, a batch of 1
-that also moves the motion-state belief along the mode chain; it is the
-only code that does, and `infer_motion_state` relies on that step.
+All heavy math lives in array-batched functions over rows of tracks
+(leading axis = track, then model). The engine keeps its tracks as one
+table of such rows and passes the live rows to these functions once per
+step; a `Track` it holds has filter arrays that are views into its row.
+The one per-track wrapper left is `imm_predict`, a batch of 1 that also
+moves the motion-state belief along the mode chain; it is the only code
+that does, and `infer_motion_state` relies on that step.
 """
 
 from __future__ import annotations
@@ -137,12 +139,14 @@ class Track:
         )
 
 
-def record_reading(history: list, step: int, state: int) -> None:
+def record_reading(history: list, step: int, state: int) -> bool:
     """Append a (step, state) reading to a track history; a second reading
-    in a step that already has one is dropped."""
+    in a step that already has one is dropped. Returns whether it was
+    appended."""
     if history and history[-1][0] == step:
-        return
+        return False
     history.append((step, int(state)))
+    return True
 
 
 # --- batched array core ---

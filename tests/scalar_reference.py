@@ -5,7 +5,9 @@ with the gates and noise model of `sensing.radar_measure_batch` and
 `sensing.passive_detect_batch`. The tests use them as oracles for the batch
 functions, and to feed a filter one measurement at a time. `kalman_update`
 fuses one radar row into one track through `tracking.kalman_update_arrays`
-with a batch of 1. None of this runs in the simulation.
+with a batch of 1. `track_uncertainties` rebuilds every track's reward
+entropies from its whole histories, one track at a time, as an oracle for
+the engine's table of reading counts. None of this runs in the simulation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from crnsim.bandit import NodeMode
+from crnsim.bandit import MIN_OBSERVATIONS_FOR_ESTIMATE, NodeMode
+from crnsim.classlib import block_values
+from crnsim.markov import normalized_entropy
+from crnsim.scenario import MOTION_STATES
 from crnsim.sensing import (
     ReceiverParams,
     SensorNoise,
@@ -116,3 +121,38 @@ def kalman_update(
     )
     track.num_updates += 1
     return track
+
+
+def smoothed_entropy(history, num_states: int) -> float:
+    """Normalized entropy of the add-one posterior mean over the states of
+    a (step, state) history."""
+    counts = np.bincount(
+        np.asarray([s for _, s in history], dtype=np.int64), minlength=num_states
+    )
+    counts = counts + 1.0 / num_states
+    return float(normalized_entropy(counts / counts.sum()))
+
+
+def track_uncertainties(coordinator) -> dict:
+    """Per-track (motion, signal) reward entropies, keyed like
+    `coordinator.tracks` and in its order: the class centroid's once the
+    track is classified, 1 for thin histories, else the smoothed
+    entropies of its histories."""
+    etas = {}
+    for key, tr in coordinator.tracks.items():
+        cls = None
+        if coordinator.use_class_knowledge and tr.class_assignment is not None:
+            cls = coordinator.library.get(tr.class_assignment)
+        if cls is not None:
+            em = normalized_entropy(block_values(cls.centroid, "pi_v"))
+            es = normalized_entropy(block_values(cls.centroid, "pi_s"))
+        elif (
+            len(tr.motion_history) + len(tr.signal_history)
+            < MIN_OBSERVATIONS_FOR_ESTIMATE
+        ):
+            em = es = 1.0
+        else:
+            em = smoothed_entropy(tr.motion_history, len(MOTION_STATES))
+            es = smoothed_entropy(tr.signal_history, coordinator.num_signal_states)
+        etas[key] = (float(em), float(es))
+    return etas

@@ -38,17 +38,20 @@ class TestComputeRewards:
     def test_unknown_tracks_max_uncertainty(self):
         # tracks with too little history count as fully uncertain (eta = 1)
         coordinator = Coordinator(
-            library=ClassLibrary(), num_signal_states=4, use_class_knowledge=True
+            library=ClassLibrary(),
+            num_signal_states=4,
+            use_class_knowledge=True,
+            num_targets=2,
         )
         for key, xy in enumerate(self.TRACK_XY[:2]):
-            coordinator.tracks[key] = start_track(
+            coordinator.add_track(key, start_track(
                 key, np.r_[xy, 0.0], np.eye(3), np.r_[xy, 0.0], np.eye(3), 0.5
-            )
+            ))
         etas = _track_uncertainties(coordinator)
-        assert list(etas.values()) == [(1.0, 1.0), (1.0, 1.0)]
-        xy = [coordinator.tracks[k].state[:2] for k in etas]
+        assert etas.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        xy = coordinator.estimates[coordinator.order, :2]
         for active in (True, False):
-            assert self.rewards([active, active], xy, list(etas.values()))[0] == 1.0
+            assert self.rewards([active, active], xy, etas)[0] == 1.0
 
     def test_known_distributions(self):
         # node 0 averages over its two covered tracks only

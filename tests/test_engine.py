@@ -1,7 +1,9 @@
 """Engine contract: determinism, the paired design, config validation, the
 harvest rule for radar-only, radar association by truth id with one return
-per target per step, the coordinator's per-class prediction cache, the sign
-of `rmse_improvement`, the names the benchmark tracer hooks, and a digest
+per target per step, the coordinator's per-class prediction cache, the
+track table (its invariants, reward entropies against a per-track oracle,
+and no per-track state reads in the step loop), the sign of
+`rmse_improvement`, the names the benchmark tracer hooks, and a digest
 guard over every metric of a small experiment."""
 
 import copy
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crnsim.engine as engine
 from crnsim.bandit import PolicyKind
 from crnsim.classlib import ClassLibrary, LearnedClass, make_parameter_vector
 from crnsim.engine import (
@@ -34,9 +37,9 @@ from crnsim.engine import (
 from crnsim.markov import stationary_distribution
 from crnsim.scenario import Node, Region, ScenarioConfig, Target, default_family
 from crnsim.sensing import SensorNoise
-from crnsim.tracking import Track, process_noise_matrix, untuned_tuning
+from crnsim.tracking import Track, process_noise_matrix, start_track, untuned_tuning
 
-from scalar_reference import kalman_update
+from scalar_reference import kalman_update, track_uncertainties
 
 # about 7 nodes and 11 targets, 25 steps per epoch
 SMALL = SimConfig(
@@ -177,9 +180,12 @@ def _polar_row(node, point, d_az=0.0):
 
 
 class TestRadarAssociation:
-    def _coordinator(self):
+    def _coordinator(self, world):
         return Coordinator(
-            library=ClassLibrary(), num_signal_states=4, use_class_knowledge=False
+            library=ClassLibrary(),
+            num_signal_states=4,
+            use_class_knowledge=False,
+            num_targets=world.num_targets,
         )
 
     def test_colocated_targets_update_their_own_tracks(self):
@@ -188,7 +194,7 @@ class TestRadarAssociation:
         # position alone could not tell apart
         position = np.array([3000.0, 0.0, 500.0])
         world = _radar_world([np.zeros(3)], [position, position])
-        coord = self._coordinator()
+        coord = self._coordinator(world)
         r, el = float(np.linalg.norm(position)), float(np.arctan2(500.0, 3000.0))
         # radial velocities +15 and -15 m/s tell the two returns apart
         z = np.array([[r, 0.0, el, 15.0, 0.0], [r, 0.0, el, -15.0, 0.0]])
@@ -217,7 +223,7 @@ class TestRadarAssociation:
     def test_one_update_per_step_from_the_closest_return(self, nodes, used):
         target = np.array([3000.0, 400.0, 500.0])
         world = _radar_world(nodes, [target])
-        coord = self._coordinator()
+        coord = self._coordinator(world)
         noise = SensorNoise()
         # the two nodes disagree by +-0.01 rad in azimuth, so which return
         # was used shows in the estimate; ranges stay as measured
@@ -264,27 +270,17 @@ class TestPredictCache:
             library=library, num_signal_states=4, use_class_knowledge=use_class_knowledge
         )
 
-    def _track(self, class_assignment):
-        return Track(
-            target_key=0,
-            model_states=np.zeros((3, 6)),
-            model_covs=np.tile(np.eye(6), (3, 1, 1)),
-            model_probs=np.full(3, 1 / 3),
-            class_assignment=class_assignment,
-        )
-
     def _expected(self, tuning, dt):
         Q = np.stack([process_noise_matrix(dt, s) for s in tuning.process_noise_per_state])
         return tuning.mode_transition.transition, Q
 
     def test_keyed_by_class_with_none_for_untuned(self):
         coord = self._coordinator(True)
-        tuned, untuned = self._track(4), self._track(None)
-        for track, tuning in (
-            (tuned, coord.library.get(4).tuning()),
-            (untuned, untuned_tuning()),
+        for class_id, tuning in (
+            (4, coord.library.get(4).tuning()),
+            (None, untuned_tuning()),
         ):
-            trans, Q = coord.predict_arrays(track, 0.5)
+            trans, Q = coord.predict_arrays(class_id, 0.5)
             want_trans, want_Q = self._expected(tuning, 0.5)
             assert np.array_equal(trans, want_trans)
             assert np.array_equal(Q, want_Q)
@@ -292,10 +288,125 @@ class TestPredictCache:
 
     def test_baseline_ignores_class_assignment(self):
         coord = self._coordinator(False)
-        trans, Q = coord.predict_arrays(self._track(4), 0.5)
+        trans, Q = coord.predict_arrays(4, 0.5)
         want_trans, want_Q = self._expected(untuned_tuning(), 0.5)
         assert np.array_equal(trans, want_trans) and np.array_equal(Q, want_Q)
         assert set(coord._noise_cache) == {None}
+
+
+def _after_each_step(monkeypatch, check):
+    """Make run_epoch call check(world, coordinator) after every step."""
+    run_step = engine.run_step
+
+    def checked(world, coordinator, *args):
+        run_step(world, coordinator, *args)
+        check(world, coordinator)
+
+    monkeypatch.setattr(engine, "run_step", checked)
+
+
+class TestTrackTable:
+    def test_rows_match_the_tracks_after_every_step(self, monkeypatch):
+        steps = []
+
+        def check(world, c):
+            rows = np.flatnonzero(c.live)
+            assert rows.tolist() == sorted(world.index_by_id[k] for k in c.tracks)
+            assert sorted(c.order.tolist()) == rows.tolist()
+            assert [c.row_tracks[r] for r in c.order] == list(c.tracks.values())
+            for row in rows:
+                track = c.row_tracks[row]
+                for history, counts in (
+                    (track.motion_history, c.motion_counts),
+                    (track.signal_history, c.signal_counts),
+                ):
+                    states = np.array([s for _, s in history], dtype=np.int64)
+                    want = np.bincount(states, minlength=counts.shape[1])
+                    assert np.array_equal(counts[row], want)
+                for name in ("model_states", "model_covs", "model_probs"):
+                    mine, table_row = getattr(track, name), getattr(c, name)[row]
+                    assert np.array_equal(mine, table_row)
+                    assert np.shares_memory(mine, table_row)
+            steps.append(rows.size)
+
+        _after_each_step(monkeypatch, check)
+        run_experiment(SMALL, [BANDIT])
+        assert len(steps) == 2 * SMALL.steps_per_epoch and max(steps) > 0
+
+    def test_add_track_takes_only_fresh_tracks_on_free_rows(self):
+        c = Coordinator(
+            library=ClassLibrary(),
+            num_signal_states=4,
+            use_class_knowledge=False,
+            num_targets=2,
+        )
+
+        def fresh(key):
+            return start_track(key, np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
+
+        c.add_track(0, fresh(7))
+        with pytest.raises(ValueError):
+            c.add_track(0, fresh(8))
+        read = fresh(8)
+        read.motion_history.append((1, 0))
+        with pytest.raises(ValueError):
+            c.add_track(1, read)
+        assert c.order.tolist() == [0] and list(c.tracks) == [7]
+
+    @pytest.mark.parametrize("policy", default_policies(), ids=lambda p: p.label)
+    def test_etas_equal_the_history_oracle(self, monkeypatch, policy):
+        table_etas = engine._track_uncertainties
+        kinds = {"thin": 0, "counted": 0, "classified": 0, "dropped": 0}
+
+        def checked(c):
+            # a same-step second reading is dropped and not counted
+            for row in c.order:
+                track = c.row_tracks[row]
+                if track.motion_history:
+                    step, state = track.motion_history[-1]
+                    before = c.motion_counts.copy()
+                    c.record_motion(row, step, (state + 1) % 3)
+                    assert track.motion_history[-1] == (step, state)
+                    assert np.array_equal(c.motion_counts, before)
+                    kinds["dropped"] += 1
+                    break
+            etas = table_etas(c)
+            want = track_uncertainties(c)
+            assert [c.row_tracks[r].target_key for r in c.order] == list(want)
+            assert etas.tolist() == [list(e) for e in want.values()]
+            for row in c.order:
+                seen = c.motion_counts[row].sum() + c.signal_counts[row].sum()
+                if c.class_ids[row] in c.class_etas:
+                    kinds["classified"] += 1
+                elif seen < 3:
+                    kinds["thin"] += 1
+                else:
+                    kinds["counted"] += 1
+            return etas
+
+        monkeypatch.setattr(engine, "_track_uncertainties", checked)
+        # the third epoch is the first whose library classifies tracks
+        run_experiment(dataclasses.replace(SMALL, num_epochs=3), [policy])
+        assert kinds["thin"] and kinds["counted"] and kinds["dropped"]
+        if policy.kind is PolicyKind.BANDIT:
+            assert kinds["classified"]
+
+    def test_step_loop_reads_no_per_track_state(self, monkeypatch):
+        reads = []
+        for name in ("state", "covariance"):
+            getter = getattr(Track, name).fget
+            monkeypatch.setattr(Track, name, property(
+                lambda track, getter=getter, name=name: reads.append(name)
+                or getter(track)
+            ))
+        probe = start_track(0, np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
+        probe.state, probe.covariance
+        assert {"state", "covariance"} <= set(reads)
+        reads.clear()
+        steps = []
+        _after_each_step(monkeypatch, lambda world, c: steps.append(len(c.tracks)))
+        run_experiment(SMALL, [BANDIT])
+        assert max(steps) > 0 and reads == []
 
 
 class TestRmseImprovement:

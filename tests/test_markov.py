@@ -209,6 +209,23 @@ class TestNormalizedEntropy:
         rng = np.random.default_rng(0)
         assert normalized_entropy(rng.permutation(dist)) == pytest.approx(h)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 12])
+    def test_rows_equal_per_row_calls(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.dirichlet(np.ones(n), size=64)
+        rows[rng.random(rows.shape) < 0.3] = 0.0  # zero entries
+        rows[rows.sum(axis=1) == 0, 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        got = normalized_entropy(rows)
+        assert isinstance(normalized_entropy(rows[0]), float)
+        assert got.shape == (64,)
+        assert got.tolist() == [normalized_entropy(r) for r in rows]
+        # one row, and a stack of row blocks
+        assert normalized_entropy(rows[:1]).tolist() == [normalized_entropy(rows[0])]
+        assert normalized_entropy(rows.reshape(8, 8, n)).tolist() == (
+            got.reshape(8, 8).tolist()
+        )
+
     @given(st.integers(2, 8), st.integers(0, 1000))
     @settings(max_examples=50)
     def test_uniform_is_unique_maximizer(self, n, seed):
