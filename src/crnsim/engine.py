@@ -8,11 +8,13 @@ At the epoch boundary, behavior vectors are harvested from well-observed
 tracks into a cumulative pool, the class library re-clusters, and the
 epoch is scored.
 
-The coordinator keeps its tracks as one table with a row per target
-(filter bank, combined estimate, class id, reading counts), so every layer
+The coordinator keeps its tracks as one table with a row per target, the
+target's index in the world (filter bank, combined estimate, class id,
+reading histories and their counts). A row is the whole track: every layer
 of the step loop -- IMM prediction, radar fusion with one return per target,
-passive association, rewards and the estimate tape -- runs once per step
-over the live rows rather than once per track.
+passive association, class assignment, rewards and the estimate tape --
+runs once per step over the live rows, and the harvest reads the rows'
+histories.
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -67,6 +69,8 @@ from crnsim.sensing import (
 from crnsim.tracking import (
     NUM_MODELS,
     Track,
+    combined_covariances,
+    combined_states,
     cv_transition,
     imm_predict_arrays,
     omega_log_evidence,
@@ -182,7 +186,6 @@ class World:
     radar_ranges: np.ndarray  # (N,)
     passive_ranges: np.ndarray  # (T,) SNR-limited intercept radius
     target_classes: list  # per target, parallel
-    index_by_id: dict
 
     @property
     def num_nodes(self) -> int:
@@ -216,7 +219,6 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
             ]
         ),
         target_classes=classes,
-        index_by_id={t.target_id: i for i, t in enumerate(targets)},
     )
 
 
@@ -226,24 +228,20 @@ class Coordinator:
     bandits.
 
     The table has one row per target of the epoch's world, in world order
-    (a target has at most one track, keyed by its id). A row holds the IMM
+    (a target has at most one track). A row is the whole track: the IMM
     bank -- model states (M, 6), covariances (M, 6, 6), probabilities (M,)
-    -- the combined estimate, the class id (-1 while unclassified) and how
-    many readings of each motion state and signal type the track's
-    histories hold. A row is live once its track starts; `order` lists the
-    live rows in start order, which is also the order of `tracks`, and
-    prediction and rewards run in that order so that sums over tracks
-    round as they did when each track was visited in turn. The
-    `Track` in `tracks` stays the per-track record: its filter arrays are
-    views into its row, and its histories are what `vector_from_histories`
-    reads."""
+    -- the combined estimate, the class id (-1 while unclassified), the
+    (step, state) motion and signal histories that `vector_from_histories`
+    reads, and how many readings of each state those histories hold. A row
+    is live once its track starts; `order` lists the live rows in start
+    order, and prediction and rewards run in that order so that sums over
+    tracks round as they did when each track was visited in turn."""
 
     library: ClassLibrary
     num_signal_states: int
     use_class_knowledge: bool
     num_targets: int = 0  # table rows
-    tracks: dict = field(default_factory=dict)  # target key -> Track
-    # first sightings waiting for a second measurement: key -> (step, pos, R)
+    # first sightings waiting for a second measurement: row -> (step, pos, R)
     pending: dict = field(default_factory=dict)
     bandits: list = field(default_factory=list)
     _noise_cache: dict = field(default_factory=dict)
@@ -258,8 +256,9 @@ class Coordinator:
         self.class_ids = np.full(T, -1, dtype=np.int64)
         self.motion_counts = np.zeros((T, len(MOTION_STATES)), dtype=np.int64)
         self.signal_counts = np.zeros((T, self.num_signal_states), dtype=np.int64)
+        self.motion_history = [[] for _ in range(T)]
+        self.signal_history = [[] for _ in range(T)]
         self.order = np.zeros(0, dtype=np.int64)
-        self.row_tracks = [None] * T
         # (motion, signal) entropies of each class centroid; the library is
         # fixed for the coordinator's epoch
         self.class_etas = {
@@ -271,29 +270,18 @@ class Coordinator:
         }
 
     def add_track(self, row: int, track: Track) -> None:
-        """Start a fresh track (no readings, no class) in table row `row`,
-        its target's index in the world. The row takes the track's filter
-        bank, and the track's filter arrays become views into the row."""
+        """Start a track in the free table row `row`, its target's index in
+        the world, from a copy of `track`'s filter bank; the coordinator
+        keeps no reference to `track`."""
         if self.live[row]:
             raise ValueError(f"row {row} already holds a track")
-        if (
-            track.motion_history
-            or track.signal_history
-            or track.class_assignment is not None
-        ):
-            raise ValueError("only a freshly started track can be added")
         self.set_bank(
             np.array([row]),
             track.model_states[None],
             track.model_covs[None],
             track.model_probs[None],
         )
-        track.model_states = self.model_states[row]
-        track.model_covs = self.model_covs[row]
-        track.model_probs = self.model_probs[row]
         self.live[row] = True
-        self.tracks[track.target_key] = track
-        self.row_tracks[row] = track
         self.order = np.append(self.order, row)
 
     def bank(self, rows: np.ndarray):
@@ -302,31 +290,30 @@ class Coordinator:
         return self.model_states[rows], self.model_covs[rows], self.model_probs[rows]
 
     def set_bank(self, rows: np.ndarray, states, covs, probs) -> None:
-        """Write the rows' IMM banks and recombine their estimates; each
-        row's estimate is what `Track.state` gives."""
+        """Write the rows' IMM banks and recombine their estimates."""
         self.model_states[rows] = states
         self.model_covs[rows] = covs
         self.model_probs[rows] = probs
-        self.estimates[rows] = (probs[:, None, :] @ states)[:, 0]
+        self.estimates[rows] = combined_states(states, probs)
 
     def xy_covariances(self, rows: np.ndarray) -> np.ndarray:
-        """(B, 2, 2) horizontal block of the rows' combined covariances,
-        equal to `Track.covariance[:2, :2]`."""
-        probs = self.model_probs[rows]
-        dx = (self.model_states[rows] - self.estimates[rows][:, None, :])[..., :2]
-        return np.einsum(
-            "bm,bmij->bij", probs, self.model_covs[rows][:, :, :2, :2]
-        ) + np.einsum("bm,bmi,bmj->bij", probs, dx, dx)
+        """(B, 2, 2) horizontal block of the rows' combined covariances."""
+        return combined_covariances(
+            self.model_states[rows][..., :2],
+            self.model_covs[rows][:, :, :2, :2],
+            self.model_probs[rows],
+            self.estimates[rows][:, :2],
+        )
 
     def record_motion(self, row: int, step: int, state: int) -> None:
-        """Record a motion-state reading for the row's track and count it
+        """Record a motion-state reading in the row's history and count it
         when `record_reading` keeps it."""
-        if record_reading(self.row_tracks[row].motion_history, step, state):
+        if record_reading(self.motion_history[row], step, state):
             self.motion_counts[row, state] += 1
 
     def record_signal(self, row: int, step: int, state: int) -> None:
         """Record a signal-type reading, as `record_motion` does."""
-        if record_reading(self.row_tracks[row].signal_history, step, state):
+        if record_reading(self.signal_history[row], step, state):
             self.signal_counts[row, state] += 1
 
     def predict_arrays(self, class_id: Optional[int], dt: float):
@@ -381,17 +368,15 @@ def _observed_enough(num_motion, num_signal):
 
 
 def track_parameter_vector(
-    track: Track, num_signal_states: int
+    coordinator: Coordinator, row: int
 ) -> Optional[ParameterVector]:
-    """Behavior vector from one track's histories, or None when the track
-    has not been observed enough to estimate all four blocks."""
-    if not _observed_enough(len(track.motion_history), len(track.signal_history)):
+    """Behavior vector from one row's histories, or None when its track has
+    not been observed enough to estimate all four blocks."""
+    motion, signal = coordinator.motion_history[row], coordinator.signal_history[row]
+    if not _observed_enough(len(motion), len(signal)):
         return None
     return vector_from_histories(
-        track.motion_history,
-        track.signal_history,
-        len(MOTION_STATES),
-        num_signal_states,
+        motion, signal, len(MOTION_STATES), coordinator.num_signal_states
     )
 
 
@@ -434,9 +419,9 @@ def _fuse_radar(
     noise: SensorNoise,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply this step's radar returns: start tracks via two-point
-    differencing, update the rest in one batch. Returns the keys of the
-    tracks that got a reading, in ascending target order, and the angular
-    rate each one measured.
+    differencing, update the rest in one batch. Returns the rows of the
+    tracks that got a reading, ascending, and the angular rate each one
+    measured.
 
     One observer per target per step: the coordinator uses the return of
     the closest active node (smallest measured range, then lowest node id)
@@ -456,21 +441,20 @@ def _fuse_radar(
     first[1:] = ti[pick][1:] != ti[pick][:-1]
     keep = pick[first]
     ni, rows, z = ni[keep], ti[keep], z[keep]
-    keys = np.array([world.targets[i].target_id for i in rows], dtype=np.int64)
     npos = world.node_positions[ni]
     sigmas = (noise.sigma_range_m, noise.sigma_azimuth_rad, noise.sigma_elevation_rad)
     pos, R3 = polar_to_cartesian(z[:, 0], z[:, 1], z[:, 2], npos, sigmas)
     tracked = coordinator.live[rows]
     for i in np.flatnonzero(~tracked):
-        key = int(keys[i])
-        held = coordinator.pending.pop(key, None)
+        row = int(rows[i])
+        held = coordinator.pending.pop(row, None)
         if held is None:
-            coordinator.pending[key] = (t, pos[i], R3[i])
+            coordinator.pending[row] = (t, pos[i], R3[i])
             continue
         step0, pos0, R0 = held
+        key = world.targets[row].target_id
         coordinator.add_track(
-            int(rows[i]),
-            start_track(key, pos0, R0, pos[i], R3[i], dt=(t - step0) * dt),
+            row, start_track(key, pos0, R0, pos[i], R3[i], dt=(t - step0) * dt)
         )
     upd = np.flatnonzero(tracked)
     if upd.size:
@@ -481,10 +465,8 @@ def _fuse_radar(
         Rb[:, 3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
         H = measurement_rows(c.estimates[ur], npos[upd])
         c.set_bank(ur, *kalman_update_arrays(*c.bank(ur), zb, Rb, H))
-        for row in ur:
-            c.row_tracks[row].num_updates += 1
     read = coordinator.live[rows]
-    return keys[read], z[read, 4]
+    return rows[read], z[read, 4]
 
 
 # widest bearing gate a track may claim through; beyond this a stale track
@@ -511,7 +493,7 @@ def _associate_bearings(
     dropped as ambiguous rather than logged against a neighbor. Bearings
     are azimuth only, so two targets over the same ground position gate
     each other from every receiver; those are dropped the same way. Track
-    order must be ascending key so results are deterministic."""
+    order must be ascending row so results are deterministic."""
     if track_xy.shape[0] == 0:
         return np.full(det_bearings.shape[0], -1)
     rel = track_xy[None, :, :] - det_node_xy[:, None, :]  # (K, T, 2)
@@ -541,9 +523,9 @@ def _apply_passive(
 ) -> int:
     """Associate this step's intercepts to tracks by bearing and append
     corroborated signal observations. Returns how many tracks logged one."""
-    if ni.size == 0 or not coordinator.tracks:
+    if ni.size == 0 or coordinator.order.size == 0:
         return 0
-    rows = np.flatnonzero(coordinator.live)  # ascending target key
+    rows = np.flatnonzero(coordinator.live)  # ascending row
     hit = _associate_bearings(
         world.node_positions[ni][:, :2],
         bearings,
@@ -581,11 +563,9 @@ def _attempt_assignments(coordinator: Coordinator) -> None:
         & _observed_enough(c.motion_counts.sum(axis=1), c.signal_counts.sum(axis=1))
     )
     for row in np.flatnonzero(ready):
-        track = c.row_tracks[row]
-        vec = track_parameter_vector(track, c.num_signal_states)
-        track.class_assignment = assign_class(c.library, vec)
-        if track.class_assignment is not None:
-            c.class_ids[row] = track.class_assignment
+        class_id = assign_class(c.library, track_parameter_vector(c, row))
+        if class_id is not None:
+            c.class_ids[row] = class_id
 
 
 def _smoothed(counts: np.ndarray) -> np.ndarray:
@@ -677,7 +657,7 @@ def run_step(
     )
 
     _predict_tracks(coordinator, dt)
-    keys, omegas = _fuse_radar(
+    rows, omegas = _fuse_radar(
         world, coordinator, ni_r, ti_r, z_r, t, dt, config.noise
     )
     # Histories feed cross-track clustering, so the recorded state must not
@@ -686,8 +666,8 @@ def run_step(
     # and mixing both reads splits every true class in two. The measured
     # angular rates alone (flat model prior) give every track the same
     # reading conditions; the filter's own posterior still drives tracking.
-    for key, state in zip(keys, omega_log_evidence(omegas).argmax(axis=1)):
-        coordinator.record_motion(world.index_by_id[key], t, state)
+    for row, state in zip(rows, omega_log_evidence(omegas).argmax(axis=1)):
+        coordinator.record_motion(row, t, state)
     _apply_passive(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad
     )
@@ -724,7 +704,7 @@ class EpochMetrics:
     num_nodes: int
     num_targets: int
     num_tracks: int
-    rmse_per_target: np.ndarray  # one entry per track, sorted by target key
+    rmse_per_target: np.ndarray  # one entry per track, in world order
     rmse_mean: float
     rmse_median: float
     radar_utilization: float
@@ -770,7 +750,7 @@ def run_epoch(
     for t in range(1, steps + 1):
         run_step(world, coordinator, policy, t, streams, config, tape)
 
-    rows = np.flatnonzero(tape.first >= 0)  # ascending target key
+    rows = np.flatnonzero(tape.first >= 0)
     rmse = np.array(
         [
             track_rmse(tape.est[f:, r], tape.truth[f:, r])
@@ -786,16 +766,12 @@ def run_epoch(
     if pool_true_ids is None:
         pool_true_ids = []
     harvested = 0
-    for key in sorted(coordinator.tracks):
-        vec = track_parameter_vector(
-            coordinator.tracks[key], coordinator.num_signal_states
-        )
+    for row in np.flatnonzero(coordinator.live):
+        vec = track_parameter_vector(coordinator, row)
         if vec is None:
             continue
         pool.append(vec)
-        pool_true_ids.append(
-            world.targets[world.index_by_id[key]].class_id
-        )
+        pool_true_ids.append(world.targets[row].class_id)
         harvested += 1
 
     new_library = library

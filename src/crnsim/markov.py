@@ -137,8 +137,11 @@ def sample_path(
     init: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Sample a state path of the given length; init defaults to a stationary
-    draw. Steps invert the rows' cached CDFs, as `sample_next` does."""
+    """Sample a state path of the given length (at least 1); init defaults
+    to a stationary draw. Steps invert the rows' cached CDFs, as
+    `sample_next` does."""
+    if length < 1:
+        raise ValueError(f"path length must be at least 1, got {length}")
     if rng is None:
         rng = np.random.default_rng()
     path = np.empty(length, dtype=np.int64)
@@ -186,7 +189,10 @@ def normalized_entropy(dist):
     Takes one distribution per row over the last axis and returns one value
     per row; a 1-D distribution gives a float. Degenerate distributions give
     0, uniform gives 1; single-state distributions return 0 by convention.
-    Zero entries add nothing (0 log 0 = 0).
+    Zero entries add nothing (0 log 0 = 0). Rounding can push a uniform
+    distribution's sum just past log2 of the state count (11 states give
+    1 + 2**-52), so values are clamped to 1: callers such as bandit rewards
+    rely on the bound.
     """
     p = np.atleast_1d(np.asarray(dist, dtype=float))
     n = p.shape[-1]
@@ -195,7 +201,7 @@ def normalized_entropy(dist):
     else:
         pos = p > 0
         terms = np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0)
-        h = -terms.sum(axis=-1) / np.log2(n)
+        h = np.minimum(-terms.sum(axis=-1) / np.log2(n), 1.0)
     return float(h) if p.ndim == 1 else h
 
 

@@ -15,17 +15,15 @@ prediction pushes through the tuning's mode chain and each angular-rate
 reading reweights, so evidence from earlier steps is kept. The filter's own
 model probabilities are neither read nor changed by that reading.
 
-Each track also keeps two behavior histories, motion states and intercepted
-signal types, as lists of (step, state) readings. It counts nothing:
-`classlib` derives the behavior vector's occupancies and transition counts.
-
 All heavy math lives in array-batched functions over rows of tracks
-(leading axis = track, then model). The engine keeps its tracks as one
+(leading axis = track, then model), including the IMM combination of a
+bank into one state and covariance. The engine keeps its tracks as one
 table of such rows and passes the live rows to these functions once per
-step; a `Track` it holds has filter arrays that are views into its row.
-The one per-track wrapper left is `imm_predict`, a batch of 1 that also
-moves the motion-state belief along the mode chain; it is the only code
-that does, and `infer_motion_state` relies on that step.
+step. A `Track` is the single-target record -- filter bank, motion history,
+motion-state belief -- that `start_track` hands out and the per-track
+operations work on. The one per-track wrapper left is `imm_predict`, a
+batch of 1 that also moves the motion-state belief along the mode chain; it
+is the only code that does, and `infer_motion_state` relies on that step.
 """
 
 from __future__ import annotations
@@ -57,10 +55,6 @@ OMEGA_STD_CT = math.radians(12.0)
 OMEGA_STD_HIGHG = math.radians(40.0)
 
 MIN_MODEL_PROB = 1e-12
-
-
-class InsufficientHistory(ValueError):
-    """Operation needs more track updates than available."""
 
 
 class LengthMismatch(ValueError):
@@ -105,19 +99,15 @@ def untuned_tuning(num_states: int = NUM_MODELS) -> FilterTuning:
 
 @dataclass(eq=False)
 class Track:
-    """One target's filter bank plus the behavior histories the coordinator
-    learns classes from: (step, state) readings of motion state and signal
-    type, at most one per step (see `record_reading`). Compares by identity,
-    as `FilterTuning` does."""
+    """One target's filter bank plus its motion history: (step, state)
+    readings of motion state, at most one per step (see `record_reading`).
+    Compares by identity, as `FilterTuning` does."""
 
     target_key: int
     model_states: np.ndarray  # (models, 6)
     model_covs: np.ndarray  # (models, 6, 6)
     model_probs: np.ndarray  # (models,)
-    num_updates: int = 0
     motion_history: list = field(default_factory=list)
-    signal_history: list = field(default_factory=list)
-    class_assignment: Optional[int] = None
     # motion-state belief from angular-rate readings, kept apart from
     # model_probs; None starts it uniform over the models
     motion_belief: Optional[np.ndarray] = None
@@ -129,14 +119,16 @@ class Track:
 
     @property
     def state(self) -> np.ndarray:
-        return self.model_probs @ self.model_states
+        return combined_states(self.model_states[None], self.model_probs[None])[0]
 
     @property
     def covariance(self) -> np.ndarray:
-        dx = self.model_states - self.state
-        return np.einsum("m,mij->ij", self.model_probs, self.model_covs) + np.einsum(
-            "m,mi,mj->ij", self.model_probs, dx, dx
-        )
+        return combined_covariances(
+            self.model_states[None],
+            self.model_covs[None],
+            self.model_probs[None],
+            self.state[None],
+        )[0]
 
 
 def record_reading(history: list, step: int, state: int) -> bool:
@@ -210,6 +202,25 @@ def imm_predict_arrays(
     pred = np.einsum("ij,bmj->bmi", F, mixed)
     pred_cov = np.einsum("ij,bmjk,lk->bmil", F, mixed_cov, F) + Q
     return pred, _symmetrize(pred_cov), c
+
+
+def combined_states(states: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """IMM combined state of stacked banks: states (B,M,n), probs (B,M)
+    -> (B,n), the probability-weighted mean of the model states."""
+    return (probs[:, None, :] @ states)[:, 0]
+
+
+def combined_covariances(
+    states: np.ndarray, covs: np.ndarray, probs: np.ndarray, means: np.ndarray
+) -> np.ndarray:
+    """IMM combined covariance of stacked banks about their combined states
+    `means` (B,n): the weighted model covariances (B,M,n,n) plus the spread
+    of the model states (B,M,n) around the mean. Works on any leading block
+    of the state, e.g. the horizontal (..., :2) slices."""
+    dx = states - means[:, None, :]
+    return np.einsum("bm,bmij->bij", probs, covs) + np.einsum(
+        "bm,bmi,bmj->bij", probs, dx, dx
+    )
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -331,7 +342,6 @@ def start_track(
         model_states=np.tile(state, (NUM_MODELS, 1)),
         model_covs=np.tile(P, (NUM_MODELS, 1, 1)),
         model_probs=np.full(NUM_MODELS, 1.0 / NUM_MODELS),
-        num_updates=2,
     )
 
 
@@ -388,8 +398,6 @@ def motion_state_posterior(
     prediction) weighted by angular-rate evidence when the radar measured
     any. Pure: neither the belief nor the filter's model probabilities
     change."""
-    if track.num_updates < 2:
-        raise InsufficientHistory(f"track {track.target_key} has too few updates")
     log_post = np.log(np.maximum(track.motion_belief, MIN_MODEL_PROB))
     if len(measured_omegas) > 0:
         log_post = log_post + omega_log_evidence(np.asarray(measured_omegas)).sum(

@@ -6,8 +6,8 @@ with the gates and noise model of `sensing.radar_measure_batch` and
 functions, and to feed a filter one measurement at a time. `kalman_update`
 fuses one radar row into one track through `tracking.kalman_update_arrays`
 with a batch of 1. `track_uncertainties` rebuilds every track's reward
-entropies from its whole histories, one track at a time, as an oracle for
-the engine's table of reading counts. None of this runs in the simulation.
+entropies from its row's whole histories, one track at a time, as an
+oracle for the engine's table of reading counts. None of this runs in the simulation.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ def kalman_update(
         covs[0],
         probs[0],
     )
-    track.num_updates += 1
     return track
 
 
@@ -134,25 +133,24 @@ def smoothed_entropy(history, num_states: int) -> float:
 
 
 def track_uncertainties(coordinator) -> dict:
-    """Per-track (motion, signal) reward entropies, keyed like
-    `coordinator.tracks` and in its order: the class centroid's once the
-    track is classified, 1 for thin histories, else the smoothed
-    entropies of its histories."""
+    """Per-track (motion, signal) reward entropies, keyed by row and in
+    `coordinator.order`: the class centroid's once the row is classified,
+    1 for thin histories, else the smoothed entropies of its histories."""
     etas = {}
-    for key, tr in coordinator.tracks.items():
+    for row in coordinator.order.tolist():
+        motion = coordinator.motion_history[row]
+        signal = coordinator.signal_history[row]
+        class_id = int(coordinator.class_ids[row])
         cls = None
-        if coordinator.use_class_knowledge and tr.class_assignment is not None:
-            cls = coordinator.library.get(tr.class_assignment)
+        if coordinator.use_class_knowledge and class_id >= 0:
+            cls = coordinator.library.get(class_id)
         if cls is not None:
             em = normalized_entropy(block_values(cls.centroid, "pi_v"))
             es = normalized_entropy(block_values(cls.centroid, "pi_s"))
-        elif (
-            len(tr.motion_history) + len(tr.signal_history)
-            < MIN_OBSERVATIONS_FOR_ESTIMATE
-        ):
+        elif len(motion) + len(signal) < MIN_OBSERVATIONS_FOR_ESTIMATE:
             em = es = 1.0
         else:
-            em = smoothed_entropy(tr.motion_history, len(MOTION_STATES))
-            es = smoothed_entropy(tr.signal_history, coordinator.num_signal_states)
-        etas[key] = (float(em), float(es))
+            em = smoothed_entropy(motion, len(MOTION_STATES))
+            es = smoothed_entropy(signal, coordinator.num_signal_states)
+        etas[row] = (float(em), float(es))
     return etas

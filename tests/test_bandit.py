@@ -53,6 +53,29 @@ class TestComputeRewards:
         for active in (True, False):
             assert self.rewards([active, active], xy, etas)[0] == 1.0
 
+    def test_five_signal_types_pay_a_valid_reward(self):
+        # with five signal types, smoothed counts [1] * 5 used to give an
+        # entropy of 1 + 2**-52, which record_reward rejected
+        coordinator = Coordinator(
+            library=ClassLibrary(),
+            num_signal_states=5,
+            use_class_knowledge=True,
+            num_targets=1,
+        )
+        coordinator.add_track(0, start_track(
+            0, np.zeros(3), np.eye(3), np.zeros(3), np.eye(3), 0.5
+        ))
+        for step in range(5):
+            coordinator.record_signal(0, step, step)
+        etas = _track_uncertainties(coordinator)
+        passive = np.array([False])
+        reward = compute_rewards(
+            self.NODE_XY[:1], self.RANGES[:1], coordinator.estimates[:, :2], etas,
+            passive,
+        )[0]
+        state = record_reward(BanditState(), NodeMode.PASSIVE, float(reward))
+        assert state.means[NodeMode.PASSIVE.value] == reward
+
     def test_known_distributions(self):
         # node 0 averages over its two covered tracks only
         assert self.rewards([True, True])[0] == pytest.approx((0.2 + 0.6) / 2, abs=1e-15)

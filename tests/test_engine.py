@@ -2,7 +2,8 @@
 harvest rule for radar-only, radar association by truth id with one return
 per target per step, the coordinator's per-class prediction cache, the
 track table (its invariants, reward entropies against a per-track oracle,
-and no per-track state reads in the step loop), the sign of
+IMM combination equal to a `Track`'s, and no per-track state read or kept
+by the coordinator), the sign of
 `rmse_improvement`, the names the benchmark tracer hooks, and a digest
 guard over every metric of a small experiment."""
 
@@ -165,7 +166,6 @@ def _radar_world(node_positions, target_positions):
         radar_ranges=np.full(len(node_positions), 10_000.0),
         passive_ranges=np.zeros(len(targets)),
         target_classes=[family.classes[0]] * len(targets),
-        index_by_id={t.target_id: i for i, t in enumerate(targets)},
     )
 
 
@@ -179,37 +179,64 @@ def _polar_row(node, point, d_az=0.0):
     )
 
 
-class TestRadarAssociation:
-    def _coordinator(self, world):
-        return Coordinator(
-            library=ClassLibrary(),
-            num_signal_states=4,
-            use_class_knowledge=False,
-            num_targets=world.num_targets,
-        )
+def _radar_coordinator(world, library=None):
+    return Coordinator(
+        library=ClassLibrary() if library is None else library,
+        num_signal_states=4,
+        use_class_knowledge=library is not None,
+        num_targets=world.num_targets,
+    )
 
-    def test_colocated_targets_update_their_own_tracks(self):
+
+def _fuse_counting_updates(monkeypatch, coord):
+    """`_fuse_radar` plus a per-row count of the filter updates it made: a
+    track starts from two readings, so 2 + count is the row's number of
+    measurement updates. Each bank that `kalman_update_arrays` returns is
+    matched to the one table row it was written to."""
+    update, banks = engine.kalman_update_arrays, []
+    counts = np.zeros(coord.num_targets, dtype=np.int64)
+
+    def recorded(*args):
+        out = update(*args)
+        banks.append(out[0])
+        return out
+
+    def fuse(*args):
+        banks.clear()
+        read = _fuse_radar(*args)
+        for states in banks:
+            for s in states:
+                hit = [np.array_equal(s, m) for m in coord.model_states]
+                assert sum(hit) == 1
+                counts[hit.index(True)] += 1
+        return read
+
+    monkeypatch.setattr(engine, "kalman_update_arrays", recorded)
+    return fuse, counts
+
+
+class TestRadarAssociation:
+    def test_colocated_targets_update_their_own_tracks(self, monkeypatch):
         # two targets at one position seen by one node: returns carry the
         # truth target id, so each reaches its own track, which gating on
         # position alone could not tell apart
         position = np.array([3000.0, 0.0, 500.0])
         world = _radar_world([np.zeros(3)], [position, position])
-        coord = self._coordinator(world)
+        coord = _radar_coordinator(world)
+        fuse, updates = _fuse_counting_updates(monkeypatch, coord)
         r, el = float(np.linalg.norm(position)), float(np.arctan2(500.0, 3000.0))
         # radial velocities +15 and -15 m/s tell the two returns apart
         z = np.array([[r, 0.0, el, 15.0, 0.0], [r, 0.0, el, -15.0, 0.0]])
         for t in (1, 2, 3):
-            _fuse_radar(world, coord, np.array([0, 0]), np.array([0, 1]), z, t, 0.5,
-                        SensorNoise())
-        tracks = coord.tracks
-        assert sorted(tracks) == [10, 11]
-        assert tracks[10].num_updates == tracks[11].num_updates == 3
+            fuse(world, coord, np.array([0, 0]), np.array([0, 1]), z, t, 0.5,
+                 SensorNoise())
+        assert np.flatnonzero(coord.live).tolist() == [0, 1]
+        assert (2 + updates).tolist() == [3, 3]
         los = position / r
-        assert tracks[10].state[3:] @ los > 10.0
-        assert tracks[11].state[3:] @ los < -10.0
-        _fuse_radar(world, coord, np.array([0]), np.array([1]), z[1:], 4, 0.5,
-                    SensorNoise())
-        assert (tracks[10].num_updates, tracks[11].num_updates) == (3, 4)
+        assert coord.estimates[0, 3:] @ los > 10.0
+        assert coord.estimates[1, 3:] @ los < -10.0
+        fuse(world, coord, np.array([0]), np.array([1]), z[1:], 4, 0.5, SensorNoise())
+        assert (2 + updates).tolist() == [3, 4]
 
     @pytest.mark.parametrize(
         "nodes, used",
@@ -220,10 +247,13 @@ class TestRadarAssociation:
             ([[0.0, 0.0, 0.0], [6000.0, 0.0, 0.0]], 0),
         ],
     )
-    def test_one_update_per_step_from_the_closest_return(self, nodes, used):
+    def test_one_update_per_step_from_the_closest_return(
+        self, monkeypatch, nodes, used
+    ):
         target = np.array([3000.0, 400.0, 500.0])
         world = _radar_world(nodes, [target])
-        coord = self._coordinator(world)
+        coord = _radar_coordinator(world)
+        fuse, updates = _fuse_counting_updates(monkeypatch, coord)
         noise = SensorNoise()
         # the two nodes disagree by +-0.01 rad in azimuth, so which return
         # was used shows in the estimate; ranges stay as measured
@@ -233,41 +263,47 @@ class TestRadarAssociation:
         ranges = rows[:, 0]
         assert (ranges[0] < ranges[1]) if used == 1 else (ranges[0] == ranges[1])
         for t in (1, 2):
-            _fuse_radar(world, coord, ni, ti, rows, t, 0.5, noise)
-        track = coord.tracks[10]
+            fuse(world, coord, ni, ti, rows, t, 0.5, noise)
         # started by differencing two looks from the same node: at rest
-        assert track.num_updates == 2
-        assert np.allclose(track.state[3:], 0.0, atol=1e-9)
+        assert coord.order.tolist() == [0] and 2 + updates[0] == 2
+        assert np.allclose(coord.estimates[0, 3:], 0.0, atol=1e-9)
         for t in (3, 4, 5):
+            track = Track(10, *(a[0] for a in coord.bank(np.array([0]))))
             expected = {
                 n: kalman_update(copy.deepcopy(track), rows[list(ni).index(n)],
                                  world.nodes[n], noise)
                 for n in (0, 1)
             }
-            keys, omegas = _fuse_radar(world, coord, ni, ti, rows, t, 0.5, noise)
-            assert list(keys) == [10] and list(omegas) == [0.0]
-            assert track.num_updates == t
+            read, omegas = fuse(world, coord, ni, ti, rows, t, 0.5, noise)
+            assert list(read) == [0] and list(omegas) == [0.0]
+            assert 2 + updates[0] == t
             want, other = expected[used], expected[1 - used]
-            assert np.allclose(track.model_states, want.model_states, atol=1e-6)
-            assert not np.allclose(track.model_states, other.model_states, atol=1.0)
+            assert np.allclose(coord.model_states[0], want.model_states, atol=1e-6)
+            assert not np.allclose(coord.model_states[0], other.model_states, atol=1.0)
+
+
+def _one_class_library():
+    """A library whose class 4 has the vector a perfectly observed member
+    of the default family's first class would have."""
+    cls = default_family().classes[0]
+    centroid = make_parameter_vector(
+        stationary_distribution(cls.motion_chain),
+        cls.motion_chain.transition,
+        stationary_distribution(cls.signal_chain),
+        cls.signal_chain.transition,
+        np.ones(9),
+    )
+    return ClassLibrary(classes=[
+        LearnedClass(class_id=4, centroid=centroid, member_count=1)
+    ])
 
 
 class TestPredictCache:
     def _coordinator(self, use_class_knowledge):
-        # the vector a perfectly observed member of the class would have
-        cls = default_family().classes[0]
-        centroid = make_parameter_vector(
-            stationary_distribution(cls.motion_chain),
-            cls.motion_chain.transition,
-            stationary_distribution(cls.signal_chain),
-            cls.signal_chain.transition,
-            np.ones(9),
-        )
-        library = ClassLibrary(classes=[
-            LearnedClass(class_id=4, centroid=centroid, member_count=1)
-        ])
         return Coordinator(
-            library=library, num_signal_states=4, use_class_knowledge=use_class_knowledge
+            library=_one_class_library(),
+            num_signal_states=4,
+            use_class_knowledge=use_class_knowledge,
         )
 
     def _expected(self, tuning, dt):
@@ -311,29 +347,24 @@ class TestTrackTable:
 
         def check(world, c):
             rows = np.flatnonzero(c.live)
-            assert rows.tolist() == sorted(world.index_by_id[k] for k in c.tracks)
             assert sorted(c.order.tolist()) == rows.tolist()
-            assert [c.row_tracks[r] for r in c.order] == list(c.tracks.values())
-            for row in rows:
-                track = c.row_tracks[row]
+            for row in range(c.num_targets):
                 for history, counts in (
-                    (track.motion_history, c.motion_counts),
-                    (track.signal_history, c.signal_counts),
+                    (c.motion_history[row], c.motion_counts),
+                    (c.signal_history[row], c.signal_counts),
                 ):
                     states = np.array([s for _, s in history], dtype=np.int64)
                     want = np.bincount(states, minlength=counts.shape[1])
                     assert np.array_equal(counts[row], want)
-                for name in ("model_states", "model_covs", "model_probs"):
-                    mine, table_row = getattr(track, name), getattr(c, name)[row]
-                    assert np.array_equal(mine, table_row)
-                    assert np.shares_memory(mine, table_row)
+                    if not c.live[row]:
+                        assert history == [] and not counts[row].any()
             steps.append(rows.size)
 
         _after_each_step(monkeypatch, check)
         run_experiment(SMALL, [BANDIT])
         assert len(steps) == 2 * SMALL.steps_per_epoch and max(steps) > 0
 
-    def test_add_track_takes_only_fresh_tracks_on_free_rows(self):
+    def test_add_track_refuses_a_live_row_and_copies_the_bank(self):
         c = Coordinator(
             library=ClassLibrary(),
             num_signal_states=4,
@@ -344,14 +375,50 @@ class TestTrackTable:
         def fresh(key):
             return start_track(key, np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
 
-        c.add_track(0, fresh(7))
+        track = fresh(7)
+        c.add_track(0, track)
         with pytest.raises(ValueError):
             c.add_track(0, fresh(8))
-        read = fresh(8)
-        read.motion_history.append((1, 0))
-        with pytest.raises(ValueError):
-            c.add_track(1, read)
-        assert c.order.tolist() == [0] and list(c.tracks) == [7]
+        assert c.order.tolist() == [0] and c.live.tolist() == [True, False]
+        assert np.array_equal(c.model_states[0], track.model_states)
+        track.model_states += 1.0
+        assert not np.array_equal(c.model_states[0], track.model_states)
+
+    def test_combination_equals_the_tracks(self):
+        # a class-tuned bank, so the models' states, covariances and
+        # probabilities differ after the predict and the update
+        target = np.array([3000.0, 400.0, 500.0])
+        world = _radar_world([np.zeros(3)], [target])
+        c = _radar_coordinator(world, _one_class_library())
+        c.class_ids[0] = 4
+        noise, ni, ti = SensorNoise(), np.array([0]), np.array([0])
+        for t, d_az in ((1, 0.0), (2, 0.0), (3, 0.02)):
+            if t == 3:
+                engine._predict_tracks(c, 0.5)
+            z = _polar_row(world.node_positions[0], target, d_az)[None]
+            _fuse_radar(world, c, ni, ti, z, t, 0.5, noise)
+        track = Track(10, *(a[0] for a in c.bank(np.array([0]))))
+        assert np.ptp(track.model_probs) > 0
+        assert (track.state == c.estimates[0]).all()
+        assert (track.covariance[:2, :2] == c.xy_covariances(np.array([0]))[0]).all()
+
+    def test_coordinator_holds_no_track(self, monkeypatch):
+        steps = []
+
+        def check(world, c):
+            for value in vars(c).values():
+                inner = ()
+                if isinstance(value, dict):
+                    inner = value.values()
+                elif isinstance(value, list):
+                    inner = value
+                assert not isinstance(value, Track)
+                assert not any(isinstance(v, Track) for v in inner)
+            steps.append(c.order.size)
+
+        _after_each_step(monkeypatch, check)
+        run_experiment(SMALL, [BANDIT])
+        assert max(steps) > 0
 
     @pytest.mark.parametrize("policy", default_policies(), ids=lambda p: p.label)
     def test_etas_equal_the_history_oracle(self, monkeypatch, policy):
@@ -361,18 +428,18 @@ class TestTrackTable:
         def checked(c):
             # a same-step second reading is dropped and not counted
             for row in c.order:
-                track = c.row_tracks[row]
-                if track.motion_history:
-                    step, state = track.motion_history[-1]
+                history = c.motion_history[row]
+                if history:
+                    step, state = history[-1]
                     before = c.motion_counts.copy()
                     c.record_motion(row, step, (state + 1) % 3)
-                    assert track.motion_history[-1] == (step, state)
+                    assert history[-1] == (step, state)
                     assert np.array_equal(c.motion_counts, before)
                     kinds["dropped"] += 1
                     break
             etas = table_etas(c)
             want = track_uncertainties(c)
-            assert [c.row_tracks[r].target_key for r in c.order] == list(want)
+            assert c.order.tolist() == list(want)
             assert etas.tolist() == [list(e) for e in want.values()]
             for row in c.order:
                 seen = c.motion_counts[row].sum() + c.signal_counts[row].sum()
@@ -404,7 +471,7 @@ class TestTrackTable:
         assert {"state", "covariance"} <= set(reads)
         reads.clear()
         steps = []
-        _after_each_step(monkeypatch, lambda world, c: steps.append(len(c.tracks)))
+        _after_each_step(monkeypatch, lambda world, c: steps.append(c.order.size))
         run_experiment(SMALL, [BANDIT])
         assert max(steps) > 0 and reads == []
 

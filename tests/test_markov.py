@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crnsim.engine import _smoothed
 from crnsim.markov import (
     EmptySequence,
     MarkovChain,
@@ -149,6 +150,15 @@ class TestSamplePath:
             want = sample_next(chain, int(path[t - 1]), _ConstantDraws(u[t]))
             assert path[t] == want
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_rejects_empty_path_before_any_draw(self, length):
+        chain = MarkovChain(np.array([[0.9, 0.1], [0.5, 0.5]]))
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            sample_path(chain, length, rng=rng)
+        assert rng.bit_generator.state == before
+
 
 class TestEstimateTransitions:
     def test_constant_sequence_unvisited_row_uniform(self):
@@ -225,6 +235,17 @@ class TestNormalizedEntropy:
         assert normalized_entropy(rows.reshape(8, 8, n)).tolist() == (
             got.reshape(8, 8).tolist()
         )
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_uniform_and_smoothed_rows_never_exceed_one(self, n):
+        # rounding puts the unclamped sum at 1 + 2**-52 for 11 uniform
+        # states and for smoothed counts [1] * 5 and [0] * 6
+        rows = np.vstack(
+            [np.full(n, 1.0 / n)]
+            + [_smoothed(np.full((1, n), c)) for c in (0, 1, 2, 3)]
+        )
+        assert normalized_entropy(rows).max() <= 1.0
+        assert normalized_entropy(rows[0]) <= 1.0
 
     @given(st.integers(2, 8), st.integers(0, 1000))
     @settings(max_examples=50)

@@ -21,7 +21,6 @@ from crnsim.tracking import (
     NUM_MODELS,
     VERTICAL_Q_FRACTION,
     FilterTuning,
-    InsufficientHistory,
     LengthMismatch,
     Track,
     cv_transition,
@@ -88,7 +87,6 @@ def single_model_track(state=None, cov=None):
         model_states=s[None].copy(),
         model_covs=P[None].copy(),
         model_probs=np.array([1.0]),
-        num_updates=2,
     )
 
 
@@ -340,12 +338,6 @@ class TestMotionStateInference:
         track = single_model_track()
         assert infer_motion_state(track) == 0
         assert motion_state_posterior(track) == pytest.approx([1.0])
-
-    def test_insufficient_history(self):
-        track = single_model_track()
-        track.num_updates = 1
-        with pytest.raises(InsufficientHistory):
-            infer_motion_state(track)
 
     def _run_segment(self, state, accel, omega_truth, steps=5):
         rng = np.random.default_rng(11)
