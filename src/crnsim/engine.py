@@ -20,7 +20,10 @@ Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
 the same seed see byte-identical target trajectories: mode choices change
 how many sensor-noise and policy draws happen, and only the world stream
-feeds the truth.
+feeds the truth. The world stream first spawns the scenario, then each step
+advances the whole target table with one `step_motion` and one
+`step_signal` call, whose draws come in the fixed order `dynamics`
+documents; the sizes of those draws depend only on the truth.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from crnsim.classlib import (
     update_library,
     vector_from_histories,
 )
-from crnsim.dynamics import step_motion, step_signal
+from crnsim.dynamics import TargetTable, make_target_table, step_motion, step_signal
 from crnsim.markov import normalized_entropy
 from crnsim.scenario import (
     MOTION_STATES,
@@ -177,15 +180,20 @@ def make_streams(seed) -> Streams:
 
 @dataclass
 class World:
-    """Ground truth for one epoch, plus the static arrays sensing needs."""
+    """Ground truth for one epoch, plus the static arrays sensing needs.
+
+    `targets` is the truth as one table, a row per target: class id,
+    position and velocity (T, 3), turn and heading rates, motion, signal and
+    transmit states, and each row's class parameters (chain CDFs, process
+    noise, speed and turn-rate ranges). A target's row is also its row in
+    the coordinator's track table and the id its sensor returns carry."""
 
     nodes: list
-    targets: list
+    targets: TargetTable
     family: TargetFamily
     node_positions: np.ndarray  # (N, 3)
     radar_ranges: np.ndarray  # (N,)
     passive_ranges: np.ndarray  # (T,) SNR-limited intercept radius
-    target_classes: list  # per target, parallel
 
     @property
     def num_nodes(self) -> int:
@@ -193,7 +201,7 @@ class World:
 
     @property
     def num_targets(self) -> int:
-        return len(self.targets)
+        return self.targets.num_targets
 
 
 def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
@@ -208,7 +216,7 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
     classes = [scenario.family.class_by_id(t.class_id) for t in targets]
     return World(
         nodes=nodes,
-        targets=targets,
+        targets=make_target_table(targets, scenario.family.classes),
         family=scenario.family,
         node_positions=np.array([n.position for n in nodes]),
         radar_ranges=np.array([n.radar_range_m for n in nodes]),
@@ -218,7 +226,6 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
                 for c in classes
             ]
         ),
-        target_classes=classes,
     )
 
 
@@ -452,9 +459,8 @@ def _fuse_radar(
             coordinator.pending[row] = (t, pos[i], R3[i])
             continue
         step0, pos0, R0 = held
-        key = world.targets[row].target_id
         coordinator.add_track(
-            row, start_track(key, pos0, R0, pos[i], R3[i], dt=(t - step0) * dt)
+            row, start_track(pos0, R0, pos[i], R3[i], dt=(t - step0) * dt)
         )
     upd = np.flatnonzero(tracked)
     if upd.size:
@@ -533,7 +539,7 @@ def _apply_passive(
         coordinator.xy_covariances(rows),
         sigma_doa_rad,
     )
-    types = np.array([world.targets[j].signal_state for j in ti], dtype=np.int64)
+    types = world.targets.signal_state[ti]
     S = coordinator.num_signal_states
     claimed = hit >= 0
     counts = np.bincount(
@@ -621,19 +627,14 @@ def run_step(
     modes = _select_modes(coordinator, policy, N, t, streams.policy)
     active = np.array([m is NodeMode.ACTIVE for m in modes])
 
-    for target, cls in zip(world.targets, world.target_classes):
-        step_motion(target, cls, dt, streams.world)
-        step_signal(target, cls, streams.world)
-
-    positions = np.array([tg.position for tg in world.targets])
-    velocities = np.array([tg.velocity for tg in world.targets])
-    heading_rates = np.array([tg.heading_rate_radps for tg in world.targets])
-    tx_on = np.array([tg.tx_on for tg in world.targets], dtype=bool)
-    states = np.array(
-        [[tg.motion_state, tg.signal_state] for tg in world.targets], dtype=np.int64
-    )
+    truth = world.targets
+    step_motion(truth, dt, streams.world)
+    step_signal(truth, streams.world)
+    positions, tx_on = truth.position, truth.tx_on
     tape.digest.update(positions.tobytes())
-    tape.digest.update(states.tobytes())
+    tape.digest.update(
+        np.column_stack([truth.motion_state, truth.signal_state]).tobytes()
+    )
     tape.digest.update(tx_on.tobytes())
 
     ni_r, ti_r, z_r = radar_measure_batch(
@@ -641,8 +642,8 @@ def run_step(
         active,
         world.radar_ranges,
         positions,
-        velocities,
-        heading_rates,
+        truth.velocity,
+        truth.heading_rate,
         streams.sense,
         config.noise,
     )
@@ -771,7 +772,7 @@ def run_epoch(
         if vec is None:
             continue
         pool.append(vec)
-        pool_true_ids.append(world.targets[row].class_id)
+        pool_true_ids.append(int(world.targets.class_id[row]))
         harvested += 1
 
     new_library = library

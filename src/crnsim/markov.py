@@ -119,16 +119,36 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     return pi / pi.sum()
 
 
-def sample_next(chain: MarkovChain, current: int, rng: np.random.Generator) -> int:
-    """Draw the successor state of `current` from the chain's transition row.
+def inverse_cdf(row_cdf: np.ndarray, u) -> np.ndarray:
+    """The state each uniform draw `u` selects from its row CDF (over the last
+    axis; `u` has the rows' leading shape): the number of CDF entries at or
+    below `u`. For a non-decreasing row that is
+    `row.searchsorted(u, side="right")`, which is how `Generator.choice`
+    inverts its CDF, so zero-probability states are never drawn."""
+    return (row_cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
-    Inverts the row's cached CDF at one `rng.random()` draw, which is what
-    `rng.choice(n, p=row)` does: the same states come out and the generator
+
+def sample_next(chain, current, rng: np.random.Generator):
+    """Draw the successor of each state in `current` from its transition row.
+
+    `chain` is a `MarkovChain`, or a stack of row CDFs (T, S, S) holding one
+    chain's `row_cdf` per draw for a (T,) `current` (a target table keeps its
+    rows' class chains this way). All draws come from one
+    `rng.random(current.shape)` call and are inverted at each state's cached
+    row CDF (`inverse_cdf`). For one state that is what
+    `rng.choice(n, p=row)` does: the same state comes out and the generator
     advances the same way. Nothing that `choice` checks is lost: it wants
     finite, non-negative entries summing to 1 within sqrt(eps) ~ 1.5e-8, and
     `MarkovChain` already requires finite rows summing to 1 within
-    ROW_SUM_TOL = 1e-9 and clips entries to [0, 1]."""
-    return int(chain.row_cdf[current].searchsorted(rng.random(), side="right"))
+    ROW_SUM_TOL = 1e-9 and clips entries to [0, 1]. An int `current` gives
+    an int; an array gives an array of its shape."""
+    current = np.asarray(current)
+    if isinstance(chain, MarkovChain):
+        rows = chain.row_cdf[current]
+    else:
+        rows = chain[np.arange(current.size), current]
+    nxt = inverse_cdf(rows, rng.random(current.shape))
+    return int(nxt) if nxt.ndim == 0 else nxt
 
 
 def sample_path(
@@ -138,8 +158,9 @@ def sample_path(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Sample a state path of the given length (at least 1); init defaults
-    to a stationary draw. Steps invert the rows' cached CDFs, as
-    `sample_next` does."""
+    to a stationary draw. Each step inverts its row's cached CDF at one of
+    the uniforms a single `rng.random(length)` call returns, through the
+    `inverse_cdf` that `sample_next` uses."""
     if length < 1:
         raise ValueError(f"path length must be at least 1, got {length}")
     if rng is None:
@@ -150,7 +171,7 @@ def sample_path(
     path[0] = init
     u = rng.random(length)
     for t in range(1, length):
-        path[t] = chain.row_cdf[path[t - 1]].searchsorted(u[t], side="right")
+        path[t] = inverse_cdf(chain.row_cdf[path[t - 1]], u[t])
     return path
 
 

@@ -103,7 +103,6 @@ class Track:
     readings of motion state, at most one per step (see `record_reading`).
     Compares by identity, as `FilterTuning` does."""
 
-    target_key: int
     model_states: np.ndarray  # (models, 6)
     model_covs: np.ndarray  # (models, 6, 6)
     model_probs: np.ndarray  # (models,)
@@ -321,7 +320,6 @@ def kalman_update_arrays(
 
 
 def start_track(
-    target_key: int,
     pos1: np.ndarray,
     R1: np.ndarray,
     pos2: np.ndarray,
@@ -338,7 +336,6 @@ def start_track(
     P[:3, 3:] = P[3:, :3] = R2 / dt
     P[3:, 3:] = (R1 + R2) / dt**2
     return Track(
-        target_key=target_key,
         model_states=np.tile(state, (NUM_MODELS, 1)),
         model_covs=np.tile(P, (NUM_MODELS, 1, 1)),
         model_probs=np.full(NUM_MODELS, 1.0 / NUM_MODELS),

@@ -7,7 +7,9 @@ functions, and to feed a filter one measurement at a time. `kalman_update`
 fuses one radar row into one track through `tracking.kalman_update_arrays`
 with a batch of 1. `track_uncertainties` rebuilds every track's reward
 entropies from its row's whole histories, one track at a time, as an
-oracle for the engine's table of reading counts. None of this runs in the simulation.
+oracle for the engine's table of reading counts. `target_row` hands one
+row of a `dynamics.TargetTable` to these one-target functions. None of this
+runs in the simulation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from crnsim.bandit import MIN_OBSERVATIONS_FOR_ESTIMATE, NodeMode
 from crnsim.classlib import block_values
 from crnsim.markov import normalized_entropy
-from crnsim.scenario import MOTION_STATES
+from crnsim.scenario import MOTION_STATES, TX_ON, Target
 from crnsim.sensing import (
     ReceiverParams,
     SensorNoise,
@@ -33,6 +35,21 @@ from crnsim.tracking import (
     measurement_rows,
     polar_to_cartesian,
 )
+
+
+def target_row(targets, i: int = 0) -> Target:
+    """A copy of row i of a `dynamics.TargetTable` as a `scenario.Target`."""
+    return Target(
+        target_id=i,
+        class_id=int(targets.class_id[i]),
+        position=targets.position[i].copy(),
+        velocity=targets.velocity[i].copy(),
+        motion_state=int(targets.motion_state[i]),
+        signal_state=int(targets.signal_state[i]),
+        tx_on=bool(targets.tx_state[i] == TX_ON),
+        turn_rate_radps=float(targets.turn_rate[i]),
+        heading_rate_radps=float(targets.heading_rate[i]),
+    )
 
 
 def radar_measure(

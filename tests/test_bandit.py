@@ -45,7 +45,7 @@ class TestComputeRewards:
         )
         for key, xy in enumerate(self.TRACK_XY[:2]):
             coordinator.add_track(key, start_track(
-                key, np.r_[xy, 0.0], np.eye(3), np.r_[xy, 0.0], np.eye(3), 0.5
+                np.r_[xy, 0.0], np.eye(3), np.r_[xy, 0.0], np.eye(3), 0.5
             ))
         etas = _track_uncertainties(coordinator)
         assert etas.tolist() == [[1.0, 1.0], [1.0, 1.0]]
@@ -63,7 +63,7 @@ class TestComputeRewards:
             num_targets=1,
         )
         coordinator.add_track(0, start_track(
-            0, np.zeros(3), np.eye(3), np.zeros(3), np.eye(3), 0.5
+            np.zeros(3), np.eye(3), np.zeros(3), np.eye(3), 0.5
         ))
         for step in range(5):
             coordinator.record_signal(0, step, step)

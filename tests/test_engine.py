@@ -1,10 +1,11 @@
-"""Engine contract: determinism, the paired design, config validation, the
-harvest rule for radar-only, radar association by truth id with one return
-per target per step, the coordinator's per-class prediction cache, the
-track table (its invariants, reward entropies against a per-track oracle,
-IMM combination equal to a `Track`'s, and no per-track state read or kept
-by the coordinator), the sign of
-`rmse_improvement`, the names the benchmark tracer hooks, and a digest
+"""Engine contract: determinism, the paired design (the world stream alone
+reproduces an epoch's truth), config validation, one batched truth step per
+step whatever the target count, the harvest rule for radar-only, radar
+association by truth id with one return per target per step, the
+coordinator's per-class prediction cache, the track table (its invariants,
+reward entropies against a per-track oracle, IMM combination equal to a
+`Track`'s, and no per-track state read or kept by the coordinator), the sign
+of `rmse_improvement`, the names the benchmark tracer hooks, and a digest
 guard over every metric of a small experiment."""
 
 import copy
@@ -18,9 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crnsim.dynamics as dynamics
 import crnsim.engine as engine
 from crnsim.bandit import PolicyKind
 from crnsim.classlib import ClassLibrary, LearnedClass, make_parameter_vector
+from crnsim.dynamics import make_target_table, step_motion, step_signal
 from crnsim.engine import (
     ConfigError,
     Coordinator,
@@ -31,6 +34,8 @@ from crnsim.engine import (
     _fuse_radar,
     default_policies,
     epoch_seed,
+    make_streams,
+    make_world,
     rmse_improvement,
     run_epoch,
     run_experiment,
@@ -107,6 +112,23 @@ class TestPairedDesign:
         )[0]
         assert_metrics_identical(first, fresh)
 
+    def test_world_stream_alone_reproduces_the_truth(self):
+        # step a world outside the engine, from nothing but the world stream
+        seed = epoch_seed(SMALL.seed, 1, 0)
+        want = run_epoch(ClassLibrary(), SMALL, seed, policy=BANDIT)[0].truth_digest
+        rng = make_streams(seed).world
+        truth = make_world(SMALL.scenario, rng).targets
+        digest = hashlib.sha1()
+        for _ in range(SMALL.steps_per_epoch):
+            step_motion(truth, SMALL.dt_s, rng)
+            step_signal(truth, rng)
+            digest.update(truth.position.tobytes())
+            digest.update(
+                np.column_stack([truth.motion_state, truth.signal_state]).tobytes()
+            )
+            digest.update(truth.tx_on.tobytes())
+        assert digest.hexdigest() == want
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -150,22 +172,20 @@ class TestRadarOnly:
 
 
 def _radar_world(node_positions, target_positions):
-    """Nodes with a 10 km radar and default-family targets at rest, keyed
-    10, 11, ..."""
+    """Nodes with a 10 km radar and default-family targets at rest."""
     family = default_family()
     targets = [
-        Target(10 + i, 0, np.array(p, dtype=float), np.zeros(3), 0, 0, False)
+        Target(i, 0, np.array(p, dtype=float), np.zeros(3), 0, 0, False)
         for i, p in enumerate(target_positions)
     ]
     return World(
         nodes=[Node(i, np.array(p, dtype=float), 10_000.0)
                for i, p in enumerate(node_positions)],
-        targets=targets,
+        targets=make_target_table(targets, family.classes),
         family=family,
         node_positions=np.array(node_positions, dtype=float),
         radar_ranges=np.full(len(node_positions), 10_000.0),
         passive_ranges=np.zeros(len(targets)),
-        target_classes=[family.classes[0]] * len(targets),
     )
 
 
@@ -268,7 +288,7 @@ class TestRadarAssociation:
         assert coord.order.tolist() == [0] and 2 + updates[0] == 2
         assert np.allclose(coord.estimates[0, 3:], 0.0, atol=1e-9)
         for t in (3, 4, 5):
-            track = Track(10, *(a[0] for a in coord.bank(np.array([0]))))
+            track = Track(*(a[0] for a in coord.bank(np.array([0]))))
             expected = {
                 n: kalman_update(copy.deepcopy(track), rows[list(ni).index(n)],
                                  world.nodes[n], noise)
@@ -372,13 +392,13 @@ class TestTrackTable:
             num_targets=2,
         )
 
-        def fresh(key):
-            return start_track(key, np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
+        def fresh():
+            return start_track(np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
 
-        track = fresh(7)
+        track = fresh()
         c.add_track(0, track)
         with pytest.raises(ValueError):
-            c.add_track(0, fresh(8))
+            c.add_track(0, fresh())
         assert c.order.tolist() == [0] and c.live.tolist() == [True, False]
         assert np.array_equal(c.model_states[0], track.model_states)
         track.model_states += 1.0
@@ -397,7 +417,7 @@ class TestTrackTable:
                 engine._predict_tracks(c, 0.5)
             z = _polar_row(world.node_positions[0], target, d_az)[None]
             _fuse_radar(world, c, ni, ti, z, t, 0.5, noise)
-        track = Track(10, *(a[0] for a in c.bank(np.array([0]))))
+        track = Track(*(a[0] for a in c.bank(np.array([0]))))
         assert np.ptp(track.model_probs) > 0
         assert (track.state == c.estimates[0]).all()
         assert (track.covariance[:2, :2] == c.xy_covariances(np.array([0]))[0]).all()
@@ -466,7 +486,7 @@ class TestTrackTable:
                 lambda track, getter=getter, name=name: reads.append(name)
                 or getter(track)
             ))
-        probe = start_track(0, np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
+        probe = start_track(np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
         probe.state, probe.covariance
         assert {"state", "covariance"} <= set(reads)
         reads.clear()
@@ -474,6 +494,37 @@ class TestTrackTable:
         _after_each_step(monkeypatch, lambda world, c: steps.append(c.order.size))
         run_experiment(SMALL, [BANDIT])
         assert max(steps) > 0 and reads == []
+
+
+class TestTruthBatch:
+    def test_one_batched_truth_step_per_step(self, monkeypatch):
+        # the truth advances with one step_motion, one step_signal and three
+        # Markov draws per step, however many targets the world holds
+        calls = {"step_motion": 0, "step_signal": 0, "sample_next": 0}
+        targets = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(engine, "step_motion")
+        counted(engine, "step_signal")
+        counted(dynamics, "sample_next")
+        _after_each_step(
+            monkeypatch, lambda world, c: targets.append(world.num_targets)
+        )
+        run_experiment(SMALL, [BANDIT])
+        steps = len(targets)
+        assert steps == SMALL.num_epochs * SMALL.steps_per_epoch
+        assert min(targets) > 1 and len(set(targets)) > 1
+        assert calls == {
+            "step_motion": steps, "step_signal": steps, "sample_next": 3 * steps
+        }
 
 
 class TestRmseImprovement:
@@ -541,7 +592,7 @@ def metrics_sha256(result):
 # Recorded on the SMALL config under the three default policies. A change
 # that is meant to alter behaviour updates this value and says why in
 # CHANGES.md; any other change must leave it as it is.
-SMALL_METRICS_SHA256 = "12fc3fa0bdec5aece9a2705c237e076bb2c210fb41ef1980c78b526ddd4dedd0"
+SMALL_METRICS_SHA256 = "06c7d0c9b201313fd24a9eb6d913157568406fe36a7e1d143ef0ba9751dd39d0"
 
 
 class TestRegressionGuard:

@@ -379,10 +379,10 @@ class TestSampleNext:
 
     def test_zero_probability_state_never_drawn(self):
         class Zero:
-            """A generator whose uniform draw is exactly 0.0."""
+            """A generator whose uniform draws are exactly 0.0."""
 
-            def random(self):
-                return 0.0
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
 
         chain = MarkovChain(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]))
         assert [sample_next(chain, s, Zero()) for s in range(3)] == [1, 2, 0]

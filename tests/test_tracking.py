@@ -5,7 +5,7 @@ import pytest
 
 from crnsim.bandit import NodeMode
 from crnsim.classlib import vector_from_histories
-from crnsim.dynamics import step_motion
+from crnsim.dynamics import make_target_table, step_motion
 from crnsim.markov import MarkovChain, StateSequence, estimate_transitions
 from crnsim.scenario import (
     CRUISE_CV,
@@ -39,7 +39,7 @@ from crnsim.tracking import (
     tuned_tuning,
     untuned_tuning,
 )
-from scalar_reference import kalman_update, radar_measure
+from scalar_reference import kalman_update, radar_measure, target_row
 
 TINY_NOISE = SensorNoise(1e-6, 1e-9, 1e-9, 1e-6, 1e-9, 1e-9)
 
@@ -66,24 +66,25 @@ def make_class(
     )
 
 
-def make_target(state=CRUISE_CV, v=(100.0, 0.0, 0.0), turn_rate=0.0):
-    return Target(
+def make_truth(cls, position, v, state=CRUISE_CV, turn_rate=0.0):
+    """A one-target table of class `cls`."""
+    target = Target(
         target_id=0,
-        class_id=0,
-        position=np.zeros(3),
+        class_id=cls.class_id,
+        position=np.asarray(position, dtype=float),
         velocity=np.asarray(v, dtype=float),
         motion_state=state,
         signal_state=0,
         tx_on=True,
         turn_rate_radps=turn_rate,
     )
+    return make_target_table([target], [cls])
 
 
 def single_model_track(state=None, cov=None):
     s = np.zeros(6) if state is None else np.asarray(state, dtype=float)
     P = np.eye(6) * 100.0 if cov is None else np.asarray(cov, dtype=float)
     return Track(
-        target_key=0,
         model_states=s[None].copy(),
         model_covs=P[None].copy(),
         model_probs=np.array([1.0]),
@@ -228,8 +229,9 @@ class TestKalmanUpdate:
 
     def test_perfect_measurement_limit(self):
         node = Node(node_id=0, position=np.zeros(3))
-        truth = make_target(v=(30.0, 0.0, 0.0))
-        truth.position = np.array([2000.0, 1500.0, 400.0])
+        truth = target_row(
+            make_truth(make_class(), [2000.0, 1500.0, 400.0], v=(30.0, 0.0, 0.0))
+        )
         rng = np.random.default_rng(0)
         meas = radar_measure(node, truth, NodeMode.ACTIVE, rng, TINY_NOISE)
         track = single_model_track(
@@ -241,8 +243,9 @@ class TestKalmanUpdate:
     def test_position_covariance_never_grows(self):
         rng = np.random.default_rng(5)
         node = Node(node_id=0, position=np.zeros(3))
-        truth = make_target(v=(10.0, 5.0, 0.0))
-        truth.position = np.array([2500.0, 1000.0, 300.0])
+        truth = target_row(
+            make_truth(make_class(), [2500.0, 1000.0, 300.0], v=(10.0, 5.0, 0.0))
+        )
         track = single_model_track(state=[2400, 900, 250, 0, 0, 0])
         for _ in range(20):
             before = np.trace(track.covariance[:3, :3])
@@ -255,15 +258,16 @@ class TestKalmanUpdate:
         # 50 exact measurements: final position error well under sigma_r/10
         node = Node(node_id=0, position=np.zeros(3))
         cls = make_class(speed_range=(0.0, 100.0))
-        t = make_target(v=(30.0, 10.0, 0.0))
-        t.position = np.array([-1200.0, 500.0, 300.0])
+        truth = make_truth(cls, [-1200.0, 500.0, 300.0], v=(30.0, 10.0, 0.0))
         rng = np.random.default_rng(0)
         tuning = untuned_tuning()
         track = None
         prev = None
         for step in range(50):
-            step_motion(t, cls, 0.5, rng)
-            meas = radar_measure(node, t, NodeMode.ACTIVE, rng, TINY_NOISE)
+            step_motion(truth, 0.5, rng)
+            meas = radar_measure(
+                node, target_row(truth), NodeMode.ACTIVE, rng, TINY_NOISE
+            )
             pos, R = polar_to_cartesian(
                 meas[0], meas[1], meas[2], node.position,
                 (25.0, 0.0175, 0.0175),
@@ -272,20 +276,19 @@ class TestKalmanUpdate:
                 if prev is None:
                     prev = (pos, R)
                     continue
-                track = start_track(0, prev[0], prev[1], pos, R, 0.5)
+                track = start_track(prev[0], prev[1], pos, R, 0.5)
                 continue
             imm_predict(track, tuning, 0.5)
             kalman_update(track, meas, node, TINY_NOISE)
-        err = np.linalg.norm(track.state[:3] - t.position)
+        err = np.linalg.norm(track.state[:3] - truth.position[0])
         assert err < 2.5
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(7)
         node = Node(node_id=0, position=np.zeros(3))
-        truth = make_target(v=(40.0, -20.0, 0.0))
-        truth.position = np.array([1500.0, 2500.0, 600.0])
+        cls = make_class(speed_range=(0.0, 200.0), process_noise=(3.0, 3.0, 3.0))
+        truth = make_truth(cls, [1500.0, 2500.0, 600.0], v=(40.0, -20.0, 0.0))
         track = start_track(
-            0,
             np.array([1450.0, 2450.0, 550.0]),
             np.eye(3) * 625.0,
             np.array([1480.0, 2470.0, 580.0]),
@@ -293,14 +296,13 @@ class TestKalmanUpdate:
             0.5,
         )
         tuning = tuned_tuning(default_family().classes[0])
-        cls = make_class(speed_range=(0.0, 200.0), process_noise=(3.0, 3.0, 3.0))
         for _ in range(30):
-            step_motion(truth, cls, 0.5, rng)
+            step_motion(truth, 0.5, rng)
             imm_predict(track, tuning, 0.5)
             for P in track.model_covs:
                 assert P == pytest.approx(P.T, abs=1e-9)
                 assert np.min(np.linalg.eigvalsh(P)) > -1e-6
-            meas = radar_measure(node, truth, NodeMode.ACTIVE, rng)
+            meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
             kalman_update(track, meas, node)
             for P in track.model_covs:
                 assert P == pytest.approx(P.T, abs=1e-9)
@@ -312,8 +314,7 @@ class TestStartTrack:
         p1 = np.array([1000.0, 0.0, 100.0])
         p2 = np.array([1010.0, 5.0, 100.0])
         R = np.eye(3) * 400.0
-        track = start_track(3, p1, R, p2, R, 0.5)
-        assert track.target_key == 3
+        track = start_track(p1, R, p2, R, 0.5)
         assert track.state[:3] == pytest.approx(p2)
         assert track.state[3:] == pytest.approx([20.0, 10.0, 0.0])
         assert track.model_probs == pytest.approx(np.ones(NUM_MODELS) / NUM_MODELS)
@@ -324,11 +325,11 @@ class TestStartTrack:
     def test_rejects_simultaneous_measurements(self):
         p = np.zeros(3)
         with pytest.raises(ValueError):
-            start_track(0, p, np.eye(3), p, np.eye(3), 0.0)
+            start_track(p, np.eye(3), p, np.eye(3), 0.0)
 
     def test_equality_is_identity_and_does_not_raise(self):
         R = np.eye(3)
-        a, b = (start_track(0, np.zeros(3), R, np.ones(3), R, 0.5) for _ in range(2))
+        a, b = (start_track(np.zeros(3), R, np.ones(3), R, 0.5) for _ in range(2))
         assert a == a
         assert (a == b) is False
 
@@ -351,15 +352,17 @@ class TestMotionStateInference:
             speed_range=(5.0, 60.0),
             turn_range=(omega_truth, omega_truth) if omega_truth else (0.3, 0.3),
         )
-        t = make_target(state=state, v=(25.0, 0.0, 0.0), turn_rate=omega_truth)
-        t.position = np.array([-500.0, 1000.0, 400.0])
+        truth = make_truth(
+            cls, [-500.0, 1000.0, 400.0], v=(25.0, 0.0, 0.0), state=state,
+            turn_rate=omega_truth,
+        )
         tuning = tuned_tuning(uav)
         track = None
         prev = None
         posts = []
         for step in range(steps + 2):
-            step_motion(t, cls, 0.5, rng)
-            meas = radar_measure(node, t, NodeMode.ACTIVE, rng)
+            step_motion(truth, 0.5, rng)
+            meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
             pos, R = polar_to_cartesian(
                 meas[0], meas[1], meas[2], node.position,
                 (25.0, 0.0175, 0.0175),
@@ -368,7 +371,7 @@ class TestMotionStateInference:
                 if prev is None:
                     prev = (pos, R)
                     continue
-                track = start_track(0, prev[0], prev[1], pos, R, 0.5)
+                track = start_track(prev[0], prev[1], pos, R, 0.5)
                 continue
             imm_predict(track, tuning, 0.5)
             kalman_update(track, meas, node)
@@ -399,7 +402,7 @@ class TestMotionStateInference:
     @staticmethod
     def _three_model_track():
         R = np.eye(3) * 400.0
-        track = start_track(0, np.zeros(3), R, np.array([10.0, 0.0, 0.0]), R, 0.5)
+        track = start_track(np.zeros(3), R, np.array([10.0, 0.0, 0.0]), R, 0.5)
         track.model_probs = np.array([0.2, 0.5, 0.3])
         track.motion_belief = np.array([0.6, 0.3, 0.1])
         return track
@@ -458,15 +461,14 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
     rng = np.random.default_rng(seed)
     node = Node(node_id=0, position=np.zeros(3), radar_range_m=radar_range_m)
     uav = default_family().classes[0]
-    t = make_target(state=CRUISE_CV, v=(22.0, -5.0, 0.0))
-    t.position = np.array([-800.0, 900.0, 500.0])
+    truth = make_truth(uav, [-800.0, 900.0, 500.0], v=(22.0, -5.0, 0.0))
     tuning = tuned_tuning(uav)
     track = None
     prev = None
     hits = total = 0
     for step in range(steps):
-        step_motion(t, uav, 0.5, rng)
-        meas = radar_measure(node, t, NodeMode.ACTIVE, rng)
+        step_motion(truth, 0.5, rng)
+        meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
         pos, R = polar_to_cartesian(
             meas[0], meas[1], meas[2], node.position,
             (25.0, 0.0175, 0.0175),
@@ -475,12 +477,12 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
             if prev is None:
                 prev = (pos, R)
                 continue
-            track = start_track(0, prev[0], prev[1], pos, R, 0.5)
+            track = start_track(prev[0], prev[1], pos, R, 0.5)
             continue
         imm_predict(track, tuning, 0.5)
         kalman_update(track, meas, node)
         got = infer_motion_state(track, [meas[4]], step=step)
-        hits += got == t.motion_state
+        hits += got == truth.motion_state[0]
         total += 1
     return hits / total, track
 
@@ -513,20 +515,18 @@ def _paired_epoch_rmse(cls, seed, num_targets):
     for _ in range(num_targets):
         speed = rng.uniform(*cls.speed_range_mps)
         heading = rng.uniform(0, 2 * np.pi)
-        t = make_target(
-            v=(speed * np.cos(heading), speed * np.sin(heading), 0.0)
-        )
-        t.position = np.array(
-            [rng.uniform(-1500, 1500), rng.uniform(-1500, 1500),
-             rng.uniform(*cls.altitude_range_m)]
+        position = [rng.uniform(-1500, 1500), rng.uniform(-1500, 1500),
+                    rng.uniform(*cls.altitude_range_m)]
+        truth = make_truth(
+            cls, position, v=(speed * np.cos(heading), speed * np.sin(heading), 0.0)
         )
         tracks = {"tuned": None, "untuned": None}
         prev = None
         est = {"tuned": [], "untuned": []}
-        truth = []
+        truth_path = []
         for _ in range(52):
-            step_motion(t, cls, 0.5, rng)
-            meas = radar_measure(node, t, NodeMode.ACTIVE, rng)
+            step_motion(truth, 0.5, rng)
+            meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
             pos, R = polar_to_cartesian(
                 meas[0], meas[1], meas[2],
                 node.position, (25.0, 0.0175, 0.0175),
@@ -536,15 +536,15 @@ def _paired_epoch_rmse(cls, seed, num_targets):
                     prev = (pos, R)
                     continue
                 for k in tracks:
-                    tracks[k] = start_track(0, prev[0], prev[1], pos, R, 0.5)
+                    tracks[k] = start_track(prev[0], prev[1], pos, R, 0.5)
                 continue
             for k, tng in (("tuned", tun), ("untuned", unt)):
                 imm_predict(tracks[k], tng, 0.5)
                 kalman_update(tracks[k], meas, node)
                 est[k].append(tracks[k].state[:3].copy())
-            truth.append(t.position.copy())
+            truth_path.append(truth.position[0].copy())
         for k in sums:
-            sums[k] += track_rmse(est[k], truth)
+            sums[k] += track_rmse(est[k], truth_path)
     return sums["tuned"] / num_targets, sums["untuned"] / num_targets
 
 
