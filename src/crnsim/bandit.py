@@ -12,7 +12,7 @@ footprint (`compute_rewards`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,24 +26,28 @@ class OutOfRangeReward(ValueError):
     """Reward outside the unit interval."""
 
 
-class NodeMode(Enum):
-    ACTIVE = 0
-    PASSIVE = 1
-
-
 class PolicyKind(Enum):
     BANDIT = "bandit"
     RADAR_ONLY = "radar-only"
     RANDOM = "random"
 
 
+# arm columns of the bandit table
+ACTIVE, PASSIVE = 0, 1
+
+
 @dataclass
 class BanditState:
-    """Pull counts and running mean rewards for one node's two arms."""
+    """Every node's two arms as one table, a row per node: pull counts and
+    running mean rewards, each (N, 2) with columns ACTIVE and PASSIVE."""
 
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=np.int64))
-    means: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    total_steps: int = 0
+    counts: np.ndarray
+    means: np.ndarray
+
+    @classmethod
+    def cold(cls, num_nodes: int) -> BanditState:
+        """No arm of any node played yet."""
+        return cls(np.zeros((num_nodes, 2), dtype=np.int64), np.zeros((num_nodes, 2)))
 
 
 def compute_rewards(
@@ -72,48 +76,55 @@ def compute_rewards(
     counts = covered.sum(axis=1)
     sums = covered @ eta  # (N, 2)
     has = counts > 0
-    arm = np.where(active, 0, 1)
+    arm = np.where(active, ACTIVE, PASSIVE)
     rewards[has] = sums[has, arm[has]] / counts[has]
     return rewards
 
 
-def ucb_select(state: BanditState, t: int) -> NodeMode:
-    """Pick the arm maximizing mean reward plus the sqrt(log t / N) bonus.
+def ucb_select(state: BanditState, t: int) -> np.ndarray:
+    """The (N,) Active mask: each node plays the arm maximizing mean reward
+    plus the sqrt(log t / count) bonus.
 
-    Unplayed arms are selected first (infinite bonus); ties go to Active.
-    """
+    Unplayed arms are selected first (infinite bonus), Active before
+    Passive; ties go to Active."""
     if t < 1:
         raise ValueError("t starts at 1")
-    if state.counts[NodeMode.ACTIVE.value] == 0:
-        return NodeMode.ACTIVE
-    if state.counts[NodeMode.PASSIVE.value] == 0:
-        return NodeMode.PASSIVE
-    bonus = np.sqrt(math.log(t) / state.counts)
-    score = state.means + bonus
-    if score[NodeMode.ACTIVE.value] >= score[NodeMode.PASSIVE.value]:
-        return NodeMode.ACTIVE
-    return NodeMode.PASSIVE
+    counts = state.counts
+    # rows with an unplayed arm are decided before their score is read
+    score = state.means + np.sqrt(math.log(t) / np.maximum(counts, 1))
+    return (counts[:, ACTIVE] == 0) | (
+        (counts[:, PASSIVE] > 0) & (score[:, ACTIVE] >= score[:, PASSIVE])
+    )
 
 
-def record_reward(state: BanditState, mode: NodeMode, value: float) -> BanditState:
-    """Update the played arm's running mean and count in place."""
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRangeReward(f"reward {value} outside [0, 1]")
-    i = mode.value
-    state.counts[i] += 1
-    state.means[i] += (value - state.means[i]) / state.counts[i]
-    state.total_steps += 1
+def record_reward(
+    state: BanditState, active: np.ndarray, rewards: np.ndarray
+) -> BanditState:
+    """Update every node's played arm (Active where `active` is True) with
+    its (N,) reward, running mean and count, in place. Nothing is updated
+    when any reward lies outside [0, 1]."""
+    rewards = np.asarray(rewards, dtype=float)
+    bad = ~((rewards >= 0.0) & (rewards <= 1.0))
+    if bad.any():
+        raise OutOfRangeReward(f"rewards {rewards[bad]} outside [0, 1]")
+    rows = np.arange(rewards.size)
+    arm = np.where(active, ACTIVE, PASSIVE)
+    state.counts[rows, arm] += 1
+    means = state.means[rows, arm]
+    state.means[rows, arm] = means + (rewards - means) / state.counts[rows, arm]
     return state
 
 
 def baseline_policy(
-    kind: PolicyKind, p: float, rng: np.random.Generator
-) -> NodeMode:
-    """Radar-only always plays Active; random-p plays Active with probability p."""
+    kind: PolicyKind, p: float, num_nodes: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The (N,) Active mask of a baseline: radar-only plays Active at every
+    node; random-p plays Active at each node with probability p, one
+    uniform draw per node."""
     if kind is PolicyKind.RADAR_ONLY:
-        return NodeMode.ACTIVE
+        return np.ones(num_nodes, dtype=bool)
     if kind is PolicyKind.RANDOM:
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        return NodeMode.ACTIVE if rng.random() < p else NodeMode.PASSIVE
+        return rng.random(num_nodes) < p
     raise ValueError(f"not a baseline policy: {kind}")

@@ -37,7 +37,6 @@ import numpy as np
 from crnsim.bandit import (
     MIN_OBSERVATIONS_FOR_ESTIMATE,
     BanditState,
-    NodeMode,
     PolicyKind,
     baseline_policy,
     compute_rewards,
@@ -54,7 +53,7 @@ from crnsim.classlib import (
     vector_from_histories,
 )
 from crnsim.dynamics import TargetTable, make_target_table, step_motion, step_signal
-from crnsim.markov import normalized_entropy
+from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.scenario import (
     MOTION_STATES,
     DegenerateScenario,
@@ -96,6 +95,13 @@ MIN_RADAR_OBS = 10
 MIN_PASSIVE_OBS = 3
 
 DEFAULT_RANDOM_ACTIVE_P = 0.8
+
+# a first sighting older than this many steps is replaced by the next look
+# rather than differenced with it: over a long gap the target may have turned,
+# and the difference would start the track with a wrong velocity and a small
+# covariance. Two steps is the normal gap under the bandit, whose nodes all
+# play Active at t=1 and Passive at t=2.
+PENDING_MAX_AGE_STEPS = 2
 
 
 class ConfigError(ValueError):
@@ -188,7 +194,6 @@ class World:
     noise, speed and turn-rate ranges). A target's row is also its row in
     the coordinator's track table and the id its sensor returns carry."""
 
-    nodes: list
     targets: TargetTable
     family: TargetFamily
     node_positions: np.ndarray  # (N, 3)
@@ -197,7 +202,7 @@ class World:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_positions)
 
     @property
     def num_targets(self) -> int:
@@ -208,18 +213,17 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
     """Spawn a usable scenario, resampling degenerate draws a few times."""
     for attempt in range(MAX_SPAWN_RETRIES + 1):
         try:
-            nodes, targets = spawn_scenario(scenario, rng)
+            node_positions, targets = spawn_scenario(scenario, rng)
             break
         except DegenerateScenario:
             if attempt == MAX_SPAWN_RETRIES:
                 raise
     classes = [scenario.family.class_by_id(t.class_id) for t in targets]
     return World(
-        nodes=nodes,
         targets=make_target_table(targets, scenario.family.classes),
         family=scenario.family,
-        node_positions=np.array([n.position for n in nodes]),
-        radar_ranges=np.array([n.radar_range_m for n in nodes]),
+        node_positions=node_positions,
+        radar_ranges=np.full(len(node_positions), scenario.radar_range_km * 1000.0),
         passive_ranges=np.array(
             [
                 max_detectable_range(c.tx_power_w, c.tx_gain, scenario.receiver)
@@ -231,8 +235,8 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
 
 @dataclass
 class Coordinator:
-    """Central fusion state: the track table, learned classes, per-node
-    bandits.
+    """Central fusion state: the track table, learned classes and the
+    bandit table (one row per node; None under a baseline policy).
 
     The table has one row per target of the epoch's world, in world order
     (a target has at most one track). A row is the whole track: the IMM
@@ -250,7 +254,7 @@ class Coordinator:
     num_targets: int = 0  # table rows
     # first sightings waiting for a second measurement: row -> (step, pos, R)
     pending: dict = field(default_factory=dict)
-    bandits: list = field(default_factory=list)
+    bandits: Optional[BanditState] = None
     _noise_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -351,7 +355,7 @@ def make_coordinator(
         num_signal_states=world.family.signal_state_count,
         use_class_knowledge=bandit,
         num_targets=world.num_targets,
-        bandits=[BanditState() for _ in world.nodes] if bandit else [],
+        bandits=BanditState.cold(world.num_nodes) if bandit else None,
     )
 
 
@@ -389,13 +393,11 @@ def track_parameter_vector(
 
 def _select_modes(
     coordinator: Coordinator, policy: PolicySpec, num_nodes: int, t: int, rng
-) -> list:
+) -> np.ndarray:
+    """The (N,) Active mask of this step."""
     if policy.kind is PolicyKind.BANDIT:
-        return [ucb_select(coordinator.bandits[i], t) for i in range(num_nodes)]
-    return [
-        baseline_policy(policy.kind, policy.active_probability, rng)
-        for _ in range(num_nodes)
-    ]
+        return ucb_select(coordinator.bandits, t)
+    return baseline_policy(policy.kind, policy.active_probability, num_nodes, rng)
 
 
 def _predict_tracks(coordinator: Coordinator, dt: float) -> None:
@@ -426,9 +428,10 @@ def _fuse_radar(
     noise: SensorNoise,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply this step's radar returns: start tracks via two-point
-    differencing, update the rest in one batch. Returns the rows of the
-    tracks that got a reading, ascending, and the angular rate each one
-    measured.
+    differencing of a held first sighting and the new look, update the rest
+    in one batch. A sighting more than PENDING_MAX_AGE_STEPS old is
+    replaced by the new look. Returns the rows of the tracks that got a
+    reading, ascending, and the angular rate each one measured.
 
     One observer per target per step: the coordinator uses the return of
     the closest active node (smallest measured range, then lowest node id)
@@ -455,7 +458,7 @@ def _fuse_radar(
     for i in np.flatnonzero(~tracked):
         row = int(rows[i])
         held = coordinator.pending.pop(row, None)
-        if held is None:
+        if held is None or t - held[0] > PENDING_MAX_AGE_STEPS:
             coordinator.pending[row] = (t, pos[i], R3[i])
             continue
         step0, pos0, R0 = held
@@ -574,31 +577,26 @@ def _attempt_assignments(coordinator: Coordinator) -> None:
             c.class_ids[row] = class_id
 
 
-def _smoothed(counts: np.ndarray) -> np.ndarray:
-    """Add-one posterior mean of each row of state counts.
-
-    Raw frequencies from a handful of samples are usually degenerate (five
-    steps in Cruise reads as zero entropy), which would pay the bandit for
-    ignorance; a unit of prior mass spread over the states keeps small
-    samples honestly uncertain while letting genuinely one-sided histories
-    collapse within ~10 observations. Reward side only -- harvested
-    vectors keep raw occupancy."""
-    p = counts + 1.0 / counts.shape[1]
-    return p / p.sum(axis=1, keepdims=True)
-
-
 def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
     """(motion, signal) normalized entropies of the live tracks in start
     order, (B, 2), under the coordinator's best current knowledge. Class
     centroids stand in once a track is classified; thin histories (< 3
     observations) count as fully uncertain, eta = 1; otherwise the
-    smoothed reading counts give them."""
+    reading counts, smoothed by one unit of prior mass spread over the
+    states, give them.
+
+    Raw frequencies from a handful of samples are usually degenerate (five
+    steps in Cruise reads as zero entropy), which would pay the bandit for
+    ignorance; the prior mass keeps small samples honestly uncertain while
+    letting genuinely one-sided histories collapse within ~10 observations.
+    Reward side only -- harvested vectors keep raw occupancy."""
     c = coordinator
     rows = c.order
     motion, signal = c.motion_counts[rows], c.signal_counts[rows]
-    etas = np.column_stack(
-        [normalized_entropy(_smoothed(motion)), normalized_entropy(_smoothed(signal))]
-    )
+    etas = np.column_stack([
+        normalized_entropy(transition_matrix_from_counts(n, 1.0 / n.shape[1]))
+        for n in (motion, signal)
+    ])
     etas[motion.sum(axis=1) + signal.sum(axis=1) < MIN_OBSERVATIONS_FOR_ESTIMATE] = 1.0
     class_ids = c.class_ids[rows]
     for cid, eta in c.class_etas.items():
@@ -622,10 +620,8 @@ def run_step(
     then rewards for the played arms.
     """
     dt = config.dt_s
-    N = world.num_nodes
 
-    modes = _select_modes(coordinator, policy, N, t, streams.policy)
-    active = np.array([m is NodeMode.ACTIVE for m in modes])
+    active = _select_modes(coordinator, policy, world.num_nodes, t, streams.policy)
 
     truth = world.targets
     step_motion(truth, dt, streams.world)
@@ -691,8 +687,7 @@ def run_step(
         active,
     )
     if policy.kind is PolicyKind.BANDIT:
-        for i in range(N):
-            record_reward(coordinator.bandits[i], modes[i], float(rewards[i]))
+        record_reward(coordinator.bandits, active, rewards)
     tape.modes.append(active)
     tape.rewards.append(rewards)
 

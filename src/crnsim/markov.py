@@ -10,6 +10,7 @@ through caller-supplied numpy Generators; nothing here holds hidden state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -32,8 +33,9 @@ class MarkovChain:
     `row_cdf` holds each row's cumulative distribution, built the way
     `Generator.choice` builds it (cumsum, then divide by the last entry),
     so that `sample_next` and `sample_path` can draw without calling
-    `choice`. Chains compare by identity: a generated `==` would compare
-    the arrays inside a tuple and raise."""
+    `choice`. `stationary` is solved on first use and kept. Chains compare
+    by identity: a generated `==` would compare the arrays inside a tuple
+    and raise."""
 
     transition: np.ndarray
     labels: tuple[str, ...] = ()
@@ -70,6 +72,14 @@ class MarkovChain:
     def num_states(self) -> int:
         return self.transition.shape[0]
 
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """The stationary distribution, read-only; see
+        `stationary_distribution`."""
+        pi = _solve_stationary(self.transition)
+        pi.setflags(write=False)
+        return pi
+
 
 @dataclass(frozen=True)
 class StateSequence:
@@ -99,13 +109,17 @@ def _closed_class_count(P: np.ndarray) -> int:
 
 
 def stationary_distribution(chain: MarkovChain) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 by direct linear solve.
+    """Solve pi P = pi, sum(pi) = 1 by direct linear solve, once per chain:
+    the read-only `chain.stationary`.
 
     Raises NonUniqueStationary when the chain has two or more closed
     communicating classes (the fixed point is then not unique).
     """
-    P = chain.transition
-    p = chain.num_states
+    return chain.stationary
+
+
+def _solve_stationary(P: np.ndarray) -> np.ndarray:
+    p = P.shape[0]
     if p == 1:
         return np.array([1.0])
     if _closed_class_count(P) > 1:
@@ -167,7 +181,7 @@ def sample_path(
         rng = np.random.default_rng()
     path = np.empty(length, dtype=np.int64)
     if init is None:
-        init = int(rng.choice(chain.num_states, p=stationary_distribution(chain)))
+        init = int(rng.choice(chain.num_states, p=chain.stationary))
     path[0] = init
     u = rng.random(length)
     for t in range(1, length):
@@ -196,10 +210,12 @@ def transition_matrix_from_counts(
     counts: np.ndarray, smoothing: float = 1.0
 ) -> np.ndarray:
     """Additive-smoothing estimate from a count matrix: row i is
-    (count(i->j) + smoothing) / (count(i->.) + p*smoothing). Rows with no
-    mass (unvisited, smoothing == 0) come out uniform."""
+    (count(i->j) + smoothing) / (count(i->.) + p*smoothing) over the p
+    columns. Rows with no mass (unvisited, smoothing == 0) come out
+    uniform. Any number of rows works, none included: each is one
+    distribution's counts."""
     counts = np.asarray(counts, dtype=float) + smoothing
-    p = counts.shape[0]
+    p = counts.shape[1]
     totals = counts.sum(axis=1, keepdims=True)
     return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / p)
 

@@ -15,11 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from crnsim.markov import (
-    MarkovChain,
-    equal_in_state_distribution,
-    stationary_distribution,
-)
+from crnsim.markov import MarkovChain, equal_in_state_distribution
 from crnsim.sensing import ReceiverParams
 
 MOTION_STATES = ("CruiseCV", "CoordinatedTurn", "HighGManeuver")
@@ -96,7 +92,7 @@ class TargetClass:
         stationary distributions followed by all transition rows."""
         out = []
         for chain in (self.motion_chain, self.signal_chain, self.tx_chain):
-            out.append(stationary_distribution(chain))
+            out.append(chain.stationary)
         for chain in (self.motion_chain, self.signal_chain, self.tx_chain):
             out.extend(chain.transition)
         return out
@@ -154,13 +150,6 @@ class Target:
     tx_on: bool
     turn_rate_radps: float = 0.0  # current coordinated-turn rate
     heading_rate_radps: float = 0.0  # realized heading change over the last step
-
-
-@dataclass(frozen=True, eq=False)
-class Node:
-    node_id: int
-    position: np.ndarray  # [x, y, 0] m
-    radar_range_m: float = 4000.0
 
 
 @dataclass(frozen=True)
@@ -295,10 +284,11 @@ def default_family() -> TargetFamily:
 
 def spawn_scenario(
     config: ScenarioConfig, rng: np.random.Generator
-) -> tuple[list[Node], list[Target]]:
+) -> tuple[np.ndarray, list[Target]]:
     """Draw one scenario: node and target positions from independent PPPs,
     classes uniform over the family, initial chain states from the
     stationary distributions, speed/heading uniform within class limits.
+    Returns the (N, 3) node positions, on the ground, and the targets.
     """
     node_xy = sample_ppp(config.node_density_per_km2, config.region, rng)
     target_xy = sample_ppp(config.target_density_per_km2, config.region, rng)
@@ -306,27 +296,13 @@ def spawn_scenario(
         raise DegenerateScenario(
             f"drew {len(node_xy)} nodes and {len(target_xy)} targets"
         )
-    nodes = [
-        Node(
-            node_id=i,
-            position=np.array([xy[0], xy[1], 0.0]),
-            radar_range_m=config.radar_range_km * 1000.0,
-        )
-        for i, xy in enumerate(node_xy)
-    ]
     family = config.family
-    stationaries = {
-        cls.class_id: (
-            stationary_distribution(cls.motion_chain),
-            stationary_distribution(cls.signal_chain),
-            stationary_distribution(cls.tx_chain),
-        )
-        for cls in family.classes
-    }
     targets = []
     for j, xy in enumerate(target_xy):
         cls = family.classes[rng.integers(len(family.classes))]
-        pi_v, pi_s, pi_tx = stationaries[cls.class_id]
+        pi_v = cls.motion_chain.stationary
+        pi_s = cls.signal_chain.stationary
+        pi_tx = cls.tx_chain.stationary
         motion_state = int(rng.choice(pi_v.size, p=pi_v))
         speed = rng.uniform(*cls.speed_range_mps)
         heading = rng.uniform(0.0, 2.0 * np.pi)
@@ -348,4 +324,4 @@ def spawn_scenario(
                 turn_rate_radps=turn_rate,
             )
         )
-    return nodes, targets
+    return np.column_stack([node_xy, np.zeros(len(node_xy))]), targets

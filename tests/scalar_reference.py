@@ -1,25 +1,37 @@
-"""One-pair, one-track references for the batched sensing and filter code.
+"""One-pair, one-track, one-node references for the batched sensing, filter
+and bandit code.
 
 `radar_measure` and `passive_detect` evaluate a single node/target pair
 with the gates and noise model of `sensing.radar_measure_batch` and
-`sensing.passive_detect_batch`. The tests use them as oracles for the batch
-functions, and to feed a filter one measurement at a time. `kalman_update`
+`sensing.passive_detect_batch`; `make_node` builds the node they read. The
+tests use them as oracles for the batch functions, and to feed a filter one
+measurement at a time. `kalman_update`
 fuses one radar row into one track through `tracking.kalman_update_arrays`
 with a batch of 1. `track_uncertainties` rebuilds every track's reward
 entropies from its row's whole histories, one track at a time, as an
 oracle for the engine's table of reading counts. `target_row` hands one
-row of a `dynamics.TargetTable` to these one-target functions. None of this
-runs in the simulation.
+row of a `dynamics.TargetTable` to these one-target functions.
+`ucb_select`, `record_reward` and `baseline_policy` play one node's two
+arms, held as (2,) counts and means indexed by `bandit.ACTIVE` and
+`bandit.PASSIVE`, as oracles for the bandit table. None of this runs in
+the simulation.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from crnsim.bandit import MIN_OBSERVATIONS_FOR_ESTIMATE, NodeMode
+from crnsim.bandit import (
+    ACTIVE,
+    MIN_OBSERVATIONS_FOR_ESTIMATE,
+    PASSIVE,
+    OutOfRangeReward,
+    PolicyKind,
+)
 from crnsim.classlib import block_values
 from crnsim.markov import normalized_entropy
 from crnsim.scenario import MOTION_STATES, TX_ON, Target
@@ -52,14 +64,21 @@ def target_row(targets, i: int = 0) -> Target:
     )
 
 
+def make_node(pos, radar_range_m: float = 4000.0) -> SimpleNamespace:
+    """One radar node: its position (3,) and horizontal radar range."""
+    return SimpleNamespace(
+        position=np.asarray(pos, dtype=float), radar_range_m=radar_range_m
+    )
+
+
 def radar_measure(
-    node, target, mode: NodeMode, rng: np.random.Generator, noise=SensorNoise()
+    node, target, active: bool, rng: np.random.Generator, noise=SensorNoise()
 ) -> Optional[np.ndarray]:
     """[range, azimuth, elevation, radial velocity, angular rate] of one
     target seen by one node's radar, noise included; None when the node is
     passive or the target lies outside its horizontal range gate. Noise is
     drawn channel by channel, in column order."""
-    if mode is not NodeMode.ACTIVE:
+    if not active:
         return None
     rel = target.position - node.position
     if math.hypot(rel[0], rel[1]) > node.radar_range_m:
@@ -84,14 +103,14 @@ def passive_detect(
     node,
     target,
     target_class,
-    mode: NodeMode,
+    active: bool,
     rng: np.random.Generator,
     noise=SensorNoise(),
 ) -> Optional[tuple[float, float]]:
     """(noisy bearing, linear SNR) of one target's emission at one node;
     None unless the node is passive, the target transmits, and the link
     budget of the default receiver reaches 0 dB."""
-    if mode is not NodeMode.PASSIVE or not target.tx_on:
+    if active or not target.tx_on:
         return None
     rel = target.position - node.position
     snr = passive_snr(
@@ -171,3 +190,37 @@ def track_uncertainties(coordinator) -> dict:
             es = smoothed_entropy(signal, coordinator.num_signal_states)
         etas[row] = (float(em), float(es))
     return etas
+
+
+def ucb_select(counts, means, t: int) -> bool:
+    """Whether one node plays Active: unplayed arms first, Active before
+    Passive, then the larger mean plus sqrt(log t / count), ties to Active."""
+    if t < 1:
+        raise ValueError("t starts at 1")
+    if counts[ACTIVE] == 0:
+        return True
+    if counts[PASSIVE] == 0:
+        return False
+    score = means + np.sqrt(math.log(t) / counts)
+    return bool(score[ACTIVE] >= score[PASSIVE])
+
+
+def record_reward(counts, means, active: bool, value: float) -> None:
+    """Update one node's played arm, running mean and count, in place."""
+    if not 0.0 <= value <= 1.0:
+        raise OutOfRangeReward(f"reward {value} outside [0, 1]")
+    i = ACTIVE if active else PASSIVE
+    counts[i] += 1
+    means[i] += (value - means[i]) / counts[i]
+
+
+def baseline_policy(kind: PolicyKind, p: float, rng: np.random.Generator) -> bool:
+    """Whether one node plays Active under a baseline: always under
+    radar-only, with probability p (one uniform draw) under random-p."""
+    if kind is PolicyKind.RADAR_ONLY:
+        return True
+    if kind is PolicyKind.RANDOM:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p must lie in [0, 1]")
+        return bool(rng.random() < p)
+    raise ValueError(f"not a baseline policy: {kind}")

@@ -1,11 +1,13 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from crnsim.bandit import (
+    ACTIVE,
+    PASSIVE,
     BanditState,
-    NodeMode,
     OutOfRangeReward,
     PolicyKind,
     baseline_policy,
@@ -16,6 +18,15 @@ from crnsim.bandit import (
 from crnsim.classlib import ClassLibrary
 from crnsim.engine import Coordinator, _track_uncertainties
 from crnsim.tracking import start_track
+
+import scalar_reference as scalar
+
+
+def one_node(counts=(0, 0), means=(0.0, 0.0)):
+    """A bandit table with one node's row."""
+    return BanditState(
+        np.array([counts], dtype=np.int64), np.array([means], dtype=float)
+    )
 
 
 class TestComputeRewards:
@@ -73,8 +84,8 @@ class TestComputeRewards:
             self.NODE_XY[:1], self.RANGES[:1], coordinator.estimates[:, :2], etas,
             passive,
         )[0]
-        state = record_reward(BanditState(), NodeMode.PASSIVE, float(reward))
-        assert state.means[NodeMode.PASSIVE.value] == reward
+        state = record_reward(one_node(), passive, np.array([reward]))
+        assert state.means[0, PASSIVE] == reward
 
     def test_known_distributions(self):
         # node 0 averages over its two covered tracks only
@@ -94,79 +105,125 @@ class TestComputeRewards:
 
 class TestUcbSelect:
     def test_unplayed_arms_first_active_then_passive(self):
-        state = BanditState()
-        assert ucb_select(state, 1) is NodeMode.ACTIVE
-        record_reward(state, NodeMode.ACTIVE, 0.0)
-        assert ucb_select(state, 2) is NodeMode.PASSIVE
+        state = one_node()
+        assert ucb_select(state, 1).tolist() == [True]
+        record_reward(state, np.array([True]), np.array([0.0]))
+        assert ucb_select(state, 2).tolist() == [False]
 
     def test_tie_goes_to_active(self):
-        state = BanditState(counts=np.array([3, 3]), means=np.array([0.5, 0.5]))
-        assert ucb_select(state, 7) is NodeMode.ACTIVE
+        assert ucb_select(one_node((3, 3), (0.5, 0.5)), 7).tolist() == [True]
 
     def test_exploration_bonus_hand_computed(self):
         # active: 0.5 + sqrt(ln 13 / 10) = 1.0064, passive: 0.9 + sqrt(ln 13 / 2) = 2.0325
-        state = BanditState(counts=np.array([10, 2]), means=np.array([0.5, 0.9]))
-        assert ucb_select(state, 13) is NodeMode.PASSIVE
+        assert ucb_select(one_node((10, 2), (0.5, 0.9)), 13).tolist() == [False]
         # flip the counts and the bonus no longer rescues the weaker mean
-        state = BanditState(counts=np.array([10, 10]), means=np.array([0.9, 0.5]))
-        assert ucb_select(state, 21) is NodeMode.ACTIVE
+        assert ucb_select(one_node((10, 10), (0.9, 0.5)), 21).tolist() == [True]
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
-            ucb_select(BanditState(), 0)
+            ucb_select(one_node(), 0)
 
     def test_converges_to_better_arm_under_constant_rewards(self):
         # gap of 0.15 between arm means: equilibrium pull share of the
         # better arm at horizon 50 should sit in the 0.55..0.9 band
-        state = BanditState()
-        rewards = {NodeMode.ACTIVE: 0.61, NodeMode.PASSIVE: 0.46}
+        state = one_node()
         for t in range(1, 51):
-            mode = ucb_select(state, t)
-            record_reward(state, mode, rewards[mode])
-        share = state.counts[NodeMode.ACTIVE.value] / 50
+            active = ucb_select(state, t)
+            record_reward(state, active, np.where(active, 0.61, 0.46))
+        share = state.counts[0, ACTIVE] / 50
         assert 0.55 <= share <= 0.9
-        assert state.counts[NodeMode.PASSIVE.value] >= 5  # still explores
+        assert state.counts[0, PASSIVE] >= 5  # still explores
 
 
 class TestRecordReward:
     def test_running_mean(self):
-        state = BanditState()
-        record_reward(state, NodeMode.ACTIVE, 0.2)
-        record_reward(state, NodeMode.ACTIVE, 0.4)
-        record_reward(state, NodeMode.PASSIVE, 1.0)
-        assert state.means[0] == pytest.approx(0.3)
-        assert state.means[1] == pytest.approx(1.0)
-        assert state.counts.tolist() == [2, 1]
-        assert state.total_steps == 3
+        state = one_node()
+        for active, reward in ((True, 0.2), (True, 0.4), (False, 1.0)):
+            record_reward(state, np.array([active]), np.array([reward]))
+        assert state.means[0, ACTIVE] == pytest.approx(0.3)
+        assert state.means[0, PASSIVE] == pytest.approx(1.0)
+        assert state.counts.tolist() == [[2, 1]]
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.inf])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.inf, math.nan])
     def test_rejects_out_of_range(self, bad):
+        # one bad reward among good ones: no node's arm is updated
+        state = BanditState(np.tile([1, 2], (3, 1)), np.tile([0.5, 0.25], (3, 1)))
+        before = copy.deepcopy(state)
         with pytest.raises(OutOfRangeReward):
-            record_reward(BanditState(), NodeMode.ACTIVE, bad)
+            record_reward(state, np.array([True, False, True]), np.array([0.5, bad, 1.0]))
+        assert np.array_equal(state.counts, before.counts)
+        assert np.array_equal(state.means, before.means)
 
 
 class TestBaselinePolicy:
     def test_radar_only_always_active(self):
         rng = np.random.default_rng(0)
-        assert all(
-            baseline_policy(PolicyKind.RADAR_ONLY, 0.0, rng) is NodeMode.ACTIVE
-            for _ in range(100)
-        )
+        active = baseline_policy(PolicyKind.RADAR_ONLY, 0.0, 100, rng)
+        assert active.dtype == bool and active.all() and active.shape == (100,)
 
     def test_random_p_frequency(self):
         rng = np.random.default_rng(7)
         n = 20_000
-        picks = sum(
-            baseline_policy(PolicyKind.RANDOM, 0.8, rng) is NodeMode.ACTIVE
-            for _ in range(n)
-        )
+        picks = baseline_policy(PolicyKind.RANDOM, 0.8, n, rng).sum()
         assert picks / n == pytest.approx(0.8, abs=0.01)
 
     def test_invalid_p_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            baseline_policy(PolicyKind.RANDOM, 1.2, rng)
+            baseline_policy(PolicyKind.RANDOM, 1.2, 3, rng)
 
     def test_bandit_kind_is_not_a_baseline(self):
         with pytest.raises(ValueError):
-            baseline_policy(PolicyKind.BANDIT, 0.5, np.random.default_rng(0))
+            baseline_policy(PolicyKind.BANDIT, 0.5, 3, np.random.default_rng(0))
+
+
+class TestBanditTableAgainstScalar:
+    """The table functions give, node by node, exactly what one node's
+    scalar bandit (`scalar_reference`) gives."""
+
+    def random_state(self, rng, n=64):
+        # small counts, so unplayed arms and both-played rows are common;
+        # every eighth row ties on counts and means
+        counts = rng.integers(0, 4, size=(n, 2))
+        means = rng.random((n, 2))
+        counts[::8, PASSIVE] = counts[::8, ACTIVE]
+        means[::8, PASSIVE] = means[::8, ACTIVE]
+        return BanditState(counts, means)
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 50])
+    def test_ucb_select(self, t):
+        state = self.random_state(np.random.default_rng(t))
+        got = ucb_select(state, t)
+        want = [scalar.ucb_select(c, m, t) for c, m in zip(state.counts, state.means)]
+        assert got.dtype == bool and got.tolist() == want
+        played = (state.counts > 0).all(axis=1)
+        assert got[~played].any() and (~got[~played]).any()
+        assert got[played].any() and (~got[played]).any()
+        assert played[::8].any() and got[::8][played[::8]].all()  # ties
+
+    def test_record_reward(self):
+        rng = np.random.default_rng(11)
+        state = self.random_state(rng)
+        counts, means = state.counts.copy(), state.means.copy()
+        for t in range(1, 20):
+            active = ucb_select(state, t)
+            rewards = rng.random(active.size)
+            rewards[::5] = 0.0
+            rewards[1::5] = 1.0
+            record_reward(state, active, rewards)
+            for i in range(active.size):
+                scalar.record_reward(counts[i], means[i], active[i], float(rewards[i]))
+            assert np.array_equal(state.counts, counts)
+            assert np.array_equal(state.means, means)  # bit for bit
+
+    @pytest.mark.parametrize("kind, p", [
+        (PolicyKind.RADAR_ONLY, 0.0), (PolicyKind.RANDOM, 0.8), (PolicyKind.RANDOM, 0.3),
+    ])
+    def test_baseline_policy(self, kind, p):
+        # one draw per node: the same mask and the same generator state as
+        # one scalar draw per node
+        batch, one = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(10):
+            got = baseline_policy(kind, p, 17, batch)
+            assert got.tolist() == [scalar.baseline_policy(kind, p, one) for _ in range(17)]
+        assert batch.random() == one.random()

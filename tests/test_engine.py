@@ -1,7 +1,8 @@
 """Engine contract: determinism, the paired design (the world stream alone
-reproduces an epoch's truth), config validation, one batched truth step per
-step whatever the target count, the harvest rule for radar-only, radar
-association by truth id with one return per target per step, the
+reproduces an epoch's truth), config validation, one batched truth step and
+one bandit-table selection and update per step whatever the target and node
+counts, the harvest rule for radar-only, radar association by truth id with
+one return per target per step and stale first sightings replaced, the
 coordinator's per-class prediction cache, the track table (its invariants,
 reward entropies against a per-track oracle, IMM combination equal to a
 `Track`'s, and no per-track state read or kept by the coordinator), the sign
@@ -41,11 +42,11 @@ from crnsim.engine import (
     run_experiment,
 )
 from crnsim.markov import stationary_distribution
-from crnsim.scenario import Node, Region, ScenarioConfig, Target, default_family
+from crnsim.scenario import Region, ScenarioConfig, Target, default_family
 from crnsim.sensing import SensorNoise
 from crnsim.tracking import Track, process_noise_matrix, start_track, untuned_tuning
 
-from scalar_reference import kalman_update, track_uncertainties
+from scalar_reference import kalman_update, make_node, track_uncertainties
 
 # about 7 nodes and 11 targets, 25 steps per epoch
 SMALL = SimConfig(
@@ -179,8 +180,6 @@ def _radar_world(node_positions, target_positions):
         for i, p in enumerate(target_positions)
     ]
     return World(
-        nodes=[Node(i, np.array(p, dtype=float), 10_000.0)
-               for i, p in enumerate(node_positions)],
         targets=make_target_table(targets, family.classes),
         family=family,
         node_positions=np.array(node_positions, dtype=float),
@@ -291,7 +290,7 @@ class TestRadarAssociation:
             track = Track(*(a[0] for a in coord.bank(np.array([0]))))
             expected = {
                 n: kalman_update(copy.deepcopy(track), rows[list(ni).index(n)],
-                                 world.nodes[n], noise)
+                                 make_node(world.node_positions[n]), noise)
                 for n in (0, 1)
             }
             read, omegas = fuse(world, coord, ni, ti, rows, t, 0.5, noise)
@@ -300,6 +299,34 @@ class TestRadarAssociation:
             want, other = expected[used], expected[1 - used]
             assert np.allclose(coord.model_states[0], want.model_states, atol=1e-6)
             assert not np.allclose(coord.model_states[0], other.model_states, atol=1.0)
+
+    @pytest.mark.parametrize("gap, starts", [(2, True), (40, False)])
+    def test_a_stale_first_sighting_is_replaced(self, gap, starts):
+        # a target seen at step 1 and next at step 1 + gap, flying at 20 m/s
+        # along x from then on; it was elsewhere at step 1. Up to two steps
+        # old, the held look starts the track; a 40-step-old look (20 s) is
+        # replaced, and the track starts from the next 0.5 s difference.
+        velocity = np.array([20.0, 0.0, 0.0])
+        seen = {1: np.array([3000.0, 3000.0, 500.0])}
+        for t in (1 + gap, 2 + gap):
+            seen[t] = np.array([2000.0, 0.0, 500.0]) + velocity * (t - 1 - gap) * 0.5
+        world = _radar_world([np.zeros(3)], [seen[1]])
+        coord = _radar_coordinator(world)
+        ni, ti = np.array([0]), np.array([0])
+
+        def look(t):
+            z = _polar_row(world.node_positions[0], seen[t])[None]
+            _fuse_radar(world, coord, ni, ti, z, t, 0.5, SensorNoise())
+
+        look(1)
+        look(1 + gap)
+        assert bool(coord.live[0]) == starts
+        if starts:
+            return
+        assert coord.pending[0][0] == 1 + gap
+        look(2 + gap)
+        assert coord.live[0] and coord.pending == {}
+        assert np.allclose(coord.estimates[0, 3:], velocity, atol=1e-6)
 
 
 def _one_class_library():
@@ -499,8 +526,12 @@ class TestTrackTable:
 class TestTruthBatch:
     def test_one_batched_truth_step_per_step(self, monkeypatch):
         # the truth advances with one step_motion, one step_signal and three
-        # Markov draws per step, however many targets the world holds
-        calls = {"step_motion": 0, "step_signal": 0, "sample_next": 0}
+        # Markov draws per step, however many targets the world holds; the
+        # bandit table picks every node's arm, and updates it, in one call
+        calls = {
+            "step_motion": 0, "step_signal": 0, "sample_next": 0,
+            "ucb_select": 0, "record_reward": 0,
+        }
         targets = []
 
         def counted(module, name):
@@ -512,8 +543,8 @@ class TestTruthBatch:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(engine, "step_motion")
-        counted(engine, "step_signal")
+        for name in ("step_motion", "step_signal", "ucb_select", "record_reward"):
+            counted(engine, name)
         counted(dynamics, "sample_next")
         _after_each_step(
             monkeypatch, lambda world, c: targets.append(world.num_targets)
@@ -523,7 +554,8 @@ class TestTruthBatch:
         assert steps == SMALL.num_epochs * SMALL.steps_per_epoch
         assert min(targets) > 1 and len(set(targets)) > 1
         assert calls == {
-            "step_motion": steps, "step_signal": steps, "sample_next": 3 * steps
+            "step_motion": steps, "step_signal": steps, "sample_next": 3 * steps,
+            "ucb_select": steps, "record_reward": steps,
         }
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crnsim.engine import _smoothed
+import crnsim.markov as markov
 from crnsim.markov import (
     EmptySequence,
     MarkovChain,
@@ -15,6 +15,7 @@ from crnsim.markov import (
     sample_next,
     sample_path,
     stationary_distribution,
+    transition_matrix_from_counts,
 )
 
 
@@ -104,6 +105,19 @@ class TestStationaryDistribution:
         assert pi[0] == pytest.approx(0.0, abs=1e-12)
         assert pi @ P == pytest.approx(pi, abs=1e-9)
 
+    def test_solved_once_per_chain_and_read_only(self, monkeypatch):
+        solve, solved = markov._solve_stationary, []
+        monkeypatch.setattr(
+            markov, "_solve_stationary", lambda P: solved.append(P) or solve(P)
+        )
+        c = MarkovChain(np.array([[0.9, 0.1], [0.5, 0.5]]))
+        pi = stationary_distribution(c)
+        sample_path(c, 5, rng=np.random.default_rng(0))
+        assert stationary_distribution(c) is pi is c.stationary
+        assert len(solved) == 1 and not pi.flags.writeable
+        with pytest.raises(ValueError):
+            pi[0] = 0.5
+
 
 class TestSampleNext:
     def test_deterministic_transition(self):
@@ -190,6 +204,13 @@ class TestEstimateTransitions:
         occ = np.bincount(path, minlength=3) / path.size
         assert occ == pytest.approx(stationary_distribution(chain), abs=0.02)
 
+    def test_smoothing_takes_any_number_of_rows(self):
+        # rows are distributions over the columns, however many there are
+        counts = np.array([[3, 0, 1], [0, 0, 0]])
+        got = transition_matrix_from_counts(counts, 1.0 / 3)
+        assert got == pytest.approx(np.array([[10, 1, 4], [5, 5, 5]]) / 15)
+        assert transition_matrix_from_counts(np.zeros((0, 4)), 0.25).shape == (0, 4)
+
 
 class TestNormalizedEntropy:
     def test_degenerate(self):
@@ -242,7 +263,8 @@ class TestNormalizedEntropy:
         # states and for smoothed counts [1] * 5 and [0] * 6
         rows = np.vstack(
             [np.full(n, 1.0 / n)]
-            + [_smoothed(np.full((1, n), c)) for c in (0, 1, 2, 3)]
+            + [transition_matrix_from_counts(np.full((1, n), c), 1.0 / n)
+               for c in (0, 1, 2, 3)]
         )
         assert normalized_entropy(rows).max() <= 1.0
         assert normalized_entropy(rows[0]) <= 1.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import crnsim.markov as markov
+from crnsim.engine import make_world
 from crnsim.markov import MarkovChain, stationary_distribution
 from crnsim.scenario import (
     COORD_TURN,
@@ -164,11 +166,14 @@ class TestSpawnScenario:
         cfg = ScenarioConfig()
         rng = np.random.default_rng(1)
         nodes, targets = spawn_scenario(cfg, rng)
-        for node in nodes:
-            assert 0 <= node.position[0] <= cfg.region.width_m
-            assert 0 <= node.position[1] <= cfg.region.height_m
-            assert node.position[2] == 0.0
-            assert node.radar_range_m == 4000.0
+        assert nodes.shape == (len(nodes), 3) and len(nodes) > 0
+        assert np.all((0 <= nodes[:, 0]) & (nodes[:, 0] <= cfg.region.width_m))
+        assert np.all((0 <= nodes[:, 1]) & (nodes[:, 1] <= cfg.region.height_m))
+        assert np.all(nodes[:, 2] == 0.0)
+        # the world keeps these positions, with the configured radar range
+        world = make_world(cfg, np.random.default_rng(1))
+        assert np.array_equal(world.node_positions, nodes)
+        assert np.all(world.radar_ranges == 4000.0)
         for t in targets:
             assert 0 <= t.position[0] <= cfg.region.width_m
             assert 0 <= t.position[1] <= cfg.region.height_m
@@ -190,6 +195,19 @@ class TestSpawnScenario:
                 assert cls.turn_rate_range_radps[0] <= abs(t.turn_rate_radps)
             else:
                 assert t.turn_rate_radps == 0.0
+
+    def test_spawns_reuse_the_family_stationaries(self, monkeypatch):
+        # the chains are fixed per class, so their stationary distributions
+        # are solved once, when the family is validated, and never per spawn
+        cfg = ScenarioConfig()
+        solve, solved = markov._solve_stationary, []
+        monkeypatch.setattr(
+            markov, "_solve_stationary", lambda P: solved.append(P) or solve(P)
+        )
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            spawn_scenario(cfg, rng)
+        assert solved == []
 
     def test_stationary_initialization_of_motion_states(self):
         # single-class family so every target is a UAV

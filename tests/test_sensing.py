@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crnsim.bandit import NodeMode
 from crnsim.classlib import ClassLibrary
 from crnsim.engine import GATE_MAX_RAD, Coordinator, _apply_passive, _associate_bearings
 from crnsim.sensing import (
@@ -18,16 +17,10 @@ from crnsim.sensing import (
     receiver_noise_power,
     wrap_angle,
 )
-from scalar_reference import passive_detect, radar_measure
+from scalar_reference import make_node, passive_detect, radar_measure
 
 ZERO_NOISE = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 SIGMA_DOA = math.radians(2.0)
-
-
-def make_node(pos, node_id=0, radar_range_m=4000.0):
-    return SimpleNamespace(
-        node_id=node_id, position=np.asarray(pos, dtype=float), radar_range_m=radar_range_m
-    )
 
 
 def make_target(pos, vel=(0.0, 0.0, 0.0), target_id=0, tx_on=True, signal_state=2,
@@ -300,7 +293,7 @@ class TestAssociateDetection:
 class TestBatchConsistency:
     def _setup(self, seed=3):
         rng = np.random.default_rng(seed)
-        nodes = [make_node(rng.uniform(0, 10_000, 3) * [1, 1, 0], node_id=i) for i in range(6)]
+        nodes = [make_node(rng.uniform(0, 10_000, 3) * [1, 1, 0]) for _ in range(6)]
         targets = [
             make_target(
                 rng.uniform(0, 10_000, 3) * [1, 1, 0.1],
@@ -315,10 +308,10 @@ class TestBatchConsistency:
 
     def test_radar_batch_matches_scalar(self):
         rng, nodes, targets = self._setup()
-        modes = [NodeMode.ACTIVE if i % 2 == 0 else NodeMode.PASSIVE for i in range(6)]
+        active = np.arange(6) % 2 == 0
         ni, ti, z = radar_measure_batch(
             np.array([n.position for n in nodes]),
-            np.array([m is NodeMode.ACTIVE for m in modes]),
+            active,
             np.full(6, 4000.0),
             np.array([t.position for t in targets]),
             np.array([t.velocity for t in targets]),
@@ -330,7 +323,7 @@ class TestBatchConsistency:
         expected = {}
         for i, node in enumerate(nodes):
             for j, t in enumerate(targets):
-                m = radar_measure(node, t, modes[i], rng, ZERO_NOISE)
+                m = radar_measure(node, t, active[i], rng, ZERO_NOISE)
                 if m is not None:
                     expected[(i, j)] = m
         assert got == set(expected)
@@ -354,7 +347,7 @@ class TestBatchConsistency:
         expected = set()
         for i, node in enumerate(nodes):
             for j, t in enumerate(targets):
-                if passive_detect(node, t, cls, NodeMode.PASSIVE, rng, ZERO_NOISE) is not None:
+                if passive_detect(node, t, cls, False, rng, ZERO_NOISE) is not None:
                     expected.add((i, j))
         assert got == expected
         for k, (a, b) in enumerate(zip(ni, ti)):

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from crnsim.bandit import NodeMode
 from crnsim.classlib import vector_from_histories
 from crnsim.dynamics import make_target_table, step_motion
 from crnsim.markov import MarkovChain, StateSequence, estimate_transitions
 from crnsim.scenario import (
     CRUISE_CV,
     HIGH_G,
-    Node,
     Target,
     TargetClass,
     default_family,
@@ -39,7 +37,7 @@ from crnsim.tracking import (
     tuned_tuning,
     untuned_tuning,
 )
-from scalar_reference import kalman_update, radar_measure, target_row
+from scalar_reference import kalman_update, make_node, radar_measure, target_row
 
 TINY_NOISE = SensorNoise(1e-6, 1e-9, 1e-9, 1e-6, 1e-9, 1e-9)
 
@@ -228,12 +226,12 @@ class TestKalmanUpdate:
         assert got_P[0, 0] == pytest.approx(exp_P, rel=1e-7, abs=1e-7)
 
     def test_perfect_measurement_limit(self):
-        node = Node(node_id=0, position=np.zeros(3))
+        node = make_node(np.zeros(3))
         truth = target_row(
             make_truth(make_class(), [2000.0, 1500.0, 400.0], v=(30.0, 0.0, 0.0))
         )
         rng = np.random.default_rng(0)
-        meas = radar_measure(node, truth, NodeMode.ACTIVE, rng, TINY_NOISE)
+        meas = radar_measure(node, truth, True, rng, TINY_NOISE)
         track = single_model_track(
             state=[1900, 1400, 300, 0, 0, 0], cov=np.eye(6) * 1e6
         )
@@ -242,21 +240,21 @@ class TestKalmanUpdate:
 
     def test_position_covariance_never_grows(self):
         rng = np.random.default_rng(5)
-        node = Node(node_id=0, position=np.zeros(3))
+        node = make_node(np.zeros(3))
         truth = target_row(
             make_truth(make_class(), [2500.0, 1000.0, 300.0], v=(10.0, 5.0, 0.0))
         )
         track = single_model_track(state=[2400, 900, 250, 0, 0, 0])
         for _ in range(20):
             before = np.trace(track.covariance[:3, :3])
-            meas = radar_measure(node, truth, NodeMode.ACTIVE, rng)
+            meas = radar_measure(node, truth, True, rng)
             kalman_update(track, meas, node)
             after = np.trace(track.covariance[:3, :3])
             assert after <= before + 1e-9
 
     def test_noiseless_cv_convergence(self):
         # 50 exact measurements: final position error well under sigma_r/10
-        node = Node(node_id=0, position=np.zeros(3))
+        node = make_node(np.zeros(3))
         cls = make_class(speed_range=(0.0, 100.0))
         truth = make_truth(cls, [-1200.0, 500.0, 300.0], v=(30.0, 10.0, 0.0))
         rng = np.random.default_rng(0)
@@ -266,7 +264,7 @@ class TestKalmanUpdate:
         for step in range(50):
             step_motion(truth, 0.5, rng)
             meas = radar_measure(
-                node, target_row(truth), NodeMode.ACTIVE, rng, TINY_NOISE
+                node, target_row(truth), True, rng, TINY_NOISE
             )
             pos, R = polar_to_cartesian(
                 meas[0], meas[1], meas[2], node.position,
@@ -285,7 +283,7 @@ class TestKalmanUpdate:
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(7)
-        node = Node(node_id=0, position=np.zeros(3))
+        node = make_node(np.zeros(3))
         cls = make_class(speed_range=(0.0, 200.0), process_noise=(3.0, 3.0, 3.0))
         truth = make_truth(cls, [1500.0, 2500.0, 600.0], v=(40.0, -20.0, 0.0))
         track = start_track(
@@ -302,7 +300,7 @@ class TestKalmanUpdate:
             for P in track.model_covs:
                 assert P == pytest.approx(P.T, abs=1e-9)
                 assert np.min(np.linalg.eigvalsh(P)) > -1e-6
-            meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
+            meas = radar_measure(node, target_row(truth), True, rng)
             kalman_update(track, meas, node)
             for P in track.model_covs:
                 assert P == pytest.approx(P.T, abs=1e-9)
@@ -342,7 +340,7 @@ class TestMotionStateInference:
 
     def _run_segment(self, state, accel, omega_truth, steps=5):
         rng = np.random.default_rng(11)
-        node = Node(node_id=0, position=np.zeros(3))
+        node = make_node(np.zeros(3))
         uav = default_family().classes[0]
         stay = np.zeros((3, 3))
         stay[:, state] = 1.0
@@ -362,7 +360,7 @@ class TestMotionStateInference:
         posts = []
         for step in range(steps + 2):
             step_motion(truth, 0.5, rng)
-            meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
+            meas = radar_measure(node, target_row(truth), True, rng)
             pos, R = polar_to_cartesian(
                 meas[0], meas[1], meas[2], node.position,
                 (25.0, 0.0175, 0.0175),
@@ -459,7 +457,7 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
     """Full pipeline on a mode-switching UAV-class target: returns per-step
     inference accuracy and the track's recorded motion history."""
     rng = np.random.default_rng(seed)
-    node = Node(node_id=0, position=np.zeros(3), radar_range_m=radar_range_m)
+    node = make_node(np.zeros(3), radar_range_m=radar_range_m)
     uav = default_family().classes[0]
     truth = make_truth(uav, [-800.0, 900.0, 500.0], v=(22.0, -5.0, 0.0))
     tuning = tuned_tuning(uav)
@@ -468,7 +466,7 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
     hits = total = 0
     for step in range(steps):
         step_motion(truth, 0.5, rng)
-        meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
+        meas = radar_measure(node, target_row(truth), True, rng)
         pos, R = polar_to_cartesian(
             meas[0], meas[1], meas[2], node.position,
             (25.0, 0.0175, 0.0175),
@@ -509,7 +507,7 @@ def _paired_epoch_rmse(cls, seed, num_targets):
     """Mean epoch RMSE over class-matched targets for a tuned and an
     untuned filter fed identical measurement streams."""
     rng = np.random.default_rng(seed)
-    node = Node(node_id=0, position=np.zeros(3), radar_range_m=100_000.0)
+    node = make_node(np.zeros(3), radar_range_m=100_000.0)
     tun, unt = tuned_tuning(cls), untuned_tuning()
     sums = {"tuned": 0.0, "untuned": 0.0}
     for _ in range(num_targets):
@@ -526,7 +524,7 @@ def _paired_epoch_rmse(cls, seed, num_targets):
         truth_path = []
         for _ in range(52):
             step_motion(truth, 0.5, rng)
-            meas = radar_measure(node, target_row(truth), NodeMode.ACTIVE, rng)
+            meas = radar_measure(node, target_row(truth), True, rng)
             pos, R = polar_to_cartesian(
                 meas[0], meas[1], meas[2],
                 node.position, (25.0, 0.0175, 0.0175),
