@@ -7,24 +7,16 @@ and clusters observed behavior into target classes used to tune the filters.
 
 from crnsim.markov import (
     MarkovChain,
-    StateSequence,
     equal_in_state_distribution,
-    estimate_transitions,
     normalized_entropy,
     sample_next,
-    sample_path,
-    stationary_distribution,
 )
 
 __all__ = [
     "MarkovChain",
-    "StateSequence",
     "equal_in_state_distribution",
-    "estimate_transitions",
     "normalized_entropy",
     "sample_next",
-    "sample_path",
-    "stationary_distribution",
 ]
 
 __version__ = "0.1.0"

@@ -1,17 +1,19 @@
 """End-of-epoch class learning over per-target parameter estimates.
 
 Each observed target contributes a ParameterVector, which
-`vector_from_histories` builds from the track's (step, state) histories of
-motion states and signal types: the estimated stationary distributions
-(primary blocks) plus the rows of the estimated transition matrices
-(half-weight blocks — stationary behavior defines a class, transition
-structure only helps separate classes that happen to share it), with the
-evidence behind each block. This is the only place that turns observed
-behavior into a vector; tracks only record readings. Vectors are clustered
-by k-means under a summed Jensen-Shannon divergence, the cluster count
-is chosen by AIC, and the resulting classes persist across epochs: each
-update re-clusters the cumulative pool and keeps ids stable by matching
-new centroids to old ones.
+`vectors_from_counts` builds, a batch of tracks at a time, from the count
+tables the coordinator keeps per track: how often each motion state and
+signal type was read, and how often each state followed another in adjacent
+steps. A vector holds the estimated stationary distributions (primary
+blocks) plus the rows of the estimated transition matrices (half-weight
+blocks — stationary behavior defines a class, transition structure only
+helps separate classes that happen to share it), with the evidence behind
+each block. This is the only place that turns observed behavior into a
+vector; tracks only count readings. Vectors are clustered by k-means under
+a summed Jensen-Shannon divergence, the cluster count is chosen by AIC, and
+the resulting classes persist across epochs: each update re-clusters the
+cumulative pool and keeps ids stable by matching new centroids to old ones.
+`assign_class` scores a batch of vectors against the current classes.
 
 A learned class carries enough structure to tune a filter bank: its
 centroid's motion-transition rows become the IMM mixing chain, with the
@@ -24,7 +26,8 @@ rules keep it so. Each block is summed strictly left to right, the order
 numpy's `.sum(axis=-1)` uses on a slice (`np.add.reduceat` and pairwise
 sums group the terms differently). Per-block results are combined by a
 sequential `out += w_b * x[..., b]` in block order, never by a sum over the
-block axis.
+block axis. Every kernel is elementwise across vectors, so a vector scores
+the same alone as in any batch.
 """
 
 from __future__ import annotations
@@ -130,75 +133,64 @@ def block_values(vector: ParameterVector, name: str) -> np.ndarray:
     raise KeyError(name)
 
 
-def make_parameter_vector(
-    pi_v: np.ndarray,
-    P_v: np.ndarray,
-    pi_s: np.ndarray,
-    P_s: np.ndarray,
-    evidence,
-) -> ParameterVector:
-    """Assemble the standard vector from one target's estimates and the
-    evidence behind each block, in `family_blocks` order."""
-    pi_v = np.asarray(pi_v, dtype=float)
-    pi_s = np.asarray(pi_s, dtype=float)
-    P_v = np.asarray(P_v, dtype=float)
-    P_s = np.asarray(P_s, dtype=float)
-    values = np.concatenate([pi_v, pi_s, P_v.ravel(), P_s.ravel()])
-    return ParameterVector(
-        values=values,
-        blocks=family_blocks(pi_v.size, pi_s.size),
-        evidence=evidence,
-    )
-
-
-def occupancy_sample_size(n_steps: float, occupancy, transition) -> float:
+def occupancy_sample_size(n_steps, occupancy, transition):
     """Effective number of independent draws behind an occupancy estimate.
 
     A persistent chain revisits its current state, so n_steps observations
     carry far less evidence about the stationary distribution than n_steps
     iid draws would; pretending otherwise makes the AIC likelihood read
     ordinary between-target scatter as class structure. Discounts by the
-    mean self-transition probability rho: n * (1 - rho) / (1 + rho).
+    mean self-transition probability rho: n * (1 - rho) / (1 + rho), and
+    0 where n_steps is 0.
 
     rho is deliberately the raw self-transition mass, not the excess over
     chance agreement: the overshoot (an iid chain already gets rho > 0)
     doubles as slack for the cross-correlation between the occupancy and
     transition-row estimates, which all come from the same short path.
+
+    Takes one estimate per leading index: n_steps (...), occupancy (..., S)
+    and transition (..., S, S) give (...).
     """
-    if n_steps <= 0:
-        return 0.0
-    occupancy = np.asarray(occupancy, dtype=float)
-    rho = float(np.sum(occupancy * np.diag(np.asarray(transition, dtype=float))))
-    return float(n_steps) * (1.0 - rho) / (1.0 + rho)
+    n = np.asarray(n_steps, dtype=float)
+    diagonal = np.diagonal(np.asarray(transition, dtype=float), axis1=-2, axis2=-1)
+    rho = (np.asarray(occupancy, dtype=float) * diagonal).sum(axis=-1)
+    return np.where(n > 0, n * (1.0 - rho) / (1.0 + rho), 0.0)
 
 
-def _history_counts(history, num_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy frequencies and transition counts of one (step, state)
-    history. A transition is counted only between readings in adjacent
-    steps, never across a gap."""
-    steps, states = np.asarray(history, dtype=np.int64).reshape(-1, 2).T
-    occupancy = np.bincount(states, minlength=num_states) / states.size
-    adjacent = steps[1:] == steps[:-1] + 1
-    pairs = states[:-1][adjacent] * num_states + states[1:][adjacent]
-    counts = np.bincount(pairs, minlength=num_states * num_states)
-    return occupancy, counts.reshape(num_states, num_states).astype(float)
+def _channel_estimates(counts: np.ndarray, transitions: np.ndarray):
+    """Occupancy (B, S), add-one transition matrices flattened row by row
+    (B, S * S), discounted occupancy sample sizes (B,) and per-source
+    transition counts (B, S) of one reading channel of B tracks."""
+    B, S = counts.shape
+    n = counts.sum(axis=1)
+    occupancy = counts / n[:, None]
+    transitions = transitions.astype(float)
+    P = transition_matrix_from_counts(transitions)
+    return (
+        occupancy,
+        P.reshape(B, S * S),
+        occupancy_sample_size(n, occupancy, P),
+        transitions.sum(axis=2),
+    )
 
 
-def vector_from_histories(
-    motion, signal, num_motion_states: int, num_signal_states: int
-) -> ParameterVector:
-    """One target's behavior vector from its (step, state) histories of
-    motion states and signal types (each non-empty, at most one reading per
-    step): occupancies, add-one transition matrices, and as evidence the
-    discounted occupancy sample sizes and the per-row transition counts."""
-    pi_v, mc = _history_counts(motion, num_motion_states)
-    pi_s, sc = _history_counts(signal, num_signal_states)
-    P_v = transition_matrix_from_counts(mc)
-    P_s = transition_matrix_from_counts(sc)
-    n_v = occupancy_sample_size(len(motion), pi_v, P_v)
-    n_s = occupancy_sample_size(len(signal), pi_s, P_s)
-    evidence = np.concatenate([[n_v, n_s], mc.sum(axis=1), sc.sum(axis=1)])
-    return make_parameter_vector(pi_v, P_v, pi_s, P_s, evidence)
+def vectors_from_counts(
+    motion_counts: np.ndarray,
+    motion_transitions: np.ndarray,
+    signal_counts: np.ndarray,
+    signal_transitions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Behavior vectors of B tracks from their reading counts: occupancy
+    counts (B, V) and (B, S), and counts of transitions between readings in
+    adjacent steps (B, V, V) and (B, S, S); every track has at least one
+    reading of each kind. Returns the (B, L) values in `family_blocks(V, S)`
+    order -- occupancies, add-one transition matrices -- and the (B, blocks)
+    evidence: the discounted occupancy sample sizes, then the transitions
+    counted out of each source state."""
+    pi_v, P_v, n_v, rows_v = _channel_estimates(motion_counts, motion_transitions)
+    pi_s, P_s, n_s, rows_s = _channel_estimates(signal_counts, signal_transitions)
+    values = np.concatenate([pi_v, pi_s, P_v, P_s], axis=1)
+    return values, np.column_stack([n_v, n_s, rows_v, rows_s])
 
 
 # --- distance ---
@@ -295,13 +287,6 @@ def _distance_matrix(
     return _pool_distances(_blocked_pool(points, blocks), centroids, blocks)
 
 
-def distribution_distance(a: ParameterVector, b: ParameterVector) -> float:
-    """Weighted sum of per-block JSD between two parameter vectors."""
-    if a.blocks != b.blocks:
-        raise BlockMismatch("parameter vectors have different block structures")
-    return float(_distance_matrix(a.values[None], b.values[None], a.blocks)[0, 0])
-
-
 def _stack(vectors: Sequence[ParameterVector]) -> np.ndarray:
     blocks = vectors[0].blocks
     for v in vectors[1:]:
@@ -361,7 +346,8 @@ def _lloyd(
 def kmeans_distributions(
     vectors: Sequence[ParameterVector], k: int, rng
 ) -> tuple[np.ndarray, list[ParameterVector]]:
-    """Lloyd k-means under distribution_distance, best of 10 restarts.
+    """Lloyd k-means under the weighted JSD of `_distance_matrix`, best of
+    10 restarts.
 
     Returns (assignments, centroids); centroids are blockwise means, so
     they remain valid distributions.
@@ -588,24 +574,27 @@ def update_library(
 
 def assign_class(
     library: ClassLibrary,
-    vector: ParameterVector,
+    values: np.ndarray,
     accept_radius: float = DEFAULT_ACCEPT_RADIUS,
-) -> Optional[int]:
-    """Nearest learned class within the acceptance radius, else None.
+) -> np.ndarray:
+    """Nearest learned class of each of B vectors (B, L), laid out in the
+    library's block structure, within the acceptance radius: (B,) class
+    ids, -1 where no class lies within it and for every vector when the
+    library is empty.
 
-    All centroids are scored in one kernel call; each distance equals
-    `distribution_distance(vector, centroid)`, and ties go to the class
-    listed first."""
-    if any(c.centroid.blocks != vector.blocks for c in library.classes):
-        raise BlockMismatch("parameter vectors have different block structures")
+    All vectors are scored against all centroids in one `_distance_matrix`
+    call; ties go to the class listed first."""
+    values = np.asarray(values, dtype=float)
     if not library.classes:
-        return None
+        return np.full(len(values), -1)
+    blocks = library.classes[0].centroid.blocks
+    if values.shape[1] != sum(b.length for b in blocks):
+        raise BlockMismatch("vectors do not have the library's block structure")
     centroids = np.stack([c.centroid.values for c in library.classes])
-    dists = _distance_matrix(vector.values[None], centroids, vector.blocks)[0]
-    best = int(np.argmin(dists))
-    if dists[best] > accept_radius:
-        return None
-    return library.classes[best].class_id
+    dists = _distance_matrix(values, centroids, blocks)
+    best = np.argmin(dists, axis=1)
+    ids = np.array([c.class_id for c in library.classes])
+    return np.where(dists[np.arange(len(values)), best] > accept_radius, -1, ids[best])
 
 
 def score_classes(

@@ -9,12 +9,13 @@ tracks into a cumulative pool, the class library re-clusters, and the
 epoch is scored.
 
 The coordinator keeps its tracks as one table with a row per target, the
-target's index in the world (filter bank, combined estimate, class id,
-reading histories and their counts). A row is the whole track: every layer
-of the step loop -- IMM prediction, radar fusion with one return per target,
-passive association, class assignment, rewards and the estimate tape --
-runs once per step over the live rows, and the harvest reads the rows'
-histories.
+target's index in the world (filter bank, combined estimate, class id and
+reading count tables). A row is the whole track: every layer of the step
+loop -- IMM prediction, radar fusion with one return per target, motion and
+signal reading, passive association, class assignment, rewards and the
+estimate tape -- runs once per step over the live rows. Behavior vectors are
+built from the count tables, a batch of rows at a time, for class
+assignment during the epoch and for the harvest at its end.
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -48,9 +49,10 @@ from crnsim.classlib import (
     ParameterVector,
     assign_class,
     block_values,
+    family_blocks,
     score_classes,
     update_library,
-    vector_from_histories,
+    vectors_from_counts,
 )
 from crnsim.dynamics import TargetTable, make_target_table, step_motion, step_signal
 from crnsim.markov import normalized_entropy, transition_matrix_from_counts
@@ -80,7 +82,6 @@ from crnsim.tracking import (
     measurement_rows,
     polar_to_cartesian,
     process_noise_matrix,
-    record_reading,
     start_track,
     track_rmse,
     untuned_tuning,
@@ -90,7 +91,7 @@ from crnsim.tracking import (
 MAX_SPAWN_RETRIES = 5
 
 # harvest gate: a track contributes a behavior vector only with this much
-# radar/passive history behind it
+# radar/passive readings behind it
 MIN_RADAR_OBS = 10
 MIN_PASSIVE_OBS = 3
 
@@ -102,6 +103,10 @@ DEFAULT_RANDOM_ACTIVE_P = 0.8
 # covariance. Two steps is the normal gap under the bandit, whose nodes all
 # play Active at t=1 and Passive at t=2.
 PENDING_MAX_AGE_STEPS = 2
+
+# the step of a row's last reading before its first one: neither equal nor
+# adjacent to any step >= 0
+NO_READING_STEP = -2
 
 
 class ConfigError(ValueError):
@@ -241,12 +246,17 @@ class Coordinator:
     The table has one row per target of the epoch's world, in world order
     (a target has at most one track). A row is the whole track: the IMM
     bank -- model states (M, 6), covariances (M, 6, 6), probabilities (M,)
-    -- the combined estimate, the class id (-1 while unclassified), the
-    (step, state) motion and signal histories that `vector_from_histories`
-    reads, and how many readings of each state those histories hold. A row
-    is live once its track starts; `order` lists the live rows in start
-    order, and prediction and rewards run in that order so that sums over
-    tracks round as they did when each track was visited in turn."""
+    -- the combined estimate, the class id (-1 while unclassified), and the
+    count tables of its motion-state and signal-type readings: how many
+    readings of each state (`motion_counts`, `signal_counts`), how many
+    transitions between readings in adjacent steps (`motion_transitions`
+    (T, V, V), `signal_transitions` (T, S, S)), and the (step, state) of its
+    last reading (`motion_last`, `signal_last`), from which the next
+    reading's transition is counted. `vectors_from_counts` builds behavior
+    vectors from these tables. A row is live once its track starts; `order`
+    lists the live rows in start order, and prediction and rewards run in
+    that order so that sums over tracks round as they did when each track
+    was visited in turn."""
 
     library: ClassLibrary
     num_signal_states: int
@@ -265,10 +275,13 @@ class Coordinator:
         self.estimates = np.zeros((T, 6))  # combined state of each row
         self.live = np.zeros(T, dtype=bool)
         self.class_ids = np.full(T, -1, dtype=np.int64)
-        self.motion_counts = np.zeros((T, len(MOTION_STATES)), dtype=np.int64)
-        self.signal_counts = np.zeros((T, self.num_signal_states), dtype=np.int64)
-        self.motion_history = [[] for _ in range(T)]
-        self.signal_history = [[] for _ in range(T)]
+        V, S = len(MOTION_STATES), self.num_signal_states
+        self.motion_counts = np.zeros((T, V), dtype=np.int64)
+        self.signal_counts = np.zeros((T, S), dtype=np.int64)
+        self.motion_transitions = np.zeros((T, V, V), dtype=np.int64)
+        self.signal_transitions = np.zeros((T, S, S), dtype=np.int64)
+        self.motion_last = np.tile([NO_READING_STEP, 0], (T, 1))
+        self.signal_last = self.motion_last.copy()
         self.order = np.zeros(0, dtype=np.int64)
         # (motion, signal) entropies of each class centroid; the library is
         # fixed for the coordinator's epoch
@@ -316,16 +329,20 @@ class Coordinator:
             self.estimates[rows][:, :2],
         )
 
-    def record_motion(self, row: int, step: int, state: int) -> None:
-        """Record a motion-state reading in the row's history and count it
-        when `record_reading` keeps it."""
-        if record_reading(self.motion_history[row], step, state):
-            self.motion_counts[row, state] += 1
+    def record_motion(self, rows, step: int, states) -> None:
+        """Count one step's motion-state readings, `states[i]` for row
+        `rows[i]`; see `_record_readings`."""
+        _record_readings(
+            self.motion_counts, self.motion_transitions, self.motion_last,
+            rows, step, states,
+        )
 
-    def record_signal(self, row: int, step: int, state: int) -> None:
-        """Record a signal-type reading, as `record_motion` does."""
-        if record_reading(self.signal_history[row], step, state):
-            self.signal_counts[row, state] += 1
+    def record_signal(self, rows, step: int, states) -> None:
+        """Count one step's signal-type readings, as `record_motion` does."""
+        _record_readings(
+            self.signal_counts, self.signal_transitions, self.signal_last,
+            rows, step, states,
+        )
 
     def predict_arrays(self, class_id: Optional[int], dt: float):
         """(transition, Q-stack) of the tuning a track of this class gets,
@@ -341,6 +358,24 @@ class Coordinator:
             )
             self._noise_cache[key] = (tuning.mode_transition.transition, Q)
         return self._noise_cache[key]
+
+
+def _record_readings(counts, transitions, last, rows, step: int, states) -> None:
+    """Count one step's readings of distinct rows into one channel's tables,
+    at most one reading per row and step: a row that already has a reading
+    in `step` keeps it, and the new one is dropped. A kept reading counts
+    its state, and a transition from the row's last reading when that
+    reading was in the step before; across a gap nothing is counted."""
+    rows = np.asarray(rows, dtype=np.int64)
+    states = np.asarray(states, dtype=np.int64)
+    last_step, last_state = last[rows].T
+    kept = last_step != step
+    rows, states, last_state = rows[kept], states[kept], last_state[kept]
+    adjacent = last_step[kept] == step - 1
+    counts[rows, states] += 1
+    transitions[rows[adjacent], last_state[adjacent], states[adjacent]] += 1
+    last[rows, 0] = step
+    last[rows, 1] = states
 
 
 def make_coordinator(
@@ -379,16 +414,24 @@ def _observed_enough(num_motion, num_signal):
 
 
 def track_parameter_vector(
-    coordinator: Coordinator, row: int
-) -> Optional[ParameterVector]:
-    """Behavior vector from one row's histories, or None when its track has
-    not been observed enough to estimate all four blocks."""
-    motion, signal = coordinator.motion_history[row], coordinator.signal_history[row]
-    if not _observed_enough(len(motion), len(signal)):
-        return None
-    return vector_from_histories(
-        motion, signal, len(MOTION_STATES), coordinator.num_signal_states
+    coordinator: Coordinator, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Behavior vectors of the rows whose tracks have been observed enough
+    to estimate all four blocks, from the rows' count tables: those rows,
+    in the given order, with their (B, L) values and (B, blocks) evidence
+    (see `vectors_from_counts`)."""
+    c = coordinator
+    enough = _observed_enough(
+        c.motion_counts[rows].sum(axis=1), c.signal_counts[rows].sum(axis=1)
     )
+    rows = rows[enough]
+    values, evidence = vectors_from_counts(
+        c.motion_counts[rows],
+        c.motion_transitions[rows],
+        c.signal_counts[rows],
+        c.signal_transitions[rows],
+    )
+    return rows, values, evidence
 
 
 def _select_modes(
@@ -530,7 +573,7 @@ def _apply_passive(
     t: int,
     sigma_doa_rad: float,
 ) -> int:
-    """Associate this step's intercepts to tracks by bearing and append
+    """Associate this step's intercepts to tracks by bearing and record
     corroborated signal observations. Returns how many tracks logged one."""
     if ni.size == 0 or coordinator.order.size == 0:
         return 0
@@ -555,40 +598,37 @@ def _apply_passive(
     # else's emission. Detections gating more than one track are already
     # dropped (see _associate_bearings); a claim that survives that filter
     # is near-certainly from the gated track's own target, so one receiver
-    # suffices -- demanding more starves signal histories whenever few
+    # suffices -- demanding more starves signal readings whenever few
     # nodes listen. Conflicting same-step claims (tied modal type) are
     # still skipped.
     logs = (peak > 0) & ((counts == peak[:, None]).sum(axis=1) == 1)
-    for i in np.flatnonzero(logs):
-        coordinator.record_signal(rows[i], t, top[i])
+    coordinator.record_signal(rows[logs], t, top[logs])
     return int(logs.sum())
 
 
 def _attempt_assignments(coordinator: Coordinator) -> None:
+    """Classify, in one batch, every unclassified live row observed enough
+    to have a behavior vector. A row no class accepts stays at -1 and is
+    tried again next step, with the readings it gains meanwhile."""
     c = coordinator
-    ready = (
-        c.live
-        & (c.class_ids < 0)
-        & _observed_enough(c.motion_counts.sum(axis=1), c.signal_counts.sum(axis=1))
-    )
-    for row in np.flatnonzero(ready):
-        class_id = assign_class(c.library, track_parameter_vector(c, row))
-        if class_id is not None:
-            c.class_ids[row] = class_id
+    unclassified = np.flatnonzero(c.live & (c.class_ids < 0))
+    rows, values, _ = track_parameter_vector(c, unclassified)
+    if rows.size:
+        c.class_ids[rows] = assign_class(c.library, values)
 
 
 def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
     """(motion, signal) normalized entropies of the live tracks in start
     order, (B, 2), under the coordinator's best current knowledge. Class
-    centroids stand in once a track is classified; thin histories (< 3
-    observations) count as fully uncertain, eta = 1; otherwise the
+    centroids stand in once a track is classified; thin records (< 3
+    readings) count as fully uncertain, eta = 1; otherwise the
     reading counts, smoothed by one unit of prior mass spread over the
     states, give them.
 
     Raw frequencies from a handful of samples are usually degenerate (five
     steps in Cruise reads as zero entropy), which would pay the bandit for
     ignorance; the prior mass keeps small samples honestly uncertain while
-    letting genuinely one-sided histories collapse within ~10 observations.
+    letting genuinely one-sided records collapse within ~10 observations.
     Reward side only -- harvested vectors keep raw occupancy."""
     c = coordinator
     rows = c.order
@@ -657,14 +697,13 @@ def run_step(
     rows, omegas = _fuse_radar(
         world, coordinator, ni_r, ti_r, z_r, t, dt, config.noise
     )
-    # Histories feed cross-track clustering, so the recorded state must not
+    # Readings feed cross-track clustering, so the recorded state must not
     # depend on how this particular track happens to be tuned: a tuned
     # filter reads high-G kicks that an untuned one absorbs into cruise,
     # and mixing both reads splits every true class in two. The measured
     # angular rates alone (flat model prior) give every track the same
     # reading conditions; the filter's own posterior still drives tracking.
-    for row, state in zip(rows, omega_log_evidence(omegas).argmax(axis=1)):
-        coordinator.record_motion(row, t, state)
+    coordinator.record_motion(rows, t, omega_log_evidence(omegas).argmax(axis=1))
     _apply_passive(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad
     )
@@ -761,14 +800,12 @@ def run_epoch(
         pool = []
     if pool_true_ids is None:
         pool_true_ids = []
-    harvested = 0
-    for row in np.flatnonzero(coordinator.live):
-        vec = track_parameter_vector(coordinator, row)
-        if vec is None:
-            continue
-        pool.append(vec)
-        pool_true_ids.append(int(world.targets.class_id[row]))
-        harvested += 1
+    harvest, values, evidence = track_parameter_vector(
+        coordinator, np.flatnonzero(coordinator.live)
+    )
+    blocks = family_blocks(len(MOTION_STATES), coordinator.num_signal_states)
+    pool.extend(ParameterVector(v, blocks, e) for v, e in zip(values, evidence))
+    pool_true_ids.extend(world.targets.class_id[harvest].tolist())
 
     new_library = library
     formation, association = 0.0, 0.0
@@ -788,7 +825,7 @@ def run_epoch(
         reward_trace=np.array(tape.rewards),
         active_node_steps=active_steps,
         passive_node_steps=node_steps - active_steps,
-        harvested=harvested,
+        harvested=harvest.size,
         pool_size=len(pool),
         num_classes=len(new_library.classes),
         formation_accuracy=formation,

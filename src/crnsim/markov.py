@@ -1,5 +1,5 @@
 """Finite Markov chains: construction, sampling, stationary distributions,
-transition estimation from observed state sequences, and normalized entropy.
+smoothed transition estimates from counts, and normalized entropy.
 
 Every target parameter in the simulation (motion state, signal type,
 transmit on/off) is modeled as a finite chain, so this module is the
@@ -22,18 +22,14 @@ class NonUniqueStationary(ValueError):
     """Chain has two or more closed communicating classes."""
 
 
-class EmptySequence(ValueError):
-    """State sequence too short to estimate transitions."""
-
-
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
     """Row-stochastic transition matrix over a finite labeled state space.
 
     `row_cdf` holds each row's cumulative distribution, built the way
     `Generator.choice` builds it (cumsum, then divide by the last entry),
-    so that `sample_next` and `sample_path` can draw without calling
-    `choice`. `stationary` is solved on first use and kept. Chains compare
+    so that `sample_next` can draw without calling `choice`. `stationary`
+    is solved on first use and kept. Chains compare
     by identity: a generated `==` would compare the arrays inside a tuple
     and raise."""
 
@@ -74,25 +70,13 @@ class MarkovChain:
 
     @cached_property
     def stationary(self) -> np.ndarray:
-        """The stationary distribution, read-only; see
-        `stationary_distribution`."""
+        """The stationary distribution, read-only: pi P = pi, sum(pi) = 1,
+        solved by direct linear solve. Raises NonUniqueStationary when the
+        chain has two or more closed communicating classes (the fixed point
+        is then not unique)."""
         pi = _solve_stationary(self.transition)
         pi.setflags(write=False)
         return pi
-
-
-@dataclass(frozen=True)
-class StateSequence:
-    """States observed at consecutive time steps, step_duration seconds apart."""
-
-    states: tuple[int, ...]
-    step_duration: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def _closed_class_count(P: np.ndarray) -> int:
@@ -106,16 +90,6 @@ def _closed_class_count(P: np.ndarray) -> int:
         if not np.any(adj[members][:, ~members]):
             closed += 1
     return closed
-
-
-def stationary_distribution(chain: MarkovChain) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 by direct linear solve, once per chain:
-    the read-only `chain.stationary`.
-
-    Raises NonUniqueStationary when the chain has two or more closed
-    communicating classes (the fixed point is then not unique).
-    """
-    return chain.stationary
 
 
 def _solve_stationary(P: np.ndarray) -> np.ndarray:
@@ -165,58 +139,17 @@ def sample_next(chain, current, rng: np.random.Generator):
     return int(nxt) if nxt.ndim == 0 else nxt
 
 
-def sample_path(
-    chain: MarkovChain,
-    length: int,
-    init: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Sample a state path of the given length (at least 1); init defaults
-    to a stationary draw. Each step inverts its row's cached CDF at one of
-    the uniforms a single `rng.random(length)` call returns, through the
-    `inverse_cdf` that `sample_next` uses."""
-    if length < 1:
-        raise ValueError(f"path length must be at least 1, got {length}")
-    if rng is None:
-        rng = np.random.default_rng()
-    path = np.empty(length, dtype=np.int64)
-    if init is None:
-        init = int(rng.choice(chain.num_states, p=chain.stationary))
-    path[0] = init
-    u = rng.random(length)
-    for t in range(1, length):
-        path[t] = inverse_cdf(chain.row_cdf[path[t - 1]], u[t])
-    return path
-
-
-def estimate_transitions(
-    seq: StateSequence, num_states: int, smoothing: float = 1.0
-) -> MarkovChain:
-    """Estimate a transition matrix from an observed path: count its
-    transitions, then apply `transition_matrix_from_counts`."""
-    if len(seq) < 2:
-        raise EmptySequence("need at least two observations to count a transition")
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
-    states = np.asarray(seq.states, dtype=np.int64)
-    if states.min() < 0 or states.max() >= num_states:
-        raise ValueError("sequence contains states outside [0, num_states)")
-    counts = np.zeros((num_states, num_states))
-    np.add.at(counts, (states[:-1], states[1:]), 1.0)
-    return MarkovChain(transition_matrix_from_counts(counts, smoothing))
-
-
 def transition_matrix_from_counts(
     counts: np.ndarray, smoothing: float = 1.0
 ) -> np.ndarray:
     """Additive-smoothing estimate from a count matrix: row i is
     (count(i->j) + smoothing) / (count(i->.) + p*smoothing) over the p
     columns. Rows with no mass (unvisited, smoothing == 0) come out
-    uniform. Any number of rows works, none included: each is one
-    distribution's counts."""
+    uniform. A row is the last axis, one distribution's counts; any number
+    of rows works, none included, and so does a stack of count matrices."""
     counts = np.asarray(counts, dtype=float) + smoothing
-    p = counts.shape[1]
-    totals = counts.sum(axis=1, keepdims=True)
+    p = counts.shape[-1]
+    totals = counts.sum(axis=-1, keepdims=True)
     return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / p)
 
 

@@ -10,6 +10,7 @@ the class.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +61,11 @@ class Region:
 
 @dataclass(frozen=True, eq=False)
 class TargetClass:
+    """One class of the truth: its three chains, kinematic limits and
+    emitter. Immutable, arrays included (`process_noise` is a read-only
+    copy, as `MarkovChain` arrays are), so classes and families can be
+    shared freely."""
+
     class_id: int
     name: str
     motion_chain: MarkovChain
@@ -76,7 +82,8 @@ class TargetClass:
     def __post_init__(self):
         if self.tx_power_w <= 0:
             raise ValueError("transmit power must be positive")
-        noise = np.asarray(self.process_noise, dtype=float)
+        noise = np.array(self.process_noise, dtype=float)
+        noise.setflags(write=False)
         if noise.ndim != 1 or noise.size != self.motion_chain.num_states:
             raise ValueError("process noise must list one std per motion state")
         if np.any(noise < 0):
@@ -205,9 +212,11 @@ def chain_from_stationary(
     return MarkovChain(P, labels=labels)
 
 
+@functools.cache
 def default_family() -> TargetFamily:
     """Three-class family: consumer UAV, general aviation, high-altitude
-    balloon.
+    balloon. Built and validated once; every call, and every
+    `ScenarioConfig` without a family, shares that one immutable instance.
 
     The UAV is mid-altitude and dynamic with emissions concentrated on
     control/telemetry; general aviation is low-altitude and stable,

@@ -27,10 +27,6 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 REFERENCE_TEMP_K = 290.0
 
 
-class ZeroRange(ValueError):
-    """Link budget evaluated at zero separation."""
-
-
 @dataclass(frozen=True)
 class ReceiverParams:
     """Passive receiver front end. Defaults: 10 dB-equivalent noise factor,
@@ -60,20 +56,6 @@ def receiver_noise_power(rx: ReceiverParams) -> float:
     if rx.noise_figure <= 0 or rx.bandwidth_hz <= 0:
         raise ValueError("noise figure and bandwidth must be positive")
     return BOLTZMANN_J_PER_K * REFERENCE_TEMP_K * rx.noise_figure * rx.bandwidth_hz
-
-
-def passive_snr(
-    tx_power_w: float, tx_gain: float, rx: ReceiverParams, range_m: float
-) -> float:
-    """Linear one-way SNR at the given separation."""
-    if range_m <= 0.0:
-        raise ZeroRange(f"range must be positive, got {range_m}")
-    if tx_power_w <= 0.0:
-        raise ValueError("transmit power must be positive")
-    noise = receiver_noise_power(rx)
-    num = tx_power_w * tx_gain * rx.gain * rx.wavelength_m**2
-    den = (4.0 * math.pi * range_m) ** 2 * noise * rx.system_loss
-    return num / den
 
 
 def max_detectable_range(

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from crnsim.markov import MarkovChain
-from crnsim.scenario import MOTION_STATES, TargetClass
+from crnsim.scenario import MOTION_STATES
 
 NUM_MODELS = len(MOTION_STATES)
 
@@ -76,14 +76,6 @@ class FilterTuning:
         if np.any(noise < 0):
             raise ValueError("process noise must be nonnegative")
         object.__setattr__(self, "process_noise_per_state", noise)
-
-
-def tuned_tuning(cls: TargetClass) -> FilterTuning:
-    """Filter matched to a class: its true motion chain and noise levels."""
-    return FilterTuning(
-        mode_transition=cls.motion_chain,
-        process_noise_per_state=np.asarray(cls.process_noise, dtype=float),
-    )
 
 
 def untuned_tuning(num_states: int = NUM_MODELS) -> FilterTuning:

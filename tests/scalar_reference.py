@@ -1,5 +1,5 @@
-"""One-pair, one-track, one-node references for the batched sensing, filter
-and bandit code.
+"""One-pair, one-track, one-node, one-vector references for the batched
+sensing, filter, bandit and class-learning code, and helpers only tests use.
 
 `radar_measure` and `passive_detect` evaluate a single node/target pair
 with the gates and noise model of `sensing.radar_measure_batch` and
@@ -7,14 +7,24 @@ with the gates and noise model of `sensing.radar_measure_batch` and
 tests use them as oracles for the batch functions, and to feed a filter one
 measurement at a time. `kalman_update`
 fuses one radar row into one track through `tracking.kalman_update_arrays`
-with a batch of 1. `track_uncertainties` rebuilds every track's reward
-entropies from its row's whole histories, one track at a time, as an
-oracle for the engine's table of reading counts. `target_row` hands one
-row of a `dynamics.TargetTable` to these one-target functions.
+with a batch of 1. `RecordedHistories` keeps, on the test side, the
+(step, state) reading histories the coordinator no longer holds, by
+wrapping its recorders; `track_uncertainties` rebuilds every track's reward
+entropies from those whole histories, one track at a time, and
+`vector_from_histories` (with `_history_counts` and the scalar
+`occupancy_sample_size`) one track's behavior vector, as oracles for the
+engine's count tables and `classlib.vectors_from_counts`. `target_row`
+hands one row of a `dynamics.TargetTable` to these one-target functions.
 `ucb_select`, `record_reward` and `baseline_policy` play one node's two
 arms, held as (2,) counts and means indexed by `bandit.ACTIVE` and
-`bandit.PASSIVE`, as oracles for the bandit table. None of this runs in
-the simulation.
+`bandit.PASSIVE`, as oracles for the bandit table.
+
+The rest are helpers only tests call: `passive_snr`, the link budget at
+one range (`sensing.max_detectable_range` is its inverse);
+`distribution_distance` between two vectors and `make_parameter_vector`
+from one target's estimates; `tuned_tuning`, a filter matched to a true
+class; `sample_path` and `estimate_transitions` for one chain's path.
+None of this runs in the simulation.
 """
 
 from __future__ import annotations
@@ -32,20 +42,34 @@ from crnsim.bandit import (
     OutOfRangeReward,
     PolicyKind,
 )
-from crnsim.classlib import block_values
-from crnsim.markov import normalized_entropy
-from crnsim.scenario import MOTION_STATES, TX_ON, Target
+from crnsim.classlib import (
+    BlockMismatch,
+    ParameterVector,
+    _distance_matrix,
+    block_values,
+    family_blocks,
+)
+from crnsim.engine import Coordinator
+from crnsim.markov import (
+    MarkovChain,
+    inverse_cdf,
+    normalized_entropy,
+    transition_matrix_from_counts,
+)
+from crnsim.scenario import MOTION_STATES, TX_ON, Target, TargetClass
 from crnsim.sensing import (
     ReceiverParams,
     SensorNoise,
-    passive_snr,
+    receiver_noise_power,
     wrap_angle,
 )
 from crnsim.tracking import (
+    FilterTuning,
     Track,
     kalman_update_arrays,
     measurement_rows,
     polar_to_cartesian,
+    record_reading,
 )
 
 
@@ -168,14 +192,49 @@ def smoothed_entropy(history, num_states: int) -> float:
     return float(normalized_entropy(counts / counts.sum()))
 
 
-def track_uncertainties(coordinator) -> dict:
+class RecordedHistories:
+    """Per-row (step, state) motion and signal histories of the current
+    coordinator. `install(monkeypatch)` wraps `Coordinator.record_motion`
+    and `record_signal` so that every reading they are given is also
+    appended through `tracking.record_reading` (one reading per step, a
+    second one dropped) before the coordinator counts it. `of(coordinator)`
+    returns this recorder with `motion` and `signal`, one list per table
+    row, starting them empty when a new coordinator appears."""
+
+    def __init__(self):
+        self.coordinator = None
+        self.motion, self.signal = [], []
+
+    def install(self, monkeypatch) -> "RecordedHistories":
+        for kind in ("motion", "signal"):
+            record = getattr(Coordinator, f"record_{kind}")
+
+            def wrapped(c, rows, step, states, kind=kind, record=record):
+                histories = getattr(self.of(c), kind)
+                for row, state in zip(np.asarray(rows), np.asarray(states)):
+                    record_reading(histories[row], int(step), int(state))
+                record(c, rows, step, states)
+
+            monkeypatch.setattr(Coordinator, f"record_{kind}", wrapped)
+        return self
+
+    def of(self, coordinator) -> "RecordedHistories":
+        if coordinator is not self.coordinator:
+            self.coordinator = coordinator
+            self.motion = [[] for _ in range(coordinator.num_targets)]
+            self.signal = [[] for _ in range(coordinator.num_targets)]
+        return self
+
+
+def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
     """Per-track (motion, signal) reward entropies, keyed by row and in
     `coordinator.order`: the class centroid's once the row is classified,
-    1 for thin histories, else the smoothed entropies of its histories."""
+    1 for thin histories, else the smoothed entropies of its recorded
+    histories."""
+    recorded = histories.of(coordinator)
     etas = {}
     for row in coordinator.order.tolist():
-        motion = coordinator.motion_history[row]
-        signal = coordinator.signal_history[row]
+        motion, signal = recorded.motion[row], recorded.signal[row]
         class_id = int(coordinator.class_ids[row])
         cls = None
         if coordinator.use_class_knowledge and class_id >= 0:
@@ -190,6 +249,133 @@ def track_uncertainties(coordinator) -> dict:
             es = smoothed_entropy(signal, coordinator.num_signal_states)
         etas[row] = (float(em), float(es))
     return etas
+
+
+def make_parameter_vector(
+    pi_v: np.ndarray,
+    P_v: np.ndarray,
+    pi_s: np.ndarray,
+    P_s: np.ndarray,
+    evidence,
+) -> ParameterVector:
+    """Assemble the standard vector from one target's estimates and the
+    evidence behind each block, in `family_blocks` order."""
+    pi_v = np.asarray(pi_v, dtype=float)
+    pi_s = np.asarray(pi_s, dtype=float)
+    P_v = np.asarray(P_v, dtype=float)
+    P_s = np.asarray(P_s, dtype=float)
+    values = np.concatenate([pi_v, pi_s, P_v.ravel(), P_s.ravel()])
+    return ParameterVector(
+        values=values,
+        blocks=family_blocks(pi_v.size, pi_s.size),
+        evidence=evidence,
+    )
+
+
+def occupancy_sample_size(n_steps: float, occupancy, transition) -> float:
+    """One estimate's effective sample size, n * (1 - rho) / (1 + rho) with
+    rho the occupancy-weighted self-transition mass; 0 without steps."""
+    if n_steps <= 0:
+        return 0.0
+    occupancy = np.asarray(occupancy, dtype=float)
+    rho = float(np.sum(occupancy * np.diag(np.asarray(transition, dtype=float))))
+    return float(n_steps) * (1.0 - rho) / (1.0 + rho)
+
+
+def _history_counts(history, num_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy frequencies and transition counts of one (step, state)
+    history. A transition is counted only between readings in adjacent
+    steps, never across a gap."""
+    steps, states = np.asarray(history, dtype=np.int64).reshape(-1, 2).T
+    occupancy = np.bincount(states, minlength=num_states) / states.size
+    adjacent = steps[1:] == steps[:-1] + 1
+    pairs = states[:-1][adjacent] * num_states + states[1:][adjacent]
+    counts = np.bincount(pairs, minlength=num_states * num_states)
+    return occupancy, counts.reshape(num_states, num_states).astype(float)
+
+
+def vector_from_histories(
+    motion, signal, num_motion_states: int, num_signal_states: int
+) -> ParameterVector:
+    """One target's behavior vector from its (step, state) histories of
+    motion states and signal types (each non-empty, at most one reading per
+    step): occupancies, add-one transition matrices, and as evidence the
+    discounted occupancy sample sizes and the per-row transition counts."""
+    pi_v, mc = _history_counts(motion, num_motion_states)
+    pi_s, sc = _history_counts(signal, num_signal_states)
+    P_v = transition_matrix_from_counts(mc)
+    P_s = transition_matrix_from_counts(sc)
+    n_v = occupancy_sample_size(len(motion), pi_v, P_v)
+    n_s = occupancy_sample_size(len(signal), pi_s, P_s)
+    evidence = np.concatenate([[n_v, n_s], mc.sum(axis=1), sc.sum(axis=1)])
+    return make_parameter_vector(pi_v, P_v, pi_s, P_s, evidence)
+
+
+def distribution_distance(a: ParameterVector, b: ParameterVector) -> float:
+    """Weighted sum of per-block JSD between two parameter vectors."""
+    if a.blocks != b.blocks:
+        raise BlockMismatch("parameter vectors have different block structures")
+    return float(_distance_matrix(a.values[None], b.values[None], a.blocks)[0, 0])
+
+
+def tuned_tuning(cls: TargetClass) -> FilterTuning:
+    """Filter matched to a class: its true motion chain and noise levels."""
+    return FilterTuning(
+        mode_transition=cls.motion_chain,
+        process_noise_per_state=np.asarray(cls.process_noise, dtype=float),
+    )
+
+
+class ZeroRange(ValueError):
+    """Link budget evaluated at zero separation."""
+
+
+def passive_snr(
+    tx_power_w: float, tx_gain: float, rx: ReceiverParams, range_m: float
+) -> float:
+    """Linear one-way SNR at the given separation."""
+    if range_m <= 0.0:
+        raise ZeroRange(f"range must be positive, got {range_m}")
+    if tx_power_w <= 0.0:
+        raise ValueError("transmit power must be positive")
+    noise = receiver_noise_power(rx)
+    num = tx_power_w * tx_gain * rx.gain * rx.wavelength_m**2
+    den = (4.0 * math.pi * range_m) ** 2 * noise * rx.system_loss
+    return num / den
+
+
+def sample_path(
+    chain: MarkovChain,
+    length: int,
+    init: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Sample a state path of the given length (at least 1); init defaults
+    to a stationary draw. Each step inverts its row's cached CDF at one of
+    the uniforms a single `rng.random(length)` call returns, through the
+    `inverse_cdf` that `markov.sample_next` uses."""
+    if length < 1:
+        raise ValueError(f"path length must be at least 1, got {length}")
+    if rng is None:
+        rng = np.random.default_rng()
+    path = np.empty(length, dtype=np.int64)
+    if init is None:
+        init = int(rng.choice(chain.num_states, p=chain.stationary))
+    path[0] = init
+    u = rng.random(length)
+    for t in range(1, length):
+        path[t] = inverse_cdf(chain.row_cdf[path[t - 1]], u[t])
+    return path
+
+
+def estimate_transitions(states, num_states: int, smoothing: float = 1.0) -> np.ndarray:
+    """Smoothed transition matrix of a path observed at every step: its
+    transitions counted as `_history_counts` counts them, then
+    `transition_matrix_from_counts`. Needs at least two states."""
+    if len(states) < 2:
+        raise ValueError("need at least two observations to count a transition")
+    _, counts = _history_counts(list(enumerate(states)), num_states)
+    return transition_matrix_from_counts(counts, smoothing)
 
 
 def ucb_select(counts, means, t: int) -> bool:

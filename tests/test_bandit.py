@@ -77,7 +77,7 @@ class TestComputeRewards:
             np.zeros(3), np.eye(3), np.zeros(3), np.eye(3), 0.5
         ))
         for step in range(5):
-            coordinator.record_signal(0, step, step)
+            coordinator.record_signal([0], step, [step])
         etas = _track_uncertainties(coordinator)
         passive = np.array([False])
         reward = compute_rewards(

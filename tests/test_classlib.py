@@ -11,24 +11,30 @@ from crnsim.classlib import (
     BlockSpec,
     ClassLibrary,
     LearnedClass,
+    ParameterVector,
     TooFewPoints,
     assign_class,
-    distribution_distance,
     family_blocks,
     kmeans_distributions,
-    make_parameter_vector,
     occupancy_sample_size,
     score_classes,
     select_k_aic,
     update_library,
-    vector_from_histories,
+    vectors_from_counts,
     _distance_matrix,
     _lloyd,
     _stack,
 )
-from crnsim.markov import MarkovChain, sample_path, stationary_distribution
+from crnsim.engine import Coordinator
+from crnsim.markov import MarkovChain
 from crnsim.scenario import default_family
 from crnsim.tracking import record_reading
+from scalar_reference import (
+    distribution_distance,
+    make_parameter_vector,
+    sample_path,
+    vector_from_histories,
+)
 
 FAMILY = default_family()
 
@@ -48,8 +54,6 @@ def reference_jsd(p, q):
 
 
 def _single(probs, block):
-    from crnsim.classlib import ParameterVector
-
     return ParameterVector(values=probs, blocks=(block,), evidence=np.ones(1))
 
 
@@ -64,14 +68,33 @@ def synth_vector(class_index, rng, n_motion=50, n_signal=25):
     )
 
 
+def counted_vector(motion_readings, signal_readings, num_signal_states=4):
+    """One track's behavior vector from (step, state) readings, counted by
+    a coordinator's recorders and built by `vectors_from_counts`."""
+    c = Coordinator(
+        library=ClassLibrary(),
+        num_signal_states=num_signal_states,
+        use_class_knowledge=False,
+        num_targets=1,
+    )
+    for step, state in motion_readings:
+        c.record_motion([0], step, [state])
+    for step, state in signal_readings:
+        c.record_signal([0], step, [state])
+    values, evidence = vectors_from_counts(
+        c.motion_counts, c.motion_transitions, c.signal_counts, c.signal_transitions
+    )
+    return ParameterVector(values[0], family_blocks(3, num_signal_states), evidence[0])
+
+
 def strong_class_vector(class_index, n=200.0):
     """Exact class parameters carrying heavy evidence, as if observed for
     a long time."""
     cls = FAMILY.classes[class_index]
     return make_parameter_vector(
-        stationary_distribution(cls.motion_chain),
+        cls.motion_chain.stationary,
         cls.motion_chain.transition,
-        stationary_distribution(cls.signal_chain),
+        cls.signal_chain.stationary,
         cls.signal_chain.transition,
         np.full(9, n),
     )
@@ -176,14 +199,14 @@ class TestParameterVector:
             )
 
     def test_row_counts_recorded_per_row(self):
-        motion, signal = [], []
+        motion_readings = [(0, 0), (1, 0), (1, 2), (2, 1), (5, 2), (6, 2)]
+        signal_readings = [(3, 1), (4, 2), (4, 0), (9, 2), (10, 3)]
+        motion = []
         # (1, 2) and (4, 0) are second readings in a step and are dropped
-        for step, state in [(0, 0), (1, 0), (1, 2), (2, 1), (5, 2), (6, 2)]:
+        for step, state in motion_readings:
             record_reading(motion, step, state)
-        for step, state in [(3, 1), (4, 2), (4, 0), (9, 2), (10, 3)]:
-            record_reading(signal, step, state)
         assert motion == [(0, 0), (1, 0), (2, 1), (5, 2), (6, 2)]
-        v = vector_from_histories(motion, signal, 3, 4)
+        v = counted_vector(motion_readings, signal_readings)
         np.testing.assert_array_equal(v.values[:3], [0.4, 0.2, 0.4])
         # 0->0, 0->1, then 2->2 after the gap; nothing counted across it
         np.testing.assert_array_equal(v.evidence[2:5], [2.0, 0.0, 1.0])
@@ -212,12 +235,10 @@ class TestOccupancySampleSize:
 
 
 class TestVectorFromPaths:
-    """vector_from_histories on paths observed at every step."""
+    """The count builder on paths observed at every step."""
 
     def test_hand_built_counts(self):
-        v = vector_from_histories(
-            list(enumerate([0, 0, 1])), list(enumerate([2, 2, 2, 3])), 3, 4
-        )
+        v = counted_vector(enumerate([0, 0, 1]), enumerate([2, 2, 2, 3]))
         np.testing.assert_allclose(v.values[:3], [2 / 3, 1 / 3, 0])
         np.testing.assert_allclose(v.values[3:7], [0, 0, 0.75, 0.25])
         # motion row 0 saw 0->0 and 0->1 once each, then +1 smoothing
@@ -233,9 +254,7 @@ class TestVectorFromPaths:
         cls = FAMILY.classes[0]
         mpath = sample_path(cls.motion_chain, 40, rng=rng)
         spath = sample_path(cls.signal_chain, 20, rng=rng)
-        v = vector_from_histories(
-            list(enumerate(mpath)), list(enumerate(spath)), 3, 4
-        )
+        v = counted_vector(enumerate(mpath), enumerate(spath))
         pi_v, P_v = v.values[:3], v.values[7:16].reshape(3, 3)
         assert v.evidence[0] == pytest.approx(occupancy_sample_size(40, pi_v, P_v))
         assert 0.0 < v.evidence[0] < 40.0
@@ -316,8 +335,6 @@ def _slices(blocks):
 
 
 def make_like(template, values):
-    from crnsim.classlib import ParameterVector
-
     return ParameterVector(
         values=values, blocks=template.blocks, evidence=template.evidence
     )
@@ -406,13 +423,16 @@ class TestUpdateLibrary:
 
 class TestAssignClass:
     def test_empty_library_returns_none(self):
-        assert assign_class(ClassLibrary(), strong_class_vector(0)) is None
+        # -1: no class
+        values = strong_class_vector(0).values[None]
+        assert assign_class(ClassLibrary(), values).tolist() == [-1]
 
     def test_exact_centroid_maps_to_its_class(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
         lib, _ = update_library(ClassLibrary(), pool, np.random.default_rng(15))
-        for c in lib.classes:
-            assert assign_class(lib, c.centroid) == c.class_id
+        centroids = np.stack([c.centroid.values for c in lib.classes])
+        ids = [c.class_id for c in lib.classes]
+        assert assign_class(lib, centroids).tolist() == ids
 
     def test_matches_nearest_neighbor_oracle(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
@@ -426,14 +446,15 @@ class TestAssignClass:
                 for c in lib.classes
             }
             nearest = min(dists, key=dists.get)
-            expected = nearest if dists[nearest] <= radius else None
-            assert assign_class(lib, v, accept_radius=radius) == expected
+            expected = nearest if dists[nearest] <= radius else -1
+            got = assign_class(lib, v.values[None], accept_radius=radius)
+            assert got.tolist() == [expected]
 
     def test_beyond_radius_unclassified(self):
         lib = ClassLibrary([LearnedClass(0, strong_class_vector(0), 1)])
         far = strong_class_vector(2)
         assert distribution_distance(far, strong_class_vector(0)) > 0.25
-        assert assign_class(lib, far) is None
+        assert assign_class(lib, far.values[None]).tolist() == [-1]
 
 
 class TestScoreClasses:
@@ -501,7 +522,7 @@ class TestClassTuning:
         # a strong pure-class library reproduces the true mixing chains
         for ci in range(3):
             true_vec = strong_class_vector(ci)
-            cid = assign_class(lib, true_vec)
+            (cid,) = assign_class(lib, true_vec.values[None])
             chain = lib.get(cid).tuning().mode_transition
             np.testing.assert_allclose(
                 chain.transition,
@@ -520,11 +541,9 @@ class TestLearnedLibraryConsistency:
         assert len(lib.classes) == 3
         # learned centroids sit near, not on, the true parameters (smoothing
         # bias), so allow a wider radius than the online default here
-        hits = {
-            assign_class(lib, strong_class_vector(ci), accept_radius=0.5)
-            for ci in range(3)
-        }
-        assert None not in hits and len(hits) == 3
+        truths = np.stack([strong_class_vector(ci).values for ci in range(3)])
+        hits = set(assign_class(lib, truths, accept_radius=0.5).tolist())
+        assert -1 not in hits and len(hits) == 3
 
     def test_association_improves_with_longer_observation(self):
         rng = np.random.default_rng(23)

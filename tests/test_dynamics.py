@@ -9,12 +9,7 @@ from crnsim.dynamics import (
     step_motion,
     step_signal,
 )
-from crnsim.markov import (
-    MarkovChain,
-    StateSequence,
-    estimate_transitions,
-    stationary_distribution,
-)
+from crnsim.markov import MarkovChain
 from crnsim.scenario import (
     COORD_TURN,
     CRUISE_CV,
@@ -27,6 +22,7 @@ from crnsim.scenario import (
     default_family,
     spawn_scenario,
 )
+from scalar_reference import estimate_transitions
 
 STAY_CV = np.eye(3)  # absorbing chains pin the motion state for kinematics tests
 
@@ -152,7 +148,7 @@ class TestStepMotion:
             counts[t.motion_state[0]] += 1
         freq = counts / counts.sum()
         assert freq == pytest.approx(
-            stationary_distribution(uav.motion_chain), abs=0.02
+            uav.motion_chain.stationary, abs=0.02
         )
 
     def test_generated_path_recovers_transition_matrix(self):
@@ -163,8 +159,8 @@ class TestStepMotion:
         for _ in range(10_000):
             step_motion(t, 0.5, rng)
             seq.append(int(t.motion_state[0]))
-        est = estimate_transitions(StateSequence(tuple(seq)), 3)
-        assert np.max(np.abs(est.transition - uav.motion_chain.transition)) < 0.05
+        est = estimate_transitions(seq, 3)
+        assert np.max(np.abs(est - uav.motion_chain.transition)) < 0.05
 
     def test_speed_clamped_to_class_range(self):
         rng = np.random.default_rng(5)
@@ -236,7 +232,7 @@ class TestStepSignal:
             step_signal(t, rng)
             counts[t.signal_state[0]] += 1
         assert counts / counts.sum() == pytest.approx(
-            stationary_distribution(ga.signal_chain), abs=0.02
+            ga.signal_chain.stationary, abs=0.02
         )
 
     def test_signal_sequence_recovers_transitions(self):
@@ -250,8 +246,8 @@ class TestStepSignal:
         for _ in range(10_000):
             step_signal(t, rng)
             seq.append(int(t.signal_state[0]))
-        est = estimate_transitions(StateSequence(tuple(seq)), 4)
-        assert np.max(np.abs(est.transition - chain.transition)) < 0.05
+        est = estimate_transitions(seq, 4)
+        assert np.max(np.abs(est - chain.transition)) < 0.05
 
 
 class TestMixedClassBatch:
@@ -282,9 +278,9 @@ class TestMixedClassBatch:
             m = members[cls.class_id]
             occupancy = motion[m].sum(axis=0) / (m.sum() * steps)
             assert occupancy == pytest.approx(
-                stationary_distribution(cls.motion_chain), abs=0.03
+                cls.motion_chain.stationary, abs=0.03
             ), cls.name
             duty = on[m].sum() / (m.sum() * steps)
             assert duty == pytest.approx(
-                stationary_distribution(cls.tx_chain)[TX_ON], abs=0.04
+                cls.tx_chain.stationary[TX_ON], abs=0.04
             ), cls.name

@@ -1,13 +1,16 @@
 """Engine contract: determinism, the paired design (the world stream alone
-reproduces an epoch's truth), config validation, one batched truth step and
-one bandit-table selection and update per step whatever the target and node
-counts, the harvest rule for radar-only, radar association by truth id with
-one return per target per step and stale first sightings replaced, the
-coordinator's per-class prediction cache, the track table (its invariants,
-reward entropies against a per-track oracle, IMM combination equal to a
-`Track`'s, and no per-track state read or kept by the coordinator), the sign
-of `rmse_improvement`, the names the benchmark tracer hooks, and a digest
-guard over every metric of a small experiment."""
+reproduces an epoch's truth, under a shared or a fresh default family),
+config validation, one batched truth step, one bandit-table selection and
+update, and at most one class-assignment batch per step whatever the target
+and node counts, the harvest rule for radar-only, radar association by
+truth id with one return per target per step and stale first sightings
+replaced, the coordinator's per-class prediction cache, the track table (its
+count tables against histories recorded on the test side, reward entropies
+against a per-track oracle, IMM combination equal to a `Track`'s, and no
+per-track state read or kept by the coordinator), behavior vectors from the
+count tables against the history builder, the sign of `rmse_improvement`,
+the names the benchmark tracer hooks, and a digest guard over every metric
+of a small experiment."""
 
 import copy
 import dataclasses
@@ -19,11 +22,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crnsim.dynamics as dynamics
 import crnsim.engine as engine
 from crnsim.bandit import PolicyKind
-from crnsim.classlib import ClassLibrary, LearnedClass, make_parameter_vector
+from crnsim.classlib import ClassLibrary, LearnedClass, vectors_from_counts
 from crnsim.dynamics import make_target_table, step_motion, step_signal
 from crnsim.engine import (
     ConfigError,
@@ -41,12 +46,25 @@ from crnsim.engine import (
     run_epoch,
     run_experiment,
 )
-from crnsim.markov import stationary_distribution
 from crnsim.scenario import Region, ScenarioConfig, Target, default_family
 from crnsim.sensing import SensorNoise
-from crnsim.tracking import Track, process_noise_matrix, start_track, untuned_tuning
+from crnsim.tracking import (
+    Track,
+    process_noise_matrix,
+    record_reading,
+    start_track,
+    untuned_tuning,
+)
 
-from scalar_reference import kalman_update, make_node, track_uncertainties
+from scalar_reference import (
+    RecordedHistories,
+    _history_counts,
+    kalman_update,
+    make_node,
+    make_parameter_vector,
+    track_uncertainties,
+    vector_from_histories,
+)
 
 # about 7 nodes and 11 targets, 25 steps per epoch
 SMALL = SimConfig(
@@ -129,6 +147,21 @@ class TestPairedDesign:
             )
             digest.update(truth.tx_on.tobytes())
         assert digest.hexdigest() == want
+
+
+    def test_shared_default_family_gives_the_truth_of_a_fresh_one(self):
+        # every default config shares one family; epochs leave it intact
+        # and see the truth a freshly built family gives
+        seed = epoch_seed(SMALL.seed, 1, 0)
+        fresh = dataclasses.replace(
+            SMALL.scenario, family=default_family.__wrapped__()
+        )
+        assert fresh.family is not SMALL.scenario.family is default_family()
+        digests = [
+            run_epoch(ClassLibrary(), config, seed, policy=BANDIT)[0].truth_digest
+            for config in (SMALL, dataclasses.replace(SMALL, scenario=fresh), SMALL)
+        ]
+        assert len(set(digests)) == 1
 
 
 class TestConfigValidation:
@@ -334,9 +367,9 @@ def _one_class_library():
     of the default family's first class would have."""
     cls = default_family().classes[0]
     centroid = make_parameter_vector(
-        stationary_distribution(cls.motion_chain),
+        cls.motion_chain.stationary,
         cls.motion_chain.transition,
-        stationary_distribution(cls.signal_chain),
+        cls.signal_chain.stationary,
         cls.signal_chain.transition,
         np.ones(9),
     )
@@ -390,21 +423,32 @@ def _after_each_step(monkeypatch, check):
 
 class TestTrackTable:
     def test_rows_match_the_tracks_after_every_step(self, monkeypatch):
+        # the count tables hold what the recorded histories count: occupancy,
+        # adjacent-step transitions and the last reading
         steps = []
+        histories = RecordedHistories().install(monkeypatch)
 
         def check(world, c):
             rows = np.flatnonzero(c.live)
             assert sorted(c.order.tolist()) == rows.tolist()
+            recorded = histories.of(c)
             for row in range(c.num_targets):
-                for history, counts in (
-                    (c.motion_history[row], c.motion_counts),
-                    (c.signal_history[row], c.signal_counts),
+                for history, counts, transitions, last in (
+                    (recorded.motion[row], c.motion_counts, c.motion_transitions,
+                     c.motion_last),
+                    (recorded.signal[row], c.signal_counts, c.signal_transitions,
+                     c.signal_last),
                 ):
                     states = np.array([s for _, s in history], dtype=np.int64)
                     want = np.bincount(states, minlength=counts.shape[1])
                     assert np.array_equal(counts[row], want)
+                    if history:
+                        pairs = _history_counts(history, counts.shape[1])[1]
+                        assert np.array_equal(transitions[row], pairs)
+                        assert tuple(last[row]) == history[-1]
                     if not c.live[row]:
                         assert history == [] and not counts[row].any()
+                        assert not transitions[row].any()
             steps.append(rows.size)
 
         _after_each_step(monkeypatch, check)
@@ -471,21 +515,25 @@ class TestTrackTable:
     def test_etas_equal_the_history_oracle(self, monkeypatch, policy):
         table_etas = engine._track_uncertainties
         kinds = {"thin": 0, "counted": 0, "classified": 0, "dropped": 0}
+        histories = RecordedHistories().install(monkeypatch)
 
         def checked(c):
             # a same-step second reading is dropped and not counted
+            recorded = histories.of(c)
             for row in c.order:
-                history = c.motion_history[row]
+                history = recorded.motion[row]
                 if history:
                     step, state = history[-1]
-                    before = c.motion_counts.copy()
-                    c.record_motion(row, step, (state + 1) % 3)
+                    tables = (c.motion_counts, c.motion_transitions, c.motion_last)
+                    before = [a.copy() for a in tables]
+                    c.record_motion([row], step, [(state + 1) % 3])
                     assert history[-1] == (step, state)
-                    assert np.array_equal(c.motion_counts, before)
+                    for was, now in zip(before, tables):
+                        assert np.array_equal(now, was)
                     kinds["dropped"] += 1
                     break
             etas = table_etas(c)
-            want = track_uncertainties(c)
+            want = track_uncertainties(c, histories)
             assert c.order.tolist() == list(want)
             assert etas.tolist() == [list(e) for e in want.values()]
             for row in c.order:
@@ -523,14 +571,65 @@ class TestTrackTable:
         assert max(steps) > 0 and reads == []
 
 
+class TestCountTables:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_vectors_equal_the_history_oracle(self, seed, num_signal_states):
+        # random rows and states, gaps between steps and same-step second
+        # readings, fed through the coordinator's recorders and, one reading
+        # at a time, into (step, state) histories: the count builder equals
+        # the history builder on every row read at least once of each kind
+        rng = np.random.default_rng(seed)
+        T, S = int(rng.integers(1, 8)), num_signal_states
+        c = Coordinator(
+            library=ClassLibrary(),
+            num_signal_states=S,
+            use_class_knowledge=False,
+            num_targets=T,
+        )
+        histories = {"motion": [[] for _ in range(T)], "signal": [[] for _ in range(T)]}
+        step = int(rng.integers(-1, 2))
+        for _ in range(int(rng.integers(1, 40))):
+            step += int(rng.integers(1, 4))
+            for kind, n in (("motion", 3), ("signal", S)):
+                # none, one or two calls in this step
+                for _ in range(int(rng.integers(0, 3))):
+                    size = int(rng.integers(0, T + 1))
+                    rows = rng.choice(T, size=size, replace=False)
+                    states = rng.integers(0, n, size=rows.size)
+                    getattr(c, f"record_{kind}")(rows, step, states)
+                    for row, state in zip(rows, states):
+                        record_reading(histories[kind][row], step, int(state))
+        read = [
+            r for r in range(T) if histories["motion"][r] and histories["signal"][r]
+        ]
+        rows = np.array(read, dtype=np.int64)
+        values, evidence = vectors_from_counts(
+            c.motion_counts[rows],
+            c.motion_transitions[rows],
+            c.signal_counts[rows],
+            c.signal_transitions[rows],
+        )
+        assert values.shape[0] == evidence.shape[0] == len(read)
+        for i, row in enumerate(read):
+            want = vector_from_histories(
+                histories["motion"][row], histories["signal"][row], 3, S
+            )
+            assert (values[i] == want.values).all()
+            assert (evidence[i] == want.evidence).all()
+
+
 class TestTruthBatch:
     def test_one_batched_truth_step_per_step(self, monkeypatch):
         # the truth advances with one step_motion, one step_signal and three
         # Markov draws per step, however many targets the world holds; the
-        # bandit table picks every node's arm, and updates it, in one call
+        # bandit table picks every node's arm, and updates it, in one call;
+        # class assignment scores every ready row in one call, and behavior
+        # vectors are built at most once a step plus once for the harvest
         calls = {
             "step_motion": 0, "step_signal": 0, "sample_next": 0,
             "ucb_select": 0, "record_reward": 0,
+            "assign_class": 0, "track_parameter_vector": 0,
         }
         targets = []
 
@@ -543,7 +642,10 @@ class TestTruthBatch:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("step_motion", "step_signal", "ucb_select", "record_reward"):
+        for name in (
+            "step_motion", "step_signal", "ucb_select", "record_reward",
+            "assign_class", "track_parameter_vector",
+        ):
             counted(engine, name)
         counted(dynamics, "sample_next")
         _after_each_step(
@@ -553,6 +655,8 @@ class TestTruthBatch:
         steps = len(targets)
         assert steps == SMALL.num_epochs * SMALL.steps_per_epoch
         assert min(targets) > 1 and len(set(targets)) > 1
+        assert 0 < calls.pop("assign_class") <= steps
+        assert 0 < calls.pop("track_parameter_vector") <= steps + SMALL.num_epochs
         assert calls == {
             "step_motion": steps, "step_signal": steps, "sample_next": 3 * steps,
             "ucb_select": steps, "record_reward": steps,

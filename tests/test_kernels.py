@@ -3,7 +3,8 @@
 The references below are the straightforward per-block forms: one JSD per
 block slice, a full distance recompute every Lloyd iteration, one categorical
 cross term per block slice, a sorted list of scored (new, old) centroid
-pairs for class-id matching, and `Generator.choice` for Markov steps. The
+pairs for class-id matching, a loop scoring one vector at a time for
+batched class assignment, and `Generator.choice` for Markov steps. The
 package's fast paths must reproduce every float and every draw of these
 references exactly, so all comparisons use `np.array_equal` or `==`.
 """
@@ -29,12 +30,12 @@ from crnsim.classlib import (
     _pool_log_likelihood,
     _stack,
     assign_class,
-    distribution_distance,
     family_blocks,
     kmeans_distributions,
 )
 from crnsim.markov import MarkovChain, sample_next
 from crnsim.scenario import default_family
+from scalar_reference import distribution_distance, make_parameter_vector
 
 BLOCKS = family_blocks()
 POOL_SIZES = (30, 130, 400)
@@ -320,21 +321,49 @@ class TestAssignClass:
                 dists = [ref_distribution_distance(v, c.centroid)
                          for c in library.classes]
                 best = int(np.argmin(dists))
-                want = None if dists[best] > radius else library.classes[best].class_id
-                assert assign_class(library, v, radius) == want
+                want = -1 if dists[best] > radius else library.classes[best].class_id
+                assert assign_class(library, v.values[None], radius).tolist() == [want]
+
+    def test_batch_equals_per_vector_argmin(self, pool):
+        # the whole pool in one call against a loop that scores one vector
+        # at a time; the radius splits the pool into matches and misses
+        library = self._library(dirichlet_pool(6, 21))
+        centroids = _stack([c.centroid for c in library.classes])
+        points = _stack(pool)
+        per_vector = [
+            ref_distance_matrix(p[None], centroids, BLOCKS)[0] for p in points
+        ]
+        radius = float(np.median([d.min() for d in per_vector]))
+        want = []
+        for d in per_vector:
+            best = int(np.argmin(d))
+            want.append(-1 if d[best] > radius else library.classes[best].class_id)
+        got = assign_class(library, points, radius)
+        assert got.shape == (len(pool),) and got.tolist() == want
+        assert -1 in want and len(set(want)) > 2
+
+    def test_ties_go_to_the_class_listed_first(self):
+        a, b = dirichlet_pool(2, 8)
+        library = self._library([b, a, a, b])  # ids 10, 11, 12, 13
+        assert assign_class(library, _stack([a, b, a])).tolist() == [11, 10, 11]
+
+    def test_no_class_within_the_radius_gives_minus_one(self):
+        library = self._library(dirichlet_pool(3, 4))
+        got = assign_class(library, _stack(dirichlet_pool(10, 5)), accept_radius=0.0)
+        assert got.tolist() == [-1] * 10
 
     def test_empty_library_gives_none(self):
-        assert assign_class(ClassLibrary(), dirichlet_pool(1, 0)[0]) is None
+        # -1, no class, for every vector
+        values = _stack(dirichlet_pool(4, 0))
+        assert assign_class(ClassLibrary(), values).tolist() == [-1] * 4
 
     def test_block_mismatch_still_raises(self):
-        from crnsim.classlib import make_parameter_vector
-
         other = make_parameter_vector(
             [0.5, 0.5], np.full((2, 2), 0.5), [1.0], np.ones((1, 1)), np.ones(5)
         )
         library = self._library(dirichlet_pool(2, 4))
         with pytest.raises(BlockMismatch):
-            assign_class(library, other)
+            assign_class(library, other.values[None])
 
 
 class TestGreedyIdMatch:

@@ -3,7 +3,7 @@ import pytest
 
 import crnsim.markov as markov
 from crnsim.engine import make_world
-from crnsim.markov import MarkovChain, stationary_distribution
+from crnsim.markov import MarkovChain
 from crnsim.scenario import (
     COORD_TURN,
     FAMILY_SEPARATION,
@@ -71,7 +71,7 @@ class TestChainFromStationary:
         for _ in range(20):
             pi = rng.dirichlet(np.ones(rng.integers(2, 6)) * 2 + 0.5)
             chain = chain_from_stationary(pi, persistence=0.3)
-            assert stationary_distribution(chain) == pytest.approx(pi, abs=1e-12)
+            assert chain.stationary == pytest.approx(pi, abs=1e-12)
 
     def test_diagonal_structure(self):
         chain = chain_from_stationary([0.5, 0.3, 0.2], persistence=0.4)
@@ -99,7 +99,7 @@ class TestDefaultFamily:
     def test_balloon_is_nearly_static(self):
         family = default_family()
         balloon = next(c for c in family.classes if c.name == "Balloon")
-        pi = stationary_distribution(balloon.motion_chain)
+        pi = balloon.motion_chain.stationary
         assert pi[0] >= 0.9
 
     def test_pairwise_separation(self):
@@ -117,7 +117,7 @@ class TestDefaultFamily:
     def test_duty_cycles(self):
         family = default_family()
         duty = {
-            c.name: stationary_distribution(c.tx_chain)[0] for c in family.classes
+            c.name: c.tx_chain.stationary[0] for c in family.classes
         }
         assert duty["UAV"] == pytest.approx(0.9, abs=1e-9)
         assert duty["GeneralAviation"] == pytest.approx(0.5, abs=1e-9)
@@ -132,13 +132,37 @@ class TestDefaultFamily:
             TargetFamily(classes=(family.classes[0], clone))
 
     def test_rejects_wrong_state_count(self):
+        import dataclasses
+
         family = default_family()
-        bad = default_family().classes[0]
+        # a copy: the default family is shared and must stay intact
+        bad = dataclasses.replace(family.classes[0])
         object.__setattr__(
             bad, "motion_chain", MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
         )
         with pytest.raises(ValueError, match="motion state count"):
             TargetFamily(classes=(bad, family.classes[1]))
+
+
+    def test_built_once_shared_and_read_only(self):
+        family = ScenarioConfig().family
+        assert ScenarioConfig().family is family is default_family()
+        for cls in family.classes:
+            chains = (cls.motion_chain, cls.signal_chain, cls.tx_chain)
+            arrays = [cls.process_noise]
+            for chain in chains:
+                arrays += [chain.transition, chain.row_cdf, chain.stationary]
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+
+    def test_process_noise_is_a_read_only_copy(self):
+        import dataclasses
+
+        noise = np.array([1.0, 2.0, 3.0])
+        cls = dataclasses.replace(default_family().classes[0], process_noise=noise)
+        assert noise.flags.writeable and not cls.process_noise.flags.writeable
+        assert cls.process_noise.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestSpawnScenario:
@@ -222,7 +246,7 @@ class TestSpawnScenario:
             states.extend(t.motion_state for t in targets)
         freq = np.bincount(states, minlength=3) / len(states)
         assert freq == pytest.approx(
-            stationary_distribution(uav.motion_chain), abs=0.02
+            uav.motion_chain.stationary, abs=0.02
         )
 
     def test_config_validation(self):

@@ -9,15 +9,19 @@ from crnsim.engine import GATE_MAX_RAD, Coordinator, _apply_passive, _associate_
 from crnsim.sensing import (
     ReceiverParams,
     SensorNoise,
-    ZeroRange,
     max_detectable_range,
     passive_detect_batch,
-    passive_snr,
     radar_measure_batch,
     receiver_noise_power,
     wrap_angle,
 )
-from scalar_reference import make_node, passive_detect, radar_measure
+from scalar_reference import (
+    ZeroRange,
+    make_node,
+    passive_detect,
+    passive_snr,
+    radar_measure,
+)
 
 ZERO_NOISE = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 SIGMA_DOA = math.radians(2.0)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crnsim.classlib import vector_from_histories
 from crnsim.dynamics import make_target_table, step_motion
-from crnsim.markov import MarkovChain, StateSequence, estimate_transitions
+from crnsim.markov import MarkovChain
 from crnsim.scenario import (
     CRUISE_CV,
     HIGH_G,
@@ -34,10 +33,17 @@ from crnsim.tracking import (
     process_noise_matrix,
     start_track,
     track_rmse,
-    tuned_tuning,
     untuned_tuning,
 )
-from scalar_reference import kalman_update, make_node, radar_measure, target_row
+from scalar_reference import (
+    estimate_transitions,
+    kalman_update,
+    make_node,
+    radar_measure,
+    target_row,
+    tuned_tuning,
+    vector_from_histories,
+)
 
 TINY_NOISE = SensorNoise(1e-6, 1e-9, 1e-9, 1e-6, 1e-9, 1e-9)
 
@@ -497,10 +503,10 @@ class TestStateHistoryRecovery:
         accuracy, track = _switching_target_run(seed=7, steps=2000)
         assert accuracy >= 0.7
         est = estimate_transitions(
-            StateSequence(tuple(s for _, s in track.motion_history)), 3, smoothing=0.1
+            [s for _, s in track.motion_history], 3, smoothing=0.1
         )
         true_p = default_family().classes[0].motion_chain.transition
-        assert np.max(np.abs(est.transition - true_p)) <= 0.1
+        assert np.max(np.abs(est - true_p)) <= 0.1
 
 
 def _paired_epoch_rmse(cls, seed, num_targets):
