@@ -9,13 +9,14 @@ tracks into a cumulative pool, the class library re-clusters, and the
 epoch is scored.
 
 The coordinator keeps its tracks as one table with a row per target, the
-target's index in the world (filter bank, combined estimate, class id and
-reading count tables). A row is the whole track: every layer of the step
-loop -- IMM prediction, radar fusion with one return per target, motion and
-signal reading, passive association, class assignment, rewards and the
-estimate tape -- runs once per step over the live rows. Behavior vectors are
-built from the count tables, a batch of rows at a time, for class
-assignment during the epoch and for the harvest at its end.
+target's index in the world (filter bank, combined estimate, class id,
+reading count tables and a held first sighting). A row is the whole track:
+every layer of the step loop -- IMM prediction, track starts and radar
+fusion with one return per target, motion and signal reading, passive
+association, class assignment, rewards and the estimate tape -- runs once
+per step over the live rows. Behavior vectors are built from the count
+tables, a batch of rows at a time, for class assignment during the epoch
+and for the harvest at its end.
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -72,7 +73,6 @@ from crnsim.sensing import (
 )
 from crnsim.tracking import (
     NUM_MODELS,
-    Track,
     combined_covariances,
     combined_states,
     cv_transition,
@@ -103,6 +103,10 @@ DEFAULT_RANDOM_ACTIVE_P = 0.8
 # covariance. Two steps is the normal gap under the bandit, whose nodes all
 # play Active at t=1 and Passive at t=2.
 PENDING_MAX_AGE_STEPS = 2
+
+# the held first sighting's step of a row that holds none: too old to be
+# differenced at any step >= 0
+NO_SIGHTING_STEP = -PENDING_MAX_AGE_STEPS - 1
 
 # the step of a row's last reading before its first one: neither equal nor
 # adjacent to any step >= 0
@@ -140,7 +144,6 @@ class SimConfig:
     epoch_duration_s: float = 25.0
     dt_s: float = 0.5
     num_runs: int = 30
-    policy: PolicySpec = PolicySpec()
     seed: int = 0
     noise: SensorNoise = SensorNoise()
 
@@ -253,17 +256,18 @@ class Coordinator:
     (T, V, V), `signal_transitions` (T, S, S)), and the (step, state) of its
     last reading (`motion_last`, `signal_last`), from which the next
     reading's transition is counted. `vectors_from_counts` builds behavior
-    vectors from these tables. A row is live once its track starts; `order`
-    lists the live rows in start order, and prediction and rewards run in
-    that order so that sums over tracks round as they did when each track
-    was visited in turn."""
+    vectors from these tables. Until its track starts, a row may hold one
+    first sighting, waiting for a second look to difference it with: its
+    step (`pending_step`, NO_SIGHTING_STEP when none), converted position
+    (`pending_pos` (T, 3)) and covariance (`pending_cov` (T, 3, 3)). A row is
+    live once its track starts; `order` lists the live rows in start order,
+    and prediction and rewards run in that order so that sums over tracks
+    round as they did when each track was visited in turn."""
 
     library: ClassLibrary
     num_signal_states: int
     use_class_knowledge: bool
     num_targets: int = 0  # table rows
-    # first sightings waiting for a second measurement: row -> (step, pos, R)
-    pending: dict = field(default_factory=dict)
     bandits: Optional[BanditState] = None
     _noise_cache: dict = field(default_factory=dict)
 
@@ -275,6 +279,9 @@ class Coordinator:
         self.estimates = np.zeros((T, 6))  # combined state of each row
         self.live = np.zeros(T, dtype=bool)
         self.class_ids = np.full(T, -1, dtype=np.int64)
+        self.pending_step = np.full(T, NO_SIGHTING_STEP, dtype=np.int64)
+        self.pending_pos = np.zeros((T, 3))
+        self.pending_cov = np.zeros((T, 3, 3))
         V, S = len(MOTION_STATES), self.num_signal_states
         self.motion_counts = np.zeros((T, V), dtype=np.int64)
         self.signal_counts = np.zeros((T, S), dtype=np.int64)
@@ -293,20 +300,15 @@ class Coordinator:
             for c in (self.library.classes if self.use_class_knowledge else ())
         }
 
-    def add_track(self, row: int, track: Track) -> None:
-        """Start a track in the free table row `row`, its target's index in
-        the world, from a copy of `track`'s filter bank; the coordinator
-        keeps no reference to `track`."""
-        if self.live[row]:
-            raise ValueError(f"row {row} already holds a track")
-        self.set_bank(
-            np.array([row]),
-            track.model_states[None],
-            track.model_covs[None],
-            track.model_probs[None],
-        )
-        self.live[row] = True
-        self.order = np.append(self.order, row)
+    def start_tracks(self, rows: np.ndarray, states, covs, probs) -> None:
+        """Start tracks in the free table rows `rows`, each its target's
+        index in the world, from copies of the given IMM banks; they join
+        `order` in the given order."""
+        if self.live[rows].any():
+            raise ValueError(f"rows {rows[self.live[rows]]} already hold a track")
+        self.set_bank(rows, states, covs, probs)
+        self.live[rows] = True
+        self.order = np.append(self.order, rows)
 
     def bank(self, rows: np.ndarray):
         """The rows' IMM banks: states (B, M, 6), covariances (B, M, 6, 6)
@@ -470,11 +472,13 @@ def _fuse_radar(
     dt: float,
     noise: SensorNoise,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply this step's radar returns: start tracks via two-point
-    differencing of a held first sighting and the new look, update the rest
-    in one batch. A sighting more than PENDING_MAX_AGE_STEPS old is
-    replaced by the new look. Returns the rows of the tracks that got a
-    reading, ascending, and the angular rate each one measured.
+    """Apply this step's radar returns in three batches: an untracked row
+    whose held first sighting is at most PENDING_MAX_AGE_STEPS old starts
+    its track by two-point differencing of that sighting and the new look;
+    any other untracked row holds the new look as its first sighting,
+    replacing an older one; the tracked rows get one Kalman update. Returns
+    the rows of the tracks that got a reading, ascending, and the angular
+    rate each one measured.
 
     One observer per target per step: the coordinator uses the return of
     the closest active node (smallest measured range, then lowest node id)
@@ -497,27 +501,33 @@ def _fuse_radar(
     npos = world.node_positions[ni]
     sigmas = (noise.sigma_range_m, noise.sigma_azimuth_rad, noise.sigma_elevation_rad)
     pos, R3 = polar_to_cartesian(z[:, 0], z[:, 1], z[:, 2], npos, sigmas)
-    tracked = coordinator.live[rows]
-    for i in np.flatnonzero(~tracked):
-        row = int(rows[i])
-        held = coordinator.pending.pop(row, None)
-        if held is None or t - held[0] > PENDING_MAX_AGE_STEPS:
-            coordinator.pending[row] = (t, pos[i], R3[i])
-            continue
-        step0, pos0, R0 = held
-        coordinator.add_track(
-            row, start_track(pos0, R0, pos[i], R3[i], dt=(t - step0) * dt)
+    c = coordinator
+    tracked = c.live[rows]
+    held_step = c.pending_step[rows]
+    starts = ~tracked & (t - held_step <= PENDING_MAX_AGE_STEPS)
+    if starts.any():
+        sr = rows[starts]
+        banks = start_track(
+            c.pending_pos[sr], c.pending_cov[sr], pos[starts], R3[starts],
+            (t - held_step[starts]) * dt,
         )
+        c.start_tracks(sr, *banks)
+        c.pending_step[sr] = NO_SIGHTING_STEP
+    hold = ~tracked & ~starts
+    hr = rows[hold]
+    c.pending_step[hr] = t
+    c.pending_pos[hr] = pos[hold]
+    c.pending_cov[hr] = R3[hold]
     upd = np.flatnonzero(tracked)
     if upd.size:
-        c, ur = coordinator, rows[upd]
+        ur = rows[upd]
         zb = np.column_stack([pos[upd], z[upd, 3]])
         Rb = np.zeros((upd.size, 4, 4))
         Rb[:, :3, :3] = R3[upd]
         Rb[:, 3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
         H = measurement_rows(c.estimates[ur], npos[upd])
         c.set_bank(ur, *kalman_update_arrays(*c.bank(ur), zb, Rb, H))
-    read = coordinator.live[rows]
+    read = c.live[rows]
     return rows[read], z[read, 4]
 
 
@@ -758,7 +768,7 @@ def run_epoch(
     library: ClassLibrary,
     config: SimConfig,
     rng,
-    policy: Optional[PolicySpec] = None,
+    policy: PolicySpec,
     pool: Optional[list] = None,
     pool_true_ids: Optional[list] = None,
 ) -> tuple[EpochMetrics, ClassLibrary]:
@@ -770,8 +780,6 @@ def run_epoch(
     The library only updates when the pool is non-empty -- a radar-only
     epoch intercepts nothing, harvests nothing, and scores zero.
     """
-    if policy is None:
-        policy = config.policy
     streams = make_streams(rng)
     world = make_world(config.scenario, streams.world)
     coordinator = make_coordinator(library, world, policy)
@@ -851,13 +859,6 @@ class ExperimentResult:
     config: SimConfig
     policies: tuple
     metrics: dict  # label -> [run][epoch] EpochMetrics
-
-    def curve(self, label: str, attr: str) -> np.ndarray:
-        """Across-run mean of one metric per epoch."""
-        per_run = np.array(
-            [[getattr(m, attr) for m in run] for run in self.metrics[label]]
-        )
-        return per_run.mean(axis=0)
 
     def final_epoch(self, label: str, attr: str) -> np.ndarray:
         """One value per run, taken at the last epoch."""

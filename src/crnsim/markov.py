@@ -24,7 +24,7 @@ class NonUniqueStationary(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
-    """Row-stochastic transition matrix over a finite labeled state space.
+    """Row-stochastic transition matrix over a finite state space.
 
     `row_cdf` holds each row's cumulative distribution, built the way
     `Generator.choice` builds it (cumsum, then divide by the last entry),
@@ -34,7 +34,6 @@ class MarkovChain:
     and raise."""
 
     transition: np.ndarray
-    labels: tuple[str, ...] = ()
     row_cdf: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -55,14 +54,6 @@ class MarkovChain:
         cdf /= cdf[:, -1:]
         cdf.setflags(write=False)
         object.__setattr__(self, "row_cdf", cdf)
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"s{i}" for i in range(P.shape[0]))
-            )
-        elif len(self.labels) != P.shape[0]:
-            raise ValueError("label count must match state count")
-        else:
-            object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def num_states(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from crnsim.sensing import ReceiverParams
 
 MOTION_STATES = ("CruiseCV", "CoordinatedTurn", "HighGManeuver")
 SIGNAL_TYPES = ("UAVControl", "Telemetry", "ADSB", "FMVoice")
-TX_STATES = ("On", "Off")
 
 CRUISE_CV, COORD_TURN, HIGH_G = 0, 1, 2
 TX_ON, TX_OFF = 0, 1
@@ -194,9 +192,7 @@ def sample_ppp(
     return pts
 
 
-def chain_from_stationary(
-    pi, persistence: float, labels: Optional[tuple[str, ...]] = None
-) -> MarkovChain:
+def chain_from_stationary(pi, persistence: float) -> MarkovChain:
     """Chain with the given stationary distribution exactly.
 
     Each step keeps the current state with probability 1 - persistence and
@@ -209,7 +205,7 @@ def chain_from_stationary(
     if np.any(pi <= 0):
         raise ValueError("stationary distribution must be strictly positive")
     P = (1 - persistence) * np.eye(pi.size) + persistence * np.tile(pi, (pi.size, 1))
-    return MarkovChain(P, labels=labels)
+    return MarkovChain(P)
 
 
 @functools.cache
@@ -227,23 +223,18 @@ def default_family() -> TargetFamily:
     uav = TargetClass(
         class_id=0,
         name="UAV",
-        motion_chain=chain_from_stationary(
-            [0.45, 0.35, 0.20], persistence=0.5, labels=MOTION_STATES
-        ),
-        signal_chain=chain_from_stationary(
-            [0.91, 0.06, 0.02, 0.01], persistence=0.30, labels=SIGNAL_TYPES
-        ),
-        tx_chain=MarkovChain(
-            np.array([[0.98, 0.02], [0.18, 0.82]]), labels=TX_STATES
-        ),  # 90% duty cycle
+        motion_chain=chain_from_stationary([0.45, 0.35, 0.20], persistence=0.5),
+        signal_chain=chain_from_stationary([0.91, 0.06, 0.02, 0.01], persistence=0.30),
+        tx_chain=MarkovChain(np.array([[0.98, 0.02], [0.18, 0.82]])),  # 90% duty cycle
         tx_power_w=0.1,
         # kinematic envelope: cruise jitter stays under the ~4.5 deg/s
         # cruise/turn boundary at the slowest speed and turn rates sit
         # inside (5, 30) deg/s, but high-G kicks overlap the turn band:
         # about a fifth of high-G steps realize 4.5-30 deg/s of heading
         # rate (10th percentile ~13 deg/s), so one step's reading cannot
-        # separate them; the mode-chain prior that
-        # tracking.infer_motion_state carries from earlier steps does
+        # separate them; a mode-chain prior carried from earlier steps
+        # could, but the engine reads each step with a flat prior so that
+        # readings do not depend on how a track is tuned
         process_noise=np.array([0.4, 9.0, 60.0]),
         speed_range_mps=(15.0, 35.0),
         altitude_range_m=(200.0, 1200.0),
@@ -252,15 +243,9 @@ def default_family() -> TargetFamily:
     ga = TargetClass(
         class_id=1,
         name="GeneralAviation",
-        motion_chain=chain_from_stationary(
-            [0.55, 0.35, 0.10], persistence=0.5, labels=MOTION_STATES
-        ),
-        signal_chain=chain_from_stationary(
-            [0.01, 0.02, 0.92, 0.05], persistence=0.30, labels=SIGNAL_TYPES
-        ),
-        tx_chain=MarkovChain(
-            np.array([[0.90, 0.10], [0.10, 0.90]]), labels=TX_STATES
-        ),  # 50% duty cycle
+        motion_chain=chain_from_stationary([0.55, 0.35, 0.10], persistence=0.5),
+        signal_chain=chain_from_stationary([0.01, 0.02, 0.92, 0.05], persistence=0.30),
+        tx_chain=MarkovChain(np.array([[0.90, 0.10], [0.10, 0.90]])),  # 50% duty cycle
         tx_power_w=10.0,
         # at these speeds the high-G kick realizes 13-22 deg/s of heading
         # change, so such segments read as turns; that merge is uniform
@@ -273,15 +258,9 @@ def default_family() -> TargetFamily:
     balloon = TargetClass(
         class_id=2,
         name="Balloon",
-        motion_chain=chain_from_stationary(
-            [0.80, 0.15, 0.05], persistence=0.5, labels=MOTION_STATES
-        ),
-        signal_chain=chain_from_stationary(
-            [0.01, 0.95, 0.02, 0.02], persistence=0.30, labels=SIGNAL_TYPES
-        ),
-        tx_chain=MarkovChain(
-            np.array([[0.86, 0.14], [0.06, 0.94]]), labels=TX_STATES
-        ),  # 30% duty cycle
+        motion_chain=chain_from_stationary([0.80, 0.15, 0.05], persistence=0.5),
+        signal_chain=chain_from_stationary([0.01, 0.95, 0.02, 0.02], persistence=0.30),
+        tx_chain=MarkovChain(np.array([[0.86, 0.14], [0.06, 0.94]])),  # 30% duty cycle
         tx_power_w=1.0,
         process_noise=np.array([0.05, 0.75, 1.0]),
         speed_range_mps=(3.0, 8.0),

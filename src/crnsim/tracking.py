@@ -9,28 +9,24 @@ mode-transition chain.
 
 Radar polar measurements are fused as converted Cartesian position (with
 Jacobian-propagated covariance) plus a linearized radial-velocity row.
-The angular-velocity channel never enters the filter. It drives a separate
-forward recursion over motion states: each track carries a belief that the
-prediction pushes through the tuning's mode chain and each angular-rate
-reading reweights, so evidence from earlier steps is kept. The filter's own
-model probabilities are neither read nor changed by that reading.
+The angular-velocity channel never enters the filter: `omega_log_evidence`
+scores each measured angular rate under every motion model, and the engine
+reads a track's motion state from that evidence alone (a flat prior), so
+the reading does not depend on how the track is tuned.
 
-All heavy math lives in array-batched functions over rows of tracks
-(leading axis = track, then model), including the IMM combination of a
-bank into one state and covariance. The engine keeps its tracks as one
-table of such rows and passes the live rows to these functions once per
-step. A `Track` is the single-target record -- filter bank, motion history,
-motion-state belief -- that `start_track` hands out and the per-track
-operations work on. The one per-track wrapper left is `imm_predict`, a
-batch of 1 that also moves the motion-state belief along the mode chain; it
-is the only code that does, and `infer_motion_state` relies on that step.
+The filter math is array kernels over a batch of tracks (leading axis =
+track, then model): starting tracks by two-point differencing, IMM
+prediction, the Kalman update, and the IMM combination of a bank into one
+state and covariance. The engine keeps its tracks as one table of such
+rows and passes each step's rows to these kernels, one call each; a track
+has no other form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -78,61 +74,15 @@ class FilterTuning:
         object.__setattr__(self, "process_noise_per_state", noise)
 
 
-def untuned_tuning(num_states: int = NUM_MODELS) -> FilterTuning:
+def untuned_tuning() -> FilterTuning:
     """Class-agnostic filter: uniform mixing, one shared noise level (the
     geometric mean of the per-state defaults)."""
     shared = float(np.exp(np.mean(np.log(DEFAULT_STATE_ACCEL_STD))))
-    uniform = np.full((num_states, num_states), 1.0 / num_states)
+    uniform = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
     return FilterTuning(
-        mode_transition=MarkovChain(uniform, labels=MOTION_STATES[:num_states]),
-        process_noise_per_state=np.full(num_states, shared),
+        mode_transition=MarkovChain(uniform),
+        process_noise_per_state=np.full(NUM_MODELS, shared),
     )
-
-
-@dataclass(eq=False)
-class Track:
-    """One target's filter bank plus its motion history: (step, state)
-    readings of motion state, at most one per step (see `record_reading`).
-    Compares by identity, as `FilterTuning` does."""
-
-    model_states: np.ndarray  # (models, 6)
-    model_covs: np.ndarray  # (models, 6, 6)
-    model_probs: np.ndarray  # (models,)
-    motion_history: list = field(default_factory=list)
-    # motion-state belief from angular-rate readings, kept apart from
-    # model_probs; None starts it uniform over the models
-    motion_belief: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.motion_belief is None:
-            m = len(self.model_probs)
-            self.motion_belief = np.full(m, 1.0 / m)
-
-    @property
-    def state(self) -> np.ndarray:
-        return combined_states(self.model_states[None], self.model_probs[None])[0]
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return combined_covariances(
-            self.model_states[None],
-            self.model_covs[None],
-            self.model_probs[None],
-            self.state[None],
-        )[0]
-
-
-def record_reading(history: list, step: int, state: int) -> bool:
-    """Append a (step, state) reading to a track history; a second reading
-    in a step that already has one is dropped. Returns whether it was
-    appended."""
-    if history and history[-1][0] == step:
-        return False
-    history.append((step, int(state)))
-    return True
-
-
-# --- batched array core ---
 
 
 def cv_transition(dt: float) -> np.ndarray:
@@ -221,21 +171,20 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
 def polar_to_cartesian(
     range_m, azimuth_rad, elevation_rad, node_position, sigmas
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convert polar measurements to Cartesian positions with
+    """Convert K polar measurements to Cartesian positions with
     first-order-propagated covariance.
 
-    Accepts scalars or batched arrays (K,); node_position is (3,) or
-    (K,3); sigmas = (sigma_r, sigma_az, sigma_el). Returns (K,3) positions
-    and (K,3,3) covariances (squeezed when scalar input).
+    range, azimuth and elevation are (K,); node_position is (K,3) or one
+    shared (3,); sigmas = (sigma_r, sigma_az, sigma_el). Returns (K,3)
+    positions and (K,3,3) covariances.
     """
-    r = np.atleast_1d(np.asarray(range_m, dtype=float))
-    az = np.atleast_1d(np.asarray(azimuth_rad, dtype=float))
-    el = np.atleast_1d(np.asarray(elevation_rad, dtype=float))
-    npos = np.atleast_2d(np.asarray(node_position, dtype=float))
+    r = np.asarray(range_m, dtype=float)
+    az = np.asarray(azimuth_rad, dtype=float)
+    el = np.asarray(elevation_rad, dtype=float)
     ca, sa = np.cos(az), np.sin(az)
     ce, se = np.cos(el), np.sin(el)
     offset = np.stack([r * ce * ca, r * ce * sa, r * se], axis=-1)
-    pos = npos + offset
+    pos = np.asarray(node_position, dtype=float) + offset
     # Jacobian wrt (r, az, el), shape (K, 3, 3)
     J = np.empty((r.size, 3, 3))
     J[:, 0, 0] = ce * ca
@@ -249,8 +198,6 @@ def polar_to_cartesian(
     J[:, 2, 2] = r * ce
     S = np.diag(np.asarray(sigmas, dtype=float) ** 2)
     R = np.einsum("kij,jl,kml->kim", J, S, J)
-    if np.isscalar(range_m) or np.asarray(range_m).ndim == 0:
-        return pos[0], R[0]
     return pos, R
 
 
@@ -308,56 +255,32 @@ def kalman_update_arrays(
     return states_new, covs_new, w / w.sum(axis=1, keepdims=True)
 
 
-# --- per-track operations ---
-
-
 def start_track(
     pos1: np.ndarray,
     R1: np.ndarray,
     pos2: np.ndarray,
     R2: np.ndarray,
-    dt: float,
-) -> Track:
-    """Two-point differencing initialization from the first two converted
-    position measurements (dt apart)."""
-    if dt <= 0:
+    dt: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-point differencing initialization of B tracks from their first
+    two converted position measurements: positions (B,3), covariances
+    (B,3,3), dt (B,) apart. Returns the B banks -- states (B,M,6),
+    covariances (B,M,6,6), probabilities (B,M) -- every model starting from
+    the differenced state with equal probability."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt <= 0):
         raise ValueError("measurements must be time-separated")
-    state = np.concatenate([pos2, (pos2 - pos1) / dt])
-    P = np.zeros((6, 6))
-    P[:3, :3] = R2
-    P[:3, 3:] = P[3:, :3] = R2 / dt
-    P[3:, 3:] = (R1 + R2) / dt**2
-    return Track(
-        model_states=np.tile(state, (NUM_MODELS, 1)),
-        model_covs=np.tile(P, (NUM_MODELS, 1, 1)),
-        model_probs=np.full(NUM_MODELS, 1.0 / NUM_MODELS),
+    gap = dt[:, None, None]
+    state = np.concatenate([pos2, (pos2 - pos1) / dt[:, None]], axis=1)
+    P = np.zeros((dt.size, 6, 6))
+    P[:, :3, :3] = R2
+    P[:, :3, 3:] = P[:, 3:, :3] = R2 / gap
+    P[:, 3:, 3:] = (R1 + R2) / gap**2
+    return (
+        np.repeat(state[:, None], NUM_MODELS, axis=1),
+        np.repeat(P[:, None], NUM_MODELS, axis=1),
+        np.full((dt.size, NUM_MODELS), 1.0 / NUM_MODELS),
     )
-
-
-def imm_predict(track: Track, tuning: FilterTuning, dt: float) -> Track:
-    """Advance one track by dt under the tuning's model bank; the
-    motion-state belief moves one step along the same mode chain."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    F = cv_transition(dt)
-    Q = np.stack(
-        [process_noise_matrix(dt, s) for s in tuning.process_noise_per_state]
-    )
-    states, covs, probs = imm_predict_arrays(
-        track.model_states[None],
-        track.model_covs[None],
-        track.model_probs[None],
-        tuning.mode_transition.transition[None],
-        F,
-        Q[None],
-    )
-    track.model_states, track.model_covs, track.model_probs = (
-        states[0],
-        covs[0],
-        probs[0],
-    )
-    track.motion_belief = track.motion_belief @ tuning.mode_transition.transition
-    return track
 
 
 def omega_log_evidence(omega: np.ndarray) -> np.ndarray:
@@ -377,43 +300,6 @@ def omega_log_evidence(omega: np.ndarray) -> np.ndarray:
     ) - math.log(2.0)
     hg = log_n(w, 0.0, OMEGA_STD_HIGHG)
     return np.concatenate([cv, ct, hg], axis=1)
-
-
-def motion_state_posterior(
-    track: Track, measured_omegas: Sequence[float] = ()
-) -> np.ndarray:
-    """Per-model posterior for this step: the track's motion-state belief
-    (the previous reading's posterior pushed through the mode chain by the
-    prediction) weighted by angular-rate evidence when the radar measured
-    any. Pure: neither the belief nor the filter's model probabilities
-    change."""
-    log_post = np.log(np.maximum(track.motion_belief, MIN_MODEL_PROB))
-    if len(measured_omegas) > 0:
-        log_post = log_post + omega_log_evidence(np.asarray(measured_omegas)).sum(
-            axis=0
-        )
-    log_post -= log_post.max()
-    post = np.exp(log_post)
-    return post / post.sum()
-
-
-def infer_motion_state(
-    track: Track, measured_omegas: Sequence[float] = (), step: Optional[int] = None
-) -> int:
-    """Most probable motion model this step.
-
-    With any measured angular rate the posterior becomes the track's
-    motion-state belief, which the next prediction carries forward; the
-    filter's model probabilities are left untouched. When a step index is
-    given the inferred state is recorded in the track's motion history.
-    """
-    post = motion_state_posterior(track, measured_omegas)
-    if len(measured_omegas) > 0:
-        track.motion_belief = post
-    state = int(np.argmax(post))
-    if step is not None:
-        record_reading(track.motion_history, step, state)
-    return state
 
 
 def track_rmse(

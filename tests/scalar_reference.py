@@ -5,19 +5,35 @@ sensing, filter, bandit and class-learning code, and helpers only tests use.
 with the gates and noise model of `sensing.radar_measure_batch` and
 `sensing.passive_detect_batch`; `make_node` builds the node they read. The
 tests use them as oracles for the batch functions, and to feed a filter one
-measurement at a time. `kalman_update`
-fuses one radar row into one track through `tracking.kalman_update_arrays`
-with a batch of 1. `RecordedHistories` keeps, on the test side, the
-(step, state) reading histories the coordinator no longer holds, by
-wrapping its recorders; `track_uncertainties` rebuilds every track's reward
-entropies from those whole histories, one track at a time, and
-`vector_from_histories` (with `_history_counts` and the scalar
-`occupancy_sample_size`) one track's behavior vector, as oracles for the
-engine's count tables and `classlib.vectors_from_counts`. `target_row`
-hands one row of a `dynamics.TargetTable` to these one-target functions.
-`ucb_select`, `record_reward` and `baseline_policy` play one node's two
-arms, held as (2,) counts and means indexed by `bandit.ACTIVE` and
-`bandit.PASSIVE`, as oracles for the bandit table.
+measurement at a time.
+
+A `Track` is one target's filter bank as a single record, the form a track
+had before the engine kept only table rows. `start_one_track` and
+`polar_to_cartesian_one` run `tracking.start_track` and
+`tracking.polar_to_cartesian` with a batch of 1, `imm_predict` and
+`kalman_update` advance and fuse one track through
+`tracking.imm_predict_arrays` and `tracking.kalman_update_arrays`, so a
+`Track` is the oracle the track table's rows are compared against.
+`Track` also carries the forward recursion over motion states
+(`motion_belief`, `motion_state_posterior`, `infer_motion_state`, Rabiner
+1989): each step's belief is the previous posterior pushed through the
+tuning's mode chain, reweighted by angular-rate evidence. The engine reads
+with a flat prior instead, because its readings must not depend on tuning;
+the recursion stays here as the yardstick for how well motion states can
+be read from a tuned chain. `record_reading` appends one (step, state)
+reading to a history, dropping a second one in the same step.
+
+`RecordedHistories` keeps, on the test side, the (step, state) reading
+histories the coordinator does not hold, by wrapping its recorders;
+`track_uncertainties` rebuilds every track's reward entropies from those
+whole histories, one track at a time, and `vector_from_histories` (with
+`_history_counts` and the scalar `occupancy_sample_size`) one track's
+behavior vector, as oracles for the engine's count tables and
+`classlib.vectors_from_counts`. `target_row` hands one row of a
+`dynamics.TargetTable` to these one-target functions. `ucb_select`,
+`record_reward` and `baseline_policy` play one node's two arms, held as
+(2,) counts and means indexed by `bandit.ACTIVE` and `bandit.PASSIVE`, as
+oracles for the bandit table.
 
 The rest are helpers only tests call: `passive_snr`, the link budget at
 one range (`sensing.max_detectable_range` is its inverse);
@@ -31,7 +47,8 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,12 +81,18 @@ from crnsim.sensing import (
     wrap_angle,
 )
 from crnsim.tracking import (
+    MIN_MODEL_PROB,
     FilterTuning,
-    Track,
+    combined_covariances,
+    combined_states,
+    cv_transition,
+    imm_predict_arrays,
     kalman_update_arrays,
     measurement_rows,
+    omega_log_evidence,
     polar_to_cartesian,
-    record_reading,
+    process_noise_matrix,
+    start_track,
 )
 
 
@@ -149,12 +172,142 @@ def passive_detect(
     return float(wrap_angle(bearing)), snr
 
 
+@dataclass(eq=False)
+class Track:
+    """One target's filter bank plus its motion history: (step, state)
+    readings of motion state, at most one per step (see `record_reading`),
+    and the motion-state belief of the forward recursion
+    (`infer_motion_state`). Compares by identity."""
+
+    model_states: np.ndarray  # (models, 6)
+    model_covs: np.ndarray  # (models, 6, 6)
+    model_probs: np.ndarray  # (models,)
+    motion_history: list = field(default_factory=list)
+    # motion-state belief from angular-rate readings, kept apart from
+    # model_probs; None starts it uniform over the models
+    motion_belief: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.motion_belief is None:
+            m = len(self.model_probs)
+            self.motion_belief = np.full(m, 1.0 / m)
+
+    @property
+    def state(self) -> np.ndarray:
+        return combined_states(self.model_states[None], self.model_probs[None])[0]
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return combined_covariances(
+            self.model_states[None],
+            self.model_covs[None],
+            self.model_probs[None],
+            self.state[None],
+        )[0]
+
+
+def start_one_track(pos1, R1, pos2, R2, dt: float) -> Track:
+    """One track started by `tracking.start_track` with a batch of 1."""
+    states, covs, probs = start_track(
+        pos1[None], R1[None], pos2[None], R2[None], np.array([dt])
+    )
+    return Track(states[0], covs[0], probs[0])
+
+
+def polar_to_cartesian_one(
+    range_m: float, azimuth_rad: float, elevation_rad: float, node_position, sigmas
+) -> tuple[np.ndarray, np.ndarray]:
+    """One measurement through `tracking.polar_to_cartesian`: its (3,)
+    position and (3, 3) covariance."""
+    pos, R = polar_to_cartesian(
+        np.array([range_m]),
+        np.array([azimuth_rad]),
+        np.array([elevation_rad]),
+        np.asarray(node_position, dtype=float)[None],
+        sigmas,
+    )
+    return pos[0], R[0]
+
+
+def record_reading(history: list, step: int, state: int) -> bool:
+    """Append a (step, state) reading to a track history; a second reading
+    in a step that already has one is dropped. Returns whether it was
+    appended."""
+    if history and history[-1][0] == step:
+        return False
+    history.append((step, int(state)))
+    return True
+
+
+def imm_predict(track: Track, tuning: FilterTuning, dt: float) -> Track:
+    """Advance one track by dt under the tuning's model bank; the
+    motion-state belief moves one step along the same mode chain."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    F = cv_transition(dt)
+    Q = np.stack(
+        [process_noise_matrix(dt, s) for s in tuning.process_noise_per_state]
+    )
+    states, covs, probs = imm_predict_arrays(
+        track.model_states[None],
+        track.model_covs[None],
+        track.model_probs[None],
+        tuning.mode_transition.transition[None],
+        F,
+        Q[None],
+    )
+    track.model_states, track.model_covs, track.model_probs = (
+        states[0],
+        covs[0],
+        probs[0],
+    )
+    track.motion_belief = track.motion_belief @ tuning.mode_transition.transition
+    return track
+
+
+def motion_state_posterior(
+    track: Track, measured_omegas: Sequence[float] = ()
+) -> np.ndarray:
+    """Per-model posterior for this step: the track's motion-state belief
+    (the previous reading's posterior pushed through the mode chain by the
+    prediction) weighted by angular-rate evidence when the radar measured
+    any. Pure: neither the belief nor the filter's model probabilities
+    change."""
+    log_post = np.log(np.maximum(track.motion_belief, MIN_MODEL_PROB))
+    if len(measured_omegas) > 0:
+        log_post = log_post + omega_log_evidence(np.asarray(measured_omegas)).sum(
+            axis=0
+        )
+    log_post -= log_post.max()
+    post = np.exp(log_post)
+    return post / post.sum()
+
+
+def infer_motion_state(
+    track: Track, measured_omegas: Sequence[float] = (), step: Optional[int] = None
+) -> int:
+    """Most probable motion model this step, by the forward recursion.
+
+    With any measured angular rate the posterior becomes the track's
+    motion-state belief, which the next prediction carries forward; the
+    filter's model probabilities are left untouched. When a step index is
+    given the inferred state is recorded in the track's motion history.
+    """
+    post = motion_state_posterior(track, measured_omegas)
+    if len(measured_omegas) > 0:
+        track.motion_belief = post
+    state = int(np.argmax(post))
+    if step is not None:
+        record_reading(track.motion_history, step, state)
+    return state
+
+
 def kalman_update(
     track: Track, row: np.ndarray, node, noise=SensorNoise()
 ) -> Track:
     """Fuse one radar row (converted position + radial velocity) into one
     track, with R built from `noise` as the engine builds it."""
-    pos, R3 = polar_to_cartesian(
+    pos, R3 = polar_to_cartesian_one(
         row[0],
         row[1],
         row[2],
@@ -196,7 +349,7 @@ class RecordedHistories:
     """Per-row (step, state) motion and signal histories of the current
     coordinator. `install(monkeypatch)` wraps `Coordinator.record_motion`
     and `record_signal` so that every reading they are given is also
-    appended through `tracking.record_reading` (one reading per step, a
+    appended through `record_reading` (one reading per step, a
     second one dropped) before the coordinator counts it. `of(coordinator)`
     returns this recorder with `motion` and `signal`, one list per table
     row, starting them empty when a new coordinator appears."""

@@ -54,10 +54,11 @@ class TestComputeRewards:
             use_class_knowledge=True,
             num_targets=2,
         )
-        for key, xy in enumerate(self.TRACK_XY[:2]):
-            coordinator.add_track(key, start_track(
-                np.r_[xy, 0.0], np.eye(3), np.r_[xy, 0.0], np.eye(3), 0.5
-            ))
+        pos = np.column_stack([self.TRACK_XY[:2], np.zeros(2)])
+        R = np.tile(np.eye(3), (2, 1, 1))
+        coordinator.start_tracks(
+            np.arange(2), *start_track(pos, R, pos, R, np.full(2, 0.5))
+        )
         etas = _track_uncertainties(coordinator)
         assert etas.tolist() == [[1.0, 1.0], [1.0, 1.0]]
         xy = coordinator.estimates[coordinator.order, :2]
@@ -73,8 +74,9 @@ class TestComputeRewards:
             use_class_knowledge=True,
             num_targets=1,
         )
-        coordinator.add_track(0, start_track(
-            np.zeros(3), np.eye(3), np.zeros(3), np.eye(3), 0.5
+        coordinator.start_tracks(np.zeros(1, dtype=np.int64), *start_track(
+            np.zeros((1, 3)), np.eye(3)[None], np.zeros((1, 3)), np.eye(3)[None],
+            np.array([0.5]),
         ))
         for step in range(5):
             coordinator.record_signal([0], step, [step])

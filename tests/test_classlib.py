@@ -28,10 +28,10 @@ from crnsim.classlib import (
 from crnsim.engine import Coordinator
 from crnsim.markov import MarkovChain
 from crnsim.scenario import default_family
-from crnsim.tracking import record_reading
 from scalar_reference import (
     distribution_distance,
     make_parameter_vector,
+    record_reading,
     sample_path,
     vector_from_histories,
 )

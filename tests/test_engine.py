@@ -1,16 +1,17 @@
 """Engine contract: determinism, the paired design (the world stream alone
 reproduces an epoch's truth, under a shared or a fresh default family),
 config validation, one batched truth step, one bandit-table selection and
-update, and at most one class-assignment batch per step whatever the target
-and node counts, the harvest rule for radar-only, radar association by
-truth id with one return per target per step and stale first sightings
-replaced, the coordinator's per-class prediction cache, the track table (its
-count tables against histories recorded on the test side, reward entropies
-against a per-track oracle, IMM combination equal to a `Track`'s, and no
-per-track state read or kept by the coordinator), behavior vectors from the
-count tables against the history builder, the sign of `rmse_improvement`,
-the names the benchmark tracer hooks, and a digest guard over every metric
-of a small experiment."""
+update, at most one track-start batch and one class-assignment batch per
+step whatever the target and node counts, the harvest rule for radar-only
+and the harvest gate on reading counts, radar association by truth id with
+one return per target per step and stale first sightings replaced, the
+coordinator's per-class prediction cache, the track table (its count
+tables against histories recorded on the test side, reward entropies
+against a per-track oracle, IMM combination equal to the oracle `Track`'s,
+and no per-row state kept outside its columns), behavior vectors
+from the count tables against the history builder, the sign of
+`rmse_improvement`, the names the benchmark tracer hooks, and a digest
+guard over every metric of a small experiment."""
 
 import copy
 import dataclasses
@@ -28,7 +29,12 @@ from hypothesis import strategies as st
 import crnsim.dynamics as dynamics
 import crnsim.engine as engine
 from crnsim.bandit import PolicyKind
-from crnsim.classlib import ClassLibrary, LearnedClass, vectors_from_counts
+from crnsim.classlib import (
+    ClassLibrary,
+    LearnedClass,
+    family_blocks,
+    vectors_from_counts,
+)
 from crnsim.dynamics import make_target_table, step_motion, step_signal
 from crnsim.engine import (
     ConfigError,
@@ -48,20 +54,16 @@ from crnsim.engine import (
 )
 from crnsim.scenario import Region, ScenarioConfig, Target, default_family
 from crnsim.sensing import SensorNoise
-from crnsim.tracking import (
-    Track,
-    process_noise_matrix,
-    record_reading,
-    start_track,
-    untuned_tuning,
-)
+from crnsim.tracking import process_noise_matrix, start_track, untuned_tuning
 
 from scalar_reference import (
     RecordedHistories,
+    Track,
     _history_counts,
     kalman_update,
     make_node,
     make_parameter_vector,
+    record_reading,
     track_uncertainties,
     vector_from_histories,
 )
@@ -356,9 +358,9 @@ class TestRadarAssociation:
         assert bool(coord.live[0]) == starts
         if starts:
             return
-        assert coord.pending[0][0] == 1 + gap
+        assert coord.pending_step[0] == 1 + gap
         look(2 + gap)
-        assert coord.live[0] and coord.pending == {}
+        assert coord.live[0] and coord.pending_step[0] == engine.NO_SIGHTING_STEP
         assert np.allclose(coord.estimates[0, 3:], velocity, atol=1e-6)
 
 
@@ -455,25 +457,31 @@ class TestTrackTable:
         run_experiment(SMALL, [BANDIT])
         assert len(steps) == 2 * SMALL.steps_per_epoch and max(steps) > 0
 
-    def test_add_track_refuses_a_live_row_and_copies_the_bank(self):
+    def test_start_tracks_refuses_a_live_row_and_copies_the_banks(self):
         c = Coordinator(
             library=ClassLibrary(),
             num_signal_states=4,
             use_class_knowledge=False,
-            num_targets=2,
+            num_targets=3,
         )
 
-        def fresh():
-            return start_track(np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
+        def fresh(n):
+            R = np.tile(np.eye(3), (n, 1, 1))
+            return start_track(
+                np.zeros((n, 3)), R, np.arange(3.0 * n).reshape(n, 3), R,
+                np.full(n, 0.5),
+            )
 
-        track = fresh()
-        c.add_track(0, track)
+        states, covs, probs = fresh(2)
+        c.start_tracks(np.array([2, 0]), states, covs, probs)
         with pytest.raises(ValueError):
-            c.add_track(0, fresh())
-        assert c.order.tolist() == [0] and c.live.tolist() == [True, False]
-        assert np.array_equal(c.model_states[0], track.model_states)
-        track.model_states += 1.0
-        assert not np.array_equal(c.model_states[0], track.model_states)
+            c.start_tracks(np.array([1, 0]), *fresh(2))
+        assert c.order.tolist() == [2, 0] and c.live.tolist() == [True, False, True]
+        assert np.array_equal(c.model_states[[2, 0]], states)
+        assert np.array_equal(c.model_covs[[2, 0]], covs)
+        assert np.array_equal(c.model_probs[[2, 0]], probs)
+        states += 1.0
+        assert not np.array_equal(c.model_states[[2, 0]], states)
 
     def test_combination_equals_the_tracks(self):
         # a class-tuned bank, so the models' states, covariances and
@@ -494,17 +502,17 @@ class TestTrackTable:
         assert (track.covariance[:2, :2] == c.xy_covariances(np.array([0]))[0]).all()
 
     def test_coordinator_holds_no_track(self, monkeypatch):
+        # per-row state lives only in table columns, one row per target: the
+        # only dicts are per-class caches, and no list or track record is kept
         steps = []
 
         def check(world, c):
-            for value in vars(c).values():
-                inner = ()
+            for name, value in vars(c).items():
+                assert not isinstance(value, (Track, list)), name
                 if isinstance(value, dict):
-                    inner = value.values()
-                elif isinstance(value, list):
-                    inner = value
-                assert not isinstance(value, Track)
-                assert not any(isinstance(v, Track) for v in inner)
+                    assert name in ("class_etas", "_noise_cache"), name
+                elif isinstance(value, np.ndarray) and name != "order":
+                    assert value.shape[0] == c.num_targets, name
             steps.append(c.order.size)
 
         _after_each_step(monkeypatch, check)
@@ -552,23 +560,6 @@ class TestTrackTable:
         assert kinds["thin"] and kinds["counted"] and kinds["dropped"]
         if policy.kind is PolicyKind.BANDIT:
             assert kinds["classified"]
-
-    def test_step_loop_reads_no_per_track_state(self, monkeypatch):
-        reads = []
-        for name in ("state", "covariance"):
-            getter = getattr(Track, name).fget
-            monkeypatch.setattr(Track, name, property(
-                lambda track, getter=getter, name=name: reads.append(name)
-                or getter(track)
-            ))
-        probe = start_track(np.zeros(3), np.eye(3), np.ones(3), np.eye(3), 0.5)
-        probe.state, probe.covariance
-        assert {"state", "covariance"} <= set(reads)
-        reads.clear()
-        steps = []
-        _after_each_step(monkeypatch, lambda world, c: steps.append(c.order.size))
-        run_experiment(SMALL, [BANDIT])
-        assert max(steps) > 0 and reads == []
 
 
 class TestCountTables:
@@ -619,16 +610,79 @@ class TestCountTables:
             assert (evidence[i] == want.evidence).all()
 
 
+class TestHarvestGate:
+    # (motion, signal) readings per row: each side of both boundaries
+    READINGS = [(9, 3), (10, 3), (10, 2), (9, 2), (25, 7), (10, 3), (0, 0)]
+
+    def _coordinator(self):
+        rng = np.random.default_rng(4)
+        c = Coordinator(
+            library=ClassLibrary(),
+            num_signal_states=4,
+            use_class_knowledge=False,
+            num_targets=len(self.READINGS),
+        )
+        for row, (n_motion, n_signal) in enumerate(self.READINGS):
+            for step in range(n_motion):
+                c.record_motion([row], step, rng.integers(0, 3, 1))
+            for step in range(n_signal):
+                c.record_signal([row], step, rng.integers(0, 4, 1))
+        return c
+
+    def test_exactly_the_rows_observed_enough_in_input_order(self):
+        c = self._coordinator()
+        order = np.array([5, 3, 1, 0, 4, 6, 2])
+        rows, values, evidence = engine.track_parameter_vector(c, order)
+        assert rows.tolist() == [5, 1, 4]
+        want_values, want_evidence = vectors_from_counts(
+            c.motion_counts[rows],
+            c.motion_transitions[rows],
+            c.signal_counts[rows],
+            c.signal_transitions[rows],
+        )
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(evidence, want_evidence)
+
+    def test_no_rows_give_empty_batches(self):
+        c = self._coordinator()
+        blocks = family_blocks(3, 4)
+        for given_rows in (np.zeros(0, dtype=np.int64), np.array([0, 2, 3, 6])):
+            rows, values, evidence = engine.track_parameter_vector(c, given_rows)
+            assert rows.shape == (0,)
+            assert values.shape == (0, sum(b.length for b in blocks))
+            assert evidence.shape == (0, len(blocks))
+
+    def test_each_epoch_harvests_the_live_rows_past_the_gate(self, monkeypatch):
+        # the last step's table of each epoch's coordinator is the one
+        # harvested
+        coordinators, passed = [], []
+
+        def check(world, c):
+            if not coordinators or coordinators[-1] is not c:
+                coordinators.append(c)
+                passed.append(0)
+            ready = (c.motion_counts.sum(axis=1) >= 10) & (
+                c.signal_counts.sum(axis=1) >= 3
+            )
+            passed[-1] = int((c.live & ready).sum())
+
+        _after_each_step(monkeypatch, check)
+        epochs = run_experiment(SMALL, [BANDIT]).metrics["bandit"][0]
+        assert [m.harvested for m in epochs] == passed
+        assert min(passed) > 0
+
+
 class TestTruthBatch:
     def test_one_batched_truth_step_per_step(self, monkeypatch):
         # the truth advances with one step_motion, one step_signal and three
         # Markov draws per step, however many targets the world holds; the
         # bandit table picks every node's arm, and updates it, in one call;
-        # class assignment scores every ready row in one call, and behavior
-        # vectors are built at most once a step plus once for the harvest
+        # a step's new tracks start in one call; class assignment scores
+        # every ready row in one call, and behavior vectors are built at
+        # most once a step plus once for the harvest
         calls = {
             "step_motion": 0, "step_signal": 0, "sample_next": 0,
-            "ucb_select": 0, "record_reward": 0,
+            "ucb_select": 0, "record_reward": 0, "start_track": 0,
             "assign_class": 0, "track_parameter_vector": 0,
         }
         targets = []
@@ -644,7 +698,7 @@ class TestTruthBatch:
 
         for name in (
             "step_motion", "step_signal", "ucb_select", "record_reward",
-            "assign_class", "track_parameter_vector",
+            "start_track", "assign_class", "track_parameter_vector",
         ):
             counted(engine, name)
         counted(dynamics, "sample_next")
@@ -655,6 +709,7 @@ class TestTruthBatch:
         steps = len(targets)
         assert steps == SMALL.num_epochs * SMALL.steps_per_epoch
         assert min(targets) > 1 and len(set(targets)) > 1
+        assert 0 < calls.pop("start_track") <= steps
         assert 0 < calls.pop("assign_class") <= steps
         assert 0 < calls.pop("track_parameter_vector") <= steps + SMALL.num_epochs
         assert calls == {

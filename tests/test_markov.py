@@ -36,10 +36,8 @@ class TestMarkovChain:
         with pytest.raises(ValueError):
             MarkovChain(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
-    def test_default_labels(self):
-        c = MarkovChain(np.eye(3))
-        assert c.labels == ("s0", "s1", "s2")
-        assert c.num_states == 3
+    def test_num_states_is_the_matrix_size(self):
+        assert MarkovChain(np.eye(3)).num_states == 3
 
     def test_equality_is_identity_and_does_not_raise(self):
         P = np.array([[0.9, 0.1], [0.5, 0.5]])

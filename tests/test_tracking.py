@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnsim.dynamics import make_target_table, step_motion
 from crnsim.markov import MarkovChain
@@ -19,15 +21,11 @@ from crnsim.tracking import (
     VERTICAL_Q_FRACTION,
     FilterTuning,
     LengthMismatch,
-    Track,
     cv_transition,
     imm_mix,
-    imm_predict,
     imm_predict_arrays,
-    infer_motion_state,
     kalman_update_arrays,
     measurement_rows,
-    motion_state_posterior,
     omega_log_evidence,
     polar_to_cartesian,
     process_noise_matrix,
@@ -36,10 +34,16 @@ from crnsim.tracking import (
     untuned_tuning,
 )
 from scalar_reference import (
+    Track,
     estimate_transitions,
+    imm_predict,
+    infer_motion_state,
     kalman_update,
     make_node,
+    motion_state_posterior,
+    polar_to_cartesian_one,
     radar_measure,
+    start_one_track,
     target_row,
     tuned_tuning,
     vector_from_histories,
@@ -166,7 +170,7 @@ class TestPolarConversion:
         r = np.linalg.norm(rel)
         az = math.atan2(rel[1], rel[0])
         el = math.asin(rel[2] / r)
-        pos, R = polar_to_cartesian(r, az, el, node, (25.0, 0.017, 0.017))
+        pos, R = polar_to_cartesian_one(r, az, el, node, (25.0, 0.017, 0.017))
         assert pos == pytest.approx(truth, abs=1e-9)
         assert R == pytest.approx(R.T)
         assert np.all(np.linalg.eigvalsh(R) > 0)
@@ -175,7 +179,7 @@ class TestPolarConversion:
         node = np.zeros(3)
         r, az, el = 5000.0, 0.7, 0.2
         sig = (25.0, math.radians(1), math.radians(1))
-        _, R = polar_to_cartesian(r, az, el, node, sig)
+        _, R = polar_to_cartesian_one(r, az, el, node, sig)
 
         def cart(p):
             rr, a, e = p
@@ -202,7 +206,9 @@ class TestPolarConversion:
         node = np.zeros(3)
         pos_b, R_b = polar_to_cartesian(rs, azs, els, node, (25.0, 0.02, 0.02))
         for k in range(5):
-            p, R = polar_to_cartesian(rs[k], azs[k], els[k], node, (25.0, 0.02, 0.02))
+            p, R = polar_to_cartesian_one(
+                rs[k], azs[k], els[k], node, (25.0, 0.02, 0.02)
+            )
             assert pos_b[k] == pytest.approx(p)
             assert R_b[k] == pytest.approx(R)
 
@@ -272,7 +278,7 @@ class TestKalmanUpdate:
             meas = radar_measure(
                 node, target_row(truth), True, rng, TINY_NOISE
             )
-            pos, R = polar_to_cartesian(
+            pos, R = polar_to_cartesian_one(
                 meas[0], meas[1], meas[2], node.position,
                 (25.0, 0.0175, 0.0175),
             )
@@ -280,7 +286,7 @@ class TestKalmanUpdate:
                 if prev is None:
                     prev = (pos, R)
                     continue
-                track = start_track(prev[0], prev[1], pos, R, 0.5)
+                track = start_one_track(prev[0], prev[1], pos, R, 0.5)
                 continue
             imm_predict(track, tuning, 0.5)
             kalman_update(track, meas, node, TINY_NOISE)
@@ -292,7 +298,7 @@ class TestKalmanUpdate:
         node = make_node(np.zeros(3))
         cls = make_class(speed_range=(0.0, 200.0), process_noise=(3.0, 3.0, 3.0))
         truth = make_truth(cls, [1500.0, 2500.0, 600.0], v=(40.0, -20.0, 0.0))
-        track = start_track(
+        track = start_one_track(
             np.array([1450.0, 2450.0, 550.0]),
             np.eye(3) * 625.0,
             np.array([1480.0, 2470.0, 580.0]),
@@ -315,27 +321,49 @@ class TestKalmanUpdate:
 
 class TestStartTrack:
     def test_two_point_differencing(self):
-        p1 = np.array([1000.0, 0.0, 100.0])
-        p2 = np.array([1010.0, 5.0, 100.0])
-        R = np.eye(3) * 400.0
-        track = start_track(p1, R, p2, R, 0.5)
-        assert track.state[:3] == pytest.approx(p2)
-        assert track.state[3:] == pytest.approx([20.0, 10.0, 0.0])
-        assert track.model_probs == pytest.approx(np.ones(NUM_MODELS) / NUM_MODELS)
-        P = track.covariance
-        assert P[:3, :3] == pytest.approx(R)
-        assert P[3:, 3:] == pytest.approx(2 * R / 0.25)
+        p1 = np.array([[1000.0, 0.0, 100.0], [0.0, 0.0, 0.0]])
+        p2 = np.array([[1010.0, 5.0, 100.0], [30.0, -6.0, 3.0]])
+        R = np.stack([np.eye(3) * 400.0, np.eye(3) * 100.0])
+        dt = np.array([0.5, 1.5])
+        states, covs, probs = start_track(p1, R, p2, R, dt)
+        assert states.shape == (2, NUM_MODELS, 6)
+        assert covs.shape == (2, NUM_MODELS, 6, 6)
+        assert probs == pytest.approx(np.full((2, NUM_MODELS), 1 / NUM_MODELS))
+        # every model of a bank starts from the same differenced state
+        assert (states == states[:, :1]).all() and (covs == covs[:, :1]).all()
+        assert states[:, 0, :3] == pytest.approx(p2)
+        velocities = np.array([[20.0, 10.0, 0.0], [20.0, -4.0, 2.0]])
+        assert states[:, 0, 3:] == pytest.approx(velocities)
+        for b in range(2):
+            P = covs[b, 0]
+            assert P[:3, :3] == pytest.approx(R[b])
+            assert P[:3, 3:] == pytest.approx(R[b] / dt[b])
+            assert P[3:, 3:] == pytest.approx(2 * R[b] / dt[b] ** 2)
 
     def test_rejects_simultaneous_measurements(self):
-        p = np.zeros(3)
-        with pytest.raises(ValueError):
-            start_track(p, np.eye(3), p, np.eye(3), 0.0)
+        p = np.zeros((2, 3))
+        R = np.tile(np.eye(3), (2, 1, 1))
+        for dt in ([0.5, 0.0], [-0.5, 0.5]):
+            with pytest.raises(ValueError):
+                start_track(p, R, p, R, np.array(dt))
 
-    def test_equality_is_identity_and_does_not_raise(self):
-        R = np.eye(3)
-        a, b = (start_track(np.zeros(3), R, np.ones(3), R, 0.5) for _ in range(2))
-        assert a == a
-        assert (a == b) is False
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_batch_equals_one_row_calls(self, seed, B):
+        rng = np.random.default_rng(seed)
+        pos1, pos2 = rng.normal(0.0, 3000.0, (2, B, 3))
+        A = rng.normal(0.0, 30.0, (2, B, 3, 3))
+        R1, R2 = A @ np.swapaxes(A, -1, -2)
+        dt = rng.uniform(0.1, 3.0, B)
+        got = start_track(pos1, R1, pos2, R2, dt)
+        assert [a.shape[0] for a in got] == [B, B, B]
+        for b in range(B):
+            one = start_track(
+                pos1[b : b + 1], R1[b : b + 1], pos2[b : b + 1], R2[b : b + 1],
+                dt[b : b + 1],
+            )
+            for g, o in zip(got, one):
+                assert (g[b] == o[0]).all()
 
 
 class TestMotionStateInference:
@@ -367,7 +395,7 @@ class TestMotionStateInference:
         for step in range(steps + 2):
             step_motion(truth, 0.5, rng)
             meas = radar_measure(node, target_row(truth), True, rng)
-            pos, R = polar_to_cartesian(
+            pos, R = polar_to_cartesian_one(
                 meas[0], meas[1], meas[2], node.position,
                 (25.0, 0.0175, 0.0175),
             )
@@ -375,7 +403,7 @@ class TestMotionStateInference:
                 if prev is None:
                     prev = (pos, R)
                     continue
-                track = start_track(prev[0], prev[1], pos, R, 0.5)
+                track = start_one_track(prev[0], prev[1], pos, R, 0.5)
                 continue
             imm_predict(track, tuning, 0.5)
             kalman_update(track, meas, node)
@@ -406,7 +434,7 @@ class TestMotionStateInference:
     @staticmethod
     def _three_model_track():
         R = np.eye(3) * 400.0
-        track = start_track(np.zeros(3), R, np.array([10.0, 0.0, 0.0]), R, 0.5)
+        track = start_one_track(np.zeros(3), R, np.array([10.0, 0.0, 0.0]), R, 0.5)
         track.model_probs = np.array([0.2, 0.5, 0.3])
         track.motion_belief = np.array([0.6, 0.3, 0.1])
         return track
@@ -473,7 +501,7 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
     for step in range(steps):
         step_motion(truth, 0.5, rng)
         meas = radar_measure(node, target_row(truth), True, rng)
-        pos, R = polar_to_cartesian(
+        pos, R = polar_to_cartesian_one(
             meas[0], meas[1], meas[2], node.position,
             (25.0, 0.0175, 0.0175),
         )
@@ -481,7 +509,7 @@ def _switching_target_run(seed, steps, radar_range_m=50_000.0):
             if prev is None:
                 prev = (pos, R)
                 continue
-            track = start_track(prev[0], prev[1], pos, R, 0.5)
+            track = start_one_track(prev[0], prev[1], pos, R, 0.5)
             continue
         imm_predict(track, tuning, 0.5)
         kalman_update(track, meas, node)
@@ -531,7 +559,7 @@ def _paired_epoch_rmse(cls, seed, num_targets):
         for _ in range(52):
             step_motion(truth, 0.5, rng)
             meas = radar_measure(node, target_row(truth), True, rng)
-            pos, R = polar_to_cartesian(
+            pos, R = polar_to_cartesian_one(
                 meas[0], meas[1], meas[2],
                 node.position, (25.0, 0.0175, 0.0175),
             )
@@ -540,7 +568,7 @@ def _paired_epoch_rmse(cls, seed, num_targets):
                     prev = (pos, R)
                     continue
                 for k in tracks:
-                    tracks[k] = start_track(prev[0], prev[1], pos, R, 0.5)
+                    tracks[k] = start_one_track(prev[0], prev[1], pos, R, 0.5)
                 continue
             for k, tng in (("tuned", tun), ("untuned", unt)):
                 imm_predict(tracks[k], tng, 0.5)
