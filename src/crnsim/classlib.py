@@ -1,23 +1,28 @@
-"""End-of-epoch class learning over per-target parameter estimates.
+"""End-of-epoch class learning over per-target behavior vectors.
 
-Each observed target contributes a ParameterVector, which
-`vectors_from_counts` builds, a batch of tracks at a time, from the count
-tables the coordinator keeps per track: how often each motion state and
-signal type was read, and how often each state followed another in adjacent
-steps. A vector holds the estimated stationary distributions (primary
-blocks) plus the rows of the estimated transition matrices (half-weight
-blocks — stationary behavior defines a class, transition structure only
-helps separate classes that happen to share it), with the evidence behind
-each block. This is the only place that turns observed behavior into a
-vector; tracks only count readings. Vectors are clustered by k-means under
-a summed Jensen-Shannon divergence, the cluster count is chosen by AIC, and
-the resulting classes persist across epochs: each update re-clusters the
-cumulative pool and keeps ids stable by matching new centroids to old ones.
-`assign_class` scores a batch of vectors against the current classes.
+Each observed target contributes one behavior vector, a row of the (B, L)
+batch `vectors_from_counts` builds from the count tables the coordinator
+keeps per track: how often each motion state and signal type was read, and
+how often each state followed another in adjacent steps. A vector holds the
+estimated stationary distributions (primary blocks) plus the rows of the
+estimated transition matrices (half-weight blocks — stationary behavior
+defines a class, transition structure only helps separate classes that
+happen to share it) in the `family_blocks(V, S)` layout, and beside it one
+evidence entry per block. This is the only place that turns observed
+behavior into a vector; tracks only count readings.
 
-A learned class carries enough structure to tune a filter bank: its
-centroid's motion-transition rows become the IMM mixing chain, with the
-per-state default acceleration levels standing in for process noise.
+Class learning works on tables, never on one object per vector or per
+class. The cumulative pool is (N, L) values with (N, blocks) evidence;
+`update_library` re-clusters it by k-means under a summed Jensen-Shannon
+divergence (`kmeans_distributions`, (N,) assignments and (k, L)
+centroids), chooses the cluster count by AIC, and returns a new
+`ClassLibrary`: ascending class ids (k,), centroids (k, L), member counts
+(k,) and the block layout. The classes persist across epochs: each update
+keeps ids stable by matching new centroids to old ones. `assign_class`
+scores a (B, L) batch against the centroids. A learned class carries enough
+structure to tune a filter bank: its centroid's motion-transition rows
+become the IMM mixing chain, with the per-state default acceleration levels
+standing in for process noise.
 
 The distance and likelihood kernels work on all blocks at once (see
 `_blocked`) and are bit-exact: every float they produce equals the one a
@@ -35,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -45,17 +50,18 @@ from crnsim.markov import MarkovChain, transition_matrix_from_counts
 from crnsim.tracking import DEFAULT_STATE_ACCEL_STD, FilterTuning
 
 DEFAULT_ACCEPT_RADIUS = 0.25
-DEFAULT_MAX_CLASSES = 6
+MAX_CLASSES = 6
 KMEANS_MAX_ITER = 100
 KMEANS_RESTARTS = 10
+EM_MAX_ITER = 50
+EM_TOL = 1e-6
 TRANSITION_BLOCK_WEIGHT = 0.5
 
 _LN2 = math.log(2.0)
-_BLOCK_SUM_TOL = 1e-6
 
 
 class BlockMismatch(ValueError):
-    """Parameter vectors with different block structures were combined."""
+    """Vectors with different block structures were combined."""
 
 
 class TooFewPoints(ValueError):
@@ -64,7 +70,7 @@ class TooFewPoints(ValueError):
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One distribution block inside a ParameterVector."""
+    """One distribution block inside a behavior vector."""
 
     name: str
     length: int
@@ -82,55 +88,11 @@ def family_blocks(
     return tuple(blocks)
 
 
-@dataclass(frozen=True, eq=False)
-class ParameterVector:
-    """Concatenated distribution blocks describing one target's behavior.
-
-    evidence holds one effective sample size per block, aligned with
-    `blocks`: the discounted step count behind a stationary block (see
-    `occupancy_sample_size`), the transitions out of the source state for a
-    transition row. It scales the AIC likelihood, so unobserved rows carry
-    no evidence.
-    """
-
-    values: np.ndarray
-    blocks: tuple[BlockSpec, ...]
-    evidence: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        total = sum(b.length for b in self.blocks)
-        if vals.shape != (total,):
-            raise BlockMismatch(
-                f"expected {total} values for the block structure, got {vals.shape}"
-            )
-        evidence = np.asarray(self.evidence, dtype=float)
-        if evidence.shape != (len(self.blocks),):
-            raise BlockMismatch(
-                f"expected {len(self.blocks)} evidence entries, got {evidence.shape}"
-            )
-        if np.any(vals < -1e-12):
-            raise ValueError("distribution entries must be nonnegative")
-        for b, sl in _block_slices(self.blocks):
-            if abs(vals[sl].sum() - 1.0) > _BLOCK_SUM_TOL:
-                raise ValueError(f"block {b.name} does not sum to 1")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "evidence", evidence)
-
-
 def _block_slices(blocks):
     offset = 0
     for b in blocks:
         yield b, slice(offset, offset + b.length)
         offset += b.length
-
-
-def block_values(vector: ParameterVector, name: str) -> np.ndarray:
-    """One named block of the concatenated vector (read-only view)."""
-    for spec, sl in _block_slices(vector.blocks):
-        if spec.name == name:
-            return vector.values[sl]
-    raise KeyError(name)
 
 
 def occupancy_sample_size(n_steps, occupancy, transition):
@@ -287,14 +249,6 @@ def _distance_matrix(
     return _pool_distances(_blocked_pool(points, blocks), centroids, blocks)
 
 
-def _stack(vectors: Sequence[ParameterVector]) -> np.ndarray:
-    blocks = vectors[0].blocks
-    for v in vectors[1:]:
-        if v.blocks != blocks:
-            raise BlockMismatch("vectors in one pool must share block structure")
-    return np.stack([v.values for v in vectors])
-
-
 # --- clustering ---
 
 
@@ -344,34 +298,25 @@ def _lloyd(
 
 
 def kmeans_distributions(
-    vectors: Sequence[ParameterVector], k: int, rng
-) -> tuple[np.ndarray, list[ParameterVector]]:
-    """Lloyd k-means under the weighted JSD of `_distance_matrix`, best of
-    10 restarts.
+    points: np.ndarray, k: int, blocks, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd k-means of the (N, L) points under the weighted JSD of
+    `_distance_matrix`, best of 10 restarts.
 
-    Returns (assignments, centroids); centroids are blockwise means, so
-    they remain valid distributions.
+    Returns the (N,) assignments and the (k, L) centroids; centroids are
+    blockwise means, so they remain valid distributions.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > len(vectors):
-        raise TooFewPoints(f"k={k} exceeds {len(vectors)} vectors")
-    points = _stack(vectors)
-    blocks = vectors[0].blocks
+    if k > len(points):
+        raise TooFewPoints(f"k={k} exceeds {len(points)} vectors")
     pool = _blocked_pool(points, blocks)
     best = None
     for _ in range(KMEANS_RESTARTS):
         assign, cents, objective, _ = _lloyd(points, k, blocks, rng, pool)
         if best is None or objective < best[2]:
             best = (assign, cents, objective)
-    assign, cents, _ = best
-    # a centroid is not an observation, so it carries no evidence
-    no_evidence = np.zeros(len(blocks))
-    centroids = [
-        ParameterVector(values=c, blocks=blocks, evidence=no_evidence)
-        for c in cents
-    ]
-    return assign, centroids
+    return best[0], best[1]
 
 
 def _mixture_logits(
@@ -406,8 +351,6 @@ def _pool_log_likelihood(
     assign: np.ndarray,
     centroids: np.ndarray,
     blocks,
-    max_iter: int = 50,
-    tol: float = 1e-6,
 ) -> float:
     """Mixture log-likelihood of the pool, EM-polished from the k-means fit.
 
@@ -425,11 +368,11 @@ def _pool_log_likelihood(
     cents = centroids.copy()
     blocked = _blocked(points, blocks)
     prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         logits = _mixture_logits(blocked, evidence, cents, weights, blocks)
         norm = logsumexp(logits, axis=1)
         logl = float(norm.sum())
-        if logl - prev < tol * max(1.0, abs(logl)):
+        if logl - prev < EM_TOL * max(1.0, abs(logl)):
             return max(logl, prev)
         prev = logl
         resp = np.exp(logits - norm[:, None])
@@ -443,133 +386,123 @@ def _pool_log_likelihood(
     return prev
 
 
-def _fit_pool(vectors: Sequence[ParameterVector], k_max: int, rng):
-    """k-means fits for k=1..k_max; returns the AIC winner (ties favor
-    smaller k)."""
-    if not vectors:
+def _fit_pool(points: np.ndarray, evidence: np.ndarray, blocks, rng):
+    """k-means fits of the (N, L) points for k = 1..MAX_CLASSES; returns the
+    AIC winner (ties favor smaller k) as (aic, k, (N,) assignments, (k, L)
+    centroids)."""
+    if not len(points):
         raise TooFewPoints("no vectors to cluster")
-    points = _stack(vectors)
-    blocks = vectors[0].blocks
     d = sum(b.length - 1 for b in blocks)
-    evidence = np.stack([v.evidence for v in vectors])
     best = None
-    for k in range(1, min(k_max, len(vectors)) + 1):
-        assign, centroids = kmeans_distributions(vectors, k, rng)
-        cents = np.stack([c.values for c in centroids])
-        logl = _pool_log_likelihood(points, evidence, assign, cents, blocks)
+    for k in range(1, min(MAX_CLASSES, len(points)) + 1):
+        assign, centroids = kmeans_distributions(points, k, blocks, rng)
+        logl = _pool_log_likelihood(points, evidence, assign, centroids, blocks)
         aic = 2.0 * k * d - 2.0 * logl
         if best is None or aic < best[0]:
             best = (aic, k, assign, centroids)
     return best
 
 
-def select_k_aic(
-    vectors: Sequence[ParameterVector], k_max: int = DEFAULT_MAX_CLASSES, rng=None
-) -> int:
-    """Cluster count minimizing AIC = 2kd - 2 logL over k = 1..k_max."""
-    if rng is None:
-        rng = np.random.default_rng()
-    return _fit_pool(vectors, k_max, rng)[1]
+def select_k_aic(points: np.ndarray, evidence: np.ndarray, blocks, rng) -> int:
+    """Cluster count of the (N, L) points with their (N, blocks) evidence
+    minimizing AIC = 2kd - 2 logL over k = 1..MAX_CLASSES."""
+    return _fit_pool(points, evidence, blocks, rng)[1]
 
 
 # --- the library ---
 
 
-@dataclass(eq=False)
-class LearnedClass:
-    """One discovered class: centroid behavior plus filter tuning."""
+def _empty_ids() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
 
-    class_id: int
-    centroid: ParameterVector
-    member_count: int
 
-    def tuning(self) -> FilterTuning:
-        """IMM tuning from the centroid: its motion-transition rows mix the
+@dataclass(frozen=True, eq=False)
+class ClassLibrary:
+    """Classes learned so far, as one table with a row per class in
+    ascending id order: stable class ids (k,), centroids (k, L) in the
+    `blocks` layout, and how many pool vectors each class held when it was
+    learned (k,). The default is the empty library (k = 0) in the default
+    family's layout."""
+
+    blocks: tuple[BlockSpec, ...] = family_blocks()
+    ids: np.ndarray = field(default_factory=_empty_ids)
+    centroids: Optional[np.ndarray] = None
+    member_counts: np.ndarray = field(default_factory=_empty_ids)
+
+    def __post_init__(self):
+        if self.centroids is None:
+            length = sum(b.length for b in self.blocks)
+            object.__setattr__(self, "centroids", np.zeros((0, length)))
+        if np.any(np.diff(self.ids) <= 0):
+            raise ValueError("class ids must be unique and ascending")
+
+    def rows_of(self, class_ids) -> np.ndarray:
+        """Table row of each class id, -1 for an id the library lacks."""
+        if not self.ids.size:
+            return np.full(np.shape(class_ids), -1)
+        rows = np.minimum(np.searchsorted(self.ids, class_ids), self.ids.size - 1)
+        return np.where(self.ids[rows] == class_ids, rows, -1)
+
+    def occupancies(self) -> tuple[np.ndarray, np.ndarray]:
+        """The centroids' motion (k, V) and signal (k, S) occupancies: the
+        first two blocks of the `family_blocks` layout."""
+        v, s = self.blocks[0].length, self.blocks[1].length
+        return self.centroids[:, :v], self.centroids[:, v : v + s]
+
+    def tuning(self, row: int) -> FilterTuning:
+        """IMM tuning of the class in table row `row`: its centroid's
+        motion-transition rows (the V blocks after the occupancies) mix the
         models, per-state default acceleration stands in for noise."""
-        rows = [
-            self.centroid.values[sl]
-            for spec, sl in _block_slices(self.centroid.blocks)
-            if spec.name.startswith("P_v_row")
-        ]
-        P = np.stack(rows)
+        v, s = self.blocks[0].length, self.blocks[1].length
+        P = self.centroids[row, v + s : v + s + v * v].reshape(v, v)
         P = P / P.sum(axis=1, keepdims=True)
         return FilterTuning(
             mode_transition=MarkovChain(P),
-            process_noise_per_state=DEFAULT_STATE_ACCEL_STD[: P.shape[0]].copy(),
+            process_noise_per_state=DEFAULT_STATE_ACCEL_STD[:v].copy(),
         )
 
 
-@dataclass
-class ClassLibrary:
-    """Classes learned so far."""
-
-    classes: list = field(default_factory=list)
-
-    def __post_init__(self):
-        ids = [c.class_id for c in self.classes]
-        if len(ids) != len(set(ids)):
-            raise ValueError("class ids must be unique")
-
-    def get(self, class_id: int) -> Optional[LearnedClass]:
-        for c in self.classes:
-            if c.class_id == class_id:
-                return c
-        return None
-
-
-def _greedy_id_match(
-    new_centroids: list[ParameterVector], old_classes: list
-) -> dict[int, int]:
-    """Map new-cluster index -> stable class id, nearest-centroid-first.
-    All new x old pairs are scored in one kernel call; equal distances go
-    to the lower new index, then to the old class listed first."""
-    mapping: dict[int, int] = {}
-    if old_classes:
-        old_ids = [c.class_id for c in old_classes]
-        values = _stack(list(new_centroids) + [c.centroid for c in old_classes])
-        k = len(new_centroids)
-        dists = _distance_matrix(values[:k], values[k:], old_classes[0].centroid.blocks)
-        used_old: set = set()
+def _greedy_id_match(centroids: np.ndarray, library: ClassLibrary) -> np.ndarray:
+    """Stable class id of each new centroid (k, L): (k,) ids, matched to the
+    library's classes nearest-pair-first; unmatched centroids get fresh ids
+    above the library's, in index order. All new x old pairs are scored in
+    one kernel call; equal distances go to the lower new index, then to the
+    old class listed first."""
+    ids = np.full(len(centroids), -1, dtype=np.int64)
+    old = library.ids
+    if old.size:
+        dists = _distance_matrix(centroids, library.centroids, library.blocks)
+        used = np.zeros(old.size, dtype=bool)
         for flat in np.argsort(dists, axis=None, kind="stable"):
-            i, j = divmod(int(flat), len(old_ids))
-            old_id = old_ids[j]
-            if i in mapping or old_id in used_old:
-                continue
-            mapping[i] = old_id
-            used_old.add(old_id)
-    next_id = max((c.class_id for c in old_classes), default=-1) + 1
-    for i in range(len(new_centroids)):
-        if i not in mapping:
-            mapping[i] = next_id
-            next_id += 1
-    return mapping
+            i, j = divmod(int(flat), old.size)
+            if ids[i] < 0 and not used[j]:
+                ids[i] = old[j]
+                used[j] = True
+    fresh = ids < 0
+    ids[fresh] = (old[-1] + 1 if old.size else 0) + np.arange(fresh.sum())
+    return ids
 
 
 def update_library(
-    library: ClassLibrary,
-    pool: Sequence[ParameterVector],
-    rng,
-    k_max: int = DEFAULT_MAX_CLASSES,
+    library: ClassLibrary, values: np.ndarray, evidence: np.ndarray, blocks, rng
 ) -> tuple[ClassLibrary, np.ndarray]:
-    """Re-cluster the cumulative vector pool and rebuild the class set.
+    """Re-cluster the cumulative pool, (N, L) values with their (N, blocks)
+    evidence in the `blocks` layout, and rebuild the class table in that
+    layout; a non-empty `library` must share it.
 
-    Returns the new library plus each pool vector's assigned class id
-    (aligned with `pool`), which callers use to score the epoch.
+    Returns the new library plus each pool vector's assigned class id (N,),
+    which callers use to score the epoch.
     """
-    _, k, assign, centroids = _fit_pool(pool, k_max, rng)
-    mapping = _greedy_id_match(centroids, library.classes)
-    classes = [
-        LearnedClass(
-            class_id=mapping[i],
-            centroid=centroids[i],
-            member_count=int(np.sum(assign == i)),
-        )
-        for i in range(k)
-    ]
-    classes.sort(key=lambda c: c.class_id)
-    new_library = ClassLibrary(classes=classes)
-    assigned_ids = np.array([mapping[int(a)] for a in assign])
-    return new_library, assigned_ids
+    _, k, assign, centroids = _fit_pool(values, evidence, blocks, rng)
+    ids = _greedy_id_match(centroids, library)
+    order = np.argsort(ids)
+    new_library = ClassLibrary(
+        blocks=blocks,
+        ids=ids[order],
+        centroids=centroids[order],
+        member_counts=np.bincount(assign, minlength=k)[order],
+    )
+    return new_library, ids[assign]
 
 
 def assign_class(
@@ -585,46 +518,43 @@ def assign_class(
     All vectors are scored against all centroids in one `_distance_matrix`
     call; ties go to the class listed first."""
     values = np.asarray(values, dtype=float)
-    if not library.classes:
+    if not library.ids.size:
         return np.full(len(values), -1)
-    blocks = library.classes[0].centroid.blocks
-    if values.shape[1] != sum(b.length for b in blocks):
+    if values.shape[1] != library.centroids.shape[1]:
         raise BlockMismatch("vectors do not have the library's block structure")
-    centroids = np.stack([c.centroid.values for c in library.classes])
-    dists = _distance_matrix(values, centroids, blocks)
+    dists = _distance_matrix(values, library.centroids, library.blocks)
     best = np.argmin(dists, axis=1)
-    ids = np.array([c.class_id for c in library.classes])
-    return np.where(dists[np.arange(len(values)), best] > accept_radius, -1, ids[best])
+    rows = np.arange(len(values))
+    return np.where(dists[rows, best] > accept_radius, -1, library.ids[best])
 
 
 def score_classes(
     library: ClassLibrary,
-    assigned_ids: Sequence,
-    true_ids: Sequence,
+    assigned_ids,
+    true_ids,
 ) -> tuple[float, float]:
-    """Formation and association accuracy for one epoch.
+    """Formation and association accuracy for one epoch, from each pool
+    vector's assigned class id (-1 for none) and true class id.
 
     Formation compares the learned class count against the true count
     with linear partial credit. Association is the fraction of targets
     whose learned class maps to their true class under the best
     one-to-one matching of learned to true classes.
     """
-    if len(assigned_ids) != len(true_ids):
+    assigned_ids, true_ids = np.asarray(assigned_ids), np.asarray(true_ids)
+    if assigned_ids.shape != true_ids.shape:
         raise ValueError("assigned and true id lists must align")
-    true_labels = sorted(set(true_ids))
-    k_true = len(true_labels)
-    k_hat = len(library.classes)
-    formation = max(0.0, 1.0 - abs(k_hat - k_true) / k_true)
+    true_labels, t_index = np.unique(true_ids, return_inverse=True)
+    k_true = true_labels.size
+    formation = max(0.0, 1.0 - abs(library.ids.size - k_true) / k_true)
 
-    learned_labels = sorted({a for a in assigned_ids if a is not None})
-    if not learned_labels:
+    classified = assigned_ids >= 0
+    learned_labels, l_index = np.unique(assigned_ids[classified], return_inverse=True)
+    if not learned_labels.size:
         return formation, 0.0
-    confusion = np.zeros((k_true, len(learned_labels)))
-    t_index = {t: i for i, t in enumerate(true_labels)}
-    l_index = {l: j for j, l in enumerate(learned_labels)}
-    for a, t in zip(assigned_ids, true_ids):
-        if a is not None:
-            confusion[t_index[t], l_index[a]] += 1
+    cells = t_index[classified] * learned_labels.size + l_index
+    confusion = np.bincount(cells, minlength=k_true * learned_labels.size)
+    confusion = confusion.reshape(k_true, learned_labels.size).astype(float)
     rows, cols = linear_sum_assignment(-confusion)
     association = float(confusion[rows, cols].sum()) / len(true_ids)
     return formation, association

@@ -18,6 +18,13 @@ per step over the live rows. Behavior vectors are built from the count
 tables, a batch of rows at a time, for class assignment during the epoch
 and for the harvest at its end.
 
+The class-learning side is tables too. The cumulative pool (`Pool`) is one
+table with a row per harvested track -- behavior vector, evidence and the
+target's true class id -- which each epoch's harvest grows with one
+concatenate per column, and the class library is one table with a row per
+class (see `classlib.ClassLibrary`). Class assignment, the reward entropies
+of classified tracks and the class-tuned filters read the library's arrays.
+
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
 the same seed see byte-identical target trajectories: mode choices change
@@ -47,9 +54,7 @@ from crnsim.bandit import (
 )
 from crnsim.classlib import (
     ClassLibrary,
-    ParameterVector,
     assign_class,
-    block_values,
     family_blocks,
     score_classes,
     update_library,
@@ -226,18 +231,20 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
         except DegenerateScenario:
             if attempt == MAX_SPAWN_RETRIES:
                 raise
-    classes = [scenario.family.class_by_id(t.class_id) for t in targets]
+    classes = scenario.family.classes
+    table = make_target_table(targets, classes)
+    # one link budget per class, gathered by each target's class id
+    budgets = np.array([
+        max_detectable_range(c.tx_power_w, c.tx_gain, scenario.receiver)
+        for c in classes
+    ])
+    ids = np.array([c.class_id for c in classes])
     return World(
-        targets=make_target_table(targets, scenario.family.classes),
+        targets=table,
         family=scenario.family,
         node_positions=node_positions,
         radar_ranges=np.full(len(node_positions), scenario.radar_range_km * 1000.0),
-        passive_ranges=np.array(
-            [
-                max_detectable_range(c.tx_power_w, c.tx_gain, scenario.receiver)
-                for c in classes
-            ]
-        ),
+        passive_ranges=budgets[np.argmax(table.class_id[:, None] == ids, axis=1)],
     )
 
 
@@ -290,15 +297,11 @@ class Coordinator:
         self.motion_last = np.tile([NO_READING_STEP, 0], (T, 1))
         self.signal_last = self.motion_last.copy()
         self.order = np.zeros(0, dtype=np.int64)
-        # (motion, signal) entropies of each class centroid; the library is
-        # fixed for the coordinator's epoch
-        self.class_etas = {
-            c.class_id: (
-                normalized_entropy(block_values(c.centroid, "pi_v")),
-                normalized_entropy(block_values(c.centroid, "pi_s")),
-            )
-            for c in (self.library.classes if self.use_class_knowledge else ())
-        }
+        # (motion, signal) entropies of each class centroid (k, 2), in
+        # library order; the library is fixed for the coordinator's epoch
+        self.class_etas = np.column_stack(
+            [normalized_entropy(pi) for pi in self.library.occupancies()]
+        )
 
     def start_tracks(self, rows: np.ndarray, states, covs, probs) -> None:
         """Start tracks in the free table rows `rows`, each its target's
@@ -353,8 +356,8 @@ class Coordinator:
         the untuned bank."""
         key = class_id if self.use_class_knowledge else None
         if key not in self._noise_cache:
-            cls = None if key is None else self.library.get(key)
-            tuning = untuned_tuning() if cls is None else cls.tuning()
+            row = -1 if key is None else int(self.library.rows_of(key))
+            tuning = untuned_tuning() if row < 0 else self.library.tuning(row)
             Q = np.stack(
                 [process_noise_matrix(dt, s) for s in tuning.process_noise_per_state]
             )
@@ -648,9 +651,10 @@ def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
         for n in (motion, signal)
     ])
     etas[motion.sum(axis=1) + signal.sum(axis=1) < MIN_OBSERVATIONS_FOR_ESTIMATE] = 1.0
-    class_ids = c.class_ids[rows]
-    for cid, eta in c.class_etas.items():
-        etas[class_ids == cid] = eta
+    if c.use_class_knowledge:
+        classes = c.library.rows_of(c.class_ids[rows])
+        known = classes >= 0
+        etas[known] = c.class_etas[classes[known]]
     return etas
 
 
@@ -723,7 +727,7 @@ def run_step(
     tape.est[t - 1, live] = coordinator.estimates[live, :3]
     tape.truth[t - 1] = positions
 
-    if coordinator.use_class_knowledge and coordinator.library.classes:
+    if coordinator.use_class_knowledge and coordinator.library.ids.size:
         _attempt_assignments(coordinator)
 
     # rewards: remaining uncertainty in each node's radar footprint, on the
@@ -764,21 +768,49 @@ class EpochMetrics:
     truth_digest: str
 
 
+@dataclass
+class Pool:
+    """The cumulative harvest of one (run, policy) as one table, a row per
+    harvested track: its behavior vector (N, L) and evidence (N, blocks) in
+    the `blocks` layout, and its target's true class id (N,), which only
+    scoring reads."""
+
+    blocks: tuple
+    values: np.ndarray
+    evidence: np.ndarray
+    true_ids: np.ndarray
+
+    @classmethod
+    def empty(cls, family: TargetFamily) -> "Pool":
+        """No rows yet, in the layout of `family`'s behavior vectors."""
+        blocks = family_blocks(family.motion_state_count, family.signal_state_count)
+        length = sum(b.length for b in blocks)
+        no_ids = np.zeros(0, dtype=np.int64)
+        return cls(blocks, np.zeros((0, length)), np.zeros((0, len(blocks))), no_ids)
+
+    def extend(self, values, evidence, true_ids) -> None:
+        """Append rows, one concatenate per column."""
+        self.values = np.concatenate([self.values, values])
+        self.evidence = np.concatenate([self.evidence, evidence])
+        self.true_ids = np.concatenate([self.true_ids, true_ids])
+
+
 def run_epoch(
     library: ClassLibrary,
     config: SimConfig,
     rng,
     policy: PolicySpec,
-    pool: Optional[list] = None,
-    pool_true_ids: Optional[list] = None,
+    pool: Optional[Pool] = None,
 ) -> tuple[EpochMetrics, ClassLibrary]:
     """One scenario under one policy, scored at the boundary.
 
-    Returns (EpochMetrics, updated library). `pool` / `pool_true_ids`, when
-    given, carry the cumulative harvested vectors across epochs and are
-    extended in place; omitted, the epoch is scored on its own harvest.
-    The library only updates when the pool is non-empty -- a radar-only
-    epoch intercepts nothing, harvests nothing, and scores zero.
+    Returns (EpochMetrics, updated library). `pool`, when given, carries the
+    cumulative harvest across epochs and is extended in place by this
+    epoch's rows: one `track_parameter_vector` call over the live rows, and
+    the true class ids of their targets. Omitted, the epoch is scored on its
+    own harvest. The library re-clusters the whole pool, and only when the
+    pool is non-empty -- a radar-only epoch intercepts nothing, harvests
+    nothing, and scores zero.
     """
     streams = make_streams(rng)
     world = make_world(config.scenario, streams.world)
@@ -805,21 +837,19 @@ def run_epoch(
     node_steps = steps * world.num_nodes
 
     if pool is None:
-        pool = []
-    if pool_true_ids is None:
-        pool_true_ids = []
+        pool = Pool.empty(world.family)
     harvest, values, evidence = track_parameter_vector(
         coordinator, np.flatnonzero(coordinator.live)
     )
-    blocks = family_blocks(len(MOTION_STATES), coordinator.num_signal_states)
-    pool.extend(ParameterVector(v, blocks, e) for v, e in zip(values, evidence))
-    pool_true_ids.extend(world.targets.class_id[harvest].tolist())
+    pool.extend(values, evidence, world.targets.class_id[harvest])
 
     new_library = library
     formation, association = 0.0, 0.0
-    if pool:
-        new_library, assigned = update_library(library, pool, streams.library)
-        formation, association = score_classes(new_library, assigned, pool_true_ids)
+    if pool.true_ids.size:
+        new_library, assigned = update_library(
+            library, pool.values, pool.evidence, pool.blocks, streams.library
+        )
+        formation, association = score_classes(new_library, assigned, pool.true_ids)
 
     metrics = EpochMetrics(
         policy=policy.label,
@@ -834,8 +864,8 @@ def run_epoch(
         active_node_steps=active_steps,
         passive_node_steps=node_steps - active_steps,
         harvested=harvest.size,
-        pool_size=len(pool),
-        num_classes=len(new_library.classes),
+        pool_size=pool.true_ids.size,
+        num_classes=new_library.ids.size,
         formation_accuracy=formation,
         association_accuracy=association,
         truth_digest=tape.digest.hexdigest(),
@@ -883,8 +913,7 @@ def run_experiment(
     for run in range(config.num_runs):
         for spec in policies:
             library = ClassLibrary()
-            pool: list = []
-            true_ids: list = []
+            pool = Pool.empty(config.scenario.family)
             per_epoch = []
             for epoch in range(config.num_epochs):
                 em, library = run_epoch(
@@ -893,7 +922,6 @@ def run_experiment(
                     epoch_seed(config.seed, run, epoch),
                     policy=spec,
                     pool=pool,
-                    pool_true_ids=true_ids,
                 )
                 per_epoch.append(em)
             metrics[spec.label].append(per_epoch)

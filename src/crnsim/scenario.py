@@ -137,12 +137,6 @@ class TargetFamily:
             for da, db in zip(a.parameter_distributions(), b.parameter_distributions())
         )
 
-    def class_by_id(self, class_id: int) -> TargetClass:
-        for cls in self.classes:
-            if cls.class_id == class_id:
-                return cls
-        raise KeyError(class_id)
-
 
 @dataclass
 class Target:

@@ -35,6 +35,11 @@ behavior vector, as oracles for the engine's count tables and
 (2,) counts and means indexed by `bandit.ACTIVE` and `bandit.PASSIVE`, as
 oracles for the bandit table.
 
+`ParameterVector` is one target's behavior vector as a single validated
+record (values, block layout, evidence), the form a pool entry had before
+`classlib` kept the pool as (N, L) values and (N, blocks) evidence;
+`stack_vectors` turns a list of them into that table.
+
 The rest are helpers only tests call: `passive_snr`, the link budget at
 one range (`sensing.max_detectable_range` is its inverse);
 `distribution_distance` between two vectors and `make_parameter_vector`
@@ -61,9 +66,9 @@ from crnsim.bandit import (
 )
 from crnsim.classlib import (
     BlockMismatch,
-    ParameterVector,
+    BlockSpec,
+    _block_slices,
     _distance_matrix,
-    block_values,
     family_blocks,
 )
 from crnsim.engine import Coordinator
@@ -389,12 +394,12 @@ def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
     for row in coordinator.order.tolist():
         motion, signal = recorded.motion[row], recorded.signal[row]
         class_id = int(coordinator.class_ids[row])
-        cls = None
-        if coordinator.use_class_knowledge and class_id >= 0:
-            cls = coordinator.library.get(class_id)
-        if cls is not None:
-            em = normalized_entropy(block_values(cls.centroid, "pi_v"))
-            es = normalized_entropy(block_values(cls.centroid, "pi_s"))
+        library_ids = coordinator.library.ids.tolist()
+        if coordinator.use_class_knowledge and class_id in library_ids:
+            centroid = coordinator.library.centroids[library_ids.index(class_id)]
+            V = len(MOTION_STATES)
+            em = normalized_entropy(centroid[:V])
+            es = normalized_entropy(centroid[V : V + coordinator.num_signal_states])
         elif len(motion) + len(signal) < MIN_OBSERVATIONS_FOR_ESTIMATE:
             em = es = 1.0
         else:
@@ -402,6 +407,54 @@ def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
             es = smoothed_entropy(signal, coordinator.num_signal_states)
         etas[row] = (float(em), float(es))
     return etas
+
+
+_BLOCK_SUM_TOL = 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class ParameterVector:
+    """Concatenated distribution blocks describing one target's behavior.
+
+    evidence holds one effective sample size per block, aligned with
+    `blocks`: the discounted step count behind a stationary block (see
+    `occupancy_sample_size`), the transitions out of the source state for a
+    transition row. It scales the AIC likelihood, so unobserved rows carry
+    no evidence.
+    """
+
+    values: np.ndarray
+    blocks: tuple[BlockSpec, ...]
+    evidence: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        total = sum(b.length for b in self.blocks)
+        if vals.shape != (total,):
+            raise BlockMismatch(
+                f"expected {total} values for the block structure, got {vals.shape}"
+            )
+        evidence = np.asarray(self.evidence, dtype=float)
+        if evidence.shape != (len(self.blocks),):
+            raise BlockMismatch(
+                f"expected {len(self.blocks)} evidence entries, got {evidence.shape}"
+            )
+        if np.any(vals < -1e-12):
+            raise ValueError("distribution entries must be nonnegative")
+        for b, sl in _block_slices(self.blocks):
+            if abs(vals[sl].sum() - 1.0) > _BLOCK_SUM_TOL:
+                raise ValueError(f"block {b.name} does not sum to 1")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "evidence", evidence)
+
+
+def stack_vectors(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, L) values and (N, blocks) evidence of a list of vectors, the
+    pool table `classlib` works on."""
+    return (
+        np.stack([v.values for v in vectors]),
+        np.stack([v.evidence for v in vectors]),
+    )
 
 
 def make_parameter_vector(

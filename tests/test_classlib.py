@@ -10,8 +10,6 @@ from crnsim.classlib import (
     BlockMismatch,
     BlockSpec,
     ClassLibrary,
-    LearnedClass,
-    ParameterVector,
     TooFewPoints,
     assign_class,
     family_blocks,
@@ -23,20 +21,22 @@ from crnsim.classlib import (
     vectors_from_counts,
     _distance_matrix,
     _lloyd,
-    _stack,
 )
 from crnsim.engine import Coordinator
 from crnsim.markov import MarkovChain
 from crnsim.scenario import default_family
 from scalar_reference import (
+    ParameterVector,
     distribution_distance,
     make_parameter_vector,
     record_reading,
     sample_path,
+    stack_vectors,
     vector_from_histories,
 )
 
 FAMILY = default_family()
+BLOCKS = family_blocks()
 
 # single-block JSD of [0.5,0.5] vs [0.9,0.1], frozen from the reference
 # implementation below
@@ -264,10 +264,10 @@ class TestKmeans:
     def test_k1_centroid_is_blockwise_mean(self):
         rng = np.random.default_rng(5)
         pool = [random_family_vector(rng) for _ in range(10)]
-        assign, cents = kmeans_distributions(pool, 1, rng)
-        assert np.all(assign == 0)
+        assign, cents = kmeans_distributions(stack_vectors(pool)[0], 1, BLOCKS, rng)
+        assert np.all(assign == 0) and cents.shape == (1, 32)
         np.testing.assert_allclose(
-            cents[0].values, np.mean([v.values for v in pool], axis=0),
+            cents[0], np.mean([v.values for v in pool], axis=0),
             atol=1e-12,
         )
 
@@ -275,10 +275,11 @@ class TestKmeans:
         v = strong_class_vector(1)
         pool = [v] * 8
         rng = np.random.default_rng(6)
+        points = stack_vectors(pool)[0]
         for k in (1, 2, 3):
-            assign, cents = kmeans_distributions(pool, k, rng)
+            assign, cents = kmeans_distributions(points, k, BLOCKS, rng)
             for i, a in enumerate(assign):
-                assert distribution_distance(pool[i], cents[a]) < 1e-12
+                assert distribution_distance(pool[i], make_like(v, cents[a])) < 1e-12
 
     def test_well_separated_pair_matches_brute_force(self):
         # two tight groups around different class parameters; cross-distance
@@ -301,21 +302,21 @@ class TestKmeans:
                  for i in range(4) for j in range(4, 8)]
         assert min(cross) > 5 * max(within)
 
-        pts = _stack(pool)
+        pts = stack_vectors(pool)[0]
         blocks = pool[0].blocks
         best_mask = brute_force_two_means(pts, blocks)
-        assign, _ = kmeans_distributions(pool, 2, np.random.default_rng(8))
+        assign, _ = kmeans_distributions(pts, 2, blocks, np.random.default_rng(8))
         assert np.array_equal(assign == assign[0], best_mask == best_mask[0])
 
     def test_more_clusters_than_points_raises(self):
-        pool = [strong_class_vector(i) for i in range(3)]
+        points = stack_vectors([strong_class_vector(i) for i in range(3)])[0]
         with pytest.raises(TooFewPoints):
-            kmeans_distributions(pool, 4, np.random.default_rng(9))
+            kmeans_distributions(points, 4, BLOCKS, np.random.default_rng(9))
 
     def test_lloyd_objective_non_increasing(self):
         rng = np.random.default_rng(10)
         pool = [synth_vector(i % 3, rng, 25, 25) for i in range(30)]
-        pts = _stack(pool)
+        pts = stack_vectors(pool)[0]
         blocks = pool[0].blocks
         for seed in range(5):
             for k in (2, 4):
@@ -358,13 +359,14 @@ def brute_force_two_means(pts, blocks):
 class TestSelectK:
     def test_identical_vectors_pick_one(self):
         pool = [strong_class_vector(0)] * 10
-        assert select_k_aic(pool, 6, np.random.default_rng(11)) == 1
+        rng = np.random.default_rng(11)
+        assert select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 1
 
     def test_two_far_groups_pick_two(self):
         rng = np.random.default_rng(12)
         pool = [synth_vector(0, rng, 300, 150) for _ in range(8)]
         pool += [synth_vector(2, rng, 300, 150) for _ in range(8)]
-        assert select_k_aic(pool, 6, rng) == 2
+        assert select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 2
 
     def test_three_class_recovery_rate(self):
         # 30 targets per trial, 10 per class, 50-step motion / 25-step signal
@@ -372,53 +374,69 @@ class TestSelectK:
         for seed in range(10_000, 10_020):
             rng = np.random.default_rng(seed)
             pool = [synth_vector(i % 3, rng) for i in range(30)]
-            hits += select_k_aic(pool, 6, rng) == 3
+            hits += select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 3
         assert hits >= 16  # >= 80%
 
     def test_large_cumulative_pool_stays_at_three(self):
         # pools keep growing across epochs; the choice must not drift upward
         rng = np.random.default_rng(13)
         pool = [synth_vector(i % 3, rng, 25, 25) for i in range(450)]
-        assert select_k_aic(pool, 6, rng) == 3
+        assert select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 3
+
+
+def library_of(ids, centroids):
+    """A library of the given ids (ascending) and (k, L) centroids, one
+    member each."""
+    return ClassLibrary(
+        ids=np.asarray(ids), centroids=np.asarray(centroids),
+        member_counts=np.ones(len(ids), dtype=np.int64),
+    )
+
+
+def update_from(library, pool, rng):
+    """`update_library` on a list of vectors, stacked into the pool table."""
+    return update_library(library, *stack_vectors(pool), pool[0].blocks, rng)
 
 
 class TestUpdateLibrary:
     def test_fresh_library_from_first_epoch(self):
         rng = np.random.default_rng(10_000)
         pool = [synth_vector(i % 3, rng) for i in range(30)]
-        lib, assigned = update_library(ClassLibrary(), pool, rng)
-        assert [c.class_id for c in lib.classes] == [0, 1, 2]
-        assert sum(c.member_count for c in lib.classes) == 30
+        lib, assigned = update_from(ClassLibrary(), pool, rng)
+        assert lib.ids.tolist() == [0, 1, 2]
+        assert lib.centroids.shape == (3, 32)
+        assert lib.member_counts.tolist() == np.bincount(assigned).tolist()
+        assert lib.member_counts.sum() == 30
         assert assigned.shape == (30,)
         assert set(assigned) == {0, 1, 2}
 
     def test_reclustering_same_pool_is_fixed_point(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
         rng = np.random.default_rng(14)
-        lib1, _ = update_library(ClassLibrary(), pool, rng)
-        lib2, _ = update_library(lib1, pool, rng)
-        assert [c.class_id for c in lib2.classes] == [
-            c.class_id for c in lib1.classes
-        ]
-        for c1, c2 in zip(lib1.classes, lib2.classes):
-            np.testing.assert_allclose(
-                c1.centroid.values, c2.centroid.values, atol=1e-9
-            )
-            assert c1.member_count == c2.member_count == 20
+        lib1, _ = update_from(ClassLibrary(), pool, rng)
+        lib2, _ = update_from(lib1, pool, rng)
+        assert lib2.ids.tolist() == lib1.ids.tolist()
+        np.testing.assert_allclose(lib1.centroids, lib2.centroids, atol=1e-9)
+        assert lib1.member_counts.tolist() == lib2.member_counts.tolist() == [20] * 3
 
     def test_ids_stable_as_pool_grows(self):
         rng = np.random.default_rng(10_000)
         pool = [synth_vector(i % 3, rng) for i in range(30)]
-        lib1, _ = update_library(ClassLibrary(), pool, rng)
+        lib1, _ = update_from(ClassLibrary(), pool, rng)
         pool += [synth_vector(i % 3, rng) for i in range(30)]
-        lib2, _ = update_library(lib1, pool, rng)
-        assert [c.class_id for c in lib2.classes] == [
-            c.class_id for c in lib1.classes
-        ]
+        lib2, _ = update_from(lib1, pool, rng)
+        assert lib2.ids.tolist() == lib1.ids.tolist()
         # each retained id still describes the same underlying class
-        for c1 in lib1.classes:
-            c2 = lib2.get(c1.class_id)
-            assert distribution_distance(c1.centroid, c2.centroid) < 0.1
+        template = pool[0]
+        for c1, c2 in zip(lib1.centroids, lib2.centroids):
+            a, b = make_like(template, c1), make_like(template, c2)
+            assert distribution_distance(a, b) < 0.1
+
+    def test_ids_must_ascend(self):
+        centroids = np.tile(strong_class_vector(0).values, (2, 1))
+        for ids in ([1, 0], [2, 2]):
+            with pytest.raises(ValueError):
+                library_of(ids, centroids)
 
 
 class TestAssignClass:
@@ -429,21 +447,19 @@ class TestAssignClass:
 
     def test_exact_centroid_maps_to_its_class(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
-        lib, _ = update_library(ClassLibrary(), pool, np.random.default_rng(15))
-        centroids = np.stack([c.centroid.values for c in lib.classes])
-        ids = [c.class_id for c in lib.classes]
-        assert assign_class(lib, centroids).tolist() == ids
+        lib, _ = update_from(ClassLibrary(), pool, np.random.default_rng(15))
+        assert assign_class(lib, lib.centroids).tolist() == lib.ids.tolist()
 
     def test_matches_nearest_neighbor_oracle(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
-        lib, _ = update_library(ClassLibrary(), pool, np.random.default_rng(16))
+        lib, _ = update_from(ClassLibrary(), pool, np.random.default_rng(16))
         rng = np.random.default_rng(17)
         for _ in range(20):
             v = random_family_vector(rng)
             radius = rng.uniform(0.05, 1.5)
             dists = {
-                c.class_id: distribution_distance(v, c.centroid)
-                for c in lib.classes
+                int(cid): distribution_distance(v, make_like(v, centroid))
+                for cid, centroid in zip(lib.ids, lib.centroids)
             }
             nearest = min(dists, key=dists.get)
             expected = nearest if dists[nearest] <= radius else -1
@@ -451,7 +467,7 @@ class TestAssignClass:
             assert got.tolist() == [expected]
 
     def test_beyond_radius_unclassified(self):
-        lib = ClassLibrary([LearnedClass(0, strong_class_vector(0), 1)])
+        lib = library_of([0], strong_class_vector(0).values[None])
         far = strong_class_vector(2)
         assert distribution_distance(far, strong_class_vector(0)) > 0.25
         assert assign_class(lib, far.values[None]).tolist() == [-1]
@@ -459,8 +475,7 @@ class TestAssignClass:
 
 class TestScoreClasses:
     def _library_of_size(self, k):
-        centroid = strong_class_vector(0)
-        return ClassLibrary([LearnedClass(i, centroid, 1) for i in range(k)])
+        return library_of(np.arange(k), np.tile(strong_class_vector(0).values, (k, 1)))
 
     def test_perfect_clustering(self):
         lib = self._library_of_size(3)
@@ -498,7 +513,7 @@ class TestScoreClasses:
     def test_unclassified_counted_against_association(self):
         lib = self._library_of_size(2)
         true = [0] * 5 + [1] * 5
-        assigned = [0] * 5 + [None] * 5
+        assigned = [0] * 5 + [-1] * 5
         _, association = score_classes(lib, assigned, true)
         assert association == pytest.approx(0.5)
 
@@ -509,12 +524,12 @@ class TestScoreClasses:
 
 class TestClassTuning:
     def test_centroid_rows_become_mode_transition(self):
-        lib, _ = update_library(
+        lib, _ = update_from(
             ClassLibrary(), [strong_class_vector(i) for i in range(3)] * 5,
             np.random.default_rng(21),
         )
-        for c in lib.classes:
-            tuning = c.tuning()
+        for row in range(lib.ids.size):
+            tuning = lib.tuning(row)
             assert isinstance(tuning.mode_transition, MarkovChain)
             np.testing.assert_allclose(
                 tuning.mode_transition.transition.sum(axis=1), 1.0, atol=1e-12
@@ -523,7 +538,7 @@ class TestClassTuning:
         for ci in range(3):
             true_vec = strong_class_vector(ci)
             (cid,) = assign_class(lib, true_vec.values[None])
-            chain = lib.get(cid).tuning().mode_transition
+            chain = lib.tuning(int(lib.rows_of(cid))).mode_transition
             np.testing.assert_allclose(
                 chain.transition,
                 FAMILY.classes[ci].motion_chain.transition,
@@ -537,8 +552,8 @@ class TestLearnedLibraryConsistency:
         # class's exact parameters back to a single distinct learned class
         rng = np.random.default_rng(22)
         pool = [synth_vector(i % 3, rng, 200, 100) for i in range(30)]
-        lib, _ = update_library(ClassLibrary(), pool, rng)
-        assert len(lib.classes) == 3
+        lib, _ = update_from(ClassLibrary(), pool, rng)
+        assert lib.ids.size == 3
         # learned centroids sit near, not on, the true parameters (smoothing
         # bias), so allow a wider radius than the online default here
         truths = np.stack([strong_class_vector(ci).values for ci in range(3)])
@@ -551,7 +566,7 @@ class TestLearnedLibraryConsistency:
         for steps in (15, 200):
             true = np.array([i % 3 for i in range(30)])
             pool = [synth_vector(c, rng, steps, steps) for c in true]
-            lib, assigned = update_library(ClassLibrary(), pool, rng)
+            lib, assigned = update_from(ClassLibrary(), pool, rng)
             scores.append(score_classes(lib, assigned, true)[1])
         assert scores[1] >= scores[0]
         assert scores[1] > 0.95

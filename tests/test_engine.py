@@ -2,16 +2,17 @@
 reproduces an epoch's truth, under a shared or a fresh default family),
 config validation, one batched truth step, one bandit-table selection and
 update, at most one track-start batch and one class-assignment batch per
-step whatever the target and node counts, the harvest rule for radar-only
-and the harvest gate on reading counts, radar association by truth id with
-one return per target per step and stale first sightings replaced, the
-coordinator's per-class prediction cache, the track table (its count
+step whatever the target and node counts, the harvest rule for radar-only,
+the harvest gate on reading counts and the pool table each harvest grows,
+radar association by truth id with one return per target per step and
+stale first sightings replaced, the coordinator's per-class prediction
+cache, the track table (its count
 tables against histories recorded on the test side, reward entropies
 against a per-track oracle, IMM combination equal to the oracle `Track`'s,
 and no per-row state kept outside its columns), behavior vectors
 from the count tables against the history builder, the sign of
-`rmse_improvement`, the names the benchmark tracer hooks, and a digest
-guard over every metric of a small experiment."""
+`rmse_improvement`, the names the benchmark tracer hooks and the pool size
+it counts, and a digest guard over every metric of a small experiment."""
 
 import copy
 import dataclasses
@@ -31,7 +32,6 @@ import crnsim.engine as engine
 from crnsim.bandit import PolicyKind
 from crnsim.classlib import (
     ClassLibrary,
-    LearnedClass,
     family_blocks,
     vectors_from_counts,
 )
@@ -375,9 +375,9 @@ def _one_class_library():
         cls.signal_chain.transition,
         np.ones(9),
     )
-    return ClassLibrary(classes=[
-        LearnedClass(class_id=4, centroid=centroid, member_count=1)
-    ])
+    return ClassLibrary(
+        ids=np.array([4]), centroids=centroid.values[None], member_counts=np.array([1])
+    )
 
 
 class TestPredictCache:
@@ -395,7 +395,7 @@ class TestPredictCache:
     def test_keyed_by_class_with_none_for_untuned(self):
         coord = self._coordinator(True)
         for class_id, tuning in (
-            (4, coord.library.get(4).tuning()),
+            (4, coord.library.tuning(0)),
             (None, untuned_tuning()),
         ):
             trans, Q = coord.predict_arrays(class_id, 0.5)
@@ -503,14 +503,17 @@ class TestTrackTable:
 
     def test_coordinator_holds_no_track(self, monkeypatch):
         # per-row state lives only in table columns, one row per target: the
-        # only dicts are per-class caches, and no list or track record is kept
+        # only dict is the per-class cache, the class entropies have one row
+        # per library class, and no list or track record is kept
         steps = []
 
         def check(world, c):
             for name, value in vars(c).items():
                 assert not isinstance(value, (Track, list)), name
                 if isinstance(value, dict):
-                    assert name in ("class_etas", "_noise_cache"), name
+                    assert name == "_noise_cache", name
+                elif name == "class_etas":
+                    assert value.shape == (c.library.ids.size, 2)
                 elif isinstance(value, np.ndarray) and name != "order":
                     assert value.shape[0] == c.num_targets, name
             steps.append(c.order.size)
@@ -546,7 +549,7 @@ class TestTrackTable:
             assert etas.tolist() == [list(e) for e in want.values()]
             for row in c.order:
                 seen = c.motion_counts[row].sum() + c.signal_counts[row].sum()
-                if c.class_ids[row] in c.class_etas:
+                if c.use_class_knowledge and c.class_ids[row] in c.library.ids:
                     kinds["classified"] += 1
                 elif seen < 3:
                     kinds["thin"] += 1
@@ -672,6 +675,52 @@ class TestHarvestGate:
         assert min(passed) > 0
 
 
+class TestHarvestContract:
+    def test_pool_grows_by_each_epochs_aligned_harvest(
+        self, monkeypatch, bandit_result
+    ):
+        # the SMALL bandit experiment driven epoch by epoch: each epoch
+        # appends exactly its harvested rows, and the rows it appends are
+        # the harvest call's vectors and evidence beside their targets' true
+        # class ids; earlier rows stay as they were
+        last = {}
+        _after_each_step(monkeypatch, lambda world, c: last.update(world=world, c=c))
+        library, pool = ClassLibrary(), engine.Pool.empty(SMALL.scenario.family)
+        blocks = family_blocks()
+        assert pool.blocks == blocks
+        length = sum(b.length for b in blocks)
+        for epoch, want in enumerate(bandit_result.metrics["bandit"][0]):
+            before = (pool.values, pool.evidence, pool.true_ids)
+            n = pool.true_ids.size
+            m, library = run_epoch(
+                library, SMALL, epoch_seed(SMALL.seed, 0, epoch), policy=BANDIT,
+                pool=pool,
+            )
+            assert_metrics_identical(m, want)
+            c = last["c"]
+            rows, values, evidence = engine.track_parameter_vector(
+                c, np.flatnonzero(c.live)
+            )
+            assert m.harvested == rows.size > 0
+            assert m.pool_size == n + rows.size
+            assert pool.values.shape == (m.pool_size, length)
+            assert pool.evidence.shape == (m.pool_size, len(blocks))
+            assert pool.true_ids.shape == (m.pool_size,)
+            columns = (pool.values, pool.evidence, pool.true_ids)
+            for column, old in zip(columns, before):
+                assert np.array_equal(column[:n], old)
+            true_ids = last["world"].targets.class_id[rows]
+            for column, new in zip(columns, (values, evidence, true_ids)):
+                assert np.array_equal(column[n:], new)
+            # the re-clustered library: one table row per class, in the
+            # pool's layout
+            k = m.num_classes
+            assert library.blocks == blocks
+            assert library.ids.shape == (k,) and np.all(np.diff(library.ids) > 0)
+            assert library.centroids.shape == (k, length)
+            assert library.member_counts.sum() == m.pool_size
+
+
 class TestTruthBatch:
     def test_one_batched_truth_step_per_step(self, monkeypatch):
         # the truth advances with one step_motion, one step_signal and three
@@ -746,20 +795,40 @@ class TestRmseImprovement:
         assert rmse_improvement(result, "random-0.8") == pytest.approx(want)
 
 
-def test_every_bench_tracer_hook_resolves(monkeypatch):
-    # the benchmark tracer patches crnsim attributes by name and reports a
-    # renamed one only as a missing layer, so a rename must fail here
+def _bench_tracer(monkeypatch):
+    """The benchmark's tracer module, loaded from `bench/tracer.py`."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_bench_tracer_hook_resolves(monkeypatch):
+    # the benchmark tracer patches crnsim attributes by name and reports a
+    # renamed one only as a missing layer, so a rename must fail here
+    tracer = _bench_tracer(monkeypatch)
     unresolved = [
         (h.module, h.attr)
         for h in tracer.HOOKS
         if not hasattr(importlib.import_module(h.module), h.attr)
     ]
     assert tracer.HOOKS and unresolved == []
+
+
+def test_bench_tracer_counts_the_whole_pool(monkeypatch):
+    # the tracer reads `classlib.pool_vectors` as the length of
+    # `update_library`'s second argument, so that argument must stay the
+    # whole pool: one re-cluster per epoch over every harvested row so far
+    tracer = _bench_tracer(monkeypatch).Tracer()
+    with tracer.installed():
+        result = run_experiment(SMALL, [BANDIT])
+    epochs = result.metrics["bandit"][0]
+    assert tracer.missing == []
+    assert tracer.layer_stats()["classlib.update_library"]["calls"] == len(epochs)
+    pooled = sum(m.pool_size for m in epochs)
+    assert tracer.counters["classlib.pool_vectors"] == pooled > 0
 
 
 def metrics_sha256(result):

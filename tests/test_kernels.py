@@ -21,21 +21,23 @@ from crnsim.classlib import (
     KMEANS_RESTARTS,
     BlockMismatch,
     ClassLibrary,
-    LearnedClass,
-    ParameterVector,
     _distance_matrix,
     _fit_pool,
     _greedy_id_match,
     _lloyd,
     _pool_log_likelihood,
-    _stack,
     assign_class,
     family_blocks,
     kmeans_distributions,
 )
 from crnsim.markov import MarkovChain, sample_next
 from crnsim.scenario import default_family
-from scalar_reference import distribution_distance, make_parameter_vector
+from scalar_reference import (
+    ParameterVector,
+    distribution_distance,
+    make_parameter_vector,
+    stack_vectors,
+)
 
 BLOCKS = family_blocks()
 POOL_SIZES = (30, 130, 400)
@@ -151,10 +153,9 @@ def ref_pool_log_likelihood(points, evidence, assign, centroids, blocks,
 
 
 def ref_fit_pool(vectors, k_max, rng):
-    points = _stack(vectors)
+    points, evidence = stack_vectors(vectors)
     blocks = vectors[0].blocks
     d = sum(b.length - 1 for b in blocks)
-    evidence = pool_evidence(vectors)
     best = None
     for k in range(1, min(k_max, len(vectors)) + 1):
         assign, cents = ref_kmeans(points, k, blocks, rng)
@@ -165,11 +166,13 @@ def ref_fit_pool(vectors, k_max, rng):
     return best
 
 
-def ref_greedy_id_match(new_centroids, old_classes):
+def ref_greedy_id_match(new_centroids, old_ids, old_centroids):
+    """Each new centroid's id, in index order, from a sorted list of scored
+    (new, old) pairs."""
     pairs = [
-        (ref_distribution_distance(cent, old.centroid), i, old.class_id)
+        (ref_distribution_distance(cent, old), i, old_id)
         for i, cent in enumerate(new_centroids)
-        for old in old_classes
+        for old_id, old in zip(old_ids, old_centroids)
     ]
     mapping, used_old = {}, set()
     for _, i, old_id in sorted(pairs, key=lambda p: p[0]):
@@ -177,12 +180,12 @@ def ref_greedy_id_match(new_centroids, old_classes):
             continue
         mapping[i] = old_id
         used_old.add(old_id)
-    next_id = max((c.class_id for c in old_classes), default=-1) + 1
+    next_id = max(old_ids, default=-1) + 1
     for i in range(len(new_centroids)):
         if i not in mapping:
             mapping[i] = next_id
             next_id += 1
-    return mapping
+    return [mapping[i] for i in range(len(new_centroids))]
 
 
 def ref_sample_next(chain, current, rng):
@@ -224,10 +227,6 @@ def duplicate_pool():
     return [distinct[i % 3] for i in range(12)]
 
 
-def pool_evidence(vectors):
-    return np.stack([v.evidence for v in vectors])
-
-
 @pytest.fixture(scope="module", params=POOL_SIZES)
 def pool(request):
     return dirichlet_pool(request.param, request.param)
@@ -238,7 +237,7 @@ def pool(request):
 
 class TestDistanceKernel:
     def test_distance_matrix_matches_per_block(self, pool):
-        pts = _stack(pool)
+        pts = stack_vectors(pool)[0]
         rng = np.random.default_rng(len(pool))
         for k in K_RANGE:
             cents = pts[rng.choice(len(pool), size=k, replace=False)]
@@ -257,15 +256,16 @@ class TestDistanceKernel:
 
 class TestLloyd:
     def test_kmeans_matches_full_recompute(self, pool):
-        pts = _stack(pool)
+        pts = stack_vectors(pool)[0]
         for k in K_RANGE:
-            assign, cents = kmeans_distributions(pool, k, np.random.default_rng(k))
+            rng = np.random.default_rng(k)
+            assign, cents = kmeans_distributions(pts, k, BLOCKS, rng)
             ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, np.random.default_rng(k))
             assert np.array_equal(assign, ref_assign)
-            assert np.array_equal(np.stack([c.values for c in cents]), ref_cents)
+            assert np.array_equal(cents, ref_cents)
 
     def test_lloyd_objective_matches(self):
-        pts = _stack(dirichlet_pool(30, 7))
+        pts = stack_vectors(dirichlet_pool(30, 7))[0]
         for k in K_RANGE:
             assign, cents, obj, _ = _lloyd(pts, k, BLOCKS, np.random.default_rng(k))
             ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(k), [])
@@ -275,22 +275,21 @@ class TestLloyd:
 
     def test_empty_cluster_reseed_matches(self):
         pool = duplicate_pool()
-        pts = _stack(pool)
+        pts = stack_vectors(pool)[0]
         reseeds = []
         for k in (2, 3):
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            assign, cents = kmeans_distributions(pool, k, rng)
+            assign, cents = kmeans_distributions(pts, k, BLOCKS, rng)
             ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, ref_rng, reseeds)
             assert np.array_equal(assign, ref_assign)
-            assert np.array_equal(np.stack([c.values for c in cents]), ref_cents)
+            assert np.array_equal(cents, ref_cents)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert reseeds, "the duplicate pool never forced a re-seed"
 
 
 class TestLikelihood:
     def test_pool_log_likelihood_matches(self, pool):
-        pts = _stack(pool)
-        evidence = pool_evidence(pool)
+        pts, evidence = stack_vectors(pool)
         for k in K_RANGE:
             assign, cents = ref_kmeans(pts, k, BLOCKS, np.random.default_rng(k))
             got = _pool_log_likelihood(pts, evidence, assign, cents, BLOCKS)
@@ -298,96 +297,104 @@ class TestLikelihood:
 
     def test_fit_pool_winner_matches(self, pool):
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        aic, k, assign, centroids = _fit_pool(pool, 6, rng)
+        aic, k, assign, centroids = _fit_pool(*stack_vectors(pool), BLOCKS, rng)
         ref_aic, ref_k, ref_assign, ref_cents = ref_fit_pool(pool, 6, ref_rng)
         assert (aic, k) == (ref_aic, ref_k)
         assert np.array_equal(assign, ref_assign)
-        assert np.array_equal(np.stack([c.values for c in centroids]), ref_cents)
+        assert np.array_equal(centroids, ref_cents)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-class TestAssignClass:
-    def _library(self, centroids):
-        return ClassLibrary(classes=[
-            LearnedClass(class_id=10 + i, centroid=c, member_count=1)
-            for i, c in enumerate(centroids)
-        ])
+def library_of(centroids, first_id=10, step=1):
+    """A library of the given centroid vectors with ids first_id, first_id
+    + step, ..."""
+    if not centroids:
+        return ClassLibrary()
+    return ClassLibrary(
+        ids=first_id + step * np.arange(len(centroids)),
+        centroids=stack_vectors(centroids)[0],
+        member_counts=np.ones(len(centroids), dtype=np.int64),
+    )
 
+
+class TestAssignClass:
     def test_matches_nearest_by_distribution_distance(self):
         pool = dirichlet_pool(60, 3)
-        library = self._library(pool[:5])
+        centroids = pool[:5]
+        library = library_of(centroids)
         for radius in (0.05, 0.25, 10.0):
             for v in pool[5:]:
-                dists = [ref_distribution_distance(v, c.centroid)
-                         for c in library.classes]
+                dists = [ref_distribution_distance(v, c) for c in centroids]
                 best = int(np.argmin(dists))
-                want = -1 if dists[best] > radius else library.classes[best].class_id
+                want = -1 if dists[best] > radius else int(library.ids[best])
                 assert assign_class(library, v.values[None], radius).tolist() == [want]
 
     def test_batch_equals_per_vector_argmin(self, pool):
         # the whole pool in one call against a loop that scores one vector
         # at a time; the radius splits the pool into matches and misses
-        library = self._library(dirichlet_pool(6, 21))
-        centroids = _stack([c.centroid for c in library.classes])
-        points = _stack(pool)
+        library = library_of(dirichlet_pool(6, 21))
+        points = stack_vectors(pool)[0]
         per_vector = [
-            ref_distance_matrix(p[None], centroids, BLOCKS)[0] for p in points
+            ref_distance_matrix(p[None], library.centroids, BLOCKS)[0] for p in points
         ]
         radius = float(np.median([d.min() for d in per_vector]))
         want = []
         for d in per_vector:
             best = int(np.argmin(d))
-            want.append(-1 if d[best] > radius else library.classes[best].class_id)
+            want.append(-1 if d[best] > radius else int(library.ids[best]))
         got = assign_class(library, points, radius)
         assert got.shape == (len(pool),) and got.tolist() == want
         assert -1 in want and len(set(want)) > 2
 
     def test_ties_go_to_the_class_listed_first(self):
         a, b = dirichlet_pool(2, 8)
-        library = self._library([b, a, a, b])  # ids 10, 11, 12, 13
-        assert assign_class(library, _stack([a, b, a])).tolist() == [11, 10, 11]
+        library = library_of([b, a, a, b])  # ids 10, 11, 12, 13
+        values = stack_vectors([a, b, a])[0]
+        assert assign_class(library, values).tolist() == [11, 10, 11]
 
     def test_no_class_within_the_radius_gives_minus_one(self):
-        library = self._library(dirichlet_pool(3, 4))
-        got = assign_class(library, _stack(dirichlet_pool(10, 5)), accept_radius=0.0)
+        library = library_of(dirichlet_pool(3, 4))
+        got = assign_class(
+            library, stack_vectors(dirichlet_pool(10, 5))[0], accept_radius=0.0
+        )
         assert got.tolist() == [-1] * 10
 
     def test_empty_library_gives_none(self):
         # -1, no class, for every vector
-        values = _stack(dirichlet_pool(4, 0))
+        values = stack_vectors(dirichlet_pool(4, 0))[0]
         assert assign_class(ClassLibrary(), values).tolist() == [-1] * 4
 
     def test_block_mismatch_still_raises(self):
         other = make_parameter_vector(
             [0.5, 0.5], np.full((2, 2), 0.5), [1.0], np.ones((1, 1)), np.ones(5)
         )
-        library = self._library(dirichlet_pool(2, 4))
+        library = library_of(dirichlet_pool(2, 4))
         with pytest.raises(BlockMismatch):
             assign_class(library, other.values[None])
 
 
 class TestGreedyIdMatch:
-    def _classes(self, centroids, first_id=10):
-        return [
-            LearnedClass(class_id=first_id + 3 * i, centroid=c, member_count=1)
-            for i, c in enumerate(centroids)
-        ]
+    def _match(self, new, old, first_id=10):
+        """(package, reference) ids of the new centroid vectors against a
+        library of the old ones, ids first_id, first_id + 3, ..."""
+        library = library_of(old, first_id, step=3)
+        got = _greedy_id_match(stack_vectors(new)[0], library)
+        assert got.dtype == np.int64
+        return got.tolist(), ref_greedy_id_match(new, library.ids.tolist(), old)
 
     def test_matches_pair_list(self, pool):
         for n_new in (1, 3, 6):
             for n_old in (0, 1, 2, 5):
-                new = pool[:n_new]
-                old = self._classes(pool[-n_old:] if n_old else [])
-                assert _greedy_id_match(new, old) == ref_greedy_id_match(new, old)
+                got, want = self._match(pool[:n_new], pool[-n_old:] if n_old else [])
+                assert got == want
 
     def test_ties_follow_new_index_then_old_order(self):
         # equal centroids make every distance a tie
         distinct = dirichlet_pool(2, 8)
         new = [distinct[0], distinct[0], distinct[1], distinct[0]]
-        old = self._classes([distinct[0], distinct[0], distinct[1]], first_id=7)
-        got = _greedy_id_match(new, old)
-        assert got == ref_greedy_id_match(new, old)
-        assert got == {0: 7, 1: 10, 2: 13, 3: 14}
+        old = [distinct[0], distinct[0], distinct[1]]
+        got, want = self._match(new, old, first_id=7)
+        assert got == want == [7, 10, 13, 14]
 
 
 class TestSampleNext:

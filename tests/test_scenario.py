@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from crnsim.scenario import (
     sample_ppp,
     spawn_scenario,
 )
+from crnsim.sensing import max_detectable_range
 
 
 def total_variation(a, b):
@@ -201,6 +204,23 @@ class TestSpawnScenario:
         for t in targets:
             assert 0 <= t.position[0] <= cfg.region.width_m
             assert 0 <= t.position[1] <= cfg.region.height_m
+
+    def test_passive_range_is_each_targets_class_budget(self):
+        # one link budget per class, gathered by class id: ids that are not
+        # the classes' positions in the family still find their own class
+        classes = tuple(
+            dataclasses.replace(c, class_id=i)
+            for c, i in zip(default_family().classes, (7, 3, 5))
+        )
+        cfg = ScenarioConfig(family=TargetFamily(classes=classes))
+        world = make_world(cfg, np.random.default_rng(3))
+        by_id = {c.class_id: c for c in classes}
+        want = [
+            max_detectable_range(by_id[i].tx_power_w, by_id[i].tx_gain, cfg.receiver)
+            for i in world.targets.class_id.tolist()
+        ]
+        assert world.passive_ranges.tolist() == want
+        assert len(set(want)) == 3
 
     def test_spawn_respects_class_limits(self):
         cfg = ScenarioConfig()
