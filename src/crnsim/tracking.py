@@ -17,9 +17,13 @@ the reading does not depend on how the track is tuned.
 The filter math is array kernels over a batch of tracks (leading axis =
 track, then model): starting tracks by two-point differencing, IMM
 prediction, the Kalman update, and the IMM combination of a bank into one
-state and covariance. The engine keeps its tracks as one table of such
-rows and passes each step's rows to these kernels, one call each; a track
-has no other form.
+state and covariance. Each matrix product is a batched `matmul` over the
+(track, model) leading axes, and each probability-weighted sum over models
+is one `matmul` over the flattened matrices; no product of three or more
+operands goes through `einsum`, whose unoptimized path loops over every
+index at once. The engine keeps its tracks as one table of such rows and
+passes each step's rows to these kernels, one call each; a track has no
+other form.
 """
 
 from __future__ import annotations
@@ -113,14 +117,16 @@ def imm_mix(
     row-stochastic per track. Returns mixed states/covs and the predicted
     model probabilities.
     """
-    c = np.einsum("bi,bij->bj", probs, trans)  # (B, M) predicted model probs
+    B, M, n = states.shape
+    c = (probs[:, None, :] @ trans)[:, 0]  # (B, M) predicted model probs
     c = np.maximum(c, MIN_MODEL_PROB)
     # w[b,i,j] = trans[b,i,j] * probs[b,i] / c[b,j]
     w = trans * probs[:, :, None] / c[:, None, :]
-    mixed = np.einsum("bij,bik->bjk", w, states)  # (B, M, 6)
-    dx = states[:, :, None, :] - mixed[:, None, :, :]  # (B, i, j, 6)
-    mixed_cov = np.einsum("bij,bikl->bjkl", w, covs) + np.einsum(
-        "bij,bijk,bijl->bjkl", w, dx, dx
+    wT = np.swapaxes(w, 1, 2)  # (B, j, i)
+    mixed = wT @ states  # (B, M, 6)
+    dx = states[:, None, :, :] - mixed[:, :, None, :]  # (B, j, i, 6)
+    mixed_cov = (wT @ covs.reshape(B, M, n * n)).reshape(B, M, n, n) + (
+        np.swapaxes(dx, 2, 3) @ (wT[..., None] * dx)
     )
     return mixed, mixed_cov, c
 
@@ -140,8 +146,8 @@ def imm_predict_arrays(
     prediction.
     """
     mixed, mixed_cov, c = imm_mix(states, covs, probs, trans)
-    pred = np.einsum("ij,bmj->bmi", F, mixed)
-    pred_cov = np.einsum("ij,bmjk,lk->bmil", F, mixed_cov, F) + Q
+    pred = mixed @ F.T
+    pred_cov = F @ mixed_cov @ F.T + Q
     return pred, _symmetrize(pred_cov), c
 
 
@@ -158,10 +164,10 @@ def combined_covariances(
     `means` (B,n): the weighted model covariances (B,M,n,n) plus the spread
     of the model states (B,M,n) around the mean. Works on any leading block
     of the state, e.g. the horizontal (..., :2) slices."""
+    B, M, n = states.shape
     dx = states - means[:, None, :]
-    return np.einsum("bm,bmij->bij", probs, covs) + np.einsum(
-        "bm,bmi,bmj->bij", probs, dx, dx
-    )
+    weighted = (probs[:, None, :] @ covs.reshape(B, M, n * n)).reshape(B, n, n)
+    return weighted + np.swapaxes(dx, 1, 2) @ (probs[:, :, None] * dx)
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -197,7 +203,9 @@ def polar_to_cartesian(
     J[:, 2, 1] = 0.0
     J[:, 2, 2] = r * ce
     S = np.diag(np.asarray(sigmas, dtype=float) ** 2)
-    R = np.einsum("kij,jl,kml->kim", J, S, J)
+    # symmetrized so that a track started from R has an exactly symmetric
+    # bank, as prediction and update leave it
+    R = _symmetrize(J @ S @ np.swapaxes(J, 1, 2))
     return pos, R
 
 
@@ -232,21 +240,21 @@ def kalman_update_arrays(
     """
     B, M, n = states.shape
     d = z.shape[1]
-    zhat = np.einsum("bij,bmj->bmi", H, states)
-    nu = z[:, None, :] - zhat  # (B, M, d)
-    PHt = np.einsum("bmij,bkj->bmik", covs, H)  # (B, M, 6, d)
-    S = np.einsum("bki,bmij->bmkj", H, PHt) + R[:, None, :, :]
+    Ht = np.swapaxes(H, 1, 2)  # (B, 6, d)
+    nu = z[:, None, :] - states @ Ht  # (B, M, d)
+    PHt = covs @ Ht[:, None]  # (B, M, 6, d)
+    S = H[:, None] @ PHt + R[:, None, :, :]
     S = _symmetrize(S)
     Sinv = np.linalg.inv(S)
-    K = np.einsum("bmik,bmkj->bmij", PHt, Sinv)  # (B, M, 6, d)
-    states_new = states + np.einsum("bmij,bmj->bmi", K, nu)
-    IKH = np.eye(n)[None, None] - np.einsum("bmij,bjk->bmik", K, H)
-    covs_new = np.einsum("bmij,bmjk,bmlk->bmil", IKH, covs, IKH) + np.einsum(
-        "bmij,bjk,bmlk->bmil", K, R, K
+    K = PHt @ Sinv  # (B, M, 6, d)
+    states_new = states + (K @ nu[..., None])[..., 0]
+    IKH = np.eye(n) - K @ H[:, None]
+    covs_new = IKH @ covs @ np.swapaxes(IKH, 2, 3) + (
+        K @ R[:, None] @ np.swapaxes(K, 2, 3)
     )
     covs_new = _symmetrize(covs_new)
     # model likelihoods -> probability reweighting (log space for safety)
-    maha = np.einsum("bmi,bmij,bmj->bm", nu, Sinv, nu)
+    maha = (nu[..., None, :] @ Sinv @ nu[..., None])[..., 0, 0]
     _, logdet = np.linalg.slogdet(S)
     loglik = -0.5 * (maha + logdet + d * math.log(2.0 * math.pi))
     logw = np.log(np.maximum(probs, MIN_MODEL_PROB)) + loglik

@@ -9,7 +9,8 @@ stale first sightings replaced, the coordinator's per-class prediction
 cache, the track table (its count
 tables against histories recorded on the test side, reward entropies
 against a per-track oracle, IMM combination equal to the oracle `Track`'s,
-and no per-row state kept outside its columns), behavior vectors
+no per-row state kept outside its columns, and every live bank exactly
+symmetric, positive definite and normalized after every step), behavior vectors
 from the count tables against the history builder, the sign of
 `rmse_improvement`, the names the benchmark tracer hooks and the pool size
 it counts, and a digest guard over every metric of a small experiment."""
@@ -421,6 +422,46 @@ def _after_each_step(monkeypatch, check):
         check(world, coordinator)
 
     monkeypatch.setattr(engine, "run_step", checked)
+
+
+class TestCovarianceHealth:
+    # the filter kernels round differently from the textbook forms, so over
+    # whole runs every live bank must stay a valid Gaussian mixture: each
+    # model covariance exactly symmetric and positive definite, the model
+    # probabilities finite and summing to 1
+    @pytest.mark.parametrize(
+        "config, policy",
+        [
+            (SMALL, BANDIT),
+            (
+                SimConfig(
+                    scenario=ScenarioConfig(
+                        node_density_per_km2=0.4, target_density_per_km2=0.6
+                    ),
+                    num_epochs=2,
+                    num_runs=1,
+                    seed=5,
+                ),
+                RADAR_ONLY,
+            ),
+        ],
+        ids=["small-bandit", "dense-radar-only"],
+    )
+    def test_live_banks_stay_valid_after_every_step(self, monkeypatch, config, policy):
+        checked = []
+
+        def check(world, c):
+            states, covs, probs = c.bank(np.flatnonzero(c.live))
+            assert np.array_equal(covs, np.swapaxes(covs, -1, -2))
+            np.linalg.cholesky(covs)
+            assert np.isfinite(probs).all()
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            checked.append(probs.shape[0])
+
+        _after_each_step(monkeypatch, check)
+        run_experiment(config, [policy])
+        assert len(checked) == config.num_epochs * config.steps_per_epoch
+        assert max(checked) > 0
 
 
 class TestTrackTable:
@@ -852,7 +893,7 @@ def metrics_sha256(result):
 # Recorded on the SMALL config under the three default policies. A change
 # that is meant to alter behaviour updates this value and says why in
 # CHANGES.md; any other change must leave it as it is.
-SMALL_METRICS_SHA256 = "06c7d0c9b201313fd24a9eb6d913157568406fe36a7e1d143ef0ba9751dd39d0"
+SMALL_METRICS_SHA256 = "fd0ccb0b38e9b49f52e7075c605a130a25975f2320d36f855d8faf36c43ff041"
 
 
 class TestRegressionGuard:

@@ -2,7 +2,12 @@
 every method that is not a dunder, is loaded by name somewhere in the
 package outside its own definition. Code only tests run belongs in
 `tests/scalar_reference.py`, not in `src/`. The public entry points, which
-only callers outside the package use, are the allowed exceptions."""
+only callers outside the package use, are the allowed exceptions.
+
+No `einsum` call in the package takes more than two operands: without
+`optimize`, numpy runs such a contraction as one loop over every index at
+once, several times slower than the chained `matmul` the filter kernels
+use."""
 
 import ast
 from pathlib import Path
@@ -68,3 +73,40 @@ def test_the_guard_sees_an_unused_function_and_method(tmp_path):
     )
     (tmp_path / "b.py").write_text("from a import Box\n\nBox()\n")
     assert unused_definitions(tmp_path) == {"helper", "Box.unused"}
+
+
+def wide_einsums(package: Path) -> set:
+    """(file name, line) of every `einsum` call with more than two operands,
+    counted from its arguments and from its subscripts string."""
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name != "einsum" or not node.args:
+                continue
+            operands = len(node.args) - 1
+            spec = node.args[0]
+            if isinstance(spec, ast.Constant) and isinstance(spec.value, str):
+                operands = max(operands, spec.value.split("->")[0].count(",") + 1)
+            if operands > 2:
+                found.add((path.name, node.lineno))
+    return found
+
+
+def test_no_einsum_takes_more_than_two_operands():
+    assert wide_einsums(PACKAGE) == set()
+
+
+def test_the_guard_sees_a_wide_einsum(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "x = np.einsum('ij,jk->ik', a, b)\n"
+        "y = np.einsum('ij,jk,kl->il', a, b, c)\n"
+        "z = einsum('bi,bj,bk->bijk', *ops)\n"
+        "w = np.einsum(spec, a, b, c)\n"
+    )
+    assert wide_einsums(tmp_path) == {("a.py", 4), ("a.py", 5), ("a.py", 6)}

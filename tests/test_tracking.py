@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from crnsim.scenario import (
 from crnsim.sensing import SensorNoise
 from crnsim.tracking import (
     DEFAULT_STATE_ACCEL_STD,
+    MIN_MODEL_PROB,
     NUM_MODELS,
     VERTICAL_Q_FRACTION,
     FilterTuning,
     LengthMismatch,
+    combined_covariances,
+    combined_states,
     cv_transition,
     imm_mix,
     imm_predict_arrays,
@@ -689,3 +693,197 @@ class TestBatchedConsistency:
             )
             for g, e in zip(got, exp):
                 assert g[b] == pytest.approx(e[0], rel=1e-10, abs=1e-10)
+
+
+# --- batch kernels against per-(track, model) loops in plain 2-D numpy ---
+
+
+def assert_matches_loop(got, want):
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
+
+
+def random_rows(rng, B, M=NUM_MODELS):
+    """B filter banks with their own transition matrix, process noise,
+    measurement rows, measurement noise and measurement on each row."""
+    centre = rng.normal(0.0, 1000.0, (B, 1, 6))
+    states = centre + rng.normal(0.0, 20.0, (B, M, 6))
+    A = rng.normal(0.0, 5.0, (B, M, 6, 6))
+    covs = A @ np.swapaxes(A, -1, -2) + 10.0 * np.eye(6)
+    probs = rng.dirichlet(np.ones(M), size=B)
+    trans = rng.dirichlet(np.ones(M), size=(B, M))
+    Q = np.array(
+        [process_noise_matrix(0.5, s) for s in rng.uniform(0.5, 20.0, B * M)]
+    ).reshape(B, M, 6, 6)
+    H = measurement_rows(centre[:, 0], rng.normal(0.0, 3000.0, (B, 3)))
+    G = rng.normal(0.0, 3.0, (B, 4, 4))
+    R = G @ np.swapaxes(G, 1, 2) + np.diag([625.0, 625.0, 625.0, 1.0])
+    z = (H @ centre[:, 0, :, None])[..., 0] + rng.normal(0.0, 20.0, (B, 4))
+    return SimpleNamespace(
+        states=states, covs=covs, probs=probs, trans=trans, Q=Q, H=H, R=R, z=z
+    )
+
+
+def loop_imm_mix(states, covs, probs, trans):
+    B, M, _ = states.shape
+    mixed, mixed_cov = np.zeros_like(states), np.zeros_like(covs)
+    c = np.zeros_like(probs)
+    for b in range(B):
+        for j in range(M):
+            c[b, j] = max(
+                sum(probs[b, i] * trans[b, i, j] for i in range(M)), MIN_MODEL_PROB
+            )
+            mu = [trans[b, i, j] * probs[b, i] / c[b, j] for i in range(M)]
+            for i in range(M):
+                mixed[b, j] += mu[i] * states[b, i]
+            for i in range(M):
+                dx = states[b, i] - mixed[b, j]
+                mixed_cov[b, j] += mu[i] * (covs[b, i] + np.outer(dx, dx))
+    return mixed, mixed_cov, c
+
+
+def loop_imm_predict(states, covs, probs, trans, F, Q):
+    mixed, mixed_cov, c = loop_imm_mix(states, covs, probs, trans)
+    B, M, _ = states.shape
+    pred, pred_cov = np.zeros_like(mixed), np.zeros_like(mixed_cov)
+    for b in range(B):
+        for m in range(M):
+            pred[b, m] = F @ mixed[b, m]
+            pred_cov[b, m] = F @ mixed_cov[b, m] @ F.T + Q[b, m]
+    return pred, pred_cov, c
+
+
+def loop_kalman_update(states, covs, probs, z, R, H):
+    """Textbook Joseph-form update of each model, then Bayes' rule on the
+    model probabilities with each model's Gaussian innovation likelihood."""
+    B, M, n = states.shape
+    d = z.shape[1]
+    new_states, new_covs = np.zeros_like(states), np.zeros_like(covs)
+    new_probs = np.zeros_like(probs)
+    for b in range(B):
+        loglik = np.zeros(M)
+        for m in range(M):
+            x, P = states[b, m], covs[b, m]
+            nu = z[b] - H[b] @ x
+            S = H[b] @ P @ H[b].T + R[b]
+            K = P @ H[b].T @ np.linalg.inv(S)
+            new_states[b, m] = x + K @ nu
+            IKH = np.eye(n) - K @ H[b]
+            new_covs[b, m] = IKH @ P @ IKH.T + K @ R[b] @ K.T
+            loglik[m] = -0.5 * (
+                nu @ np.linalg.solve(S, nu)
+                + math.log(np.linalg.det(S))
+                + d * math.log(2.0 * math.pi)
+            )
+        w = probs[b] * np.exp(loglik - loglik.max())
+        new_probs[b] = w / w.sum()
+    return new_states, new_covs, new_probs
+
+
+def loop_combined_covariances(states, covs, probs, means):
+    B, M, n = states.shape
+    out = np.zeros((B, n, n))
+    for b in range(B):
+        for m in range(M):
+            dx = states[b, m] - means[b]
+            out[b] += probs[b, m] * (covs[b, m] + np.outer(dx, dx))
+    return out
+
+
+def loop_polar_covariance(r, az, el, sigmas):
+    out = np.zeros((len(r), 3, 3))
+    for k in range(len(r)):
+        ca, sa = math.cos(az[k]), math.sin(az[k])
+        ce, se = math.cos(el[k]), math.sin(el[k])
+        # columns: d position / d (range, azimuth, elevation)
+        J = np.array(
+            [
+                [ce * ca, -r[k] * ce * sa, -r[k] * se * ca],
+                [ce * sa, r[k] * ce * ca, -r[k] * se * sa],
+                [se, 0.0, r[k] * ce],
+            ]
+        )
+        out[k] = J @ np.diag(np.square(sigmas)) @ J.T
+    return out
+
+
+class TestKernelsAgainstLoops:
+    @pytest.mark.parametrize("B", [1, 30, 60])
+    def test_imm_mix(self, B):
+        rows = random_rows(np.random.default_rng(B), B)
+        got = imm_mix(rows.states, rows.covs, rows.probs, rows.trans)
+        want = loop_imm_mix(rows.states, rows.covs, rows.probs, rows.trans)
+        for g, w in zip(got, want):
+            assert_matches_loop(g, w)
+
+    @pytest.mark.parametrize("B", [1, 30, 60])
+    def test_imm_predict(self, B):
+        rows = random_rows(np.random.default_rng(100 + B), B)
+        F = cv_transition(0.5)
+        args = (rows.states, rows.covs, rows.probs, rows.trans, F, rows.Q)
+        for g, w in zip(imm_predict_arrays(*args), loop_imm_predict(*args)):
+            assert_matches_loop(g, w)
+
+    @pytest.mark.parametrize("B", [1, 30, 60])
+    def test_kalman_update(self, B):
+        rows = random_rows(np.random.default_rng(200 + B), B)
+        args = (rows.states, rows.covs, rows.probs, rows.z, rows.R, rows.H)
+        for g, w in zip(kalman_update_arrays(*args), loop_kalman_update(*args)):
+            assert_matches_loop(g, w)
+
+    @pytest.mark.parametrize("B", [1, 30, 60])
+    def test_combined_covariances(self, B):
+        rows = random_rows(np.random.default_rng(300 + B), B)
+        means = combined_states(rows.states, rows.probs)
+        got = combined_covariances(rows.states, rows.covs, rows.probs, means)
+        want = loop_combined_covariances(rows.states, rows.covs, rows.probs, means)
+        assert_matches_loop(got, want)
+
+    @pytest.mark.parametrize("B", [1, 30, 60])
+    def test_combined_covariances_of_horizontal_slices(self, B):
+        # the strided views `Coordinator.xy_covariances` passes in
+        rows = random_rows(np.random.default_rng(400 + B), B)
+        means = combined_states(rows.states, rows.probs)
+        args = (
+            rows.states[..., :2],
+            rows.covs[:, :, :2, :2],
+            rows.probs,
+            means[:, :2],
+        )
+        got = combined_covariances(*args)
+        assert_matches_loop(got, loop_combined_covariances(*args))
+
+    @pytest.mark.parametrize("K", [1, 30, 60])
+    def test_polar_covariance(self, K):
+        rng = np.random.default_rng(500 + K)
+        r = rng.uniform(1e3, 8e3, K)
+        az = rng.uniform(-3.0, 3.0, K)
+        el = rng.uniform(-0.5, 0.5, K)
+        sigmas = (25.0, 0.02, 0.03)
+        _, R = polar_to_cartesian(r, az, el, rng.normal(0.0, 1e3, (K, 3)), sigmas)
+        assert_matches_loop(R, loop_polar_covariance(r, az, el, sigmas))
+
+    def test_empty_batch_gives_empty_arrays(self):
+        rows = random_rows(np.random.default_rng(0), 0)
+        M = NUM_MODELS
+        bank_shapes = [(0, M, 6), (0, M, 6, 6), (0, M)]
+        mixed = imm_mix(rows.states, rows.covs, rows.probs, rows.trans)
+        assert [a.shape for a in mixed] == bank_shapes
+        predicted = imm_predict_arrays(
+            rows.states, rows.covs, rows.probs, rows.trans, cv_transition(0.5), rows.Q
+        )
+        assert [a.shape for a in predicted] == bank_shapes
+        updated = kalman_update_arrays(
+            rows.states, rows.covs, rows.probs, rows.z, rows.R, rows.H
+        )
+        assert [a.shape for a in updated] == bank_shapes
+        means = combined_states(rows.states, rows.probs)
+        full = combined_covariances(rows.states, rows.covs, rows.probs, means)
+        assert full.shape == (0, 6, 6)
+        xy = combined_covariances(
+            rows.states[..., :2], rows.covs[:, :, :2, :2], rows.probs, means[:, :2]
+        )
+        assert xy.shape == (0, 2, 2)
+        pos, R = polar_to_cartesian([], [], [], np.zeros(3), (25.0, 0.02, 0.02))
+        assert pos.shape == (0, 3) and R.shape == (0, 3, 3)
