@@ -19,10 +19,11 @@ centroids), chooses the cluster count by AIC, and returns a new
 `ClassLibrary`: ascending class ids (k,), centroids (k, L), member counts
 (k,) and the block layout. The classes persist across epochs: each update
 keeps ids stable by matching new centroids to old ones. `assign_class`
-scores a (B, L) batch against the centroids. A learned class carries enough
-structure to tune a filter bank: its centroid's motion-transition rows
-become the IMM mixing chain, with the per-state default acceleration levels
-standing in for process noise.
+scores a (B, L) batch against the centroids and returns each vector's
+library row. A learned class carries enough structure to tune a filter
+bank: `ClassLibrary.mode_transitions()` stacks every centroid's
+motion-transition rows as an IMM mixing chain, and the engine pairs them
+with the per-state default acceleration levels as process noise.
 
 The distance and likelihood kernels work on all blocks at once (see
 `_blocked`) and are bit-exact: every float they produce equals the one a
@@ -46,8 +47,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp, xlogy
 
-from crnsim.markov import MarkovChain, transition_matrix_from_counts
-from crnsim.tracking import DEFAULT_STATE_ACCEL_STD, FilterTuning
+from crnsim.markov import transition_matrix_from_counts
 
 DEFAULT_ACCEPT_RADIUS = 0.25
 MAX_CLASSES = 6
@@ -436,30 +436,19 @@ class ClassLibrary:
         if np.any(np.diff(self.ids) <= 0):
             raise ValueError("class ids must be unique and ascending")
 
-    def rows_of(self, class_ids) -> np.ndarray:
-        """Table row of each class id, -1 for an id the library lacks."""
-        if not self.ids.size:
-            return np.full(np.shape(class_ids), -1)
-        rows = np.minimum(np.searchsorted(self.ids, class_ids), self.ids.size - 1)
-        return np.where(self.ids[rows] == class_ids, rows, -1)
-
     def occupancies(self) -> tuple[np.ndarray, np.ndarray]:
         """The centroids' motion (k, V) and signal (k, S) occupancies: the
         first two blocks of the `family_blocks` layout."""
         v, s = self.blocks[0].length, self.blocks[1].length
         return self.centroids[:, :v], self.centroids[:, v : v + s]
 
-    def tuning(self, row: int) -> FilterTuning:
-        """IMM tuning of the class in table row `row`: its centroid's
-        motion-transition rows (the V blocks after the occupancies) mix the
-        models, per-state default acceleration stands in for noise."""
+    def mode_transitions(self) -> np.ndarray:
+        """The IMM mixing chain of every class (k, V, V): its centroid's
+        motion-transition rows (the V blocks after the occupancies),
+        renormalized."""
         v, s = self.blocks[0].length, self.blocks[1].length
-        P = self.centroids[row, v + s : v + s + v * v].reshape(v, v)
-        P = P / P.sum(axis=1, keepdims=True)
-        return FilterTuning(
-            mode_transition=MarkovChain(P),
-            process_noise_per_state=DEFAULT_STATE_ACCEL_STD[:v].copy(),
-        )
+        P = self.centroids[:, v + s : v + s + v * v].reshape(-1, v, v)
+        return P / P.sum(axis=2, keepdims=True)
 
 
 def _greedy_id_match(centroids: np.ndarray, library: ClassLibrary) -> np.ndarray:
@@ -511,8 +500,8 @@ def assign_class(
     accept_radius: float = DEFAULT_ACCEPT_RADIUS,
 ) -> np.ndarray:
     """Nearest learned class of each of B vectors (B, L), laid out in the
-    library's block structure, within the acceptance radius: (B,) class
-    ids, -1 where no class lies within it and for every vector when the
+    library's block structure, within the acceptance radius: (B,) library
+    rows, -1 where no class lies within it and for every vector when the
     library is empty.
 
     All vectors are scored against all centroids in one `_distance_matrix`
@@ -525,7 +514,7 @@ def assign_class(
     dists = _distance_matrix(values, library.centroids, library.blocks)
     best = np.argmin(dists, axis=1)
     rows = np.arange(len(values))
-    return np.where(dists[rows, best] > accept_radius, -1, library.ids[best])
+    return np.where(dists[rows, best] > accept_radius, -1, best)
 
 
 def score_classes(

@@ -9,21 +9,23 @@ tracks into a cumulative pool, the class library re-clusters, and the
 epoch is scored.
 
 The coordinator keeps its tracks as one table with a row per target, the
-target's index in the world (filter bank, combined estimate, class id,
-reading count tables and a held first sighting). A row is the whole track:
-every layer of the step loop -- IMM prediction, track starts and radar
-fusion with one return per target, motion and signal reading, passive
-association, class assignment, rewards and the estimate tape -- runs once
-per step over the live rows. Behavior vectors are built from the count
-tables, a batch of rows at a time, for class assignment during the epoch
-and for the harvest at its end.
+target's index in the world (filter bank, combined estimate, class as a
+library row, reading count tables and a held first sighting). A row is the
+whole track: every layer of the step loop -- IMM prediction, track starts
+and radar fusion with one return per target, motion and signal reading,
+passive association, class assignment, rewards and the estimate tape --
+runs once per step over the live rows. Behavior vectors are built from
+the count tables, a batch of rows at a time, for class assignment during
+the epoch and for the harvest at its end.
 
 The class-learning side is tables too. The cumulative pool (`Pool`) is one
 table with a row per harvested track -- behavior vector, evidence and the
 target's true class id -- which each epoch's harvest grows with one
 concatenate per column, and the class library is one table with a row per
-class (see `classlib.ClassLibrary`). Class assignment, the reward entropies
-of classified tracks and the class-tuned filters read the library's arrays.
+class (see `classlib.ClassLibrary`). A classified track stores its class's
+library row, so the reward entropies of classified tracks and the
+class-tuned filters are gathers from per-class arrays built once per epoch,
+with one extra last row for the untuned filter that row -1 selects.
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -77,7 +79,10 @@ from crnsim.sensing import (
     wrap_angle,
 )
 from crnsim.tracking import (
+    DEFAULT_STATE_ACCEL_STD,
     NUM_MODELS,
+    UNTUNED_ACCEL_STD,
+    UNTUNED_MODE_TRANSITION,
     combined_covariances,
     combined_states,
     cv_transition,
@@ -89,7 +94,6 @@ from crnsim.tracking import (
     process_noise_matrix,
     start_track,
     track_rmse,
-    untuned_tuning,
 )
 
 # retries after a spawn with zero nodes or zero targets
@@ -256,16 +260,17 @@ class Coordinator:
     The table has one row per target of the epoch's world, in world order
     (a target has at most one track). A row is the whole track: the IMM
     bank -- model states (M, 6), covariances (M, 6, 6), probabilities (M,)
-    -- the combined estimate, the class id (-1 while unclassified), and the
-    count tables of its motion-state and signal-type readings: how many
-    readings of each state (`motion_counts`, `signal_counts`), how many
-    transitions between readings in adjacent steps (`motion_transitions`
-    (T, V, V), `signal_transitions` (T, S, S)), and the (step, state) of its
-    last reading (`motion_last`, `signal_last`), from which the next
-    reading's transition is counted. `vectors_from_counts` builds behavior
-    vectors from these tables. Until its track starts, a row may hold one
-    first sighting, waiting for a second look to difference it with: its
-    step (`pending_step`, NO_SIGHTING_STEP when none), converted position
+    -- the combined estimate, its class as a library row (`class_rows`, -1
+    while unclassified), and the count tables of its motion-state and
+    signal-type readings: how many readings of each state (`motion_counts`,
+    `signal_counts`), how many transitions between readings in adjacent
+    steps (`motion_transitions` (T, V, V), `signal_transitions` (T, S, S)),
+    and the (step, state) of its last reading (`motion_last`,
+    `signal_last`), from which the next reading's transition is counted.
+    `vectors_from_counts` builds behavior vectors from these tables. Until
+    its track starts, a row may hold one first sighting, waiting for a
+    second look to difference it with: its step (`pending_step`,
+    NO_SIGHTING_STEP when none), converted position
     (`pending_pos` (T, 3)) and covariance (`pending_cov` (T, 3, 3)). A row is
     live once its track starts; `order` lists the live rows in start order,
     and prediction and rewards run in that order so that sums over tracks
@@ -276,7 +281,6 @@ class Coordinator:
     use_class_knowledge: bool
     num_targets: int = 0  # table rows
     bandits: Optional[BanditState] = None
-    _noise_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
         T, M = self.num_targets, NUM_MODELS
@@ -285,7 +289,7 @@ class Coordinator:
         self.model_probs = np.zeros((T, M))
         self.estimates = np.zeros((T, 6))  # combined state of each row
         self.live = np.zeros(T, dtype=bool)
-        self.class_ids = np.full(T, -1, dtype=np.int64)
+        self.class_rows = np.full(T, -1, dtype=np.int64)
         self.pending_step = np.full(T, NO_SIGHTING_STEP, dtype=np.int64)
         self.pending_pos = np.zeros((T, 3))
         self.pending_cov = np.zeros((T, 3, 3))
@@ -297,10 +301,16 @@ class Coordinator:
         self.motion_last = np.tile([NO_READING_STEP, 0], (T, 1))
         self.signal_last = self.motion_last.copy()
         self.order = np.zeros(0, dtype=np.int64)
-        # (motion, signal) entropies of each class centroid (k, 2), in
-        # library order; the library is fixed for the coordinator's epoch
+        # per-class arrays in library order; the library is fixed for the
+        # coordinator's epoch. (motion, signal) entropies of each class
+        # centroid (k, 2), and the IMM mixing chain of each class plus the
+        # uniform untuned chain as a last row, which class row -1 selects
+        # (k + 1, M, M)
         self.class_etas = np.column_stack(
             [normalized_entropy(pi) for pi in self.library.occupancies()]
+        )
+        self.mode_transitions = np.concatenate(
+            [self.library.mode_transitions(), UNTUNED_MODE_TRANSITION[None]]
         )
 
     def start_tracks(self, rows: np.ndarray, states, covs, probs) -> None:
@@ -349,21 +359,6 @@ class Coordinator:
             rows, step, states,
         )
 
-    def predict_arrays(self, class_id: Optional[int], dt: float):
-        """(transition, Q-stack) of the tuning a track of this class gets,
-        cached per epoch under the class, None when the untuned bank
-        applies. Baselines and a class id missing from the library also get
-        the untuned bank."""
-        key = class_id if self.use_class_knowledge else None
-        if key not in self._noise_cache:
-            row = -1 if key is None else int(self.library.rows_of(key))
-            tuning = untuned_tuning() if row < 0 else self.library.tuning(row)
-            Q = np.stack(
-                [process_noise_matrix(dt, s) for s in tuning.process_noise_per_state]
-            )
-            self._noise_cache[key] = (tuning.mode_transition.transition, Q)
-        return self._noise_cache[key]
-
 
 def _record_readings(counts, transitions, last, rows, step: int, states) -> None:
     """Count one step's readings of distinct rows into one channel's tables,
@@ -388,7 +383,8 @@ def make_coordinator(
 ) -> Coordinator:
     """Fresh per-epoch coordinator. Bandit statistics start cold every
     epoch; only the class library carries over. Baselines keep the library
-    for scoring but never let it steer filters or rewards."""
+    for scoring but never classify a track, so it steers neither their
+    filters nor their rewards."""
     bandit = policy.kind is PolicyKind.BANDIT
     return Coordinator(
         library=library,
@@ -449,19 +445,20 @@ def _select_modes(
 
 
 def _predict_tracks(coordinator: Coordinator, dt: float) -> None:
-    """One IMM prediction over the live rows, in start order, each under
-    its class's tuning."""
+    """One IMM prediction over the live rows, in start order. A classified
+    row mixes by its class's chain with the per-state default acceleration
+    levels; an unclassified one by the uniform chain with every model at
+    the untuned level."""
     c = coordinator
     rows = c.order
     if rows.size == 0:
         return
-    M = NUM_MODELS
-    trans = np.empty((rows.size, M, M))
-    Q = np.empty((rows.size, M, 6, 6))
-    class_ids = c.class_ids[rows]
-    for cid in np.unique(class_ids):
-        sel = class_ids == cid
-        trans[sel], Q[sel] = c.predict_arrays(None if cid < 0 else int(cid), dt)
+    classes = c.class_rows[rows]
+    trans = c.mode_transitions[classes]
+    Q = process_noise_matrix(
+        dt,
+        np.where(classes[:, None] < 0, UNTUNED_ACCEL_STD, DEFAULT_STATE_ACCEL_STD),
+    )
     c.set_bank(rows, *imm_predict_arrays(*c.bank(rows), trans, cv_transition(dt), Q))
 
 
@@ -624,10 +621,10 @@ def _attempt_assignments(coordinator: Coordinator) -> None:
     to have a behavior vector. A row no class accepts stays at -1 and is
     tried again next step, with the readings it gains meanwhile."""
     c = coordinator
-    unclassified = np.flatnonzero(c.live & (c.class_ids < 0))
+    unclassified = np.flatnonzero(c.live & (c.class_rows < 0))
     rows, values, _ = track_parameter_vector(c, unclassified)
     if rows.size:
-        c.class_ids[rows] = assign_class(c.library, values)
+        c.class_rows[rows] = assign_class(c.library, values)
 
 
 def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
@@ -651,10 +648,9 @@ def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
         for n in (motion, signal)
     ])
     etas[motion.sum(axis=1) + signal.sum(axis=1) < MIN_OBSERVATIONS_FOR_ESTIMATE] = 1.0
-    if c.use_class_knowledge:
-        classes = c.library.rows_of(c.class_ids[rows])
-        known = classes >= 0
-        etas[known] = c.class_etas[classes[known]]
+    classes = c.class_rows[rows]
+    known = classes >= 0
+    etas[known] = c.class_etas[classes[known]]
     return etas
 
 

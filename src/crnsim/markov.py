@@ -107,27 +107,22 @@ def inverse_cdf(row_cdf: np.ndarray, u) -> np.ndarray:
     return (row_cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
-def sample_next(chain, current, rng: np.random.Generator):
-    """Draw the successor of each state in `current` from its transition row.
-
-    `chain` is a `MarkovChain`, or a stack of row CDFs (T, S, S) holding one
-    chain's `row_cdf` per draw for a (T,) `current` (a target table keeps its
-    rows' class chains this way). All draws come from one
-    `rng.random(current.shape)` call and are inverted at each state's cached
-    row CDF (`inverse_cdf`). For one state that is what
+def sample_next(
+    row_cdfs: np.ndarray, current: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw the successor of each state in `current` (T,) from its chain's
+    transition row: `row_cdfs` (T, S, S) holds one chain's `row_cdf` per
+    draw (a target table keeps its rows' class chains this way). All draws
+    come from one `rng.random(current.shape)` call and are inverted at each
+    state's cached row CDF (`inverse_cdf`). For one state that is what
     `rng.choice(n, p=row)` does: the same state comes out and the generator
     advances the same way. Nothing that `choice` checks is lost: it wants
     finite, non-negative entries summing to 1 within sqrt(eps) ~ 1.5e-8, and
     `MarkovChain` already requires finite rows summing to 1 within
-    ROW_SUM_TOL = 1e-9 and clips entries to [0, 1]. An int `current` gives
-    an int; an array gives an array of its shape."""
-    current = np.asarray(current)
-    if isinstance(chain, MarkovChain):
-        rows = chain.row_cdf[current]
-    else:
-        rows = chain[np.arange(current.size), current]
-    nxt = inverse_cdf(rows, rng.random(current.shape))
-    return int(nxt) if nxt.ndim == 0 else nxt
+    ROW_SUM_TOL = 1e-9 and clips entries to [0, 1]. Returns the (T,) next
+    states."""
+    rows = row_cdfs[np.arange(current.size), current]
+    return inverse_cdf(rows, rng.random(current.shape))
 
 
 def transition_matrix_from_counts(

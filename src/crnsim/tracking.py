@@ -4,8 +4,9 @@ State is [x, y, z, vx, vy, vz]. The model bank holds one filter per motion
 state; all share constant-velocity dynamics and differ in process noise
 level (a linear coordinated-turn model would need the unknown turn rate,
 so turning shows up as elevated process noise plus the angular-rate
-evidence used for motion-state inference). Mixing follows the tuning's
-mode-transition chain.
+evidence used for motion-state inference). Mixing follows a per-row
+mode-transition chain: a classified track's class chain, or the uniform
+`UNTUNED_MODE_TRANSITION` while it is unclassified.
 
 Radar polar measurements are fused as converted Cartesian position (with
 Jacobian-propagated covariance) plus a linearized radial-velocity row.
@@ -29,20 +30,22 @@ other form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from crnsim.markov import MarkovChain
 from crnsim.scenario import MOTION_STATES
 
 NUM_MODELS = len(MOTION_STATES)
 
-# class-agnostic per-motion-state acceleration noise (m/s^2); the untuned
-# filter collapses these to their geometric mean, learned classes use them
-# per state
+# class-agnostic per-motion-state acceleration noise (m/s^2); a classified
+# track's filter uses these per state
 DEFAULT_STATE_ACCEL_STD = np.array([0.5, 5.0, 20.0])
+
+# the unclassified filter: every model at the geometric mean of the per-state
+# levels, mixed by the uniform chain
+UNTUNED_ACCEL_STD = float(np.exp(np.mean(np.log(DEFAULT_STATE_ACCEL_STD))))
+UNTUNED_MODE_TRANSITION = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
 
 # vertical process noise fraction, mirroring the truth dynamics
 VERTICAL_Q_FRACTION = 0.2
@@ -61,34 +64,6 @@ class LengthMismatch(ValueError):
     """History lengths disagree."""
 
 
-@dataclass(frozen=True, eq=False)
-class FilterTuning:
-    """IMM parametrization: mode-transition chain + per-state noise.
-    Compares by identity, as `MarkovChain` does."""
-
-    mode_transition: MarkovChain
-    process_noise_per_state: np.ndarray
-
-    def __post_init__(self):
-        noise = np.asarray(self.process_noise_per_state, dtype=float)
-        if noise.size != self.mode_transition.num_states:
-            raise ValueError("one process noise per motion state required")
-        if np.any(noise < 0):
-            raise ValueError("process noise must be nonnegative")
-        object.__setattr__(self, "process_noise_per_state", noise)
-
-
-def untuned_tuning() -> FilterTuning:
-    """Class-agnostic filter: uniform mixing, one shared noise level (the
-    geometric mean of the per-state defaults)."""
-    shared = float(np.exp(np.mean(np.log(DEFAULT_STATE_ACCEL_STD))))
-    uniform = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
-    return FilterTuning(
-        mode_transition=MarkovChain(uniform),
-        process_noise_per_state=np.full(NUM_MODELS, shared),
-    )
-
-
 def cv_transition(dt: float) -> np.ndarray:
     """Constant-velocity transition for [x,y,z,vx,vy,vz]."""
     F = np.eye(6)
@@ -96,15 +71,17 @@ def cv_transition(dt: float) -> np.ndarray:
     return F
 
 
-def process_noise_matrix(dt: float, accel_std: float) -> np.ndarray:
-    """Discrete white-noise-acceleration Q; the vertical axis gets the
+def process_noise_matrix(dt: float, accel_std) -> np.ndarray:
+    """Discrete white-noise-acceleration Q of each acceleration std in
+    `accel_std` (any shape (...)): (..., 6, 6). The vertical axis gets the
     scaled-down noise the truth dynamics use."""
-    q = np.zeros((6, 6))
-    var = np.array([1.0, 1.0, VERTICAL_Q_FRACTION**2]) * accel_std**2
-    for ax in range(3):
-        q[ax, ax] = var[ax] * dt**4 / 4.0
-        q[ax, ax + 3] = q[ax + 3, ax] = var[ax] * dt**3 / 2.0
-        q[ax + 3, ax + 3] = var[ax] * dt**2
+    std = np.asarray(accel_std, dtype=float)
+    var = np.array([1.0, 1.0, VERTICAL_Q_FRACTION**2]) * (std**2)[..., None]
+    q = np.zeros(std.shape + (6, 6))
+    ax = np.arange(3)
+    q[..., ax, ax] = var * dt**4 / 4.0
+    q[..., ax, ax + 3] = q[..., ax + 3, ax] = var * dt**3 / 2.0
+    q[..., ax + 3, ax + 3] = var * dt**2
     return q
 
 

@@ -14,6 +14,12 @@ had before the engine kept only table rows. `start_one_track` and
 `kalman_update` advance and fuse one track through
 `tracking.imm_predict_arrays` and `tracking.kalman_update_arrays`, so a
 `Track` is the oracle the track table's rows are compared against.
+`imm_predict` runs under a `FilterTuning`, one track's IMM parametrization
+as a single record (mode chain and per-state process noise), the form a
+tuning had before the engine gathered it from per-class arrays:
+`untuned_tuning`, `class_tuning` (a learned library class) and
+`tuned_tuning` (a true class) build one, and `process_noise_one` is the
+per-axis loop that builds one model's Q.
 `Track` also carries the forward recursion over motion states
 (`motion_belief`, `motion_state_posterior`, `infer_motion_state`, Rabiner
 1989): each step's belief is the previous posterior pushed through the
@@ -43,8 +49,8 @@ record (values, block layout, evidence), the form a pool entry had before
 The rest are helpers only tests call: `passive_snr`, the link budget at
 one range (`sensing.max_detectable_range` is its inverse);
 `distribution_distance` between two vectors and `make_parameter_vector`
-from one target's estimates; `tuned_tuning`, a filter matched to a true
-class; `sample_path` and `estimate_transitions` for one chain's path.
+from one target's estimates; `sample_path`, `estimate_transitions` and
+`sample_next_one` for one chain's path and one chain's step.
 None of this runs in the simulation.
 """
 
@@ -76,6 +82,7 @@ from crnsim.markov import (
     MarkovChain,
     inverse_cdf,
     normalized_entropy,
+    sample_next,
     transition_matrix_from_counts,
 )
 from crnsim.scenario import MOTION_STATES, TX_ON, Target, TargetClass
@@ -86,8 +93,10 @@ from crnsim.sensing import (
     wrap_angle,
 )
 from crnsim.tracking import (
+    DEFAULT_STATE_ACCEL_STD,
     MIN_MODEL_PROB,
-    FilterTuning,
+    NUM_MODELS,
+    VERTICAL_Q_FRACTION,
     combined_covariances,
     combined_states,
     cv_transition,
@@ -96,7 +105,6 @@ from crnsim.tracking import (
     measurement_rows,
     omega_log_evidence,
     polar_to_cartesian,
-    process_noise_matrix,
     start_track,
 )
 
@@ -244,15 +252,74 @@ def record_reading(history: list, step: int, state: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, eq=False)
+class FilterTuning:
+    """IMM parametrization: mode-transition chain + per-state noise.
+    Compares by identity, as `MarkovChain` does."""
+
+    mode_transition: MarkovChain
+    process_noise_per_state: np.ndarray
+
+    def __post_init__(self):
+        noise = np.asarray(self.process_noise_per_state, dtype=float)
+        if noise.size != self.mode_transition.num_states:
+            raise ValueError("one process noise per motion state required")
+        if np.any(noise < 0):
+            raise ValueError("process noise must be nonnegative")
+        object.__setattr__(self, "process_noise_per_state", noise)
+
+
+def untuned_tuning() -> FilterTuning:
+    """Class-agnostic filter: uniform mixing, one shared noise level (the
+    geometric mean of the per-state defaults)."""
+    shared = float(np.exp(np.mean(np.log(DEFAULT_STATE_ACCEL_STD))))
+    uniform = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
+    return FilterTuning(
+        mode_transition=MarkovChain(uniform),
+        process_noise_per_state=np.full(NUM_MODELS, shared),
+    )
+
+
+def tuned_tuning(cls: TargetClass) -> FilterTuning:
+    """Filter matched to a class: its true motion chain and noise levels."""
+    return FilterTuning(
+        mode_transition=cls.motion_chain,
+        process_noise_per_state=np.asarray(cls.process_noise, dtype=float),
+    )
+
+
+def class_tuning(library, row: int) -> FilterTuning:
+    """Filter of the learned class in library row `row`: its centroid's
+    motion-transition rows (the V blocks after the occupancies),
+    renormalized, mix the models; per-state default acceleration stands in
+    for noise."""
+    v, s = library.blocks[0].length, library.blocks[1].length
+    P = library.centroids[row, v + s : v + s + v * v].reshape(v, v)
+    return FilterTuning(
+        mode_transition=MarkovChain(P / P.sum(axis=1, keepdims=True)),
+        process_noise_per_state=DEFAULT_STATE_ACCEL_STD[:v].copy(),
+    )
+
+
+def process_noise_one(dt: float, accel_std: float) -> np.ndarray:
+    """Discrete white-noise-acceleration Q (6, 6) of one acceleration std,
+    one axis at a time; the vertical axis gets the scaled-down noise."""
+    q = np.zeros((6, 6))
+    var = np.array([1.0, 1.0, VERTICAL_Q_FRACTION**2]) * accel_std**2
+    for ax in range(3):
+        q[ax, ax] = var[ax] * dt**4 / 4.0
+        q[ax, ax + 3] = q[ax + 3, ax] = var[ax] * dt**3 / 2.0
+        q[ax + 3, ax + 3] = var[ax] * dt**2
+    return q
+
+
 def imm_predict(track: Track, tuning: FilterTuning, dt: float) -> Track:
     """Advance one track by dt under the tuning's model bank; the
     motion-state belief moves one step along the same mode chain."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     F = cv_transition(dt)
-    Q = np.stack(
-        [process_noise_matrix(dt, s) for s in tuning.process_noise_per_state]
-    )
+    Q = np.stack([process_noise_one(dt, s) for s in tuning.process_noise_per_state])
     states, covs, probs = imm_predict_arrays(
         track.model_states[None],
         track.model_covs[None],
@@ -386,17 +453,16 @@ class RecordedHistories:
 
 def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
     """Per-track (motion, signal) reward entropies, keyed by row and in
-    `coordinator.order`: the class centroid's once the row is classified,
-    1 for thin histories, else the smoothed entropies of its recorded
-    histories."""
+    `coordinator.order`: the class centroid's once the row is classified
+    under class knowledge, 1 for thin histories, else the smoothed
+    entropies of its recorded histories."""
     recorded = histories.of(coordinator)
     etas = {}
     for row in coordinator.order.tolist():
         motion, signal = recorded.motion[row], recorded.signal[row]
-        class_id = int(coordinator.class_ids[row])
-        library_ids = coordinator.library.ids.tolist()
-        if coordinator.use_class_knowledge and class_id in library_ids:
-            centroid = coordinator.library.centroids[library_ids.index(class_id)]
+        class_row = int(coordinator.class_rows[row])
+        if coordinator.use_class_knowledge and class_row >= 0:
+            centroid = coordinator.library.centroids[class_row]
             V = len(MOTION_STATES)
             em = normalized_entropy(centroid[:V])
             es = normalized_entropy(centroid[V : V + coordinator.num_signal_states])
@@ -524,12 +590,10 @@ def distribution_distance(a: ParameterVector, b: ParameterVector) -> float:
     return float(_distance_matrix(a.values[None], b.values[None], a.blocks)[0, 0])
 
 
-def tuned_tuning(cls: TargetClass) -> FilterTuning:
-    """Filter matched to a class: its true motion chain and noise levels."""
-    return FilterTuning(
-        mode_transition=cls.motion_chain,
-        process_noise_per_state=np.asarray(cls.process_noise, dtype=float),
-    )
+def sample_next_one(chain: MarkovChain, state: int, rng) -> int:
+    """One chain's successor of one state, by `markov.sample_next` with a
+    batch of 1."""
+    return int(sample_next(chain.row_cdf[None], np.array([state]), rng)[0])
 
 
 class ZeroRange(ValueError):

@@ -448,7 +448,7 @@ class TestAssignClass:
     def test_exact_centroid_maps_to_its_class(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
         lib, _ = update_from(ClassLibrary(), pool, np.random.default_rng(15))
-        assert assign_class(lib, lib.centroids).tolist() == lib.ids.tolist()
+        assert assign_class(lib, lib.centroids).tolist() == list(range(lib.ids.size))
 
     def test_matches_nearest_neighbor_oracle(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
@@ -458,8 +458,8 @@ class TestAssignClass:
             v = random_family_vector(rng)
             radius = rng.uniform(0.05, 1.5)
             dists = {
-                int(cid): distribution_distance(v, make_like(v, centroid))
-                for cid, centroid in zip(lib.ids, lib.centroids)
+                row: distribution_distance(v, make_like(v, centroid))
+                for row, centroid in enumerate(lib.centroids)
             }
             nearest = min(dists, key=dists.get)
             expected = nearest if dists[nearest] <= radius else -1
@@ -528,19 +528,17 @@ class TestClassTuning:
             ClassLibrary(), [strong_class_vector(i) for i in range(3)] * 5,
             np.random.default_rng(21),
         )
-        for row in range(lib.ids.size):
-            tuning = lib.tuning(row)
-            assert isinstance(tuning.mode_transition, MarkovChain)
-            np.testing.assert_allclose(
-                tuning.mode_transition.transition.sum(axis=1), 1.0, atol=1e-12
-            )
+        chains = lib.mode_transitions()
+        assert chains.shape == (lib.ids.size, 3, 3)
+        for chain in chains:
+            MarkovChain(chain)
+            np.testing.assert_allclose(chain.sum(axis=1), 1.0, atol=1e-12)
         # a strong pure-class library reproduces the true mixing chains
         for ci in range(3):
             true_vec = strong_class_vector(ci)
-            (cid,) = assign_class(lib, true_vec.values[None])
-            chain = lib.tuning(int(lib.rows_of(cid))).mode_transition
+            (row,) = assign_class(lib, true_vec.values[None])
             np.testing.assert_allclose(
-                chain.transition,
+                chains[row],
                 FAMILY.classes[ci].motion_chain.transition,
                 atol=1e-9,
             )

@@ -5,8 +5,9 @@ update, at most one track-start batch and one class-assignment batch per
 step whatever the target and node counts, the harvest rule for radar-only,
 the harvest gate on reading counts and the pool table each harvest grows,
 radar association by truth id with one return per target per step and
-stale first sightings replaced, the coordinator's per-class prediction
-cache, the track table (its count
+stale first sightings replaced, one prediction of mixed-class rows against
+the one-track oracle under each row's tuning, baselines never classifying a
+track, the track table (its count
 tables against histories recorded on the test side, reward entropies
 against a per-track oracle, IMM combination equal to the oracle `Track`'s,
 no per-row state kept outside its columns, and every live bank exactly
@@ -55,17 +56,20 @@ from crnsim.engine import (
 )
 from crnsim.scenario import Region, ScenarioConfig, Target, default_family
 from crnsim.sensing import SensorNoise
-from crnsim.tracking import process_noise_matrix, start_track, untuned_tuning
+from crnsim.tracking import NUM_MODELS, start_track
 
 from scalar_reference import (
     RecordedHistories,
     Track,
     _history_counts,
+    class_tuning,
+    imm_predict,
     kalman_update,
     make_node,
     make_parameter_vector,
     record_reading,
     track_uncertainties,
+    untuned_tuning,
     vector_from_histories,
 )
 
@@ -365,52 +369,55 @@ class TestRadarAssociation:
         assert np.allclose(coord.estimates[0, 3:], velocity, atol=1e-6)
 
 
-def _one_class_library():
-    """A library whose class 4 has the vector a perfectly observed member
-    of the default family's first class would have."""
-    cls = default_family().classes[0]
-    centroid = make_parameter_vector(
-        cls.motion_chain.stationary,
-        cls.motion_chain.transition,
-        cls.signal_chain.stationary,
-        cls.signal_chain.transition,
-        np.ones(9),
-    )
+def _class_library(num_classes=1):
+    """A library whose classes, ids 4, 7, ..., have the vectors perfectly
+    observed members of the default family's first classes would have."""
+    vectors = [
+        make_parameter_vector(
+            cls.motion_chain.stationary,
+            cls.motion_chain.transition,
+            cls.signal_chain.stationary,
+            cls.signal_chain.transition,
+            np.ones(9),
+        ).values
+        for cls in default_family().classes[:num_classes]
+    ]
     return ClassLibrary(
-        ids=np.array([4]), centroids=centroid.values[None], member_counts=np.array([1])
+        ids=4 + 3 * np.arange(num_classes),
+        centroids=np.stack(vectors),
+        member_counts=np.ones(num_classes, dtype=np.int64),
     )
 
 
-class TestPredictCache:
-    def _coordinator(self, use_class_knowledge):
-        return Coordinator(
-            library=_one_class_library(),
+class TestClassTunedPrediction:
+    def test_each_row_predicts_under_its_class_tuning(self):
+        # live rows of class rows 1, -1, 0, -1 in a non-ascending start
+        # order: one prediction gives each row the bank the one-track oracle
+        # gives under that row's tuning
+        library = _class_library(2)
+        c = Coordinator(
+            library=library,
             num_signal_states=4,
-            use_class_knowledge=use_class_knowledge,
+            use_class_knowledge=True,
+            num_targets=5,
         )
-
-    def _expected(self, tuning, dt):
-        Q = np.stack([process_noise_matrix(dt, s) for s in tuning.process_noise_per_state])
-        return tuning.mode_transition.transition, Q
-
-    def test_keyed_by_class_with_none_for_untuned(self):
-        coord = self._coordinator(True)
-        for class_id, tuning in (
-            (4, coord.library.tuning(0)),
-            (None, untuned_tuning()),
-        ):
-            trans, Q = coord.predict_arrays(class_id, 0.5)
-            want_trans, want_Q = self._expected(tuning, 0.5)
-            assert np.array_equal(trans, want_trans)
-            assert np.array_equal(Q, want_Q)
-        assert set(coord._noise_cache) == {4, None}
-
-    def test_baseline_ignores_class_assignment(self):
-        coord = self._coordinator(False)
-        trans, Q = coord.predict_arrays(4, 0.5)
-        want_trans, want_Q = self._expected(untuned_tuning(), 0.5)
-        assert np.array_equal(trans, want_trans) and np.array_equal(Q, want_Q)
-        assert set(coord._noise_cache) == {None}
+        rng = np.random.default_rng(8)
+        order = np.array([3, 0, 4, 1])
+        B, M = order.size, NUM_MODELS
+        states = rng.normal(0.0, 1000.0, (B, M, 6))
+        A = rng.normal(0.0, 5.0, (B, M, 6, 6))
+        covs = A @ np.swapaxes(A, -1, -2) + 10.0 * np.eye(6)
+        probs = rng.dirichlet(np.ones(M), size=B)
+        c.start_tracks(order, states, covs, probs)
+        c.class_rows[order] = [1, -1, 0, -1]
+        engine._predict_tracks(c, 0.5)
+        for i, row in enumerate(order):
+            cls = c.class_rows[row]
+            tuning = untuned_tuning() if cls < 0 else class_tuning(library, cls)
+            want = imm_predict(Track(states[i], covs[i], probs[i]), tuning, 0.5)
+            got = c.bank(np.array([row]))
+            for g, w in zip(got, (want.model_states, want.model_covs, want.model_probs)):
+                assert np.array_equal(g[0], w)
 
 
 def _after_each_step(monkeypatch, check):
@@ -529,8 +536,8 @@ class TestTrackTable:
         # probabilities differ after the predict and the update
         target = np.array([3000.0, 400.0, 500.0])
         world = _radar_world([np.zeros(3)], [target])
-        c = _radar_coordinator(world, _one_class_library())
-        c.class_ids[0] = 4
+        c = _radar_coordinator(world, _class_library())
+        c.class_rows[0] = 0
         noise, ni, ti = SensorNoise(), np.array([0]), np.array([0])
         for t, d_az in ((1, 0.0), (2, 0.0), (3, 0.02)):
             if t == 3:
@@ -544,17 +551,19 @@ class TestTrackTable:
 
     def test_coordinator_holds_no_track(self, monkeypatch):
         # per-row state lives only in table columns, one row per target: the
-        # only dict is the per-class cache, the class entropies have one row
-        # per library class, and no list or track record is kept
+        # class entropies have one row per library class, the mixing chains
+        # one more for the untuned filter, and no dict, list or track record
+        # is kept
         steps = []
 
         def check(world, c):
+            k = c.library.ids.size
             for name, value in vars(c).items():
-                assert not isinstance(value, (Track, list)), name
-                if isinstance(value, dict):
-                    assert name == "_noise_cache", name
-                elif name == "class_etas":
-                    assert value.shape == (c.library.ids.size, 2)
+                assert not isinstance(value, (Track, list, dict)), name
+                if name == "class_etas":
+                    assert value.shape == (k, 2)
+                elif name == "mode_transitions":
+                    assert value.shape == (k + 1, NUM_MODELS, NUM_MODELS)
                 elif isinstance(value, np.ndarray) and name != "order":
                     assert value.shape[0] == c.num_targets, name
             steps.append(c.order.size)
@@ -590,7 +599,7 @@ class TestTrackTable:
             assert etas.tolist() == [list(e) for e in want.values()]
             for row in c.order:
                 seen = c.motion_counts[row].sum() + c.signal_counts[row].sum()
-                if c.use_class_knowledge and c.class_ids[row] in c.library.ids:
+                if c.use_class_knowledge and c.class_rows[row] >= 0:
                     kinds["classified"] += 1
                 elif seen < 3:
                     kinds["thin"] += 1
@@ -604,6 +613,26 @@ class TestTrackTable:
         assert kinds["thin"] and kinds["counted"] and kinds["dropped"]
         if policy.kind is PolicyKind.BANDIT:
             assert kinds["classified"]
+
+    @pytest.mark.parametrize(
+        "policy",
+        [RADAR_ONLY, PolicySpec(PolicyKind.RANDOM)],
+        ids=lambda p: p.label,
+    )
+    def test_baselines_never_classify(self, monkeypatch, policy):
+        # a baseline keeps every row unclassified after every step, so its
+        # filters and rewards never read the class library, even once
+        # random-p's library holds classes
+        classes = []
+
+        def check(world, c):
+            assert (c.class_rows == -1).all()
+            classes.append(c.library.ids.size)
+
+        _after_each_step(monkeypatch, check)
+        run_experiment(dataclasses.replace(SMALL, num_epochs=3), [policy])
+        assert len(classes) == 3 * SMALL.steps_per_epoch
+        assert (max(classes) > 0) == (policy.kind is PolicyKind.RANDOM)
 
 
 class TestCountTables:

@@ -9,10 +9,9 @@ from crnsim.markov import (
     NonUniqueStationary,
     equal_in_state_distribution,
     normalized_entropy,
-    sample_next,
     transition_matrix_from_counts,
 )
-from scalar_reference import estimate_transitions, sample_path
+from scalar_reference import estimate_transitions, sample_next_one, sample_path
 
 
 def power_iteration_stationary(P, tol=1e-14, max_iter=500_000):
@@ -117,17 +116,17 @@ class TestSampleNext:
     def test_deterministic_transition(self):
         c = MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]))
         rng = np.random.default_rng(0)
-        assert sample_next(c, 0, rng) == 1
+        assert sample_next_one(c, 0, rng) == 1
 
     def test_absorbing_state(self):
         c = MarkovChain(np.eye(2))
         rng = np.random.default_rng(0)
-        assert sample_next(c, 1, rng) == 1
+        assert sample_next_one(c, 1, rng) == 1
 
     def test_empirical_frequency(self):
         c = MarkovChain(np.array([[0.9, 0.1], [0.5, 0.5]]))
         rng = np.random.default_rng(42)
-        draws = np.array([sample_next(c, 0, rng) for _ in range(100_000)])
+        draws = np.array([sample_next_one(c, 0, rng) for _ in range(100_000)])
         assert draws.mean() == pytest.approx(0.1, abs=0.005)
 
 
@@ -155,7 +154,7 @@ class TestSamplePath:
         path = sample_path(chain, 200, init=2, rng=np.random.default_rng(4))
         u = np.random.default_rng(4).random(200)
         for t in range(1, 200):
-            want = sample_next(chain, int(path[t - 1]), _ConstantDraws(u[t]))
+            want = sample_next_one(chain, int(path[t - 1]), _ConstantDraws(u[t]))
             assert path[t] == want
 
     @pytest.mark.parametrize("length", [0, -1])

@@ -20,8 +20,9 @@ from crnsim.tracking import (
     DEFAULT_STATE_ACCEL_STD,
     MIN_MODEL_PROB,
     NUM_MODELS,
+    UNTUNED_ACCEL_STD,
+    UNTUNED_MODE_TRANSITION,
     VERTICAL_Q_FRACTION,
-    FilterTuning,
     LengthMismatch,
     combined_covariances,
     combined_states,
@@ -35,9 +36,9 @@ from crnsim.tracking import (
     process_noise_matrix,
     start_track,
     track_rmse,
-    untuned_tuning,
 )
 from scalar_reference import (
+    FilterTuning,
     Track,
     estimate_transitions,
     imm_predict,
@@ -46,10 +47,12 @@ from scalar_reference import (
     make_node,
     motion_state_posterior,
     polar_to_cartesian_one,
+    process_noise_one,
     radar_measure,
     start_one_track,
     target_row,
     tuned_tuning,
+    untuned_tuning,
     vector_from_histories,
 )
 
@@ -126,6 +129,17 @@ class TestDynamicsMatrices:
         assert Q[2, 2] == pytest.approx(25 * VERTICAL_Q_FRACTION**2 * 0.5**4 / 4)
         assert Q[5, 5] == pytest.approx(25 * VERTICAL_Q_FRACTION**2 * 0.5**2)
         assert Q == pytest.approx(Q.T)
+
+    def test_process_noise_of_a_grid_equals_the_scalar_loop(self):
+        # one call over a (B, M) grid of stds gives, element by element,
+        # the per-axis loop's Q of each std
+        stds = np.random.default_rng(3).uniform(0.0, 25.0, (4, NUM_MODELS))
+        stds[0, 0] = 0.0
+        Q = process_noise_matrix(0.5, stds)
+        assert Q.shape == (4, NUM_MODELS, 6, 6)
+        for b, m in np.ndindex(stds.shape):
+            assert np.array_equal(Q[b, m], process_noise_one(0.5, stds[b, m]))
+            assert np.array_equal(Q[b, m], process_noise_matrix(0.5, stds[b, m]))
 
 
 class TestImmPredict:
@@ -624,12 +638,16 @@ class TestTunings:
         assert tuning.mode_transition is balloon.motion_chain
 
     def test_untuned_uniform_and_geometric_mean(self):
-        tuning = untuned_tuning()
-        assert tuning.mode_transition.transition == pytest.approx(
-            np.full((3, 3), 1 / 3)
+        assert UNTUNED_MODE_TRANSITION == pytest.approx(np.full((3, 3), 1 / 3))
+        assert UNTUNED_ACCEL_STD == pytest.approx(
+            np.cbrt(np.prod(DEFAULT_STATE_ACCEL_STD))
         )
-        assert tuning.process_noise_per_state == pytest.approx(
-            np.full(3, np.cbrt(np.prod(DEFAULT_STATE_ACCEL_STD)))
+        tuning = untuned_tuning()
+        assert np.array_equal(
+            tuning.mode_transition.transition, UNTUNED_MODE_TRANSITION
+        )
+        assert np.array_equal(
+            tuning.process_noise_per_state, np.full(3, UNTUNED_ACCEL_STD)
         )
 
     def test_equality_is_identity_and_does_not_raise(self):
