@@ -13,35 +13,32 @@ behavior into a vector; tracks only count readings.
 
 Class learning works on tables, never on one object per vector or per
 class. The cumulative pool is (N, L) values with (N, blocks) evidence;
-`update_library` re-clusters it by k-means under a summed Jensen-Shannon
-divergence (`kmeans_distributions`, (N,) assignments and (k, L)
-centroids), chooses the cluster count by AIC, and returns a new
-`ClassLibrary`: ascending class ids (k,), centroids (k, L), member counts
-(k,) and the block layout. The classes persist across epochs: each update
-keeps ids stable by matching new centroids to old ones. `assign_class`
-scores a (B, L) batch against the centroids and returns each vector's
-library row. A learned class carries enough structure to tune a filter
-bank: `ClassLibrary.mode_transitions()` stacks every centroid's
-motion-transition rows as an IMM mixing chain, and the engine pairs them
-with the per-state default acceleration levels as process noise.
+`update_library` re-clusters it by k-means (`kmeans_distributions`, (N,)
+assignments and (k, L) centroids), chooses the cluster count by AIC, and
+returns a new `ClassLibrary`: ascending class ids (k,), centroids (k, L)
+and the block layout. The classes persist across epochs: each update keeps
+ids stable by matching new centroids to old ones. `assign_class` scores a
+(B, L) batch against the centroids and returns each vector's library row.
+A learned class carries enough structure to tune a filter bank:
+`ClassLibrary.mode_transitions()` stacks every centroid's motion-transition
+rows as an IMM mixing chain, and the engine pairs them with the per-state
+default acceleration levels as process noise.
 
-The distance and likelihood kernels work on all blocks at once (see
-`_blocked`) and are bit-exact: every float they produce equals the one a
-per-block loop over slices gives, so the fast paths change no result. Two
-rules keep it so. Each block is summed strictly left to right, the order
-numpy's `.sum(axis=-1)` uses on a slice (`np.add.reduceat` and pairwise
-sums group the terms differently). Per-block results are combined by a
-sequential `out += w_b * x[..., b]` in block order, never by a sum over the
-block axis. Every kernel is elementwise across vectors, so a vector scores
-the same alone as in any batch.
+Lloyd fits under the weighted KL divergence KL(p || c), a Bregman
+divergence: the blockwise mean is its exact minimiser, so each Lloyd run
+decreases its objective monotonically (Banerjee, Merugu, Dhillon & Ghosh,
+"Clustering with Bregman divergences", JMLR 2005), and the point-to-centroid
+term is one matmul. Distances that are scored -- class assignment and
+matching new classes to old ones -- are the weighted Jensen-Shannon
+divergence. The block layout enters every kernel only as per-element
+weights: each block's weight (or evidence) repeated over its elements.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -86,13 +83,6 @@ def family_blocks(
     blocks += [BlockSpec(f"P_v_row{i}", v, TRANSITION_BLOCK_WEIGHT) for i in range(v)]
     blocks += [BlockSpec(f"P_s_row{i}", s, TRANSITION_BLOCK_WEIGHT) for i in range(s)]
     return tuple(blocks)
-
-
-def _block_slices(blocks):
-    offset = 0
-    for b in blocks:
-        yield b, slice(offset, offset + b.length)
-        offset += b.length
 
 
 def occupancy_sample_size(n_steps, occupancy, transition):
@@ -158,150 +148,91 @@ def vectors_from_counts(
 # --- distance ---
 
 
-@functools.lru_cache(maxsize=None)
-def _block_layout(blocks: tuple[BlockSpec, ...]) -> np.ndarray:
-    """Gather index (W, B): entry [j, b] is the position of element j of
-    block b in the concatenated vector, W the longest block length. Past a
-    block's end it is L, the index of an appended zero."""
-    width = max(b.length for b in blocks)
-    index = np.full((width, len(blocks)), sum(b.length for b in blocks))
-    for i, (b, sl) in enumerate(_block_slices(blocks)):
-        index[: b.length, i] = np.arange(sl.start, sl.stop)
-    index.setflags(write=False)
-    return index
-
-
-def _blocked(x: np.ndarray, blocks) -> np.ndarray:
-    """(..., L) vectors in blocked form (W, ..., B): slice j holds element j
-    of every block, so a kernel can walk all blocks one element position at
-    a time. The zero padding adds an exact 0 to every block sum below."""
-    padded = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-    return np.ascontiguousarray(np.moveaxis(padded[..., _block_layout(blocks)], -2, 0))
-
-
-def _entropy_bits(columns) -> np.ndarray:
-    """Base-2 entropy of every block, from the (..., B) slices of a blocked
-    array in position order. Each block's x log x terms are added strictly
-    left to right, ((a + b) + c) + d: the order `.sum(axis=-1)` gives the
-    block's own slice. The slices are overwritten, so pass a copy; they may
-    all be one reused buffer."""
-    total = None
-    for c in columns:
-        xlogy(c, c, out=c)
-        if total is None:
-            total = c.copy()
-        else:
-            total += c
-    np.negative(total, out=total)
-    total /= _LN2
-    return total
-
-
-class _BlockedPool(NamedTuple):
-    """Pool points in blocked form with their block entropies, computed
-    once and shared by every distance evaluation against the pool."""
-
-    values: np.ndarray  # (W, N, B)
-    entropy: np.ndarray  # (N, B)
-
-
-def _blocked_pool(points: np.ndarray, blocks) -> _BlockedPool:
-    values = _blocked(points, blocks)
-    return _BlockedPool(values, _entropy_bits(values.copy()))
-
-
-def _midpoints(p: np.ndarray, q: np.ndarray):
-    """The (N, K, B) slices, in position order, of the blocked midpoints of
-    every p (W, N, B) and q (W, K, B), all written into one buffer."""
-    m = np.empty((p.shape[1], q.shape[1], p.shape[2]))
-    for pj, qj in zip(p, q):
-        np.add(pj[:, None], qj[None, :], out=m)
-        m *= 0.5
-        yield m
-
-
-def _pool_distances(pool: _BlockedPool, centroids: np.ndarray, blocks) -> np.ndarray:
-    """Weighted JSD between every pool point and centroid (K, L): (N, K).
-
-    One fused kernel for all blocks: each `xlogy` covers one element
-    position of every block of every (point, centroid) midpoint, and no
-    (N, K, L) array is ever built. Bit-exact against a per-block loop: each
-    block keeps the clamp max(H(m) - H(p)/2 - H(q)/2, 0), and the weighted
-    sum runs block by block in layout order."""
-    q = _blocked(centroids, blocks)
-    jsd = _entropy_bits(_midpoints(pool.values, q))
-    jsd -= 0.5 * pool.entropy[:, None]
-    jsd -= 0.5 * _entropy_bits(q.copy())[None, :]
-    np.maximum(jsd, 0.0, out=jsd)
-    out = np.zeros(jsd.shape[:2])
-    for b, spec in enumerate(blocks):
-        out += spec.weight * jsd[..., b]
-    return out
+def _spread(per_block, blocks) -> np.ndarray:
+    """Per-block entries (..., blocks) repeated over each block's elements:
+    (..., L)."""
+    return np.repeat(per_block, [b.length for b in blocks], axis=-1)
 
 
 def _distance_matrix(
     points: np.ndarray, centroids: np.ndarray, blocks
 ) -> np.ndarray:
-    """Weighted JSD between every point (N,L) and centroid (K,L): (N,K).
+    """Weighted JSD in bits between every point (N, L) and centroid (K, L):
+    (N, K), from the (N, K, L) midpoints.
 
-    Every entry is bit-identical to summing `weight * JSD` over the block
-    slices one at a time (see the module docstring for the order rules)."""
-    return _pool_distances(_blocked_pool(points, blocks), centroids, blocks)
+    Each sum over elements runs along one row in the same order for every
+    row (a matmul would not), so equal vectors score exactly equal and a
+    vector is at distance 0 from itself."""
+    w = _spread([b.weight for b in blocks], blocks)
+
+    def neg_entropy(x):
+        return (xlogy(x, x) * w).sum(axis=-1)
+
+    mid = 0.5 * (points[:, None] + centroids[None])
+    jsd = (
+        0.5 * neg_entropy(points)[:, None]
+        + 0.5 * neg_entropy(centroids)[None]
+        - neg_entropy(mid)
+    )
+    return np.maximum(jsd / _LN2, 0.0)
 
 
 # --- clustering ---
 
 
-def _lloyd(
-    points: np.ndarray,
-    k: int,
-    blocks,
-    rng,
-    pool: Optional[_BlockedPool] = None,
-) -> tuple[np.ndarray, np.ndarray, float, list]:
-    """One Lloyd run from k distinct random points of the pool.
+def _log_centroids(centroids: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(centroids, 1e-12))
 
-    The (N, k) distance matrix is carried across iterations: after each
-    centroid update only the columns of centroids whose values changed are
-    recomputed. Columns do not depend on each other, so the carried matrix
-    equals a full recompute bit for bit, and at exit it already belongs to
-    the final centroids. `pool` is the blocked form of `points`, computed
-    here when the caller has not."""
+
+def _lloyd(
+    points: np.ndarray, k: int, blocks, rng
+) -> tuple[np.ndarray, np.ndarray, float, list]:
+    """One Lloyd run under weighted KL from k distinct random points of the
+    pool.
+
+    Assignment needs only the cross-entropy -(w p) . log c, one (N, k)
+    matmul per iteration; the per-point constant w . p log p completes the
+    KL for the objective and for picking the worst-fit point. Returns the
+    assignments, centroids, final objective and the objective of every
+    iteration."""
     n = points.shape[0]
-    if pool is None:
-        pool = _blocked_pool(points, blocks)
+    w = _spread([b.weight for b in blocks], blocks)
+    weighted = points * w
+    self_term = xlogy(points, points) @ w
+    rows = np.arange(n)
+
+    def cross_entropy(centroids):
+        return -(weighted @ _log_centroids(centroids).T)
+
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    dists = _pool_distances(pool, centroids, blocks)
     assign = np.full(n, -1)
     objective_trace = []
     for _ in range(KMEANS_MAX_ITER):
-        new_assign = np.argmin(dists, axis=1)
-        objective_trace.append(float(dists[np.arange(n), new_assign].sum()))
-        previous = centroids.copy()
+        cross = cross_entropy(centroids)
+        new_assign = np.argmin(cross, axis=1)
+        fit = self_term + cross[rows, new_assign]
+        objective_trace.append(float(fit.sum()))
         for c in range(k):
             members = new_assign == c
             if members.any():
                 centroids[c] = points[members].mean(axis=0)
             else:
                 # re-seed an empty cluster with the worst-fit point
-                worst = int(np.argmax(dists[np.arange(n), new_assign]))
+                worst = int(np.argmax(fit))
                 centroids[c] = points[worst]
                 new_assign[worst] = c
-        moved = np.any(centroids != previous, axis=1)
-        if moved.any():
-            dists[:, moved] = _pool_distances(pool, centroids[moved], blocks)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    objective = float(dists[np.arange(n), assign].sum())
+    objective = float((self_term + cross_entropy(centroids)[rows, assign]).sum())
     return assign, centroids, objective, objective_trace
 
 
 def kmeans_distributions(
     points: np.ndarray, k: int, blocks, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd k-means of the (N, L) points under the weighted JSD of
-    `_distance_matrix`, best of 10 restarts.
+    """Lloyd k-means of the (N, L) points under weighted KL, best of 10
+    restarts.
 
     Returns the (N,) assignments and the (k, L) centroids; centroids are
     blockwise means, so they remain valid distributions.
@@ -310,39 +241,12 @@ def kmeans_distributions(
         raise ValueError("k must be at least 1")
     if k > len(points):
         raise TooFewPoints(f"k={k} exceeds {len(points)} vectors")
-    pool = _blocked_pool(points, blocks)
     best = None
     for _ in range(KMEANS_RESTARTS):
-        assign, cents, objective, _ = _lloyd(points, k, blocks, rng, pool)
+        assign, cents, objective, _ = _lloyd(points, k, blocks, rng)
         if best is None or objective < best[2]:
             best = (assign, cents, objective)
     return best[0], best[1]
-
-
-def _mixture_logits(
-    points: np.ndarray,
-    evidence: np.ndarray,
-    centroids: np.ndarray,
-    weights: np.ndarray,
-    blocks,
-) -> np.ndarray:
-    """Per-member, per-component joint log-density (N, K): mixing weight plus
-    every block scored as a categorical sample of the member's effective
-    size under the component centroid. `points` are in blocked form
-    (W, N, B), see `_blocked`. The cross terms of all blocks are summed one
-    element position at a time, then combined block by block, as in
-    `_pool_distances`."""
-    logc = np.log(np.maximum(_blocked(centroids, blocks), 1e-12))
-    cross = np.zeros((points.shape[1], centroids.shape[0], len(blocks)))
-    term = np.empty_like(cross)
-    for p, lc in zip(points, logc):
-        cross += np.multiply(p[:, None], lc[None, :], out=term)
-    logits = np.zeros(cross.shape[:2])
-    for gi in range(len(blocks)):
-        logits += evidence[:, gi, None] * cross[..., gi]
-    with np.errstate(divide="ignore"):
-        logits += np.log(weights)[None, :]
-    return logits
 
 
 def _pool_log_likelihood(
@@ -353,6 +257,11 @@ def _pool_log_likelihood(
     blocks,
 ) -> float:
     """Mixture log-likelihood of the pool, EM-polished from the k-means fit.
+
+    Each member scores every block as a categorical sample of its effective
+    size (the block's evidence) under a component's centroid: with the
+    evidence spread over the elements, all blocks and components are one
+    matmul.
 
     Scoring the hard k-means quantisation directly is useless for model
     order selection: splitting one class along its sampling noise moves
@@ -366,10 +275,11 @@ def _pool_log_likelihood(
     n = points.shape[0]
     weights = np.bincount(assign, minlength=k).astype(float) / n
     cents = centroids.copy()
-    blocked = _blocked(points, blocks)
+    counts = _spread(evidence, blocks) * points
     prev = -np.inf
     for _ in range(EM_MAX_ITER):
-        logits = _mixture_logits(blocked, evidence, cents, weights, blocks)
+        with np.errstate(divide="ignore"):
+            logits = counts @ _log_centroids(cents).T + np.log(weights)
         norm = logsumexp(logits, axis=1)
         logl = float(norm.sum())
         if logl - prev < EM_TOL * max(1.0, abs(logl)):
@@ -377,12 +287,8 @@ def _pool_log_likelihood(
         prev = logl
         resp = np.exp(logits - norm[:, None])
         weights = resp.mean(axis=0)
-        for gi, (spec, sl) in enumerate(_block_slices(blocks)):
-            mass = resp * evidence[:, gi, None]       # (N, K)
-            denom = mass.sum(axis=0)                  # (K,)
-            alive = denom > 1e-12
-            new = mass.T @ points[:, sl]              # (K, len)
-            cents[alive, sl] = new[alive] / denom[alive, None]
+        denom = _spread(resp.T @ evidence, blocks)
+        np.divide(resp.T @ counts, denom, out=cents, where=denom > 1e-12)
     return prev
 
 
@@ -419,15 +325,13 @@ def _empty_ids() -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ClassLibrary:
     """Classes learned so far, as one table with a row per class in
-    ascending id order: stable class ids (k,), centroids (k, L) in the
-    `blocks` layout, and how many pool vectors each class held when it was
-    learned (k,). The default is the empty library (k = 0) in the default
+    ascending id order: stable class ids (k,) and centroids (k, L) in the
+    `blocks` layout. The default is the empty library (k = 0) in the default
     family's layout."""
 
     blocks: tuple[BlockSpec, ...] = family_blocks()
     ids: np.ndarray = field(default_factory=_empty_ids)
     centroids: Optional[np.ndarray] = None
-    member_counts: np.ndarray = field(default_factory=_empty_ids)
 
     def __post_init__(self):
         if self.centroids is None:
@@ -482,14 +386,11 @@ def update_library(
     Returns the new library plus each pool vector's assigned class id (N,),
     which callers use to score the epoch.
     """
-    _, k, assign, centroids = _fit_pool(values, evidence, blocks, rng)
+    _, _, assign, centroids = _fit_pool(values, evidence, blocks, rng)
     ids = _greedy_id_match(centroids, library)
     order = np.argsort(ids)
     new_library = ClassLibrary(
-        blocks=blocks,
-        ids=ids[order],
-        centroids=centroids[order],
-        member_counts=np.bincount(assign, minlength=k)[order],
+        blocks=blocks, ids=ids[order], centroids=centroids[order]
     )
     return new_library, ids[assign]
 

@@ -73,7 +73,6 @@ from crnsim.bandit import (
 from crnsim.classlib import (
     BlockMismatch,
     BlockSpec,
-    _block_slices,
     _distance_matrix,
     family_blocks,
 )
@@ -478,6 +477,14 @@ def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
 _BLOCK_SUM_TOL = 1e-6
 
 
+def block_slices(blocks):
+    """(spec, slice) of each block of a vector in the `blocks` layout."""
+    offset = 0
+    for b in blocks:
+        yield b, slice(offset, offset + b.length)
+        offset += b.length
+
+
 @dataclass(frozen=True, eq=False)
 class ParameterVector:
     """Concatenated distribution blocks describing one target's behavior.
@@ -507,7 +514,7 @@ class ParameterVector:
             )
         if np.any(vals < -1e-12):
             raise ValueError("distribution entries must be nonnegative")
-        for b, sl in _block_slices(self.blocks):
+        for b, sl in block_slices(self.blocks):
             if abs(vals[sl].sum() - 1.0) > _BLOCK_SUM_TOL:
                 raise ValueError(f"block {b.name} does not sum to 1")
         object.__setattr__(self, "values", vals)

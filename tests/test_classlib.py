@@ -314,18 +314,22 @@ class TestKmeans:
             kmeans_distributions(points, 4, BLOCKS, np.random.default_rng(9))
 
     def test_lloyd_objective_non_increasing(self):
+        # KL is a Bregman divergence: the blockwise mean minimises it, so
+        # neither the assignment nor the centroid step can raise the
+        # objective (25-step paths leave exact zeros for the log clamp)
         rng = np.random.default_rng(10)
-        pool = [synth_vector(i % 3, rng, 25, 25) for i in range(30)]
-        pts = stack_vectors(pool)[0]
+        pool = [synth_vector(i % 3, rng, 25, 25) for i in range(130)]
         blocks = pool[0].blocks
-        for seed in range(5):
-            for k in (2, 4):
-                _, _, obj, trace = _lloyd(
-                    pts, k, blocks, np.random.default_rng(seed)
-                )
-                for earlier, later in zip(trace, trace[1:]):
-                    assert later <= earlier + 1e-9
-                assert obj <= trace[0] + 1e-9
+        for size in (30, 130):
+            pts = stack_vectors(pool[:size])[0]
+            for seed in range(5):
+                for k in (2, 3, 4, 6):
+                    _, _, obj, trace = _lloyd(
+                        pts, k, blocks, np.random.default_rng(seed)
+                    )
+                    for earlier, later in zip(trace, trace[1:]):
+                        assert later <= earlier + 1e-9
+                    assert obj <= trace[-1] + 1e-9
 
 
 def _slices(blocks):
@@ -385,12 +389,15 @@ class TestSelectK:
 
 
 def library_of(ids, centroids):
-    """A library of the given ids (ascending) and (k, L) centroids, one
-    member each."""
-    return ClassLibrary(
-        ids=np.asarray(ids), centroids=np.asarray(centroids),
-        member_counts=np.ones(len(ids), dtype=np.int64),
-    )
+    """A library of the given ids (ascending) and (k, L) centroids."""
+    return ClassLibrary(ids=np.asarray(ids), centroids=np.asarray(centroids))
+
+
+def class_sizes(library, assigned):
+    """How many pool vectors each library class holds, in table order."""
+    rows = np.searchsorted(library.ids, assigned)
+    assert np.array_equal(library.ids[rows], assigned)
+    return np.bincount(rows, minlength=library.ids.size).tolist()
 
 
 def update_from(library, pool, rng):
@@ -405,19 +412,19 @@ class TestUpdateLibrary:
         lib, assigned = update_from(ClassLibrary(), pool, rng)
         assert lib.ids.tolist() == [0, 1, 2]
         assert lib.centroids.shape == (3, 32)
-        assert lib.member_counts.tolist() == np.bincount(assigned).tolist()
-        assert lib.member_counts.sum() == 30
+        sizes = class_sizes(lib, assigned)
+        assert min(sizes) > 0 and sum(sizes) == 30
         assert assigned.shape == (30,)
         assert set(assigned) == {0, 1, 2}
 
     def test_reclustering_same_pool_is_fixed_point(self):
         pool = [strong_class_vector(i) for i in range(3)] * 20
         rng = np.random.default_rng(14)
-        lib1, _ = update_from(ClassLibrary(), pool, rng)
-        lib2, _ = update_from(lib1, pool, rng)
+        lib1, assigned1 = update_from(ClassLibrary(), pool, rng)
+        lib2, assigned2 = update_from(lib1, pool, rng)
         assert lib2.ids.tolist() == lib1.ids.tolist()
         np.testing.assert_allclose(lib1.centroids, lib2.centroids, atol=1e-9)
-        assert lib1.member_counts.tolist() == lib2.member_counts.tolist() == [20] * 3
+        assert class_sizes(lib1, assigned1) == class_sizes(lib2, assigned2) == [20] * 3
 
     def test_ids_stable_as_pool_grows(self):
         rng = np.random.default_rng(10_000)

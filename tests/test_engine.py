@@ -35,6 +35,7 @@ from crnsim.bandit import PolicyKind
 from crnsim.classlib import (
     ClassLibrary,
     family_blocks,
+    update_library,
     vectors_from_counts,
 )
 from crnsim.dynamics import make_target_table, step_motion, step_signal
@@ -385,7 +386,6 @@ def _class_library(num_classes=1):
     return ClassLibrary(
         ids=4 + 3 * np.arange(num_classes),
         centroids=np.stack(vectors),
-        member_counts=np.ones(num_classes, dtype=np.int64),
     )
 
 
@@ -755,6 +755,14 @@ class TestHarvestContract:
         # class ids; earlier rows stay as they were
         last = {}
         _after_each_step(monkeypatch, lambda world, c: last.update(world=world, c=c))
+        assigned = []
+
+        def recording_update(*args):
+            new_library, ids = update_library(*args)
+            assigned.append(ids)
+            return new_library, ids
+
+        monkeypatch.setattr(engine, "update_library", recording_update)
         library, pool = ClassLibrary(), engine.Pool.empty(SMALL.scenario.family)
         blocks = family_blocks()
         assert pool.blocks == blocks
@@ -788,7 +796,11 @@ class TestHarvestContract:
             assert library.blocks == blocks
             assert library.ids.shape == (k,) and np.all(np.diff(library.ids) > 0)
             assert library.centroids.shape == (k, length)
-            assert library.member_counts.sum() == m.pool_size
+            # the epoch's assignments partition the pool over the classes
+            rows = np.searchsorted(library.ids, assigned[-1])
+            assert assigned[-1].shape == (m.pool_size,)
+            assert np.array_equal(library.ids[rows], assigned[-1])
+            assert np.all(np.bincount(rows, minlength=k) > 0)
 
 
 class TestTruthBatch:
