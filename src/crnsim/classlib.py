@@ -217,10 +217,12 @@ def _lloyd(
             if members.any():
                 centroids[c] = points[members].mean(axis=0)
             else:
-                # re-seed an empty cluster with the worst-fit point
+                # re-seed an empty cluster with the worst-fit point not yet
+                # taken by another re-seed in this iteration
                 worst = int(np.argmax(fit))
                 centroids[c] = points[worst]
                 new_assign[worst] = c
+                fit[worst] = -np.inf
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

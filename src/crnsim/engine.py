@@ -40,6 +40,7 @@ documents; the sizes of those draws depend only on the truth.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -120,6 +121,12 @@ NO_SIGHTING_STEP = -PENDING_MAX_AGE_STEPS - 1
 # the step of a row's last reading before its first one: neither equal nor
 # adjacent to any step >= 0
 NO_READING_STEP = -2
+
+# a (run, policy) cell of fewer steps runs in the calling process: starting
+# a fork pool costs more than it saves. On 2 vCPUs, three default-density
+# cells of 5 steps took 47-52 ms in turn and 60-75 ms in a 2-process pool;
+# at 10 steps the two broke even, and from 15 steps on the pool was faster.
+MIN_POOLED_CELL_STEPS = 10
 
 
 class ConfigError(ValueError):
@@ -898,29 +905,83 @@ def epoch_seed(base_seed: int, run: int, epoch: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(base_seed, spawn_key=(run, epoch))
 
 
+def _run_cell(config: SimConfig, spec: PolicySpec, run: int) -> list:
+    """One (run, policy) cell: a fresh library and pool carried through the
+    run's epochs. Returns its per-epoch metrics."""
+    library = ClassLibrary()
+    pool = Pool.empty(config.scenario.family)
+    per_epoch = []
+    for epoch in range(config.num_epochs):
+        em, library = run_epoch(
+            library,
+            config,
+            epoch_seed(config.seed, run, epoch),
+            policy=spec,
+            pool=pool,
+        )
+        per_epoch.append(em)
+    return per_epoch
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cells(config: SimConfig, cells: list, workers: int) -> list:
+    """Every cell's per-epoch metrics, in the order of `cells`: in a fork
+    pool of `workers` processes, or in this process when one worker, no
+    "fork" or short cells leave a pool nothing to gain."""
+    cell_steps = config.num_epochs * config.steps_per_epoch
+    if workers < 2 or not hasattr(os, "fork") or cell_steps < MIN_POOLED_CELL_STEPS:
+        return [_run_cell(config, spec, run) for run, spec in cells]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as executor:
+        futures = [executor.submit(_run_cell, config, spec, run) for run, spec in cells]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
+
+
 def run_experiment(
-    config: SimConfig, policies: Optional[Sequence[PolicySpec]] = None
+    config: SimConfig,
+    policies: Optional[Sequence[PolicySpec]] = None,
+    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Full paired Monte Carlo: num_runs independent scenario streams, each
     replayed under every policy for num_epochs epochs. Per policy and run,
-    the class library persists across epochs while bandit state resets."""
+    the class library persists across epochs while bandit state resets.
+
+    Each (run, policy) cell draws only from its own `epoch_seed(seed, run,
+    epoch)` streams, so the cells are independent. They run in a pool of
+    `min(cells, workers)` processes started by "fork"; `workers=None`
+    means every CPU this process may use. Fork, not spawn: a spawned worker
+    would import numpy, scipy and crnsim afresh, which takes about as long
+    as a default-size cell. The cells are submitted and collected in (run,
+    policy) order, and each worker computes a cell exactly as this process
+    would, from the same forked code and state, so the result is bit-exact
+    against running the cells in turn. With one cell, one worker, no
+    "fork" on the platform or cells shorter than `MIN_POOLED_CELL_STEPS`
+    steps, the cells run in this process and nothing is imported or
+    started. An error in any cell is raised here once the pool has shut
+    down. Monkeypatches and tracers reach the workers through the fork,
+    but what they record there is lost with the worker: pass `workers=1`
+    to keep every cell in this process."""
+    if workers is not None and workers < 1:
+        raise ConfigError("need at least one worker")
     policies = tuple(policies) if policies is not None else default_policies()
+    cells = [(run, spec) for run in range(config.num_runs) for spec in policies]
+    workers = min(len(cells), workers if workers is not None else _usable_cpus())
     metrics: dict = {p.label: [] for p in policies}
-    for run in range(config.num_runs):
-        for spec in policies:
-            library = ClassLibrary()
-            pool = Pool.empty(config.scenario.family)
-            per_epoch = []
-            for epoch in range(config.num_epochs):
-                em, library = run_epoch(
-                    library,
-                    config,
-                    epoch_seed(config.seed, run, epoch),
-                    policy=spec,
-                    pool=pool,
-                )
-                per_epoch.append(em)
-            metrics[spec.label].append(per_epoch)
+    for (_, spec), per_epoch in zip(cells, _run_cells(config, cells, workers)):
+        metrics[spec.label].append(per_epoch)
     return ExperimentResult(config=config, policies=policies, metrics=metrics)
 
 

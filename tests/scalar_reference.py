@@ -46,6 +46,10 @@ record (values, block layout, evidence), the form a pool entry had before
 `classlib` kept the pool as (N, L) values and (N, blocks) evidence;
 `stack_vectors` turns a list of them into that table.
 
+`run_experiment_in_turn` is `engine.run_experiment` as one loop over the
+(run, policy) cells in this process, the form it had before the cells ran
+in a process pool: the oracle the pooled result must equal bit for bit.
+
 The rest are helpers only tests call: `passive_snr`, the link budget at
 one range (`sensing.max_detectable_range` is its inverse);
 `distribution_distance` between two vectors and `make_parameter_vector`
@@ -73,10 +77,11 @@ from crnsim.bandit import (
 from crnsim.classlib import (
     BlockMismatch,
     BlockSpec,
+    ClassLibrary,
     _distance_matrix,
     family_blocks,
 )
-from crnsim.engine import Coordinator
+from crnsim.engine import Coordinator, ExperimentResult, Pool, epoch_seed, run_epoch
 from crnsim.markov import (
     MarkovChain,
     inverse_cdf,
@@ -687,3 +692,23 @@ def baseline_policy(kind: PolicyKind, p: float, rng: np.random.Generator) -> boo
             raise ValueError("p must lie in [0, 1]")
         return bool(rng.random() < p)
     raise ValueError(f"not a baseline policy: {kind}")
+
+
+def run_experiment_in_turn(config, policies) -> ExperimentResult:
+    """Every (run, policy) cell in turn, in (run, policy) order: a fresh
+    library and pool per cell, carried through its epochs."""
+    policies = tuple(policies)
+    metrics: dict = {p.label: [] for p in policies}
+    for run in range(config.num_runs):
+        for spec in policies:
+            library = ClassLibrary()
+            pool = Pool.empty(config.scenario.family)
+            per_epoch = []
+            for epoch in range(config.num_epochs):
+                em, library = run_epoch(
+                    library, config, epoch_seed(config.seed, run, epoch),
+                    policy=spec, pool=pool,
+                )
+                per_epoch.append(em)
+            metrics[spec.label].append(per_epoch)
+    return ExperimentResult(config=config, policies=policies, metrics=metrics)

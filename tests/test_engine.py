@@ -14,14 +14,22 @@ no per-row state kept outside its columns, and every live bank exactly
 symmetric, positive definite and normalized after every step), behavior vectors
 from the count tables against the history builder, the sign of
 `rmse_improvement`, the names the benchmark tracer hooks and the pool size
-it counts, and a digest guard over every metric of a small experiment."""
+it counts, a digest guard over every metric of a small experiment, and the
+process pool over (run, policy) cells: bit-exact against the cells run in
+turn, never started where it cannot gain, and passing a worker's error to
+the caller with no process left behind."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import multiprocessing
+import os
+import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +77,7 @@ from scalar_reference import (
     make_node,
     make_parameter_vector,
     record_reading,
+    run_experiment_in_turn,
     track_uncertainties,
     untuned_tuning,
     vector_from_histories,
@@ -940,3 +949,70 @@ SMALL_METRICS_SHA256 = "fd0ccb0b38e9b49f52e7075c605a130a25975f2320d36f855d8faf36
 class TestRegressionGuard:
     def test_small_experiment_metrics_unchanged(self):
         assert metrics_sha256(run_experiment(SMALL)) == SMALL_METRICS_SHA256
+
+
+class _SpyExecutor(ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+def _refuse_to_start(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+class TestCellPool:
+    def test_pool_gives_the_serial_metrics(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyExecutor)
+        monkeypatch.setattr(_SpyExecutor, "started", 0)
+        config = dataclasses.replace(SMALL, num_runs=2)
+        policies = default_policies()
+        result = run_experiment(config)
+        reference = run_experiment_in_turn(config, policies)
+        if engine._usable_cpus() > 1:
+            assert _SpyExecutor.started == 1
+        # labels in policy order, each holding its own policy's runs in run
+        # order: the runs replay different truths, so a swap would show
+        assert list(result.metrics) == [p.label for p in policies]
+        truths = [[m.truth_digest for m in run] for run in reference.metrics["bandit"]]
+        assert truths[0] != truths[1]
+        for label, runs in result.metrics.items():
+            assert {m.policy for run in runs for m in run} == {label}
+            assert [[m.truth_digest for m in run] for run in runs] == truths
+        assert metrics_sha256(result) == metrics_sha256(reference)
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_where_one_cannot_help(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
+        assert run_experiment(SMALL, [BANDIT]).metrics["bandit"]
+        assert metrics_sha256(run_experiment(SMALL, workers=1)) == SMALL_METRICS_SHA256
+        steps = engine.MIN_POOLED_CELL_STEPS - 1
+        short = dataclasses.replace(
+            SMALL, num_epochs=1, epoch_duration_s=SMALL.dt_s * steps
+        )
+        assert len(run_experiment(short).metrics) == 3
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("epoch failed")
+
+        monkeypatch.setattr(engine, "run_epoch", fail)
+        with pytest.raises(RuntimeError, match="epoch failed"):
+            run_experiment(SMALL)
+        assert multiprocessing.active_children() == []
+
+    def test_no_workers_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
+        with pytest.raises(ConfigError):
+            run_experiment(SMALL, workers=0)
+
+    def test_import_loads_no_pool_machinery(self):
+        code = "import sys, crnsim.engine; print('multiprocessing' in sys.modules)"
+        src = str(Path(engine.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -22,6 +22,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp, xlogy
 
+import crnsim.classlib as classlib
 from crnsim.classlib import (
     KMEANS_MAX_ITER,
     KMEANS_RESTARTS,
@@ -94,23 +95,30 @@ def ref_kl_matrix(points, centroids, blocks):
 
 
 def ref_lloyd(points, k, blocks, rng, reseeds, distance=ref_kl_matrix):
-    """Lloyd with a full distance recompute per iteration; appends to
-    `reseeds` each time an empty cluster is re-seeded."""
+    """Lloyd with a full distance recompute per iteration. An empty cluster
+    takes the point that fit its centroid worst at the iteration's
+    assignment, skipping points already taken in the same iteration; each
+    re-seed appends (iteration, cluster, point) to `reseeds`."""
     n = points.shape[0]
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
-    for _ in range(KMEANS_MAX_ITER):
+    for it in range(KMEANS_MAX_ITER):
         dists = distance(points, centroids, blocks)
         new_assign = np.argmin(dists, axis=1)
+        fit = dists[np.arange(n), new_assign]
+        taken = []
         for c in range(k):
             members = new_assign == c
             if members.any():
                 centroids[c] = points[members].mean(axis=0)
             else:
-                worst = int(np.argmax(dists[np.arange(n), new_assign]))
+                worst = max(
+                    (i for i in range(n) if i not in taken), key=lambda i: fit[i]
+                )
                 centroids[c] = points[worst]
                 new_assign[worst] = c
-                reseeds.append(c)
+                taken.append(worst)
+                reseeds.append((it, c, worst))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -300,7 +308,7 @@ class TestLloyd:
             np.testing.assert_allclose(cents, ref[1], **TOLERANCE)
             np.testing.assert_allclose(obj, ref[2], **TOLERANCE)
 
-    def test_empty_cluster_reseed_matches(self):
+    def test_empty_cluster_reseed_matches(self, monkeypatch):
         reseeds = []
         # the six-value pool fails a worst-fit pick by the cross-entropy
         # alone, without the per-point constant of the KL
@@ -314,6 +322,32 @@ class TestLloyd:
             np.testing.assert_allclose(cents, ref_cents, **TOLERANCE)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert reseeds, "the duplicate pool never forced a re-seed"
+
+        # k seeds on equal pool vectors: every point ties across the equal
+        # centroids and goes to the first, so k - 1 clusters are empty in
+        # the first iteration, and each must take a different point
+        a, b, c = stack_vectors(duplicate_pool(3, 1))[0]
+        pts = np.array([a] * 10 + [b, c])
+        k = 3
+        seed = next(
+            s for s in range(100)
+            if (np.random.default_rng(s).choice(12, size=k, replace=False) < 10).all()
+        )
+        reseeds = []
+        rng = np.random.default_rng(seed)
+        assign, cents, objective, _ = _lloyd(pts, k, BLOCKS, rng)
+        ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), reseeds)
+        first = [(cluster, point) for it, cluster, point in reseeds if it == 0]
+        assert [cluster for cluster, _ in first] == [1, 2]
+        assert {point for _, point in first} == {10, 11}
+        assert np.array_equal(assign, ref[0])
+        np.testing.assert_allclose(cents, ref[1], **TOLERANCE)
+        np.testing.assert_allclose(objective, ref[2], **TOLERANCE)
+        assert len(set(assign[:10])) == 1 and len(set(assign)) == k
+        # the first iteration alone leaves k distinct centroids
+        monkeypatch.setattr(classlib, "KMEANS_MAX_ITER", 1)
+        _, first_cents, _, _ = _lloyd(pts, k, BLOCKS, np.random.default_rng(seed))
+        assert len(np.unique(first_cents, axis=0)) == k
 
     @pytest.mark.parametrize("size", (130, 400))
     def test_kl_fit_finds_the_jsd_classes(self, size):
