@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -121,12 +122,6 @@ NO_SIGHTING_STEP = -PENDING_MAX_AGE_STEPS - 1
 # the step of a row's last reading before its first one: neither equal nor
 # adjacent to any step >= 0
 NO_READING_STEP = -2
-
-# a (run, policy) cell of fewer steps runs in the calling process: starting
-# a fork pool costs more than it saves. On 2 vCPUs, three default-density
-# cells of 5 steps took 47-52 ms in turn and 60-75 ms in a 2-process pool;
-# at 10 steps the two broke even, and from 15 steps on the pool was faster.
-MIN_POOLED_CELL_STEPS = 10
 
 
 class ConfigError(ValueError):
@@ -929,12 +924,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _replaced_functions() -> bool:
+    """Whether any function of a crnsim module is no longer the one it held
+    when this module was imported (a tracer's wrapper, a test's patch)."""
+    return any(
+        namespace.get(name) is not value
+        for namespace, name, value in _IMPORTED_FUNCTIONS
+    )
+
+
 def _run_cells(config: SimConfig, cells: list, workers: int) -> list:
     """Every cell's per-epoch metrics, in the order of `cells`: in a fork
-    pool of `workers` processes, or in this process when one worker, no
-    "fork" or short cells leave a pool nothing to gain."""
-    cell_steps = config.num_epochs * config.steps_per_epoch
-    if workers < 2 or not hasattr(os, "fork") or cell_steps < MIN_POOLED_CELL_STEPS:
+    pool of `workers` processes, or in this process with one worker or no
+    "fork" on the platform."""
+    if workers < 2 or not hasattr(os, "fork"):
         return [_run_cell(config, spec, run) for run, spec in cells]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -961,24 +964,29 @@ def run_experiment(
 
     Each (run, policy) cell draws only from its own `epoch_seed(seed, run,
     epoch)` streams, so the cells are independent. They run in a pool of
-    `min(cells, workers)` processes started by "fork"; `workers=None`
-    means every CPU this process may use. Fork, not spawn: a spawned worker
-    would import numpy, scipy and crnsim afresh, which takes about as long
-    as a default-size cell. The cells are submitted and collected in (run,
-    policy) order, and each worker computes a cell exactly as this process
-    would, from the same forked code and state, so the result is bit-exact
-    against running the cells in turn. With one cell, one worker, no
-    "fork" on the platform or cells shorter than `MIN_POOLED_CELL_STEPS`
-    steps, the cells run in this process and nothing is imported or
-    started. An error in any cell is raised here once the pool has shut
-    down. Monkeypatches and tracers reach the workers through the fork,
-    but what they record there is lost with the worker: pass `workers=1`
-    to keep every cell in this process."""
+    `min(cells, workers)` processes started by "fork". Fork, not spawn: a
+    spawned worker would import numpy, scipy and crnsim afresh, which takes
+    about as long as a default-size cell. The cells are submitted and
+    collected in (run, policy) order, and each worker computes a cell
+    exactly as this process would, from the same forked code and state, so
+    the result is bit-exact against running the cells in turn. With one
+    cell, one worker or no "fork" on the platform, the cells run in this
+    process and nothing is imported or started. An error in any cell is
+    raised here once the pool has shut down.
+
+    `workers=None` means every CPU this process may use, or one while any
+    function of a crnsim module has been replaced since import: a tracer's
+    wrapper or a test's patch would run in the workers, and what it records
+    there is lost with them. A patch that is not a module-level name (a
+    class attribute, a numpy function) is not noticed: pass `workers=1` to
+    keep every cell in this process."""
     if workers is not None and workers < 1:
         raise ConfigError("need at least one worker")
     policies = tuple(policies) if policies is not None else default_policies()
     cells = [(run, spec) for run in range(config.num_runs) for spec in policies]
-    workers = min(len(cells), workers if workers is not None else _usable_cpus())
+    if workers is None:
+        workers = 1 if _replaced_functions() else _usable_cpus()
+    workers = min(len(cells), workers)
     metrics: dict = {p.label: [] for p in policies}
     for (_, spec), per_epoch in zip(cells, _run_cells(config, cells, workers)):
         metrics[spec.label].append(per_epoch)
@@ -991,3 +999,14 @@ def rmse_improvement(result: ExperimentResult, baseline_label: str) -> float:
     bandit = result.final_epoch(PolicyKind.BANDIT.value, "rmse_median")
     base = result.final_epoch(baseline_label, "rmse_median")
     return float((np.mean(base) - np.mean(bandit)) / np.mean(base))
+
+
+# every module-level function and class of crnsim as imported, for
+# `_replaced_functions`; last, so that this module's own are in it
+_IMPORTED_FUNCTIONS = tuple(
+    (vars(module), name, value)
+    for module_name, module in list(sys.modules.items())
+    if module_name == "crnsim" or module_name.startswith("crnsim.")
+    for name, value in vars(module).items()
+    if callable(value)
+)

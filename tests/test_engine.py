@@ -16,8 +16,9 @@ from the count tables against the history builder, the sign of
 `rmse_improvement`, the names the benchmark tracer hooks and the pool size
 it counts, a digest guard over every metric of a small experiment, and the
 process pool over (run, policy) cells: bit-exact against the cells run in
-turn, never started where it cannot gain, and passing a worker's error to
-the caller with no process left behind."""
+turn, never started where it cannot gain or while a function of the
+package is replaced, and passing a worker's error to the caller with no
+process left behind."""
 
 import concurrent.futures
 import copy
@@ -988,19 +989,49 @@ class TestCellPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
         assert run_experiment(SMALL, [BANDIT]).metrics["bandit"]
         assert metrics_sha256(run_experiment(SMALL, workers=1)) == SMALL_METRICS_SHA256
-        steps = engine.MIN_POOLED_CELL_STEPS - 1
-        short = dataclasses.replace(
-            SMALL, num_epochs=1, epoch_duration_s=SMALL.dt_s * steps
-        )
-        assert len(run_experiment(short).metrics) == 3
+
+    def test_without_fork_the_cells_run_in_process(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert engine._usable_cpus() == 2
+        assert metrics_sha256(run_experiment(SMALL)) == SMALL_METRICS_SHA256
+
+    def test_a_replaced_function_keeps_the_cells_in_process(self, monkeypatch):
+        # a wrapper that counts, as the benchmark tracer's do, must count
+        # every cell's calls in this process
+        config = dataclasses.replace(SMALL, num_runs=2)
+        reference = run_experiment_in_turn(config, default_policies())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
+        calls = []
+        original = engine.run_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_step", counted)
+        assert metrics_sha256(run_experiment(config)) == metrics_sha256(reference)
+        cells = config.num_runs * len(default_policies())
+        assert len(calls) == cells * config.num_epochs * config.steps_per_epoch
+        monkeypatch.undo()
+        assert not engine._replaced_functions()
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("epoch failed")
 
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyExecutor)
+        monkeypatch.setattr(_SpyExecutor, "started", 0)
         monkeypatch.setattr(engine, "run_epoch", fail)
         with pytest.raises(RuntimeError, match="epoch failed"):
             run_experiment(SMALL)
+        assert _SpyExecutor.started == 0
+        # an explicit worker count pools even a patched engine
+        with pytest.raises(RuntimeError, match="epoch failed"):
+            run_experiment(SMALL, workers=2)
+        assert _SpyExecutor.started == 1
         assert multiprocessing.active_children() == []
 
     def test_no_workers_is_a_config_error(self, monkeypatch):
