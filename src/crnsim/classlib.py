@@ -36,13 +36,12 @@ weights: each block's weight (or evidence) repeated over its elements.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp, xlogy
 
 from crnsim.markov import transition_matrix_from_counts
 
@@ -148,6 +147,13 @@ def vectors_from_counts(
 # --- distance ---
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x elementwise, and 0 (the limit) where x is 0."""
+    logs = np.zeros_like(x)
+    np.log(x, out=logs, where=x > 0)
+    return x * logs
+
+
 def _spread(per_block, blocks) -> np.ndarray:
     """Per-block entries (..., blocks) repeated over each block's elements:
     (..., L)."""
@@ -166,7 +172,7 @@ def _distance_matrix(
     w = _spread([b.weight for b in blocks], blocks)
 
     def neg_entropy(x):
-        return (xlogy(x, x) * w).sum(axis=-1)
+        return (_xlogx(x) * w).sum(axis=-1)
 
     mid = 0.5 * (points[:, None] + centroids[None])
     jsd = (
@@ -198,7 +204,7 @@ def _lloyd(
     n = points.shape[0]
     w = _spread([b.weight for b in blocks], blocks)
     weighted = points * w
-    self_term = xlogy(points, points) @ w
+    self_term = _xlogx(points) @ w
     rows = np.arange(n)
 
     def cross_entropy(centroids):
@@ -282,7 +288,8 @@ def _pool_log_likelihood(
     for _ in range(EM_MAX_ITER):
         with np.errstate(divide="ignore"):
             logits = counts @ _log_centroids(cents).T + np.log(weights)
-        norm = logsumexp(logits, axis=1)
+            top = logits.max(axis=1)
+            norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
         logl = float(norm.sum())
         if logl - prev < EM_TOL * max(1.0, abs(logl)):
             return max(logl, prev)
@@ -431,7 +438,11 @@ def score_classes(
     Formation compares the learned class count against the true count
     with linear partial credit. Association is the fraction of targets
     whose learned class maps to their true class under the best
-    one-to-one matching of learned to true classes.
+    one-to-one matching of learned to true classes. Every matching of the
+    smaller label set into the larger is scored, in one gather over the
+    integer confusion counts: P(max k, min k) = max k! / (max k - min k)!
+    matchings, 6 for 3 true classes against 3 learned ones and at most 720
+    while the true classes number at most MAX_CLASSES.
     """
     assigned_ids, true_ids = np.asarray(assigned_ids), np.asarray(true_ids)
     if assigned_ids.shape != true_ids.shape:
@@ -446,7 +457,10 @@ def score_classes(
         return formation, 0.0
     cells = t_index[classified] * learned_labels.size + l_index
     confusion = np.bincount(cells, minlength=k_true * learned_labels.size)
-    confusion = confusion.reshape(k_true, learned_labels.size).astype(float)
-    rows, cols = linear_sum_assignment(-confusion)
-    association = float(confusion[rows, cols].sum()) / len(true_ids)
-    return formation, association
+    confusion = confusion.reshape(k_true, learned_labels.size)
+    if k_true > learned_labels.size:
+        confusion = confusion.T
+    small, large = confusion.shape
+    matchings = np.array(list(itertools.permutations(range(large), small)))
+    matched = confusion[np.arange(small), matchings].sum(axis=1).max()
+    return formation, float(matched) / len(true_ids)

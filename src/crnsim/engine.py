@@ -965,14 +965,14 @@ def run_experiment(
     Each (run, policy) cell draws only from its own `epoch_seed(seed, run,
     epoch)` streams, so the cells are independent. They run in a pool of
     `min(cells, workers)` processes started by "fork". Fork, not spawn: a
-    spawned worker would import numpy, scipy and crnsim afresh, which takes
-    about as long as a default-size cell. The cells are submitted and
-    collected in (run, policy) order, and each worker computes a cell
-    exactly as this process would, from the same forked code and state, so
-    the result is bit-exact against running the cells in turn. With one
-    cell, one worker or no "fork" on the platform, the cells run in this
-    process and nothing is imported or started. An error in any cell is
-    raised here once the pool has shut down.
+    spawned worker would import numpy and crnsim afresh, 0.2-0.3 s on a
+    2-core machine, which is about one default-size epoch per worker. The
+    cells are submitted and collected in (run, policy) order, and each
+    worker computes a cell exactly as this process would, from the same
+    forked code and state, so the result is bit-exact against running the
+    cells in turn. With one cell, one worker or no "fork" on the platform,
+    the cells run in this process and nothing is imported or started. An
+    error in any cell is raised here once the pool has shut down.
 
     `workers=None` means every CPU this process may use, or one while any
     function of a crnsim module has been replaced since import: a tracer's

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 ROW_SUM_TOL = 1e-9
 
@@ -71,16 +70,21 @@ class MarkovChain:
 
 
 def _closed_class_count(P: np.ndarray) -> int:
-    """Number of closed communicating classes of the chain's support graph."""
-    adj = (P > 0).astype(np.int8)
-    n_comp, comp = connected_components(adj, directed=True, connection="strong")
-    closed = 0
-    for c in range(n_comp):
-        members = comp == c
-        # a class is closed when no positive mass leaves it
-        if not np.any(adj[members][:, ~members]):
-            closed += 1
-    return closed
+    """Number of closed communicating classes of the chain's support graph.
+
+    `reach[i, j]` says whether state j can be reached from state i; it is
+    the one-step reachability `I | P > 0` squared until it stops growing. A
+    state lies in a closed class when every state it reaches reaches it
+    back, and the states of one closed class reach exactly that class, so
+    the closed classes are the distinct reach-rows of those states."""
+    reach = np.eye(P.shape[0], dtype=bool) | (P > 0)
+    while True:
+        longer = reach @ reach
+        if np.array_equal(longer, reach):
+            break
+        reach = longer
+    closed = ~np.any(reach & ~reach.T, axis=1)
+    return len(np.unique(reach[closed], axis=0))
 
 
 def _solve_stationary(P: np.ndarray) -> np.ndarray:

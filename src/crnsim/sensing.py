@@ -58,16 +58,12 @@ def receiver_noise_power(rx: ReceiverParams) -> float:
     return BOLTZMANN_J_PER_K * REFERENCE_TEMP_K * rx.noise_figure * rx.bandwidth_hz
 
 
-def max_detectable_range(
-    tx_power_w: float, tx_gain: float, rx: ReceiverParams, threshold_snr: float = 1.0
-) -> float:
-    """Range at which the link budget crosses the SNR threshold (default
-    0 dB), i.e. the passive detection radius for this emitter."""
-    if threshold_snr <= 0.0:
-        raise ValueError("threshold must be positive")
+def max_detectable_range(tx_power_w: float, tx_gain: float, rx: ReceiverParams) -> float:
+    """Range at which the link budget falls to an SNR of 0 dB, i.e. the
+    passive detection radius for this emitter."""
     noise = receiver_noise_power(rx)
     return (rx.wavelength_m / (4.0 * math.pi)) * math.sqrt(
-        tx_power_w * tx_gain * rx.gain / (noise * rx.system_loss * threshold_snr)
+        tx_power_w * tx_gain * rx.gain / (noise * rx.system_loss)
     )
 
 

@@ -50,6 +50,11 @@ record (values, block layout, evidence), the form a pool entry had before
 (run, policy) cells in this process, the form it had before the cells ran
 in a process pool: the oracle the pooled result must equal bit for bit.
 
+`closed_class_count` counts a chain's closed communicating classes from
+scipy's strongly connected components, the way `markov` did before it
+counted them from boolean reachability: the oracle for
+`markov._closed_class_count`.
+
 The rest are helpers only tests call: `passive_snr`, the link budget at
 one range (`sensing.max_detectable_range` is its inverse);
 `distribution_distance` between two vectors and `make_parameter_vector`
@@ -66,6 +71,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from crnsim.bandit import (
     ACTIVE,
@@ -606,6 +612,20 @@ def sample_next_one(chain: MarkovChain, state: int, rng) -> int:
     """One chain's successor of one state, by `markov.sample_next` with a
     batch of 1."""
     return int(sample_next(chain.row_cdf[None], np.array([state]), rng)[0])
+
+
+def closed_class_count(P: np.ndarray) -> int:
+    """Number of closed communicating classes of the chain's support graph,
+    one strongly connected component at a time."""
+    adj = (P > 0).astype(np.int8)
+    n_comp, comp = connected_components(adj, directed=True, connection="strong")
+    closed = 0
+    for c in range(n_comp):
+        members = comp == c
+        # a class is closed when no positive mass leaves it
+        if not np.any(adj[members][:, ~members]):
+            closed += 1
+    return closed
 
 
 class ZeroRange(ValueError):

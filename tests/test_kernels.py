@@ -36,6 +36,7 @@ from crnsim.classlib import (
     assign_class,
     family_blocks,
     kmeans_distributions,
+    score_classes,
 )
 from crnsim.markov import MarkovChain
 from crnsim.scenario import default_family
@@ -366,11 +367,14 @@ class TestLikelihood:
         pts, evidence = stack_vectors(pool)
         for k in K_RANGE:
             assign, cents = ref_kmeans(pts, k, BLOCKS, np.random.default_rng(k))
-            np.testing.assert_allclose(
-                _pool_log_likelihood(pts, evidence, assign, cents, BLOCKS),
-                ref_pool_log_likelihood(pts, evidence, assign, cents, BLOCKS),
-                **TOLERANCE,
-            )
+            # the last component losing its members starts EM with zero
+            # weight: a column of -inf logits
+            for labels in (assign, np.minimum(assign, max(k - 2, 0))):
+                np.testing.assert_allclose(
+                    _pool_log_likelihood(pts, evidence, labels, cents, BLOCKS),
+                    ref_pool_log_likelihood(pts, evidence, labels, cents, BLOCKS),
+                    **TOLERANCE,
+                )
 
     def test_fit_pool_winner_matches(self, pool):
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
@@ -381,6 +385,42 @@ class TestLikelihood:
         np.testing.assert_allclose(aic, ref_aic, **TOLERANCE)
         np.testing.assert_allclose(centroids, ref_cents, **TOLERANCE)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def ref_association(assigned, true):
+    """Share of targets whose learned class (-1 for none) maps to their true
+    class under the optimal one-to-one matching, by the Hungarian method."""
+    classified = assigned >= 0
+    true_labels = np.unique(true)
+    learned_labels = np.unique(assigned[classified])
+    confusion = np.zeros((true_labels.size, learned_labels.size))
+    np.add.at(
+        confusion,
+        (np.searchsorted(true_labels, true[classified]),
+         np.searchsorted(learned_labels, assigned[classified])),
+        1,
+    )
+    rows, cols = linear_sum_assignment(-confusion)
+    return confusion[rows, cols].sum() / true.size
+
+
+class TestScoreClasses:
+    def test_association_matches_hungarian(self):
+        # every shape of true x learned classes up to MAX_CLASSES, either
+        # side the larger, some targets unclassified
+        rng = np.random.default_rng(31)
+        for k_true in K_RANGE:
+            for k_learned in K_RANGE:
+                for _ in range(80):
+                    n = int(rng.integers(k_true + k_learned, 60))
+                    true = rng.permutation(np.arange(n) % k_true) * 7 + 3
+                    assigned = rng.permutation(np.arange(n) % (k_learned + 1)) * 2 - 1
+                    # learned labels cluster a little with the true ones, so
+                    # the optimum is not always the diagonal
+                    follow = rng.random(n) < 0.4
+                    assigned[follow] = (true[follow] % k_learned) * 2 + 1
+                    _, association = score_classes(ClassLibrary(), assigned, true)
+                    assert association == ref_association(assigned, true)
 
 
 def library_of(centroids, first_id=10, step=1):

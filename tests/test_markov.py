@@ -11,7 +11,27 @@ from crnsim.markov import (
     normalized_entropy,
     transition_matrix_from_counts,
 )
-from scalar_reference import estimate_transitions, sample_next_one, sample_path
+from scalar_reference import (
+    closed_class_count,
+    estimate_transitions,
+    sample_next_one,
+    sample_path,
+)
+
+
+def random_support_graph(rng):
+    """The support of a random chain on 1-12 states: up to four blocks the
+    chain cannot leave plus transient states that may step anywhere. Edges
+    inside a block are sparse, so a block can itself split into several
+    communicating classes, closed or not; every state keeps an edge out."""
+    p = int(rng.integers(1, 13))
+    blocks = rng.integers(0, int(rng.integers(1, 5)) + 1, size=p)
+    transient = blocks == blocks.max()
+    allowed = transient[:, None] | (blocks[:, None] == blocks[None])
+    adj = allowed & (rng.random((p, p)) < rng.uniform(0.1, 0.6))
+    for i in np.flatnonzero(~adj.any(axis=1)):
+        adj[i, rng.choice(np.flatnonzero(allowed[i]))] = True
+    return adj.astype(float)
 
 
 def power_iteration_stationary(P, tol=1e-14, max_iter=500_000):
@@ -97,6 +117,16 @@ class TestStationaryDistribution:
         pi = MarkovChain(P).stationary
         assert pi[0] == pytest.approx(0.0, abs=1e-12)
         assert pi @ P == pytest.approx(pi, abs=1e-9)
+
+    def test_closed_class_count_matches_strong_components(self):
+        rng = np.random.default_rng(29)
+        counts = set()
+        for _ in range(3000):
+            adj = random_support_graph(rng)
+            count = markov._closed_class_count(adj)
+            assert count == closed_class_count(adj)
+            counts.add(count)
+        assert counts >= {1, 2, 3, 4}
 
     def test_solved_once_per_chain_and_read_only(self, monkeypatch):
         solve, solved = markov._solve_stationary, []
