@@ -52,7 +52,7 @@ class BanditState:
 
 def compute_rewards(
     node_xy: np.ndarray,
-    radar_ranges: np.ndarray,
+    radar_range_m: float,
     track_xy,
     etas,
     active: np.ndarray,
@@ -61,7 +61,7 @@ def compute_rewards(
 
     `etas` holds one (motion, signal) normalized entropy per track, aligned
     with `track_xy`. A node covers the tracks whose horizontal distance is
-    within its radar range, and is paid the mean over them of the motion
+    within `radar_range_m`, and is paid the mean over them of the motion
     column when it played Active (`active` True), of the signal column when
     it played Passive. A node that covers no track earns 0 on either arm.
     Returns an (N,) array.
@@ -72,7 +72,7 @@ def compute_rewards(
     track_xy = np.asarray(track_xy, dtype=float)
     eta = np.asarray(etas, dtype=float)  # (T, 2) motion, signal
     d = np.linalg.norm(node_xy[:, None, :] - track_xy[None, :, :], axis=2)
-    covered = d <= radar_ranges[:, None]  # (N, T)
+    covered = d <= radar_range_m  # (N, T)
     counts = covered.sum(axis=1)
     sums = covered @ eta  # (N, 2)
     has = counts > 0

@@ -208,7 +208,13 @@ def _lloyd(
     rows = np.arange(n)
 
     def cross_entropy(centroids):
-        return -(weighted @ _log_centroids(centroids).T)
+        cross = -(weighted @ _log_centroids(centroids).T)
+        # the matmul need not score equal columns equally, so a repeated
+        # centroid takes its first copy's column and ties go to that copy
+        same = (centroids[:, None] == centroids[None]).all(axis=2)
+        if same.sum() > k:
+            cross = cross[:, same.argmax(axis=1)]
+        return cross
 
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)

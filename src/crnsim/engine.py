@@ -2,11 +2,11 @@
 
 Each epoch spawns a fresh scenario and runs a fixed-step loop in which the
 coordinator picks a mode per node, the world advances, both sensing
-channels fire, tracks fuse whatever came back, and each node's played arm
-is rewarded by how much estimation uncertainty remains in its footprint.
-At the epoch boundary, behavior vectors are harvested from well-observed
-tracks into a cumulative pool, the class library re-clusters, and the
-epoch is scored.
+channels fire, tracks fuse whatever came back, and under the bandit each
+node's played arm is rewarded by how much estimation uncertainty remains in
+its footprint. At the epoch boundary, behavior vectors are harvested from
+well-observed tracks into a cumulative pool, the class library re-clusters,
+and the epoch is scored.
 
 The coordinator keeps its tracks as one table with a row per target, the
 target's index in the world (filter bank, combined estimate, class as a
@@ -64,18 +64,18 @@ from crnsim.classlib import (
     update_library,
     vectors_from_counts,
 )
-from crnsim.dynamics import TargetTable, make_target_table, step_motion, step_signal
+from crnsim.dynamics import step_motion, step_signal
 from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.scenario import (
     MOTION_STATES,
     DegenerateScenario,
     ScenarioConfig,
     TargetFamily,
+    TargetTable,
     spawn_scenario,
 )
 from crnsim.sensing import (
     SensorNoise,
-    max_detectable_range,
     passive_detect_batch,
     radar_measure_batch,
     wrap_angle,
@@ -205,19 +205,20 @@ def make_streams(seed) -> Streams:
 
 @dataclass
 class World:
-    """Ground truth for one epoch, plus the static arrays sensing needs.
+    """Ground truth for one epoch: the targets, the family they are drawn
+    from, the (N, 3) node positions and the one radar range every node has.
 
     `targets` is the truth as one table, a row per target: class id,
     position and velocity (T, 3), turn and heading rates, motion, signal and
     transmit states, and each row's class parameters (chain CDFs, process
-    noise, speed and turn-rate ranges). A target's row is also its row in
-    the coordinator's track table and the id its sensor returns carry."""
+    noise, speed and turn-rate ranges, passive range). A target's row is
+    also its row in the coordinator's track table and the id its sensor
+    returns carry."""
 
     targets: TargetTable
     family: TargetFamily
     node_positions: np.ndarray  # (N, 3)
-    radar_ranges: np.ndarray  # (N,)
-    passive_ranges: np.ndarray  # (T,) SNR-limited intercept radius
+    radar_range_m: float
 
     @property
     def num_nodes(self) -> int:
@@ -237,20 +238,8 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
         except DegenerateScenario:
             if attempt == MAX_SPAWN_RETRIES:
                 raise
-    classes = scenario.family.classes
-    table = make_target_table(targets, classes)
-    # one link budget per class, gathered by each target's class id
-    budgets = np.array([
-        max_detectable_range(c.tx_power_w, c.tx_gain, scenario.receiver)
-        for c in classes
-    ])
-    ids = np.array([c.class_id for c in classes])
     return World(
-        targets=table,
-        family=scenario.family,
-        node_positions=node_positions,
-        radar_ranges=np.full(len(node_positions), scenario.radar_range_km * 1000.0),
-        passive_ranges=budgets[np.argmax(table.class_id[:, None] == ids, axis=1)],
+        targets, scenario.family, node_positions, scenario.radar_range_km * 1000.0
     )
 
 
@@ -274,9 +263,8 @@ class Coordinator:
     second look to difference it with: its step (`pending_step`,
     NO_SIGHTING_STEP when none), converted position
     (`pending_pos` (T, 3)) and covariance (`pending_cov` (T, 3, 3)). A row is
-    live once its track starts; `order` lists the live rows in start order,
-    and prediction and rewards run in that order so that sums over tracks
-    round as they did when each track was visited in turn."""
+    live once its track starts, and every layer of a step visits the live
+    rows in ascending order."""
 
     library: ClassLibrary
     num_signal_states: int
@@ -302,7 +290,6 @@ class Coordinator:
         self.signal_transitions = np.zeros((T, S, S), dtype=np.int64)
         self.motion_last = np.tile([NO_READING_STEP, 0], (T, 1))
         self.signal_last = self.motion_last.copy()
-        self.order = np.zeros(0, dtype=np.int64)
         # per-class arrays in library order; the library is fixed for the
         # coordinator's epoch. (motion, signal) entropies of each class
         # centroid (k, 2), and the IMM mixing chain of each class plus the
@@ -317,13 +304,11 @@ class Coordinator:
 
     def start_tracks(self, rows: np.ndarray, states, covs, probs) -> None:
         """Start tracks in the free table rows `rows`, each its target's
-        index in the world, from copies of the given IMM banks; they join
-        `order` in the given order."""
+        index in the world, from copies of the given IMM banks."""
         if self.live[rows].any():
             raise ValueError(f"rows {rows[self.live[rows]]} already hold a track")
         self.set_bank(rows, states, covs, probs)
         self.live[rows] = True
-        self.order = np.append(self.order, rows)
 
     def bank(self, rows: np.ndarray):
         """The rows' IMM banks: states (B, M, 6), covariances (B, M, 6, 6)
@@ -406,8 +391,7 @@ class _EpochTape:
     est: np.ndarray  # (steps, T, 3) combined position estimates
     truth: np.ndarray  # (steps, T, 3)
     first: np.ndarray  # (T,) first tracked step index, -1 while untracked
-    modes: list = field(default_factory=list)  # (N,) bool active, per step
-    rewards: list = field(default_factory=list)  # (N,) played reward, per step
+    active_steps: int = 0  # active node-steps so far
     digest: "hashlib._Hash" = field(default_factory=hashlib.sha1)
 
 
@@ -447,12 +431,12 @@ def _select_modes(
 
 
 def _predict_tracks(coordinator: Coordinator, dt: float) -> None:
-    """One IMM prediction over the live rows, in start order. A classified
-    row mixes by its class's chain with the per-state default acceleration
-    levels; an unclassified one by the uniform chain with every model at
-    the untuned level."""
+    """One IMM prediction over the live rows. A classified row mixes by its
+    class's chain with the per-state default acceleration levels; an
+    unclassified one by the uniform chain with every model at the untuned
+    level."""
     c = coordinator
-    rows = c.order
+    rows = np.flatnonzero(c.live)
     if rows.size == 0:
         return
     classes = c.class_rows[rows]
@@ -587,7 +571,7 @@ def _apply_passive(
 ) -> int:
     """Associate this step's intercepts to tracks by bearing and record
     corroborated signal observations. Returns how many tracks logged one."""
-    if ni.size == 0 or coordinator.order.size == 0:
+    if ni.size == 0 or not coordinator.live.any():
         return 0
     rows = np.flatnonzero(coordinator.live)  # ascending row
     hit = _associate_bearings(
@@ -630,7 +614,7 @@ def _attempt_assignments(coordinator: Coordinator) -> None:
 
 
 def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
-    """(motion, signal) normalized entropies of the live tracks in start
+    """(motion, signal) normalized entropies of the live tracks in row
     order, (B, 2), under the coordinator's best current knowledge. Class
     centroids stand in once a track is classified; thin records (< 3
     readings) count as fully uncertain, eta = 1; otherwise the
@@ -643,7 +627,7 @@ def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
     letting genuinely one-sided records collapse within ~10 observations.
     Reward side only -- harvested vectors keep raw occupancy."""
     c = coordinator
-    rows = c.order
+    rows = np.flatnonzero(c.live)
     motion, signal = c.motion_counts[rows], c.signal_counts[rows]
     etas = np.column_stack([
         normalized_entropy(transition_matrix_from_counts(n, 1.0 / n.shape[1]))
@@ -669,7 +653,7 @@ def run_step(
 
     Order per step: mode selection from last step's knowledge, truth
     advance, sensing, track prediction and fusion, estimate bookkeeping,
-    then rewards for the played arms.
+    then, under the bandit, rewards for the played arms.
     """
     dt = config.dt_s
 
@@ -688,7 +672,7 @@ def run_step(
     ni_r, ti_r, z_r = radar_measure_batch(
         world.node_positions,
         active,
-        world.radar_ranges,
+        world.radar_range_m,
         positions,
         truth.velocity,
         truth.heading_rate,
@@ -700,7 +684,7 @@ def run_step(
         ~active,
         positions,
         tx_on,
-        world.passive_ranges,
+        truth.passive_range,
         streams.sense,
         config.noise,
     )
@@ -728,19 +712,18 @@ def run_step(
     if coordinator.use_class_knowledge and coordinator.library.ids.size:
         _attempt_assignments(coordinator)
 
-    # rewards: remaining uncertainty in each node's radar footprint, on the
-    # column of the arm it played
-    rewards = compute_rewards(
-        world.node_positions[:, :2],
-        world.radar_ranges,
-        coordinator.estimates[coordinator.order, :2],
-        _track_uncertainties(coordinator),
-        active,
-    )
-    if policy.kind is PolicyKind.BANDIT:
+    # the bandit's rewards: remaining uncertainty in each node's radar
+    # footprint, on the column of the arm it played
+    if coordinator.bandits is not None:
+        rewards = compute_rewards(
+            world.node_positions[:, :2],
+            world.radar_range_m,
+            coordinator.estimates[live, :2],
+            _track_uncertainties(coordinator),
+            active,
+        )
         record_reward(coordinator.bandits, active, rewards)
-    tape.modes.append(active)
-    tape.rewards.append(rewards)
+    tape.active_steps += int(active.sum())
 
 
 @dataclass(frozen=True)
@@ -755,7 +738,6 @@ class EpochMetrics:
     rmse_mean: float
     rmse_median: float
     radar_utilization: float
-    reward_trace: np.ndarray  # (steps, nodes) played-arm rewards
     active_node_steps: int
     passive_node_steps: int
     harvested: int
@@ -830,8 +812,7 @@ def run_epoch(
             for r, f in zip(rows, tape.first[rows])
         ]
     )
-    modes = np.array(tape.modes)  # (steps, N) bool
-    active_steps = int(modes.sum())
+    active_steps = tape.active_steps
     node_steps = steps * world.num_nodes
 
     if pool is None:
@@ -858,7 +839,6 @@ def run_epoch(
         rmse_mean=float(np.mean(rmse)) if rmse.size else float("nan"),
         rmse_median=float(np.median(rmse)) if rmse.size else float("nan"),
         radar_utilization=active_steps / node_steps if node_steps else 0.0,
-        reward_trace=np.array(tape.rewards),
         active_node_steps=active_steps,
         passive_node_steps=node_steps - active_steps,
         harvested=harvest.size,

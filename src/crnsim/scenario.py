@@ -6,17 +6,23 @@ transmit on/off) with kinematic limits and an emitter power. A family is a
 set of classes over common state spaces whose parameter distributions are
 pairwise distinguishable, so behavior observed over an epoch identifies
 the class.
+
+A target has one form, its row of a `TargetTable`: `spawn_scenario` draws
+each target's state straight into the table's columns, and
+`make_target_table` gathers every per-class parameter, the passive range
+included, by the one class index of each row.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from crnsim.markov import MarkovChain, equal_in_state_distribution
-from crnsim.sensing import ReceiverParams
+from crnsim.sensing import ReceiverParams, max_detectable_range
 
 MOTION_STATES = ("CruiseCV", "CoordinatedTurn", "HighGManeuver")
 SIGNAL_TYPES = ("UAVControl", "Telemetry", "ADSB", "FMVoice")
@@ -27,6 +33,11 @@ TX_ON, TX_OFF = 0, 1
 # two classes are considered distinguishable when at least one parameter
 # distribution differs by more than this (total-variation scale)
 FAMILY_SEPARATION = 0.15
+
+# vertical acceleration noise is this fraction of the horizontal value:
+# aircraft maneuver mostly in the horizontal plane. The truth dynamics and
+# the tracking filters' process noise both use it.
+VERTICAL_NOISE_FRACTION = 0.2
 
 
 class DegenerateScenario(ValueError):
@@ -138,17 +149,77 @@ class TargetFamily:
         )
 
 
-@dataclass
-class Target:
-    target_id: int
-    class_id: int
-    position: np.ndarray  # [x, y, z] m
-    velocity: np.ndarray  # [vx, vy, vz] m/s
-    motion_state: int
-    signal_state: int
-    tx_on: bool
-    turn_rate_radps: float = 0.0  # current coordinated-turn rate
-    heading_rate_radps: float = 0.0  # realized heading change over the last step
+@dataclass(eq=False)
+class TargetTable:
+    """The targets of one world, a row per target in spawn order: its truth
+    state, which `dynamics` advances in place, and its class's parameters,
+    gathered once by `make_target_table`."""
+
+    class_id: np.ndarray  # (T,)
+    position: np.ndarray  # (T, 3) m
+    velocity: np.ndarray  # (T, 3) m/s
+    turn_rate: np.ndarray  # (T,) current coordinated-turn rate, rad/s
+    heading_rate: np.ndarray  # (T,) realized heading change over the last step
+    motion_state: np.ndarray  # (T,)
+    signal_state: np.ndarray  # (T,)
+    tx_state: np.ndarray  # (T,) TX_ON or TX_OFF
+    # the row CDFs (`MarkovChain.row_cdf`) of each row's class chains
+    motion_cdf: np.ndarray  # (T, 3, 3)
+    signal_cdf: np.ndarray  # (T, S, S)
+    tx_cdf: np.ndarray  # (T, 2, 2)
+    process_noise: np.ndarray  # (T, 3) acceleration std per motion state
+    speed_range: np.ndarray  # (T, 2) m/s
+    turn_rate_range: np.ndarray  # (T, 2) rad/s
+    passive_range: np.ndarray  # (T,) SNR-limited intercept radius, m
+
+    @property
+    def num_targets(self) -> int:
+        return self.class_id.size
+
+    @property
+    def tx_on(self) -> np.ndarray:
+        return self.tx_state == TX_ON
+
+
+def make_target_table(
+    classes: Sequence[TargetClass],
+    kind,
+    position,
+    velocity,
+    motion_state,
+    signal_state,
+    tx_state,
+    turn_rate,
+    receiver: ReceiverParams,
+) -> TargetTable:
+    """Table of targets in the given truth state, row i of class
+    `classes[kind[i]]`, with no heading change yet. Every per-class column
+    is gathered by `kind`, the passive range too: each class's
+    `max_detectable_range` to `receiver`."""
+    kind = np.asarray(kind, dtype=np.int64)
+
+    def gather(per_class):
+        return np.array([np.asarray(v, dtype=float) for v in per_class])[kind]
+
+    return TargetTable(
+        class_id=np.array([c.class_id for c in classes], dtype=np.int64)[kind],
+        position=np.array(position, dtype=float).reshape(-1, 3),
+        velocity=np.array(velocity, dtype=float).reshape(-1, 3),
+        turn_rate=np.array(turn_rate, dtype=float),
+        heading_rate=np.zeros(kind.size),
+        motion_state=np.array(motion_state, dtype=np.int64),
+        signal_state=np.array(signal_state, dtype=np.int64),
+        tx_state=np.array(tx_state, dtype=np.int64),
+        motion_cdf=gather(c.motion_chain.row_cdf for c in classes),
+        signal_cdf=gather(c.signal_chain.row_cdf for c in classes),
+        tx_cdf=gather(c.tx_chain.row_cdf for c in classes),
+        process_noise=gather(c.process_noise for c in classes),
+        speed_range=gather(c.speed_range_mps for c in classes),
+        turn_rate_range=gather(c.turn_rate_range_radps for c in classes),
+        passive_range=gather(
+            max_detectable_range(c.tx_power_w, c.tx_gain, receiver) for c in classes
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -266,11 +337,16 @@ def default_family() -> TargetFamily:
 
 def spawn_scenario(
     config: ScenarioConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list[Target]]:
+) -> tuple[np.ndarray, TargetTable]:
     """Draw one scenario: node and target positions from independent PPPs,
     classes uniform over the family, initial chain states from the
     stationary distributions, speed/heading uniform within class limits.
     Returns the (N, 3) node positions, on the ground, and the targets.
+
+    Targets are drawn one after another, each with the same calls in the
+    same order: its class, motion state, speed, heading, turn magnitude and
+    sign (only when it starts in a turn), altitude, signal type and
+    transmit state.
     """
     node_xy = sample_ppp(config.node_density_per_km2, config.region, rng)
     target_xy = sample_ppp(config.target_density_per_km2, config.region, rng)
@@ -278,32 +354,29 @@ def spawn_scenario(
         raise DegenerateScenario(
             f"drew {len(node_xy)} nodes and {len(target_xy)} targets"
         )
-    family = config.family
-    targets = []
-    for j, xy in enumerate(target_xy):
-        cls = family.classes[rng.integers(len(family.classes))]
+    classes = config.family.classes
+    T = len(target_xy)
+    kind, motion, signal, tx = (np.zeros(T, dtype=np.int64) for _ in range(4))
+    position = np.column_stack([target_xy, np.zeros(T)])
+    velocity = np.zeros((T, 3))
+    turn_rate = np.zeros(T)
+    for j in range(T):
+        kind[j] = rng.integers(len(classes))
+        cls = classes[kind[j]]
         pi_v = cls.motion_chain.stationary
-        pi_s = cls.signal_chain.stationary
-        pi_tx = cls.tx_chain.stationary
-        motion_state = int(rng.choice(pi_v.size, p=pi_v))
+        motion[j] = rng.choice(pi_v.size, p=pi_v)
         speed = rng.uniform(*cls.speed_range_mps)
         heading = rng.uniform(0.0, 2.0 * np.pi)
-        turn_rate = 0.0
-        if motion_state == COORD_TURN:
-            turn_rate = rng.uniform(*cls.turn_rate_range_radps) * rng.choice([-1, 1])
-        targets.append(
-            Target(
-                target_id=j,
-                class_id=cls.class_id,
-                position=np.array(
-                    [xy[0], xy[1], rng.uniform(*cls.altitude_range_m)]
-                ),
-                velocity=speed
-                * np.array([np.cos(heading), np.sin(heading), 0.0]),
-                motion_state=motion_state,
-                signal_state=int(rng.choice(pi_s.size, p=pi_s)),
-                tx_on=bool(rng.choice(2, p=pi_tx) == TX_ON),
-                turn_rate_radps=turn_rate,
-            )
-        )
+        velocity[j, :2] = speed * np.cos(heading), speed * np.sin(heading)
+        if motion[j] == COORD_TURN:
+            turn_rate[j] = rng.uniform(*cls.turn_rate_range_radps) * rng.choice([-1, 1])
+        position[j, 2] = rng.uniform(*cls.altitude_range_m)
+        pi_s = cls.signal_chain.stationary
+        signal[j] = rng.choice(pi_s.size, p=pi_s)
+        # the draw is the state: TX_ON is 0
+        tx[j] = rng.choice(2, p=cls.tx_chain.stationary)
+    targets = make_target_table(
+        classes, kind, position, velocity, motion, signal, tx, turn_rate,
+        config.receiver,
+    )
     return np.column_stack([node_xy, np.zeros(len(node_xy))]), targets

@@ -75,7 +75,7 @@ def wrap_angle(theta):
 def radar_measure_batch(
     node_positions: np.ndarray,
     active_mask: np.ndarray,
-    radar_range_m: np.ndarray,
+    radar_range_m: float,
     target_positions: np.ndarray,
     target_velocities: np.ndarray,
     heading_rates: np.ndarray,
@@ -84,13 +84,14 @@ def radar_measure_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All radar detections for this step.
 
-    Returns (node_idx, target_idx, z) where z has columns [range, azimuth,
-    elevation, radial velocity, angular rate], noise included, one row per
-    detected pair.
+    Every active node sees the targets within `radar_range_m` of it,
+    horizontally. Returns (node_idx, target_idx, z) where z has columns
+    [range, azimuth, elevation, radial velocity, angular rate], noise
+    included, one row per detected pair.
     """
     rel = target_positions[None, :, :] - node_positions[:, None, :]  # (N, M, 3)
     horiz = np.hypot(rel[..., 0], rel[..., 1])
-    hit = active_mask[:, None] & (horiz <= radar_range_m[:, None])
+    hit = active_mask[:, None] & (horiz <= radar_range_m)
     ni, ti = np.nonzero(hit)
     if ni.size == 0:
         return ni, ti, np.empty((0, 5))

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from crnsim.scenario import MOTION_STATES
+from crnsim.scenario import MOTION_STATES, VERTICAL_NOISE_FRACTION
 
 NUM_MODELS = len(MOTION_STATES)
 
@@ -46,9 +46,6 @@ DEFAULT_STATE_ACCEL_STD = np.array([0.5, 5.0, 20.0])
 # levels, mixed by the uniform chain
 UNTUNED_ACCEL_STD = float(np.exp(np.mean(np.log(DEFAULT_STATE_ACCEL_STD))))
 UNTUNED_MODE_TRANSITION = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
-
-# vertical process noise fraction, mirroring the truth dynamics
-VERTICAL_Q_FRACTION = 0.2
 
 # angular-rate evidence densities (rad/s): heading rate near zero for
 # cruise, bimodal for turns, broad for high-G
@@ -76,7 +73,7 @@ def process_noise_matrix(dt: float, accel_std) -> np.ndarray:
     `accel_std` (any shape (...)): (..., 6, 6). The vertical axis gets the
     scaled-down noise the truth dynamics use."""
     std = np.asarray(accel_std, dtype=float)
-    var = np.array([1.0, 1.0, VERTICAL_Q_FRACTION**2]) * (std**2)[..., None]
+    var = np.array([1.0, 1.0, VERTICAL_NOISE_FRACTION**2]) * (std**2)[..., None]
     q = np.zeros(std.shape + (6, 6))
     ax = np.arange(3)
     q[..., ax, ax] = var * dt**4 / 4.0

@@ -35,11 +35,18 @@ histories the coordinator does not hold, by wrapping its recorders;
 whole histories, one track at a time, and `vector_from_histories` (with
 `_history_counts` and the scalar `occupancy_sample_size`) one track's
 behavior vector, as oracles for the engine's count tables and
-`classlib.vectors_from_counts`. `target_row` hands one row of a
-`dynamics.TargetTable` to these one-target functions. `ucb_select`,
-`record_reward` and `baseline_policy` play one node's two arms, held as
-(2,) counts and means indexed by `bandit.ACTIVE` and `bandit.PASSIVE`, as
-oracles for the bandit table.
+`classlib.vectors_from_counts`. `ucb_select`, `record_reward` and
+`baseline_policy` play one node's two arms, held as (2,) counts and means
+indexed by `bandit.ACTIVE` and `bandit.PASSIVE`, as oracles for the bandit
+table.
+
+A `Target` is one target's truth state as a single record, the form a
+target had before `scenario.spawn_scenario` drew straight into a
+`scenario.TargetTable`. `spawn_targets` is that spawn as it was, one
+`Target` per target: the oracle the table's columns and the generator's
+final state are compared against. `target_table` builds a table from
+`Target`s, and `target_row` hands one row of a table to the one-target
+functions above as a `Target`.
 
 `ParameterVector` is one target's behavior vector as a single validated
 record (values, block layout, evidence), the form a pool entry had before
@@ -95,7 +102,18 @@ from crnsim.markov import (
     sample_next,
     transition_matrix_from_counts,
 )
-from crnsim.scenario import MOTION_STATES, TX_ON, Target, TargetClass
+from crnsim.scenario import (
+    COORD_TURN,
+    MOTION_STATES,
+    TX_OFF,
+    TX_ON,
+    VERTICAL_NOISE_FRACTION,
+    DegenerateScenario,
+    TargetClass,
+    TargetTable,
+    make_target_table,
+    sample_ppp,
+)
 from crnsim.sensing import (
     ReceiverParams,
     SensorNoise,
@@ -106,7 +124,6 @@ from crnsim.tracking import (
     DEFAULT_STATE_ACCEL_STD,
     MIN_MODEL_PROB,
     NUM_MODELS,
-    VERTICAL_Q_FRACTION,
     combined_covariances,
     combined_states,
     cv_transition,
@@ -119,8 +136,85 @@ from crnsim.tracking import (
 )
 
 
+@dataclass
+class Target:
+    target_id: int
+    class_id: int
+    position: np.ndarray  # [x, y, z] m
+    velocity: np.ndarray  # [vx, vy, vz] m/s
+    motion_state: int
+    signal_state: int
+    tx_on: bool
+    turn_rate_radps: float = 0.0  # current coordinated-turn rate
+    heading_rate_radps: float = 0.0  # realized heading change over the last step
+
+
+def target_table(
+    targets: Sequence[Target],
+    classes: Sequence[TargetClass],
+    receiver: ReceiverParams = ReceiverParams(),
+) -> TargetTable:
+    """`scenario.make_target_table` of `targets`, in order, each row of the
+    class in `classes` with its class id, heading rates included."""
+    index = {cls.class_id: i for i, cls in enumerate(classes)}
+    table = make_target_table(
+        classes,
+        [index[tg.class_id] for tg in targets],
+        [tg.position for tg in targets],
+        [tg.velocity for tg in targets],
+        [tg.motion_state for tg in targets],
+        [tg.signal_state for tg in targets],
+        [TX_ON if tg.tx_on else TX_OFF for tg in targets],
+        [tg.turn_rate_radps for tg in targets],
+        receiver,
+    )
+    table.heading_rate[:] = [tg.heading_rate_radps for tg in targets]
+    return table
+
+
+def spawn_targets(config, rng: np.random.Generator) -> tuple[np.ndarray, list]:
+    """`scenario.spawn_scenario` as it was when it built one `Target` per
+    target: the same draws, returning the (N, 3) node positions and the
+    targets."""
+    node_xy = sample_ppp(config.node_density_per_km2, config.region, rng)
+    target_xy = sample_ppp(config.target_density_per_km2, config.region, rng)
+    if len(node_xy) == 0 or len(target_xy) == 0:
+        raise DegenerateScenario(
+            f"drew {len(node_xy)} nodes and {len(target_xy)} targets"
+        )
+    family = config.family
+    targets = []
+    for j, xy in enumerate(target_xy):
+        cls = family.classes[rng.integers(len(family.classes))]
+        pi_v = cls.motion_chain.stationary
+        pi_s = cls.signal_chain.stationary
+        pi_tx = cls.tx_chain.stationary
+        motion_state = int(rng.choice(pi_v.size, p=pi_v))
+        speed = rng.uniform(*cls.speed_range_mps)
+        heading = rng.uniform(0.0, 2.0 * np.pi)
+        turn_rate = 0.0
+        if motion_state == COORD_TURN:
+            turn_rate = rng.uniform(*cls.turn_rate_range_radps) * rng.choice([-1, 1])
+        targets.append(
+            Target(
+                target_id=j,
+                class_id=cls.class_id,
+                position=np.array(
+                    [xy[0], xy[1], rng.uniform(*cls.altitude_range_m)]
+                ),
+                velocity=speed
+                * np.array([np.cos(heading), np.sin(heading), 0.0]),
+                motion_state=motion_state,
+                signal_state=int(rng.choice(pi_s.size, p=pi_s)),
+                tx_on=bool(rng.choice(2, p=pi_tx) == TX_ON),
+                turn_rate_radps=turn_rate,
+            )
+        )
+    return np.column_stack([node_xy, np.zeros(len(node_xy))]), targets
+
+
 def target_row(targets, i: int = 0) -> Target:
-    """A copy of row i of a `dynamics.TargetTable` as a `scenario.Target`."""
+    """A copy of row i of a `scenario.TargetTable` as a `Target`."""
     return Target(
         target_id=i,
         class_id=int(targets.class_id[i]),
@@ -315,7 +409,7 @@ def process_noise_one(dt: float, accel_std: float) -> np.ndarray:
     """Discrete white-noise-acceleration Q (6, 6) of one acceleration std,
     one axis at a time; the vertical axis gets the scaled-down noise."""
     q = np.zeros((6, 6))
-    var = np.array([1.0, 1.0, VERTICAL_Q_FRACTION**2]) * accel_std**2
+    var = np.array([1.0, 1.0, VERTICAL_NOISE_FRACTION**2]) * accel_std**2
     for ax in range(3):
         q[ax, ax] = var[ax] * dt**4 / 4.0
         q[ax, ax + 3] = q[ax + 3, ax] = var[ax] * dt**3 / 2.0
@@ -462,13 +556,13 @@ class RecordedHistories:
 
 
 def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
-    """Per-track (motion, signal) reward entropies, keyed by row and in
-    `coordinator.order`: the class centroid's once the row is classified
+    """Per-track (motion, signal) reward entropies, keyed by row, live rows
+    ascending: the class centroid's once the row is classified
     under class knowledge, 1 for thin histories, else the smoothed
     entropies of its recorded histories."""
     recorded = histories.of(coordinator)
     etas = {}
-    for row in coordinator.order.tolist():
+    for row in np.flatnonzero(coordinator.live).tolist():
         motion, signal = recorded.motion[row], recorded.signal[row]
         class_row = int(coordinator.class_rows[row])
         if coordinator.use_class_knowledge and class_row >= 0:

@@ -31,14 +31,14 @@ def one_node(counts=(0, 0), means=(0.0, 0.0)):
 
 class TestComputeRewards:
     NODE_XY = np.array([[0.0, 0.0], [20_000.0, 0.0]])
-    RANGES = np.array([4000.0, 4000.0])
+    RADAR_RANGE_M = 4000.0
     # two tracks inside node 0's footprint, one outside every footprint
     TRACK_XY = [[1000.0, 0.0], [0.0, 3000.0], [5000.0, 0.0]]
     ETAS = [(0.2, 0.9), (0.6, 0.1), (1.0, 1.0)]
 
     def rewards(self, active, track_xy=TRACK_XY, etas=ETAS):
         return compute_rewards(
-            self.NODE_XY, self.RANGES, track_xy, etas, np.asarray(active)
+            self.NODE_XY, self.RADAR_RANGE_M, track_xy, etas, np.asarray(active)
         )
 
     def test_no_coverage_is_zero(self):
@@ -61,7 +61,7 @@ class TestComputeRewards:
         )
         etas = _track_uncertainties(coordinator)
         assert etas.tolist() == [[1.0, 1.0], [1.0, 1.0]]
-        xy = coordinator.estimates[coordinator.order, :2]
+        xy = coordinator.estimates[coordinator.live, :2]
         for active in (True, False):
             assert self.rewards([active, active], xy, etas)[0] == 1.0
 
@@ -83,7 +83,7 @@ class TestComputeRewards:
         etas = _track_uncertainties(coordinator)
         passive = np.array([False])
         reward = compute_rewards(
-            self.NODE_XY[:1], self.RANGES[:1], coordinator.estimates[:, :2], etas,
+            self.NODE_XY[:1], self.RADAR_RANGE_M, coordinator.estimates[:, :2], etas,
             passive,
         )[0]
         state = record_reward(one_node(), passive, np.array([reward]))

@@ -3,26 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from crnsim.dynamics import (
-    VERTICAL_NOISE_FRACTION,
-    make_target_table,
-    step_motion,
-    step_signal,
-)
+from crnsim.dynamics import step_motion, step_signal
 from crnsim.markov import MarkovChain
 from crnsim.scenario import (
     COORD_TURN,
     CRUISE_CV,
     HIGH_G,
     TX_ON,
+    VERTICAL_NOISE_FRACTION,
     ScenarioConfig,
-    Target,
     TargetClass,
     chain_from_stationary,
     default_family,
     spawn_scenario,
 )
-from scalar_reference import estimate_transitions
+from scalar_reference import Target, estimate_transitions, target_table
 
 STAY_CV = np.eye(3)  # absorbing chains pin the motion state for kinematics tests
 
@@ -69,7 +64,7 @@ def make_target(cls, state=CRUISE_CV, v=(100.0, 0.0, 0.0), turn_rate=0.0):
 
 def make_table(cls, **target):
     """A one-target table of class `cls`."""
-    return make_target_table([make_target(cls, **target)], [cls])
+    return target_table([make_target(cls, **target)], [cls])
 
 
 class TestStepMotion:
@@ -109,7 +104,7 @@ class TestStepMotion:
             other = make_class(motion_P=flip, turn_range=(0.1, 0.6), class_id=1)
             targets.append(make_target(other))
             classes.append(other)
-        t = make_target_table(targets, classes)
+        t = target_table(targets, classes)
         rates, entries = set(), 0
         for _ in range(20):
             before = t.motion_state.copy()
@@ -257,8 +252,7 @@ class TestMixedClassBatch:
         # gathering another class's parameters would break
         family = default_family()
         rng = np.random.default_rng(11)
-        _, targets = spawn_scenario(ScenarioConfig(), rng)
-        t = make_target_table(targets, family.classes)
+        _, t = spawn_scenario(ScenarioConfig(), rng)
         members = {c.class_id: t.class_id == c.class_id for c in family.classes}
         assert all(m.sum() >= 5 for m in members.values())
         steps = 3000

@@ -12,9 +12,9 @@ tables against histories recorded on the test side, reward entropies
 against a per-track oracle, IMM combination equal to the oracle `Track`'s,
 no per-row state kept outside its columns, and every live bank exactly
 symmetric, positive definite and normalized after every step), behavior vectors
-from the count tables against the history builder, the sign of
-`rmse_improvement`, the names the benchmark tracer hooks and the pool size
-it counts, a digest guard over every metric of a small experiment, and the
+from the count tables against the history builder, rewards computed only
+under the bandit, once a step, the sign of `rmse_improvement`, the names
+the benchmark tracer hooks and the pool size it counts, a digest guard over every metric of a small experiment, and the
 process pool over (run, policy) cells: bit-exact against the cells run in
 turn, never started where it cannot gain or while a function of the
 package is replaced, and passing a worker's error to the caller with no
@@ -47,7 +47,7 @@ from crnsim.classlib import (
     update_library,
     vectors_from_counts,
 )
-from crnsim.dynamics import make_target_table, step_motion, step_signal
+from crnsim.dynamics import step_motion, step_signal
 from crnsim.engine import (
     ConfigError,
     Coordinator,
@@ -64,12 +64,13 @@ from crnsim.engine import (
     run_epoch,
     run_experiment,
 )
-from crnsim.scenario import Region, ScenarioConfig, Target, default_family
+from crnsim.scenario import Region, ScenarioConfig, default_family
 from crnsim.sensing import SensorNoise
 from crnsim.tracking import NUM_MODELS, start_track
 
 from scalar_reference import (
     RecordedHistories,
+    Target,
     Track,
     _history_counts,
     class_tuning,
@@ -79,6 +80,7 @@ from scalar_reference import (
     make_parameter_vector,
     record_reading,
     run_experiment_in_turn,
+    target_table,
     track_uncertainties,
     untuned_tuning,
     vector_from_histories,
@@ -231,11 +233,10 @@ def _radar_world(node_positions, target_positions):
         for i, p in enumerate(target_positions)
     ]
     return World(
-        targets=make_target_table(targets, family.classes),
+        targets=target_table(targets, family.classes),
         family=family,
         node_positions=np.array(node_positions, dtype=float),
-        radar_ranges=np.full(len(node_positions), 10_000.0),
-        passive_ranges=np.zeros(len(targets)),
+        radar_range_m=10_000.0,
     )
 
 
@@ -335,7 +336,7 @@ class TestRadarAssociation:
         for t in (1, 2):
             fuse(world, coord, ni, ti, rows, t, 0.5, noise)
         # started by differencing two looks from the same node: at rest
-        assert coord.order.tolist() == [0] and 2 + updates[0] == 2
+        assert np.flatnonzero(coord.live).tolist() == [0] and 2 + updates[0] == 2
         assert np.allclose(coord.estimates[0, 3:], 0.0, atol=1e-9)
         for t in (3, 4, 5):
             track = Track(*(a[0] for a in coord.bank(np.array([0]))))
@@ -490,7 +491,6 @@ class TestTrackTable:
 
         def check(world, c):
             rows = np.flatnonzero(c.live)
-            assert sorted(c.order.tolist()) == rows.tolist()
             recorded = histories.of(c)
             for row in range(c.num_targets):
                 for history, counts, transitions, last in (
@@ -534,7 +534,7 @@ class TestTrackTable:
         c.start_tracks(np.array([2, 0]), states, covs, probs)
         with pytest.raises(ValueError):
             c.start_tracks(np.array([1, 0]), *fresh(2))
-        assert c.order.tolist() == [2, 0] and c.live.tolist() == [True, False, True]
+        assert c.live.tolist() == [True, False, True]
         assert np.array_equal(c.model_states[[2, 0]], states)
         assert np.array_equal(c.model_covs[[2, 0]], covs)
         assert np.array_equal(c.model_probs[[2, 0]], probs)
@@ -574,9 +574,9 @@ class TestTrackTable:
                     assert value.shape == (k, 2)
                 elif name == "mode_transitions":
                     assert value.shape == (k + 1, NUM_MODELS, NUM_MODELS)
-                elif isinstance(value, np.ndarray) and name != "order":
+                elif isinstance(value, np.ndarray):
                     assert value.shape[0] == c.num_targets, name
-            steps.append(c.order.size)
+            steps.append(int(c.live.sum()))
 
         _after_each_step(monkeypatch, check)
         run_experiment(SMALL, [BANDIT])
@@ -584,14 +584,16 @@ class TestTrackTable:
 
     @pytest.mark.parametrize("policy", default_policies(), ids=lambda p: p.label)
     def test_etas_equal_the_history_oracle(self, monkeypatch, policy):
-        table_etas = engine._track_uncertainties
+        # after every step, under every policy, though only the bandit's
+        # rewards read the entropies
         kinds = {"thin": 0, "counted": 0, "classified": 0, "dropped": 0}
         histories = RecordedHistories().install(monkeypatch)
 
-        def checked(c):
+        def check(world, c):
             # a same-step second reading is dropped and not counted
             recorded = histories.of(c)
-            for row in c.order:
+            live = np.flatnonzero(c.live)
+            for row in live:
                 history = recorded.motion[row]
                 if history:
                     step, state = history[-1]
@@ -603,11 +605,11 @@ class TestTrackTable:
                         assert np.array_equal(now, was)
                     kinds["dropped"] += 1
                     break
-            etas = table_etas(c)
+            etas = engine._track_uncertainties(c)
             want = track_uncertainties(c, histories)
-            assert c.order.tolist() == list(want)
+            assert live.tolist() == list(want)
             assert etas.tolist() == [list(e) for e in want.values()]
-            for row in c.order:
+            for row in live:
                 seen = c.motion_counts[row].sum() + c.signal_counts[row].sum()
                 if c.use_class_knowledge and c.class_rows[row] >= 0:
                     kinds["classified"] += 1
@@ -615,9 +617,8 @@ class TestTrackTable:
                     kinds["thin"] += 1
                 else:
                     kinds["counted"] += 1
-            return etas
 
-        monkeypatch.setattr(engine, "_track_uncertainties", checked)
+        _after_each_step(monkeypatch, check)
         # the third epoch is the first whose library classifies tracks
         run_experiment(dataclasses.replace(SMALL, num_epochs=3), [policy])
         assert kinds["thin"] and kinds["counted"] and kinds["dropped"]
@@ -859,6 +860,37 @@ class TestTruthBatch:
         }
 
 
+class TestRewards:
+    @pytest.mark.parametrize(
+        "policy", [RADAR_ONLY, PolicySpec(PolicyKind.RANDOM)], ids=lambda p: p.label
+    )
+    def test_a_baseline_computes_no_reward(self, monkeypatch, policy):
+        # a baseline's rewards would feed nothing, so they are not computed
+        def refuse(*args):
+            raise AssertionError("a baseline computed rewards")
+
+        monkeypatch.setattr(engine, "compute_rewards", refuse)
+        monkeypatch.setattr(engine, "_track_uncertainties", refuse)
+        m = run_epoch(ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 0, 0), policy)[0]
+        assert m.num_tracks > 0
+        steps = SMALL.steps_per_epoch * m.num_nodes
+        assert m.active_node_steps + m.passive_node_steps == steps
+
+    def test_the_bandit_computes_one_reward_batch_per_step(self, monkeypatch):
+        calls = {"compute_rewards": 0, "_track_uncertainties": 0}
+        for name in calls:
+            original = getattr(engine, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        run_epoch(ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 0, 0), BANDIT)
+        steps = SMALL.steps_per_epoch
+        assert calls == {"compute_rewards": steps, "_track_uncertainties": steps}
+
+
 class TestRmseImprovement:
     def _result(self, bandit_result, medians):
         # medians: label -> per run, (first-epoch, final-epoch) rmse_median
@@ -944,7 +976,7 @@ def metrics_sha256(result):
 # Recorded on the SMALL config under the three default policies. A change
 # that is meant to alter behaviour updates this value and says why in
 # CHANGES.md; any other change must leave it as it is.
-SMALL_METRICS_SHA256 = "fd0ccb0b38e9b49f52e7075c605a130a25975f2320d36f855d8faf36c43ff041"
+SMALL_METRICS_SHA256 = "f7caf0018b8afa1af7f8d03667a540bb4f3813ace55daf4b344524e3166175f4"
 
 
 class TestRegressionGuard:

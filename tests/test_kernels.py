@@ -250,6 +250,14 @@ def duplicate_pool(distinct=3, copies=4):
     return [values[i % distinct] for i in range(copies * distinct)]
 
 
+def repeats_pool(distinct=24, repeated=3, copies=3):
+    """`distinct` vectors, the first `repeated` of them `copies` times
+    each: seeding sometimes picks two equal centroids among otherwise
+    distinct points."""
+    values = dirichlet_pool(distinct, distinct)
+    return values + values[:repeated] * (copies - 1)
+
+
 @pytest.fixture(scope="module", params=POOL_SIZES)
 def pool(request):
     return dirichlet_pool(request.param, request.param)
@@ -323,6 +331,27 @@ class TestLloyd:
             np.testing.assert_allclose(cents, ref_cents, **TOLERANCE)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert reseeds, "the duplicate pool never forced a re-seed"
+
+        # k = 5-6 seeds with two equal centroids: the matmul may score the
+        # equal columns differently in the last bits (at some pool sizes
+        # below 250 it does), which would send points to the later copy;
+        # the points must go to the first copy, as the reference sends them
+        pts = stack_vectors(repeats_pool())[0]
+        tried = 0
+        for k in (5, 6):
+            for seed in range(300):
+                picked = np.random.default_rng(seed).choice(len(pts), size=k, replace=False)
+                if len(np.unique(pts[picked], axis=0)) == k:
+                    continue
+                tried += 1
+                assign, cents, objective, _ = _lloyd(
+                    pts, k, BLOCKS, np.random.default_rng(seed)
+                )
+                ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), [])
+                assert np.array_equal(assign, ref[0]), (k, seed)
+                np.testing.assert_allclose(cents, ref[1], **TOLERANCE)
+                np.testing.assert_allclose(objective, ref[2], **TOLERANCE)
+        assert tried > 100
 
         # k seeds on equal pool vectors: every point ties across the equal
         # centroids and goes to the first, so k - 1 clusters are empty in

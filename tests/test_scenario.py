@@ -22,6 +22,8 @@ from crnsim.scenario import (
 )
 from crnsim.sensing import max_detectable_range
 
+from scalar_reference import spawn_targets
+
 
 def total_variation(a, b):
     return 0.5 * np.sum(np.abs(np.asarray(a) - np.asarray(b)))
@@ -168,11 +170,71 @@ class TestDefaultFamily:
         assert cls.process_noise.tolist() == [1.0, 2.0, 3.0]
 
 
+def renumbered_family(ids=(7, 3, 5)) -> TargetFamily:
+    """The default classes under class ids that are not their positions in
+    the family."""
+    return TargetFamily(
+        classes=tuple(
+            dataclasses.replace(c, class_id=i)
+            for c, i in zip(default_family().classes, ids)
+        )
+    )
+
+
 class TestSpawnScenario:
     def test_zero_target_density_degenerate(self):
         cfg = ScenarioConfig(target_density_per_km2=0.0)
         with pytest.raises(DegenerateScenario):
             spawn_scenario(cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(),
+            ScenarioConfig(family=renumbered_family()),
+            ScenarioConfig(node_density_per_km2=0.4, target_density_per_km2=0.6),
+        ],
+        ids=["default", "ids-7-3-5", "dense"],
+    )
+    def test_table_matches_the_object_spawn(self, cfg):
+        # the table is drawn with the draws, in the order, of the spawn that
+        # built one Target per target; every column, the per-class ones
+        # looked up by class id, holds what that spawn gave
+        by_id = {c.class_id: c for c in cfg.family.classes}
+        for seed in range(8):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            nodes, table = spawn_scenario(cfg, rng)
+            ref_nodes, targets = spawn_targets(cfg, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert np.array_equal(nodes, ref_nodes)
+            assert table.class_id.tolist() == [t.class_id for t in targets]
+            for column, attr in (
+                ("position", "position"),
+                ("velocity", "velocity"),
+                ("motion_state", "motion_state"),
+                ("signal_state", "signal_state"),
+                ("tx_on", "tx_on"),
+                ("turn_rate", "turn_rate_radps"),
+                ("heading_rate", "heading_rate_radps"),
+            ):
+                want = np.array([getattr(t, attr) for t in targets])
+                got = getattr(table, column)
+                assert got.shape == want.shape and np.array_equal(got, want), column
+            classes = [by_id[t.class_id] for t in targets]
+            for column, per_class in (
+                ("motion_cdf", lambda c: c.motion_chain.row_cdf),
+                ("signal_cdf", lambda c: c.signal_chain.row_cdf),
+                ("tx_cdf", lambda c: c.tx_chain.row_cdf),
+                ("process_noise", lambda c: c.process_noise),
+                ("speed_range", lambda c: c.speed_range_mps),
+                ("turn_rate_range", lambda c: c.turn_rate_range_radps),
+                (
+                    "passive_range",
+                    lambda c: max_detectable_range(c.tx_power_w, c.tx_gain, cfg.receiver),
+                ),
+            ):
+                want = np.array([per_class(c) for c in classes], dtype=float)
+                assert np.array_equal(getattr(table, column), want), column
 
     def test_expected_counts_table(self):
         cfg = ScenarioConfig()
@@ -184,7 +246,7 @@ class TestSpawnScenario:
             except DegenerateScenario:
                 continue
             n_nodes.append(len(nodes))
-            n_targets.append(len(targets))
+            n_targets.append(targets.num_targets)
         # P(zero draw) is e-20 / e-30, negligible truncation bias
         assert np.mean(n_nodes) == pytest.approx(20.0, abs=0.5)
         assert np.mean(n_targets) == pytest.approx(30.0, abs=0.6)
@@ -200,26 +262,22 @@ class TestSpawnScenario:
         # the world keeps these positions, with the configured radar range
         world = make_world(cfg, np.random.default_rng(1))
         assert np.array_equal(world.node_positions, nodes)
-        assert np.all(world.radar_ranges == 4000.0)
-        for t in targets:
-            assert 0 <= t.position[0] <= cfg.region.width_m
-            assert 0 <= t.position[1] <= cfg.region.height_m
+        assert world.radar_range_m == 4000.0
+        x, y = targets.position[:, 0], targets.position[:, 1]
+        assert np.all((0 <= x) & (x <= cfg.region.width_m))
+        assert np.all((0 <= y) & (y <= cfg.region.height_m))
 
     def test_passive_range_is_each_targets_class_budget(self):
-        # one link budget per class, gathered by class id: ids that are not
+        # one link budget per class, gathered by class: ids that are not
         # the classes' positions in the family still find their own class
-        classes = tuple(
-            dataclasses.replace(c, class_id=i)
-            for c, i in zip(default_family().classes, (7, 3, 5))
-        )
-        cfg = ScenarioConfig(family=TargetFamily(classes=classes))
+        cfg = ScenarioConfig(family=renumbered_family())
         world = make_world(cfg, np.random.default_rng(3))
-        by_id = {c.class_id: c for c in classes}
+        by_id = {c.class_id: c for c in cfg.family.classes}
         want = [
             max_detectable_range(by_id[i].tx_power_w, by_id[i].tx_gain, cfg.receiver)
             for i in world.targets.class_id.tolist()
         ]
-        assert world.passive_ranges.tolist() == want
+        assert world.targets.passive_range.tolist() == want
         assert len(set(want)) == 3
 
     def test_spawn_respects_class_limits(self):
@@ -227,18 +285,18 @@ class TestSpawnScenario:
         rng = np.random.default_rng(2)
         nodes, targets = spawn_scenario(cfg, rng)
         by_id = {c.class_id: c for c in cfg.family.classes}
-        for t in targets:
-            cls = by_id[t.class_id]
+        for i, class_id in enumerate(targets.class_id.tolist()):
+            cls = by_id[class_id]
             lo, hi = cls.altitude_range_m
-            assert lo <= t.position[2] <= hi
-            speed = np.linalg.norm(t.velocity)
+            assert lo <= targets.position[i, 2] <= hi
+            speed = np.linalg.norm(targets.velocity[i])
             slo, shi = cls.speed_range_mps
             assert slo - 1e-9 <= speed <= shi + 1e-9
-            assert t.velocity[2] == 0.0
-            if t.motion_state == COORD_TURN:
-                assert cls.turn_rate_range_radps[0] <= abs(t.turn_rate_radps)
+            assert targets.velocity[i, 2] == 0.0
+            if targets.motion_state[i] == COORD_TURN:
+                assert cls.turn_rate_range_radps[0] <= abs(targets.turn_rate[i])
             else:
-                assert t.turn_rate_radps == 0.0
+                assert targets.turn_rate[i] == 0.0
 
     def test_spawns_reuse_the_family_stationaries(self, monkeypatch):
         # the chains are fixed per class, so their stationary distributions
@@ -263,7 +321,7 @@ class TestSpawnScenario:
         states = []
         while len(states) < 10_000:
             _, targets = spawn_scenario(cfg, rng)
-            states.extend(t.motion_state for t in targets)
+            states.extend(targets.motion_state.tolist())
         freq = np.bincount(states, minlength=3) / len(states)
         assert freq == pytest.approx(
             uav.motion_chain.stationary, abs=0.02

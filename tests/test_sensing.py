@@ -52,7 +52,7 @@ def radar_once(target_pos, vel=(0.0, 0.0, 0.0), heading_rate=0.0, active=True,
     return radar_measure_batch(
         np.zeros((1, 3)),
         np.array([active]),
-        np.array([4000.0]),
+        4000.0,
         pos,
         np.tile(np.asarray(vel, dtype=float), (m, 1)),
         np.full(m, heading_rate),
@@ -316,7 +316,7 @@ class TestBatchConsistency:
         ni, ti, z = radar_measure_batch(
             np.array([n.position for n in nodes]),
             active,
-            np.full(6, 4000.0),
+            4000.0,
             np.array([t.position for t in targets]),
             np.array([t.velocity for t in targets]),
             np.array([t.heading_rate_radps for t in targets]),
@@ -374,7 +374,7 @@ class TestBatchConsistency:
     def test_empty_masks_produce_empty_results(self):
         rng = np.random.default_rng(0)
         ni, ti, z = radar_measure_batch(
-            np.zeros((2, 3)), np.zeros(2, bool), np.full(2, 4000.0),
+            np.zeros((2, 3)), np.zeros(2, bool), 4000.0,
             np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), rng,
         )
         assert ni.size == 0 and z.shape == (0, 5)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crnsim.dynamics import make_target_table, step_motion
+from crnsim.dynamics import step_motion
 from crnsim.markov import MarkovChain
 from crnsim.scenario import (
     CRUISE_CV,
     HIGH_G,
-    Target,
+    VERTICAL_NOISE_FRACTION,
     TargetClass,
     default_family,
 )
@@ -22,7 +22,6 @@ from crnsim.tracking import (
     NUM_MODELS,
     UNTUNED_ACCEL_STD,
     UNTUNED_MODE_TRANSITION,
-    VERTICAL_Q_FRACTION,
     LengthMismatch,
     combined_covariances,
     combined_states,
@@ -39,6 +38,7 @@ from crnsim.tracking import (
 )
 from scalar_reference import (
     FilterTuning,
+    Target,
     Track,
     estimate_transitions,
     imm_predict,
@@ -51,6 +51,7 @@ from scalar_reference import (
     radar_measure,
     start_one_track,
     target_row,
+    target_table,
     tuned_tuning,
     untuned_tuning,
     vector_from_histories,
@@ -93,7 +94,7 @@ def make_truth(cls, position, v, state=CRUISE_CV, turn_rate=0.0):
         tx_on=True,
         turn_rate_radps=turn_rate,
     )
-    return make_target_table([target], [cls])
+    return target_table([target], [cls])
 
 
 def single_model_track(state=None, cov=None):
@@ -126,8 +127,8 @@ class TestDynamicsMatrices:
         assert Q[0, 3] == pytest.approx(25 * 0.5**3 / 2)
         assert Q[3, 3] == pytest.approx(25 * 0.5**2)
         # vertical axis runs at the scaled-down noise
-        assert Q[2, 2] == pytest.approx(25 * VERTICAL_Q_FRACTION**2 * 0.5**4 / 4)
-        assert Q[5, 5] == pytest.approx(25 * VERTICAL_Q_FRACTION**2 * 0.5**2)
+        assert Q[2, 2] == pytest.approx(25 * VERTICAL_NOISE_FRACTION**2 * 0.5**4 / 4)
+        assert Q[5, 5] == pytest.approx(25 * VERTICAL_NOISE_FRACTION**2 * 0.5**2)
         assert Q == pytest.approx(Q.T)
 
     def test_process_noise_of_a_grid_equals_the_scalar_loop(self):
@@ -153,7 +154,7 @@ class TestImmPredict:
     def test_trace_grows_by_q_injection(self):
         track = single_model_track(cov=np.zeros((6, 6)))
         imm_predict(track, single_model_tuning(5.0), 0.5)
-        expected = 25.0 * (2 + VERTICAL_Q_FRACTION**2) * (0.5**4 / 4 + 0.5**2)
+        expected = 25.0 * (2 + VERTICAL_NOISE_FRACTION**2) * (0.5**4 / 4 + 0.5**2)
         assert np.trace(track.covariance) == pytest.approx(expected, abs=1e-9)
 
     def test_identity_transition_keeps_models_separate(self):
