@@ -212,9 +212,7 @@ def _lloyd(
         # the matmul need not score equal columns equally, so a repeated
         # centroid takes its first copy's column and ties go to that copy
         same = (centroids[:, None] == centroids[None]).all(axis=2)
-        if same.sum() > k:
-            cross = cross[:, same.argmax(axis=1)]
-        return cross
+        return cross[:, same.argmax(axis=1)]
 
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
@@ -230,8 +228,12 @@ def _lloyd(
                 centroids[c] = points[members].mean(axis=0)
             else:
                 # re-seed an empty cluster with the worst-fit point not yet
-                # taken by another re-seed in this iteration
+                # taken by another re-seed in this iteration; equal points
+                # fit equally, but the BLAS need not score them so, so the
+                # pick goes to the first untaken copy of the worst vector
                 worst = int(np.argmax(fit))
+                copies = (points == points[worst]).all(axis=1) & (fit > -np.inf)
+                worst = int(np.argmax(copies))
                 centroids[c] = points[worst]
                 new_assign[worst] = c
                 fit[worst] = -np.inf

@@ -379,6 +379,37 @@ class TestLloyd:
         _, first_cents, _, _ = _lloyd(pts, k, BLOCKS, np.random.default_rng(seed))
         assert len(np.unique(first_cents, axis=0)) == k
 
+    def test_reseed_takes_first_copy_of_worst_point(self, monkeypatch):
+        # a far vector repeated in the pool fits every centroid worst, and
+        # its copies fit exactly equally, but the matmul may score them
+        # differently in the last bits; an empty cluster must take the first
+        # copy, as the reference takes it. One iteration shows which copy.
+        monkeypatch.setattr(classlib, "KMEANS_MAX_ITER", 1)
+        far = stack_vectors(dirichlet_pool(1, 7))[0][0]
+        on_far = 0
+        for n, far_copies in ((30, 6), (60, 3), (60, 9), (75, 6), (90, 6), (90, 9)):
+            base = stack_vectors(dirichlet_pool(n, n))[0]
+            pts = np.vstack([base, [base[0]] * 10, [far] * far_copies])
+            for k in (5, 6):
+                for seed in range(200):
+                    picked = np.random.default_rng(seed).choice(
+                        len(pts), size=k, replace=False
+                    )
+                    # seeds with two equal centroids and no far copy
+                    if len(np.unique(pts[picked], axis=0)) == k or (
+                        picked >= n + 10
+                    ).any():
+                        continue
+                    reseeds = []
+                    ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), reseeds)
+                    assign, _, _, _ = _lloyd(pts, k, BLOCKS, np.random.default_rng(seed))
+                    first = [(c, p) for it, c, p in reseeds if it == 0]
+                    assert first, (n, k, seed)
+                    for cluster, point in first:
+                        assert assign[point] == cluster, (n, k, seed)
+                        on_far += point >= n + 10
+        assert on_far > 100
+
     @pytest.mark.parametrize("size", (130, 400))
     def test_kl_fit_finds_the_jsd_classes(self, size):
         # the premise of fitting under KL: on three-class pools it finds
