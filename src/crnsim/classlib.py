@@ -7,17 +7,22 @@ how often each state followed another in adjacent steps. A vector holds the
 estimated stationary distributions (primary blocks) plus the rows of the
 estimated transition matrices (half-weight blocks — stationary behavior
 defines a class, transition structure only helps separate classes that
-happen to share it) in the `family_blocks(V, S)` layout, and beside it one
-evidence entry per block. This is the only place that turns observed
-behavior into a vector; tracks only count readings.
+happen to share it), and beside it one evidence entry per block. This is
+the only place that turns observed behavior into a vector; tracks only
+count readings.
+
+The layout is one set of constants, fixed by the state spaces of
+`scenario`: the V = 3 motion states and S = 4 signal types give the nine
+`BLOCK_LENGTHS` (V, S, then V rows of V and S rows of S) and vectors of
+`VECTOR_LENGTH` = 32 values.
 
 Class learning works on tables, never on one object per vector or per
 class. The cumulative pool is (N, L) values with (N, blocks) evidence;
 `update_library` re-clusters it by k-means (`kmeans_distributions`, (N,)
 assignments and (k, L) centroids), chooses the cluster count by AIC, and
-returns a new `ClassLibrary`: ascending class ids (k,), centroids (k, L)
-and the block layout. The classes persist across epochs: each update keeps
-ids stable by matching new centroids to old ones. `assign_class` scores a
+returns a new `ClassLibrary`: ascending class ids (k,) and centroids
+(k, L). The classes persist across epochs: each update keeps ids stable by
+matching new centroids to old ones. `assign_class` scores a
 (B, L) batch against the centroids and returns each vector's library row.
 A learned class carries enough structure to tune a filter bank:
 `ClassLibrary.mode_transitions()` stacks every centroid's motion-transition
@@ -39,11 +44,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from crnsim.markov import transition_matrix_from_counts
+from crnsim.scenario import MOTION_STATES, SIGNAL_TYPES
 
 DEFAULT_ACCEPT_RADIUS = 0.25
 MAX_CLASSES = 6
@@ -55,6 +60,14 @@ TRANSITION_BLOCK_WEIGHT = 0.5
 
 _LN2 = math.log(2.0)
 
+_V, _S = len(MOTION_STATES), len(SIGNAL_TYPES)
+# the behavior-vector layout: motion and signal occupancies, then the rows
+# of the motion and of the signal transition matrix, one block each
+BLOCK_LENGTHS = np.array([_V, _S] + [_V] * _V + [_S] * _S)
+VECTOR_LENGTH = int(BLOCK_LENGTHS.sum())
+# each element's block weight: 1 for the occupancies, half for the rows
+_WEIGHTS = np.repeat([1.0, 1.0] + [TRANSITION_BLOCK_WEIGHT] * (_V + _S), BLOCK_LENGTHS)
+
 
 class BlockMismatch(ValueError):
     """Vectors with different block structures were combined."""
@@ -62,26 +75,6 @@ class BlockMismatch(ValueError):
 
 class TooFewPoints(ValueError):
     """More clusters requested than vectors available."""
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """One distribution block inside a behavior vector."""
-
-    name: str
-    length: int
-    weight: float = 1.0
-
-
-def family_blocks(
-    num_motion_states: int = 3, num_signal_states: int = 4
-) -> tuple[BlockSpec, ...]:
-    """Block layout shared by every vector of a single-family environment."""
-    v, s = num_motion_states, num_signal_states
-    blocks = [BlockSpec("pi_v", v), BlockSpec("pi_s", s)]
-    blocks += [BlockSpec(f"P_v_row{i}", v, TRANSITION_BLOCK_WEIGHT) for i in range(v)]
-    blocks += [BlockSpec(f"P_s_row{i}", s, TRANSITION_BLOCK_WEIGHT) for i in range(s)]
-    return tuple(blocks)
 
 
 def occupancy_sample_size(n_steps, occupancy, transition):
@@ -134,10 +127,11 @@ def vectors_from_counts(
     """Behavior vectors of B tracks from their reading counts: occupancy
     counts (B, V) and (B, S), and counts of transitions between readings in
     adjacent steps (B, V, V) and (B, S, S); every track has at least one
-    reading of each kind. Returns the (B, L) values in `family_blocks(V, S)`
-    order -- occupancies, add-one transition matrices -- and the (B, blocks)
+    reading of each kind. Returns the (B, L) values in block order --
+    occupancies, add-one transition matrices -- and the (B, blocks)
     evidence: the discounted occupancy sample sizes, then the transitions
-    counted out of each source state."""
+    counted out of each source state. Any V and S work; the library's
+    kernels take the layout of V = 3 and S = 4."""
     pi_v, P_v, n_v, rows_v = _channel_estimates(motion_counts, motion_transitions)
     pi_s, P_s, n_s, rows_s = _channel_estimates(signal_counts, signal_transitions)
     values = np.concatenate([pi_v, pi_s, P_v, P_s], axis=1)
@@ -154,25 +148,22 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * logs
 
 
-def _spread(per_block, blocks) -> np.ndarray:
+def _spread(per_block) -> np.ndarray:
     """Per-block entries (..., blocks) repeated over each block's elements:
     (..., L)."""
-    return np.repeat(per_block, [b.length for b in blocks], axis=-1)
+    return np.repeat(per_block, BLOCK_LENGTHS, axis=-1)
 
 
-def _distance_matrix(
-    points: np.ndarray, centroids: np.ndarray, blocks
-) -> np.ndarray:
+def _distance_matrix(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Weighted JSD in bits between every point (N, L) and centroid (K, L):
     (N, K), from the (N, K, L) midpoints.
 
     Each sum over elements runs along one row in the same order for every
     row (a matmul would not), so equal vectors score exactly equal and a
     vector is at distance 0 from itself."""
-    w = _spread([b.weight for b in blocks], blocks)
 
     def neg_entropy(x):
-        return (_xlogx(x) * w).sum(axis=-1)
+        return (_xlogx(x) * _WEIGHTS).sum(axis=-1)
 
     mid = 0.5 * (points[:, None] + centroids[None])
     jsd = (
@@ -191,7 +182,7 @@ def _log_centroids(centroids: np.ndarray) -> np.ndarray:
 
 
 def _lloyd(
-    points: np.ndarray, k: int, blocks, rng
+    points: np.ndarray, k: int, rng
 ) -> tuple[np.ndarray, np.ndarray, float, list]:
     """One Lloyd run under weighted KL from k distinct random points of the
     pool.
@@ -202,9 +193,8 @@ def _lloyd(
     assignments, centroids, final objective and the objective of every
     iteration."""
     n = points.shape[0]
-    w = _spread([b.weight for b in blocks], blocks)
-    weighted = points * w
-    self_term = _xlogx(points) @ w
+    weighted = points * _WEIGHTS
+    self_term = _xlogx(points) @ _WEIGHTS
     rows = np.arange(n)
 
     def cross_entropy(centroids):
@@ -245,7 +235,7 @@ def _lloyd(
 
 
 def kmeans_distributions(
-    points: np.ndarray, k: int, blocks, rng
+    points: np.ndarray, k: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd k-means of the (N, L) points under weighted KL, best of 10
     restarts.
@@ -259,7 +249,7 @@ def kmeans_distributions(
         raise TooFewPoints(f"k={k} exceeds {len(points)} vectors")
     best = None
     for _ in range(KMEANS_RESTARTS):
-        assign, cents, objective, _ = _lloyd(points, k, blocks, rng)
+        assign, cents, objective, _ = _lloyd(points, k, rng)
         if best is None or objective < best[2]:
             best = (assign, cents, objective)
     return best[0], best[1]
@@ -270,7 +260,6 @@ def _pool_log_likelihood(
     evidence: np.ndarray,
     assign: np.ndarray,
     centroids: np.ndarray,
-    blocks,
 ) -> float:
     """Mixture log-likelihood of the pool, EM-polished from the k-means fit.
 
@@ -291,7 +280,7 @@ def _pool_log_likelihood(
     n = points.shape[0]
     weights = np.bincount(assign, minlength=k).astype(float) / n
     cents = centroids.copy()
-    counts = _spread(evidence, blocks) * points
+    counts = _spread(evidence) * points
     prev = -np.inf
     for _ in range(EM_MAX_ITER):
         with np.errstate(divide="ignore"):
@@ -304,32 +293,32 @@ def _pool_log_likelihood(
         prev = logl
         resp = np.exp(logits - norm[:, None])
         weights = resp.mean(axis=0)
-        denom = _spread(resp.T @ evidence, blocks)
+        denom = _spread(resp.T @ evidence)
         np.divide(resp.T @ counts, denom, out=cents, where=denom > 1e-12)
     return prev
 
 
-def _fit_pool(points: np.ndarray, evidence: np.ndarray, blocks, rng):
+def _fit_pool(points: np.ndarray, evidence: np.ndarray, rng):
     """k-means fits of the (N, L) points for k = 1..MAX_CLASSES; returns the
     AIC winner (ties favor smaller k) as (aic, k, (N,) assignments, (k, L)
     centroids)."""
     if not len(points):
         raise TooFewPoints("no vectors to cluster")
-    d = sum(b.length - 1 for b in blocks)
+    d = VECTOR_LENGTH - BLOCK_LENGTHS.size
     best = None
     for k in range(1, min(MAX_CLASSES, len(points)) + 1):
-        assign, centroids = kmeans_distributions(points, k, blocks, rng)
-        logl = _pool_log_likelihood(points, evidence, assign, centroids, blocks)
+        assign, centroids = kmeans_distributions(points, k, rng)
+        logl = _pool_log_likelihood(points, evidence, assign, centroids)
         aic = 2.0 * k * d - 2.0 * logl
         if best is None or aic < best[0]:
             best = (aic, k, assign, centroids)
     return best
 
 
-def select_k_aic(points: np.ndarray, evidence: np.ndarray, blocks, rng) -> int:
+def select_k_aic(points: np.ndarray, evidence: np.ndarray, rng) -> int:
     """Cluster count of the (N, L) points with their (N, blocks) evidence
     minimizing AIC = 2kd - 2 logL over k = 1..MAX_CLASSES."""
-    return _fit_pool(points, evidence, blocks, rng)[1]
+    return _fit_pool(points, evidence, rng)[1]
 
 
 # --- the library ---
@@ -339,36 +328,33 @@ def _empty_ids() -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
 
 
+def _no_centroids() -> np.ndarray:
+    return np.zeros((0, VECTOR_LENGTH))
+
+
 @dataclass(frozen=True, eq=False)
 class ClassLibrary:
     """Classes learned so far, as one table with a row per class in
-    ascending id order: stable class ids (k,) and centroids (k, L) in the
-    `blocks` layout. The default is the empty library (k = 0) in the default
-    family's layout."""
+    ascending id order: stable class ids (k,) and centroids (k, L). The
+    default is the empty library (k = 0)."""
 
-    blocks: tuple[BlockSpec, ...] = family_blocks()
     ids: np.ndarray = field(default_factory=_empty_ids)
-    centroids: Optional[np.ndarray] = None
+    centroids: np.ndarray = field(default_factory=_no_centroids)
 
     def __post_init__(self):
-        if self.centroids is None:
-            length = sum(b.length for b in self.blocks)
-            object.__setattr__(self, "centroids", np.zeros((0, length)))
         if np.any(np.diff(self.ids) <= 0):
             raise ValueError("class ids must be unique and ascending")
 
     def occupancies(self) -> tuple[np.ndarray, np.ndarray]:
         """The centroids' motion (k, V) and signal (k, S) occupancies: the
-        first two blocks of the `family_blocks` layout."""
-        v, s = self.blocks[0].length, self.blocks[1].length
-        return self.centroids[:, :v], self.centroids[:, v : v + s]
+        first two blocks."""
+        return self.centroids[:, :_V], self.centroids[:, _V : _V + _S]
 
     def mode_transitions(self) -> np.ndarray:
         """The IMM mixing chain of every class (k, V, V): its centroid's
         motion-transition rows (the V blocks after the occupancies),
         renormalized."""
-        v, s = self.blocks[0].length, self.blocks[1].length
-        P = self.centroids[:, v + s : v + s + v * v].reshape(-1, v, v)
+        P = self.centroids[:, _V + _S : _V + _S + _V * _V].reshape(-1, _V, _V)
         return P / P.sum(axis=2, keepdims=True)
 
 
@@ -381,7 +367,7 @@ def _greedy_id_match(centroids: np.ndarray, library: ClassLibrary) -> np.ndarray
     ids = np.full(len(centroids), -1, dtype=np.int64)
     old = library.ids
     if old.size:
-        dists = _distance_matrix(centroids, library.centroids, library.blocks)
+        dists = _distance_matrix(centroids, library.centroids)
         used = np.zeros(old.size, dtype=bool)
         for flat in np.argsort(dists, axis=None, kind="stable"):
             i, j = divmod(int(flat), old.size)
@@ -394,33 +380,25 @@ def _greedy_id_match(centroids: np.ndarray, library: ClassLibrary) -> np.ndarray
 
 
 def update_library(
-    library: ClassLibrary, values: np.ndarray, evidence: np.ndarray, blocks, rng
+    library: ClassLibrary, values: np.ndarray, evidence: np.ndarray, rng
 ) -> tuple[ClassLibrary, np.ndarray]:
     """Re-cluster the cumulative pool, (N, L) values with their (N, blocks)
-    evidence in the `blocks` layout, and rebuild the class table in that
-    layout; a non-empty `library` must share it.
+    evidence, and rebuild the class table.
 
     Returns the new library plus each pool vector's assigned class id (N,),
     which callers use to score the epoch.
     """
-    _, _, assign, centroids = _fit_pool(values, evidence, blocks, rng)
+    _, _, assign, centroids = _fit_pool(values, evidence, rng)
     ids = _greedy_id_match(centroids, library)
     order = np.argsort(ids)
-    new_library = ClassLibrary(
-        blocks=blocks, ids=ids[order], centroids=centroids[order]
-    )
+    new_library = ClassLibrary(ids=ids[order], centroids=centroids[order])
     return new_library, ids[assign]
 
 
-def assign_class(
-    library: ClassLibrary,
-    values: np.ndarray,
-    accept_radius: float = DEFAULT_ACCEPT_RADIUS,
-) -> np.ndarray:
-    """Nearest learned class of each of B vectors (B, L), laid out in the
-    library's block structure, within the acceptance radius: (B,) library
-    rows, -1 where no class lies within it and for every vector when the
-    library is empty.
+def assign_class(library: ClassLibrary, values: np.ndarray) -> np.ndarray:
+    """Nearest learned class of each of B vectors (B, L) within
+    DEFAULT_ACCEPT_RADIUS: (B,) library rows, -1 where no class lies within
+    it and for every vector when the library is empty.
 
     All vectors are scored against all centroids in one `_distance_matrix`
     call; ties go to the class listed first."""
@@ -429,10 +407,10 @@ def assign_class(
         return np.full(len(values), -1)
     if values.shape[1] != library.centroids.shape[1]:
         raise BlockMismatch("vectors do not have the library's block structure")
-    dists = _distance_matrix(values, library.centroids, library.blocks)
+    dists = _distance_matrix(values, library.centroids)
     best = np.argmin(dists, axis=1)
     rows = np.arange(len(values))
-    return np.where(dists[rows, best] > accept_radius, -1, best)
+    return np.where(dists[rows, best] > DEFAULT_ACCEPT_RADIUS, -1, best)
 
 
 def score_classes(

@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,9 +57,10 @@ from crnsim.bandit import (
     ucb_select,
 )
 from crnsim.classlib import (
+    BLOCK_LENGTHS,
+    VECTOR_LENGTH,
     ClassLibrary,
     assign_class,
-    family_blocks,
     score_classes,
     update_library,
     vectors_from_counts,
@@ -68,6 +69,7 @@ from crnsim.dynamics import step_motion, step_signal
 from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.scenario import (
     MOTION_STATES,
+    SIGNAL_TYPES,
     DegenerateScenario,
     ScenarioConfig,
     TargetFamily,
@@ -182,14 +184,12 @@ class Streams:
     library: np.random.Generator
 
 
-def make_streams(seed) -> Streams:
-    """Named streams from an int or a SeedSequence.
+def make_streams(seed: np.random.SeedSequence) -> Streams:
+    """Named streams from a SeedSequence.
 
     The children are the ones `spawn(4)` gives on a fresh sequence, built
     without spawning, so the caller's SeedSequence is left unchanged and
     the same object always yields the same streams."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     kids = [
         np.random.default_rng(
             np.random.SeedSequence(
@@ -253,9 +253,11 @@ class Coordinator:
     bank -- model states (M, 6), covariances (M, 6, 6), probabilities (M,)
     -- the combined estimate, its class as a library row (`class_rows`, -1
     while unclassified), and the count tables of its motion-state and
-    signal-type readings: how many readings of each state (`motion_counts`,
-    `signal_counts`), how many transitions between readings in adjacent
-    steps (`motion_transitions` (T, V, V), `signal_transitions` (T, S, S)),
+    signal-type readings, over the V = len(MOTION_STATES) motion states and
+    S = len(SIGNAL_TYPES) signal types: how many readings of each state
+    (`motion_counts`, `signal_counts`), how many transitions between readings
+    in adjacent steps (`motion_transitions` (T, V, V), `signal_transitions`
+    (T, S, S)),
     and the (step, state) of its last reading (`motion_last`,
     `signal_last`), from which the next reading's transition is counted.
     `vectors_from_counts` builds behavior vectors from these tables. Until
@@ -267,7 +269,6 @@ class Coordinator:
     rows in ascending order."""
 
     library: ClassLibrary
-    num_signal_states: int
     use_class_knowledge: bool
     num_targets: int = 0  # table rows
     bandits: Optional[BanditState] = None
@@ -283,7 +284,7 @@ class Coordinator:
         self.pending_step = np.full(T, NO_SIGHTING_STEP, dtype=np.int64)
         self.pending_pos = np.zeros((T, 3))
         self.pending_cov = np.zeros((T, 3, 3))
-        V, S = len(MOTION_STATES), self.num_signal_states
+        V, S = len(MOTION_STATES), len(SIGNAL_TYPES)
         self.motion_counts = np.zeros((T, V), dtype=np.int64)
         self.signal_counts = np.zeros((T, S), dtype=np.int64)
         self.motion_transitions = np.zeros((T, V, V), dtype=np.int64)
@@ -375,24 +376,10 @@ def make_coordinator(
     bandit = policy.kind is PolicyKind.BANDIT
     return Coordinator(
         library=library,
-        num_signal_states=world.family.signal_state_count,
         use_class_knowledge=bandit,
         num_targets=world.num_targets,
         bandits=BanditState.cold(world.num_nodes) if bandit else None,
     )
-
-
-@dataclass
-class _EpochTape:
-    """Per-step records accumulated for end-of-epoch metrics. Positions are
-    indexed (step, target row); a row's estimates start at its first
-    tracked step."""
-
-    est: np.ndarray  # (steps, T, 3) combined position estimates
-    truth: np.ndarray  # (steps, T, 3)
-    first: np.ndarray  # (T,) first tracked step index, -1 while untracked
-    active_steps: int = 0  # active node-steps so far
-    digest: "hashlib._Hash" = field(default_factory=hashlib.sha1)
 
 
 def _observed_enough(num_motion, num_signal):
@@ -582,7 +569,7 @@ def _apply_passive(
         sigma_doa_rad,
     )
     types = world.targets.signal_state[ti]
-    S = coordinator.num_signal_states
+    S = len(SIGNAL_TYPES)
     claimed = hit >= 0
     counts = np.bincount(
         hit[claimed] * S + types[claimed], minlength=rows.size * S
@@ -647,13 +634,13 @@ def run_step(
     t: int,
     streams: Streams,
     config: SimConfig,
-    tape: _EpochTape,
-) -> None:
-    """Advance the simulation by one step (t counts from 1).
+) -> np.ndarray:
+    """Advance the simulation by one step (t counts from 1) and return the
+    (N,) Active mask it played.
 
     Order per step: mode selection from last step's knowledge, truth
-    advance, sensing, track prediction and fusion, estimate bookkeeping,
-    then, under the bandit, rewards for the played arms.
+    advance, sensing, track prediction and fusion, class assignment, then,
+    under the bandit, rewards for the played arms.
     """
     dt = config.dt_s
 
@@ -663,11 +650,6 @@ def run_step(
     step_motion(truth, dt, streams.world)
     step_signal(truth, streams.world)
     positions, tx_on = truth.position, truth.tx_on
-    tape.digest.update(positions.tobytes())
-    tape.digest.update(
-        np.column_stack([truth.motion_state, truth.signal_state]).tobytes()
-    )
-    tape.digest.update(tx_on.tobytes())
 
     ni_r, ti_r, z_r = radar_measure_batch(
         world.node_positions,
@@ -704,11 +686,6 @@ def run_step(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad
     )
 
-    live = coordinator.live
-    tape.first[live & (tape.first < 0)] = t - 1
-    tape.est[t - 1, live] = coordinator.estimates[live, :3]
-    tape.truth[t - 1] = positions
-
     if coordinator.use_class_knowledge and coordinator.library.ids.size:
         _attempt_assignments(coordinator)
 
@@ -718,12 +695,12 @@ def run_step(
         rewards = compute_rewards(
             world.node_positions[:, :2],
             world.radar_range_m,
-            coordinator.estimates[live, :2],
+            coordinator.estimates[coordinator.live, :2],
             _track_uncertainties(coordinator),
             active,
         )
         record_reward(coordinator.bandits, active, rewards)
-    tape.active_steps += int(active.sum())
+    return active
 
 
 @dataclass(frozen=True)
@@ -751,22 +728,22 @@ class EpochMetrics:
 @dataclass
 class Pool:
     """The cumulative harvest of one (run, policy) as one table, a row per
-    harvested track: its behavior vector (N, L) and evidence (N, blocks) in
-    the `blocks` layout, and its target's true class id (N,), which only
-    scoring reads."""
+    harvested track: its behavior vector (N, VECTOR_LENGTH), its evidence
+    (N, blocks) and its target's true class id (N,), which only scoring
+    reads."""
 
-    blocks: tuple
     values: np.ndarray
     evidence: np.ndarray
     true_ids: np.ndarray
 
     @classmethod
-    def empty(cls, family: TargetFamily) -> "Pool":
-        """No rows yet, in the layout of `family`'s behavior vectors."""
-        blocks = family_blocks(family.motion_state_count, family.signal_state_count)
-        length = sum(b.length for b in blocks)
-        no_ids = np.zeros(0, dtype=np.int64)
-        return cls(blocks, np.zeros((0, length)), np.zeros((0, len(blocks))), no_ids)
+    def empty(cls) -> "Pool":
+        """No rows yet."""
+        return cls(
+            np.zeros((0, VECTOR_LENGTH)),
+            np.zeros((0, BLOCK_LENGTHS.size)),
+            np.zeros(0, dtype=np.int64),
+        )
 
     def extend(self, values, evidence, true_ids) -> None:
         """Append rows, one concatenate per column."""
@@ -778,45 +755,53 @@ class Pool:
 def run_epoch(
     library: ClassLibrary,
     config: SimConfig,
-    rng,
+    rng: np.random.SeedSequence,
     policy: PolicySpec,
-    pool: Optional[Pool] = None,
+    pool: Pool,
 ) -> tuple[EpochMetrics, ClassLibrary]:
     """One scenario under one policy, scored at the boundary.
 
-    Returns (EpochMetrics, updated library). `pool`, when given, carries the
-    cumulative harvest across epochs and is extended in place by this
-    epoch's rows: one `track_parameter_vector` call over the live rows, and
-    the true class ids of their targets. Omitted, the epoch is scored on its
-    own harvest. The library re-clusters the whole pool, and only when the
-    pool is non-empty -- a radar-only epoch intercepts nothing, harvests
-    nothing, and scores zero.
+    Returns (EpochMetrics, updated library). `pool` carries the cumulative
+    harvest across epochs and is extended in place by this epoch's rows:
+    one `track_parameter_vector` call over the live rows, and the true
+    class ids of their targets. The library re-clusters the whole pool, and
+    only when the pool is non-empty -- a radar-only epoch intercepts
+    nothing, harvests nothing, and scores zero.
+
+    After each step the epoch records, indexed (step, target row), the
+    combined position estimates of the live rows and the truth positions,
+    each row's first tracked step, the active node-steps, and the truth
+    (positions, motion and signal states, transmit flags) in the digest.
     """
     streams = make_streams(rng)
     world = make_world(config.scenario, streams.world)
     coordinator = make_coordinator(library, world, policy)
     steps = config.steps_per_epoch
+    truth = world.targets
     T = world.num_targets
-    tape = _EpochTape(
-        est=np.zeros((steps, T, 3)),
-        truth=np.zeros((steps, T, 3)),
-        first=np.full(T, -1),
-    )
+    est, truth_pos = np.zeros((steps, T, 3)), np.zeros((steps, T, 3))
+    first = np.full(T, -1)  # -1 while untracked
+    active_steps = 0
+    digest = hashlib.sha1()
     for t in range(1, steps + 1):
-        run_step(world, coordinator, policy, t, streams, config, tape)
+        active = run_step(world, coordinator, policy, t, streams, config)
+        digest.update(truth.position.tobytes())
+        digest.update(
+            np.column_stack([truth.motion_state, truth.signal_state]).tobytes()
+        )
+        digest.update(truth.tx_on.tobytes())
+        live = coordinator.live
+        first[live & (first < 0)] = t - 1
+        est[t - 1, live] = coordinator.estimates[live, :3]
+        truth_pos[t - 1] = truth.position
+        active_steps += int(active.sum())
 
-    rows = np.flatnonzero(tape.first >= 0)
+    rows = np.flatnonzero(first >= 0)
     rmse = np.array(
-        [
-            track_rmse(tape.est[f:, r], tape.truth[f:, r])
-            for r, f in zip(rows, tape.first[rows])
-        ]
+        [track_rmse(est[f:, r], truth_pos[f:, r]) for r, f in zip(rows, first[rows])]
     )
-    active_steps = tape.active_steps
     node_steps = steps * world.num_nodes
 
-    if pool is None:
-        pool = Pool.empty(world.family)
     harvest, values, evidence = track_parameter_vector(
         coordinator, np.flatnonzero(coordinator.live)
     )
@@ -826,7 +811,7 @@ def run_epoch(
     formation, association = 0.0, 0.0
     if pool.true_ids.size:
         new_library, assigned = update_library(
-            library, pool.values, pool.evidence, pool.blocks, streams.library
+            library, pool.values, pool.evidence, streams.library
         )
         formation, association = score_classes(new_library, assigned, pool.true_ids)
 
@@ -846,7 +831,7 @@ def run_epoch(
         num_classes=new_library.ids.size,
         formation_accuracy=formation,
         association_accuracy=association,
-        truth_digest=tape.digest.hexdigest(),
+        truth_digest=digest.hexdigest(),
     )
     return metrics, new_library
 
@@ -884,7 +869,7 @@ def _run_cell(config: SimConfig, spec: PolicySpec, run: int) -> list:
     """One (run, policy) cell: a fresh library and pool carried through the
     run's epochs. Returns its per-epoch metrics."""
     library = ClassLibrary()
-    pool = Pool.empty(config.scenario.family)
+    pool = Pool.empty()
     per_epoch = []
     for epoch in range(config.num_epochs):
         em, library = run_epoch(

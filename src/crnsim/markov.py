@@ -147,22 +147,19 @@ def normalized_entropy(dist):
     """Shannon entropy divided by log2 of the state count, in [0, 1].
 
     Takes one distribution per row over the last axis and returns one value
-    per row; a 1-D distribution gives a float. Degenerate distributions give
-    0, uniform gives 1; single-state distributions return 0 by convention.
-    Zero entries add nothing (0 log 0 = 0). Rounding can push a uniform
-    distribution's sum just past log2 of the state count (11 states give
-    1 + 2**-52), so values are clamped to 1: callers such as bandit rewards
-    rely on the bound.
+    per row. Degenerate distributions give 0, uniform gives 1; single-state
+    distributions return 0 by convention. Zero entries add nothing
+    (0 log 0 = 0). Rounding can push a uniform distribution's sum just past
+    log2 of the state count (11 states give 1 + 2**-52), so values are
+    clamped to 1: callers such as bandit rewards rely on the bound.
     """
-    p = np.atleast_1d(np.asarray(dist, dtype=float))
+    p = np.asarray(dist, dtype=float)
     n = p.shape[-1]
     if n < 2:
-        h = np.zeros(p.shape[:-1])
-    else:
-        pos = p > 0
-        terms = np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0)
-        h = np.minimum(-terms.sum(axis=-1) / np.log2(n), 1.0)
-    return float(h) if p.ndim == 1 else h
+        return np.zeros(p.shape[:-1])
+    pos = p > 0
+    terms = np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0)
+    return np.minimum(-terms.sum(axis=-1) / np.log2(n), 1.0)
 
 
 def equal_in_state_distribution(a, b, tol: float) -> bool:

@@ -116,17 +116,19 @@ class TargetClass:
 
 @dataclass(frozen=True)
 class TargetFamily:
+    """The classes of the truth. Every class's chains run over the same
+    state spaces: MOTION_STATES, SIGNAL_TYPES and transmit On/Off, which
+    also fix the layout of the behavior vectors class learning clusters."""
+
     classes: tuple[TargetClass, ...]
-    motion_state_count: int = len(MOTION_STATES)
-    signal_state_count: int = len(SIGNAL_TYPES)
 
     def __post_init__(self):
         if not self.classes:
             raise ValueError("family needs at least one class")
         for cls in self.classes:
-            if cls.motion_chain.num_states != self.motion_state_count:
+            if cls.motion_chain.num_states != len(MOTION_STATES):
                 raise ValueError(f"{cls.name}: wrong motion state count")
-            if cls.signal_chain.num_states != self.signal_state_count:
+            if cls.signal_chain.num_states != len(SIGNAL_TYPES):
                 raise ValueError(f"{cls.name}: wrong signal state count")
             if cls.tx_chain.num_states != 2:
                 raise ValueError(f"{cls.name}: tx chain must be On/Off")

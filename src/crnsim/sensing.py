@@ -80,7 +80,7 @@ def radar_measure_batch(
     target_velocities: np.ndarray,
     heading_rates: np.ndarray,
     rng: np.random.Generator,
-    noise: SensorNoise = SensorNoise(),
+    noise: SensorNoise,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All radar detections for this step.
 
@@ -123,7 +123,7 @@ def passive_detect_batch(
     tx_on: np.ndarray,
     max_range_m: np.ndarray,
     rng: np.random.Generator,
-    noise: SensorNoise = SensorNoise(),
+    noise: SensorNoise,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All passive intercepts for this step.
 

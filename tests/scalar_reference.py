@@ -51,7 +51,10 @@ functions above as a `Target`.
 `ParameterVector` is one target's behavior vector as a single validated
 record (values, block layout, evidence), the form a pool entry had before
 `classlib` kept the pool as (N, L) values and (N, blocks) evidence;
-`stack_vectors` turns a list of them into that table.
+`stack_vectors` turns a list of them into that table. Its layout is a tuple
+of `BlockSpec`s from `family_blocks(V, S)`, which builds the layout for any
+state counts, the form it had before `classlib` fixed it as constants for
+V = 3 motion states and S = 4 signal types; the per-block oracles read it.
 
 `run_experiment_in_turn` is `engine.run_experiment` as one loop over the
 (run, policy) cells in this process, the form it had before the cells ran
@@ -88,11 +91,10 @@ from crnsim.bandit import (
     PolicyKind,
 )
 from crnsim.classlib import (
+    TRANSITION_BLOCK_WEIGHT,
     BlockMismatch,
-    BlockSpec,
     ClassLibrary,
     _distance_matrix,
-    family_blocks,
 )
 from crnsim.engine import Coordinator, ExperimentResult, Pool, epoch_seed, run_epoch
 from crnsim.markov import (
@@ -105,6 +107,7 @@ from crnsim.markov import (
 from crnsim.scenario import (
     COORD_TURN,
     MOTION_STATES,
+    SIGNAL_TYPES,
     TX_OFF,
     TX_ON,
     VERTICAL_NOISE_FRACTION,
@@ -397,7 +400,7 @@ def class_tuning(library, row: int) -> FilterTuning:
     motion-transition rows (the V blocks after the occupancies),
     renormalized, mix the models; per-state default acceleration stands in
     for noise."""
-    v, s = library.blocks[0].length, library.blocks[1].length
+    v, s = len(MOTION_STATES), len(SIGNAL_TYPES)
     P = library.centroids[row, v + s : v + s + v * v].reshape(v, v)
     return FilterTuning(
         mode_transition=MarkovChain(P / P.sum(axis=1, keepdims=True)),
@@ -567,19 +570,41 @@ def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
         class_row = int(coordinator.class_rows[row])
         if coordinator.use_class_knowledge and class_row >= 0:
             centroid = coordinator.library.centroids[class_row]
-            V = len(MOTION_STATES)
+            V, S = len(MOTION_STATES), len(SIGNAL_TYPES)
             em = normalized_entropy(centroid[:V])
-            es = normalized_entropy(centroid[V : V + coordinator.num_signal_states])
+            es = normalized_entropy(centroid[V : V + S])
         elif len(motion) + len(signal) < MIN_OBSERVATIONS_FOR_ESTIMATE:
             em = es = 1.0
         else:
             em = smoothed_entropy(motion, len(MOTION_STATES))
-            es = smoothed_entropy(signal, coordinator.num_signal_states)
+            es = smoothed_entropy(signal, len(SIGNAL_TYPES))
         etas[row] = (float(em), float(es))
     return etas
 
 
 _BLOCK_SUM_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class BlockSpec:
+    """One distribution block inside a behavior vector."""
+
+    name: str
+    length: int
+    weight: float = 1.0
+
+
+def family_blocks(
+    num_motion_states: int = len(MOTION_STATES),
+    num_signal_states: int = len(SIGNAL_TYPES),
+) -> tuple[BlockSpec, ...]:
+    """Block layout of a behavior vector over the given state counts:
+    occupancies, then motion and signal transition rows at half weight."""
+    v, s = num_motion_states, num_signal_states
+    blocks = [BlockSpec("pi_v", v), BlockSpec("pi_s", s)]
+    blocks += [BlockSpec(f"P_v_row{i}", v, TRANSITION_BLOCK_WEIGHT) for i in range(v)]
+    blocks += [BlockSpec(f"P_s_row{i}", s, TRANSITION_BLOCK_WEIGHT) for i in range(s)]
+    return tuple(blocks)
 
 
 def block_slices(blocks):
@@ -696,10 +721,11 @@ def vector_from_histories(
 
 
 def distribution_distance(a: ParameterVector, b: ParameterVector) -> float:
-    """Weighted sum of per-block JSD between two parameter vectors."""
-    if a.blocks != b.blocks:
+    """Weighted sum of per-block JSD between two parameter vectors in the
+    package's layout, by `classlib._distance_matrix`."""
+    if a.blocks != b.blocks or a.blocks != family_blocks():
         raise BlockMismatch("parameter vectors have different block structures")
-    return float(_distance_matrix(a.values[None], b.values[None], a.blocks)[0, 0])
+    return float(_distance_matrix(a.values[None], b.values[None])[0, 0])
 
 
 def sample_next_one(chain: MarkovChain, state: int, rng) -> int:
@@ -816,7 +842,7 @@ def run_experiment_in_turn(config, policies) -> ExperimentResult:
     for run in range(config.num_runs):
         for spec in policies:
             library = ClassLibrary()
-            pool = Pool.empty(config.scenario.family)
+            pool = Pool.empty()
             per_epoch = []
             for epoch in range(config.num_epochs):
                 em, library = run_epoch(

@@ -17,6 +17,7 @@ from crnsim.bandit import (
 )
 from crnsim.classlib import ClassLibrary
 from crnsim.engine import Coordinator, _track_uncertainties
+from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.tracking import start_track
 
 import scalar_reference as scalar
@@ -49,10 +50,7 @@ class TestComputeRewards:
     def test_unknown_tracks_max_uncertainty(self):
         # tracks with too little history count as fully uncertain (eta = 1)
         coordinator = Coordinator(
-            library=ClassLibrary(),
-            num_signal_states=4,
-            use_class_knowledge=True,
-            num_targets=2,
+            library=ClassLibrary(), use_class_knowledge=True, num_targets=2
         )
         pos = np.column_stack([self.TRACK_XY[:2], np.zeros(2)])
         R = np.tile(np.eye(3), (2, 1, 1))
@@ -67,24 +65,14 @@ class TestComputeRewards:
 
     def test_five_signal_types_pay_a_valid_reward(self):
         # with five signal types, smoothed counts [1] * 5 used to give an
-        # entropy of 1 + 2**-52, which record_reward rejected
-        coordinator = Coordinator(
-            library=ClassLibrary(),
-            num_signal_states=5,
-            use_class_knowledge=True,
-            num_targets=1,
-        )
-        coordinator.start_tracks(np.zeros(1, dtype=np.int64), *start_track(
-            np.zeros((1, 3)), np.eye(3)[None], np.zeros((1, 3)), np.eye(3)[None],
-            np.array([0.5]),
-        ))
-        for step in range(5):
-            coordinator.record_signal([0], step, [step])
-        etas = _track_uncertainties(coordinator)
+        # entropy of 1 + 2**-52, which record_reward rejected; the reward
+        # entropies smooth each track's counts as `_track_uncertainties` does
+        signal = np.ones((1, 5))
+        eta = normalized_entropy(transition_matrix_from_counts(signal, 1.0 / 5))
+        etas = np.column_stack([np.ones(1), eta])
         passive = np.array([False])
         reward = compute_rewards(
-            self.NODE_XY[:1], self.RADAR_RANGE_M, coordinator.estimates[:, :2], etas,
-            passive,
+            self.NODE_XY[:1], self.RADAR_RANGE_M, np.zeros((1, 2)), etas, passive
         )[0]
         state = record_reward(one_node(), passive, np.array([reward]))
         assert state.means[0, PASSIVE] == reward

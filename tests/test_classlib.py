@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import crnsim.classlib as classlib
 from crnsim.classlib import (
     BlockMismatch,
-    BlockSpec,
     ClassLibrary,
     TooFewPoints,
     assign_class,
-    family_blocks,
     kmeans_distributions,
     occupancy_sample_size,
     score_classes,
@@ -28,6 +27,7 @@ from crnsim.scenario import default_family
 from scalar_reference import (
     ParameterVector,
     distribution_distance,
+    family_blocks,
     make_parameter_vector,
     record_reading,
     sample_path,
@@ -36,7 +36,6 @@ from scalar_reference import (
 )
 
 FAMILY = default_family()
-BLOCKS = family_blocks()
 
 # single-block JSD of [0.5,0.5] vs [0.9,0.1], frozen from the reference
 # implementation below
@@ -53,10 +52,6 @@ def reference_jsd(p, q):
     return h(m) - 0.5 * h(p) - 0.5 * h(q)
 
 
-def _single(probs, block):
-    return ParameterVector(values=probs, blocks=(block,), evidence=np.ones(1))
-
-
 def synth_vector(class_index, rng, n_motion=50, n_signal=25):
     """A class member observed at every step of its sampled paths."""
     cls = FAMILY.classes[class_index]
@@ -68,15 +63,10 @@ def synth_vector(class_index, rng, n_motion=50, n_signal=25):
     )
 
 
-def counted_vector(motion_readings, signal_readings, num_signal_states=4):
+def counted_vector(motion_readings, signal_readings):
     """One track's behavior vector from (step, state) readings, counted by
     a coordinator's recorders and built by `vectors_from_counts`."""
-    c = Coordinator(
-        library=ClassLibrary(),
-        num_signal_states=num_signal_states,
-        use_class_knowledge=False,
-        num_targets=1,
-    )
+    c = Coordinator(library=ClassLibrary(), use_class_knowledge=False, num_targets=1)
     for step, state in motion_readings:
         c.record_motion([0], step, [state])
     for step, state in signal_readings:
@@ -84,7 +74,7 @@ def counted_vector(motion_readings, signal_readings, num_signal_states=4):
     values, evidence = vectors_from_counts(
         c.motion_counts, c.motion_transitions, c.signal_counts, c.signal_transitions
     )
-    return ParameterVector(values[0], family_blocks(3, num_signal_states), evidence[0])
+    return ParameterVector(values[0], family_blocks(), evidence[0])
 
 
 def strong_class_vector(class_index, n=200.0):
@@ -114,8 +104,16 @@ class TestDistance:
         assert distribution_distance(v, v) == 0.0
 
     def test_frozen_single_block_value(self):
-        a = _single(np.array([0.5, 0.5]), BlockSpec("pi_v", 2))
-        b = _single(np.array([0.9, 0.1]), BlockSpec("pi_v", 2))
+        # everything shared except pi_s, [0.5, 0.5] against [0.9, 0.1] on two
+        # of the four types: the distance is that one block's JSD, weight 1
+        shared = dict(
+            pi_v=np.full(3, 1 / 3),
+            P_v=np.full((3, 3), 1 / 3),
+            P_s=np.full((4, 4), 0.25),
+            evidence=np.ones(9),
+        )
+        a = make_parameter_vector(pi_s=np.array([0.5, 0.5, 0, 0]), **shared)
+        b = make_parameter_vector(pi_s=np.array([0.9, 0.1, 0, 0]), **shared)
         got = distribution_distance(a, b)
         ref = reference_jsd([0.5, 0.5], [0.9, 0.1])
         assert got == pytest.approx(ref, rel=1e-12)
@@ -264,7 +262,7 @@ class TestKmeans:
     def test_k1_centroid_is_blockwise_mean(self):
         rng = np.random.default_rng(5)
         pool = [random_family_vector(rng) for _ in range(10)]
-        assign, cents = kmeans_distributions(stack_vectors(pool)[0], 1, BLOCKS, rng)
+        assign, cents = kmeans_distributions(stack_vectors(pool)[0], 1, rng)
         assert np.all(assign == 0) and cents.shape == (1, 32)
         np.testing.assert_allclose(
             cents[0], np.mean([v.values for v in pool], axis=0),
@@ -277,7 +275,7 @@ class TestKmeans:
         rng = np.random.default_rng(6)
         points = stack_vectors(pool)[0]
         for k in (1, 2, 3):
-            assign, cents = kmeans_distributions(points, k, BLOCKS, rng)
+            assign, cents = kmeans_distributions(points, k, rng)
             for i, a in enumerate(assign):
                 assert distribution_distance(pool[i], make_like(v, cents[a])) < 1e-12
 
@@ -303,15 +301,14 @@ class TestKmeans:
         assert min(cross) > 5 * max(within)
 
         pts = stack_vectors(pool)[0]
-        blocks = pool[0].blocks
-        best_mask = brute_force_two_means(pts, blocks)
-        assign, _ = kmeans_distributions(pts, 2, blocks, np.random.default_rng(8))
+        best_mask = brute_force_two_means(pts)
+        assign, _ = kmeans_distributions(pts, 2, np.random.default_rng(8))
         assert np.array_equal(assign == assign[0], best_mask == best_mask[0])
 
     def test_more_clusters_than_points_raises(self):
         points = stack_vectors([strong_class_vector(i) for i in range(3)])[0]
         with pytest.raises(TooFewPoints):
-            kmeans_distributions(points, 4, BLOCKS, np.random.default_rng(9))
+            kmeans_distributions(points, 4, np.random.default_rng(9))
 
     def test_lloyd_objective_non_increasing(self):
         # KL is a Bregman divergence: the blockwise mean minimises it, so
@@ -319,14 +316,11 @@ class TestKmeans:
         # objective (25-step paths leave exact zeros for the log clamp)
         rng = np.random.default_rng(10)
         pool = [synth_vector(i % 3, rng, 25, 25) for i in range(130)]
-        blocks = pool[0].blocks
         for size in (30, 130):
             pts = stack_vectors(pool[:size])[0]
             for seed in range(5):
                 for k in (2, 3, 4, 6):
-                    _, _, obj, trace = _lloyd(
-                        pts, k, blocks, np.random.default_rng(seed)
-                    )
+                    _, _, obj, trace = _lloyd(pts, k, np.random.default_rng(seed))
                     for earlier, later in zip(trace, trace[1:]):
                         assert later <= earlier + 1e-9
                     assert obj <= trace[-1] + 1e-9
@@ -345,7 +339,7 @@ def make_like(template, values):
     )
 
 
-def brute_force_two_means(pts, blocks):
+def brute_force_two_means(pts):
     """Exhaustive best 2-partition by the k-means objective (n <= 12)."""
     n = pts.shape[0]
     best_obj, best_mask = np.inf, None
@@ -354,7 +348,7 @@ def brute_force_two_means(pts, blocks):
         obj = 0.0
         for side in (mask, ~mask):
             centroid = pts[side].mean(axis=0, keepdims=True)
-            obj += float(_distance_matrix(pts[side], centroid, blocks).sum())
+            obj += float(_distance_matrix(pts[side], centroid).sum())
         if obj < best_obj:
             best_obj, best_mask = obj, mask
     return best_mask
@@ -364,13 +358,13 @@ class TestSelectK:
     def test_identical_vectors_pick_one(self):
         pool = [strong_class_vector(0)] * 10
         rng = np.random.default_rng(11)
-        assert select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 1
+        assert select_k_aic(*stack_vectors(pool), rng) == 1
 
     def test_two_far_groups_pick_two(self):
         rng = np.random.default_rng(12)
         pool = [synth_vector(0, rng, 300, 150) for _ in range(8)]
         pool += [synth_vector(2, rng, 300, 150) for _ in range(8)]
-        assert select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 2
+        assert select_k_aic(*stack_vectors(pool), rng) == 2
 
     def test_three_class_recovery_rate(self):
         # 30 targets per trial, 10 per class, 50-step motion / 25-step signal
@@ -378,14 +372,14 @@ class TestSelectK:
         for seed in range(10_000, 10_020):
             rng = np.random.default_rng(seed)
             pool = [synth_vector(i % 3, rng) for i in range(30)]
-            hits += select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 3
+            hits += select_k_aic(*stack_vectors(pool), rng) == 3
         assert hits >= 16  # >= 80%
 
     def test_large_cumulative_pool_stays_at_three(self):
         # pools keep growing across epochs; the choice must not drift upward
         rng = np.random.default_rng(13)
         pool = [synth_vector(i % 3, rng, 25, 25) for i in range(450)]
-        assert select_k_aic(*stack_vectors(pool), BLOCKS, rng) == 3
+        assert select_k_aic(*stack_vectors(pool), rng) == 3
 
 
 def library_of(ids, centroids):
@@ -402,7 +396,7 @@ def class_sizes(library, assigned):
 
 def update_from(library, pool, rng):
     """`update_library` on a list of vectors, stacked into the pool table."""
-    return update_library(library, *stack_vectors(pool), pool[0].blocks, rng)
+    return update_library(library, *stack_vectors(pool), rng)
 
 
 class TestUpdateLibrary:
@@ -457,7 +451,7 @@ class TestAssignClass:
         lib, _ = update_from(ClassLibrary(), pool, np.random.default_rng(15))
         assert assign_class(lib, lib.centroids).tolist() == list(range(lib.ids.size))
 
-    def test_matches_nearest_neighbor_oracle(self):
+    def test_matches_nearest_neighbor_oracle(self, monkeypatch):
         pool = [strong_class_vector(i) for i in range(3)] * 20
         lib, _ = update_from(ClassLibrary(), pool, np.random.default_rng(16))
         rng = np.random.default_rng(17)
@@ -470,7 +464,8 @@ class TestAssignClass:
             }
             nearest = min(dists, key=dists.get)
             expected = nearest if dists[nearest] <= radius else -1
-            got = assign_class(lib, v.values[None], accept_radius=radius)
+            monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", radius)
+            got = assign_class(lib, v.values[None])
             assert got.tolist() == [expected]
 
     def test_beyond_radius_unclassified(self):
@@ -552,7 +547,7 @@ class TestClassTuning:
 
 
 class TestLearnedLibraryConsistency:
-    def test_unique_mapping_from_true_parameters(self):
+    def test_unique_mapping_from_true_parameters(self, monkeypatch):
         # a library learned from well-observed members sends each true
         # class's exact parameters back to a single distinct learned class
         rng = np.random.default_rng(22)
@@ -562,7 +557,8 @@ class TestLearnedLibraryConsistency:
         # learned centroids sit near, not on, the true parameters (smoothing
         # bias), so allow a wider radius than the online default here
         truths = np.stack([strong_class_vector(ci).values for ci in range(3)])
-        hits = set(assign_class(lib, truths, accept_radius=0.5).tolist())
+        monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", 0.5)
+        hits = set(assign_class(lib, truths).tolist())
         assert -1 not in hits and len(hits) == 3
 
     def test_association_improves_with_longer_observation(self):

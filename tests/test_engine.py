@@ -4,6 +4,7 @@ config validation, one batched truth step, one bandit-table selection and
 update, at most one track-start batch and one class-assignment batch per
 step whatever the target and node counts, the harvest rule for radar-only,
 the harvest gate on reading counts and the pool table each harvest grows,
+the one behavior-vector layout of the count tables, pool, library and harvest,
 radar association by truth id with one return per target per step and
 stale first sightings replaced, one prediction of mixed-class rows against
 the one-track oracle under each row's tuning, baselines never classifying a
@@ -38,12 +39,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crnsim.classlib as classlib
 import crnsim.dynamics as dynamics
 import crnsim.engine as engine
 from crnsim.bandit import PolicyKind
 from crnsim.classlib import (
+    BLOCK_LENGTHS,
+    VECTOR_LENGTH,
     ClassLibrary,
-    family_blocks,
     update_library,
     vectors_from_counts,
 )
@@ -53,9 +56,11 @@ from crnsim.engine import (
     Coordinator,
     ExperimentResult,
     PolicySpec,
+    Pool,
     SimConfig,
     World,
     _fuse_radar,
+    _record_readings,
     default_policies,
     epoch_seed,
     make_streams,
@@ -64,7 +69,13 @@ from crnsim.engine import (
     run_epoch,
     run_experiment,
 )
-from crnsim.scenario import Region, ScenarioConfig, default_family
+from crnsim.scenario import (
+    MOTION_STATES,
+    SIGNAL_TYPES,
+    Region,
+    ScenarioConfig,
+    default_family,
+)
 from crnsim.sensing import SensorNoise
 from crnsim.tracking import NUM_MODELS, start_track
 
@@ -74,6 +85,7 @@ from scalar_reference import (
     Track,
     _history_counts,
     class_tuning,
+    family_blocks,
     imm_predict,
     kalman_update,
     make_node,
@@ -132,7 +144,8 @@ class TestPairedDesign:
         # a fresh SeedSequence per epoch, as run_experiment makes them
         digests = {
             spec.label: run_epoch(
-                ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 1, 0), policy=spec
+                ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 1, 0), policy=spec,
+                pool=Pool.empty(),
             )[0].truth_digest
             for spec in default_policies()
         }
@@ -142,19 +155,20 @@ class TestPairedDesign:
     def test_one_seed_sequence_reused_gives_one_truth(self):
         # make_streams must not advance the caller's SeedSequence
         seed = epoch_seed(SMALL.seed, 1, 0)
-        first = run_epoch(ClassLibrary(), SMALL, seed, policy=RADAR_ONLY)[0]
-        again = run_epoch(ClassLibrary(), SMALL, seed, policy=RADAR_ONLY)[0]
+        first = run_epoch(ClassLibrary(), SMALL, seed, RADAR_ONLY, Pool.empty())[0]
+        again = run_epoch(ClassLibrary(), SMALL, seed, RADAR_ONLY, Pool.empty())[0]
         assert seed.n_children_spawned == 0
         assert first.truth_digest == again.truth_digest
         fresh = run_epoch(
-            ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 1, 0), policy=RADAR_ONLY
+            ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 1, 0), RADAR_ONLY,
+            Pool.empty(),
         )[0]
         assert_metrics_identical(first, fresh)
 
     def test_world_stream_alone_reproduces_the_truth(self):
         # step a world outside the engine, from nothing but the world stream
         seed = epoch_seed(SMALL.seed, 1, 0)
-        want = run_epoch(ClassLibrary(), SMALL, seed, policy=BANDIT)[0].truth_digest
+        want = run_epoch(ClassLibrary(), SMALL, seed, BANDIT, Pool.empty())[0].truth_digest
         rng = make_streams(seed).world
         truth = make_world(SMALL.scenario, rng).targets
         digest = hashlib.sha1()
@@ -178,7 +192,7 @@ class TestPairedDesign:
         )
         assert fresh.family is not SMALL.scenario.family is default_family()
         digests = [
-            run_epoch(ClassLibrary(), config, seed, policy=BANDIT)[0].truth_digest
+            run_epoch(ClassLibrary(), config, seed, BANDIT, Pool.empty())[0].truth_digest
             for config in (SMALL, dataclasses.replace(SMALL, scenario=fresh), SMALL)
         ]
         assert len(set(digests)) == 1
@@ -253,7 +267,6 @@ def _polar_row(node, point, d_az=0.0):
 def _radar_coordinator(world, library=None):
     return Coordinator(
         library=ClassLibrary() if library is None else library,
-        num_signal_states=4,
         use_class_knowledge=library is not None,
         num_targets=world.num_targets,
     )
@@ -408,7 +421,6 @@ class TestClassTunedPrediction:
         library = _class_library(2)
         c = Coordinator(
             library=library,
-            num_signal_states=4,
             use_class_knowledge=True,
             num_targets=5,
         )
@@ -436,8 +448,9 @@ def _after_each_step(monkeypatch, check):
     run_step = engine.run_step
 
     def checked(world, coordinator, *args):
-        run_step(world, coordinator, *args)
+        active = run_step(world, coordinator, *args)
         check(world, coordinator)
+        return active
 
     monkeypatch.setattr(engine, "run_step", checked)
 
@@ -518,7 +531,6 @@ class TestTrackTable:
     def test_start_tracks_refuses_a_live_row_and_copies_the_banks(self):
         c = Coordinator(
             library=ClassLibrary(),
-            num_signal_states=4,
             use_class_knowledge=False,
             num_targets=3,
         )
@@ -651,17 +663,21 @@ class TestCountTables:
     @settings(max_examples=100, deadline=None)
     def test_vectors_equal_the_history_oracle(self, seed, num_signal_states):
         # random rows and states, gaps between steps and same-step second
-        # readings, fed through the coordinator's recorders and, one reading
-        # at a time, into (step, state) histories: the count builder equals
-        # the history builder on every row read at least once of each kind
+        # readings, counted by the recorder into one channel's count tables
+        # of each kind and, one reading at a time, into (step, state)
+        # histories: the count builder equals the history builder on every
+        # row read at least once of each kind. The count code takes any
+        # state count, so the signal channel here has 2-6 states.
         rng = np.random.default_rng(seed)
         T, S = int(rng.integers(1, 8)), num_signal_states
-        c = Coordinator(
-            library=ClassLibrary(),
-            num_signal_states=S,
-            use_class_knowledge=False,
-            num_targets=T,
-        )
+        tables = {
+            kind: (
+                np.zeros((T, n), dtype=np.int64),
+                np.zeros((T, n, n), dtype=np.int64),
+                np.tile([engine.NO_READING_STEP, 0], (T, 1)),
+            )
+            for kind, n in (("motion", 3), ("signal", S))
+        }
         histories = {"motion": [[] for _ in range(T)], "signal": [[] for _ in range(T)]}
         step = int(rng.integers(-1, 2))
         for _ in range(int(rng.integers(1, 40))):
@@ -672,18 +688,16 @@ class TestCountTables:
                     size = int(rng.integers(0, T + 1))
                     rows = rng.choice(T, size=size, replace=False)
                     states = rng.integers(0, n, size=rows.size)
-                    getattr(c, f"record_{kind}")(rows, step, states)
+                    _record_readings(*tables[kind], rows, step, states)
                     for row, state in zip(rows, states):
                         record_reading(histories[kind][row], step, int(state))
         read = [
             r for r in range(T) if histories["motion"][r] and histories["signal"][r]
         ]
         rows = np.array(read, dtype=np.int64)
+        motion, signal = tables["motion"], tables["signal"]
         values, evidence = vectors_from_counts(
-            c.motion_counts[rows],
-            c.motion_transitions[rows],
-            c.signal_counts[rows],
-            c.signal_transitions[rows],
+            motion[0][rows], motion[1][rows], signal[0][rows], signal[1][rows]
         )
         assert values.shape[0] == evidence.shape[0] == len(read)
         for i, row in enumerate(read):
@@ -702,7 +716,6 @@ class TestHarvestGate:
         rng = np.random.default_rng(4)
         c = Coordinator(
             library=ClassLibrary(),
-            num_signal_states=4,
             use_class_knowledge=False,
             num_targets=len(self.READINGS),
         )
@@ -729,12 +742,11 @@ class TestHarvestGate:
 
     def test_no_rows_give_empty_batches(self):
         c = self._coordinator()
-        blocks = family_blocks(3, 4)
         for given_rows in (np.zeros(0, dtype=np.int64), np.array([0, 2, 3, 6])):
             rows, values, evidence = engine.track_parameter_vector(c, given_rows)
             assert rows.shape == (0,)
-            assert values.shape == (0, sum(b.length for b in blocks))
-            assert evidence.shape == (0, len(blocks))
+            assert values.shape == (0, VECTOR_LENGTH)
+            assert evidence.shape == (0, BLOCK_LENGTHS.size)
 
     def test_each_epoch_harvests_the_live_rows_past_the_gate(self, monkeypatch):
         # the last step's table of each epoch's coordinator is the one
@@ -774,10 +786,7 @@ class TestHarvestContract:
             return new_library, ids
 
         monkeypatch.setattr(engine, "update_library", recording_update)
-        library, pool = ClassLibrary(), engine.Pool.empty(SMALL.scenario.family)
-        blocks = family_blocks()
-        assert pool.blocks == blocks
-        length = sum(b.length for b in blocks)
+        library, pool = ClassLibrary(), Pool.empty()
         for epoch, want in enumerate(bandit_result.metrics["bandit"][0]):
             before = (pool.values, pool.evidence, pool.true_ids)
             n = pool.true_ids.size
@@ -792,8 +801,8 @@ class TestHarvestContract:
             )
             assert m.harvested == rows.size > 0
             assert m.pool_size == n + rows.size
-            assert pool.values.shape == (m.pool_size, length)
-            assert pool.evidence.shape == (m.pool_size, len(blocks))
+            assert pool.values.shape == (m.pool_size, VECTOR_LENGTH)
+            assert pool.evidence.shape == (m.pool_size, BLOCK_LENGTHS.size)
             assert pool.true_ids.shape == (m.pool_size,)
             columns = (pool.values, pool.evidence, pool.true_ids)
             for column, old in zip(columns, before):
@@ -804,14 +813,45 @@ class TestHarvestContract:
             # the re-clustered library: one table row per class, in the
             # pool's layout
             k = m.num_classes
-            assert library.blocks == blocks
             assert library.ids.shape == (k,) and np.all(np.diff(library.ids) > 0)
-            assert library.centroids.shape == (k, length)
+            assert library.centroids.shape == (k, VECTOR_LENGTH)
             # the epoch's assignments partition the pool over the classes
             rows = np.searchsorted(library.ids, assigned[-1])
             assert assigned[-1].shape == (m.pool_size,)
             assert np.array_equal(library.ids[rows], assigned[-1])
             assert np.all(np.bincount(rows, minlength=k) > 0)
+
+
+class TestOneLayout:
+    def test_every_table_has_the_one_layout(self, monkeypatch):
+        # the layout `classlib` fixes from the state spaces is the one the
+        # coordinator's count tables, the empty pool and library, and a
+        # SMALL bandit epoch's harvest and library all have
+        V, S = len(MOTION_STATES), len(SIGNAL_TYPES)
+        assert BLOCK_LENGTHS.tolist() == [V, S] + [V] * V + [S] * S
+        assert BLOCK_LENGTHS.tolist() == [b.length for b in family_blocks()]
+        assert VECTOR_LENGTH == V + S + V * V + S * S == 32
+        weights = [b.weight for b in family_blocks()]
+        assert np.array_equal(classlib._WEIGHTS, np.repeat(weights, BLOCK_LENGTHS))
+        coordinators = []
+        _after_each_step(monkeypatch, lambda world, c: coordinators.append(c))
+        pool, library = Pool.empty(), ClassLibrary()
+        assert pool.values.shape == (0, VECTOR_LENGTH)
+        assert pool.evidence.shape == (0, BLOCK_LENGTHS.size)
+        assert library.centroids.shape == (0, VECTOR_LENGTH)
+        m, library = run_epoch(
+            library, SMALL, epoch_seed(SMALL.seed, 0, 0), BANDIT, pool
+        )
+        c = coordinators[-1]
+        T = c.num_targets
+        assert c.motion_counts.shape == (T, V)
+        assert c.motion_transitions.shape == (T, V, V)
+        assert c.signal_counts.shape == (T, S)
+        assert c.signal_transitions.shape == (T, S, S)
+        assert m.harvested > 0 and m.num_classes > 0
+        assert pool.values.shape == (m.harvested, VECTOR_LENGTH)
+        assert pool.evidence.shape == (m.harvested, BLOCK_LENGTHS.size)
+        assert library.centroids.shape == (m.num_classes, VECTOR_LENGTH)
 
 
 class TestTruthBatch:
@@ -871,7 +911,9 @@ class TestRewards:
 
         monkeypatch.setattr(engine, "compute_rewards", refuse)
         monkeypatch.setattr(engine, "_track_uncertainties", refuse)
-        m = run_epoch(ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 0, 0), policy)[0]
+        m = run_epoch(
+            ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 0, 0), policy, Pool.empty()
+        )[0]
         assert m.num_tracks > 0
         steps = SMALL.steps_per_epoch * m.num_nodes
         assert m.active_node_steps + m.passive_node_steps == steps
@@ -886,7 +928,9 @@ class TestRewards:
                 return original(*args)
 
             monkeypatch.setattr(engine, name, counted)
-        run_epoch(ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 0, 0), BANDIT)
+        run_epoch(
+            ClassLibrary(), SMALL, epoch_seed(SMALL.seed, 0, 0), BANDIT, Pool.empty()
+        )
         steps = SMALL.steps_per_epoch
         assert calls == {"compute_rewards": steps, "_track_uncertainties": steps}
 

@@ -34,7 +34,6 @@ from crnsim.classlib import (
     _lloyd,
     _pool_log_likelihood,
     assign_class,
-    family_blocks,
     kmeans_distributions,
     score_classes,
 )
@@ -44,6 +43,7 @@ from scalar_reference import (
     ParameterVector,
     block_slices,
     distribution_distance,
+    family_blocks,
     make_parameter_vector,
     sample_next_one,
     stack_vectors,
@@ -275,7 +275,7 @@ class TestDistanceKernel:
             # a blockwise mean, the kind of centroid Lloyd produces
             cents[0] = pts[: len(pool) // 2].mean(axis=0)
             np.testing.assert_allclose(
-                _distance_matrix(pts, cents, BLOCKS),
+                _distance_matrix(pts, cents),
                 ref_distance_matrix(pts, cents, BLOCKS),
                 **TOLERANCE,
             )
@@ -303,7 +303,7 @@ class TestLloyd:
         pts = stack_vectors(pool)[0]
         for k in K_RANGE:
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            assign, cents = kmeans_distributions(pts, k, BLOCKS, rng)
+            assign, cents = kmeans_distributions(pts, k, rng)
             ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, ref_rng)
             assert np.array_equal(assign, ref_assign)
             np.testing.assert_allclose(cents, ref_cents, **TOLERANCE)
@@ -311,7 +311,7 @@ class TestLloyd:
     def test_lloyd_objective_matches(self):
         pts = stack_vectors(dirichlet_pool(30, 7))[0]
         for k in K_RANGE:
-            assign, cents, obj, _ = _lloyd(pts, k, BLOCKS, np.random.default_rng(k))
+            assign, cents, obj, _ = _lloyd(pts, k, np.random.default_rng(k))
             ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(k), [])
             assert np.array_equal(assign, ref[0])
             np.testing.assert_allclose(cents, ref[1], **TOLERANCE)
@@ -325,7 +325,7 @@ class TestLloyd:
                         (duplicate_pool(6, 3), 4)):
             pts = stack_vectors(pool)[0]
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            assign, cents = kmeans_distributions(pts, k, BLOCKS, rng)
+            assign, cents = kmeans_distributions(pts, k, rng)
             ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, ref_rng, reseeds)
             assert np.array_equal(assign, ref_assign)
             np.testing.assert_allclose(cents, ref_cents, **TOLERANCE)
@@ -345,7 +345,7 @@ class TestLloyd:
                     continue
                 tried += 1
                 assign, cents, objective, _ = _lloyd(
-                    pts, k, BLOCKS, np.random.default_rng(seed)
+                    pts, k, np.random.default_rng(seed)
                 )
                 ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), [])
                 assert np.array_equal(assign, ref[0]), (k, seed)
@@ -365,7 +365,7 @@ class TestLloyd:
         )
         reseeds = []
         rng = np.random.default_rng(seed)
-        assign, cents, objective, _ = _lloyd(pts, k, BLOCKS, rng)
+        assign, cents, objective, _ = _lloyd(pts, k, rng)
         ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), reseeds)
         first = [(cluster, point) for it, cluster, point in reseeds if it == 0]
         assert [cluster for cluster, _ in first] == [1, 2]
@@ -376,7 +376,7 @@ class TestLloyd:
         assert len(set(assign[:10])) == 1 and len(set(assign)) == k
         # the first iteration alone leaves k distinct centroids
         monkeypatch.setattr(classlib, "KMEANS_MAX_ITER", 1)
-        _, first_cents, _, _ = _lloyd(pts, k, BLOCKS, np.random.default_rng(seed))
+        _, first_cents, _, _ = _lloyd(pts, k, np.random.default_rng(seed))
         assert len(np.unique(first_cents, axis=0)) == k
 
     def test_reseed_takes_first_copy_of_worst_point(self, monkeypatch):
@@ -402,7 +402,7 @@ class TestLloyd:
                         continue
                     reseeds = []
                     ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), reseeds)
-                    assign, _, _, _ = _lloyd(pts, k, BLOCKS, np.random.default_rng(seed))
+                    assign, _, _, _ = _lloyd(pts, k, np.random.default_rng(seed))
                     first = [(c, p) for it, c, p in reseeds if it == 0]
                     assert first, (n, k, seed)
                     for cluster, point in first:
@@ -415,7 +415,7 @@ class TestLloyd:
         # the premise of fitting under KL: on three-class pools it finds
         # the classes a Lloyd fit under the scored JSD finds
         pts = stack_vectors(dirichlet_pool(size, size))[0]
-        assign, _ = kmeans_distributions(pts, 3, BLOCKS, np.random.default_rng(3))
+        assign, _ = kmeans_distributions(pts, 3, np.random.default_rng(3))
         jsd_assign, _ = ref_kmeans(
             pts, 3, BLOCKS, np.random.default_rng(3), distance=ref_distance_matrix
         )
@@ -431,14 +431,14 @@ class TestLikelihood:
             # weight: a column of -inf logits
             for labels in (assign, np.minimum(assign, max(k - 2, 0))):
                 np.testing.assert_allclose(
-                    _pool_log_likelihood(pts, evidence, labels, cents, BLOCKS),
+                    _pool_log_likelihood(pts, evidence, labels, cents),
                     ref_pool_log_likelihood(pts, evidence, labels, cents, BLOCKS),
                     **TOLERANCE,
                 )
 
     def test_fit_pool_winner_matches(self, pool):
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        aic, k, assign, centroids = _fit_pool(*stack_vectors(pool), BLOCKS, rng)
+        aic, k, assign, centroids = _fit_pool(*stack_vectors(pool), rng)
         ref_aic, ref_k, ref_assign, ref_cents = ref_fit_pool(pool, 6, ref_rng)
         assert k == ref_k
         assert np.array_equal(assign, ref_assign)
@@ -495,7 +495,7 @@ def library_of(centroids, first_id=10, step=1):
 
 
 class TestAssignClass:
-    def test_matches_nearest_by_distribution_distance(self):
+    def test_matches_nearest_by_distribution_distance(self, monkeypatch):
         pool = dirichlet_pool(60, 3)
         centroids = pool[:5]
         library = library_of(centroids)
@@ -504,9 +504,10 @@ class TestAssignClass:
                 dists = [ref_distribution_distance(v, c) for c in centroids]
                 best = int(np.argmin(dists))
                 want = -1 if dists[best] > radius else best
-                assert assign_class(library, v.values[None], radius).tolist() == [want]
+                monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", radius)
+                assert assign_class(library, v.values[None]).tolist() == [want]
 
-    def test_batch_equals_per_vector_argmin(self, pool):
+    def test_batch_equals_per_vector_argmin(self, monkeypatch, pool):
         # the whole pool in one call against a loop that scores one vector
         # at a time; the radius splits the pool into matches and misses
         library = library_of(dirichlet_pool(6, 21))
@@ -519,7 +520,8 @@ class TestAssignClass:
         for d in per_vector:
             best = int(np.argmin(d))
             want.append(-1 if d[best] > radius else best)
-        got = assign_class(library, points, radius)
+        monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", radius)
+        got = assign_class(library, points)
         assert got.shape == (len(pool),) and got.tolist() == want
         assert -1 in want and len(set(want)) > 2
 
@@ -535,11 +537,10 @@ class TestAssignClass:
         values = stack_vectors([a, b, c, a, b, c, a])[0]
         assert assign_class(library, values).tolist() == [0, 1, 2, 0, 1, 2, 0]
 
-    def test_no_class_within_the_radius_gives_minus_one(self):
+    def test_no_class_within_the_radius_gives_minus_one(self, monkeypatch):
         library = library_of(dirichlet_pool(3, 4))
-        got = assign_class(
-            library, stack_vectors(dirichlet_pool(10, 5))[0], accept_radius=0.0
-        )
+        monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", 0.0)
+        got = assign_class(library, stack_vectors(dirichlet_pool(10, 5))[0])
         assert got.tolist() == [-1] * 10
 
     def test_empty_library_gives_none(self):

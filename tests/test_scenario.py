@@ -98,8 +98,9 @@ class TestDefaultFamily:
     def test_three_classes(self):
         family = default_family()
         assert len(family.classes) == 3
-        assert family.motion_state_count == len(MOTION_STATES)
-        assert family.signal_state_count == len(SIGNAL_TYPES)
+        for cls in family.classes:
+            assert cls.motion_chain.num_states == len(MOTION_STATES)
+            assert cls.signal_chain.num_states == len(SIGNAL_TYPES)
 
     def test_balloon_is_nearly_static(self):
         family = default_family()
@@ -137,16 +138,18 @@ class TestDefaultFamily:
             TargetFamily(classes=(family.classes[0], clone))
 
     def test_rejects_wrong_state_count(self):
+        # a motion or signal chain over another number of states than
+        # MOTION_STATES or SIGNAL_TYPES, which fix the behavior-vector layout
         import dataclasses
 
         family = default_family()
-        # a copy: the default family is shared and must stay intact
-        bad = dataclasses.replace(family.classes[0])
-        object.__setattr__(
-            bad, "motion_chain", MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        )
-        with pytest.raises(ValueError, match="motion state count"):
-            TargetFamily(classes=(bad, family.classes[1]))
+        for chain, states in (("motion", 2), ("motion", 4), ("signal", 3), ("signal", 5)):
+            # a copy: the default family is shared and must stay intact
+            bad = dataclasses.replace(family.classes[0])
+            uniform = MarkovChain(np.full((states, states), 1.0 / states))
+            object.__setattr__(bad, f"{chain}_chain", uniform)
+            with pytest.raises(ValueError, match=f"{chain} state count"):
+                TargetFamily(classes=(bad, family.classes[1]))
 
 
     def test_built_once_shared_and_read_only(self):

@@ -74,6 +74,7 @@ def passive_once(target_pos, tx_power_w=1.0, tx_on=True, passive=True, rng=None)
         np.full(m, tx_on),
         np.full(m, reach),
         np.random.default_rng(1) if rng is None else rng,
+        SensorNoise(),
     )
 
 
@@ -258,7 +259,7 @@ class TestAssociateDetection:
 
     def test_no_tracks(self):
         coordinator = Coordinator(
-            library=ClassLibrary(), num_signal_states=4, use_class_knowledge=False
+            library=ClassLibrary(), use_class_knowledge=False
         )
         logged = _apply_passive(
             None, coordinator, np.array([0]), np.array([0]), np.array([0.3]), 1,
@@ -366,7 +367,7 @@ class TestBatchConsistency:
         for _ in range(3000):
             _, _, b = passive_detect_batch(
                 node_pos, np.ones(1, bool), tgt_pos, np.ones(1, bool),
-                np.array([10_000.0]), rng,
+                np.array([10_000.0]), rng, SensorNoise(),
             )
             draws.append(b[0])
         assert np.std(draws) == pytest.approx(math.radians(2.0), rel=0.06)
@@ -375,7 +376,7 @@ class TestBatchConsistency:
         rng = np.random.default_rng(0)
         ni, ti, z = radar_measure_batch(
             np.zeros((2, 3)), np.zeros(2, bool), 4000.0,
-            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), rng,
+            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), rng, SensorNoise(),
         )
         assert ni.size == 0 and z.shape == (0, 5)
 
