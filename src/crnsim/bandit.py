@@ -86,9 +86,7 @@ def ucb_select(state: BanditState, t: int) -> np.ndarray:
     plus the sqrt(log t / count) bonus.
 
     Unplayed arms are selected first (infinite bonus), Active before
-    Passive; ties go to Active."""
-    if t < 1:
-        raise ValueError("t starts at 1")
+    Passive; ties go to Active. Needs t >= 1."""
     counts = state.counts
     # rows with an unplayed arm are decided before their score is read
     score = state.means + np.sqrt(math.log(t) / np.maximum(counts, 1))
@@ -120,11 +118,8 @@ def baseline_policy(
 ) -> np.ndarray:
     """The (N,) Active mask of a baseline: radar-only plays Active at every
     node; random-p plays Active at each node with probability p, one
-    uniform draw per node."""
+    uniform draw per node. Needs a baseline kind (radar-only or random)
+    and p in [0, 1]."""
     if kind is PolicyKind.RADAR_ONLY:
         return np.ones(num_nodes, dtype=bool)
-    if kind is PolicyKind.RANDOM:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        return rng.random(num_nodes) < p
-    raise ValueError(f"not a baseline policy: {kind}")
+    return rng.random(num_nodes) < p

@@ -69,14 +69,6 @@ VECTOR_LENGTH = int(BLOCK_LENGTHS.sum())
 _WEIGHTS = np.repeat([1.0, 1.0] + [TRANSITION_BLOCK_WEIGHT] * (_V + _S), BLOCK_LENGTHS)
 
 
-class BlockMismatch(ValueError):
-    """Vectors with different block structures were combined."""
-
-
-class TooFewPoints(ValueError):
-    """More clusters requested than vectors available."""
-
-
 def occupancy_sample_size(n_steps, occupancy, transition):
     """Effective number of independent draws behind an occupancy estimate.
 
@@ -238,21 +230,24 @@ def kmeans_distributions(
     points: np.ndarray, k: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd k-means of the (N, L) points under weighted KL, best of 10
-    restarts.
+    restarts; needs 1 <= k <= N.
 
     Returns the (N,) assignments and the (k, L) centroids; centroids are
-    blockwise means, so they remain valid distributions.
+    blockwise means, so they remain valid distributions. Clusters are
+    numbered by their lowest-index member (a cluster left empty comes
+    after every other), so the labels depend only on the partition, not on
+    which restart or seed found it.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > len(points):
-        raise TooFewPoints(f"k={k} exceeds {len(points)} vectors")
     best = None
     for _ in range(KMEANS_RESTARTS):
         assign, cents, objective, _ = _lloyd(points, k, rng)
         if best is None or objective < best[2]:
             best = (assign, cents, objective)
-    return best[0], best[1]
+    assign, cents, _ = best
+    first = np.full(k, len(assign))
+    np.minimum.at(first, assign, np.arange(len(assign)))
+    order = np.argsort(first, kind="stable")
+    return np.argsort(order)[assign], cents[order]
 
 
 def _pool_log_likelihood(
@@ -299,11 +294,10 @@ def _pool_log_likelihood(
 
 
 def _fit_pool(points: np.ndarray, evidence: np.ndarray, rng):
-    """k-means fits of the (N, L) points for k = 1..MAX_CLASSES; returns the
-    AIC winner (ties favor smaller k) as (aic, k, (N,) assignments, (k, L)
-    centroids)."""
-    if not len(points):
-        raise TooFewPoints("no vectors to cluster")
+    """k-means fits of the (N, L) points, N >= 1, with their (N, blocks)
+    evidence for k = 1..min(MAX_CLASSES, N); returns the AIC winner
+    (AIC = 2kd - 2 logL, ties favor smaller k) as (aic, k, (N,)
+    assignments, (k, L) centroids)."""
     d = VECTOR_LENGTH - BLOCK_LENGTHS.size
     best = None
     for k in range(1, min(MAX_CLASSES, len(points)) + 1):
@@ -313,12 +307,6 @@ def _fit_pool(points: np.ndarray, evidence: np.ndarray, rng):
         if best is None or aic < best[0]:
             best = (aic, k, assign, centroids)
     return best
-
-
-def select_k_aic(points: np.ndarray, evidence: np.ndarray, rng) -> int:
-    """Cluster count of the (N, L) points with their (N, blocks) evidence
-    minimizing AIC = 2kd - 2 logL over k = 1..MAX_CLASSES."""
-    return _fit_pool(points, evidence, rng)[1]
 
 
 # --- the library ---
@@ -398,15 +386,10 @@ def update_library(
 def assign_class(library: ClassLibrary, values: np.ndarray) -> np.ndarray:
     """Nearest learned class of each of B vectors (B, L) within
     DEFAULT_ACCEPT_RADIUS: (B,) library rows, -1 where no class lies within
-    it and for every vector when the library is empty.
+    it. Needs a non-empty library.
 
     All vectors are scored against all centroids in one `_distance_matrix`
     call; ties go to the class listed first."""
-    values = np.asarray(values, dtype=float)
-    if not library.ids.size:
-        return np.full(len(values), -1)
-    if values.shape[1] != library.centroids.shape[1]:
-        raise BlockMismatch("vectors do not have the library's block structure")
     dists = _distance_matrix(values, library.centroids)
     best = np.argmin(dists, axis=1)
     rows = np.arange(len(values))

@@ -37,14 +37,10 @@ from crnsim.sensing import wrap_angle
 NOISE_AXES = np.array([1.0, 1.0, VERTICAL_NOISE_FRACTION])
 
 
-def step_motion(
-    targets: TargetTable, dt: float, rng: np.random.Generator
-) -> TargetTable:
-    """Advance every target by dt: resample the motion states, then
-    integrate the matching kinematics. Speeds are clamped to each class's
-    range."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def step_motion(targets: TargetTable, dt: float, rng: np.random.Generator) -> None:
+    """Advance every target in place by dt > 0: resample the motion states,
+    then integrate the matching kinematics. Speeds are clamped to each
+    class's range."""
     v = targets.velocity
     prev_heading = np.arctan2(v[:, 1], v[:, 0])
     prev_state = targets.motion_state
@@ -85,12 +81,10 @@ def step_motion(
     v *= np.where(moving, scale, 1.0)[:, None]
     heading = np.arctan2(v[:, 1], v[:, 0])
     targets.heading_rate = wrap_angle(heading - prev_heading) / dt
-    return targets
 
 
-def step_signal(targets: TargetTable, rng: np.random.Generator) -> TargetTable:
+def step_signal(targets: TargetTable, rng: np.random.Generator) -> None:
     """Resample every target's transmit activity, then its emitted signal
-    type, independently of motion."""
+    type, in place and independently of motion."""
     targets.tx_state = sample_next(targets.tx_cdf, targets.tx_state, rng)
     targets.signal_state = sample_next(targets.signal_cdf, targets.signal_state, rng)
-    return targets

@@ -72,7 +72,6 @@ from crnsim.scenario import (
     SIGNAL_TYPES,
     DegenerateScenario,
     ScenarioConfig,
-    TargetFamily,
     TargetTable,
     spawn_scenario,
 )
@@ -205,8 +204,8 @@ def make_streams(seed: np.random.SeedSequence) -> Streams:
 
 @dataclass
 class World:
-    """Ground truth for one epoch: the targets, the family they are drawn
-    from, the (N, 3) node positions and the one radar range every node has.
+    """Ground truth for one epoch: the targets, the (N, 3) node positions
+    and the one radar range every node has.
 
     `targets` is the truth as one table, a row per target: class id,
     position and velocity (T, 3), turn and heading rates, motion, signal and
@@ -216,7 +215,6 @@ class World:
     returns carry."""
 
     targets: TargetTable
-    family: TargetFamily
     node_positions: np.ndarray  # (N, 3)
     radar_range_m: float
 
@@ -238,9 +236,7 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
         except DegenerateScenario:
             if attempt == MAX_SPAWN_RETRIES:
                 raise
-    return World(
-        targets, scenario.family, node_positions, scenario.radar_range_km * 1000.0
-    )
+    return World(targets, node_positions, scenario.radar_range_km * 1000.0)
 
 
 @dataclass
@@ -527,10 +523,9 @@ def _associate_bearings(
     covariance; its emissions then overlap the drifted gate and get
     dropped as ambiguous rather than logged against a neighbor. Bearings
     are azimuth only, so two targets over the same ground position gate
-    each other from every receiver; those are dropped the same way. Track
-    order must be ascending row so results are deterministic."""
-    if track_xy.shape[0] == 0:
-        return np.full(det_bearings.shape[0], -1)
+    each other from every receiver; those are dropped the same way. Needs
+    at least one track, in ascending row order so results are
+    deterministic."""
     rel = track_xy[None, :, :] - det_node_xy[:, None, :]  # (K, T, 2)
     r2 = np.maximum(rel[..., 0] ** 2 + rel[..., 1] ** 2, 1.0)
     pred = np.arctan2(rel[..., 1], rel[..., 0])

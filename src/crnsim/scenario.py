@@ -245,13 +245,12 @@ class ScenarioConfig:
 def sample_ppp(
     density_per_km2: float, region: Region, rng: np.random.Generator
 ) -> np.ndarray:
-    """Homogeneous Poisson point process over the region.
+    """Homogeneous Poisson point process over the region, at a nonnegative
+    density.
 
     Returns an (n, 2) array of xy positions in meters; n ~ Poisson(density
     times area), points i.i.d. uniform.
     """
-    if density_per_km2 < 0:
-        raise ValueError("density must be nonnegative")
     n = rng.poisson(density_per_km2 * region.area_km2)
     pts = np.empty((n, 2))
     pts[:, 0] = rng.uniform(0.0, region.width_m, n)

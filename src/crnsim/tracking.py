@@ -246,12 +246,9 @@ def start_track(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-point differencing initialization of B tracks from their first
     two converted position measurements: positions (B,3), covariances
-    (B,3,3), dt (B,) apart. Returns the B banks -- states (B,M,6),
+    (B,3,3), dt (B,) > 0 apart. Returns the B banks -- states (B,M,6),
     covariances (B,M,6,6), probabilities (B,M) -- every model starting from
     the differenced state with equal probability."""
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0):
-        raise ValueError("measurements must be time-separated")
     gap = dt[:, None, None]
     state = np.concatenate([pos2, (pos2 - pos1) / dt[:, None]], axis=1)
     P = np.zeros((dt.size, 6, 6))

@@ -51,10 +51,14 @@ functions above as a `Target`.
 `ParameterVector` is one target's behavior vector as a single validated
 record (values, block layout, evidence), the form a pool entry had before
 `classlib` kept the pool as (N, L) values and (N, blocks) evidence;
-`stack_vectors` turns a list of them into that table. Its layout is a tuple
-of `BlockSpec`s from `family_blocks(V, S)`, which builds the layout for any
-state counts, the form it had before `classlib` fixed it as constants for
-V = 3 motion states and S = 4 signal types; the per-block oracles read it.
+`stack_vectors` turns a list of them into that table, and `library_of` a
+list of centroid vectors into a `classlib.ClassLibrary`. Its layout is a
+tuple of `BlockSpec`s from `family_blocks(V, S)`, which builds the layout
+for any state counts, the form it had before `classlib` fixed it as
+constants for V = 3 motion states and S = 4 signal types; the per-block
+oracles read it. Combining vectors of different layouts raises
+`BlockMismatch`; `classlib` needs no such check, every vector there having
+the one layout.
 
 `run_experiment_in_turn` is `engine.run_experiment` as one loop over the
 (run, policy) cells in this process, the form it had before the cells ran
@@ -92,7 +96,6 @@ from crnsim.bandit import (
 )
 from crnsim.classlib import (
     TRANSITION_BLOCK_WEIGHT,
-    BlockMismatch,
     ClassLibrary,
     _distance_matrix,
 )
@@ -585,6 +588,10 @@ def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
 _BLOCK_SUM_TOL = 1e-6
 
 
+class BlockMismatch(ValueError):
+    """Vectors with different block structures were combined."""
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """One distribution block inside a behavior vector."""
@@ -657,6 +664,17 @@ def stack_vectors(vectors) -> tuple[np.ndarray, np.ndarray]:
     return (
         np.stack([v.values for v in vectors]),
         np.stack([v.evidence for v in vectors]),
+    )
+
+
+def library_of(centroids, first_id=10, step=1) -> ClassLibrary:
+    """A library of the given centroid vectors with ids first_id, first_id
+    + step, ...; the empty library for no vectors."""
+    if not centroids:
+        return ClassLibrary()
+    return ClassLibrary(
+        ids=first_id + step * np.arange(len(centroids)),
+        centroids=stack_vectors(centroids)[0],
     )
 
 

@@ -157,15 +157,6 @@ class TestBaselinePolicy:
         picks = baseline_policy(PolicyKind.RANDOM, 0.8, n, rng).sum()
         assert picks / n == pytest.approx(0.8, abs=0.01)
 
-    def test_invalid_p_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            baseline_policy(PolicyKind.RANDOM, 1.2, 3, rng)
-
-    def test_bandit_kind_is_not_a_baseline(self):
-        with pytest.raises(ValueError):
-            baseline_policy(PolicyKind.BANDIT, 0.5, 3, np.random.default_rng(0))
-
 
 class TestBanditTableAgainstScalar:
     """The table functions give, node by node, exactly what one node's

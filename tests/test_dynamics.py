@@ -186,10 +186,6 @@ class TestStepMotion:
         step_motion(t, 1e-6, rng)
         assert np.linalg.norm(t.position[0]) == pytest.approx(1e-4, rel=1e-9)
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            step_motion(make_table(make_class()), 0.0, np.random.default_rng(0))
-
     def test_high_g_uses_its_own_noise_level(self):
         rng = np.random.default_rng(9)
         stay_high = np.zeros((3, 3))
@@ -214,7 +210,10 @@ class TestStepSignal:
     def test_duty_cycle_long_run(self):
         rng = np.random.default_rng(2)
         t = make_table(make_class(tx_P=[[0.95, 0.05], [0.20, 0.80]]))
-        on = sum(step_signal(t, rng).tx_on[0] for _ in range(10_000))
+        on = 0
+        for _ in range(10_000):
+            step_signal(t, rng)
+            on += t.tx_on[0]
         # stationary On fraction = 0.20 / 0.25
         assert on / 10_000 == pytest.approx(0.8, abs=0.02)
 

@@ -241,14 +241,12 @@ class TestRadarOnly:
 
 def _radar_world(node_positions, target_positions):
     """Nodes with a 10 km radar and default-family targets at rest."""
-    family = default_family()
     targets = [
         Target(i, 0, np.array(p, dtype=float), np.zeros(3), 0, 0, False)
         for i, p in enumerate(target_positions)
     ]
     return World(
-        targets=target_table(targets, family.classes),
-        family=family,
+        targets=target_table(targets, default_family().classes),
         node_positions=np.array(node_positions, dtype=float),
         radar_range_m=10_000.0,
     )

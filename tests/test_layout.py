@@ -4,6 +4,13 @@ package outside its own definition. Code only tests run belongs in
 `tests/scalar_reference.py`, not in `src/`. The public entry points, which
 only callers outside the package use, are the allowed exceptions.
 
+The same rule holds for branches, which this scan cannot see: an argument
+is checked once, where it enters the program -- in the config, family and
+chain constructors and in `run_experiment(workers)`. Internal kernels trust
+their callers and state what they need in their docstrings (for example,
+`assign_class` needs a non-empty library, `kmeans_distributions` needs
+1 <= k <= N); the caller's guarantee is what the tests check.
+
 No `einsum` call in the package takes more than two operands: without
 `optimize`, numpy runs such a contraction as one loop over every index at
 once, several times slower than the chained `matmul` the filter kernels
@@ -14,7 +21,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crnsim"
 
-ENTRY_POINTS = {"run_experiment", "rmse_improvement", "select_k_aic"}
+ENTRY_POINTS = {"run_experiment", "rmse_improvement"}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

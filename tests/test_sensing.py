@@ -258,6 +258,8 @@ class TestAssociateDetection:
     """Claim rules of engine._associate_bearings and _apply_passive."""
 
     def test_no_tracks(self):
+        # `_associate_bearings` needs at least one track; with no live row
+        # `_apply_passive` returns before calling it
         coordinator = Coordinator(
             library=ClassLibrary(), use_class_knowledge=False
         )
@@ -266,13 +268,6 @@ class TestAssociateDetection:
             SIGMA_DOA,
         )
         assert logged == 0
-
-    def test_no_tracks_claims_nothing(self):
-        got = _associate_bearings(
-            np.zeros((2, 2)), np.array([0.1, 0.2]), np.zeros((0, 2)),
-            np.zeros((0, 2, 2)), SIGMA_DOA,
-        )
-        assert got.tolist() == [-1, -1]
 
     def test_single_track_at_bearing(self):
         assert associate(0.0, [[5000.0, 0.0]]).tolist() == [0]

@@ -359,13 +359,6 @@ class TestStartTrack:
             assert P[:3, 3:] == pytest.approx(R[b] / dt[b])
             assert P[3:, 3:] == pytest.approx(2 * R[b] / dt[b] ** 2)
 
-    def test_rejects_simultaneous_measurements(self):
-        p = np.zeros((2, 3))
-        R = np.tile(np.eye(3), (2, 1, 1))
-        for dt in ([0.5, 0.0], [-0.5, 0.5]):
-            with pytest.raises(ValueError):
-                start_track(p, R, p, R, np.array(dt))
-
     @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
     @settings(max_examples=50, deadline=None)
     def test_batch_equals_one_row_calls(self, seed, B):
