@@ -16,7 +16,7 @@ from crnsim.bandit import (
     ucb_select,
 )
 from crnsim.classlib import ClassLibrary
-from crnsim.engine import Coordinator, _track_uncertainties
+from crnsim.engine import Coordinator, PolicySpec, _track_uncertainties
 from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.tracking import start_track
 
@@ -156,6 +156,12 @@ class TestBaselinePolicy:
         n = 20_000
         picks = baseline_policy(PolicyKind.RANDOM, 0.8, n, rng).sum()
         assert picks / n == pytest.approx(0.8, abs=0.01)
+
+    def test_invalid_p_rejected(self):
+        # baseline_policy trusts p; the policy spec it comes from checks it
+        for p in (-0.2, 1.2):
+            with pytest.raises(ValueError):
+                PolicySpec(PolicyKind.RANDOM, p)
 
 
 class TestBanditTableAgainstScalar:

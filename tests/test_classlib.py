@@ -419,6 +419,25 @@ class TestAssignClass:
         lib, _ = update_from(ClassLibrary(), pool, np.random.default_rng(15))
         assert assign_class(lib, lib.centroids).tolist() == list(range(lib.ids.size))
 
+    def test_matches_nearest_neighbor_oracle(self, monkeypatch):
+        # on a library that update_library learned (test_kernels checks the
+        # same rule on random libraries against its per-block oracle)
+        pool = [strong_class_vector(i) for i in range(3)] * 20
+        lib, _ = update_from(ClassLibrary(), pool, np.random.default_rng(16))
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            v = random_family_vector(rng)
+            radius = rng.uniform(0.05, 1.5)
+            dists = {
+                row: distribution_distance(v, make_like(v, centroid))
+                for row, centroid in enumerate(lib.centroids)
+            }
+            nearest = min(dists, key=dists.get)
+            expected = nearest if dists[nearest] <= radius else -1
+            monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", radius)
+            got = assign_class(lib, v.values[None])
+            assert got.tolist() == [expected]
+
     def test_beyond_radius_unclassified(self):
         lib = library_of([strong_class_vector(0)], first_id=0)
         far = strong_class_vector(2)

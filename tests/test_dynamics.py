@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crnsim.dynamics import step_motion, step_signal
+from crnsim.engine import SimConfig
 from crnsim.markov import MarkovChain
 from crnsim.scenario import (
     COORD_TURN,
@@ -185,6 +186,12 @@ class TestStepMotion:
         t = make_table(make_class())
         step_motion(t, 1e-6, rng)
         assert np.linalg.norm(t.position[0]) == pytest.approx(1e-4, rel=1e-9)
+
+    def test_rejects_nonpositive_dt(self):
+        # step_motion trusts dt; the simulation config it comes from checks it
+        for dt in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                SimConfig(dt_s=dt)
 
     def test_high_g_uses_its_own_noise_level(self):
         rng = np.random.default_rng(9)

@@ -65,6 +65,12 @@ class TestSamplePpp:
         assert np.mean(pts[:, 0]) == pytest.approx(region.width_m / 2, rel=0.05)
         assert np.mean(pts[:, 1]) == pytest.approx(region.height_m / 2, rel=0.05)
 
+    def test_negative_density_rejected(self):
+        # sample_ppp trusts its density; the scenario config it comes from
+        # checks it
+        with pytest.raises(ValueError):
+            ScenarioConfig(target_density_per_km2=-0.1)
+
 
 class TestChainFromStationary:
     def test_recovers_requested_stationary(self):
@@ -329,7 +335,5 @@ class TestSpawnScenario:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScenarioConfig(node_density_per_km2=-1.0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(target_density_per_km2=-0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(radar_range_km=0.0)

@@ -269,6 +269,18 @@ class TestAssociateDetection:
         )
         assert logged == 0
 
+    def test_no_tracks_claims_nothing(self):
+        # the table has rows, but no track has started in any of them
+        coordinator = Coordinator(
+            library=ClassLibrary(), use_class_knowledge=False, num_targets=2
+        )
+        logged = _apply_passive(
+            None, coordinator, np.array([0, 1]), np.array([0, 1]),
+            np.array([0.1, 0.2]), 1, SIGMA_DOA,
+        )
+        assert logged == 0
+        assert not coordinator.signal_counts.any()
+
     def test_single_track_at_bearing(self):
         assert associate(0.0, [[5000.0, 0.0]]).tolist() == [0]
 
