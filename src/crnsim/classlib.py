@@ -18,16 +18,21 @@ The layout is one set of constants, fixed by the state spaces of
 
 Class learning works on tables, never on one object per vector or per
 class. The cumulative pool is (N, L) values with (N, blocks) evidence;
-`update_library` re-clusters it by k-means (`kmeans_distributions`, (N,)
-assignments and (k, L) centroids), chooses the cluster count by AIC, and
-returns a new `ClassLibrary`: ascending class ids (k,) and centroids
-(k, L). The classes persist across epochs: each update keeps ids stable by
-matching new centroids to old ones. `assign_class` scores a
-(B, L) batch against the centroids and returns each vector's library row.
-A learned class carries enough structure to tune a filter bank:
-`ClassLibrary.mode_transitions()` stacks every centroid's motion-transition
-rows as an IMM mixing chain, and the engine pairs them with the per-state
-default acceleration levels as process noise.
+`update_library` re-clusters it by k-means for every k = 1..6 (at most N)
+at once, chooses the cluster count by AIC, and returns a new
+`ClassLibrary`: ascending class ids (k,) and centroids (k, L). One
+`kmeans_distributions` call draws every Lloyd start first -- k by k,
+restart by restart, `rng.choice(N, size=k, replace=False)` each -- and
+then runs each k's 10 restarts as one (10, k) stack; one
+`_pool_log_likelihood` call polishes every k's fit by EM in one
+(ks, max k, N) stack and scores it. The classes persist across epochs:
+each update keeps ids stable by matching new centroids to old ones.
+`assign_class` scores a (B, L) batch against the centroids and returns
+each vector's library row. A learned class carries enough structure to
+tune a filter bank: `ClassLibrary.mode_transitions()` stacks every
+centroid's motion-transition rows as an IMM mixing chain, and the engine
+pairs them with the per-state default acceleration levels as process
+noise.
 
 Lloyd fits under the weighted KL divergence KL(p || c), a Bregman
 divergence: the blockwise mean is its exact minimiser, so each Lloyd run
@@ -173,90 +178,141 @@ def _log_centroids(centroids: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(centroids, 1e-12))
 
 
-def _lloyd(
-    points: np.ndarray, k: int, rng
-) -> tuple[np.ndarray, np.ndarray, float, list]:
-    """One Lloyd run under weighted KL from k distinct random points of the
-    pool.
+def _cross_entropy(weighted: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Cross-entropy term -(w p) . log c of every point against every
+    centroid of R runs: (R, N, k) from the (N, L) weighted points and the
+    (R, k, L) centroids.
 
-    Assignment needs only the cross-entropy -(w p) . log c, one (N, k)
-    matmul per iteration; the per-point constant w . p log p completes the
-    KL for the objective and for picking the worst-fit point. Returns the
-    assignments, centroids, final objective and the objective of every
-    iteration."""
+    One batched matmul; it gives each run the bits a lone (N, L) @ (L, k)
+    product gives, which a wider product over several runs' columns would
+    not. The matmul need not score equal columns equally either, so a
+    repeated centroid takes its run's first copy's column, and ties go to
+    that copy."""
+    cross = -(weighted @ _log_centroids(centroids).transpose(0, 2, 1))
+    first = (centroids[:, :, None] == centroids[:, None]).all(axis=3).argmax(axis=2)
+    for r in np.flatnonzero((first != np.arange(first.shape[1])).any(axis=1)):
+        cross[r] = cross[r][:, first[r]]
+    return cross
+
+
+def _reseed_run(points, assign, fit, centroids) -> None:
+    """One run's centroid update when a cluster of it is empty, in place:
+    clusters in order, each a blockwise mean of its members or, when it
+    has none, the worst-fit point not yet taken by another re-seed in this
+    iteration. Equal points fit equally, but the BLAS need not score them
+    so, so the pick goes to the first untaken copy of the worst vector."""
+    for c in range(centroids.shape[0]):
+        members = assign == c
+        if members.any():
+            centroids[c] = points[members].mean(axis=0)
+        else:
+            worst = int(np.argmax(fit))
+            copies = (points == points[worst]).all(axis=1) & (fit > -np.inf)
+            worst = int(np.argmax(copies))
+            centroids[c] = points[worst]
+            assign[worst] = c
+            fit[worst] = -np.inf
+
+
+def _lloyd_runs(
+    points: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R Lloyd runs of one k under weighted KL as one stack, from the
+    (R, k) indices of each run's distinct starting points.
+
+    Assignment needs only the cross-entropy, one batched matmul per
+    iteration for every run still iterating; the per-point constant
+    w . p log p completes the KL for the objective and for picking the
+    worst-fit point. Centroids are blockwise means: one batched one-hot
+    (R, k, N) @ (N, L) matmul, which sums each cluster's members in pool
+    order as `mean` does (at k = 1 the matmul would be a matrix-vector
+    product, which does not, so the sum is taken directly). A run whose
+    update leaves a cluster empty is updated alone (`_reseed_run`). A run
+    leaves the stack once an iteration leaves its assignments unchanged.
+    Returns the (R, N) assignments, the (R, k, L) centroids and the (R,)
+    objectives under the final centroids."""
     n = points.shape[0]
+    runs, k = starts.shape
     weighted = points * _WEIGHTS
     self_term = _xlogx(points) @ _WEIGHTS
     rows = np.arange(n)
-
-    def cross_entropy(centroids):
-        cross = -(weighted @ _log_centroids(centroids).T)
-        # the matmul need not score equal columns equally, so a repeated
-        # centroid takes its first copy's column and ties go to that copy
-        same = (centroids[:, None] == centroids[None]).all(axis=2)
-        return cross[:, same.argmax(axis=1)]
-
-    centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    assign = np.full(n, -1)
-    objective_trace = []
+    labels = np.arange(k)[:, None]
+    out_assign = np.empty((runs, n), dtype=np.intp)
+    out_centroids = np.empty((runs, k, points.shape[1]))
+    # the runs still iterating, compacted: their indices, centroids and
+    # assignments
+    live = np.arange(runs)
+    centroids = points[starts]
+    assign = np.full((runs, n), -1)
     for _ in range(KMEANS_MAX_ITER):
-        cross = cross_entropy(centroids)
-        new_assign = np.argmin(cross, axis=1)
-        fit = self_term + cross[rows, new_assign]
-        objective_trace.append(float(fit.sum()))
-        for c in range(k):
-            members = new_assign == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster with the worst-fit point not yet
-                # taken by another re-seed in this iteration; equal points
-                # fit equally, but the BLAS need not score them so, so the
-                # pick goes to the first untaken copy of the worst vector
-                worst = int(np.argmax(fit))
-                copies = (points == points[worst]).all(axis=1) & (fit > -np.inf)
-                worst = int(np.argmax(copies))
-                centroids[c] = points[worst]
-                new_assign[worst] = c
-                fit[worst] = -np.inf
-        if np.array_equal(new_assign, assign):
-            break
+        cross = _cross_entropy(weighted, centroids)
+        new_assign = cross.argmin(axis=2)
+        members = new_assign[:, None, :] == labels
+        sizes = members.sum(axis=2)
+        if k == 1:
+            sums = points.sum(axis=0)
+        else:
+            sums = members.astype(float) @ points
+        with np.errstate(invalid="ignore", divide="ignore"):
+            centroids = sums / sizes[..., None]
+        for j in np.flatnonzero((sizes == 0).any(axis=1)):
+            fit = self_term + cross[j, rows, new_assign[j]]
+            _reseed_run(points, new_assign[j], fit, centroids[j])
+        moved = (new_assign != assign).any(axis=1)
+        if not moved.all():
+            done = ~moved
+            out_assign[live[done]] = new_assign[done]
+            out_centroids[live[done]] = centroids[done]
+            live, centroids = live[moved], centroids[moved]
+            new_assign = new_assign[moved]
+            if not live.size:
+                break
         assign = new_assign
-    objective = float((self_term + cross_entropy(centroids)[rows, assign]).sum())
-    return assign, centroids, objective, objective_trace
+    else:
+        out_assign[live] = assign
+        out_centroids[live] = centroids
+    cross = _cross_entropy(weighted, out_centroids).reshape(runs * n, k)
+    fits = cross[np.arange(runs * n), out_assign.ravel()].reshape(runs, n)
+    return out_assign, out_centroids, (self_term + fits).sum(axis=1)
 
 
 def kmeans_distributions(
-    points: np.ndarray, k: int, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd k-means of the (N, L) points under weighted KL, best of 10
-    restarts; needs 1 <= k <= N.
+    points: np.ndarray, ks, rng
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Lloyd k-means of the (N, L) points under weighted KL for each k in
+    `ks`, best of 10 restarts each; needs 1 <= k <= N.
 
-    Returns the (N,) assignments and the (k, L) centroids; centroids are
-    blockwise means, so they remain valid distributions. Clusters are
-    numbered by their lowest-index member (a cluster left empty comes
-    after every other), so the labels depend only on the partition, not on
-    which restart or seed found it.
+    Every start is drawn first, in the order k by k and restart by
+    restart, `rng.choice(N, size=k, replace=False)` each; then each k's
+    restarts run as one (restarts, k) stack (`_lloyd_runs`), and the run
+    with the strictly lowest objective wins. Returns one fit per k: the
+    (N,) assignments and the (k, L) centroids; centroids are blockwise
+    means, so they remain valid distributions. Clusters are numbered by
+    their lowest-index member (a cluster left empty comes after every
+    other), so the labels depend only on the partition, not on which
+    restart or seed found it.
     """
-    best = None
-    for _ in range(KMEANS_RESTARTS):
-        assign, cents, objective, _ = _lloyd(points, k, rng)
-        if best is None or objective < best[2]:
-            best = (assign, cents, objective)
-    assign, cents, _ = best
-    first = np.full(k, len(assign))
-    np.minimum.at(first, assign, np.arange(len(assign)))
-    order = np.argsort(first, kind="stable")
-    return np.argsort(order)[assign], cents[order]
+    n = len(points)
+    starts = [
+        np.array([rng.choice(n, size=k, replace=False) for _ in range(KMEANS_RESTARTS)])
+        for k in ks
+    ]
+    fits = []
+    for k, run_starts in zip(ks, starts):
+        assign, cents, objective = _lloyd_runs(points, run_starts)
+        best = int(np.argmin(objective))
+        first = np.full(k, n)
+        np.minimum.at(first, assign[best], np.arange(n))
+        order = np.argsort(first, kind="stable")
+        fits.append((np.argsort(order)[assign[best]], cents[best][order]))
+    return fits
 
 
 def _pool_log_likelihood(
-    points: np.ndarray,
-    evidence: np.ndarray,
-    assign: np.ndarray,
-    centroids: np.ndarray,
-) -> float:
-    """Mixture log-likelihood of the pool, EM-polished from the k-means fit.
+    points: np.ndarray, evidence: np.ndarray, fits
+) -> np.ndarray:
+    """Mixture log-likelihood of the pool under each k-means fit, (fits,),
+    EM-polished from the fit's (N,) assignments and (k, L) centroids.
 
     Each member scores every block as a categorical sample of its effective
     size (the block's evidence) under a component's centroid: with the
@@ -270,27 +326,47 @@ def _pool_log_likelihood(
     penalty.  Running EM from the k-means solution lets redundant
     sub-components re-broaden (soft responsibilities wash the split out),
     while genuinely distinct classes keep near-hard memberships, so only
-    real structure earns likelihood."""
-    k = centroids.shape[0]
+    real structure earns likelihood.
+
+    Every fit's EM runs in one stack, component-major: (fits, kmax, N)
+    logits, where kmax is the largest k and a fit's components past its
+    own k have zero weight, so they score -inf and take no
+    responsibility. A fit leaves the stack once its log-likelihood gains
+    less than EM_TOL relative; each fit's sum runs along its own
+    contiguous row."""
     n = points.shape[0]
-    weights = np.bincount(assign, minlength=k).astype(float) / n
-    cents = centroids.copy()
+    ks = [cents.shape[0] for _, cents in fits]
+    cents = np.zeros((len(fits), max(ks), points.shape[1]))
+    weights = np.zeros(cents.shape[:2])
+    for i, (assign, centroids) in enumerate(fits):
+        cents[i, : ks[i]] = centroids
+        weights[i, : ks[i]] = np.bincount(assign, minlength=ks[i]) / n
     counts = _spread(evidence) * points
-    prev = -np.inf
+    counts_t = np.ascontiguousarray(counts.T)
+    logl = np.empty(len(fits))
+    live = np.arange(len(fits))
+    prev = np.full(len(fits), -np.inf)
     for _ in range(EM_MAX_ITER):
         with np.errstate(divide="ignore"):
-            logits = counts @ _log_centroids(cents).T + np.log(weights)
+            logits = _log_centroids(cents) @ counts_t + np.log(weights)[..., None]
             top = logits.max(axis=1)
             norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
-        logl = float(norm.sum())
-        if logl - prev < EM_TOL * max(1.0, abs(logl)):
-            return max(logl, prev)
-        prev = logl
+        new = norm.sum(axis=1)
+        done = new - prev < EM_TOL * np.maximum(1.0, np.abs(new))
+        if done.any():
+            logl[live[done]] = np.maximum(new[done], prev[done])
+            keep = ~done
+            live, cents, weights = live[keep], cents[keep], weights[keep]
+            logits, norm, new = logits[keep], norm[keep], new[keep]
+            if not live.size:
+                return logl
+        prev = new
         resp = np.exp(logits - norm[:, None])
-        weights = resp.mean(axis=0)
-        denom = _spread(resp.T @ evidence)
-        np.divide(resp.T @ counts, denom, out=cents, where=denom > 1e-12)
-    return prev
+        weights = resp.mean(axis=2)
+        denom = _spread(resp @ evidence)
+        np.divide(resp @ counts, denom, out=cents, where=denom > 1e-12)
+    logl[live] = prev
+    return logl
 
 
 def _fit_pool(points: np.ndarray, evidence: np.ndarray, rng):
@@ -299,14 +375,11 @@ def _fit_pool(points: np.ndarray, evidence: np.ndarray, rng):
     (AIC = 2kd - 2 logL, ties favor smaller k) as (aic, k, (N,)
     assignments, (k, L) centroids)."""
     d = VECTOR_LENGTH - BLOCK_LENGTHS.size
-    best = None
-    for k in range(1, min(MAX_CLASSES, len(points)) + 1):
-        assign, centroids = kmeans_distributions(points, k, rng)
-        logl = _pool_log_likelihood(points, evidence, assign, centroids)
-        aic = 2.0 * k * d - 2.0 * logl
-        if best is None or aic < best[0]:
-            best = (aic, k, assign, centroids)
-    return best
+    ks = np.arange(1, min(MAX_CLASSES, len(points)) + 1)
+    fits = kmeans_distributions(points, ks, rng)
+    aic = 2.0 * ks * d - 2.0 * _pool_log_likelihood(points, evidence, fits)
+    best = int(np.argmin(aic))
+    return (float(aic[best]), int(ks[best]), *fits[best])
 
 
 # --- the library ---

@@ -79,7 +79,6 @@ from crnsim.sensing import (
     SensorNoise,
     passive_detect_batch,
     radar_measure_batch,
-    wrap_angle,
 )
 from crnsim.tracking import (
     DEFAULT_STATE_ACCEL_STD,
@@ -507,7 +506,8 @@ GATE_MAX_RAD = np.radians(15.0)
 
 
 def _associate_bearings(
-    det_node_xy: np.ndarray,
+    node_xy: np.ndarray,
+    det_nodes: np.ndarray,
     det_bearings: np.ndarray,
     track_xy: np.ndarray,
     track_cov_xy: np.ndarray,
@@ -523,21 +523,45 @@ def _associate_bearings(
     covariance; its emissions then overlap the drifted gate and get
     dropped as ambiguous rather than logged against a neighbor. Bearings
     are azimuth only, so two targets over the same ground position gate
-    each other from every receiver; those are dropped the same way. Needs
-    at least one track, in ascending row order so results are
-    deterministic."""
-    rel = track_xy[None, :, :] - det_node_xy[:, None, :]  # (K, T, 2)
-    r2 = np.maximum(rel[..., 0] ** 2 + rel[..., 1] ** 2, 1.0)
-    pred = np.arctan2(rel[..., 1], rel[..., 0])
-    resid = np.abs(wrap_angle(pred - det_bearings[:, None]))
+    each other from every receiver; those are dropped the same way.
+
+    Takes the (nodes, 2) node table and each detection's node id (the
+    engine passes them ascending, in `np.nonzero` order, but any order
+    works), so that the bearing geometry and the gate are built once per
+    (listening node, track). The gate test is then the cosine form, with
+    no angle per (detection, track) pair: for a track at offset (dx, dy)
+    and range r from the node, a measured bearing b and a gate g <= pi,
+
+        |wrap(arctan2(dy, dx) - b)| <= g  <=>  dx cos b + dy sin b >= r cos g.
+
+    A track exactly on its node (r = 0) reads as bearing 0, as
+    arctan2(0, 0) does. Needs at least one track, in ascending row order
+    so results are deterministic."""
+    listening = np.flatnonzero(np.bincount(det_nodes))
+    listener = np.searchsorted(listening, det_nodes)  # (K,) rows of listening
+    nodes = node_xy[listening]
+    dx = track_xy[:, 0] - nodes[:, 0, None]  # (U, T)
+    dy = track_xy[:, 1] - nodes[:, 1, None]
+    dx2, dy2 = dx**2, dy**2
+    r2 = dx2 + dy2
     # cross-range variance: tangent^T P tangent with tangent = (-y, x)/r
+    clamped = np.maximum(r2, 1.0)
     var_b = (
-        rel[..., 1] ** 2 * track_cov_xy[None, :, 0, 0]
-        - 2.0 * rel[..., 0] * rel[..., 1] * track_cov_xy[None, :, 0, 1]
-        + rel[..., 0] ** 2 * track_cov_xy[None, :, 1, 1]
-    ) / (r2 * r2)
+        dy2 * track_cov_xy[:, 0, 0]
+        - 2.0 * dx * dy * track_cov_xy[:, 0, 1]
+        + dx2 * track_cov_xy[:, 1, 1]
+    ) / (clamped * clamped)
     gate = np.minimum(3.0 * np.sqrt(sigma_doa_rad**2 + var_b), GATE_MAX_RAD)
-    inside = resid <= gate  # (K, T)
+    on_node = r2 == 0.0
+    if on_node.any():
+        dx[on_node] = 1.0
+        r2[on_node] = 1.0
+    threshold = np.sqrt(r2) * np.cos(gate)
+    inside = (
+        dx[listener] * np.cos(det_bearings)[:, None]
+        + dy[listener] * np.sin(det_bearings)[:, None]
+        >= threshold[listener]
+    )  # (K, T)
     claims = inside.sum(axis=1)
     return np.where(claims == 1, inside.argmax(axis=1), -1)
 
@@ -557,7 +581,8 @@ def _apply_passive(
         return 0
     rows = np.flatnonzero(coordinator.live)  # ascending row
     hit = _associate_bearings(
-        world.node_positions[ni][:, :2],
+        world.node_positions[:, :2],
+        ni,
         bearings,
         coordinator.estimates[rows, :2],
         coordinator.xy_covariances(rows),

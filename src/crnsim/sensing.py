@@ -87,15 +87,17 @@ def radar_measure_batch(
     Every active node sees the targets within `radar_range_m` of it,
     horizontally. Returns (node_idx, target_idx, z) where z has columns
     [range, azimuth, elevation, radial velocity, angular rate], noise
-    included, one row per detected pair.
+    included, one row per detected pair, node-major. Pair geometry is built
+    for the active nodes only.
     """
-    rel = target_positions[None, :, :] - node_positions[:, None, :]  # (N, M, 3)
+    active = np.flatnonzero(active_mask)
+    rel = target_positions[None, :, :] - node_positions[active, None, :]  # (A, M, 3)
     horiz = np.hypot(rel[..., 0], rel[..., 1])
-    hit = active_mask[:, None] & (horiz <= radar_range_m)
-    ni, ti = np.nonzero(hit)
+    ni, ti = np.nonzero(horiz <= radar_range_m)
     if ni.size == 0:
         return ni, ti, np.empty((0, 5))
     r = rel[ni, ti]
+    ni = active[ni]
     dist = np.linalg.norm(r, axis=1)
     az = np.arctan2(r[:, 1], r[:, 0])
     el = np.arcsin(np.clip(r[:, 2] / dist, -1.0, 1.0))
@@ -128,14 +130,19 @@ def passive_detect_batch(
     """All passive intercepts for this step.
 
     max_range_m holds each target's precomputed SNR-limited radius.
-    Returns (node_idx, target_idx, noisy bearings).
+    Returns (node_idx, target_idx, noisy bearings), node-major. Pair
+    geometry is built for the listening nodes only, and nothing when none
+    listens.
     """
-    rel = target_positions[None, :, :] - node_positions[:, None, :]
+    listening = np.flatnonzero(passive_mask)
+    if listening.size == 0:
+        return listening, listening.copy(), np.empty(0)
+    rel = target_positions[None, :, :] - node_positions[listening, None, :]  # (P, M, 3)
     dist = np.linalg.norm(rel, axis=2)
-    hit = passive_mask[:, None] & tx_on[None, :] & (dist <= max_range_m[None, :])
-    ni, ti = np.nonzero(hit)
+    ni, ti = np.nonzero(tx_on[None, :] & (dist <= max_range_m[None, :]))
     if ni.size == 0:
         return ni, ti, np.empty(0)
     r = rel[ni, ti]
+    ni = listening[ni]
     bearing = np.arctan2(r[:, 1], r[:, 0]) + rng.normal(0.0, noise.sigma_doa_rad, ni.size)
     return ni, ti, wrap_angle(bearing)

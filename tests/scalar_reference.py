@@ -5,7 +5,11 @@ sensing, filter, bandit and class-learning code, and helpers only tests use.
 with the gates and noise model of `sensing.radar_measure_batch` and
 `sensing.passive_detect_batch`; `make_node` builds the node they read. The
 tests use them as oracles for the batch functions, and to feed a filter one
-measurement at a time.
+measurement at a time. `associate_bearings_by_angle` is the passive
+bearing gate as it was before `engine._associate_bearings` took its cosine
+form: one node position per detection, and the angle between the predicted
+and the measured bearing per (detection, track) pair, wrapped by `arctan2`;
+it is the oracle for that gate.
 
 A `Track` is one target's filter bank as a single record, the form a track
 had before the engine kept only table rows. `start_one_track` and
@@ -99,7 +103,14 @@ from crnsim.classlib import (
     ClassLibrary,
     _distance_matrix,
 )
-from crnsim.engine import Coordinator, ExperimentResult, Pool, epoch_seed, run_epoch
+from crnsim.engine import (
+    GATE_MAX_RAD,
+    Coordinator,
+    ExperimentResult,
+    Pool,
+    epoch_seed,
+    run_epoch,
+)
 from crnsim.markov import (
     MarkovChain,
     inverse_cdf,
@@ -293,6 +304,33 @@ def passive_detect(
         return None
     bearing = math.atan2(rel[1], rel[0]) + rng.normal(0.0, noise.sigma_doa_rad)
     return float(wrap_angle(bearing)), snr
+
+
+def associate_bearings_by_angle(
+    det_node_xy: np.ndarray,
+    det_bearings: np.ndarray,
+    track_xy: np.ndarray,
+    track_cov_xy: np.ndarray,
+    sigma_doa_rad: float,
+) -> np.ndarray:
+    """Track index claiming each detection heard at (K, 2) node positions,
+    -1 when no track or more than one gates it: a detection is inside a
+    track's gate when the wrapped angle between the track's predicted
+    bearing and the measured one is at most the gate."""
+    rel = track_xy[None, :, :] - det_node_xy[:, None, :]  # (K, T, 2)
+    r2 = np.maximum(rel[..., 0] ** 2 + rel[..., 1] ** 2, 1.0)
+    pred = np.arctan2(rel[..., 1], rel[..., 0])
+    resid = np.abs(wrap_angle(pred - det_bearings[:, None]))
+    # cross-range variance: tangent^T P tangent with tangent = (-y, x)/r
+    var_b = (
+        rel[..., 1] ** 2 * track_cov_xy[None, :, 0, 0]
+        - 2.0 * rel[..., 0] * rel[..., 1] * track_cov_xy[None, :, 0, 1]
+        + rel[..., 0] ** 2 * track_cov_xy[None, :, 1, 1]
+    ) / (r2 * r2)
+    gate = np.minimum(3.0 * np.sqrt(sigma_doa_rad**2 + var_b), GATE_MAX_RAD)
+    inside = resid <= gate  # (K, T)
+    claims = inside.sum(axis=1)
+    return np.where(claims == 1, inside.argmax(axis=1), -1)
 
 
 @dataclass(eq=False)

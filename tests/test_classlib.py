@@ -17,7 +17,7 @@ from crnsim.classlib import (
     vectors_from_counts,
     _distance_matrix,
     _fit_pool,
-    _lloyd,
+    _lloyd_runs,
 )
 from crnsim.engine import Coordinator
 from crnsim.markov import MarkovChain
@@ -252,7 +252,7 @@ class TestKmeans:
     def test_k1_centroid_is_blockwise_mean(self):
         rng = np.random.default_rng(5)
         pool = [random_family_vector(rng) for _ in range(10)]
-        assign, cents = kmeans_distributions(stack_vectors(pool)[0], 1, rng)
+        [(assign, cents)] = kmeans_distributions(stack_vectors(pool)[0], (1,), rng)
         assert np.all(assign == 0) and cents.shape == (1, 32)
         np.testing.assert_allclose(
             cents[0], np.mean([v.values for v in pool], axis=0),
@@ -265,7 +265,7 @@ class TestKmeans:
         rng = np.random.default_rng(6)
         points = stack_vectors(pool)[0]
         for k in (1, 2, 3):
-            assign, cents = kmeans_distributions(points, k, rng)
+            [(assign, cents)] = kmeans_distributions(points, (k,), rng)
             for i, a in enumerate(assign):
                 assert distribution_distance(pool[i], make_like(v, cents[a])) < 1e-12
 
@@ -292,23 +292,30 @@ class TestKmeans:
 
         pts = stack_vectors(pool)[0]
         best_mask = brute_force_two_means(pts)
-        assign, _ = kmeans_distributions(pts, 2, np.random.default_rng(8))
+        [(assign, _)] = kmeans_distributions(pts, (2,), np.random.default_rng(8))
         assert np.array_equal(assign == assign[0], best_mask == best_mask[0])
 
-    def test_lloyd_objective_non_increasing(self):
+    def test_lloyd_objective_non_increasing(self, monkeypatch):
         # KL is a Bregman divergence: the blockwise mean minimises it, so
         # neither the assignment nor the centroid step can raise the
-        # objective (25-step paths leave exact zeros for the log clamp)
+        # objective (25-step paths leave exact zeros for the log clamp).
+        # The objective after 1, 2, ... iterations, five seeds as one stack
         rng = np.random.default_rng(10)
         pool = [synth_vector(i % 3, rng, 25, 25) for i in range(130)]
         for size in (30, 130):
             pts = stack_vectors(pool[:size])[0]
-            for seed in range(5):
-                for k in (2, 3, 4, 6):
-                    _, _, obj, trace = _lloyd(pts, k, np.random.default_rng(seed))
-                    for earlier, later in zip(trace, trace[1:]):
-                        assert later <= earlier + 1e-9
-                    assert obj <= trace[-1] + 1e-9
+            for k in (2, 3, 4, 6):
+                starts = np.array([
+                    np.random.default_rng(seed).choice(size, size=k, replace=False)
+                    for seed in range(5)
+                ])
+                objectives = []
+                for iterations in range(1, 21):
+                    monkeypatch.setattr(classlib, "KMEANS_MAX_ITER", iterations)
+                    objectives.append(_lloyd_runs(pts, starts)[2])
+                for earlier, later in zip(objectives, objectives[1:]):
+                    assert np.all(later <= earlier + 1e-9)
+                assert np.any(objectives[0] > objectives[-1])
 
 
 def make_like(template, values):

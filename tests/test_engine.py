@@ -997,6 +997,20 @@ def test_bench_tracer_counts_the_whole_pool(monkeypatch):
     assert tracer.counters["classlib.pool_vectors"] == pooled > 0
 
 
+def test_bench_tracer_sees_one_fit_call_per_recluster(monkeypatch):
+    # `kmeans_distributions` fits every k of a re-cluster in one call and
+    # `_pool_log_likelihood` scores them in one, so each hook fires once
+    # per `update_library` call
+    tracer = _bench_tracer(monkeypatch).Tracer()
+    with tracer.installed():
+        run_experiment(SMALL, [BANDIT])
+    stats = tracer.layer_stats()
+    reclusters = stats["classlib.update_library"]["calls"]
+    assert reclusters > 0
+    assert stats["classlib.kmeans_distributions"]["calls"] == reclusters
+    assert stats["classlib.pool_log_likelihood"]["calls"] == reclusters
+
+
 def metrics_sha256(result):
     """SHA-256 over every EpochMetrics field of every epoch, policy by
     policy, in order."""

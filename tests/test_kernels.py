@@ -30,7 +30,7 @@ from crnsim.classlib import (
     _distance_matrix,
     _fit_pool,
     _greedy_id_match,
-    _lloyd,
+    _lloyd_runs,
     _pool_log_likelihood,
     assign_class,
     kmeans_distributions,
@@ -305,15 +305,45 @@ def agreement(a, b):
     return confusion[rows, cols].sum() / a.size
 
 
+def lone_run(points, k, rng):
+    """One Lloyd run from k distinct random points of the pool, drawn as
+    `ref_lloyd` draws them: `_lloyd_runs` with a single row of starts.
+    Returns its assignments, centroids and objective."""
+    starts = rng.choice(len(points), size=k, replace=False)[None]
+    assign, cents, objective = _lloyd_runs(points, starts)
+    return assign[0], cents[0], objective[0]
+
+
 class TestLloyd:
     def test_kmeans_matches_full_recompute(self, pool):
         pts = stack_vectors(pool)[0]
         for k in K_RANGE:
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            assign, cents = kmeans_distributions(pts, k, rng)
+            [(assign, cents)] = kmeans_distributions(pts, (k,), rng)
             ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, ref_rng)
             assert np.array_equal(assign, ref_assign)
             np.testing.assert_allclose(cents, ref_cents, **TOLERANCE)
+
+    @pytest.mark.parametrize(
+        "pool",
+        (dirichlet_pool(130, 130), duplicate_pool(6, 3), repeats_pool()),
+        ids=("dirichlet", "duplicates", "repeats"),
+    )
+    def test_one_call_fits_every_k(self, pool):
+        # every k's restarts in one call, as `_fit_pool` makes it: the same
+        # fits and generator state as the reference fitting k = 1..6 in
+        # turn; the duplicate and repeat pools seed equal centroids, so
+        # the stack takes the equal-column and re-seed paths
+        pts = stack_vectors(pool)[0]
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fits = kmeans_distributions(pts, K_RANGE, rng)
+            assert len(fits) == len(K_RANGE)
+            for k, (assign, cents) in zip(K_RANGE, fits):
+                ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, ref_rng)
+                assert np.array_equal(assign, ref_assign), (seed, k)
+                np.testing.assert_allclose(cents, ref_cents, **TOLERANCE)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_labels_follow_the_partition(self):
         # six distinct values three times each at k = 5: many restarts tie
@@ -324,7 +354,7 @@ class TestLloyd:
         k = 5
         for seed in range(40):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assign, cents = kmeans_distributions(pts, k, rng)
+            [(assign, cents)] = kmeans_distributions(pts, (k,), rng)
             assert list(dict.fromkeys(assign.tolist())) == list(range(k)), seed
             ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, ref_rng)
             assert np.array_equal(assign, ref_assign), seed
@@ -333,7 +363,7 @@ class TestLloyd:
     def test_lloyd_objective_matches(self):
         pts = stack_vectors(dirichlet_pool(30, 7))[0]
         for k in K_RANGE:
-            assign, cents, obj, _ = _lloyd(pts, k, np.random.default_rng(k))
+            assign, cents, obj = lone_run(pts, k, np.random.default_rng(k))
             ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(k), [])
             assert np.array_equal(assign, ref[0])
             np.testing.assert_allclose(cents, ref[1], **TOLERANCE)
@@ -347,7 +377,7 @@ class TestLloyd:
                         (duplicate_pool(6, 3), 4)):
             pts = stack_vectors(pool)[0]
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            assign, cents = kmeans_distributions(pts, k, rng)
+            [(assign, cents)] = kmeans_distributions(pts, (k,), rng)
             ref_assign, ref_cents = ref_kmeans(pts, k, BLOCKS, ref_rng, reseeds)
             assert np.array_equal(assign, ref_assign)
             np.testing.assert_allclose(cents, ref_cents, **TOLERANCE)
@@ -366,7 +396,7 @@ class TestLloyd:
                 if len(np.unique(pts[picked], axis=0)) == k:
                     continue
                 tried += 1
-                assign, cents, objective, _ = _lloyd(
+                assign, cents, objective = lone_run(
                     pts, k, np.random.default_rng(seed)
                 )
                 ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), [])
@@ -387,7 +417,7 @@ class TestLloyd:
         )
         reseeds = []
         rng = np.random.default_rng(seed)
-        assign, cents, objective, _ = _lloyd(pts, k, rng)
+        assign, cents, objective = lone_run(pts, k, rng)
         ref = ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), reseeds)
         first = [(cluster, point) for it, cluster, point in reseeds if it == 0]
         assert [cluster for cluster, _ in first] == [1, 2]
@@ -398,7 +428,7 @@ class TestLloyd:
         assert len(set(assign[:10])) == 1 and len(set(assign)) == k
         # the first iteration alone leaves k distinct centroids
         monkeypatch.setattr(classlib, "KMEANS_MAX_ITER", 1)
-        _, first_cents, _, _ = _lloyd(pts, k, np.random.default_rng(seed))
+        _, first_cents, _ = lone_run(pts, k, np.random.default_rng(seed))
         assert len(np.unique(first_cents, axis=0)) == k
 
     def test_reseed_takes_first_copy_of_worst_point(self, monkeypatch):
@@ -424,7 +454,7 @@ class TestLloyd:
                         continue
                     reseeds = []
                     ref_lloyd(pts, k, BLOCKS, np.random.default_rng(seed), reseeds)
-                    assign, _, _, _ = _lloyd(pts, k, np.random.default_rng(seed))
+                    assign, _, _ = lone_run(pts, k, np.random.default_rng(seed))
                     first = [(c, p) for it, c, p in reseeds if it == 0]
                     assert first, (n, k, seed)
                     for cluster, point in first:
@@ -437,7 +467,7 @@ class TestLloyd:
         # the premise of fitting under KL: on three-class pools it finds
         # the classes a Lloyd fit under the scored JSD finds
         pts = stack_vectors(dirichlet_pool(size, size))[0]
-        assign, _ = kmeans_distributions(pts, 3, np.random.default_rng(3))
+        [(assign, _)] = kmeans_distributions(pts, (3,), np.random.default_rng(3))
         jsd_assign, _ = ref_kmeans(
             pts, 3, BLOCKS, np.random.default_rng(3), distance=ref_distance_matrix
         )
@@ -446,17 +476,20 @@ class TestLloyd:
 
 class TestLikelihood:
     def test_pool_log_likelihood_matches(self, pool):
+        # every fit's EM in one stack, each converging at its own iteration,
+        # equals the reference run on each fit alone; a last component that
+        # loses its members starts EM with zero weight: -inf logits
         pts, evidence = stack_vectors(pool)
+        fits = []
         for k in K_RANGE:
             assign, cents = ref_kmeans(pts, k, BLOCKS, np.random.default_rng(k))
-            # the last component losing its members starts EM with zero
-            # weight: a column of -inf logits
             for labels in (assign, np.minimum(assign, max(k - 2, 0))):
-                np.testing.assert_allclose(
-                    _pool_log_likelihood(pts, evidence, labels, cents),
-                    ref_pool_log_likelihood(pts, evidence, labels, cents, BLOCKS),
-                    **TOLERANCE,
-                )
+                fits.append((labels, cents))
+        np.testing.assert_allclose(
+            _pool_log_likelihood(pts, evidence, fits),
+            [ref_pool_log_likelihood(pts, evidence, *fit, BLOCKS) for fit in fits],
+            **TOLERANCE,
+        )
 
     def test_fit_pool_winner_matches(self, pool):
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)

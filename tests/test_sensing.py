@@ -17,6 +17,7 @@ from crnsim.sensing import (
 )
 from scalar_reference import (
     ZeroRange,
+    associate_bearings_by_angle,
     make_node,
     passive_detect,
     passive_snr,
@@ -207,7 +208,8 @@ def associate(det_bearings, track_xy, track_cov=None, node_xy=(0.0, 0.0)):
     if track_cov is None:
         track_cov = np.zeros((len(track_xy), 2, 2))
     return _associate_bearings(
-        np.tile(np.asarray(node_xy, dtype=float), (det_bearings.size, 1)),
+        np.asarray(node_xy, dtype=float)[None],
+        np.zeros(det_bearings.size, dtype=np.intp),
         det_bearings,
         track_xy,
         np.asarray(track_cov, dtype=float),
@@ -252,6 +254,75 @@ class TestNearestBearingIndex:
         huge = np.diag([0.0, 1e12])[None]
         cap = [GATE_MAX_RAD - 1e-9, GATE_MAX_RAD + 1e-9]
         assert associate(cap, [[5000.0, 0.0]], huge).tolist() == [0, -1]
+
+
+class TestCosineGate:
+    """`engine._associate_bearings` tests |wrap(predicted - measured)| <= g
+    in its cosine form; `associate_bearings_by_angle` tests the angle."""
+
+    def test_matches_the_angle_gate_on_random_scenes(self):
+        rng = np.random.default_rng(2024)
+        detections = claimed = 0
+        for _ in range(1200):
+            node_xy = rng.uniform(0, 20_000, (int(rng.integers(1, 8)), 2))
+            num_tracks = int(rng.integers(1, 12))
+            track_xy = rng.uniform(-2_000, 22_000, (num_tracks, 2))
+            spread = rng.normal(0, 300, (num_tracks, 2, 2))
+            track_cov = spread @ spread.transpose(0, 2, 1)
+            k = int(rng.integers(1, 40))
+            det_nodes = np.sort(rng.integers(0, len(node_xy), k))
+            # most detections aim at a track, so many fall near a gate edge
+            aim = track_xy[rng.integers(0, num_tracks, k)] - node_xy[det_nodes]
+            bearings = np.arctan2(aim[:, 1], aim[:, 0]) + rng.normal(0, 0.1, k)
+            bearings = np.where(
+                rng.random(k) < 0.2, rng.uniform(-np.pi, np.pi, k), bearings
+            )
+            bearings = np.arctan2(np.sin(bearings), np.cos(bearings))
+            got = _associate_bearings(
+                node_xy, det_nodes, bearings, track_xy, track_cov, SIGMA_DOA
+            )
+            want = associate_bearings_by_angle(
+                node_xy[det_nodes], bearings, track_xy, track_cov, SIGMA_DOA
+            )
+            assert np.array_equal(got, want)
+            detections += k
+            claimed += int((want >= 0).sum())
+        assert claimed > detections // 4
+
+    def test_track_on_its_node_reads_bearing_zero(self):
+        # at r = 0, arctan2(0, 0) = 0: the gate is centred on bearing 0
+        gate = 3 * SIGMA_DOA
+        probe = [0.0, gate - 1e-9, gate + 1e-9, -gate + 1e-9, math.pi / 2, math.pi]
+        assert associate(probe, [[0.0, 0.0]]).tolist() == [0, 0, -1, 0, -1, -1]
+        node_xy = np.array([[250.0, -40.0]])
+        got = _associate_bearings(
+            node_xy, np.zeros(len(probe), dtype=np.intp), np.array(probe),
+            node_xy.copy(), np.zeros((1, 2, 2)), SIGMA_DOA,
+        )
+        want = associate_bearings_by_angle(
+            np.repeat(node_xy, len(probe), axis=0), np.array(probe),
+            node_xy.copy(), np.zeros((1, 2, 2)), SIGMA_DOA,
+        )
+        assert got.tolist() == want.tolist() == [0, 0, -1, 0, -1, -1]
+
+    def test_track_near_its_node(self):
+        # within a metre of the node the range is not clamped: the gate is
+        # still centred on the track's bearing
+        node_xy = np.array([[250.0, -40.0]])
+        for offset in ([0.5, 0.0], [0.0, -0.3], [-0.2, 0.2]):
+            track_xy = node_xy + offset
+            centre = math.atan2(offset[1], offset[0])
+            probe = centre + np.array([0.0, 0.05, -0.05, 0.2, math.pi])
+            probe = np.arctan2(np.sin(probe), np.cos(probe))
+            got = _associate_bearings(
+                node_xy, np.zeros(probe.size, dtype=np.intp), probe, track_xy,
+                np.zeros((1, 2, 2)), SIGMA_DOA,
+            )
+            want = associate_bearings_by_angle(
+                np.repeat(node_xy, probe.size, axis=0), probe, track_xy,
+                np.zeros((1, 2, 2)), SIGMA_DOA,
+            )
+            assert got.tolist() == want.tolist() == [0, 0, 0, -1, -1]
 
 
 class TestAssociateDetection:
@@ -379,6 +450,40 @@ class TestBatchConsistency:
             draws.append(b[0])
         assert np.std(draws) == pytest.approx(math.radians(2.0), rel=0.06)
 
+    def test_only_nodes_in_the_mode_are_read(self):
+        # a node outside the mode adds no pair and no noise draw: a mixed
+        # mask gives what the table of the nodes in the mode alone gives
+        rng, nodes, targets = self._setup(seed=5)
+        node_pos = np.array([n.position for n in nodes])
+        tgt_pos = np.array([t.position for t in targets])
+        mask = np.array([True, False, False, True, False, True])
+        kept = np.flatnonzero(mask)
+        radar = dict(
+            radar_range_m=6000.0, target_positions=tgt_pos,
+            target_velocities=np.array([t.velocity for t in targets]),
+            heading_rates=np.array([t.heading_rate_radps for t in targets]),
+            noise=SensorNoise(),
+        )
+        got = radar_measure_batch(node_pos, mask, rng=np.random.default_rng(4), **radar)
+        want = radar_measure_batch(
+            node_pos[kept], np.ones(kept.size, bool), rng=np.random.default_rng(4), **radar
+        )
+        assert got[0].size > 0
+        assert np.array_equal(got[0], kept[want[0]])
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        passive = dict(
+            target_positions=tgt_pos, tx_on=np.ones(len(targets), bool),
+            max_range_m=np.full(len(targets), 8000.0), noise=SensorNoise(),
+        )
+        got = passive_detect_batch(node_pos, ~mask, rng=np.random.default_rng(4), **passive)
+        want = passive_detect_batch(
+            node_pos[~mask], np.ones((~mask).sum(), bool),
+            rng=np.random.default_rng(4), **passive,
+        )
+        assert got[0].size > 0
+        assert np.array_equal(got[0], np.flatnonzero(~mask)[want[0]])
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
     def test_empty_masks_produce_empty_results(self):
         rng = np.random.default_rng(0)
         ni, ti, z = radar_measure_batch(
@@ -386,6 +491,15 @@ class TestBatchConsistency:
             np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), rng, SensorNoise(),
         )
         assert ni.size == 0 and z.shape == (0, 5)
+        # no node listens: no intercept and no draw
+        before = rng.bit_generator.state
+        ni, ti, bearings = passive_detect_batch(
+            np.zeros((3, 3)), np.zeros(3, bool), np.ones((2, 3)), np.ones(2, bool),
+            np.full(2, 1e6), rng, SensorNoise(),
+        )
+        assert ni.size == ti.size == bearings.size == 0
+        assert ni.dtype == ti.dtype == np.intp
+        assert rng.bit_generator.state == before
 
 
 class TestWrapAngle:
