@@ -24,8 +24,7 @@ target's true class id -- which each epoch's harvest grows with one
 concatenate per column, and the class library is one table with a row per
 class (see `classlib.ClassLibrary`). A classified track stores its class's
 library row, so the reward entropies of classified tracks and the
-class-tuned filters are gathers from per-class arrays built once per epoch,
-with one extra last row for the untuned filter that row -1 selects.
+class-tuned filters are gathers from per-class arrays built once per epoch.
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -84,7 +83,6 @@ from crnsim.tracking import (
     DEFAULT_STATE_ACCEL_STD,
     NUM_MODELS,
     UNTUNED_ACCEL_STD,
-    UNTUNED_MODE_TRANSITION,
     combined_covariances,
     combined_states,
     cv_transition,
@@ -122,6 +120,9 @@ NO_SIGHTING_STEP = -PENDING_MAX_AGE_STEPS - 1
 # the step of a row's last reading before its first one: neither equal nor
 # adjacent to any step >= 0
 NO_READING_STEP = -2
+
+# the mode chain of a one-model bank
+ONE_MODEL_CHAIN = np.ones((1, 1, 1))
 
 
 class ConfigError(ValueError):
@@ -261,10 +262,20 @@ class Coordinator:
     NO_SIGHTING_STEP when none), converted position
     (`pending_pos` (T, 3)) and covariance (`pending_cov` (T, 3, 3)). A row is
     live once its track starts, and every layer of a step visits the live
-    rows in ascending order."""
+    rows in ascending order.
+
+    An unclassified row's bank holds M identical models with probabilities
+    1/M: a track starts so, and its filter (see `_predict_tracks`) runs its
+    model 0 as a one-model bank and copies the result to every slot
+    (`untuned_bank`, `set_untuned_bank`). The table keeps the M copies, so
+    a row classified mid-epoch starts its IMM from that bank.
+
+    `dt_s` is the step the filters predict over; the filter matrices built
+    from it are per-epoch arrays, as the per-class ones are."""
 
     library: ClassLibrary
     use_class_knowledge: bool
+    dt_s: float
     num_targets: int = 0  # table rows
     bandits: Optional[BanditState] = None
 
@@ -288,15 +299,17 @@ class Coordinator:
         self.signal_last = self.motion_last.copy()
         # per-class arrays in library order; the library is fixed for the
         # coordinator's epoch. (motion, signal) entropies of each class
-        # centroid (k, 2), and the IMM mixing chain of each class plus the
-        # uniform untuned chain as a last row, which class row -1 selects
-        # (k + 1, M, M)
+        # centroid (k, 2), and the IMM mixing chain of each class (k, M, M)
         self.class_etas = np.column_stack(
             [normalized_entropy(pi) for pi in self.library.occupancies()]
         )
-        self.mode_transitions = np.concatenate(
-            [self.library.mode_transitions(), UNTUNED_MODE_TRANSITION[None]]
-        )
+        self.mode_transitions = self.library.mode_transitions()
+        # the filter matrices: the constant-velocity transition (6, 6), the
+        # process noise of each motion state's model (M, 6, 6) and the
+        # untuned level's (6, 6)
+        self.state_transition = cv_transition(self.dt_s)
+        self.state_noise = process_noise_matrix(self.dt_s, DEFAULT_STATE_ACCEL_STD)
+        self.untuned_noise = process_noise_matrix(self.dt_s, UNTUNED_ACCEL_STD)
 
     def start_tracks(self, rows: np.ndarray, states, covs, probs) -> None:
         """Start tracks in the free table rows `rows`, each its target's
@@ -318,13 +331,31 @@ class Coordinator:
         self.model_probs[rows] = probs
         self.estimates[rows] = combined_states(states, probs)
 
+    def untuned_bank(self, rows: np.ndarray):
+        """Unclassified rows' banks as one-model banks: model 0's state
+        (B, 1, 6) and covariance (B, 1, 6, 6), of which every model holds
+        a copy, and probability 1 (B, 1)."""
+        return (
+            self.model_states[rows, :1],
+            self.model_covs[rows, :1],
+            np.ones((rows.size, 1)),
+        )
+
+    def set_untuned_bank(self, rows: np.ndarray, states, covs) -> None:
+        """Copy one-model banks (B, 1, ...) to every model of unclassified
+        rows; the estimate is the one model's state, and the probabilities
+        stay 1/M."""
+        self.model_states[rows] = states
+        self.model_covs[rows] = covs
+        self.estimates[rows] = states[:, 0]
+
     def xy_covariances(self, rows: np.ndarray) -> np.ndarray:
         """(B, 2, 2) horizontal block of the rows' combined covariances."""
         return combined_covariances(
-            self.model_states[rows][..., :2],
-            self.model_covs[rows][:, :, :2, :2],
+            self.model_states[rows, :, :2],
+            self.model_covs[rows, :, :2, :2],
             self.model_probs[rows],
-            self.estimates[rows][:, :2],
+            self.estimates[rows, :2],
         )
 
     def record_motion(self, rows, step: int, states) -> None:
@@ -362,16 +393,17 @@ def _record_readings(counts, transitions, last, rows, step: int, states) -> None
 
 
 def make_coordinator(
-    library: ClassLibrary, world: World, policy: PolicySpec
+    library: ClassLibrary, world: World, policy: PolicySpec, dt_s: float
 ) -> Coordinator:
-    """Fresh per-epoch coordinator. Bandit statistics start cold every
-    epoch; only the class library carries over. Baselines keep the library
-    for scoring but never classify a track, so it steers neither their
-    filters nor their rewards."""
+    """Fresh per-epoch coordinator whose filters step by `dt_s`. Bandit
+    statistics start cold every epoch; only the class library carries over.
+    Baselines keep the library for scoring but never classify a track, so
+    it steers neither their filters nor their rewards."""
     bandit = policy.kind is PolicyKind.BANDIT
     return Coordinator(
         library=library,
         use_class_knowledge=bandit,
+        dt_s=dt_s,
         num_targets=world.num_targets,
         bandits=BanditState.cold(world.num_nodes) if bandit else None,
     )
@@ -412,22 +444,30 @@ def _select_modes(
     return baseline_policy(policy.kind, policy.active_probability, num_nodes, rng)
 
 
-def _predict_tracks(coordinator: Coordinator, dt: float) -> None:
-    """One IMM prediction over the live rows. A classified row mixes by its
-    class's chain with the per-state default acceleration levels; an
-    unclassified one by the uniform chain with every model at the untuned
-    level."""
+def _predict_tracks(coordinator: Coordinator) -> None:
+    """One IMM prediction over the live rows, one batch each for the
+    classified and the unclassified rows. A classified row mixes its bank
+    by its class's chain, each model at its motion state's default
+    acceleration level. An unclassified row's models are identical copies
+    at the untuned level, and models that start identical and share F and
+    Q stay identical under any mixing chain: its model 0 is predicted as a
+    one-model bank and copied to every model, whose probabilities stay
+    1/M."""
     c = coordinator
     rows = np.flatnonzero(c.live)
-    if rows.size == 0:
-        return
-    classes = c.class_rows[rows]
-    trans = c.mode_transitions[classes]
-    Q = process_noise_matrix(
-        dt,
-        np.where(classes[:, None] < 0, UNTUNED_ACCEL_STD, DEFAULT_STATE_ACCEL_STD),
-    )
-    c.set_bank(rows, *imm_predict_arrays(*c.bank(rows), trans, cv_transition(dt), Q))
+    classified = c.class_rows[rows] >= 0
+    F = c.state_transition
+    tuned, untuned = rows[classified], rows[~classified]
+    if tuned.size:
+        trans = c.mode_transitions[c.class_rows[tuned]]
+        c.set_bank(
+            tuned, *imm_predict_arrays(*c.bank(tuned), trans, F, c.state_noise)
+        )
+    if untuned.size:
+        states, covs, _ = imm_predict_arrays(
+            *c.untuned_bank(untuned), ONE_MODEL_CHAIN, F, c.untuned_noise
+        )
+        c.set_untuned_bank(untuned, states, covs)
 
 
 def _fuse_radar(
@@ -444,16 +484,15 @@ def _fuse_radar(
     whose held first sighting is at most PENDING_MAX_AGE_STEPS old starts
     its track by two-point differencing of that sighting and the new look;
     any other untracked row holds the new look as its first sighting,
-    replacing an older one; the tracked rows get one Kalman update. Returns
-    the rows of the tracks that got a reading, ascending, and the angular
-    rate each one measured.
+    replacing an older one; the tracked rows get one Kalman update, in one
+    batch for the classified rows and one for the unclassified rows'
+    one-model banks (see `_predict_tracks`). Returns the rows of the tracks
+    that got a reading, ascending, and the angular rate each one measured.
 
     One observer per target per step: the coordinator uses the return of
     the closest active node (smallest measured range, then lowest node id)
-    and discards redundant looks. A second look at the same target adds
-    little -- positional accuracy is already measurement-limited -- while
-    the single-observer geometry leaves cross-range velocity to the motion
-    model, which is exactly where class-tuned filters pay off.
+    and discards the other looks, so cross-range velocity is left to the
+    motion model.
 
     Returns are associated to tracks by the truth target id they carry
     (`ti`), not by gating: the radar channel assumes perfect data
@@ -494,7 +533,20 @@ def _fuse_radar(
         Rb[:, :3, :3] = R3[upd]
         Rb[:, 3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
         H = measurement_rows(c.estimates[ur], npos[upd])
-        c.set_bank(ur, *kalman_update_arrays(*c.bank(ur), zb, Rb, H))
+        classified = c.class_rows[ur] >= 0
+        if classified.any():
+            k = classified
+            tuned = ur[k]
+            c.set_bank(
+                tuned, *kalman_update_arrays(*c.bank(tuned), zb[k], Rb[k], H[k])
+            )
+        if not classified.all():
+            k = ~classified
+            untuned = ur[k]
+            states, covs, _ = kalman_update_arrays(
+                *c.untuned_bank(untuned), zb[k], Rb[k], H[k]
+            )
+            c.set_untuned_bank(untuned, states, covs)
     read = c.live[rows]
     return rows[read], z[read, 4]
 
@@ -691,7 +743,7 @@ def run_step(
         config.noise,
     )
 
-    _predict_tracks(coordinator, dt)
+    _predict_tracks(coordinator)
     rows, omegas = _fuse_radar(
         world, coordinator, ni_r, ti_r, z_r, t, dt, config.noise
     )
@@ -795,7 +847,7 @@ def run_epoch(
     """
     streams = make_streams(rng)
     world = make_world(config.scenario, streams.world)
-    coordinator = make_coordinator(library, world, policy)
+    coordinator = make_coordinator(library, world, policy, config.dt_s)
     steps = config.steps_per_epoch
     truth = world.targets
     T = world.num_targets

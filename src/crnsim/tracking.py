@@ -4,9 +4,15 @@ State is [x, y, z, vx, vy, vz]. The model bank holds one filter per motion
 state; all share constant-velocity dynamics and differ in process noise
 level (a linear coordinated-turn model would need the unknown turn rate,
 so turning shows up as elevated process noise plus the angular-rate
-evidence used for motion-state inference). Mixing follows a per-row
-mode-transition chain: a classified track's class chain, or the uniform
-`UNTUNED_MODE_TRANSITION` while it is unclassified.
+evidence used for motion-state inference). A classified track mixes its
+models by its class's mode-transition chain, each model at its state's
+default noise level. An unclassified track's models all sit at
+`UNTUNED_ACCEL_STD` under a uniform chain; models that start identical and
+share F and Q stay identical under any mixing chain (Blom & Bar-Shalom,
+IEEE TAC 1988), so that bank is one Kalman filter. The engine keeps the M
+identical copies in its table but runs such a track through the kernels
+as a one-model bank (M == 1), where mixing is the identity and the
+model-probability reweighting is skipped.
 
 Radar polar measurements are fused as converted Cartesian position (with
 Jacobian-propagated covariance) plus a linearized radial-velocity row.
@@ -23,8 +29,9 @@ state and covariance. Each matrix product is a batched `matmul` over the
 is one `matmul` over the flattened matrices; no product of three or more
 operands goes through `einsum`, whose unoptimized path loops over every
 index at once. The engine keeps its tracks as one table of such rows and
-passes each step's rows to these kernels, one call each; a track has no
-other form.
+passes each step's rows to these kernels in at most two calls each, one
+for the classified rows' full banks and one for the unclassified rows'
+one-model banks; a track has no other form.
 """
 
 from __future__ import annotations
@@ -43,9 +50,8 @@ NUM_MODELS = len(MOTION_STATES)
 DEFAULT_STATE_ACCEL_STD = np.array([0.5, 5.0, 20.0])
 
 # the unclassified filter: every model at the geometric mean of the per-state
-# levels, mixed by the uniform chain
+# levels, so the bank is one constant-velocity Kalman filter
 UNTUNED_ACCEL_STD = float(np.exp(np.mean(np.log(DEFAULT_STATE_ACCEL_STD))))
-UNTUNED_MODE_TRANSITION = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
 
 # angular-rate evidence densities (rad/s): heading rate near zero for
 # cruise, bimodal for turns, broad for high-G
@@ -115,11 +121,16 @@ def imm_predict_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mix then linearly propagate every model of every track.
 
-    F is (6,6) shared; trans is (B,M,M) and Q (B,M,6,6) per track (tracks
-    may carry different tunings). Returns (states, covs, probs) after
-    prediction.
+    F is (6,6) shared; trans is (B,M,M) per track (tracks may carry
+    different tunings) and Q broadcasts against the (B,M,6,6) covariances.
+    Returns (states, covs, probs) after prediction. A one-model bank
+    (M == 1) is not mixed: mixing one model is the identity, so trans is
+    not read and the probabilities come back as given.
     """
-    mixed, mixed_cov, c = imm_mix(states, covs, probs, trans)
+    if states.shape[1] == 1:
+        mixed, mixed_cov, c = states, covs, probs
+    else:
+        mixed, mixed_cov, c = imm_mix(states, covs, probs, trans)
     pred = mixed @ F.T
     pred_cov = F @ mixed_cov @ F.T + Q
     return pred, _symmetrize(pred_cov), c
@@ -210,7 +221,9 @@ def kalman_update_arrays(
     with the IMM model-probability reweighting.
 
     states (B,M,6), covs (B,M,6,6), probs (B,M), z (B,4), R (B,4,4),
-    H (B,4,6). Returns updated (states, covs, probs).
+    H (B,4,6). Returns updated (states, covs, probs). A one-model bank
+    (M == 1) has nothing to reweight: no likelihood is computed and the
+    probabilities come back as given.
     """
     B, M, n = states.shape
     d = z.shape[1]
@@ -227,6 +240,8 @@ def kalman_update_arrays(
         K @ R[:, None] @ np.swapaxes(K, 2, 3)
     )
     covs_new = _symmetrize(covs_new)
+    if M == 1:
+        return states_new, covs_new, probs
     # model likelihoods -> probability reweighting (log space for safety)
     maha = (nu[..., None, :] @ Sinv @ nu[..., None])[..., 0, 0]
     _, logdet = np.linalg.slogdet(S)

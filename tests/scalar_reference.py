@@ -21,9 +21,10 @@ had before the engine kept only table rows. `start_one_track` and
 `imm_predict` runs under a `FilterTuning`, one track's IMM parametrization
 as a single record (mode chain and per-state process noise), the form a
 tuning had before the engine gathered it from per-class arrays:
-`untuned_tuning`, `class_tuning` (a learned library class) and
-`tuned_tuning` (a true class) build one, and `process_noise_one` is the
-per-axis loop that builds one model's Q.
+`untuned_tuning` (under `UNTUNED_MODE_TRANSITION`, the uniform chain of
+the untuned bank as M models), `class_tuning` (a learned library class)
+and `tuned_tuning` (a true class) build one, and `process_noise_one` is
+the per-axis loop that builds one model's Q.
 `Track` also carries the forward recursion over motion states
 (`motion_belief`, `motion_state_posterior`, `infer_motion_state`, Rabiner
 1989): each step's belief is the previous posterior pushed through the
@@ -417,13 +418,17 @@ class FilterTuning:
         object.__setattr__(self, "process_noise_per_state", noise)
 
 
+# the uniform mode chain of the untuned filter as an M-model bank; the
+# engine runs that bank as one model, which needs no chain
+UNTUNED_MODE_TRANSITION = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
+
+
 def untuned_tuning() -> FilterTuning:
     """Class-agnostic filter: uniform mixing, one shared noise level (the
     geometric mean of the per-state defaults)."""
     shared = float(np.exp(np.mean(np.log(DEFAULT_STATE_ACCEL_STD))))
-    uniform = np.full((NUM_MODELS, NUM_MODELS), 1.0 / NUM_MODELS)
     return FilterTuning(
-        mode_transition=MarkovChain(uniform),
+        mode_transition=MarkovChain(UNTUNED_MODE_TRANSITION),
         process_noise_per_state=np.full(NUM_MODELS, shared),
     )
 

@@ -58,7 +58,9 @@ def synth_vector(class_index, rng, n_motion=50, n_signal=25):
 def counted_vector(motion_readings, signal_readings):
     """One track's behavior vector from (step, state) readings, counted by
     a coordinator's recorders and built by `vectors_from_counts`."""
-    c = Coordinator(library=ClassLibrary(), use_class_knowledge=False, num_targets=1)
+    c = Coordinator(
+        library=ClassLibrary(), use_class_knowledge=False, dt_s=0.5, num_targets=1
+    )
     for step, state in motion_readings:
         c.record_motion([0], step, [state])
     for step, state in signal_readings:

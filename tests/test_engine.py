@@ -11,8 +11,9 @@ the one-track oracle under each row's tuning, baselines never classifying a
 track, the track table (its count
 tables against histories recorded on the test side, reward entropies
 against a per-track oracle, IMM combination equal to the oracle `Track`'s,
-no per-row state kept outside its columns, and every live bank exactly
-symmetric, positive definite and normalized after every step), behavior vectors
+no per-row state kept outside its columns, every live bank exactly
+symmetric, positive definite and normalized after every step, and every
+unclassified one M identical models at probability 1/M), behavior vectors
 from the count tables against the history builder, rewards computed only
 under the bandit, once a step, the sign of `rmse_improvement`, the names
 the benchmark tracer hooks and the pool size it counts, a digest guard over every metric of a small experiment, and the
@@ -266,6 +267,7 @@ def _radar_coordinator(world, library=None):
     return Coordinator(
         library=ClassLibrary() if library is None else library,
         use_class_knowledge=library is not None,
+        dt_s=0.5,
         num_targets=world.num_targets,
     )
 
@@ -274,7 +276,8 @@ def _fuse_counting_updates(monkeypatch, coord):
     """`_fuse_radar` plus a per-row count of the filter updates it made: a
     track starts from two readings, so 2 + count is the row's number of
     measurement updates. Each bank that `kalman_update_arrays` returns is
-    matched to the one table row it was written to."""
+    matched to the one table row it was written to: a full bank to the
+    row's models, a one-model bank to each of the row's M copies."""
     update, banks = engine.kalman_update_arrays, []
     counts = np.zeros(coord.num_targets, dtype=np.int64)
 
@@ -288,7 +291,7 @@ def _fuse_counting_updates(monkeypatch, coord):
         read = _fuse_radar(*args)
         for states in banks:
             for s in states:
-                hit = [np.array_equal(s, m) for m in coord.model_states]
+                hit = [bool((s == m).all()) for m in coord.model_states]
                 assert sum(hit) == 1
                 counts[hit.index(True)] += 1
         return read
@@ -415,11 +418,17 @@ class TestClassTunedPrediction:
     def test_each_row_predicts_under_its_class_tuning(self):
         # live rows of class rows 1, -1, 0, -1 in a non-ascending start
         # order: one prediction gives each row the bank the one-track oracle
-        # gives under that row's tuning
+        # gives under that row's tuning. A classified row starts from a
+        # random bank and matches bit for bit. An unclassified row starts as
+        # the engine holds every unclassified row, M identical models at
+        # probability 1/M; the engine predicts it as one model where the
+        # oracle mixes three fl(1/3)-weighted copies, so the two differ only
+        # in rounding
         library = _class_library(2)
         c = Coordinator(
             library=library,
             use_class_knowledge=True,
+            dt_s=0.5,
             num_targets=5,
         )
         rng = np.random.default_rng(8)
@@ -429,16 +438,25 @@ class TestClassTunedPrediction:
         A = rng.normal(0.0, 5.0, (B, M, 6, 6))
         covs = A @ np.swapaxes(A, -1, -2) + 10.0 * np.eye(6)
         probs = rng.dirichlet(np.ones(M), size=B)
+        classes = np.array([1, -1, 0, -1])
+        copies = classes < 0
+        states[copies] = states[copies, :1]
+        covs[copies] = covs[copies, :1]
+        probs[copies] = 1.0 / M
         c.start_tracks(order, states, covs, probs)
-        c.class_rows[order] = [1, -1, 0, -1]
-        engine._predict_tracks(c, 0.5)
+        c.class_rows[order] = classes
+        engine._predict_tracks(c)
         for i, row in enumerate(order):
             cls = c.class_rows[row]
             tuning = untuned_tuning() if cls < 0 else class_tuning(library, cls)
             want = imm_predict(Track(states[i], covs[i], probs[i]), tuning, 0.5)
             got = c.bank(np.array([row]))
             for g, w in zip(got, (want.model_states, want.model_covs, want.model_probs)):
-                assert np.array_equal(g[0], w)
+                if cls < 0:
+                    scale = np.abs(w).max()
+                    np.testing.assert_allclose(g[0], w, rtol=1e-12, atol=1e-12 * scale)
+                else:
+                    assert np.array_equal(g[0], w)
 
 
 def _after_each_step(monkeypatch, check):
@@ -493,6 +511,29 @@ class TestCovarianceHealth:
         assert max(checked) > 0
 
 
+class TestUnclassifiedBanks:
+    # an unclassified row's filter runs its model 0 alone and copies the
+    # result to every model (see `_predict_tracks`), which is the whole
+    # filter only while the row's M models are identical and equally
+    # likely: so they must be after every step, under every policy
+    @pytest.mark.parametrize("policy", default_policies(), ids=lambda p: p.label)
+    def test_unclassified_rows_hold_identical_models(self, monkeypatch, policy):
+        checked = []
+
+        def check(world, c):
+            rows = np.flatnonzero(c.live & (c.class_rows < 0))
+            states, covs, probs = c.bank(rows)
+            assert (states == states[:, :1]).all()
+            assert (covs == covs[:, :1]).all()
+            assert (probs == 1.0 / NUM_MODELS).all()
+            checked.append(rows.size)
+
+        _after_each_step(monkeypatch, check)
+        run_experiment(SMALL, [policy])
+        assert len(checked) == SMALL.num_epochs * SMALL.steps_per_epoch
+        assert max(checked) > 0
+
+
 class TestTrackTable:
     def test_rows_match_the_tracks_after_every_step(self, monkeypatch):
         # the count tables hold what the recorded histories count: occupancy,
@@ -530,6 +571,7 @@ class TestTrackTable:
         c = Coordinator(
             library=ClassLibrary(),
             use_class_knowledge=False,
+            dt_s=0.5,
             num_targets=3,
         )
 
@@ -561,7 +603,7 @@ class TestTrackTable:
         noise, ni, ti = SensorNoise(), np.array([0]), np.array([0])
         for t, d_az in ((1, 0.0), (2, 0.0), (3, 0.02)):
             if t == 3:
-                engine._predict_tracks(c, 0.5)
+                engine._predict_tracks(c)
             z = _polar_row(world.node_positions[0], target, d_az)[None]
             _fuse_radar(world, c, ni, ti, z, t, 0.5, noise)
         track = Track(*(a[0] for a in c.bank(np.array([0]))))
@@ -571,10 +613,16 @@ class TestTrackTable:
 
     def test_coordinator_holds_no_track(self, monkeypatch):
         # per-row state lives only in table columns, one row per target: the
-        # class entropies have one row per library class, the mixing chains
-        # one more for the untuned filter, and no dict, list or track record
-        # is kept
+        # class entropies and mixing chains have one row per library class,
+        # the filter matrices are the epoch's, and no dict, list or track
+        # record is kept
         steps = []
+        M = NUM_MODELS
+        per_epoch = {
+            "state_transition": (6, 6),
+            "state_noise": (M, 6, 6),
+            "untuned_noise": (6, 6),
+        }
 
         def check(world, c):
             k = c.library.ids.size
@@ -583,7 +631,9 @@ class TestTrackTable:
                 if name == "class_etas":
                     assert value.shape == (k, 2)
                 elif name == "mode_transitions":
-                    assert value.shape == (k + 1, NUM_MODELS, NUM_MODELS)
+                    assert value.shape == (k, M, M)
+                elif name in per_epoch:
+                    assert value.shape == per_epoch[name], name
                 elif isinstance(value, np.ndarray):
                     assert value.shape[0] == c.num_targets, name
             steps.append(int(c.live.sum()))
@@ -715,6 +765,7 @@ class TestHarvestGate:
         c = Coordinator(
             library=ClassLibrary(),
             use_class_knowledge=False,
+            dt_s=0.5,
             num_targets=len(self.READINGS),
         )
         for row, (n_motion, n_signal) in enumerate(self.READINGS):
@@ -1032,7 +1083,7 @@ def metrics_sha256(result):
 # Recorded on the SMALL config under the three default policies. A change
 # that is meant to alter behaviour updates this value and says why in
 # CHANGES.md; any other change must leave it as it is.
-SMALL_METRICS_SHA256 = "f7caf0018b8afa1af7f8d03667a540bb4f3813ace55daf4b344524e3166175f4"
+SMALL_METRICS_SHA256 = "995f75971ef2d05dde16925ac2ca27d78fc352d9fcf139f5ae436b6a6f47b1f2"
 
 
 class TestRegressionGuard:

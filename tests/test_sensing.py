@@ -332,7 +332,7 @@ class TestAssociateDetection:
         # `_associate_bearings` needs at least one track; with no live row
         # `_apply_passive` returns before calling it
         coordinator = Coordinator(
-            library=ClassLibrary(), use_class_knowledge=False
+            library=ClassLibrary(), use_class_knowledge=False, dt_s=0.5
         )
         logged = _apply_passive(
             None, coordinator, np.array([0]), np.array([0]), np.array([0.3]), 1,
@@ -343,7 +343,8 @@ class TestAssociateDetection:
     def test_no_tracks_claims_nothing(self):
         # the table has rows, but no track has started in any of them
         coordinator = Coordinator(
-            library=ClassLibrary(), use_class_knowledge=False, num_targets=2
+            library=ClassLibrary(), use_class_knowledge=False, dt_s=0.5,
+            num_targets=2,
         )
         logged = _apply_passive(
             None, coordinator, np.array([0, 1]), np.array([0, 1]),

@@ -21,7 +21,6 @@ from crnsim.tracking import (
     MIN_MODEL_PROB,
     NUM_MODELS,
     UNTUNED_ACCEL_STD,
-    UNTUNED_MODE_TRANSITION,
     LengthMismatch,
     combined_covariances,
     combined_states,
@@ -37,6 +36,7 @@ from crnsim.tracking import (
     track_rmse,
 )
 from scalar_reference import (
+    UNTUNED_MODE_TRANSITION,
     FilterTuning,
     Target,
     Track,
@@ -820,6 +820,59 @@ def loop_polar_covariance(r, az, el, sigmas):
     return out
 
 
+class TestOneModelBanks:
+    # an unclassified bank is M identical models at the untuned level under
+    # the uniform chain; the engine runs it as a one-model bank, which must
+    # equal model 0 of the repeated bank to rounding
+    M = NUM_MODELS
+
+    def repeated(self, rows, B):
+        """The one-model banks of `rows` as M identical models, 1/M each."""
+        M = self.M
+        return (
+            np.repeat(rows.states, M, axis=1),
+            np.repeat(rows.covs, M, axis=1),
+            np.full((B, M), 1.0 / M),
+        )
+
+    @staticmethod
+    def assert_close(got, want):
+        scale = np.max(np.abs(want), initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("B", [1, 30])
+    def test_predict_equals_model_0_of_the_repeated_bank(self, B):
+        rows = random_rows(np.random.default_rng(600 + B), B, M=1)
+        F, Q = cv_transition(0.5), process_noise_matrix(0.5, UNTUNED_ACCEL_STD)
+        probs = np.ones((B, 1))
+        got = imm_predict_arrays(
+            rows.states, rows.covs, probs, np.ones((1, 1, 1)), F, Q
+        )
+        trans = np.broadcast_to(UNTUNED_MODE_TRANSITION, (B, self.M, self.M))
+        want = imm_predict_arrays(*self.repeated(rows, B), trans, F, Q)
+        for g, w in zip(got[:2], want[:2]):
+            self.assert_close(g[:, 0], w[:, 0])
+        assert np.array_equal(got[2], probs)
+
+    @pytest.mark.parametrize("B", [1, 30])
+    def test_update_equals_model_0_of_the_repeated_bank(self, B):
+        rows = random_rows(np.random.default_rng(700 + B), B, M=1)
+        got = kalman_update_arrays(
+            rows.states, rows.covs, np.ones((B, 1)), rows.z, rows.R, rows.H
+        )
+        want = kalman_update_arrays(*self.repeated(rows, B), rows.z, rows.R, rows.H)
+        for g, w in zip(got[:2], want[:2]):
+            self.assert_close(g[:, 0], w[:, 0])
+
+    def test_update_returns_the_given_probabilities(self):
+        # one model has nothing to reweight, whatever weight it carries
+        B = 5
+        rows = random_rows(np.random.default_rng(800), B, M=1)
+        probs = np.random.default_rng(801).uniform(0.1, 1.0, (B, 1))
+        got = kalman_update_arrays(rows.states, rows.covs, probs, rows.z, rows.R, rows.H)
+        assert np.array_equal(got[2], probs)
+
+
 class TestKernelsAgainstLoops:
     @pytest.mark.parametrize("B", [1, 30, 60])
     def test_imm_mix(self, B):
@@ -854,7 +907,7 @@ class TestKernelsAgainstLoops:
 
     @pytest.mark.parametrize("B", [1, 30, 60])
     def test_combined_covariances_of_horizontal_slices(self, B):
-        # the strided views `Coordinator.xy_covariances` passes in
+        # the horizontal blocks `Coordinator.xy_covariances` passes in
         rows = random_rows(np.random.default_rng(400 + B), B)
         means = combined_states(rows.states, rows.probs)
         args = (
