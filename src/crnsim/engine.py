@@ -121,9 +121,6 @@ NO_SIGHTING_STEP = -PENDING_MAX_AGE_STEPS - 1
 # adjacent to any step >= 0
 NO_READING_STEP = -2
 
-# the mode chain of a one-model bank
-ONE_MODEL_CHAIN = np.ones((1, 1, 1))
-
 
 class ConfigError(ValueError):
     """Simulation configuration is internally inconsistent."""
@@ -264,11 +261,12 @@ class Coordinator:
     live once its track starts, and every layer of a step visits the live
     rows in ascending order.
 
-    An unclassified row's bank holds M identical models with probabilities
-    1/M: a track starts so, and its filter (see `_predict_tracks`) runs its
-    model 0 as a one-model bank and copies the result to every slot
-    (`untuned_bank`, `set_untuned_bank`). The table keeps the M copies, so
-    a row classified mid-epoch starts its IMM from that bank.
+    The table stores the models a row runs. A track starts unclassified,
+    and an unclassified row runs the untuned filter, one Kalman filter (see
+    `_predict_tracks`): its model 0 at probability 1, with models 1..M-1
+    zero at probability 0. A row is promoted once, at the step it is
+    classified (`_attempt_assignments`): its model 0 is copied to all M
+    models at probability 1/M, the bank its IMM starts from.
 
     `dt_s` is the step the filters predict over; the filter matrices built
     from it are per-epoch arrays, as the per-class ones are."""
@@ -313,41 +311,30 @@ class Coordinator:
 
     def start_tracks(self, rows: np.ndarray, states, covs, probs) -> None:
         """Start tracks in the free table rows `rows`, each its target's
-        index in the world, from copies of the given IMM banks."""
+        index in the world, from copies of the given banks (see
+        `set_bank`)."""
         if self.live[rows].any():
             raise ValueError(f"rows {rows[self.live[rows]]} already hold a track")
         self.set_bank(rows, states, covs, probs)
         self.live[rows] = True
 
-    def bank(self, rows: np.ndarray):
-        """The rows' IMM banks: states (B, M, 6), covariances (B, M, 6, 6)
-        and probabilities (B, M)."""
-        return self.model_states[rows], self.model_covs[rows], self.model_probs[rows]
-
-    def set_bank(self, rows: np.ndarray, states, covs, probs) -> None:
-        """Write the rows' IMM banks and recombine their estimates."""
-        self.model_states[rows] = states
-        self.model_covs[rows] = covs
-        self.model_probs[rows] = probs
-        self.estimates[rows] = combined_states(states, probs)
-
-    def untuned_bank(self, rows: np.ndarray):
-        """Unclassified rows' banks as one-model banks: model 0's state
-        (B, 1, 6) and covariance (B, 1, 6, 6), of which every model holds
-        a copy, and probability 1 (B, 1)."""
+    def bank(self, rows: np.ndarray, models: int = NUM_MODELS):
+        """The rows' first `models` models as banks: states (B, m, 6),
+        covariances (B, m, 6, 6) and probabilities (B, m)."""
         return (
-            self.model_states[rows, :1],
-            self.model_covs[rows, :1],
-            np.ones((rows.size, 1)),
+            self.model_states[rows, :models],
+            self.model_covs[rows, :models],
+            self.model_probs[rows, :models],
         )
 
-    def set_untuned_bank(self, rows: np.ndarray, states, covs) -> None:
-        """Copy one-model banks (B, 1, ...) to every model of unclassified
-        rows; the estimate is the one model's state, and the probabilities
-        stay 1/M."""
-        self.model_states[rows] = states
-        self.model_covs[rows] = covs
-        self.estimates[rows] = states[:, 0]
+    def set_bank(self, rows: np.ndarray, states, covs, probs) -> None:
+        """Write banks of m models to the rows' first m models and
+        recombine their estimates."""
+        m = states.shape[1]
+        self.model_states[rows, :m] = states
+        self.model_covs[rows, :m] = covs
+        self.model_probs[rows, :m] = probs
+        self.estimates[rows] = combined_states(states, probs)
 
     def xy_covariances(self, rows: np.ndarray) -> np.ndarray:
         """(B, 2, 2) horizontal block of the rows' combined covariances."""
@@ -448,11 +435,10 @@ def _predict_tracks(coordinator: Coordinator) -> None:
     """One IMM prediction over the live rows, one batch each for the
     classified and the unclassified rows. A classified row mixes its bank
     by its class's chain, each model at its motion state's default
-    acceleration level. An unclassified row's models are identical copies
-    at the untuned level, and models that start identical and share F and
-    Q stay identical under any mixing chain: its model 0 is predicted as a
-    one-model bank and copied to every model, whose probabilities stay
-    1/M."""
+    acceleration level. An unclassified row runs the untuned filter, M
+    models at the untuned level that would stay identical under any mixing
+    chain, as the one model it stores: a one-model bank, predicted with no
+    chain."""
     c = coordinator
     rows = np.flatnonzero(c.live)
     classified = c.class_rows[rows] >= 0
@@ -464,10 +450,9 @@ def _predict_tracks(coordinator: Coordinator) -> None:
             tuned, *imm_predict_arrays(*c.bank(tuned), trans, F, c.state_noise)
         )
     if untuned.size:
-        states, covs, _ = imm_predict_arrays(
-            *c.untuned_bank(untuned), ONE_MODEL_CHAIN, F, c.untuned_noise
+        c.set_bank(
+            untuned, *imm_predict_arrays(*c.bank(untuned, 1), None, F, c.untuned_noise)
         )
-        c.set_untuned_bank(untuned, states, covs)
 
 
 def _fuse_radar(
@@ -482,10 +467,11 @@ def _fuse_radar(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply this step's radar returns in three batches: an untracked row
     whose held first sighting is at most PENDING_MAX_AGE_STEPS old starts
-    its track by two-point differencing of that sighting and the new look;
-    any other untracked row holds the new look as its first sighting,
-    replacing an older one; the tracked rows get one Kalman update, in one
-    batch for the classified rows and one for the unclassified rows'
+    its track, unclassified and as one model, by two-point differencing of
+    that sighting and the new look; any other untracked row holds the new
+    look as its first sighting, replacing an older one; the tracked rows
+    get one Kalman update of the models they store, in one batch for the
+    classified rows' full banks and one for the unclassified rows'
     one-model banks (see `_predict_tracks`). Returns the rows of the tracks
     that got a reading, ascending, and the angular rate each one measured.
 
@@ -534,19 +520,12 @@ def _fuse_radar(
         Rb[:, 3, 3] = max(noise.sigma_radial_velocity, 1e-6) ** 2
         H = measurement_rows(c.estimates[ur], npos[upd])
         classified = c.class_rows[ur] >= 0
-        if classified.any():
-            k = classified
-            tuned = ur[k]
-            c.set_bank(
-                tuned, *kalman_update_arrays(*c.bank(tuned), zb[k], Rb[k], H[k])
-            )
-        if not classified.all():
-            k = ~classified
-            untuned = ur[k]
-            states, covs, _ = kalman_update_arrays(
-                *c.untuned_bank(untuned), zb[k], Rb[k], H[k]
-            )
-            c.set_untuned_bank(untuned, states, covs)
+        for k, models in ((classified, NUM_MODELS), (~classified, 1)):
+            if k.any():
+                c.set_bank(
+                    ur[k],
+                    *kalman_update_arrays(*c.bank(ur[k], models), zb[k], Rb[k], H[k]),
+                )
     read = c.live[rows]
     return rows[read], z[read, 4]
 
@@ -664,12 +643,18 @@ def _apply_passive(
 def _attempt_assignments(coordinator: Coordinator) -> None:
     """Classify, in one batch, every unclassified live row observed enough
     to have a behavior vector. A row no class accepts stays at -1 and is
-    tried again next step, with the readings it gains meanwhile."""
+    tried again next step, with the readings it gains meanwhile. A row a
+    class accepts is promoted from the one model it ran to M copies of it
+    at probability 1/M; its estimate, that model's state, is kept."""
     c = coordinator
     unclassified = np.flatnonzero(c.live & (c.class_rows < 0))
     rows, values, _ = track_parameter_vector(c, unclassified)
     if rows.size:
         c.class_rows[rows] = assign_class(c.library, values)
+        promoted = rows[c.class_rows[rows] >= 0]
+        c.model_states[promoted] = c.model_states[promoted, :1]
+        c.model_covs[promoted] = c.model_covs[promoted, :1]
+        c.model_probs[promoted] = 1.0 / NUM_MODELS
 
 
 def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
@@ -1016,15 +1001,21 @@ def run_experiment(
     wrapper or a test's patch would run in the workers, and what it records
     there is lost with them. A patch that is not a module-level name (a
     class attribute, a numpy function) is not noticed: pass `workers=1` to
-    keep every cell in this process."""
+    keep every cell in this process.
+
+    The results are keyed by `PolicySpec.label`, so two policies with one
+    label are refused rather than merged."""
     if workers is not None and workers < 1:
         raise ConfigError("need at least one worker")
     policies = tuple(policies) if policies is not None else default_policies()
+    labels = [p.label for p in policies]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"policies need distinct labels, got {labels}")
     cells = [(run, spec) for run in range(config.num_runs) for spec in policies]
     if workers is None:
         workers = 1 if _replaced_functions() else _usable_cpus()
     workers = min(len(cells), workers)
-    metrics: dict = {p.label: [] for p in policies}
+    metrics: dict = {label: [] for label in labels}
     for (_, spec), per_epoch in zip(cells, _run_cells(config, cells, workers)):
         metrics[spec.label].append(per_epoch)
     return ExperimentResult(config=config, policies=policies, metrics=metrics)

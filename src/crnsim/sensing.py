@@ -19,7 +19,7 @@ they are the only sensing code the simulation runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,6 +38,10 @@ class ReceiverParams:
     system_loss: float = 2.0
     wavelength_m: float = 0.3
 
+    def __post_init__(self):
+        if not (self.noise_figure > 0 and self.bandwidth_hz > 0):
+            raise ValueError("noise figure and bandwidth must be positive")
+
 
 @dataclass(frozen=True)
 class SensorNoise:
@@ -50,11 +54,13 @@ class SensorNoise:
     sigma_angular_velocity_rad: float = math.radians(0.5)
     sigma_doa_rad: float = math.radians(2.0)
 
+    def __post_init__(self):
+        if not all(sigma >= 0 for sigma in astuple(self)):
+            raise ValueError("noise sigmas must be nonnegative")
+
 
 def receiver_noise_power(rx: ReceiverParams) -> float:
     """Thermal noise power k T_0 F B in watts."""
-    if rx.noise_figure <= 0 or rx.bandwidth_hz <= 0:
-        raise ValueError("noise figure and bandwidth must be positive")
     return BOLTZMANN_J_PER_K * REFERENCE_TEMP_K * rx.noise_figure * rx.bandwidth_hz
 
 

@@ -6,13 +6,13 @@ level (a linear coordinated-turn model would need the unknown turn rate,
 so turning shows up as elevated process noise plus the angular-rate
 evidence used for motion-state inference). A classified track mixes its
 models by its class's mode-transition chain, each model at its state's
-default noise level. An unclassified track's models all sit at
-`UNTUNED_ACCEL_STD` under a uniform chain; models that start identical and
-share F and Q stay identical under any mixing chain (Blom & Bar-Shalom,
-IEEE TAC 1988), so that bank is one Kalman filter. The engine keeps the M
-identical copies in its table but runs such a track through the kernels
-as a one-model bank (M == 1), where mixing is the identity and the
-model-probability reweighting is skipped.
+default noise level. An unclassified track runs the untuned filter: M
+models at `UNTUNED_ACCEL_STD` under a uniform chain would start identical
+and, sharing F and Q, stay identical under any mixing chain (Blom &
+Bar-Shalom, IEEE TAC 1988), so that filter is one Kalman filter. A track
+starts unclassified, as a one-model bank (M == 1), where mixing is the
+identity and the model-probability reweighting is skipped; the engine
+gives it M models, copies of that one, when it is classified.
 
 Radar polar measurements are fused as converted Cartesian position (with
 Jacobian-propagated covariance) plus a linearized radial-velocity row.
@@ -261,20 +261,16 @@ def start_track(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-point differencing initialization of B tracks from their first
     two converted position measurements: positions (B,3), covariances
-    (B,3,3), dt (B,) > 0 apart. Returns the B banks -- states (B,M,6),
-    covariances (B,M,6,6), probabilities (B,M) -- every model starting from
-    the differenced state with equal probability."""
+    (B,3,3), dt (B,) > 0 apart. Returns the B one-model banks of the
+    untuned filter every new track runs: the differenced states (B,1,6),
+    their covariances (B,1,6,6) and probabilities 1 (B,1)."""
     gap = dt[:, None, None]
     state = np.concatenate([pos2, (pos2 - pos1) / dt[:, None]], axis=1)
     P = np.zeros((dt.size, 6, 6))
     P[:, :3, :3] = R2
     P[:, :3, 3:] = P[:, 3:, :3] = R2 / gap
     P[:, 3:, 3:] = (R1 + R2) / gap**2
-    return (
-        np.repeat(state[:, None], NUM_MODELS, axis=1),
-        np.repeat(P[:, None], NUM_MODELS, axis=1),
-        np.full((dt.size, NUM_MODELS), 1.0 / NUM_MODELS),
-    )
+    return state[:, None], P[:, None], np.ones((dt.size, 1))
 
 
 def omega_log_evidence(omega: np.ndarray) -> np.ndarray:

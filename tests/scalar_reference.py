@@ -13,9 +13,9 @@ it is the oracle for that gate.
 
 A `Track` is one target's filter bank as a single record, the form a track
 had before the engine kept only table rows. `start_one_track` and
-`polar_to_cartesian_one` run `tracking.start_track` and
-`tracking.polar_to_cartesian` with a batch of 1, `imm_predict` and
-`kalman_update` advance and fuse one track through
+`polar_to_cartesian_one` run `tracking.start_track` (repeating the one
+model it starts to M) and `tracking.polar_to_cartesian` with a batch of
+1, `imm_predict` and `kalman_update` advance and fuse one track through
 `tracking.imm_predict_arrays` and `tracking.kalman_update_arrays`, so a
 `Track` is the oracle the track table's rows are compared against.
 `imm_predict` runs under a `FilterTuning`, one track's IMM parametrization
@@ -369,11 +369,17 @@ class Track:
 
 
 def start_one_track(pos1, R1, pos2, R2, dt: float) -> Track:
-    """One track started by `tracking.start_track` with a batch of 1."""
-    states, covs, probs = start_track(
+    """One track started by `tracking.start_track` with a batch of 1, its
+    one model repeated to M at probability 1/M: the M-model bank that any
+    tuning, untuned or class-tuned, can predict."""
+    states, covs, _ = start_track(
         pos1[None], R1[None], pos2[None], R2[None], np.array([dt])
     )
-    return Track(states[0], covs[0], probs[0])
+    return Track(
+        np.repeat(states[0], NUM_MODELS, axis=0),
+        np.repeat(covs[0], NUM_MODELS, axis=0),
+        np.full(NUM_MODELS, 1.0 / NUM_MODELS),
+    )
 
 
 def polar_to_cartesian_one(

@@ -1,7 +1,7 @@
 """Engine contract: determinism, the paired design (the world stream alone
 reproduces an epoch's truth, under a shared or a fresh default family),
-config validation, one batched truth step, one bandit-table selection and
-update, at most one track-start batch and one class-assignment batch per
+config validation (policy labels included), one batched truth step, one
+bandit-table selection and update, at most one track-start batch and one class-assignment batch per
 step whatever the target and node counts, the harvest rule for radar-only,
 the harvest gate on reading counts and the pool table each harvest grows,
 the one behavior-vector layout of the count tables, pool, library and harvest,
@@ -12,8 +12,10 @@ track, the track table (its count
 tables against histories recorded on the test side, reward entropies
 against a per-track oracle, IMM combination equal to the oracle `Track`'s,
 no per-row state kept outside its columns, every live bank exactly
-symmetric, positive definite and normalized after every step, and every
-unclassified one M identical models at probability 1/M), behavior vectors
+symmetric, positive definite and normalized after every step, every
+unclassified one its model 0 alone at probability 1, read exactly by the
+passive gate, and every row classified promoted to M copies of that model
+at probability 1/M), behavior vectors
 from the count tables against the history builder, rewards computed only
 under the bandit, once a step, the sign of `rmse_improvement`, the names
 the benchmark tracer hooks and the pool size it counts, a digest guard over every metric of a small experiment, and the
@@ -222,6 +224,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PolicySpec(PolicyKind.RANDOM, p)
 
+    @pytest.mark.parametrize(
+        "policies",
+        [
+            [BANDIT, BANDIT],
+            # one label, "random-0.5", for two probabilities
+            [
+                PolicySpec(PolicyKind.RANDOM, 0.5),
+                PolicySpec(PolicyKind.RANDOM, 0.5000001),
+            ],
+        ],
+        ids=["same-policy", "same-label"],
+    )
+    def test_colliding_policy_labels_rejected(self, policies):
+        # results are keyed by label, so the runs would be merged
+        with pytest.raises(ConfigError):
+            run_experiment(SMALL, policies, workers=1)
+
     def test_valid_edges_accepted(self):
         PolicySpec(PolicyKind.RANDOM, 0.0)
         PolicySpec(PolicyKind.RANDOM, 1.0)
@@ -275,9 +294,10 @@ def _radar_coordinator(world, library=None):
 def _fuse_counting_updates(monkeypatch, coord):
     """`_fuse_radar` plus a per-row count of the filter updates it made: a
     track starts from two readings, so 2 + count is the row's number of
-    measurement updates. Each bank that `kalman_update_arrays` returns is
-    matched to the one table row it was written to: a full bank to the
-    row's models, a one-model bank to each of the row's M copies."""
+    measurement updates. Each bank of m models that `kalman_update_arrays`
+    returns is matched to the one table row whose first m models it was
+    written to: a full bank to a classified row, a one-model bank to an
+    unclassified row's model 0."""
     update, banks = engine.kalman_update_arrays, []
     counts = np.zeros(coord.num_targets, dtype=np.int64)
 
@@ -291,7 +311,7 @@ def _fuse_counting_updates(monkeypatch, coord):
         read = _fuse_radar(*args)
         for states in banks:
             for s in states:
-                hit = [bool((s == m).all()) for m in coord.model_states]
+                hit = [bool((s == m[: len(s)]).all()) for m in coord.model_states]
                 assert sum(hit) == 1
                 counts[hit.index(True)] += 1
         return read
@@ -353,7 +373,8 @@ class TestRadarAssociation:
         assert np.flatnonzero(coord.live).tolist() == [0] and 2 + updates[0] == 2
         assert np.allclose(coord.estimates[0, 3:], 0.0, atol=1e-9)
         for t in (3, 4, 5):
-            track = Track(*(a[0] for a in coord.bank(np.array([0]))))
+            # the row is unclassified: the one model it stores and runs
+            track = Track(*(a[0] for a in coord.bank(np.array([0]), 1)))
             expected = {
                 n: kalman_update(copy.deepcopy(track), rows[list(ni).index(n)],
                                  make_node(world.node_positions[n]), noise)
@@ -363,8 +384,9 @@ class TestRadarAssociation:
             assert list(read) == [0] and list(omegas) == [0.0]
             assert 2 + updates[0] == t
             want, other = expected[used], expected[1 - used]
-            assert np.allclose(coord.model_states[0], want.model_states, atol=1e-6)
-            assert not np.allclose(coord.model_states[0], other.model_states, atol=1.0)
+            got = coord.model_states[0, :1]
+            assert np.allclose(got, want.model_states, atol=1e-6)
+            assert not np.allclose(got, other.model_states, atol=1.0)
 
     @pytest.mark.parametrize("gap, starts", [(2, True), (40, False)])
     def test_a_stale_first_sighting_is_replaced(self, gap, starts):
@@ -420,10 +442,10 @@ class TestClassTunedPrediction:
         # order: one prediction gives each row the bank the one-track oracle
         # gives under that row's tuning. A classified row starts from a
         # random bank and matches bit for bit. An unclassified row starts as
-        # the engine holds every unclassified row, M identical models at
-        # probability 1/M; the engine predicts it as one model where the
-        # oracle mixes three fl(1/3)-weighted copies, so the two differ only
-        # in rounding
+        # the engine stores every unclassified row, one model at probability
+        # 1; the oracle runs it as M copies at 1/M and mixes three
+        # fl(1/3)-weighted copies, so the row's one model equals the oracle's
+        # model 0 up to rounding, and its other models stay empty
         library = _class_library(2)
         c = Coordinator(
             library=library,
@@ -439,24 +461,29 @@ class TestClassTunedPrediction:
         covs = A @ np.swapaxes(A, -1, -2) + 10.0 * np.eye(6)
         probs = rng.dirichlet(np.ones(M), size=B)
         classes = np.array([1, -1, 0, -1])
-        copies = classes < 0
-        states[copies] = states[copies, :1]
-        covs[copies] = covs[copies, :1]
-        probs[copies] = 1.0 / M
-        c.start_tracks(order, states, covs, probs)
+        one = classes < 0
+        c.start_tracks(order[~one], states[~one], covs[~one], probs[~one])
+        c.start_tracks(order[one], states[one, :1], covs[one, :1], np.ones((2, 1)))
+        states[one] = states[one, :1]
+        covs[one] = covs[one, :1]
+        probs[one] = 1.0 / M
         c.class_rows[order] = classes
         engine._predict_tracks(c)
         for i, row in enumerate(order):
             cls = c.class_rows[row]
             tuning = untuned_tuning() if cls < 0 else class_tuning(library, cls)
             want = imm_predict(Track(states[i], covs[i], probs[i]), tuning, 0.5)
-            got = c.bank(np.array([row]))
-            for g, w in zip(got, (want.model_states, want.model_covs, want.model_probs)):
-                if cls < 0:
-                    scale = np.abs(w).max()
-                    np.testing.assert_allclose(g[0], w, rtol=1e-12, atol=1e-12 * scale)
-                else:
-                    assert np.array_equal(g[0], w)
+            got = [a[0] for a in c.bank(np.array([row]))]
+            wanted = (want.model_states, want.model_covs, want.model_probs)
+            if cls >= 0:
+                for g, w in zip(got, wanted):
+                    assert np.array_equal(g, w)
+                continue
+            for g, w in zip(got[:2], wanted[:2]):
+                scale = np.abs(w).max()
+                np.testing.assert_allclose(g[:1], w[:1], rtol=1e-12, atol=1e-12 * scale)
+                assert not g[1:].any()
+            assert got[2].tolist() == [1.0] + [0.0] * (M - 1)
 
 
 def _after_each_step(monkeypatch, check):
@@ -474,7 +501,8 @@ def _after_each_step(monkeypatch, check):
 class TestCovarianceHealth:
     # the filter kernels round differently from the textbook forms, so over
     # whole runs every live bank must stay a valid Gaussian mixture: each
-    # model covariance exactly symmetric and positive definite, the model
+    # model a row runs (all M once classified, model 0 before) with its
+    # covariance exactly symmetric and positive definite, the model
     # probabilities finite and summing to 1
     @pytest.mark.parametrize(
         "config, policy",
@@ -498,12 +526,15 @@ class TestCovarianceHealth:
         checked = []
 
         def check(world, c):
-            states, covs, probs = c.bank(np.flatnonzero(c.live))
-            assert np.array_equal(covs, np.swapaxes(covs, -1, -2))
-            np.linalg.cholesky(covs)
-            assert np.isfinite(probs).all()
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            checked.append(probs.shape[0])
+            rows = np.flatnonzero(c.live)
+            classified = c.class_rows[rows] >= 0
+            for run, models in ((rows[classified], NUM_MODELS), (rows[~classified], 1)):
+                states, covs, probs = c.bank(run, models)
+                assert np.array_equal(covs, np.swapaxes(covs, -1, -2))
+                np.linalg.cholesky(covs)
+                assert np.isfinite(probs).all()
+                np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            checked.append(rows.size)
 
         _after_each_step(monkeypatch, check)
         run_experiment(config, [policy])
@@ -512,25 +543,65 @@ class TestCovarianceHealth:
 
 
 class TestUnclassifiedBanks:
-    # an unclassified row's filter runs its model 0 alone and copies the
-    # result to every model (see `_predict_tracks`), which is the whole
-    # filter only while the row's M models are identical and equally
-    # likely: so they must be after every step, under every policy
+    # the table stores the models a row runs: an unclassified row runs its
+    # model 0 alone (see `_predict_tracks`), so after every step, under
+    # every policy, it holds that model at probability 1 and nothing in
+    # models 1..M-1, whose probabilities are 0
     @pytest.mark.parametrize("policy", default_policies(), ids=lambda p: p.label)
-    def test_unclassified_rows_hold_identical_models(self, monkeypatch, policy):
+    def test_unclassified_rows_hold_model_0_alone(self, monkeypatch, policy):
         checked = []
 
         def check(world, c):
             rows = np.flatnonzero(c.live & (c.class_rows < 0))
             states, covs, probs = c.bank(rows)
-            assert (states == states[:, :1]).all()
-            assert (covs == covs[:, :1]).all()
-            assert (probs == 1.0 / NUM_MODELS).all()
+            assert not states[:, 1:].any() and not covs[:, 1:].any()
+            assert (probs[:, 0] == 1.0).all() and (probs[:, 1:] == 0.0).all()
             checked.append(rows.size)
 
         _after_each_step(monkeypatch, check)
         run_experiment(SMALL, [policy])
         assert len(checked) == SMALL.num_epochs * SMALL.steps_per_epoch
+        assert max(checked) > 0
+
+    def test_a_classified_row_starts_from_m_copies_of_model_0(self, monkeypatch):
+        # at the step a row is classified its bank becomes M bit-identical
+        # copies of the one model it ran, each at probability 1/M, and its
+        # estimate stays that model's state
+        attempt = engine._attempt_assignments
+        promoted = []
+
+        def checked(c):
+            rows = np.flatnonzero(c.live & (c.class_rows < 0))
+            before = [a.copy() for a in c.bank(rows, 1)[:2]]
+            estimates = c.estimates[rows].copy()
+            attempt(c)
+            now = c.class_rows[rows] >= 0
+            states, covs, probs = c.bank(rows[now])
+            assert (states == before[0][now]).all() and (covs == before[1][now]).all()
+            assert (probs == 1.0 / NUM_MODELS).all()
+            assert (c.estimates[rows] == estimates).all()
+            promoted.append(int(now.sum()))
+
+        monkeypatch.setattr(engine, "_attempt_assignments", checked)
+        # the third epoch is the first whose library classifies tracks
+        run_experiment(dataclasses.replace(SMALL, num_epochs=3), [BANDIT])
+        assert sum(promoted) > 0
+
+    def test_the_passive_gate_reads_model_0_exactly(self, monkeypatch):
+        # with probabilities (1, 0, ..., 0) the IMM combination of an
+        # unclassified row is its model 0, bit for bit: the estimate and the
+        # horizontal covariance block that `_apply_passive` gates with
+        checked = []
+
+        def check(world, c):
+            rows = np.flatnonzero(c.live & (c.class_rows < 0))
+            assert (c.estimates[rows] == c.model_states[rows, 0]).all()
+            xy = c.xy_covariances(rows)
+            assert np.array_equal(xy, c.model_covs[rows, 0, :2, :2])
+            checked.append(rows.size)
+
+        _after_each_step(monkeypatch, check)
+        run_experiment(SMALL, [BANDIT])
         assert max(checked) > 0
 
 
@@ -587,11 +658,11 @@ class TestTrackTable:
         with pytest.raises(ValueError):
             c.start_tracks(np.array([1, 0]), *fresh(2))
         assert c.live.tolist() == [True, False, True]
-        assert np.array_equal(c.model_states[[2, 0]], states)
-        assert np.array_equal(c.model_covs[[2, 0]], covs)
-        assert np.array_equal(c.model_probs[[2, 0]], probs)
+        # a new track is the one model it runs
+        for got, given in zip(c.bank(np.array([2, 0]), 1), (states, covs, probs)):
+            assert np.array_equal(got, given)
         states += 1.0
-        assert not np.array_equal(c.model_states[[2, 0]], states)
+        assert not np.array_equal(c.model_states[[2, 0], :1], states)
 
     def test_combination_equals_the_tracks(self):
         # a class-tuned bank, so the models' states, covariances and
@@ -1083,7 +1154,7 @@ def metrics_sha256(result):
 # Recorded on the SMALL config under the three default policies. A change
 # that is meant to alter behaviour updates this value and says why in
 # CHANGES.md; any other change must leave it as it is.
-SMALL_METRICS_SHA256 = "995f75971ef2d05dde16925ac2ca27d78fc352d9fcf139f5ae436b6a6f47b1f2"
+SMALL_METRICS_SHA256 = "905bba84aefe73fd287366f8a563b1ed335c0d211a268890ce47d40af8c69231"
 
 
 class TestRegressionGuard:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -91,8 +92,10 @@ class TestLinkBudget:
         )
 
     def test_invalid_receiver_rejected(self):
-        with pytest.raises(ValueError):
-            receiver_noise_power(ReceiverParams(noise_figure=0.0))
+        # by the constructor, before any world is spawned from it
+        for bad in ({"noise_figure": 0.0}, {"bandwidth_hz": -1.0}):
+            with pytest.raises(ValueError):
+                ReceiverParams(**bad)
 
     def test_snr_at_ten_km(self):
         snr = passive_snr(1.0, 1.0, ReceiverParams(), 10e3)
@@ -133,6 +136,15 @@ class TestLinkBudget:
         assert lo == pytest.approx(8436.37, rel=1e-5)
         assert hi == pytest.approx(843637.26, rel=1e-6)
         assert hi / lo == pytest.approx(100.0, rel=1e-12)
+
+
+class TestSensorNoise:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SensorNoise)])
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan")])
+    def test_invalid_sigma_rejected(self, field, sigma):
+        # by the constructor, not by numpy inside a run's step loop
+        with pytest.raises(ValueError):
+            SensorNoise(**{field: sigma})
 
 
 class TestPassiveDetect:

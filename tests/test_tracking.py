@@ -345,11 +345,10 @@ class TestStartTrack:
         R = np.stack([np.eye(3) * 400.0, np.eye(3) * 100.0])
         dt = np.array([0.5, 1.5])
         states, covs, probs = start_track(p1, R, p2, R, dt)
-        assert states.shape == (2, NUM_MODELS, 6)
-        assert covs.shape == (2, NUM_MODELS, 6, 6)
-        assert probs == pytest.approx(np.full((2, NUM_MODELS), 1 / NUM_MODELS))
-        # every model of a bank starts from the same differenced state
-        assert (states == states[:, :1]).all() and (covs == covs[:, :1]).all()
+        # a new track is unclassified: one model, the untuned filter
+        assert states.shape == (2, 1, 6)
+        assert covs.shape == (2, 1, 6, 6)
+        assert (probs == np.ones((2, 1))).all()
         assert states[:, 0, :3] == pytest.approx(p2)
         velocities = np.array([[20.0, 10.0, 0.0], [20.0, -4.0, 2.0]])
         assert states[:, 0, 3:] == pytest.approx(velocities)
@@ -821,9 +820,10 @@ def loop_polar_covariance(r, az, el, sigmas):
 
 
 class TestOneModelBanks:
-    # an unclassified bank is M identical models at the untuned level under
-    # the uniform chain; the engine runs it as a one-model bank, which must
-    # equal model 0 of the repeated bank to rounding
+    # the untuned filter is M identical models at the untuned level under
+    # the uniform chain; the engine stores and runs an unclassified track as
+    # a one-model bank, which must equal model 0 of the repeated bank to
+    # rounding
     M = NUM_MODELS
 
     def repeated(self, rows, B):
@@ -845,9 +845,8 @@ class TestOneModelBanks:
         rows = random_rows(np.random.default_rng(600 + B), B, M=1)
         F, Q = cv_transition(0.5), process_noise_matrix(0.5, UNTUNED_ACCEL_STD)
         probs = np.ones((B, 1))
-        got = imm_predict_arrays(
-            rows.states, rows.covs, probs, np.ones((1, 1, 1)), F, Q
-        )
+        # a one-model bank is not mixed, so it needs no chain
+        got = imm_predict_arrays(rows.states, rows.covs, probs, None, F, Q)
         trans = np.broadcast_to(UNTUNED_MODE_TRANSITION, (B, self.M, self.M))
         want = imm_predict_arrays(*self.repeated(rows, B), trans, F, Q)
         for g, w in zip(got[:2], want[:2]):
