@@ -53,28 +53,25 @@ class BanditState:
 def compute_rewards(
     node_xy: np.ndarray,
     radar_range_m: float,
-    track_xy,
-    etas,
+    track_xy: np.ndarray,
+    etas: np.ndarray,
     active: np.ndarray,
 ) -> np.ndarray:
     """Played-arm reward of every node for one step.
 
-    `etas` holds one (motion, signal) normalized entropy per track, aligned
-    with `track_xy`. A node covers the tracks whose horizontal distance is
-    within `radar_range_m`, and is paid the mean over them of the motion
-    column when it played Active (`active` True), of the signal column when
-    it played Passive. A node that covers no track earns 0 on either arm.
-    Returns an (N,) array.
+    `etas` is a (T, 2) array of one (motion, signal) normalized entropy per
+    track, aligned with the (T, 2) `track_xy`; T may be 0. A node covers
+    the tracks whose horizontal distance is within `radar_range_m`, and is
+    paid the mean over them of the motion column when it played Active
+    (`active` True), of the signal column when it played Passive. A node
+    that covers no track, which is every node when there are no tracks,
+    earns 0 on either arm. Returns an (N,) array.
     """
     rewards = np.zeros(len(node_xy))
-    if len(track_xy) == 0:
-        return rewards
-    track_xy = np.asarray(track_xy, dtype=float)
-    eta = np.asarray(etas, dtype=float)  # (T, 2) motion, signal
     d = np.linalg.norm(node_xy[:, None, :] - track_xy[None, :, :], axis=2)
     covered = d <= radar_range_m  # (N, T)
     counts = covered.sum(axis=1)
-    sums = covered @ eta  # (N, 2)
+    sums = covered @ etas  # (N, 2)
     has = counts > 0
     arm = np.where(active, ACTIVE, PASSIVE)
     rewards[has] = sums[has, arm[has]] / counts[has]

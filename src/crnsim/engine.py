@@ -69,7 +69,6 @@ from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.scenario import (
     MOTION_STATES,
     SIGNAL_TYPES,
-    DegenerateScenario,
     ScenarioConfig,
     TargetTable,
     spawn_scenario,
@@ -95,9 +94,6 @@ from crnsim.tracking import (
     start_track,
     track_rmse,
 )
-
-# retries after a spawn with zero nodes or zero targets
-MAX_SPAWN_RETRIES = 5
 
 # harvest gate: a track contributes a behavior vector only with this much
 # radar/passive readings behind it
@@ -159,7 +155,7 @@ class SimConfig:
     def __post_init__(self):
         if self.num_epochs < 1 or self.num_runs < 1:
             raise ConfigError("need at least one epoch and one run")
-        if self.dt_s <= 0 or self.epoch_duration_s <= 0:
+        if not (self.dt_s > 0 and self.epoch_duration_s > 0):
             raise ConfigError("dt and epoch duration must be positive")
         steps = self.epoch_duration_s / self.dt_s
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
@@ -225,14 +221,10 @@ class World:
 
 
 def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
-    """Spawn a usable scenario, resampling degenerate draws a few times."""
-    for attempt in range(MAX_SPAWN_RETRIES + 1):
-        try:
-            node_positions, targets = spawn_scenario(scenario, rng)
-            break
-        except DegenerateScenario:
-            if attempt == MAX_SPAWN_RETRIES:
-                raise
+    """One spawn of the scenario as a world. A draw with no nodes or no
+    targets is used as drawn: every layer of the step loop runs on empty
+    tables with its general code."""
+    node_positions, targets = spawn_scenario(scenario, rng)
     return World(targets, node_positions, scenario.radar_range_km * 1000.0)
 
 
@@ -362,17 +354,15 @@ class Coordinator:
 
 
 def _record_readings(counts, transitions, last, rows, step: int, states) -> None:
-    """Count one step's readings of distinct rows into one channel's tables,
-    at most one reading per row and step: a row that already has a reading
-    in `step` keeps it, and the new one is dropped. A kept reading counts
-    its state, and a transition from the row's last reading when that
-    reading was in the step before; across a gap nothing is counted."""
-    rows = np.asarray(rows, dtype=np.int64)
-    states = np.asarray(states, dtype=np.int64)
+    """Count one step's readings into one channel's tables: state
+    `states[i]` for row `rows[i]`, both integer arrays. Needs distinct rows
+    that have no reading in `step` yet: the engine records each channel
+    once per step.
+    A reading counts its state, and a transition from the row's last
+    reading when that reading was in the step before; across a gap nothing
+    is counted."""
     last_step, last_state = last[rows].T
-    kept = last_step != step
-    rows, states, last_state = rows[kept], states[kept], last_state[kept]
-    adjacent = last_step[kept] == step - 1
+    adjacent = last_step == step - 1
     counts[rows, states] += 1
     transitions[rows[adjacent], last_state[adjacent], states[adjacent]] += 1
     last[rows, 0] = step
@@ -608,6 +598,8 @@ def _apply_passive(
 ) -> int:
     """Associate this step's intercepts to tracks by bearing and record
     corroborated signal observations. Returns how many tracks logged one."""
+    # `_associate_bearings` needs a track, and a step without intercepts
+    # logs nothing: skip the covariances and the gate
     if ni.size == 0 or not coordinator.live.any():
         return 0
     rows = np.flatnonzero(coordinator.live)  # ascending row

@@ -40,10 +40,6 @@ FAMILY_SEPARATION = 0.15
 VERTICAL_NOISE_FRACTION = 0.2
 
 
-class DegenerateScenario(ValueError):
-    """PPP draw produced an unusable scenario (no nodes or no targets)."""
-
-
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned rectangle; targets and nodes spawn inside it."""
@@ -52,7 +48,7 @@ class Region:
     height_km: float = 10.0
 
     def __post_init__(self):
-        if self.width_km <= 0 or self.height_km <= 0:
+        if not (self.width_km > 0 and self.height_km > 0):
             raise ValueError("region dimensions must be positive")
 
     @property
@@ -236,9 +232,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.family is None:
             object.__setattr__(self, "family", default_family())
-        if self.node_density_per_km2 < 0 or self.target_density_per_km2 < 0:
+        if not (self.node_density_per_km2 >= 0 and self.target_density_per_km2 >= 0):
             raise ValueError("densities must be nonnegative")
-        if self.radar_range_km <= 0:
+        if not self.radar_range_km > 0:
             raise ValueError("radar range must be positive")
 
 
@@ -343,6 +339,8 @@ def spawn_scenario(
     classes uniform over the family, initial chain states from the
     stationary distributions, speed/heading uniform within class limits.
     Returns the (N, 3) node positions, on the ground, and the targets.
+    Either PPP may draw no points; an empty draw is a world like any other,
+    with a (0, 3) node array or an empty table.
 
     Targets are drawn one after another, each with the same calls in the
     same order: its class, motion state, speed, heading, turn magnitude and
@@ -351,10 +349,6 @@ def spawn_scenario(
     """
     node_xy = sample_ppp(config.node_density_per_km2, config.region, rng)
     target_xy = sample_ppp(config.target_density_per_km2, config.region, rng)
-    if len(node_xy) == 0 or len(target_xy) == 0:
-        raise DegenerateScenario(
-            f"drew {len(node_xy)} nodes and {len(target_xy)} targets"
-        )
     classes = config.family.classes
     T = len(target_xy)
     kind, motion, signal, tx = (np.zeros(T, dtype=np.int64) for _ in range(4))

@@ -39,8 +39,12 @@ class ReceiverParams:
     wavelength_m: float = 0.3
 
     def __post_init__(self):
-        if not (self.noise_figure > 0 and self.bandwidth_hz > 0):
-            raise ValueError("noise figure and bandwidth must be positive")
+        # written so that NaN fails each check
+        if not all(value > 0 for value in astuple(self)):
+            raise ValueError(
+                "noise figure, bandwidth, gain, system loss and wavelength "
+                "must be positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,6 @@ def radar_measure_batch(
     rel = target_positions[None, :, :] - node_positions[active, None, :]  # (A, M, 3)
     horiz = np.hypot(rel[..., 0], rel[..., 1])
     ni, ti = np.nonzero(horiz <= radar_range_m)
-    if ni.size == 0:
-        return ni, ti, np.empty((0, 5))
     r = rel[ni, ti]
     ni = active[ni]
     dist = np.linalg.norm(r, axis=1)
@@ -141,13 +143,14 @@ def passive_detect_batch(
     listens.
     """
     listening = np.flatnonzero(passive_mask)
+    # not needed for the result: the general path gives the same empty
+    # arrays. It skips the pair geometry on every step no node listens in,
+    # which is every step of a radar-only run.
     if listening.size == 0:
         return listening, listening.copy(), np.empty(0)
     rel = target_positions[None, :, :] - node_positions[listening, None, :]  # (P, M, 3)
     dist = np.linalg.norm(rel, axis=2)
     ni, ti = np.nonzero(tx_on[None, :] & (dist <= max_range_m[None, :]))
-    if ni.size == 0:
-        return ni, ti, np.empty(0)
     r = rel[ni, ti]
     ni = listening[ni]
     bearing = np.arctan2(r[:, 1], r[:, 0]) + rng.normal(0.0, noise.sigma_doa_rad, ni.size)

@@ -126,7 +126,6 @@ from crnsim.scenario import (
     TX_OFF,
     TX_ON,
     VERTICAL_NOISE_FRACTION,
-    DegenerateScenario,
     TargetClass,
     TargetTable,
     make_target_table,
@@ -196,10 +195,6 @@ def spawn_targets(config, rng: np.random.Generator) -> tuple[np.ndarray, list]:
     targets."""
     node_xy = sample_ppp(config.node_density_per_km2, config.region, rng)
     target_xy = sample_ppp(config.target_density_per_km2, config.region, rng)
-    if len(node_xy) == 0 or len(target_xy) == 0:
-        raise DegenerateScenario(
-            f"drew {len(node_xy)} nodes and {len(target_xy)} targets"
-        )
     family = config.family
     targets = []
     for j, xy in enumerate(target_xy):

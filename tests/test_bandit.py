@@ -34,8 +34,8 @@ class TestComputeRewards:
     NODE_XY = np.array([[0.0, 0.0], [20_000.0, 0.0]])
     RADAR_RANGE_M = 4000.0
     # two tracks inside node 0's footprint, one outside every footprint
-    TRACK_XY = [[1000.0, 0.0], [0.0, 3000.0], [5000.0, 0.0]]
-    ETAS = [(0.2, 0.9), (0.6, 0.1), (1.0, 1.0)]
+    TRACK_XY = np.array([[1000.0, 0.0], [0.0, 3000.0], [5000.0, 0.0]])
+    ETAS = np.array([(0.2, 0.9), (0.6, 0.1), (1.0, 1.0)])
 
     def rewards(self, active, track_xy=TRACK_XY, etas=ETAS):
         return compute_rewards(
@@ -45,7 +45,8 @@ class TestComputeRewards:
     def test_no_coverage_is_zero(self):
         # node 1 covers no track; a step without tracks pays nobody
         assert self.rewards([True, False])[1] == 0.0
-        assert self.rewards([True, True], [], []).tolist() == [0.0, 0.0]
+        no_tracks = np.zeros((0, 2))
+        assert self.rewards([True, True], no_tracks, no_tracks).tolist() == [0.0, 0.0]
 
     def test_unknown_tracks_max_uncertainty(self):
         # tracks with too little history count as fully uncertain (eta = 1)
@@ -87,7 +88,8 @@ class TestComputeRewards:
         assert self.rewards([False, True])[0] == pytest.approx((0.9 + 0.1) / 2, abs=1e-15)
 
     def test_footprint_edge_counts_as_covered(self):
-        assert self.rewards([True, True], [[4000.0, 0.0]], [(0.7, 0.3)]).tolist() == [0.7, 0.0]
+        edge, etas = np.array([[4000.0, 0.0]]), np.array([(0.7, 0.3)])
+        assert self.rewards([True, True], edge, etas).tolist() == [0.7, 0.0]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

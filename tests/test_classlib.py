@@ -61,10 +61,11 @@ def counted_vector(motion_readings, signal_readings):
     c = Coordinator(
         library=ClassLibrary(), use_class_knowledge=False, dt_s=0.5, num_targets=1
     )
+    row = np.zeros(1, dtype=np.int64)
     for step, state in motion_readings:
-        c.record_motion([0], step, [state])
+        c.record_motion(row, step, np.array([state]))
     for step, state in signal_readings:
-        c.record_signal([0], step, [state])
+        c.record_signal(row, step, np.array([state]))
     values, evidence = vectors_from_counts(
         c.motion_counts, c.motion_transitions, c.signal_counts, c.signal_transitions
     )
@@ -191,12 +192,16 @@ class TestParameterVector:
     def test_row_counts_recorded_per_row(self):
         motion_readings = [(0, 0), (1, 0), (1, 2), (2, 1), (5, 2), (6, 2)]
         signal_readings = [(3, 1), (4, 2), (4, 0), (9, 2), (10, 3)]
-        motion = []
-        # (1, 2) and (4, 0) are second readings in a step and are dropped
+        motion, signal = [], []
+        # the oracle drops (1, 2) and (4, 0), second readings in a step; the
+        # coordinator gets at most one reading per row and step, the kept ones
         for step, state in motion_readings:
             record_reading(motion, step, state)
+        for step, state in signal_readings:
+            record_reading(signal, step, state)
         assert motion == [(0, 0), (1, 0), (2, 1), (5, 2), (6, 2)]
-        v = counted_vector(motion_readings, signal_readings)
+        assert signal == [(3, 1), (4, 2), (9, 2), (10, 3)]
+        v = counted_vector(motion, signal)
         np.testing.assert_array_equal(v.values[:3], [0.4, 0.2, 0.4])
         # 0->0, 0->1, then 2->2 after the gap; nothing counted across it
         np.testing.assert_array_equal(v.evidence[2:5], [2.0, 0.0, 1.0])

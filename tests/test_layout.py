@@ -11,15 +11,22 @@ their callers and state what they need in their docstrings (for example,
 `assign_class` needs a non-empty library, `kmeans_distributions` needs
 1 <= k <= N); the caller's guarantee is what the tests check.
 
+Every console script that `pyproject.toml` declares names a module and
+function that exist, so an installed command cannot fail on import.
+
 No `einsum` call in the package takes more than two operands: without
 `optimize`, numpy runs such a contraction as one loop over every index at
 once, several times slower than the chained `matmul` the filter kernels
 use."""
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crnsim"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "crnsim"
 
 ENTRY_POINTS = {"run_experiment", "rmse_improvement"}
 
@@ -117,3 +124,37 @@ def test_the_guard_sees_a_wide_einsum(tmp_path):
         "w = np.einsum(spec, a, b, c)\n"
     )
     assert wide_einsums(tmp_path) == {("a.py", 4), ("a.py", 5), ("a.py", 6)}
+
+
+def unresolved_scripts(pyproject: Path) -> set:
+    """Every `[project.scripts]` target, "module:function", whose module
+    does not import or has no such function."""
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(pyproject.read_text()).get("project", {}).get("scripts", {})
+    unresolved = set()
+    for target in scripts.values():
+        module, _, function = target.partition(":")
+        try:
+            found = hasattr(importlib.import_module(module), function)
+        except ModuleNotFoundError:
+            found = False
+        if not found:
+            unresolved.add(target)
+    return unresolved
+
+
+def test_every_console_script_resolves():
+    assert unresolved_scripts(ROOT / "pyproject.toml") == set()
+
+
+def test_the_guard_sees_a_missing_script_target(tmp_path):
+    (tmp_path / "pyproject.toml").write_text(
+        "[project.scripts]\n"
+        'missing-module = "crnsim.no_such_module:main"\n'
+        'missing-function = "crnsim.engine:no_such_function"\n'
+        'entry = "crnsim.engine:run_experiment"\n'
+    )
+    assert unresolved_scripts(tmp_path / "pyproject.toml") == {
+        "crnsim.no_such_module:main",
+        "crnsim.engine:no_such_function",
+    }

@@ -11,7 +11,6 @@ from crnsim.scenario import (
     FAMILY_SEPARATION,
     MOTION_STATES,
     SIGNAL_TYPES,
-    DegenerateScenario,
     Region,
     ScenarioConfig,
     TargetFamily,
@@ -34,7 +33,9 @@ class TestRegion:
         assert Region(10, 10).area_km2 == 100.0
         assert Region(2.5, 4.0).area_km2 == 10.0
 
-    @pytest.mark.parametrize("w,h", [(0, 10), (10, -1)])
+    @pytest.mark.parametrize(
+        "w,h", [(0, 10), (10, -1), (float("nan"), 10), (10, float("nan"))]
+    )
     def test_rejects_degenerate(self, w, h):
         with pytest.raises(ValueError):
             Region(w, h)
@@ -187,10 +188,38 @@ def renumbered_family(ids=(7, 3, 5)) -> TargetFamily:
 
 
 class TestSpawnScenario:
-    def test_zero_target_density_degenerate(self):
-        cfg = ScenarioConfig(target_density_per_km2=0.0)
-        with pytest.raises(DegenerateScenario):
-            spawn_scenario(cfg, np.random.default_rng(0))
+    @pytest.mark.parametrize(
+        "nodes, targets", [(0.2, 0.0), (0.0, 0.3), (0.0, 0.0)],
+        ids=["no-targets", "no-nodes", "nothing"],
+    )
+    def test_zero_density_gives_empty_tables(self, nodes, targets):
+        # an empty draw is a world: (0, 3) nodes or a table of no rows,
+        # every column shaped for zero targets, the draws those of the
+        # object spawn
+        cfg = ScenarioConfig(
+            node_density_per_km2=nodes, target_density_per_km2=targets
+        )
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        node_positions, table = spawn_scenario(cfg, rng)
+        ref_nodes, ref_targets = spawn_targets(cfg, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(node_positions, ref_nodes)
+        assert node_positions.shape == (len(ref_nodes), 3)
+        assert table.num_targets == len(ref_targets)
+        assert (len(ref_nodes) == 0) == (nodes == 0)
+        assert (len(ref_targets) == 0) == (targets == 0)
+        if targets == 0:
+            for name, shape in (
+                ("position", (0, 3)),
+                ("velocity", (0, 3)),
+                ("motion_cdf", (0, 3, 3)),
+                ("signal_cdf", (0, 4, 4)),
+                ("tx_cdf", (0, 2, 2)),
+                ("process_noise", (0, 3)),
+                ("speed_range", (0, 2)),
+                ("passive_range", (0,)),
+            ):
+                assert getattr(table, name).shape == shape, name
 
     @pytest.mark.parametrize(
         "cfg",
@@ -246,13 +275,9 @@ class TestSpawnScenario:
         rng = np.random.default_rng(5)
         n_nodes, n_targets = [], []
         for _ in range(1500):
-            try:
-                nodes, targets = spawn_scenario(cfg, rng)
-            except DegenerateScenario:
-                continue
+            nodes, targets = spawn_scenario(cfg, rng)
             n_nodes.append(len(nodes))
             n_targets.append(targets.num_targets)
-        # P(zero draw) is e-20 / e-30, negligible truncation bias
         assert np.mean(n_nodes) == pytest.approx(20.0, abs=0.5)
         assert np.mean(n_targets) == pytest.approx(30.0, abs=0.6)
 
@@ -337,3 +362,13 @@ class TestSpawnScenario:
             ScenarioConfig(node_density_per_km2=-1.0)
         with pytest.raises(ValueError):
             ScenarioConfig(radar_range_km=0.0)
+
+    @pytest.mark.parametrize(
+        "field", ["node_density_per_km2", "target_density_per_km2", "radar_range_km"]
+    )
+    def test_nan_config_rejected(self, field):
+        # NaN fails every comparison, so a check written as `x < 0` would
+        # pass it: a NaN range would run and track nothing, a NaN density
+        # would fail inside numpy's Poisson draw
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{field: float("nan")})

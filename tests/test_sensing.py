@@ -97,6 +97,18 @@ class TestLinkBudget:
             with pytest.raises(ValueError):
                 ReceiverParams(**bad)
 
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ReceiverParams)]
+    )
+    @pytest.mark.parametrize("value", [0.0, -0.3, float("nan")])
+    def test_nonpositive_link_budget_value_rejected(self, field, value):
+        # a zero loss divides by zero and a negative gain takes a square
+        # root of a negative at the first spawn, and a negative wavelength
+        # gives every class a negative passive range, so the run would
+        # silently intercept nothing
+        with pytest.raises(ValueError):
+            ReceiverParams(**{field: value})
+
     def test_snr_at_ten_km(self):
         snr = passive_snr(1.0, 1.0, ReceiverParams(), 10e3)
         assert snr == pytest.approx(71.17238267, rel=1e-8)
