@@ -96,9 +96,9 @@ def record_reward(
     state: BanditState, active: np.ndarray, rewards: np.ndarray
 ) -> BanditState:
     """Update every node's played arm (Active where `active` is True) with
-    its (N,) reward, running mean and count, in place. Nothing is updated
-    when any reward lies outside [0, 1]."""
-    rewards = np.asarray(rewards, dtype=float)
+    its reward, running mean and count, in place: `active` and the float
+    `rewards` are (N,) arrays. Nothing is updated when any reward lies
+    outside [0, 1]."""
     bad = ~((rewards >= 0.0) & (rewards <= 1.0))
     if bad.any():
         raise OutOfRangeReward(f"rewards {rewards[bad]} outside [0, 1]")

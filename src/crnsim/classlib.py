@@ -74,7 +74,9 @@ VECTOR_LENGTH = int(BLOCK_LENGTHS.sum())
 _WEIGHTS = np.repeat([1.0, 1.0] + [TRANSITION_BLOCK_WEIGHT] * (_V + _S), BLOCK_LENGTHS)
 
 
-def occupancy_sample_size(n_steps, occupancy, transition):
+def occupancy_sample_size(
+    n_steps: np.ndarray, occupancy: np.ndarray, transition: np.ndarray
+) -> np.ndarray:
     """Effective number of independent draws behind an occupancy estimate.
 
     A persistent chain revisits its current state, so n_steps observations
@@ -89,13 +91,11 @@ def occupancy_sample_size(n_steps, occupancy, transition):
     doubles as slack for the cross-correlation between the occupancy and
     transition-row estimates, which all come from the same short path.
 
-    Takes one estimate per leading index: n_steps (...), occupancy (..., S)
-    and transition (..., S, S) give (...).
+    Takes one estimate per track of B: the counts n_steps (B,) and the
+    float occupancy (B, S) and transition (B, S, S) give (B,).
     """
-    n = np.asarray(n_steps, dtype=float)
-    diagonal = np.diagonal(np.asarray(transition, dtype=float), axis1=-2, axis2=-1)
-    rho = (np.asarray(occupancy, dtype=float) * diagonal).sum(axis=-1)
-    return np.where(n > 0, n * (1.0 - rho) / (1.0 + rho), 0.0)
+    rho = (occupancy * np.diagonal(transition, axis1=1, axis2=2)).sum(axis=1)
+    return np.where(n_steps > 0, n_steps * (1.0 - rho) / (1.0 + rho), 0.0)
 
 
 def _channel_estimates(counts: np.ndarray, transitions: np.ndarray):
@@ -470,12 +470,11 @@ def assign_class(library: ClassLibrary, values: np.ndarray) -> np.ndarray:
 
 
 def score_classes(
-    library: ClassLibrary,
-    assigned_ids,
-    true_ids,
+    library: ClassLibrary, assigned_ids: np.ndarray, true_ids: np.ndarray
 ) -> tuple[float, float]:
     """Formation and association accuracy for one epoch, from each pool
-    vector's assigned class id (-1 for none) and true class id.
+    vector's assigned class id (-1 for none) and true class id, two (N,)
+    integer arrays.
 
     Formation compares the learned class count against the true count
     with linear partial credit. Association is the fraction of targets
@@ -486,7 +485,6 @@ def score_classes(
     matchings, 6 for 3 true classes against 3 learned ones and at most 720
     while the true classes number at most MAX_CLASSES.
     """
-    assigned_ids, true_ids = np.asarray(assigned_ids), np.asarray(true_ids)
     if assigned_ids.shape != true_ids.shape:
         raise ValueError("assigned and true id lists must align")
     true_labels, t_index = np.unique(true_ids, return_inverse=True)

@@ -13,7 +13,7 @@ target's index in the world (filter bank, combined estimate, class as a
 library row, reading count tables and a held first sighting). A row is the
 whole track: every layer of the step loop -- IMM prediction, track starts
 and radar fusion with one return per target, motion and signal reading,
-passive association, class assignment, rewards and the estimate tape --
+passive association, class assignment, rewards and the error tape --
 runs once per step over the live rows. Behavior vectors are built from
 the count tables, a batch of rows at a time, for class assignment during
 the epoch and for the harvest at its end.
@@ -39,6 +39,8 @@ documents; the sizes of those draws depend only on the truth.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -153,10 +155,15 @@ class SimConfig:
     noise: SensorNoise = SensorNoise()
 
     def __post_init__(self):
+        counts = (self.num_epochs, self.num_runs, self.seed)
+        if not all(isinstance(n, numbers.Integral) for n in counts):
+            raise ConfigError("epoch count, run count and seed must be integers")
         if self.num_epochs < 1 or self.num_runs < 1:
             raise ConfigError("need at least one epoch and one run")
-        if not (self.dt_s > 0 and self.epoch_duration_s > 0):
-            raise ConfigError("dt and epoch duration must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if not (self.dt_s > 0 and 0 < self.epoch_duration_s < math.inf):
+            raise ConfigError("dt and epoch duration must be positive and finite")
         steps = self.epoch_duration_s / self.dt_s
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigError("epoch duration must be a whole number of steps")
@@ -230,8 +237,10 @@ def make_world(scenario: ScenarioConfig, rng: np.random.Generator) -> World:
 
 @dataclass
 class Coordinator:
-    """Central fusion state: the track table, learned classes and the
-    bandit table (one row per node; None under a baseline policy).
+    """Central fusion state: the track table, the class library it
+    classifies tracks by and the bandit table (one row per node). Under a
+    baseline policy the library is empty, so no track is classified, and
+    the bandit table is None.
 
     The table has one row per target of the epoch's world, in world order
     (a target has at most one track). A row is the whole track: the IMM
@@ -264,7 +273,6 @@ class Coordinator:
     from it are per-epoch arrays, as the per-class ones are."""
 
     library: ClassLibrary
-    use_class_knowledge: bool
     dt_s: float
     num_targets: int = 0  # table rows
     bandits: Optional[BanditState] = None
@@ -374,21 +382,16 @@ def make_coordinator(
 ) -> Coordinator:
     """Fresh per-epoch coordinator whose filters step by `dt_s`. Bandit
     statistics start cold every epoch; only the class library carries over.
-    Baselines keep the library for scoring but never classify a track, so
-    it steers neither their filters nor their rewards."""
+    A baseline's coordinator gets an empty library, so it classifies no
+    track and the run's classes steer neither its filters nor its rewards;
+    `run_epoch` still learns and scores them from its own `library`."""
     bandit = policy.kind is PolicyKind.BANDIT
     return Coordinator(
-        library=library,
-        use_class_knowledge=bandit,
+        library=library if bandit else ClassLibrary(),
         dt_s=dt_s,
         num_targets=world.num_targets,
         bandits=BanditState.cold(world.num_nodes) if bandit else None,
     )
-
-
-def _observed_enough(num_motion, num_signal):
-    """The harvest gate on reading counts; works on ints and on arrays."""
-    return (num_motion >= MIN_RADAR_OBS) & (num_signal >= MIN_PASSIVE_OBS)
 
 
 def track_parameter_vector(
@@ -399,8 +402,8 @@ def track_parameter_vector(
     in the given order, with their (B, L) values and (B, blocks) evidence
     (see `vectors_from_counts`)."""
     c = coordinator
-    enough = _observed_enough(
-        c.motion_counts[rows].sum(axis=1), c.signal_counts[rows].sum(axis=1)
+    enough = (c.motion_counts[rows].sum(axis=1) >= MIN_RADAR_OBS) & (
+        c.signal_counts[rows].sum(axis=1) >= MIN_PASSIVE_OBS
     )
     rows = rows[enough]
     values, evidence = vectors_from_counts(
@@ -735,7 +738,7 @@ def run_step(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad
     )
 
-    if coordinator.use_class_knowledge and coordinator.library.ids.size:
+    if coordinator.library.ids.size:
         _attempt_assignments(coordinator)
 
     # the bandit's rewards: remaining uncertainty in each node's radar
@@ -817,9 +820,9 @@ def run_epoch(
     only when the pool is non-empty -- a radar-only epoch intercepts
     nothing, harvests nothing, and scores zero.
 
-    After each step the epoch records, indexed (step, target row), the
-    combined position estimates of the live rows and the truth positions,
-    each row's first tracked step, the active node-steps, and the truth
+    After each step the epoch records the squared 3D position error of
+    each live row's combined estimate, indexed (step, target row), each
+    row's first tracked step, the active node-steps, and the truth
     (positions, motion and signal states, transmit flags) in the digest.
     """
     streams = make_streams(rng)
@@ -828,7 +831,7 @@ def run_epoch(
     steps = config.steps_per_epoch
     truth = world.targets
     T = world.num_targets
-    est, truth_pos = np.zeros((steps, T, 3)), np.zeros((steps, T, 3))
+    squared_errors = np.zeros((steps, T))
     first = np.full(T, -1)  # -1 while untracked
     active_steps = 0
     digest = hashlib.sha1()
@@ -841,13 +844,13 @@ def run_epoch(
         digest.update(truth.tx_on.tobytes())
         live = coordinator.live
         first[live & (first < 0)] = t - 1
-        est[t - 1, live] = coordinator.estimates[live, :3]
-        truth_pos[t - 1] = truth.position
+        error = coordinator.estimates[live, :3] - truth.position[live]
+        squared_errors[t - 1, live] = np.sum(error**2, axis=1)
         active_steps += int(active.sum())
 
     rows = np.flatnonzero(first >= 0)
     rmse = np.array(
-        [track_rmse(est[f:, r], truth_pos[f:, r]) for r, f in zip(rows, first[rows])]
+        [track_rmse(squared_errors[f:, r]) for r, f in zip(rows, first[rows])]
     )
     node_steps = steps * world.num_nodes
 
@@ -957,14 +960,9 @@ def _run_cells(config: SimConfig, cells: list, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
+    runs, specs = zip(*cells)
     with ProcessPoolExecutor(workers, mp_context=context) as executor:
-        futures = [executor.submit(_run_cell, config, spec, run) for run, spec in cells]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
+        return list(executor.map(_run_cell, [config] * len(cells), specs, runs))
 
 
 def run_experiment(

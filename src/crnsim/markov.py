@@ -102,13 +102,13 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def inverse_cdf(row_cdf: np.ndarray, u) -> np.ndarray:
-    """The state each uniform draw `u` selects from its row CDF (over the last
-    axis; `u` has the rows' leading shape): the number of CDF entries at or
-    below `u`. For a non-decreasing row that is
+def inverse_cdf(row_cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The state each uniform draw selects from its row CDF: `row_cdf`
+    (T, S) and `u` (T,) give (T,), the number of CDF entries at or below
+    `u`. For a non-decreasing row that is
     `row.searchsorted(u, side="right")`, which is how `Generator.choice`
     inverts its CDF, so zero-probability states are never drawn."""
-    return (row_cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    return (row_cdf <= u[:, None]).sum(axis=1)
 
 
 def sample_next(
@@ -132,42 +132,25 @@ def sample_next(
 def transition_matrix_from_counts(
     counts: np.ndarray, smoothing: float = 1.0
 ) -> np.ndarray:
-    """Additive-smoothing estimate from a count matrix: row i is
+    """Additive-smoothing estimate from a count array: row i is
     (count(i->j) + smoothing) / (count(i->.) + p*smoothing) over the p
-    columns. Rows with no mass (unvisited, smoothing == 0) come out
-    uniform. A row is the last axis, one distribution's counts; any number
-    of rows works, none included, and so does a stack of count matrices."""
-    counts = np.asarray(counts, dtype=float) + smoothing
-    p = counts.shape[-1]
-    totals = counts.sum(axis=-1, keepdims=True)
-    return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / p)
+    columns. Every row needs mass, which any smoothing > 0 gives. A row is
+    the last axis, one distribution's counts; any number of rows works,
+    none included, and so does a stack of count matrices."""
+    counts = counts + smoothing
+    return counts / counts.sum(axis=-1, keepdims=True)
 
 
-def normalized_entropy(dist):
+def normalized_entropy(dist: np.ndarray) -> np.ndarray:
     """Shannon entropy divided by log2 of the state count, in [0, 1].
 
-    Takes one distribution per row over the last axis and returns one value
-    per row. Degenerate distributions give 0, uniform gives 1; single-state
-    distributions return 0 by convention. Zero entries add nothing
+    Takes a float array of one distribution per row over the last axis, of
+    at least two states, and returns one value per row. Degenerate
+    distributions give 0, uniform gives 1. Zero entries add nothing
     (0 log 0 = 0). Rounding can push a uniform distribution's sum just past
     log2 of the state count (11 states give 1 + 2**-52), so values are
     clamped to 1: callers such as bandit rewards rely on the bound.
     """
-    p = np.asarray(dist, dtype=float)
-    n = p.shape[-1]
-    if n < 2:
-        return np.zeros(p.shape[:-1])
-    pos = p > 0
-    terms = np.where(pos, p * np.log2(np.where(pos, p, 1.0)), 0.0)
-    return np.minimum(-terms.sum(axis=-1) / np.log2(n), 1.0)
-
-
-def equal_in_state_distribution(a, b, tol: float) -> bool:
-    """True iff the two distributions have equal length and agree within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b)) <= tol)
+    pos = dist > 0
+    terms = np.where(pos, dist * np.log2(np.where(pos, dist, 1.0)), 0.0)
+    return np.minimum(-terms.sum(axis=-1) / np.log2(dist.shape[-1]), 1.0)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from crnsim.markov import MarkovChain, equal_in_state_distribution
+from crnsim.markov import MarkovChain
 from crnsim.sensing import ReceiverParams, max_detectable_range
 
 MOTION_STATES = ("CruiseCV", "CoordinatedTurn", "HighGManeuver")
@@ -85,13 +84,13 @@ class TargetClass:
     tx_gain: float = 1.0
 
     def __post_init__(self):
-        if self.tx_power_w <= 0:
-            raise ValueError("transmit power must be positive")
+        if not (self.tx_power_w > 0 and self.tx_gain > 0):
+            raise ValueError("transmit power and gain must be positive")
         noise = np.array(self.process_noise, dtype=float)
         noise.setflags(write=False)
         if noise.ndim != 1 or noise.size != self.motion_chain.num_states:
             raise ValueError("process noise must list one std per motion state")
-        if np.any(noise < 0):
+        if not np.all(noise >= 0):
             raise ValueError("process noise must be nonnegative")
         object.__setattr__(self, "process_noise", noise)
         for lo, hi in (self.speed_range_mps, self.altitude_range_m,
@@ -141,8 +140,11 @@ class TargetFamily:
 
     @staticmethod
     def _indistinguishable(a: TargetClass, b: TargetClass) -> bool:
+        """Whether every parameter distribution of `a` lies within
+        FAMILY_SEPARATION of `b`'s, entry by entry. Both classes run over
+        the family's state spaces, so the distributions pair up in shape."""
         return all(
-            equal_in_state_distribution(da, db, FAMILY_SEPARATION)
+            np.max(np.abs(da - db)) <= FAMILY_SEPARATION
             for da, db in zip(a.parameter_distributions(), b.parameter_distributions())
         )
 
@@ -180,34 +182,35 @@ class TargetTable:
 
 
 def make_target_table(
-    classes: Sequence[TargetClass],
-    kind,
-    position,
-    velocity,
-    motion_state,
-    signal_state,
-    tx_state,
-    turn_rate,
+    classes: tuple[TargetClass, ...],
+    kind: np.ndarray,
+    position: np.ndarray,
+    velocity: np.ndarray,
+    motion_state: np.ndarray,
+    signal_state: np.ndarray,
+    tx_state: np.ndarray,
+    turn_rate: np.ndarray,
     receiver: ReceiverParams,
 ) -> TargetTable:
-    """Table of targets in the given truth state, row i of class
-    `classes[kind[i]]`, with no heading change yet. Every per-class column
-    is gathered by `kind`, the passive range too: each class's
-    `max_detectable_range` to `receiver`."""
-    kind = np.asarray(kind, dtype=np.int64)
+    """Table of T targets in the given truth state, row i of class
+    `classes[kind[i]]`, with no heading change yet. Takes arrays the table
+    keeps as its columns: int64 `kind`, `motion_state`, `signal_state` and
+    `tx_state` (T,), float `position` and `velocity` (T, 3) and
+    `turn_rate` (T,). Every per-class column is gathered by `kind`, the
+    passive range too: each class's `max_detectable_range` to `receiver`."""
 
     def gather(per_class):
-        return np.array([np.asarray(v, dtype=float) for v in per_class])[kind]
+        return np.array([*per_class], dtype=float)[kind]
 
     return TargetTable(
         class_id=np.array([c.class_id for c in classes], dtype=np.int64)[kind],
-        position=np.array(position, dtype=float).reshape(-1, 3),
-        velocity=np.array(velocity, dtype=float).reshape(-1, 3),
-        turn_rate=np.array(turn_rate, dtype=float),
+        position=position,
+        velocity=velocity,
+        turn_rate=turn_rate,
         heading_rate=np.zeros(kind.size),
-        motion_state=np.array(motion_state, dtype=np.int64),
-        signal_state=np.array(signal_state, dtype=np.int64),
-        tx_state=np.array(tx_state, dtype=np.int64),
+        motion_state=motion_state,
+        signal_state=signal_state,
+        tx_state=tx_state,
         motion_cdf=gather(c.motion_chain.row_cdf for c in classes),
         signal_cdf=gather(c.signal_chain.row_cdf for c in classes),
         tx_cdf=gather(c.tx_chain.row_cdf for c in classes),

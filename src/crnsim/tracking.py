@@ -37,7 +37,6 @@ one-model banks; a track has no other form.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +62,6 @@ OMEGA_STD_HIGHG = math.radians(40.0)
 MIN_MODEL_PROB = 1e-12
 
 
-class LengthMismatch(ValueError):
-    """History lengths disagree."""
-
-
 def cv_transition(dt: float) -> np.ndarray:
     """Constant-velocity transition for [x,y,z,vx,vy,vz]."""
     F = np.eye(6)
@@ -76,8 +71,8 @@ def cv_transition(dt: float) -> np.ndarray:
 
 def process_noise_matrix(dt: float, accel_std) -> np.ndarray:
     """Discrete white-noise-acceleration Q of each acceleration std in
-    `accel_std` (any shape (...)): (..., 6, 6). The vertical axis gets the
-    scaled-down noise the truth dynamics use."""
+    `accel_std`, an array (...) or one float: (..., 6, 6). The vertical
+    axis gets the scaled-down noise the truth dynamics use."""
     std = np.asarray(accel_std, dtype=float)
     var = np.array([1.0, 1.0, VERTICAL_NOISE_FRACTION**2]) * (std**2)[..., None]
     q = np.zeros(std.shape + (6, 6))
@@ -160,22 +155,24 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
 
 
 def polar_to_cartesian(
-    range_m, azimuth_rad, elevation_rad, node_position, sigmas
+    r: np.ndarray,
+    az: np.ndarray,
+    el: np.ndarray,
+    node_positions: np.ndarray,
+    sigmas: tuple[float, float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convert K polar measurements to Cartesian positions with
     first-order-propagated covariance.
 
-    range, azimuth and elevation are (K,); node_position is (K,3) or one
-    shared (3,); sigmas = (sigma_r, sigma_az, sigma_el). Returns (K,3)
-    positions and (K,3,3) covariances.
+    Range, azimuth and elevation are float arrays (K,), each measured from
+    its node's position in `node_positions` (K, 3); sigmas is the tuple
+    (sigma_r, sigma_az, sigma_el). Returns (K, 3) positions and (K, 3, 3)
+    covariances.
     """
-    r = np.asarray(range_m, dtype=float)
-    az = np.asarray(azimuth_rad, dtype=float)
-    el = np.asarray(elevation_rad, dtype=float)
     ca, sa = np.cos(az), np.sin(az)
     ce, se = np.cos(el), np.sin(el)
     offset = np.stack([r * ce * ca, r * ce * sa, r * se], axis=-1)
-    pos = np.asarray(node_position, dtype=float) + offset
+    pos = node_positions + offset
     # Jacobian wrt (r, az, el), shape (K, 3, 3)
     J = np.empty((r.size, 3, 3))
     J[:, 0, 0] = ce * ca
@@ -276,10 +273,10 @@ def start_track(
 def omega_log_evidence(omega: np.ndarray) -> np.ndarray:
     """Log density of measured angular rates under each motion model.
 
-    omega (K,) -> (K, NUM_MODELS). Cruise concentrates near zero, turns are
-    bimodal around +/- the typical rate, high-G is broad.
+    omega, a float array (K,) -> (K, NUM_MODELS). Cruise concentrates near
+    zero, turns are bimodal around +/- the typical rate, high-G is broad.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))[:, None]
+    w = omega[:, None]
 
     def log_n(x, mu, std):
         return -0.5 * ((x - mu) / std) ** 2 - math.log(std * math.sqrt(2 * math.pi))
@@ -292,16 +289,7 @@ def omega_log_evidence(omega: np.ndarray) -> np.ndarray:
     return np.concatenate([cv, ct, hg], axis=1)
 
 
-def track_rmse(
-    estimated_positions: Sequence[np.ndarray], truth_positions: Sequence[np.ndarray]
-) -> float:
-    """Root-mean-square 3D position error over aligned histories."""
-    if len(estimated_positions) != len(truth_positions):
-        raise LengthMismatch(
-            f"{len(estimated_positions)} estimates vs {len(truth_positions)} truths"
-        )
-    if len(estimated_positions) == 0:
-        raise LengthMismatch("empty histories")
-    est = np.asarray(estimated_positions, dtype=float)
-    tru = np.asarray(truth_positions, dtype=float)
-    return float(np.sqrt(np.mean(np.sum((est - tru) ** 2, axis=1))))
+def track_rmse(squared_errors: np.ndarray) -> float:
+    """Root-mean-square 3D position error of one track from its (n,)
+    squared errors, one per tracked step, n >= 1."""
+    return float(np.sqrt(np.mean(squared_errors)))

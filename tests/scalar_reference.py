@@ -172,17 +172,19 @@ def target_table(
     receiver: ReceiverParams = ReceiverParams(),
 ) -> TargetTable:
     """`scenario.make_target_table` of `targets`, in order, each row of the
-    class in `classes` with its class id, heading rates included."""
+    class in `classes` with its class id, heading rates included. The
+    targets' fields become the table's columns, arrays of the dtypes and
+    shapes `make_target_table` takes."""
     index = {cls.class_id: i for i, cls in enumerate(classes)}
     table = make_target_table(
-        classes,
-        [index[tg.class_id] for tg in targets],
-        [tg.position for tg in targets],
-        [tg.velocity for tg in targets],
-        [tg.motion_state for tg in targets],
-        [tg.signal_state for tg in targets],
-        [TX_ON if tg.tx_on else TX_OFF for tg in targets],
-        [tg.turn_rate_radps for tg in targets],
+        tuple(classes),
+        np.array([index[tg.class_id] for tg in targets], dtype=np.int64),
+        np.array([tg.position for tg in targets], dtype=float).reshape(-1, 3),
+        np.array([tg.velocity for tg in targets], dtype=float).reshape(-1, 3),
+        np.array([tg.motion_state for tg in targets], dtype=np.int64),
+        np.array([tg.signal_state for tg in targets], dtype=np.int64),
+        np.array([TX_ON if tg.tx_on else TX_OFF for tg in targets], dtype=np.int64),
+        np.array([tg.turn_rate_radps for tg in targets], dtype=float),
         receiver,
     )
     table.heading_rate[:] = [tg.heading_rate_radps for tg in targets]
@@ -607,15 +609,14 @@ class RecordedHistories:
 
 def track_uncertainties(coordinator, histories: RecordedHistories) -> dict:
     """Per-track (motion, signal) reward entropies, keyed by row, live rows
-    ascending: the class centroid's once the row is classified
-    under class knowledge, 1 for thin histories, else the smoothed
-    entropies of its recorded histories."""
+    ascending: the class centroid's once the row is classified, 1 for thin
+    histories, else the smoothed entropies of its recorded histories."""
     recorded = histories.of(coordinator)
     etas = {}
     for row in np.flatnonzero(coordinator.live).tolist():
         motion, signal = recorded.motion[row], recorded.signal[row]
         class_row = int(coordinator.class_rows[row])
-        if coordinator.use_class_knowledge and class_row >= 0:
+        if class_row >= 0:
             centroid = coordinator.library.centroids[class_row]
             V, S = len(MOTION_STATES), len(SIGNAL_TYPES)
             em = normalized_entropy(centroid[:V])
@@ -848,7 +849,7 @@ def sample_path(
     path[0] = init
     u = rng.random(length)
     for t in range(1, length):
-        path[t] = inverse_cdf(chain.row_cdf[path[t - 1]], u[t])
+        path[t] = inverse_cdf(chain.row_cdf[path[t - 1]][None], u[t : t + 1])[0]
     return path
 
 

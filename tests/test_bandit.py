@@ -50,10 +50,7 @@ class TestComputeRewards:
 
     def test_unknown_tracks_max_uncertainty(self):
         # tracks with too little history count as fully uncertain (eta = 1)
-        coordinator = Coordinator(
-            library=ClassLibrary(), use_class_knowledge=True, dt_s=0.5,
-            num_targets=2,
-        )
+        coordinator = Coordinator(library=ClassLibrary(), dt_s=0.5, num_targets=2)
         pos = np.column_stack([self.TRACK_XY[:2], np.zeros(2)])
         R = np.tile(np.eye(3), (2, 1, 1))
         coordinator.start_tracks(

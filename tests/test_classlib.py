@@ -58,9 +58,7 @@ def synth_vector(class_index, rng, n_motion=50, n_signal=25):
 def counted_vector(motion_readings, signal_readings):
     """One track's behavior vector from (step, state) readings, counted by
     a coordinator's recorders and built by `vectors_from_counts`."""
-    c = Coordinator(
-        library=ClassLibrary(), use_class_knowledge=False, dt_s=0.5, num_targets=1
-    )
+    c = Coordinator(library=ClassLibrary(), dt_s=0.5, num_targets=1)
     row = np.zeros(1, dtype=np.int64)
     for step, state in motion_readings:
         c.record_motion(row, step, np.array([state]))
@@ -208,25 +206,32 @@ class TestParameterVector:
         np.testing.assert_array_equal(v.evidence[5:], [0.0, 1.0, 1.0, 0.0])
 
 
+def sample_size_of_one(n_steps, occupancy, transition):
+    """`occupancy_sample_size` of one estimate, as a batch of 1."""
+    return occupancy_sample_size(
+        np.array([n_steps]), occupancy[None], transition[None]
+    )[0]
+
+
 class TestOccupancySampleSize:
     def test_persistent_chain_discounts_hard(self):
         # P = 0.75 I + 0.25 * uniform: mean self-transition 5/6
         pi = np.full(3, 1 / 3)
         P = 0.75 * np.eye(3) + 0.25 * np.full((3, 3), 1 / 3)
-        assert occupancy_sample_size(50, pi, P) == pytest.approx(50 / 11)
+        assert sample_size_of_one(50, pi, P) == pytest.approx(50 / 11)
 
     def test_iid_chain_keeps_partial_credit(self):
         # iid uniform 2-state: rho = 0.5 -> n/3 (deliberately conservative)
         pi = np.array([0.5, 0.5])
         P = np.full((2, 2), 0.5)
-        assert occupancy_sample_size(30, pi, P) == pytest.approx(10.0)
+        assert sample_size_of_one(30, pi, P) == pytest.approx(10.0)
 
     def test_frozen_chain_has_no_evidence(self):
         pi = np.array([1.0, 0.0])
-        assert occupancy_sample_size(40, pi, np.eye(2)) == 0.0
+        assert sample_size_of_one(40, pi, np.eye(2)) == 0.0
 
     def test_no_steps_no_evidence(self):
-        assert occupancy_sample_size(0, np.array([1.0]), np.eye(1)) == 0.0
+        assert sample_size_of_one(0, np.array([1.0]), np.eye(1)) == 0.0
 
 
 class TestVectorFromPaths:
@@ -251,7 +256,7 @@ class TestVectorFromPaths:
         spath = sample_path(cls.signal_chain, 20, rng=rng)
         v = counted_vector(enumerate(mpath), enumerate(spath))
         pi_v, P_v = v.values[:3], v.values[7:16].reshape(3, 3)
-        assert v.evidence[0] == pytest.approx(occupancy_sample_size(40, pi_v, P_v))
+        assert v.evidence[0] == pytest.approx(sample_size_of_one(40, pi_v, P_v))
         assert 0.0 < v.evidence[0] < 40.0
 
 
@@ -498,14 +503,16 @@ class TestScoreClasses:
 
     def test_unclassified_counted_against_association(self):
         lib = self._library_of_size(2)
-        true = [0] * 5 + [1] * 5
-        assigned = [0] * 5 + [-1] * 5
+        true = np.repeat([0, 1], 5)
+        assigned = np.repeat([0, -1], 5)
         _, association = score_classes(lib, assigned, true)
         assert association == pytest.approx(0.5)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            score_classes(self._library_of_size(2), [0, 1], [0, 1, 2])
+            score_classes(
+                self._library_of_size(2), np.array([0, 1]), np.array([0, 1, 2])
+            )
 
 
 class TestClassTuning:

@@ -217,11 +217,26 @@ class TestConfigValidation:
             {"epoch_duration_s": 0.25},  # half a step
             {"dt_s": float("nan")},
             {"epoch_duration_s": float("nan")},
+            # each of these used to construct and then fail inside the run:
+            # `round` overflows, `SeedSequence` refuses a negative seed (in
+            # every cell, in a forked worker under the pool), and a float
+            # count or seed raises TypeError
+            {"epoch_duration_s": float("inf")},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"num_runs": 1.5},
+            {"num_epochs": 1.5},
         ],
     )
     def test_invalid_sim_config_rejected(self, change):
         with pytest.raises(ConfigError):
             dataclasses.replace(SMALL, **change)
+
+    def test_numpy_integers_accepted(self):
+        config = dataclasses.replace(
+            SMALL, seed=np.int64(3), num_runs=np.int32(1), num_epochs=np.uint8(2)
+        )
+        assert config.steps_per_epoch == SMALL.steps_per_epoch
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
     def test_invalid_active_probability_rejected(self, p):
@@ -338,7 +353,6 @@ def _polar_row(node, point, d_az=0.0):
 def _radar_coordinator(world, library=None):
     return Coordinator(
         library=ClassLibrary() if library is None else library,
-        use_class_knowledge=library is not None,
         dt_s=0.5,
         num_targets=world.num_targets,
     )
@@ -502,7 +516,6 @@ class TestClassTunedPrediction:
         library = _class_library(2)
         c = Coordinator(
             library=library,
-            use_class_knowledge=True,
             dt_s=0.5,
             num_targets=5,
         )
@@ -694,7 +707,6 @@ class TestTrackTable:
     def test_start_tracks_refuses_a_live_row_and_copies_the_banks(self):
         c = Coordinator(
             library=ClassLibrary(),
-            use_class_knowledge=False,
             dt_s=0.5,
             num_targets=3,
         )
@@ -796,7 +808,7 @@ class TestTrackTable:
             assert etas.tolist() == [list(e) for e in want.values()]
             for row in live:
                 seen = c.motion_counts[row].sum() + c.signal_counts[row].sum()
-                if c.use_class_knowledge and c.class_rows[row] >= 0:
+                if c.class_rows[row] >= 0:
                     kinds["classified"] += 1
                 elif seen < 3:
                     kinds["thin"] += 1
@@ -816,19 +828,22 @@ class TestTrackTable:
         ids=lambda p: p.label,
     )
     def test_baselines_never_classify(self, monkeypatch, policy):
-        # a baseline keeps every row unclassified after every step, so its
-        # filters and rewards never read the class library, even once
-        # random-p's library holds classes
-        classes = []
+        # a baseline's coordinator holds an empty library after every step,
+        # so it classifies no row and its filters and rewards never read
+        # the run's classes, even once random-p's run has learned some
+        checked = []
 
         def check(world, c):
+            assert c.library.ids.size == 0
             assert (c.class_rows == -1).all()
-            classes.append(c.library.ids.size)
+            checked.append(1)
 
         _after_each_step(monkeypatch, check)
-        run_experiment(dataclasses.replace(SMALL, num_epochs=3), [policy])
-        assert len(classes) == 3 * SMALL.steps_per_epoch
-        assert (max(classes) > 0) == (policy.kind is PolicyKind.RANDOM)
+        result = run_experiment(dataclasses.replace(SMALL, num_epochs=3), [policy])
+        assert len(checked) == 3 * SMALL.steps_per_epoch
+        [run] = result.metrics[policy.label]
+        learned = max(m.num_classes for m in run)
+        assert (learned > 0) == (policy.kind is PolicyKind.RANDOM)
 
 
 class TestCountTables:
@@ -920,7 +935,6 @@ class TestHarvestGate:
         rng = np.random.default_rng(4)
         c = Coordinator(
             library=ClassLibrary(),
-            use_class_knowledge=False,
             dt_s=0.5,
             num_targets=len(self.READINGS),
         )

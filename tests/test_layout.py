@@ -17,7 +17,13 @@ function that exist, so an installed command cannot fail on import.
 No `einsum` call in the package takes more than two operands: without
 `optimize`, numpy runs such a contraction as one loop over every index at
 once, several times slower than the chained `matmul` the filter kernels
-use."""
+use.
+
+An internal function takes the one input form the engine passes it, so
+`np.asarray` and `np.atleast_1d` appear only in the functions that really
+take more than one: the constructors of outside input (`MarkovChain`,
+`chain_from_stationary`, `TargetClass`), `process_noise_matrix` (an array
+or one float) and `polar_to_cartesian` (its sigmas as a tuple)."""
 
 import ast
 import importlib
@@ -124,6 +130,61 @@ def test_the_guard_sees_a_wide_einsum(tmp_path):
         "w = np.einsum(spec, a, b, c)\n"
     )
     assert wide_einsums(tmp_path) == {("a.py", 4), ("a.py", 5), ("a.py", 6)}
+
+
+CONVERSIONS = {"asarray", "atleast_1d"}
+
+CONVERTING = {
+    "MarkovChain.__post_init__",
+    "chain_from_stationary",
+    "TargetClass.__post_init__",
+    "process_noise_matrix",
+    "polar_to_cartesian",
+}
+
+
+def conversions(package: Path) -> set:
+    """(file name, enclosing definition) of every `asarray` or `atleast_1d`
+    call, the definition qualified by its class ("<module>" outside any)."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                visit(child, path, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) in CONVERSIONS:
+                    found.add((path.name, scope or "<module>"))
+            visit(child, path, scope)
+
+    for path in package.glob("*.py"):
+        visit(ast.parse(path.read_text()), path, "")
+    return found
+
+
+def test_only_the_converting_functions_convert_their_input():
+    assert {scope for _, scope in conversions(PACKAGE)} - CONVERTING == set()
+
+
+def test_the_guard_sees_a_conversion_in_any_scope(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "from numpy import atleast_1d\n"
+        "x = np.asarray([1])\n"
+        "def kernel(v):\n    return f(np.asarray(v))\n\n\n"
+        "def polar_to_cartesian(s):\n    return np.asarray(s)\n\n\n"
+        "class Box:\n    def method(self, v):\n"
+        "        def inner(w):\n            return atleast_1d(w)\n"
+        "        return inner(v)\n"
+    )
+    assert conversions(tmp_path) == {
+        ("a.py", "<module>"),
+        ("a.py", "kernel"),
+        ("a.py", "polar_to_cartesian"),
+        ("a.py", "Box.method.inner"),
+    }
 
 
 def unresolved_scripts(pyproject: Path) -> set:

@@ -140,6 +140,23 @@ class TestDefaultFamily:
         with pytest.raises(ValueError, match="equal in state distribution"):
             TargetFamily(classes=(family.classes[0], clone))
 
+    def test_rejects_classes_within_separation(self):
+        # a class whose every parameter distribution lies within
+        # FAMILY_SEPARATION of another's is rejected, not only an exact
+        # clone; moving one chain beyond it makes the pair distinguishable
+        uav = default_family().classes[0]
+        rotation = np.roll(np.eye(3), 1, axis=1)
+        for weight, rejected in ((0.05, True), (0.5, False)):
+            moved = (1 - weight) * uav.motion_chain.transition + weight * rotation
+            near = dataclasses.replace(
+                uav, class_id=99, motion_chain=MarkovChain(moved)
+            )
+            if rejected:
+                with pytest.raises(ValueError, match="equal in state distribution"):
+                    TargetFamily(classes=(uav, near))
+            else:
+                TargetFamily(classes=(uav, near))
+
     def test_rejects_wrong_state_count(self):
         # a motion or signal chain over another number of states than
         # MOTION_STATES or SIGNAL_TYPES, which fix the behavior-vector layout
@@ -174,6 +191,28 @@ class TestDefaultFamily:
         cls = dataclasses.replace(default_family().classes[0], process_noise=noise)
         assert noise.flags.writeable and not cls.process_noise.flags.writeable
         assert cls.process_noise.tolist() == [1.0, 2.0, 3.0]
+
+
+class TestTargetClass:
+    # a class is checked where it is built, before any world spawns from
+    # it: a negative gain takes the square root of a negative at the first
+    # spawn, and a NaN power gives the class's targets a NaN passive range,
+    # so they would silently never be intercepted
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tx_power_rejected(self, value):
+        with pytest.raises(ValueError, match="power and gain"):
+            dataclasses.replace(default_family().classes[0], tx_power_w=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tx_gain_rejected(self, value):
+        with pytest.raises(ValueError, match="power and gain"):
+            dataclasses.replace(default_family().classes[0], tx_gain=value)
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan")])
+    def test_negative_process_noise_rejected(self, value):
+        noise = np.array([0.5, value, 15.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(default_family().classes[0], process_noise=noise)
 
 
 def renumbered_family(ids=(7, 3, 5)) -> TargetFamily:

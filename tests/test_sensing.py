@@ -355,9 +355,7 @@ class TestAssociateDetection:
     def test_no_tracks(self):
         # `_associate_bearings` needs at least one track; with no live row
         # `_apply_passive` returns before calling it
-        coordinator = Coordinator(
-            library=ClassLibrary(), use_class_knowledge=False, dt_s=0.5
-        )
+        coordinator = Coordinator(library=ClassLibrary(), dt_s=0.5)
         logged = _apply_passive(
             None, coordinator, np.array([0]), np.array([0]), np.array([0.3]), 1,
             SIGMA_DOA,
@@ -366,10 +364,7 @@ class TestAssociateDetection:
 
     def test_no_tracks_claims_nothing(self):
         # the table has rows, but no track has started in any of them
-        coordinator = Coordinator(
-            library=ClassLibrary(), use_class_knowledge=False, dt_s=0.5,
-            num_targets=2,
-        )
+        coordinator = Coordinator(library=ClassLibrary(), dt_s=0.5, num_targets=2)
         logged = _apply_passive(
             None, coordinator, np.array([0, 1]), np.array([0, 1]),
             np.array([0.1, 0.2]), 1, SIGMA_DOA,

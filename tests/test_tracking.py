@@ -21,7 +21,6 @@ from crnsim.tracking import (
     MIN_MODEL_PROB,
     NUM_MODELS,
     UNTUNED_ACCEL_STD,
-    LengthMismatch,
     combined_covariances,
     combined_states,
     cv_transition,
@@ -222,11 +221,11 @@ class TestPolarConversion:
         rs = rng.uniform(1e3, 8e3, 5)
         azs = rng.uniform(-3, 3, 5)
         els = rng.uniform(-0.5, 0.5, 5)
-        node = np.zeros(3)
-        pos_b, R_b = polar_to_cartesian(rs, azs, els, node, (25.0, 0.02, 0.02))
+        nodes = rng.normal(0.0, 1e3, (5, 3))
+        pos_b, R_b = polar_to_cartesian(rs, azs, els, nodes, (25.0, 0.02, 0.02))
         for k in range(5):
             p, R = polar_to_cartesian_one(
-                rs[k], azs[k], els[k], node, (25.0, 0.02, 0.02)
+                rs[k], azs[k], els[k], nodes[k], (25.0, 0.02, 0.02)
             )
             assert pos_b[k] == pytest.approx(p)
             assert R_b[k] == pytest.approx(R)
@@ -587,7 +586,8 @@ def _paired_epoch_rmse(cls, seed, num_targets):
                 est[k].append(tracks[k].state[:3].copy())
             truth_path.append(truth.position[0].copy())
         for k in sums:
-            sums[k] += track_rmse(est[k], truth_path)
+            errors = np.array(est[k]) - np.array(truth_path)
+            sums[k] += track_rmse(np.sum(errors**2, axis=1))
     return sums["tuned"] / num_targets, sums["untuned"] / num_targets
 
 
@@ -603,24 +603,15 @@ class TestTunedVersusUntuned:
 
 class TestTrackRmse:
     def test_zero_for_exact(self):
-        pts = [np.array([1.0, 2, 3]), np.array([4.0, 5, 6])]
-        assert track_rmse(pts, pts) == 0.0
+        assert track_rmse(np.zeros(2)) == 0.0
 
     def test_constant_offset(self):
-        truth = [np.zeros(3)] * 8
-        est = [np.array([10.0, 0, 0])] * 8
-        assert track_rmse(est, truth) == pytest.approx(10.0)
+        assert track_rmse(np.full(8, 10.0**2)) == pytest.approx(10.0)
 
     def test_alternating_offsets(self):
-        truth = [np.zeros(3), np.zeros(3)]
-        est = [np.array([3.0, 0, 0]), np.array([0.0, 4, 0])]
-        assert track_rmse(est, truth) == pytest.approx(math.sqrt((9 + 16) / 2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            track_rmse([np.zeros(3)], [np.zeros(3)] * 2)
-        with pytest.raises(LengthMismatch):
-            track_rmse([], [])
+        assert track_rmse(np.array([3.0**2, 4.0**2])) == pytest.approx(
+            math.sqrt((9 + 16) / 2)
+        )
 
 
 class TestTunings:
@@ -949,5 +940,8 @@ class TestKernelsAgainstLoops:
             rows.states[..., :2], rows.covs[:, :, :2, :2], rows.probs, means[:, :2]
         )
         assert xy.shape == (0, 2, 2)
-        pos, R = polar_to_cartesian([], [], [], np.zeros(3), (25.0, 0.02, 0.02))
+        empty = np.zeros(0)
+        pos, R = polar_to_cartesian(
+            empty, empty, empty, np.zeros((0, 3)), (25.0, 0.02, 0.02)
+        )
         assert pos.shape == (0, 3) and R.shape == (0, 3, 3)
