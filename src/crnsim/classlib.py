@@ -1,15 +1,15 @@
 """End-of-epoch class learning over per-target behavior vectors.
 
-Each observed target contributes one behavior vector, a row of the (B, L)
-batch `vectors_from_counts` builds from the count tables the coordinator
-keeps per track: how often each motion state and signal type was read, and
-how often each state followed another in adjacent steps. A vector holds the
+This module owns a track's behavior record: one `Readings` count table
+per reading channel (motion states, signal types), which the coordinator
+holds and hands each step's readings to. Each observed target contributes
+one behavior vector, a row of the (B, L) batch `vectors_from_counts`
+builds from the two tables. A vector holds the
 estimated stationary distributions (primary blocks) plus the rows of the
 estimated transition matrices (half-weight blocks — stationary behavior
 defines a class, transition structure only helps separate classes that
 happen to share it), and beside it one evidence entry per block. This is
-the only place that turns observed behavior into a vector; tracks only
-count readings.
+the only place that turns observed behavior into a vector or an entropy.
 
 The layout is one set of constants, fixed by the state spaces of
 `scenario`: the V = 3 motion states and S = 4 signal types give the nine
@@ -29,10 +29,11 @@ then runs each k's 10 restarts as one (10, k) stack; one
 each update keeps ids stable by matching new centroids to old ones.
 `assign_class` scores a (B, L) batch against the centroids and returns
 each vector's library row. A learned class carries enough structure to
-tune a filter bank: `ClassLibrary.mode_transitions()` stacks every
+tune a filter bank: `ClassLibrary.mode_transitions` stacks every
 centroid's motion-transition rows as an IMM mixing chain, and the engine
 pairs them with the per-state default acceleration levels as process
-noise.
+noise; `ClassLibrary.etas`, the centroids' occupancy entropies, are a
+classified track's reward entropies.
 
 Lloyd fits under the weighted KL divergence KL(p || c), a Bregman
 divergence: the blockwise mean is its exact minimiser, so each Lloyd run
@@ -49,10 +50,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from crnsim.markov import transition_matrix_from_counts
+from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.scenario import MOTION_STATES, SIGNAL_TYPES
 
 DEFAULT_ACCEPT_RADIUS = 0.25
@@ -98,41 +100,90 @@ def occupancy_sample_size(
     return np.where(n_steps > 0, n_steps * (1.0 - rho) / (1.0 + rho), 0.0)
 
 
-def _channel_estimates(counts: np.ndarray, transitions: np.ndarray):
-    """Occupancy (B, S), add-one transition matrices flattened row by row
-    (B, S * S), discounted occupancy sample sizes (B,) and per-source
-    transition counts (B, S) of one reading channel of B tracks."""
-    B, S = counts.shape
-    n = counts.sum(axis=1)
-    occupancy = counts / n[:, None]
-    transitions = transitions.astype(float)
-    P = transition_matrix_from_counts(transitions)
-    return (
-        occupancy,
-        P.reshape(B, S * S),
-        occupancy_sample_size(n, occupancy, P),
-        transitions.sum(axis=2),
-    )
+# the step of a row's last reading before its first one: neither equal nor
+# adjacent to any step >= 0
+NO_READING_STEP = -2
+
+
+@dataclass(eq=False)
+class Readings:
+    """The behavior record of one reading channel (motion states or signal
+    types) of T tracks over S states, as count tables with a row per track:
+    how many readings of each state (`counts` (T, S)), how many transitions
+    between readings in adjacent steps (`transitions` (T, S, S)), and the
+    (step, state) of the last reading (`last` (T, 2); NO_READING_STEP
+    before the first), from which the next reading's transition is
+    counted. Any S works."""
+
+    counts: np.ndarray
+    transitions: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def empty(cls, rows: int, states: int) -> "Readings":
+        """No readings yet in any of `rows` rows over `states` states."""
+        return cls(
+            np.zeros((rows, states), dtype=np.int64),
+            np.zeros((rows, states, states), dtype=np.int64),
+            np.tile([NO_READING_STEP, 0], (rows, 1)),
+        )
+
+    def record(self, rows: np.ndarray, step: int, states: np.ndarray) -> None:
+        """Count one step's readings: state `states[i]` for row `rows[i]`,
+        both integer arrays. Needs distinct rows that have no reading in
+        `step` yet: the engine records each channel once per step.
+        A reading counts its state, and a transition from the row's last
+        reading when that reading was in the step before; across a gap
+        nothing is counted."""
+        last_step, last_state = self.last[rows].T
+        adjacent = last_step == step - 1
+        self.counts[rows, states] += 1
+        self.transitions[rows[adjacent], last_state[adjacent], states[adjacent]] += 1
+        self.last[rows, 0] = step
+        self.last[rows, 1] = states
+
+    def estimates(self, rows: np.ndarray):
+        """Occupancy (B, S), add-one transition matrices flattened row by
+        row (B, S * S), discounted occupancy sample sizes (B,) and
+        per-source transition counts (B, S) of the B given rows, each read
+        at least once."""
+        counts = self.counts[rows]
+        B, S = counts.shape
+        n = counts.sum(axis=1)
+        occupancy = counts / n[:, None]
+        transitions = self.transitions[rows].astype(float)
+        P = transition_matrix_from_counts(transitions)
+        n_eff = occupancy_sample_size(n, occupancy, P)
+        return occupancy, P.reshape(B, S * S), n_eff, transitions.sum(axis=2)
+
+    def entropies(self, rows: np.ndarray) -> np.ndarray:
+        """(B,) normalized entropies of the given rows' occupancy counts,
+        smoothed by one unit of prior mass spread over the states, so a row
+        with no readings reads 1. Raw frequencies from a handful of samples
+        are usually degenerate (five steps in Cruise reads as zero entropy),
+        which would pay the bandit for ignorance; the prior mass keeps small
+        samples honestly uncertain while letting genuinely one-sided records
+        collapse within ~10 observations."""
+        counts = self.counts[rows]
+        return normalized_entropy(
+            transition_matrix_from_counts(counts, 1.0 / counts.shape[1])
+        )
 
 
 def vectors_from_counts(
-    motion_counts: np.ndarray,
-    motion_transitions: np.ndarray,
-    signal_counts: np.ndarray,
-    signal_transitions: np.ndarray,
+    motion: Readings, signal: Readings, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Behavior vectors of B tracks from their reading counts: occupancy
-    counts (B, V) and (B, S), and counts of transitions between readings in
-    adjacent steps (B, V, V) and (B, S, S); every track has at least one
+    """Behavior vectors of B tracks, the given rows of the motion (V
+    states) and signal (S states) tables; every row has at least one
     reading of each kind. Returns the (B, L) values in block order --
     occupancies, add-one transition matrices -- and the (B, blocks)
     evidence: the discounted occupancy sample sizes, then the transitions
     counted out of each source state. Any V and S work; the library's
     kernels take the layout of V = 3 and S = 4."""
-    pi_v, P_v, n_v, rows_v = _channel_estimates(motion_counts, motion_transitions)
-    pi_s, P_s, n_s, rows_s = _channel_estimates(signal_counts, signal_transitions)
+    pi_v, P_v, n_v, out_v = motion.estimates(rows)
+    pi_s, P_s, n_s, out_s = signal.estimates(rows)
     values = np.concatenate([pi_v, pi_s, P_v, P_s], axis=1)
-    return values, np.column_stack([n_v, n_s, rows_v, rows_s])
+    return values, np.column_stack([n_v, n_s, out_v, out_s])
 
 
 # --- distance ---
@@ -396,8 +447,9 @@ def _no_centroids() -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ClassLibrary:
     """Classes learned so far, as one table with a row per class in
-    ascending id order: stable class ids (k,) and centroids (k, L). The
-    default is the empty library (k = 0)."""
+    ascending id order: stable class ids (k,) and centroids (k, L), both
+    read-only, and the per-class arrays derived from the centroids
+    (`etas`, `mode_transitions`). The default is the empty library (k = 0)."""
 
     ids: np.ndarray = field(default_factory=_empty_ids)
     centroids: np.ndarray = field(default_factory=_no_centroids)
@@ -405,16 +457,24 @@ class ClassLibrary:
     def __post_init__(self):
         if np.any(np.diff(self.ids) <= 0):
             raise ValueError("class ids must be unique and ascending")
+        # read-only, so the per-class arrays kept below stay true to them
+        self.ids.setflags(write=False)
+        self.centroids.setflags(write=False)
 
-    def occupancies(self) -> tuple[np.ndarray, np.ndarray]:
-        """The centroids' motion (k, V) and signal (k, S) occupancies: the
-        first two blocks."""
-        return self.centroids[:, :_V], self.centroids[:, _V : _V + _S]
+    @cached_property
+    def etas(self) -> np.ndarray:
+        """(k, 2) normalized entropies of the centroids' motion and signal
+        occupancies (the first two blocks), built on first use and kept."""
+        return np.column_stack([
+            normalized_entropy(self.centroids[:, :_V]),
+            normalized_entropy(self.centroids[:, _V : _V + _S]),
+        ])
 
+    @cached_property
     def mode_transitions(self) -> np.ndarray:
-        """The IMM mixing chain of every class (k, V, V): its centroid's
-        motion-transition rows (the V blocks after the occupancies),
-        renormalized."""
+        """The IMM mixing chain of every class (k, V, V), built on first
+        use and kept: its centroid's motion-transition rows (the V blocks
+        after the occupancies), renormalized."""
         P = self.centroids[:, _V + _S : _V + _S + _V * _V].reshape(-1, _V, _V)
         return P / P.sum(axis=2, keepdims=True)
 

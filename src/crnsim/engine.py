@@ -14,9 +14,10 @@ library row, reading count tables and a held first sighting). A row is the
 whole track: every layer of the step loop -- IMM prediction, track starts
 and radar fusion with one return per target, motion and signal reading,
 passive association, class assignment, rewards and the error tape --
-runs once per step over the live rows. Behavior vectors are built from
-the count tables, a batch of rows at a time, for class assignment during
-the epoch and for the harvest at its end.
+runs once per step over the live rows. The count tables are `classlib`'s,
+one `classlib.Readings` per channel, which builds behavior vectors from
+them, a batch of rows at a time, for class assignment during the epoch
+and for the harvest at its end.
 
 The class-learning side is tables too. The cumulative pool (`Pool`) is one
 table with a row per harvested track -- behavior vector, evidence and the
@@ -24,7 +25,8 @@ target's true class id -- which each epoch's harvest grows with one
 concatenate per column, and the class library is one table with a row per
 class (see `classlib.ClassLibrary`). A classified track stores its class's
 library row, so the reward entropies of classified tracks and the
-class-tuned filters are gathers from per-class arrays built once per epoch.
+class-tuned filters are gathers from per-class arrays the library builds
+once (`ClassLibrary.etas`, `ClassLibrary.mode_transitions`).
 
 Randomness is split into four named streams (scenario/truth, sensor noise,
 policy coin flips, clustering restarts) so that policies compared under
@@ -61,13 +63,13 @@ from crnsim.classlib import (
     BLOCK_LENGTHS,
     VECTOR_LENGTH,
     ClassLibrary,
+    Readings,
     assign_class,
     score_classes,
     update_library,
     vectors_from_counts,
 )
 from crnsim.dynamics import step_motion, step_signal
-from crnsim.markov import normalized_entropy, transition_matrix_from_counts
 from crnsim.scenario import (
     MOTION_STATES,
     SIGNAL_TYPES,
@@ -114,10 +116,6 @@ PENDING_MAX_AGE_STEPS = 2
 # the held first sighting's step of a row that holds none: too old to be
 # differenced at any step >= 0
 NO_SIGHTING_STEP = -PENDING_MAX_AGE_STEPS - 1
-
-# the step of a row's last reading before its first one: neither equal nor
-# adjacent to any step >= 0
-NO_READING_STEP = -2
 
 
 class ConfigError(ValueError):
@@ -246,15 +244,9 @@ class Coordinator:
     (a target has at most one track). A row is the whole track: the IMM
     bank -- model states (M, 6), covariances (M, 6, 6), probabilities (M,)
     -- the combined estimate, its class as a library row (`class_rows`, -1
-    while unclassified), and the count tables of its motion-state and
-    signal-type readings, over the V = len(MOTION_STATES) motion states and
-    S = len(SIGNAL_TYPES) signal types: how many readings of each state
-    (`motion_counts`, `signal_counts`), how many transitions between readings
-    in adjacent steps (`motion_transitions` (T, V, V), `signal_transitions`
-    (T, S, S)),
-    and the (step, state) of its last reading (`motion_last`,
-    `signal_last`), from which the next reading's transition is counted.
-    `vectors_from_counts` builds behavior vectors from these tables. Until
+    while unclassified), and its row of the motion-state and signal-type
+    reading tables (`motion`, `signal`), which `classlib.Readings` owns:
+    the counting, and the vectors and entropies built from it. Until
     its track starts, a row may hold one first sighting, waiting for a
     second look to difference it with: its step (`pending_step`,
     NO_SIGHTING_STEP when none), converted position
@@ -270,7 +262,7 @@ class Coordinator:
     models at probability 1/M, the bank its IMM starts from.
 
     `dt_s` is the step the filters predict over; the filter matrices built
-    from it are per-epoch arrays, as the per-class ones are."""
+    from it are per-epoch arrays, as the library's per-class ones are."""
 
     library: ClassLibrary
     dt_s: float
@@ -288,20 +280,8 @@ class Coordinator:
         self.pending_step = np.full(T, NO_SIGHTING_STEP, dtype=np.int64)
         self.pending_pos = np.zeros((T, 3))
         self.pending_cov = np.zeros((T, 3, 3))
-        V, S = len(MOTION_STATES), len(SIGNAL_TYPES)
-        self.motion_counts = np.zeros((T, V), dtype=np.int64)
-        self.signal_counts = np.zeros((T, S), dtype=np.int64)
-        self.motion_transitions = np.zeros((T, V, V), dtype=np.int64)
-        self.signal_transitions = np.zeros((T, S, S), dtype=np.int64)
-        self.motion_last = np.tile([NO_READING_STEP, 0], (T, 1))
-        self.signal_last = self.motion_last.copy()
-        # per-class arrays in library order; the library is fixed for the
-        # coordinator's epoch. (motion, signal) entropies of each class
-        # centroid (k, 2), and the IMM mixing chain of each class (k, M, M)
-        self.class_etas = np.column_stack(
-            [normalized_entropy(pi) for pi in self.library.occupancies()]
-        )
-        self.mode_transitions = self.library.mode_transitions()
+        self.motion = Readings.empty(T, len(MOTION_STATES))
+        self.signal = Readings.empty(T, len(SIGNAL_TYPES))
         # the filter matrices: the constant-velocity transition (6, 6), the
         # process noise of each motion state's model (M, 6, 6) and the
         # untuned level's (6, 6)
@@ -345,37 +325,6 @@ class Coordinator:
             self.estimates[rows, :2],
         )
 
-    def record_motion(self, rows, step: int, states) -> None:
-        """Count one step's motion-state readings, `states[i]` for row
-        `rows[i]`; see `_record_readings`."""
-        _record_readings(
-            self.motion_counts, self.motion_transitions, self.motion_last,
-            rows, step, states,
-        )
-
-    def record_signal(self, rows, step: int, states) -> None:
-        """Count one step's signal-type readings, as `record_motion` does."""
-        _record_readings(
-            self.signal_counts, self.signal_transitions, self.signal_last,
-            rows, step, states,
-        )
-
-
-def _record_readings(counts, transitions, last, rows, step: int, states) -> None:
-    """Count one step's readings into one channel's tables: state
-    `states[i]` for row `rows[i]`, both integer arrays. Needs distinct rows
-    that have no reading in `step` yet: the engine records each channel
-    once per step.
-    A reading counts its state, and a transition from the row's last
-    reading when that reading was in the step before; across a gap nothing
-    is counted."""
-    last_step, last_state = last[rows].T
-    adjacent = last_step == step - 1
-    counts[rows, states] += 1
-    transitions[rows[adjacent], last_state[adjacent], states[adjacent]] += 1
-    last[rows, 0] = step
-    last[rows, 1] = states
-
 
 def make_coordinator(
     library: ClassLibrary, world: World, policy: PolicySpec, dt_s: float
@@ -398,20 +347,15 @@ def track_parameter_vector(
     coordinator: Coordinator, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Behavior vectors of the rows whose tracks have been observed enough
-    to estimate all four blocks, from the rows' count tables: those rows,
-    in the given order, with their (B, L) values and (B, blocks) evidence
-    (see `vectors_from_counts`)."""
+    to estimate all four blocks, from the rows' readings: those rows, in
+    the given order, with their (B, L) values and (B, blocks) evidence (see
+    `vectors_from_counts`)."""
     c = coordinator
-    enough = (c.motion_counts[rows].sum(axis=1) >= MIN_RADAR_OBS) & (
-        c.signal_counts[rows].sum(axis=1) >= MIN_PASSIVE_OBS
+    enough = (c.motion.counts[rows].sum(axis=1) >= MIN_RADAR_OBS) & (
+        c.signal.counts[rows].sum(axis=1) >= MIN_PASSIVE_OBS
     )
     rows = rows[enough]
-    values, evidence = vectors_from_counts(
-        c.motion_counts[rows],
-        c.motion_transitions[rows],
-        c.signal_counts[rows],
-        c.signal_transitions[rows],
-    )
+    values, evidence = vectors_from_counts(c.motion, c.signal, rows)
     return rows, values, evidence
 
 
@@ -438,7 +382,7 @@ def _predict_tracks(coordinator: Coordinator) -> None:
     F = c.state_transition
     tuned, untuned = rows[classified], rows[~classified]
     if tuned.size:
-        trans = c.mode_transitions[c.class_rows[tuned]]
+        trans = c.library.mode_transitions[c.class_rows[tuned]]
         c.set_bank(
             tuned, *imm_predict_arrays(*c.bank(tuned), trans, F, c.state_noise)
         )
@@ -631,7 +575,7 @@ def _apply_passive(
     # nodes listen. Conflicting same-step claims (tied modal type) are
     # still skipped.
     logs = (peak > 0) & ((counts == peak[:, None]).sum(axis=1) == 1)
-    coordinator.record_signal(rows[logs], t, top[logs])
+    coordinator.signal.record(rows[logs], t, top[logs])
     return int(logs.sum())
 
 
@@ -655,27 +599,18 @@ def _attempt_assignments(coordinator: Coordinator) -> None:
 def _track_uncertainties(coordinator: Coordinator) -> np.ndarray:
     """(motion, signal) normalized entropies of the live tracks in row
     order, (B, 2), under the coordinator's best current knowledge. Class
-    centroids stand in once a track is classified; thin records (< 3
-    readings) count as fully uncertain, eta = 1; otherwise the
-    reading counts, smoothed by one unit of prior mass spread over the
-    states, give them.
-
-    Raw frequencies from a handful of samples are usually degenerate (five
-    steps in Cruise reads as zero entropy), which would pay the bandit for
-    ignorance; the prior mass keeps small samples honestly uncertain while
-    letting genuinely one-sided records collapse within ~10 observations.
+    centroids stand in once a track is classified (`ClassLibrary.etas`);
+    thin records (< 3 readings) count as fully uncertain, eta = 1;
+    otherwise the smoothed reading counts give them (`Readings.entropies`).
     Reward side only -- harvested vectors keep raw occupancy."""
     c = coordinator
     rows = np.flatnonzero(c.live)
-    motion, signal = c.motion_counts[rows], c.signal_counts[rows]
-    etas = np.column_stack([
-        normalized_entropy(transition_matrix_from_counts(n, 1.0 / n.shape[1]))
-        for n in (motion, signal)
-    ])
-    etas[motion.sum(axis=1) + signal.sum(axis=1) < MIN_OBSERVATIONS_FOR_ESTIMATE] = 1.0
+    etas = np.column_stack([c.motion.entropies(rows), c.signal.entropies(rows)])
+    seen = c.motion.counts[rows].sum(axis=1) + c.signal.counts[rows].sum(axis=1)
+    etas[seen < MIN_OBSERVATIONS_FOR_ESTIMATE] = 1.0
     classes = c.class_rows[rows]
     known = classes >= 0
-    etas[known] = c.class_etas[classes[known]]
+    etas[known] = c.library.etas[classes[known]]
     return etas
 
 
@@ -733,7 +668,7 @@ def run_step(
     # and mixing both reads splits every true class in two. The measured
     # angular rates alone (flat model prior) give every track the same
     # reading conditions; the filter's own posterior still drives tracking.
-    coordinator.record_motion(rows, t, omega_log_evidence(omegas).argmax(axis=1))
+    coordinator.motion.record(rows, t, omega_log_evidence(omegas).argmax(axis=1))
     _apply_passive(
         world, coordinator, ni_p, ti_p, bearings, t, config.noise.sigma_doa_rad
     )

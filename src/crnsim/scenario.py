@@ -16,6 +16,7 @@ included, by the one class index of each row.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class Region:
     height_km: float = 10.0
 
     def __post_init__(self):
-        if not (self.width_km > 0 and self.height_km > 0):
-            raise ValueError("region dimensions must be positive")
+        if not (0 < self.width_km < math.inf and 0 < self.height_km < math.inf):
+            raise ValueError("region dimensions must be positive and finite")
 
     @property
     def area_km2(self) -> float:
@@ -84,19 +85,19 @@ class TargetClass:
     tx_gain: float = 1.0
 
     def __post_init__(self):
-        if not (self.tx_power_w > 0 and self.tx_gain > 0):
-            raise ValueError("transmit power and gain must be positive")
+        if not (0 < self.tx_power_w < math.inf and 0 < self.tx_gain < math.inf):
+            raise ValueError("transmit power and gain must be positive and finite")
         noise = np.array(self.process_noise, dtype=float)
         noise.setflags(write=False)
         if noise.ndim != 1 or noise.size != self.motion_chain.num_states:
             raise ValueError("process noise must list one std per motion state")
-        if not np.all(noise >= 0):
-            raise ValueError("process noise must be nonnegative")
+        if not np.all((noise >= 0) & (noise < math.inf)):
+            raise ValueError("process noise must be nonnegative and finite")
         object.__setattr__(self, "process_noise", noise)
         for lo, hi in (self.speed_range_mps, self.altitude_range_m,
                        self.turn_rate_range_radps):
-            if not 0 <= lo <= hi:
-                raise ValueError("ranges must satisfy 0 <= lo <= hi")
+            if not 0 <= lo <= hi < math.inf:
+                raise ValueError("ranges must satisfy 0 <= lo <= hi < inf")
 
     def parameter_distributions(self) -> list[np.ndarray]:
         """Every distribution this class is described by: the three
@@ -235,10 +236,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.family is None:
             object.__setattr__(self, "family", default_family())
-        if not (self.node_density_per_km2 >= 0 and self.target_density_per_km2 >= 0):
-            raise ValueError("densities must be nonnegative")
-        if not self.radar_range_km > 0:
-            raise ValueError("radar range must be positive")
+        densities = (self.node_density_per_km2, self.target_density_per_km2)
+        if not all(0 <= density < math.inf for density in densities):
+            raise ValueError("densities must be nonnegative and finite")
+        if not 0 < self.radar_range_km < math.inf:
+            raise ValueError("radar range must be positive and finite")
 
 
 def sample_ppp(

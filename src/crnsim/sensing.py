@@ -40,10 +40,10 @@ class ReceiverParams:
 
     def __post_init__(self):
         # written so that NaN fails each check
-        if not all(value > 0 for value in astuple(self)):
+        if not all(0 < value < math.inf for value in astuple(self)):
             raise ValueError(
                 "noise figure, bandwidth, gain, system loss and wavelength "
-                "must be positive"
+                "must be positive and finite"
             )
 
 
@@ -59,8 +59,8 @@ class SensorNoise:
     sigma_doa_rad: float = math.radians(2.0)
 
     def __post_init__(self):
-        if not all(sigma >= 0 for sigma in astuple(self)):
-            raise ValueError("noise sigmas must be nonnegative")
+        if not all(0 <= sigma < math.inf for sigma in astuple(self)):
+            raise ValueError("noise sigmas must be nonnegative and finite")
 
 
 def receiver_noise_power(rx: ReceiverParams) -> float:

@@ -35,11 +35,12 @@ be read from a tuned chain. `record_reading` appends one (step, state)
 reading to a history, dropping a second one in the same step.
 
 `RecordedHistories` keeps, on the test side, the (step, state) reading
-histories the coordinator does not hold, by wrapping its recorders;
+histories the coordinator does not hold, by spying on its reading tables
+(`spy_on_readings`, which sees every `classlib.Readings.record` call);
 `track_uncertainties` rebuilds every track's reward entropies from those
 whole histories, one track at a time, and `vector_from_histories` (with
 `_history_counts` and the scalar `occupancy_sample_size`) one track's
-behavior vector, as oracles for the engine's count tables and
+behavior vector, as oracles for the `classlib.Readings` count tables and
 `classlib.vectors_from_counts`. `ucb_select`, `record_reward` and
 `baseline_policy` play one node's two arms, held as (2,) counts and means
 indexed by `bandit.ACTIVE` and `bandit.PASSIVE`, as oracles for the bandit
@@ -102,6 +103,7 @@ from crnsim.bandit import (
 from crnsim.classlib import (
     TRANSITION_BLOCK_WEIGHT,
     ClassLibrary,
+    Readings,
     _distance_matrix,
 )
 from crnsim.engine import (
@@ -573,12 +575,33 @@ def smoothed_entropy(history, num_states: int) -> float:
     return float(normalized_entropy(counts / counts.sum()))
 
 
+def spy_on_readings(monkeypatch, seen) -> None:
+    """Call `seen(coordinator, kind, rows, step, states)` before every
+    `Readings.record` call on a coordinator's reading table, `kind` being
+    "motion" or "signal" by the table the call is made on. Wraps
+    `Coordinator.__post_init__` to learn each new coordinator's tables."""
+    post_init, record = Coordinator.__post_init__, Readings.record
+    owners = {}  # id of a table -> (its coordinator, its channel)
+
+    def registering(c):
+        post_init(c)
+        for kind in ("motion", "signal"):
+            owners[id(getattr(c, kind))] = (c, kind)
+
+    def spy(table, rows, step, states):
+        seen(*owners[id(table)], rows, step, states)
+        record(table, rows, step, states)
+
+    monkeypatch.setattr(Coordinator, "__post_init__", registering)
+    monkeypatch.setattr(Readings, "record", spy)
+
+
 class RecordedHistories:
     """Per-row (step, state) motion and signal histories of the current
-    coordinator. `install(monkeypatch)` wraps `Coordinator.record_motion`
-    and `record_signal` so that every reading they are given is also
+    coordinator. `install(monkeypatch)` spies on its reading tables
+    (`spy_on_readings`) so that every reading they are given is also
     appended through `record_reading` (one reading per step, a
-    second one dropped) before the coordinator counts it. `of(coordinator)`
+    second one dropped) before the table counts it. `of(coordinator)`
     returns this recorder with `motion` and `signal`, one list per table
     row, starting them empty when a new coordinator appears."""
 
@@ -587,16 +610,12 @@ class RecordedHistories:
         self.motion, self.signal = [], []
 
     def install(self, monkeypatch) -> "RecordedHistories":
-        for kind in ("motion", "signal"):
-            record = getattr(Coordinator, f"record_{kind}")
+        def seen(c, kind, rows, step, states):
+            histories = getattr(self.of(c), kind)
+            for row, state in zip(rows, states):
+                record_reading(histories[row], int(step), int(state))
 
-            def wrapped(c, rows, step, states, kind=kind, record=record):
-                histories = getattr(self.of(c), kind)
-                for row, state in zip(np.asarray(rows), np.asarray(states)):
-                    record_reading(histories[row], int(step), int(state))
-                record(c, rows, step, states)
-
-            monkeypatch.setattr(Coordinator, f"record_{kind}", wrapped)
+        spy_on_readings(monkeypatch, seen)
         return self
 
     def of(self, coordinator) -> "RecordedHistories":

@@ -9,6 +9,7 @@ import pytest
 import crnsim.classlib as classlib
 from crnsim.classlib import (
     ClassLibrary,
+    Readings,
     assign_class,
     kmeans_distributions,
     occupancy_sample_size,
@@ -19,7 +20,6 @@ from crnsim.classlib import (
     _fit_pool,
     _lloyd_runs,
 )
-from crnsim.engine import Coordinator
 from crnsim.markov import MarkovChain
 from crnsim.scenario import default_family
 from scalar_reference import (
@@ -57,16 +57,14 @@ def synth_vector(class_index, rng, n_motion=50, n_signal=25):
 
 def counted_vector(motion_readings, signal_readings):
     """One track's behavior vector from (step, state) readings, counted by
-    a coordinator's recorders and built by `vectors_from_counts`."""
-    c = Coordinator(library=ClassLibrary(), dt_s=0.5, num_targets=1)
+    one-row `Readings` tables and built by `vectors_from_counts`."""
+    motion, signal = Readings.empty(1, 3), Readings.empty(1, 4)
     row = np.zeros(1, dtype=np.int64)
     for step, state in motion_readings:
-        c.record_motion(row, step, np.array([state]))
+        motion.record(row, step, np.array([state]))
     for step, state in signal_readings:
-        c.record_signal(row, step, np.array([state]))
-    values, evidence = vectors_from_counts(
-        c.motion_counts, c.motion_transitions, c.signal_counts, c.signal_transitions
-    )
+        signal.record(row, step, np.array([state]))
+    values, evidence = vectors_from_counts(motion, signal, row)
     return ParameterVector(values[0], family_blocks(), evidence[0])
 
 
@@ -521,7 +519,7 @@ class TestClassTuning:
             ClassLibrary(), [strong_class_vector(i) for i in range(3)] * 5,
             np.random.default_rng(21),
         )
-        chains = lib.mode_transitions()
+        chains = lib.mode_transitions
         assert chains.shape == (lib.ids.size, 3, 3)
         for chain in chains:
             MarkovChain(chain)
@@ -535,6 +533,19 @@ class TestClassTuning:
                 FAMILY.classes[ci].motion_chain.transition,
                 atol=1e-9,
             )
+
+
+    def test_per_class_arrays_are_built_once_from_read_only_centroids(self):
+        # the library keeps `etas` and `mode_transitions` once built, so the
+        # ids and centroids they come from cannot be written
+        lib, _ = update_from(
+            ClassLibrary(), [strong_class_vector(i) for i in range(3)] * 5,
+            np.random.default_rng(21),
+        )
+        assert lib.etas is lib.etas and lib.mode_transitions is lib.mode_transitions
+        for column in (lib.ids, lib.centroids):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
 
 
 class TestLearnedLibraryConsistency:

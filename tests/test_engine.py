@@ -52,6 +52,7 @@ from crnsim.classlib import (
     BLOCK_LENGTHS,
     VECTOR_LENGTH,
     ClassLibrary,
+    Readings,
     update_library,
     vectors_from_counts,
 )
@@ -65,7 +66,6 @@ from crnsim.engine import (
     SimConfig,
     World,
     _fuse_radar,
-    _record_readings,
     default_policies,
     epoch_seed,
     make_streams,
@@ -97,6 +97,7 @@ from scalar_reference import (
     make_parameter_vector,
     record_reading,
     run_experiment_in_turn,
+    spy_on_readings,
     target_table,
     track_uncertainties,
     untuned_tuning,
@@ -682,22 +683,20 @@ class TestTrackTable:
             rows = np.flatnonzero(c.live)
             recorded = histories.of(c)
             for row in range(c.num_targets):
-                for history, counts, transitions, last in (
-                    (recorded.motion[row], c.motion_counts, c.motion_transitions,
-                     c.motion_last),
-                    (recorded.signal[row], c.signal_counts, c.signal_transitions,
-                     c.signal_last),
+                for history, table in (
+                    (recorded.motion[row], c.motion),
+                    (recorded.signal[row], c.signal),
                 ):
                     states = np.array([s for _, s in history], dtype=np.int64)
-                    want = np.bincount(states, minlength=counts.shape[1])
-                    assert np.array_equal(counts[row], want)
+                    want = np.bincount(states, minlength=table.counts.shape[1])
+                    assert np.array_equal(table.counts[row], want)
                     if history:
-                        pairs = _history_counts(history, counts.shape[1])[1]
-                        assert np.array_equal(transitions[row], pairs)
-                        assert tuple(last[row]) == history[-1]
+                        pairs = _history_counts(history, table.counts.shape[1])[1]
+                        assert np.array_equal(table.transitions[row], pairs)
+                        assert tuple(table.last[row]) == history[-1]
                     if not c.live[row]:
-                        assert history == [] and not counts[row].any()
-                        assert not transitions[row].any()
+                        assert history == [] and not table.counts[row].any()
+                        assert not table.transitions[row].any()
             steps.append(rows.size)
 
         _after_each_step(monkeypatch, check)
@@ -745,9 +744,9 @@ class TestTrackTable:
             z = _polar_row(world.node_positions[0], target)[None]
             _fuse_radar(world, c, ni, ti, z, t, 0.5, noise)
         for step in range(engine.MIN_RADAR_OBS):
-            c.record_motion(row, step, np.array([step % 3]))
+            c.motion.record(row, step, np.array([step % 3]))
         for step in range(engine.MIN_PASSIVE_OBS):
-            c.record_signal(row, step, np.array([step % 4]))
+            c.signal.record(row, step, np.array([step % 4]))
         monkeypatch.setattr(
             engine, "assign_class", lambda library, values: np.zeros(len(values), int)
         )
@@ -763,10 +762,10 @@ class TestTrackTable:
         assert (track.covariance[:2, :2] == c.xy_covariances(np.array([0]))[0]).all()
 
     def test_coordinator_holds_no_track(self, monkeypatch):
-        # per-row state lives only in table columns, one row per target: the
-        # class entropies and mixing chains have one row per library class,
-        # the filter matrices are the epoch's, and no dict, list or track
-        # record is kept
+        # per-row state lives only in table columns, one row per target, the
+        # reading tables' columns included: the class entropies and mixing
+        # chains are the library's, one row per class, the filter matrices
+        # are the epoch's, and no dict, list or track record is kept
         steps = []
         M = NUM_MODELS
         per_epoch = {
@@ -779,14 +778,15 @@ class TestTrackTable:
             k = c.library.ids.size
             for name, value in vars(c).items():
                 assert not isinstance(value, (Track, list, dict)), name
-                if name == "class_etas":
-                    assert value.shape == (k, 2)
-                elif name == "mode_transitions":
-                    assert value.shape == (k, M, M)
+                if isinstance(value, Readings):
+                    for column in vars(value).values():
+                        assert column.shape[0] == c.num_targets, name
                 elif name in per_epoch:
                     assert value.shape == per_epoch[name], name
                 elif isinstance(value, np.ndarray):
                     assert value.shape[0] == c.num_targets, name
+            assert c.library.etas.shape == (k, 2)
+            assert c.library.mode_transitions.shape == (k, M, M)
             steps.append(int(c.live.sum()))
 
         _after_each_step(monkeypatch, check)
@@ -807,7 +807,7 @@ class TestTrackTable:
             assert live.tolist() == list(want)
             assert etas.tolist() == [list(e) for e in want.values()]
             for row in live:
-                seen = c.motion_counts[row].sum() + c.signal_counts[row].sum()
+                seen = c.motion.counts[row].sum() + c.signal.counts[row].sum()
                 if c.class_rows[row] >= 0:
                     kinds["classified"] += 1
                 elif seen < 3:
@@ -860,14 +860,7 @@ class TestCountTables:
         # here has 2-6 states.
         rng = np.random.default_rng(seed)
         T, S = int(rng.integers(1, 8)), num_signal_states
-        tables = {
-            kind: (
-                np.zeros((T, n), dtype=np.int64),
-                np.zeros((T, n, n), dtype=np.int64),
-                np.tile([engine.NO_READING_STEP, 0], (T, 1)),
-            )
-            for kind, n in (("motion", 3), ("signal", S))
-        }
+        tables = {kind: Readings.empty(T, n) for kind, n in (("motion", 3), ("signal", S))}
         histories = {"motion": [[] for _ in range(T)], "signal": [[] for _ in range(T)]}
         step = int(rng.integers(-1, 2))
         for _ in range(int(rng.integers(1, 40))):
@@ -878,17 +871,14 @@ class TestCountTables:
                     size = int(rng.integers(0, T + 1))
                     rows = rng.choice(T, size=size, replace=False)
                     states = rng.integers(0, n, size=rows.size)
-                    _record_readings(*tables[kind], rows, step, states)
+                    tables[kind].record(rows, step, states)
                     for row, state in zip(rows, states):
                         record_reading(histories[kind][row], step, int(state))
         read = [
             r for r in range(T) if histories["motion"][r] and histories["signal"][r]
         ]
         rows = np.array(read, dtype=np.int64)
-        motion, signal = tables["motion"], tables["signal"]
-        values, evidence = vectors_from_counts(
-            motion[0][rows], motion[1][rows], signal[0][rows], signal[1][rows]
-        )
+        values, evidence = vectors_from_counts(tables["motion"], tables["signal"], rows)
         assert values.shape[0] == evidence.shape[0] == len(read)
         for i, row in enumerate(read):
             want = vector_from_histories(
@@ -899,21 +889,19 @@ class TestCountTables:
 
     def test_each_channel_is_recorded_once_per_step(self, monkeypatch):
         # the recorder's precondition, which it does not check: the engine
-        # calls `record_motion` and `record_signal` at most once per step
-        # each, over distinct rows, under every default policy
+        # calls `Readings.record` at most once per step on each coordinator's
+        # motion table and on its signal table, over distinct rows, under
+        # every default policy. A call's channel is the table it is made on.
         calls, coordinators = {}, []
-        for kind in ("motion", "signal"):
-            record = getattr(Coordinator, f"record_{kind}")
 
-            def spy(c, rows, step, states, kind=kind, record=record):
-                if not coordinators or coordinators[-1] is not c:
-                    coordinators.append(c)
-                calls.setdefault((len(coordinators), kind), []).append(
-                    (step, np.array(rows))
-                )
-                record(c, rows, step, states)
+        def seen(c, kind, rows, step, states):
+            if not coordinators or coordinators[-1] is not c:
+                coordinators.append(c)
+            calls.setdefault((len(coordinators), kind), []).append(
+                (step, np.array(rows))
+            )
 
-            monkeypatch.setattr(Coordinator, f"record_{kind}", spy)
+        spy_on_readings(monkeypatch, seen)
         config = dataclasses.replace(SMALL, num_epochs=3)
         run_experiment(config, default_policies(), workers=1)
         assert len(coordinators) == 3 * config.num_epochs
@@ -940,9 +928,9 @@ class TestHarvestGate:
         )
         for row, (n_motion, n_signal) in enumerate(self.READINGS):
             for step in range(n_motion):
-                c.record_motion(np.array([row]), step, rng.integers(0, 3, 1))
+                c.motion.record(np.array([row]), step, rng.integers(0, 3, 1))
             for step in range(n_signal):
-                c.record_signal(np.array([row]), step, rng.integers(0, 4, 1))
+                c.signal.record(np.array([row]), step, rng.integers(0, 4, 1))
         return c
 
     def test_exactly_the_rows_observed_enough_in_input_order(self):
@@ -950,12 +938,7 @@ class TestHarvestGate:
         order = np.array([5, 3, 1, 0, 4, 6, 2])
         rows, values, evidence = engine.track_parameter_vector(c, order)
         assert rows.tolist() == [5, 1, 4]
-        want_values, want_evidence = vectors_from_counts(
-            c.motion_counts[rows],
-            c.motion_transitions[rows],
-            c.signal_counts[rows],
-            c.signal_transitions[rows],
-        )
+        want_values, want_evidence = vectors_from_counts(c.motion, c.signal, rows)
         assert np.array_equal(values, want_values)
         assert np.array_equal(evidence, want_evidence)
 
@@ -976,8 +959,8 @@ class TestHarvestGate:
             if not coordinators or coordinators[-1] is not c:
                 coordinators.append(c)
                 passed.append(0)
-            ready = (c.motion_counts.sum(axis=1) >= 10) & (
-                c.signal_counts.sum(axis=1) >= 3
+            ready = (c.motion.counts.sum(axis=1) >= 10) & (
+                c.signal.counts.sum(axis=1) >= 3
             )
             passed[-1] = int((c.live & ready).sum())
 
@@ -1063,10 +1046,10 @@ class TestOneLayout:
         )
         c = coordinators[-1]
         T = c.num_targets
-        assert c.motion_counts.shape == (T, V)
-        assert c.motion_transitions.shape == (T, V, V)
-        assert c.signal_counts.shape == (T, S)
-        assert c.signal_transitions.shape == (T, S, S)
+        assert c.motion.counts.shape == (T, V)
+        assert c.motion.transitions.shape == (T, V, V)
+        assert c.signal.counts.shape == (T, S)
+        assert c.signal.transitions.shape == (T, S, S)
         assert m.harvested > 0 and m.num_classes > 0
         assert pool.values.shape == (m.harvested, VECTOR_LENGTH)
         assert pool.evidence.shape == (m.harvested, BLOCK_LENGTHS.size)

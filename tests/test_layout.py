@@ -23,7 +23,13 @@ An internal function takes the one input form the engine passes it, so
 `np.asarray` and `np.atleast_1d` appear only in the functions that really
 take more than one: the constructors of outside input (`MarkovChain`,
 `chain_from_stationary`, `TargetClass`), `process_noise_matrix` (an array
-or one float) and `polar_to_cartesian` (its sigmas as a tuple)."""
+or one float) and `polar_to_cartesian` (its sigmas as a tuple).
+
+A track's behavior record has one owner, `classlib`: its `Readings` tables
+count the readings and turn the counts into vectors and entropies, and
+`ClassLibrary` builds the per-class arrays. So `engine.py` imports nothing
+from `crnsim.markov`, whose count math (`transition_matrix_from_counts`,
+`normalized_entropy`) it would need only to redo that work."""
 
 import ast
 import importlib
@@ -219,3 +225,36 @@ def test_the_guard_sees_a_missing_script_target(tmp_path):
         "crnsim.no_such_module:main",
         "crnsim.engine:no_such_function",
     }
+
+
+def markov_imports(path: Path) -> set:
+    """Line of every import of `crnsim.markov`, or of a name from it, in
+    the module at `path`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if "crnsim.markov" in names:
+            found.add(node.lineno)
+    return found
+
+
+def test_the_engine_imports_nothing_from_markov():
+    assert markov_imports(PACKAGE / "engine.py") == set()
+
+
+def test_the_guard_sees_every_form_of_markov_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "from crnsim.markov import normalized_entropy\n"
+        "import crnsim.markov as markov\n"
+        "from crnsim import markov\n"
+        "from crnsim.classlib import Readings\n"
+        "def f():\n    from crnsim.markov import sample_next\n"
+    )
+    assert markov_imports(tmp_path / "a.py") == {2, 3, 4, 7}

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ class TestRegion:
     )
     def test_rejects_degenerate(self, w, h):
         with pytest.raises(ValueError):
+            Region(w, h)
+
+    @pytest.mark.parametrize("w,h", [(math.inf, 10), (10, math.inf)])
+    def test_rejects_infinite(self, w, h):
+        # an infinite area makes the Poisson draw of a spawn raise inside
+        # the run (under the cell pool, in a worker)
+        with pytest.raises(ValueError, match="finite"):
             Region(w, h)
 
 
@@ -208,7 +216,23 @@ class TestTargetClass:
         with pytest.raises(ValueError, match="power and gain"):
             dataclasses.replace(default_family().classes[0], tx_gain=value)
 
-    @pytest.mark.parametrize("value", [-0.1, float("nan")])
+    @pytest.mark.parametrize("field", ["tx_power_w", "tx_gain"])
+    def test_infinite_tx_power_or_gain_rejected(self, field):
+        # either gives the class's targets an infinite passive range
+        with pytest.raises(ValueError, match="power and gain"):
+            dataclasses.replace(default_family().classes[0], **{field: math.inf})
+
+    @pytest.mark.parametrize(
+        "field", ["speed_range_mps", "altitude_range_m", "turn_rate_range_radps"]
+    )
+    def test_infinite_range_bound_rejected(self, field):
+        # an infinite upper bound makes the uniform draw of a spawn
+        # overflow inside the run
+        with pytest.raises(ValueError, match="< inf"):
+            dataclasses.replace(default_family().classes[0], **{field: (0.0, math.inf)})
+
+    # an infinite cruise noise ran to a NaN median RMSE
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), math.inf])
     def test_negative_process_noise_rejected(self, value):
         noise = np.array([0.5, value, 15.0])
         with pytest.raises(ValueError, match="nonnegative"):
@@ -411,3 +435,12 @@ class TestSpawnScenario:
         # would fail inside numpy's Poisson draw
         with pytest.raises(ValueError):
             ScenarioConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize(
+        "field", ["node_density_per_km2", "target_density_per_km2", "radar_range_km"]
+    )
+    def test_infinite_config_rejected(self, field):
+        # an infinite density makes the Poisson draw of a spawn raise inside
+        # the run; an infinite range gates nothing out
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(**{field: math.inf})

@@ -109,6 +109,15 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             ReceiverParams(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ReceiverParams)]
+    )
+    def test_infinite_link_budget_value_rejected(self, field):
+        # an infinite gain gives every class an infinite passive range, and
+        # an infinite noise figure a range of 0, and either would run
+        with pytest.raises(ValueError, match="finite"):
+            ReceiverParams(**{field: math.inf})
+
     def test_snr_at_ten_km(self):
         snr = passive_snr(1.0, 1.0, ReceiverParams(), 10e3)
         assert snr == pytest.approx(71.17238267, rel=1e-8)
@@ -157,6 +166,12 @@ class TestSensorNoise:
         # by the constructor, not by numpy inside a run's step loop
         with pytest.raises(ValueError):
             SensorNoise(**{field: sigma})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SensorNoise)])
+    def test_infinite_sigma_rejected(self, field):
+        # an infinite range sigma ran to completion with a NaN RMSE
+        with pytest.raises(ValueError, match="finite"):
+            SensorNoise(**{field: math.inf})
 
 
 class TestPassiveDetect:
@@ -370,7 +385,7 @@ class TestAssociateDetection:
             np.array([0.1, 0.2]), 1, SIGMA_DOA,
         )
         assert logged == 0
-        assert not coordinator.signal_counts.any()
+        assert not coordinator.signal.counts.any()
 
     def test_single_track_at_bearing(self):
         assert associate(0.0, [[5000.0, 0.0]]).tolist() == [0]
