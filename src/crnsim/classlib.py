@@ -448,8 +448,9 @@ def _no_centroids() -> np.ndarray:
 class ClassLibrary:
     """Classes learned so far, as one table with a row per class in
     ascending id order: stable class ids (k,) and centroids (k, L), both
-    read-only, and the per-class arrays derived from the centroids
-    (`etas`, `mode_transitions`). The default is the empty library (k = 0)."""
+    read-only copies of the arrays passed, and the per-class arrays derived
+    from the centroids (`etas`, `mode_transitions`). The default is the
+    empty library (k = 0)."""
 
     ids: np.ndarray = field(default_factory=_empty_ids)
     centroids: np.ndarray = field(default_factory=_no_centroids)
@@ -457,9 +458,10 @@ class ClassLibrary:
     def __post_init__(self):
         if np.any(np.diff(self.ids) <= 0):
             raise ValueError("class ids must be unique and ascending")
-        # read-only, so the per-class arrays kept below stay true to them
-        self.ids.setflags(write=False)
-        self.centroids.setflags(write=False)
+        # read-only copies, so the per-class arrays kept below stay true
+        for name in ("ids", "centroids"):
+            object.__setattr__(self, name, getattr(self, name).copy())
+            getattr(self, name).setflags(write=False)
 
     @cached_property
     def etas(self) -> np.ndarray:

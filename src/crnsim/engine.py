@@ -399,7 +399,6 @@ def _fuse_radar(
     ti: np.ndarray,
     z: np.ndarray,
     t: int,
-    dt: float,
     noise: SensorNoise,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply this step's radar returns in three batches: an untracked row
@@ -439,7 +438,7 @@ def _fuse_radar(
         sr = rows[starts]
         banks = start_track(
             c.pending_pos[sr], c.pending_cov[sr], pos[starts], R3[starts],
-            (t - held_step[starts]) * dt,
+            (t - held_step[starts]) * c.dt_s,
         )
         c.start_tracks(sr, *banks)
         c.pending_step[sr] = NO_SIGHTING_STEP
@@ -660,7 +659,7 @@ def run_step(
 
     _predict_tracks(coordinator)
     rows, omegas = _fuse_radar(
-        world, coordinator, ni_r, ti_r, z_r, t, dt, config.noise
+        world, coordinator, ni_r, ti_r, z_r, t, config.noise
     )
     # Readings feed cross-track clustering, so the recorded state must not
     # depend on how this particular track happens to be tuned: a tuned
@@ -930,8 +929,8 @@ def run_experiment(
 
     The results are keyed by `PolicySpec.label`, so two policies with one
     label are refused rather than merged."""
-    if workers is not None and workers < 1:
-        raise ConfigError("need at least one worker")
+    if not (workers is None or isinstance(workers, numbers.Integral) and workers > 0):
+        raise ConfigError("workers must be a whole number, at least one")
     policies = tuple(policies) if policies is not None else default_policies()
     labels = [p.label for p in policies]
     if len(set(labels)) < len(labels):

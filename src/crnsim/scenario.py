@@ -8,9 +8,11 @@ pairwise distinguishable, so behavior observed over an epoch identifies
 the class.
 
 A target has one form, its row of a `TargetTable`: `spawn_scenario` draws
-each target's state straight into the table's columns, and
-`make_target_table` gathers every per-class parameter, the passive range
-included, by the one class index of each row.
+each quantity as one column (class, motion state, speed, heading,
+altitude, signal type, transmit state), chain states by
+`markov.inverse_cdf` as `dynamics` draws them, and `make_target_table`
+gathers every per-class parameter, the passive range included, by the one
+class index of each row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crnsim.markov import MarkovChain
+from crnsim.markov import MarkovChain, inverse_cdf
 from crnsim.sensing import ReceiverParams, max_detectable_range
 
 MOTION_STATES = ("CruiseCV", "CoordinatedTurn", "HighGManeuver")
@@ -77,7 +79,8 @@ class TargetClass:
     signal_chain: MarkovChain
     tx_chain: MarkovChain
     tx_power_w: float
-    # per-motion-state acceleration noise, m/s^2
+    # per-motion-state acceleration noise, m/s^2; a turn is a noise-free
+    # rotation, so only the tests' tuning oracles read the turn entry
     process_noise: np.ndarray
     speed_range_mps: tuple[float, float]
     altitude_range_m: tuple[float, float]
@@ -168,7 +171,7 @@ class TargetTable:
     motion_cdf: np.ndarray  # (T, 3, 3)
     signal_cdf: np.ndarray  # (T, S, S)
     tx_cdf: np.ndarray  # (T, 2, 2)
-    process_noise: np.ndarray  # (T, 3) acceleration std per motion state
+    process_noise: np.ndarray  # (T, 3) per motion state, turn entry unread
     speed_range: np.ndarray  # (T, 2) m/s
     turn_rate_range: np.ndarray  # (T, 2) rad/s
     passive_range: np.ndarray  # (T,) SNR-limited intercept radius, m
@@ -182,6 +185,12 @@ class TargetTable:
         return self.tx_state == TX_ON
 
 
+def _gather(per_class, kind: np.ndarray) -> np.ndarray:
+    """Per-row floats of a per-class quantity: `per_class` yields one value
+    (a float or an array) per class, and row i gets that of `kind[i]`."""
+    return np.array([*per_class], dtype=float)[kind]
+
+
 def make_target_table(
     classes: tuple[TargetClass, ...],
     kind: np.ndarray,
@@ -190,37 +199,31 @@ def make_target_table(
     motion_state: np.ndarray,
     signal_state: np.ndarray,
     tx_state: np.ndarray,
-    turn_rate: np.ndarray,
     receiver: ReceiverParams,
 ) -> TargetTable:
     """Table of T targets in the given truth state, row i of class
-    `classes[kind[i]]`, with no heading change yet. Takes arrays the table
-    keeps as its columns: int64 `kind`, `motion_state`, `signal_state` and
-    `tx_state` (T,), float `position` and `velocity` (T, 3) and
-    `turn_rate` (T,). Every per-class column is gathered by `kind`, the
-    passive range too: each class's `max_detectable_range` to `receiver`."""
-
-    def gather(per_class):
-        return np.array([*per_class], dtype=float)[kind]
-
+    `classes[kind[i]]`, with no turn rate and no heading change yet. Takes
+    arrays the table keeps as its columns: int64 `kind`, `motion_state`,
+    `signal_state` and `tx_state` (T,), and float `position` and `velocity`
+    (T, 3). Every per-class column is gathered by `kind`, the passive range
+    too: each class's `max_detectable_range` to `receiver`."""
+    budget = (max_detectable_range(c.tx_power_w, c.tx_gain, receiver) for c in classes)
     return TargetTable(
         class_id=np.array([c.class_id for c in classes], dtype=np.int64)[kind],
         position=position,
         velocity=velocity,
-        turn_rate=turn_rate,
+        turn_rate=np.zeros(kind.size),
         heading_rate=np.zeros(kind.size),
         motion_state=motion_state,
         signal_state=signal_state,
         tx_state=tx_state,
-        motion_cdf=gather(c.motion_chain.row_cdf for c in classes),
-        signal_cdf=gather(c.signal_chain.row_cdf for c in classes),
-        tx_cdf=gather(c.tx_chain.row_cdf for c in classes),
-        process_noise=gather(c.process_noise for c in classes),
-        speed_range=gather(c.speed_range_mps for c in classes),
-        turn_rate_range=gather(c.turn_rate_range_radps for c in classes),
-        passive_range=gather(
-            max_detectable_range(c.tx_power_w, c.tx_gain, receiver) for c in classes
-        ),
+        motion_cdf=_gather((c.motion_chain.row_cdf for c in classes), kind),
+        signal_cdf=_gather((c.signal_chain.row_cdf for c in classes), kind),
+        tx_cdf=_gather((c.tx_chain.row_cdf for c in classes), kind),
+        process_noise=_gather((c.process_noise for c in classes), kind),
+        speed_range=_gather((c.speed_range_mps for c in classes), kind),
+        turn_rate_range=_gather((c.turn_rate_range_radps for c in classes), kind),
+        passive_range=_gather(budget, kind),
     )
 
 
@@ -341,42 +344,35 @@ def spawn_scenario(
     config: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, TargetTable]:
     """Draw one scenario: node and target positions from independent PPPs,
-    classes uniform over the family, initial chain states from the
-    stationary distributions, speed/heading uniform within class limits.
-    Returns the (N, 3) node positions, on the ground, and the targets.
-    Either PPP may draw no points; an empty draw is a world like any other,
-    with a (0, 3) node array or an empty table.
-
-    Targets are drawn one after another, each with the same calls in the
-    same order: its class, motion state, speed, heading, turn magnitude and
-    sign (only when it starts in a turn), altitude, signal type and
-    transmit state.
-    """
+    then one call per quantity for all T targets, in this order: class
+    (uniform over the family), motion state, speed, heading, altitude,
+    signal type and transmit state. Speed, heading and altitude are uniform
+    within class limits; a state is `inverse_cdf` of one uniform per target
+    at its class's stationary CDF, built as `MarkovChain.row_cdf` is. Turn
+    rates start at 0: the first `dynamics.step_motion` draws one for every
+    target still turning. Returns the (N, 3) node positions, on the ground,
+    and the targets. Either PPP may draw no points; an empty draw is a world
+    like any other, with a (0, 3) node array or an empty table."""
     node_xy = sample_ppp(config.node_density_per_km2, config.region, rng)
     target_xy = sample_ppp(config.target_density_per_km2, config.region, rng)
     classes = config.family.classes
     T = len(target_xy)
-    kind, motion, signal, tx = (np.zeros(T, dtype=np.int64) for _ in range(4))
-    position = np.column_stack([target_xy, np.zeros(T)])
-    velocity = np.zeros((T, 3))
-    turn_rate = np.zeros(T)
-    for j in range(T):
-        kind[j] = rng.integers(len(classes))
-        cls = classes[kind[j]]
-        pi_v = cls.motion_chain.stationary
-        motion[j] = rng.choice(pi_v.size, p=pi_v)
-        speed = rng.uniform(*cls.speed_range_mps)
-        heading = rng.uniform(0.0, 2.0 * np.pi)
-        velocity[j, :2] = speed * np.cos(heading), speed * np.sin(heading)
-        if motion[j] == COORD_TURN:
-            turn_rate[j] = rng.uniform(*cls.turn_rate_range_radps) * rng.choice([-1, 1])
-        position[j, 2] = rng.uniform(*cls.altitude_range_m)
-        pi_s = cls.signal_chain.stationary
-        signal[j] = rng.choice(pi_s.size, p=pi_s)
-        # the draw is the state: TX_ON is 0
-        tx[j] = rng.choice(2, p=cls.tx_chain.stationary)
+    kind = rng.integers(len(classes), size=T)
+
+    def draw_state(stationaries):
+        cdf = np.cumsum(_gather(stationaries, kind), axis=1)
+        return inverse_cdf(cdf / cdf[:, -1:], rng.random(T))
+
+    motion = draw_state(c.motion_chain.stationary for c in classes)
+    speed = rng.uniform(*_gather((c.speed_range_mps for c in classes), kind).T)
+    heading = rng.uniform(0.0, 2.0 * np.pi, T)
+    altitude = rng.uniform(*_gather((c.altitude_range_m for c in classes), kind).T)
+    signal = draw_state(c.signal_chain.stationary for c in classes)
+    # the draw is the state: TX_ON is 0
+    tx = draw_state(c.tx_chain.stationary for c in classes)
+    velocity = speed[:, None] * np.column_stack([np.cos(heading), np.sin(heading)])
     targets = make_target_table(
-        classes, kind, position, velocity, motion, signal, tx, turn_rate,
-        config.receiver,
+        classes, kind, np.column_stack([target_xy, altitude]),
+        np.column_stack([velocity, np.zeros(T)]), motion, signal, tx, config.receiver,
     )
     return np.column_stack([node_xy, np.zeros(len(node_xy))]), targets

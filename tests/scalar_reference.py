@@ -48,11 +48,12 @@ table.
 
 A `Target` is one target's truth state as a single record, the form a
 target had before `scenario.spawn_scenario` drew straight into a
-`scenario.TargetTable`. `spawn_targets` is that spawn as it was, one
-`Target` per target: the oracle the table's columns and the generator's
-final state are compared against. `target_table` builds a table from
-`Target`s, and `target_row` hands one row of a table to the one-target
-functions above as a `Target`.
+`scenario.TargetTable`. `spawn_targets` is that spawn from scalar calls,
+one per target and quantity, each state by `rng.choice(p=...)`, building
+one `Target` per target: the oracle the table's columns and the
+generator's final state are compared against. `target_table` builds a
+table from `Target`s, and `target_row` hands one row of a table to the
+one-target functions above as a `Target`.
 
 `ParameterVector` is one target's behavior vector as a single validated
 record (values, block layout, evidence), the form a pool entry had before
@@ -122,7 +123,6 @@ from crnsim.markov import (
     transition_matrix_from_counts,
 )
 from crnsim.scenario import (
-    COORD_TURN,
     MOTION_STATES,
     SIGNAL_TYPES,
     TX_OFF,
@@ -174,9 +174,9 @@ def target_table(
     receiver: ReceiverParams = ReceiverParams(),
 ) -> TargetTable:
     """`scenario.make_target_table` of `targets`, in order, each row of the
-    class in `classes` with its class id, heading rates included. The
-    targets' fields become the table's columns, arrays of the dtypes and
-    shapes `make_target_table` takes."""
+    class in `classes` with its class id, turn and heading rates included.
+    The targets' fields become the table's columns, arrays of the dtypes
+    and shapes `make_target_table` takes."""
     index = {cls.class_id: i for i, cls in enumerate(classes)}
     table = make_target_table(
         tuple(classes),
@@ -186,47 +186,50 @@ def target_table(
         np.array([tg.motion_state for tg in targets], dtype=np.int64),
         np.array([tg.signal_state for tg in targets], dtype=np.int64),
         np.array([TX_ON if tg.tx_on else TX_OFF for tg in targets], dtype=np.int64),
-        np.array([tg.turn_rate_radps for tg in targets], dtype=float),
         receiver,
     )
+    table.turn_rate[:] = [tg.turn_rate_radps for tg in targets]
     table.heading_rate[:] = [tg.heading_rate_radps for tg in targets]
     return table
 
 
 def spawn_targets(config, rng: np.random.Generator) -> tuple[np.ndarray, list]:
-    """`scenario.spawn_scenario` as it was when it built one `Target` per
-    target: the same draws, returning the (N, 3) node positions and the
-    targets."""
+    """`scenario.spawn_scenario` as one `Target` per target, from scalar
+    calls: one per target and quantity, taken quantity by quantity in the
+    spawn's order (class, motion state, speed, heading, altitude, signal
+    type, transmit state), each state by `rng.choice(p=...)` on its class's
+    stationary distribution. Every turn rate is 0. Returns the (N, 3) node
+    positions and the targets."""
     node_xy = sample_ppp(config.node_density_per_km2, config.region, rng)
     target_xy = sample_ppp(config.target_density_per_km2, config.region, rng)
     family = config.family
-    targets = []
-    for j, xy in enumerate(target_xy):
-        cls = family.classes[rng.integers(len(family.classes))]
-        pi_v = cls.motion_chain.stationary
-        pi_s = cls.signal_chain.stationary
-        pi_tx = cls.tx_chain.stationary
-        motion_state = int(rng.choice(pi_v.size, p=pi_v))
-        speed = rng.uniform(*cls.speed_range_mps)
-        heading = rng.uniform(0.0, 2.0 * np.pi)
-        turn_rate = 0.0
-        if motion_state == COORD_TURN:
-            turn_rate = rng.uniform(*cls.turn_rate_range_radps) * rng.choice([-1, 1])
-        targets.append(
-            Target(
-                target_id=j,
-                class_id=cls.class_id,
-                position=np.array(
-                    [xy[0], xy[1], rng.uniform(*cls.altitude_range_m)]
-                ),
-                velocity=speed
-                * np.array([np.cos(heading), np.sin(heading), 0.0]),
-                motion_state=motion_state,
-                signal_state=int(rng.choice(pi_s.size, p=pi_s)),
-                tx_on=bool(rng.choice(2, p=pi_tx) == TX_ON),
-                turn_rate_radps=turn_rate,
-            )
+    classes = [family.classes[rng.integers(len(family.classes))] for _ in target_xy]
+
+    def states(chain_of):
+        return [
+            int(rng.choice(pi.size, p=pi))
+            for pi in (chain_of(cls).stationary for cls in classes)
+        ]
+
+    motion = states(lambda cls: cls.motion_chain)
+    speeds = [rng.uniform(*cls.speed_range_mps) for cls in classes]
+    headings = [rng.uniform(0.0, 2.0 * np.pi) for _ in classes]
+    altitudes = [rng.uniform(*cls.altitude_range_m) for cls in classes]
+    signal = states(lambda cls: cls.signal_chain)
+    tx = states(lambda cls: cls.tx_chain)
+    targets = [
+        Target(
+            target_id=j,
+            class_id=cls.class_id,
+            position=np.array([xy[0], xy[1], altitudes[j]]),
+            velocity=speeds[j]
+            * np.array([np.cos(headings[j]), np.sin(headings[j]), 0.0]),
+            motion_state=motion[j],
+            signal_state=signal[j],
+            tx_on=tx[j] == TX_ON,
         )
+        for j, (cls, xy) in enumerate(zip(classes, target_xy))
+    ]
     return np.column_stack([node_xy, np.zeros(len(node_xy))]), targets
 
 

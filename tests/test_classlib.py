@@ -547,6 +547,20 @@ class TestClassTuning:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
 
+    def test_the_library_copies_the_arrays_it_is_built_from(self):
+        # the caller's arrays stay writable, and writing them, or the array
+        # they view, changes neither the library nor the arrays it keeps
+        vectors = np.stack([strong_class_vector(i).values for i in range(3)])
+        ids, base = np.array([4, 9]), vectors.copy()
+        lib = ClassLibrary(ids, base[:2])
+        etas = lib.etas
+        assert ids.flags.writeable and base.flags.writeable
+        ids[:], base[:] = 0, vectors[2]
+        assert lib.ids.tolist() == [4, 9]
+        assert np.array_equal(lib.centroids, vectors[:2])
+        fresh = ClassLibrary(np.array([4, 9]), vectors[:2])
+        assert lib.etas is etas and np.array_equal(etas, fresh.etas)
+
 
 class TestLearnedLibraryConsistency:
     def test_unique_mapping_from_true_parameters(self, monkeypatch):

@@ -75,10 +75,13 @@ from crnsim.engine import (
     run_experiment,
 )
 from crnsim.scenario import (
+    COORD_TURN,
+    CRUISE_CV,
     MOTION_STATES,
     SIGNAL_TYPES,
     Region,
     ScenarioConfig,
+    TargetFamily,
     default_family,
 )
 from crnsim.sensing import SensorNoise
@@ -202,6 +205,29 @@ class TestPairedDesign:
             for config in (SMALL, dataclasses.replace(SMALL, scenario=fresh), SMALL)
         ]
         assert len(set(digests)) == 1
+
+    def test_the_turn_entry_of_the_process_noise_leaves_the_truth(self):
+        # a turn is a noise-free rotation, so families that differ only in
+        # their classes' turn noise give one truth; the cruise entry, which
+        # the truth does read, moves it
+        seed = epoch_seed(SMALL.seed, 1, 0)
+
+        def truth_digest(state, noise):
+            classes = []
+            for c in default_family().classes:
+                per_state = c.process_noise.copy()
+                per_state[state] = noise
+                classes.append(dataclasses.replace(c, process_noise=per_state))
+            scenario = dataclasses.replace(
+                SMALL.scenario, family=TargetFamily(tuple(classes))
+            )
+            config = dataclasses.replace(SMALL, scenario=scenario)
+            metrics = run_epoch(ClassLibrary(), config, seed, BANDIT, Pool.empty())[0]
+            return metrics.truth_digest
+
+        want = run_epoch(ClassLibrary(), SMALL, seed, BANDIT, Pool.empty())[0].truth_digest
+        assert truth_digest(COORD_TURN, 0.0) == truth_digest(COORD_TURN, 100.0) == want
+        assert truth_digest(CRUISE_CV, 2.0) != want
 
 
 class TestConfigValidation:
@@ -401,14 +427,13 @@ class TestRadarAssociation:
         # radial velocities +15 and -15 m/s tell the two returns apart
         z = np.array([[r, 0.0, el, 15.0, 0.0], [r, 0.0, el, -15.0, 0.0]])
         for t in (1, 2, 3):
-            fuse(world, coord, np.array([0, 0]), np.array([0, 1]), z, t, 0.5,
-                 SensorNoise())
+            fuse(world, coord, np.array([0, 0]), np.array([0, 1]), z, t, SensorNoise())
         assert np.flatnonzero(coord.live).tolist() == [0, 1]
         assert (2 + updates).tolist() == [3, 3]
         los = position / r
         assert coord.estimates[0, 3:] @ los > 10.0
         assert coord.estimates[1, 3:] @ los < -10.0
-        fuse(world, coord, np.array([0]), np.array([1]), z[1:], 4, 0.5, SensorNoise())
+        fuse(world, coord, np.array([0]), np.array([1]), z[1:], 4, SensorNoise())
         assert (2 + updates).tolist() == [3, 4]
 
     @pytest.mark.parametrize(
@@ -436,7 +461,7 @@ class TestRadarAssociation:
         ranges = rows[:, 0]
         assert (ranges[0] < ranges[1]) if used == 1 else (ranges[0] == ranges[1])
         for t in (1, 2):
-            fuse(world, coord, ni, ti, rows, t, 0.5, noise)
+            fuse(world, coord, ni, ti, rows, t, noise)
         # started by differencing two looks from the same node: at rest
         assert np.flatnonzero(coord.live).tolist() == [0] and 2 + updates[0] == 2
         assert np.allclose(coord.estimates[0, 3:], 0.0, atol=1e-9)
@@ -448,7 +473,7 @@ class TestRadarAssociation:
                                  make_node(world.node_positions[n]), noise)
                 for n in (0, 1)
             }
-            read, omegas = fuse(world, coord, ni, ti, rows, t, 0.5, noise)
+            read, omegas = fuse(world, coord, ni, ti, rows, t, noise)
             assert list(read) == [0] and list(omegas) == [0.0]
             assert 2 + updates[0] == t
             want, other = expected[used], expected[1 - used]
@@ -472,7 +497,7 @@ class TestRadarAssociation:
 
         def look(t):
             z = _polar_row(world.node_positions[0], seen[t])[None]
-            _fuse_radar(world, coord, ni, ti, z, t, 0.5, SensorNoise())
+            _fuse_radar(world, coord, ni, ti, z, t, SensorNoise())
 
         look(1)
         look(1 + gap)
@@ -650,7 +675,9 @@ class TestUnclassifiedBanks:
             promoted.append(int(now.sum()))
 
         monkeypatch.setattr(engine, "_attempt_assignments", checked)
-        # the third epoch is the first whose library classifies tracks
+        # the third epoch is the first whose library classifies tracks; a
+        # wider radius than the online default makes sure some are
+        monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", 0.5)
         run_experiment(dataclasses.replace(SMALL, num_epochs=3), [BANDIT])
         assert sum(promoted) > 0
 
@@ -742,7 +769,7 @@ class TestTrackTable:
         row = np.array([0])
         for t in (1, 2):
             z = _polar_row(world.node_positions[0], target)[None]
-            _fuse_radar(world, c, ni, ti, z, t, 0.5, noise)
+            _fuse_radar(world, c, ni, ti, z, t, noise)
         for step in range(engine.MIN_RADAR_OBS):
             c.motion.record(row, step, np.array([step % 3]))
         for step in range(engine.MIN_PASSIVE_OBS):
@@ -755,7 +782,7 @@ class TestTrackTable:
         assert (c.model_probs[0] == 1.0 / NUM_MODELS).all()
         engine._predict_tracks(c)
         z = _polar_row(world.node_positions[0], target, 0.02)[None]
-        _fuse_radar(world, c, ni, ti, z, 3, 0.5, noise)
+        _fuse_radar(world, c, ni, ti, z, 3, noise)
         track = Track(*(a[0] for a in c.bank(np.array([0]))))
         assert np.ptp(track.model_probs) > 0
         assert (track.state == c.estimates[0]).all()
@@ -816,7 +843,9 @@ class TestTrackTable:
                     kinds["counted"] += 1
 
         _after_each_step(monkeypatch, check)
-        # the third epoch is the first whose library classifies tracks
+        # the third epoch is the first whose library classifies tracks; a
+        # wider radius than the online default makes sure the bandit's do
+        monkeypatch.setattr(classlib, "DEFAULT_ACCEPT_RADIUS", 0.5)
         run_experiment(dataclasses.replace(SMALL, num_epochs=3), [policy])
         assert kinds["thin"] and kinds["counted"]
         if policy.kind is PolicyKind.BANDIT:
@@ -1231,7 +1260,7 @@ def metrics_sha256(result):
 # Recorded on the SMALL config under the three default policies. A change
 # that is meant to alter behaviour updates this value and says why in
 # CHANGES.md; any other change must leave it as it is.
-SMALL_METRICS_SHA256 = "905bba84aefe73fd287366f8a563b1ed335c0d211a268890ce47d40af8c69231"
+SMALL_METRICS_SHA256 = "32fff2dc11a2c4a4d476caaa35615e9b1ded40c632d83cd0b66cf812c47c4021"
 
 
 class TestRegressionGuard:
@@ -1275,7 +1304,9 @@ class TestCellPool:
     def test_no_pool_where_one_cannot_help(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
         assert run_experiment(SMALL, [BANDIT]).metrics["bandit"]
-        assert metrics_sha256(run_experiment(SMALL, workers=1)) == SMALL_METRICS_SHA256
+        # a numpy integer is a whole number of workers
+        result = run_experiment(SMALL, workers=np.int64(1))
+        assert metrics_sha256(result) == SMALL_METRICS_SHA256
 
     def test_without_fork_the_cells_run_in_process(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
@@ -1325,6 +1356,13 @@ class TestCellPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
         with pytest.raises(ConfigError):
             run_experiment(SMALL, workers=0)
+
+    @pytest.mark.parametrize("workers", [2.5, 1.5])
+    def test_a_fractional_worker_count_is_a_config_error(self, monkeypatch, workers):
+        # refused where it enters, not inside the pool or by running in turn
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
+        with pytest.raises(ConfigError, match="whole number"):
+            run_experiment(SMALL, workers=workers)
 
     def test_import_loads_no_pool_machinery(self):
         # nor any of scipy: numpy is the only runtime dependency

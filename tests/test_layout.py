@@ -29,7 +29,11 @@ A track's behavior record has one owner, `classlib`: its `Readings` tables
 count the readings and turn the counts into vectors and entropies, and
 `ClassLibrary` builds the per-class arrays. So `engine.py` imports nothing
 from `crnsim.markov`, whose count math (`transition_matrix_from_counts`,
-`normalized_entropy`) it would need only to redo that work."""
+`normalized_entropy`) it would need only to redo that work.
+
+A categorical draw has one implementation, `markov.inverse_cdf` on a
+cached CDF, which the spawn and every step use. So no `choice` call in the
+package passes probabilities `p`, by keyword or as its fourth argument."""
 
 import ast
 import importlib
@@ -258,3 +262,36 @@ def test_the_guard_sees_every_form_of_markov_import(tmp_path):
         "def f():\n    from crnsim.markov import sample_next\n"
     )
     assert markov_imports(tmp_path / "a.py") == {2, 3, 4, 7}
+
+
+def weighted_choices(package: Path) -> set:
+    """(file name, line) of every `choice` call that passes probabilities
+    `p`, by keyword or as its fourth positional argument."""
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) != "choice":
+                continue
+            if len(node.args) > 3 or any(k.arg == "p" for k in node.keywords):
+                found.add((path.name, node.lineno))
+    return found
+
+
+def test_no_choice_draws_with_probabilities():
+    assert weighted_choices(PACKAGE) == set()
+
+
+def test_the_guard_sees_every_weighted_choice(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "from numpy.random import choice\n"
+        "a = rng.choice(n, size=k, replace=False)\n"
+        "b = rng.choice(pi.size, p=pi)\n"
+        "c = np.random.choice(3, 1, True, pi)\n"
+        "d = choice(3, p=[0.5, 0.25, 0.25])\n"
+        "e = rng.integers(3)\n"
+    )
+    assert weighted_choices(tmp_path) == {("a.py", 4), ("a.py", 5), ("a.py", 6)}

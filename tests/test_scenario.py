@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import crnsim.markov as markov
+from crnsim.dynamics import step_motion
 from crnsim.engine import make_world
 from crnsim.markov import MarkovChain
 from crnsim.scenario import (
@@ -386,10 +387,20 @@ class TestSpawnScenario:
             slo, shi = cls.speed_range_mps
             assert slo - 1e-9 <= speed <= shi + 1e-9
             assert targets.velocity[i, 2] == 0.0
+        # the spawn draws no turn rate; the first step draws one, in the
+        # class's range and of either sign, for every target still turning
+        assert (targets.turn_rate == 0.0).all()
+        step_motion(targets, 0.5, rng)
+        signs = set()
+        for i, class_id in enumerate(targets.class_id.tolist()):
+            rate = targets.turn_rate[i]
             if targets.motion_state[i] == COORD_TURN:
-                assert cls.turn_rate_range_radps[0] <= abs(targets.turn_rate[i])
+                lo, hi = by_id[class_id].turn_rate_range_radps
+                assert lo <= abs(rate) <= hi
+                signs.add(math.copysign(1.0, rate))
             else:
-                assert targets.turn_rate[i] == 0.0
+                assert rate == 0.0
+        assert signs == {-1.0, 1.0}
 
     def test_spawns_reuse_the_family_stationaries(self, monkeypatch):
         # the chains are fixed per class, so their stationary distributions
@@ -405,20 +416,26 @@ class TestSpawnScenario:
         assert solved == []
 
     def test_stationary_initialization_of_motion_states(self):
-        # single-class family so every target is a UAV
+        # single-class family so every target is a UAV; its signal types
+        # and transmit states start stationary too
         uav = default_family().classes[0]
         cfg = ScenarioConfig(
             family=TargetFamily(classes=(uav,)), target_density_per_km2=1.0
         )
         rng = np.random.default_rng(9)
-        states = []
-        while len(states) < 10_000:
+        motion, signal, tx = [], [], []
+        while len(motion) < 10_000:
             _, targets = spawn_scenario(cfg, rng)
-            states.extend(targets.motion_state.tolist())
-        freq = np.bincount(states, minlength=3) / len(states)
-        assert freq == pytest.approx(
-            uav.motion_chain.stationary, abs=0.02
-        )
+            motion.extend(targets.motion_state.tolist())
+            signal.extend(targets.signal_state.tolist())
+            tx.extend(targets.tx_state.tolist())
+        for states, chain in (
+            (motion, uav.motion_chain),
+            (signal, uav.signal_chain),
+            (tx, uav.tx_chain),
+        ):
+            freq = np.bincount(states, minlength=chain.num_states) / len(states)
+            assert freq == pytest.approx(chain.stationary, abs=0.02)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
