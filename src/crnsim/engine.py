@@ -411,22 +411,18 @@ def _fuse_radar(
     one-model banks (see `_predict_tracks`). Returns the rows of the tracks
     that got a reading, ascending, and the angular rate each one measured.
 
-    One observer per target per step: the coordinator uses the return of
-    the closest active node (smallest measured range, then lowest node id)
-    and discards the other looks, so cross-range velocity is left to the
-    motion model.
+    One observer per target per step: `radar_measure_batch` delivers only
+    the closest active node's return of each target (smallest measured
+    range, then lowest node id), so cross-range velocity is left to the
+    motion model. Needs at most one return per target, targets ascending,
+    as that function returns them.
 
     Returns are associated to tracks by the truth target id they carry
     (`ti`), not by gating: the radar channel assumes perfect data
     association, so two targets at one position, seen by one node, still
     update their own tracks. Only the passive channel associates by
     measurement (see `_associate_bearings`)."""
-    # one return per target, targets ascending
-    pick = np.lexsort((ni, z[:, 0], ti))
-    first = np.ones(pick.size, dtype=bool)
-    first[1:] = ti[pick][1:] != ti[pick][:-1]
-    keep = pick[first]
-    ni, rows, z = ni[keep], ti[keep], z[keep]
+    rows = ti  # a target's track is its table row
     npos = world.node_positions[ni]
     sigmas = (noise.sigma_range_m, noise.sigma_azimuth_rad, noise.sigma_elevation_rad)
     pos, R3 = polar_to_cartesian(z[:, 0], z[:, 1], z[:, 2], npos, sigmas)

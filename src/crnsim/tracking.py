@@ -184,10 +184,11 @@ def polar_to_cartesian(
     J[:, 2, 0] = se
     J[:, 2, 1] = 0.0
     J[:, 2, 2] = r * ce
-    S = np.diag(np.asarray(sigmas, dtype=float) ** 2)
-    # symmetrized so that a track started from R has an exactly symmetric
-    # bank, as prediction and update leave it
-    R = _symmetrize(J @ S @ np.swapaxes(J, 1, 2))
+    var = np.asarray(sigmas, dtype=float) ** 2
+    # J diag(var) J^T, by scaling J's columns; symmetrized so that a track
+    # started from R has an exactly symmetric bank, as prediction and update
+    # leave it
+    R = _symmetrize((J * var) @ np.swapaxes(J, 1, 2))
     return pos, R
 
 

@@ -5,11 +5,17 @@ sensing, filter, bandit and class-learning code, and helpers only tests use.
 with the gates and noise model of `sensing.radar_measure_batch` and
 `sensing.passive_detect_batch`; `make_node` builds the node they read. The
 tests use them as oracles for the batch functions, and to feed a filter one
-measurement at a time. `associate_bearings_by_angle` is the passive
-bearing gate as it was before `engine._associate_bearings` took its cosine
-form: one node position per detection, and the angle between the predicted
-and the measured bearing per (detection, track) pair, wrapped by `arctan2`;
-it is the oracle for that gate.
+measurement at a time. `radar_measure_all_pairs` is
+`sensing.radar_measure_batch` as it was before it picked each target's
+closest return: every in-range (active node, target) pair measured in
+full, node-major; `closest_returns` is the lexsort pick that
+`engine._fuse_radar` then made. Together they are the oracle for the
+batch function, bit for bit, generator state included.
+`associate_bearings_by_angle` is the passive bearing gate as it was before
+`engine._associate_bearings` took its cosine form: one node position per
+detection, and the angle between the predicted and the measured bearing
+per (detection, track) pair, wrapped by `arctan2`; it is the oracle for
+that gate.
 
 A `Track` is one target's filter bank as a single record, the form a track
 had before the engine kept only table rows. `start_one_track` and
@@ -281,6 +287,57 @@ def radar_measure(
             + rng.normal(0.0, noise.sigma_angular_velocity_rad),
         ]
     )
+
+
+def radar_measure_all_pairs(
+    node_positions: np.ndarray,
+    active_mask: np.ndarray,
+    radar_range_m: float,
+    target_positions: np.ndarray,
+    target_velocities: np.ndarray,
+    heading_rates: np.ndarray,
+    rng: np.random.Generator,
+    noise: SensorNoise,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every radar return of a step: (node_idx, target_idx, z), one row per
+    active node and target within `radar_range_m` of it horizontally,
+    node-major, z as `sensing.radar_measure_batch` gives it."""
+    active = np.flatnonzero(active_mask)
+    rel = target_positions[None, :, :] - node_positions[active, None, :]
+    horiz = np.hypot(rel[..., 0], rel[..., 1])
+    ni, ti = np.nonzero(horiz <= radar_range_m)
+    r = rel[ni, ti]
+    ni = active[ni]
+    dist = np.linalg.norm(r, axis=1)
+    az = np.arctan2(r[:, 1], r[:, 0])
+    el = np.arcsin(np.clip(r[:, 2] / dist, -1.0, 1.0))
+    vr = np.einsum("ij,ij->i", target_velocities[ti], r) / dist
+    omega = heading_rates[ti]
+    z = np.column_stack([dist, az, el, vr, omega])
+    sig = np.array(
+        [
+            noise.sigma_range_m,
+            noise.sigma_azimuth_rad,
+            noise.sigma_elevation_rad,
+            noise.sigma_radial_velocity,
+            noise.sigma_angular_velocity_rad,
+        ]
+    )
+    z += rng.normal(0.0, 1.0, z.shape) * sig
+    z[:, 1] = wrap_angle(z[:, 1])
+    return ni, ti, z
+
+
+def closest_returns(
+    ni: np.ndarray, ti: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of each target's returns, the one with the smallest measured range
+    and then the lowest node id; targets ascending."""
+    pick = np.lexsort((ni, z[:, 0], ti))
+    first = np.ones(pick.size, dtype=bool)
+    first[1:] = ti[pick][1:] != ti[pick][:-1]
+    keep = pick[first]
+    return ni[keep], ti[keep], z[keep]
 
 
 def passive_detect(

@@ -6,8 +6,9 @@ bandit-table selection and update, at most one track-start batch and one class-a
 step whatever the target and node counts, the harvest rule for radar-only,
 the harvest gate on reading counts and the pool table each harvest grows,
 the one behavior-vector layout of the count tables, pool, library and harvest,
-radar association by truth id with one return per target per step and
-stale first sightings replaced, one prediction of mixed-class rows against
+radar association by truth id with one return per target per step (the
+closest, which sensing picks; fusion is given distinct targets, ascending)
+and stale first sightings replaced, one prediction of mixed-class rows against
 the one-track oracle under each row's tuning, baselines never classifying a
 track, the track table (its count
 tables against histories recorded on the test side, each channel
@@ -38,6 +39,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,7 +86,7 @@ from crnsim.scenario import (
     TargetFamily,
     default_family,
 )
-from crnsim.sensing import SensorNoise
+from crnsim.sensing import SensorNoise, radar_measure_batch
 from crnsim.tracking import NUM_MODELS, start_track
 
 from scalar_reference import (
@@ -441,27 +443,45 @@ class TestRadarAssociation:
         [
             # node 1 is closer: the smaller measured range wins over node id
             ([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0]], 1),
-            # equal ranges: the lower node id wins, whatever the input order
+            # equal ranges: the lower node id wins
             ([[0.0, 0.0, 0.0], [6000.0, 0.0, 0.0]], 0),
         ],
     )
     def test_one_update_per_step_from_the_closest_return(
         self, monkeypatch, nodes, used
     ):
+        # sensing picks the closest return, and fusion updates the track
+        # from that one return alone
         target = np.array([3000.0, 400.0, 500.0])
         world = _radar_world(nodes, [target])
         coord = _radar_coordinator(world)
         fuse, updates = _fuse_counting_updates(monkeypatch, coord)
         noise = SensorNoise()
-        # the two nodes disagree by +-0.01 rad in azimuth, so which return
-        # was used shows in the estimate; ranges stay as measured
-        rows = np.stack([_polar_row(world.node_positions[n], target, d)
-                         for n, d in ((1, -0.01), (0, 0.01))])
-        ni, ti = np.array([1, 0]), np.array([0, 0])
-        ranges = rows[:, 0]
-        assert (ranges[0] < ranges[1]) if used == 1 else (ranges[0] == ranges[1])
+        # azimuth noise alone, the same draws at every step, node-major: the
+        # two nodes disagree by +-0.01 rad in azimuth, so which return was
+        # used shows in the estimate; ranges stay as measured
+        draws = np.array([[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0, 0.0]])
+        rng = SimpleNamespace(standard_normal=lambda shape: draws.copy())
+        looks = SensorNoise(0.0, 0.01, 0.0, 0.0, 0.0, 0.0)
+        returns = {
+            n: _polar_row(world.node_positions[n], target, d)
+            for n, d in ((1, -0.01), (0, 0.01))
+        }
+        ranges = {n: row[0] for n, row in returns.items()}
+        assert (ranges[1] < ranges[0]) if used == 1 else (ranges[0] == ranges[1])
+
+        def measure():
+            truth = world.targets
+            return radar_measure_batch(
+                world.node_positions, np.ones(2, bool), world.radar_range_m,
+                truth.position, truth.velocity, truth.heading_rate, rng, looks,
+            )
+
+        ni, ti, z = measure()
+        assert ni.tolist() == [used] and ti.tolist() == [0]
+        assert np.allclose(z[0], returns[used], rtol=0.0, atol=1e-12)
         for t in (1, 2):
-            fuse(world, coord, ni, ti, rows, t, noise)
+            fuse(world, coord, *measure(), t, noise)
         # started by differencing two looks from the same node: at rest
         assert np.flatnonzero(coord.live).tolist() == [0] and 2 + updates[0] == 2
         assert np.allclose(coord.estimates[0, 3:], 0.0, atol=1e-9)
@@ -469,17 +489,35 @@ class TestRadarAssociation:
             # the row is unclassified: the one model it stores and runs
             track = Track(*(a[0] for a in coord.bank(np.array([0]), 1)))
             expected = {
-                n: kalman_update(copy.deepcopy(track), rows[list(ni).index(n)],
+                n: kalman_update(copy.deepcopy(track), returns[n],
                                  make_node(world.node_positions[n]), noise)
                 for n in (0, 1)
             }
-            read, omegas = fuse(world, coord, ni, ti, rows, t, noise)
+            read, omegas = fuse(world, coord, *measure(), t, noise)
             assert list(read) == [0] and list(omegas) == [0.0]
             assert 2 + updates[0] == t
             want, other = expected[used], expected[1 - used]
             got = coord.model_states[0, :1]
             assert np.allclose(got, want.model_states, atol=1e-6)
             assert not np.allclose(got, other.model_states, atol=1.0)
+
+    def test_fusion_is_given_distinct_targets_ascending(self, monkeypatch):
+        # `_fuse_radar`'s precondition, which it does not check: the engine
+        # hands it at most one return per target, targets ascending, as
+        # `radar_measure_batch` returns them
+        fuse, given = engine._fuse_radar, []
+
+        def spy(world, coordinator, ni, ti, z, t, noise):
+            given.append(np.array(ti))
+            assert ni.shape == ti.shape and z.shape == (ti.size, 5)
+            return fuse(world, coordinator, ni, ti, z, t, noise)
+
+        monkeypatch.setattr(engine, "_fuse_radar", spy)
+        run_experiment(SMALL, [BANDIT], workers=1)
+        assert len(given) == SMALL.num_epochs * 25
+        assert sum(ti.size for ti in given) > 0
+        for ti in given:
+            assert (np.diff(ti) > 0).all()
 
     @pytest.mark.parametrize("gap, starts", [(2, True), (40, False)])
     def test_a_stale_first_sighting_is_replaced(self, gap, starts):

@@ -19,10 +19,12 @@ from crnsim.sensing import (
 from scalar_reference import (
     ZeroRange,
     associate_bearings_by_angle,
+    closest_returns,
     make_node,
     passive_detect,
     passive_snr,
     radar_measure,
+    radar_measure_all_pairs,
 )
 
 ZERO_NOISE = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -425,6 +427,9 @@ class TestBatchConsistency:
         return rng, nodes, targets
 
     def test_radar_batch_matches_scalar(self):
+        # each seen target's return is the scalar measurement of its
+        # closest active node in range (noise-free, so the measured range
+        # is the distance), on a ring of nodes whose gates overlap
         rng, nodes, targets = self._setup()
         active = np.arange(6) % 2 == 0
         ni, ti, z = radar_measure_batch(
@@ -437,14 +442,21 @@ class TestBatchConsistency:
             rng,
             ZERO_NOISE,
         )
-        got = {(int(a), int(b)) for a, b in zip(ni, ti)}
-        expected = {}
-        for i, node in enumerate(nodes):
-            for j, t in enumerate(targets):
+        expected, in_range = {}, 0
+        for j, t in enumerate(targets):
+            seen = {}
+            for i, node in enumerate(nodes):
                 m = radar_measure(node, t, active[i], rng, ZERO_NOISE)
                 if m is not None:
-                    expected[(i, j)] = m
-        assert got == set(expected)
+                    seen[i] = m
+            in_range += len(seen)
+            if seen:
+                # the smallest range, then the lowest node id
+                i = min(seen, key=lambda i: (seen[i][0], i))
+                expected[(i, j)] = seen[i]
+        assert in_range > len(expected) > 0
+        assert ti.tolist() == sorted({j for _, j in expected})
+        assert {(int(a), int(b)) for a, b in zip(ni, ti)} == set(expected)
         for k, (a, b) in enumerate(zip(ni, ti)):
             assert z[k] == pytest.approx(expected[(int(a), int(b))], rel=1e-10)
 
@@ -535,6 +547,111 @@ class TestBatchConsistency:
         assert ni.size == ti.size == bearings.size == 0
         assert ni.dtype == ti.dtype == np.intp
         assert rng.bit_generator.state == before
+
+
+def radar_inputs(nodes, active, targets, radar_range_m=4000.0, seed=0):
+    """Keyword inputs of `radar_measure_batch` for (N, 3) node and (T, 3)
+    target positions, with seeded velocities and heading rates."""
+    g = np.random.default_rng(seed)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 3)
+    return dict(
+        node_positions=np.asarray(nodes, dtype=float).reshape(-1, 3),
+        active_mask=np.asarray(active, dtype=bool),
+        radar_range_m=radar_range_m,
+        target_positions=targets,
+        target_velocities=g.normal(0.0, 30.0, targets.shape),
+        heading_rates=g.normal(0.0, 0.2, len(targets)),
+    )
+
+
+def assert_equals_all_pairs_oracle(inputs, noise, seed):
+    """`radar_measure_batch` gives what measuring every pair and then
+    picking each target's closest return gives, bit for bit, and leaves
+    the generator where that does."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = radar_measure_batch(**inputs, rng=got_rng, noise=noise)
+    want = closest_returns(*radar_measure_all_pairs(**inputs, rng=want_rng, noise=noise))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+class TestClosestReturn:
+    """The radar delivers one return per seen target: the one of the
+    active node with the smallest measured range, then the lowest node id."""
+
+    def test_random_geometries_equal_the_oracle(self):
+        picked = several = 0
+        for seed in range(300):
+            g = np.random.default_rng(seed)
+            n, t = int(g.integers(0, 30)), int(g.integers(0, 50))
+            inputs = radar_inputs(
+                g.uniform(0.0, 20_000.0, (n, 3)) * [1.0, 1.0, 0.01],
+                g.random(n) < g.random(),
+                g.uniform(0.0, 20_000.0, (t, 3)) * [1.0, 1.0, 0.2],
+                radar_range_m=float(g.uniform(1000.0, 8000.0)),
+                seed=seed,
+            )
+            noise = SensorNoise() if seed % 3 else ZERO_NOISE
+            ni, ti, _ = assert_equals_all_pairs_oracle(inputs, noise, seed)
+            picked += ti.size
+            # seen by more than one node: the pick had a choice
+            rel = inputs["target_positions"][None, ti] - inputs["node_positions"][:, None]
+            in_range = np.hypot(rel[..., 0], rel[..., 1]) <= inputs["radar_range_m"]
+            several += int(((in_range & inputs["active_mask"][:, None]).sum(0) > 1).sum())
+        assert several > picked // 4 > 0
+
+    @pytest.mark.parametrize(
+        "nodes, active, targets",
+        [
+            # no active node while targets exist
+            ([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]], [False, False], [[500.0, 0.0, 100.0]]),
+            # no node at all
+            (np.zeros((0, 3)), np.zeros(0, bool), [[500.0, 0.0, 100.0]]),
+            # no targets
+            ([[0.0, 0.0, 0.0]], [True], np.zeros((0, 3))),
+            # no target in range
+            ([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]], [True, True], [[9000.0, 0.0, 100.0]]),
+        ],
+    )
+    def test_nothing_seen_gives_empty_returns(self, nodes, active, targets):
+        for noise in (SensorNoise(), ZERO_NOISE):
+            ni, ti, z = assert_equals_all_pairs_oracle(
+                radar_inputs(nodes, active, targets), noise, 5
+            )
+            assert ni.size == ti.size == 0 and z.shape == (0, 5)
+            assert ni.dtype == ti.dtype == np.intp
+
+    def test_the_smaller_measured_range_wins(self):
+        # node 0 is 10 m farther, but its range noise (-25 m) takes its
+        # measured range below node 1's (+25 m): the measured range decides
+        nodes = [[-3010.0, 0.0, 0.0], [3000.0, 0.0, 0.0]]
+        inputs = radar_inputs(nodes, [True, True], [[0.0, 0.0, 0.0]])
+        draws = np.array([[-1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
+        rng = SimpleNamespace(standard_normal=lambda shape: draws.copy())
+        ni, ti, z = radar_measure_batch(**inputs, rng=rng, noise=SensorNoise())
+        assert ni.tolist() == [0] and ti.tolist() == [0]
+        assert z[0, 0] == 3010.0 - 25.0
+        # with the draws swapped, the closer node's smaller range wins
+        draws = draws[::-1]
+        ni, _, z = radar_measure_batch(**inputs, rng=rng, noise=SensorNoise())
+        assert ni.tolist() == [1] and z[0, 0] == 3000.0 - 25.0
+
+    @pytest.mark.parametrize("mirror", [1.0, -1.0])
+    def test_an_equal_range_goes_to_the_lower_node_id(self, mirror):
+        # two mirror-image nodes, noise-free: the measured ranges tie
+        # exactly, and node 0 wins on whichever side it stands
+        nodes = [[mirror * 3000.0, 0.0, 0.0], [-mirror * 3000.0, 0.0, 0.0]]
+        targets = [[0.0, 400.0, 500.0], [0.0, -1200.0, 80.0]]
+        inputs = radar_inputs(nodes, [True, True], targets)
+        rel = inputs["target_positions"][None] - inputs["node_positions"][:, None]
+        dist = np.linalg.norm(rel, axis=2)
+        assert (dist[0] == dist[1]).all()
+        ni, ti, z = assert_equals_all_pairs_oracle(inputs, ZERO_NOISE, 2)
+        assert ni.tolist() == [0, 0] and ti.tolist() == [0, 1]
+        assert (z[:, 0] == dist[0]).all()
 
 
 class TestWrapAngle:
